@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SparseSystem, from_coo, lu_solve, matvec
+from .linalg import SparseSystem, from_coo, lu_solve
 from .mesh import ShishkinMesh1D
 from .polyspace import PiecewisePoly1D, end_vals, gauss_rule, grad_matrix, leg_mass, legendre_basis
 
@@ -20,7 +21,6 @@ __all__ = [
     "assemble",
     "solve_1d",
     "bilinear_B",
-    "residual_check",
     "coeffs_to_solution",
     "solution_to_coeffs",
 ]
@@ -97,23 +97,65 @@ def flux_q_hat(w: LdgSolution1D, j: int, cfg: FluxConfig) -> float:
     return w.q.trace_right(j)
 
 
-class _Accumulator:
-    def __init__(self):
-        self.rows = []
-        self.cols = []
-        self.vals = []
+class _Coupling(NamedTuple):
+    """One family of interface blocks: outer(test_trace, trial_trace) * weight
+    at test_cell's test_field rows and trial_cell's trial_field columns."""
 
-    def add_block(self, r0: int, c0: int, block: np.ndarray) -> None:
-        nr, nc = block.shape
-        r = np.repeat(np.arange(r0, r0 + nr), nc)
-        c = np.tile(np.arange(c0, c0 + nc), nr)
-        self.rows.append(r)
-        self.cols.append(c)
-        self.vals.append(block.ravel())
+    test_cell: np.ndarray
+    test_field: int
+    test_trace: np.ndarray
+    trial_cell: np.ndarray
+    trial_field: int
+    trial_trace: np.ndarray
+    weight: float
 
-    def concat(self):
-        return (np.concatenate(self.rows), np.concatenate(self.cols),
-                np.concatenate(self.vals))
+
+_FLUX, _PRIMAL = 0, 1  # Q and U in 1D; P or Q, and U, per direction in 2D
+
+
+def _flux_coupling(N: int, k: int, lambda0: float, lambdaN: float, lambda_jump: float,
+                   special: int) -> list[_Coupling]:
+    """The numerical-flux pair across the N+1 interfaces of N cells, as a table.
+
+    U-hat (upwind U^-, plus lambda_jump*(Q^+ - Q^-) at the special interface)
+    enters the flux test rows; Q-hat (downwind Q^+, boundary values penalized
+    by lambda0*U and -lambdaN*U) enters the primal test rows.  Each hat is
+    tested from the cell right of the interface (+em) and from the cell left
+    of it (-ep).  The table order fixes the order in which from_coo sums the
+    entries at one matrix position, and so the last bits of the matrix:
+    right-cell tests first, then left-cell tests, each in the listed order.
+    """
+    em, ep = end_vals(k)
+    interior = np.arange(1, N)
+    first, last = np.array([0]), np.array([N])
+    # (test field, interfaces, trial cell offset, trial field, trial trace, weight)
+    hats = [(_FLUX, interior, -1, _PRIMAL, ep, 1.0)]
+    if lambda_jump != 0.0:
+        jump = interior[interior == special]
+        hats += [(_FLUX, jump, 0, _FLUX, em, lambda_jump),
+                 (_FLUX, jump, -1, _FLUX, ep, -lambda_jump)]
+    hats += [(_PRIMAL, first, 0, _FLUX, em, 1.0), (_PRIMAL, first, 0, _PRIMAL, em, lambda0),
+             (_PRIMAL, interior, 0, _FLUX, em, 1.0),
+             (_PRIMAL, last, -1, _FLUX, ep, 1.0), (_PRIMAL, last, -1, _PRIMAL, ep, -lambdaN)]
+    table = []
+    for test_offset, test_trace in ((0, em), (-1, -ep)):
+        for test_field, interfaces, trial_offset, trial_field, trial_trace, weight in hats:
+            j = interfaces[(interfaces + test_offset >= 0) & (interfaces + test_offset < N)]
+            if j.size:
+                table.append(_Coupling(j + test_offset, test_field, test_trace,
+                                       j + trial_offset, trial_field, trial_trace, weight))
+    return table
+
+
+def _block_triplets(r0: np.ndarray, c0: np.ndarray, blocks: np.ndarray):
+    """COO triplets of dense blocks with top-left corners (r0, c0); blocks
+    broadcasts against r0.shape + (rows, cols)."""
+    r0, c0 = np.broadcast_arrays(r0, c0)
+    nr, nc = blocks.shape[-2:]
+    vals = np.broadcast_to(blocks, r0.shape + (nr, nc))
+    rows = np.broadcast_to(r0[..., None, None] + np.arange(nr)[:, None], vals.shape)
+    cols = np.broadcast_to(c0[..., None, None] + np.arange(nc), vals.shape)
+    return rows.ravel(), cols.ravel(), vals.ravel()
 
 
 def _check_consistent(mesh: ShishkinMesh1D, problem, cfg: FluxConfig) -> None:
@@ -144,70 +186,33 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig,
     phi = legendre_basis(k, rule.nodes)
     G = grad_matrix(k)
     mass = leg_mass(k)
-    em, ep = end_vals(k)
     h = mesh.widths
-    mid = 0.5 * (mesh.points[:-1] + mesh.points[1:])
-    X = mid[:, None] + 0.5 * h[:, None] * rule.nodes[None, :]
+    X = mesh.quad_points(rule.nodes)
     bX = np.broadcast_to(np.asarray(problem.b(X), dtype=float), X.shape)
     fX = np.broadcast_to(np.asarray(problem.f(X), dtype=float), X.shape)
     b_blocks = np.einsum("g,jg,ag,ng->jan", rule.weights, bX, phi, phi) * (0.5 * h)[:, None, None]
     f_mom = np.einsum("g,jg,ag->ja", rule.weights, fX, phi) * (0.5 * h)[:, None]
 
-    def iq(c):  # Q-coefficient (and flux-test-row) offset of cell c
-        return c * 2 * B
+    def off(c, field):  # coefficient (and test-row) offset of field in cell c
+        return (2 * c + field) * B
 
-    def iu(c):  # U-coefficient (and primal-test-row) offset of cell c
-        return c * 2 * B + B
-
-    acc = _Accumulator()
-    rhs = np.zeros(2 * N * B)
-    inv_eps = 1.0 / cfg.eps
-    for c in range(N):
-        acc.add_block(iq(c), iq(c), np.diag(inv_eps * 0.5 * h[c] * mass))
-        acc.add_block(iq(c), iu(c), G)
-        acc.add_block(iu(c), iq(c), G)
-        acc.add_block(iu(c), iu(c), b_blocks[c])
-        rhs[iu(c):iu(c) + B] = f_mom[c]
-
-    m = cfg.special_interface
-    for j in range(N + 1):
-        # Test traces hit by the flux at interface j: the cell to the left
-        # sees -value at its right end, the cell to the right +value at its
-        # left end.
-        tests_q = []
-        tests_u = []
-        if j >= 1:
-            tests_q.append((iq(j - 1), -ep))
-            tests_u.append((iu(j - 1), -ep))
-        if j <= N - 1:
-            tests_q.append((iq(j), em))
-            tests_u.append((iu(j), em))
-
-        u_hat_terms = []
-        if 0 < j < N:
-            u_hat_terms.append((iu(j - 1), ep, 1.0))
-            if j == m and cfg.lambda_q != 0.0:
-                u_hat_terms.append((iq(j), em, cfg.lambda_q))
-                u_hat_terms.append((iq(j - 1), ep, -cfg.lambda_q))
-
-        if j == 0:
-            q_hat_terms = [(iq(0), em, 1.0), (iu(0), em, cfg.lambda0)]
-        elif j == N:
-            q_hat_terms = [(iq(N - 1), ep, 1.0), (iu(N - 1), ep, -cfg.lambdaN)]
-        else:
-            q_hat_terms = [(iq(j), em, 1.0)]
-
-        for r0, tv in tests_q:
-            for c0, cv, wt in u_hat_terms:
-                acc.add_block(r0, c0, np.outer(tv, cv) * wt)
-        for r0, tv in tests_u:
-            for c0, cv, wt in q_hat_terms:
-                acc.add_block(r0, c0, np.outer(tv, cv) * wt)
-
-    rows, cols, vals = acc.concat()
+    cells = np.arange(N)
+    iq, iu = off(cells, _FLUX), off(cells, _PRIMAL)
+    parts = [
+        _block_triplets(iq, iq, (1.0 / cfg.eps * 0.5 * h)[:, None, None] * np.diag(mass)),
+        _block_triplets(iq, iu, G),
+        _block_triplets(iu, iq, G),
+        _block_triplets(iu, iu, b_blocks),
+    ]
+    for t in _flux_coupling(N, k, cfg.lambda0, cfg.lambdaN, cfg.lambda_q, cfg.special_interface):
+        parts.append(_block_triplets(off(t.test_cell, t.test_field), off(t.trial_cell, t.trial_field),
+                                     np.outer(t.test_trace, t.trial_trace) * t.weight))
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
     matrix = from_coo(2 * N * B, rows, cols, vals)
+    rhs = np.zeros((N, 2, B))
+    rhs[:, _PRIMAL] = f_mom
     ordering = "cell-major; per cell [Q_0..Q_k, U_0..U_k]"
-    return SparseSystem(matrix=matrix, rhs=rhs, ordering=ordering)
+    return SparseSystem(matrix=matrix, rhs=rhs.ravel(), ordering=ordering)
 
 
 def coeffs_to_solution(mesh: ShishkinMesh1D, k: int, x: np.ndarray) -> LdgSolution1D:
@@ -232,11 +237,6 @@ def solve_1d(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig,
     return coeffs_to_solution(mesh, k, x)
 
 
-def residual_check(system: SparseSystem, coeffs: np.ndarray) -> float:
-    """Max-norm residual of candidate solution coefficients."""
-    return float(np.abs(matvec(system.matrix, coeffs) - system.rhs).max(initial=0.0))
-
-
 def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, cfg: FluxConfig,
                nq: int | None = None) -> float:
     """Evaluate the scheme's compact bilinear form B(W; chi).
@@ -258,8 +258,7 @@ def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, cfg: FluxConfig,
     mass = leg_mass(k)
     em, ep = end_vals(k)
     h = mesh.widths
-    mid = 0.5 * (mesh.points[:-1] + mesh.points[1:])
-    X = mid[:, None] + 0.5 * h[:, None] * rule.nodes[None, :]
+    X = mesh.quad_points(rule.nodes)
     bX = np.broadcast_to(np.asarray(b(X), dtype=float), X.shape)
 
     cQ, cU = w.q.coeffs, w.u.coeffs

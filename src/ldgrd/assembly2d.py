@@ -9,16 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly1d import ASSEMBLY_EXTRA_NODES, _block_triplets, _check_consistent, _flux_coupling
 from .linalg import SparseSystem, from_coo, lu_solve
 from .mesh import TensorMesh2D
-from .polyspace import (
-    PiecewisePoly2D,
-    end_vals,
-    gauss_rule,
-    grad_matrix,
-    leg_mass,
-    legendre_basis,
-)
+from .polyspace import PiecewisePoly2D, gauss_rule, grad_matrix, leg_mass, legendre_basis
 
 __all__ = [
     "FluxConfig2D",
@@ -29,8 +23,6 @@ __all__ = [
     "coeffs_to_solution_2d",
     "solution_to_coeffs_2d",
 ]
-
-ASSEMBLY_EXTRA_NODES = 1
 
 _P, _Q, _U = 0, 1, 2  # per-cell block order
 
@@ -75,17 +67,6 @@ class LdgSolution2D:
             raise ValueError("U, P, Q must share one degree")
 
 
-class _Acc:
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, r0: int, c0: int, block: np.ndarray) -> None:
-        nr, nc = block.shape
-        self.rows.append(np.repeat(np.arange(r0, r0 + nr), nc))
-        self.cols.append(np.tile(np.arange(c0, c0 + nc), nr))
-        self.vals.append(block.ravel())
-
-
 def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
                nq: int | None = None) -> SparseSystem:
     """Assemble the 3*N^2*(k+1)^2 system for the triple (U, P, Q).
@@ -97,11 +78,8 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
     """
     if k < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {k}")
-    if not math.isclose(problem.eps, cfg.eps, rel_tol=1e-12):
-        raise ValueError(f"flux config eps={cfg.eps} does not match problem eps={problem.eps}")
     mx, my = mesh.mesh_x, mesh.mesh_y
-    if not math.isclose(problem.eps, mx.params.eps, rel_tol=1e-12):
-        raise ValueError(f"problem eps={problem.eps} does not match mesh eps={mx.params.eps}")
+    _check_consistent(mx, problem, cfg)
     nx, ny = mesh.shape
     if nx != ny:
         raise ValueError(
@@ -115,12 +93,9 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
     phi = legendre_basis(k, rule.nodes)
     G = grad_matrix(k)
     mass = leg_mass(k)
-    em, ep = end_vals(k)
     hx, hy = mx.widths, my.widths
-    Xn = (0.5 * (mx.points[:-1] + mx.points[1:]))[:, None] + 0.5 * hx[:, None] * rule.nodes[None, :]
-    Yn = (0.5 * (my.points[:-1] + my.points[1:]))[:, None] + 0.5 * hy[:, None] * rule.nodes[None, :]
-    X4 = Xn[:, None, :, None]
-    Y4 = Yn[None, :, None, :]
+    X4 = mx.quad_points(rule.nodes)[:, None, :, None]
+    Y4 = my.quad_points(rule.nodes)[None, :, None, :]
     shape4 = (nx, ny, rule.n, rule.n)
     bV = np.broadcast_to(np.asarray(problem.b(X4, Y4), dtype=float), shape4)
     fV = np.broadcast_to(np.asarray(problem.f(X4, Y4), dtype=float), shape4)
@@ -132,99 +107,52 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
     f_mom = np.einsum("ijxy,x,y,ax,by->ijab", fV, rule.weights, rule.weights, phi, phi)
     f_mom = f_mom.reshape(nx, ny, B2) * np.multiply.outer(0.5 * hx, 0.5 * hy)[:, :, None]
 
-    def off(i: int, j: int, field: int) -> int:
+    def off(i, j, field):
         return ((j * nx + i) * 3 + field) * B2
 
-    acc = _Acc()
-    ndof = 3 * nx * ny * B2
-    rhs = np.zeros(ndof)
-    inv_eps = 1.0 / cfg.eps
+    ci, cj = np.arange(nx)[:, None], np.arange(ny)[None, :]
+    iP, iQ, iU = off(ci, cj, _P), off(ci, cj, _Q), off(ci, cj, _U)
     Dm = np.diag(mass)
-    grad_x = np.kron(G, Dm)      # to be scaled by hy/2
-    grad_y = np.kron(Dm, G)      # to be scaled by hx/2
-    mass_t = np.kron(Dm, Dm)     # to be scaled by (hx/2)(hy/2)
+    cell_mass = (0.25 * hx[:, None] * hy[None, :])[:, :, None, None] * np.kron(Dm, Dm)
+    gx = (0.5 * hy)[None, :, None, None] * np.kron(G, Dm)
+    gy = (0.5 * hx)[:, None, None, None] * np.kron(Dm, G)
+    inv_eps = 1.0 / cfg.eps
+    parts = [
+        _block_triplets(iP, iP, inv_eps * cell_mass),
+        _block_triplets(iP, iU, gx),
+        _block_triplets(iQ, iQ, inv_eps * cell_mass),
+        _block_triplets(iQ, iU, gy),
+        _block_triplets(iU, iP, gx),
+        _block_triplets(iU, iQ, gy),
+        _block_triplets(iU, iU, b_blocks),
+    ]
+    # Edges normal to each axis carry the 1D flux coupling across them, times
+    # the tangential mass (h/2)*diag(mass) along them: a Kronecker product.
+    # fields maps the table's (flux, primal) fields; parts keeps the order in
+    # which from_coo sums coincident entries, as in _flux_coupling.
+    for axis, lambda_jump, fields, h_t in ((0, cfg.lambda_p, (_P, _U), hy),
+                                           (1, cfg.lambda_q, (_Q, _U), hx)):
+        along = np.arange(h_t.size)
+        t_mass = (0.5 * h_t)[:, None, None] * Dm
+        for t in _flux_coupling(nx, k, cfg.lambda_boundary, cfg.lambda_boundary, lambda_jump,
+                                cfg.special_index):
+            normal = np.outer(t.test_trace, t.trial_trace)
+            blocks = t.weight * (normal[None, :, None, :, None] * t_mass[:, None, :, None, :])
+            test = (t.test_cell[:, None], along)  # (i, j) of the cells, for axis 0
+            trial = (t.trial_cell[:, None], along)
+            if axis == 1:
+                blocks = blocks.transpose(0, 2, 1, 4, 3)
+                test, trial = test[::-1], trial[::-1]
+            parts.append(_block_triplets(off(*test, fields[t.test_field]),
+                                         off(*trial, fields[t.trial_field]),
+                                         blocks.reshape(-1, B2, B2)))
 
-    for j in range(ny):
-        for i in range(nx):
-            cell_mass = (0.25 * hx[i] * hy[j]) * mass_t
-            gx = (0.5 * hy[j]) * grad_x
-            gy = (0.5 * hx[i]) * grad_y
-            acc.add(off(i, j, _P), off(i, j, _P), inv_eps * cell_mass)
-            acc.add(off(i, j, _P), off(i, j, _U), gx)
-            acc.add(off(i, j, _Q), off(i, j, _Q), inv_eps * cell_mass)
-            acc.add(off(i, j, _Q), off(i, j, _U), gy)
-            acc.add(off(i, j, _U), off(i, j, _P), gx)
-            acc.add(off(i, j, _U), off(i, j, _Q), gy)
-            acc.add(off(i, j, _U), off(i, j, _U), b_blocks[i, j])
-            rhs[off(i, j, _U):off(i, j, _U) + B2] = f_mom[i, j]
-
-    m = cfg.special_index
-
-    def xblock(test_tx, trial_tx, j, wt):
-        # Edge on a vertical line: rank-1 in the x-modes, mass in y.
-        return wt * np.kron(np.outer(test_tx, trial_tx), (0.5 * hy[j]) * Dm)
-
-    def yblock(test_ty, trial_ty, i, wt):
-        return wt * np.kron((0.5 * hx[i]) * Dm, np.outer(test_ty, trial_ty))
-
-    # Vertical edges: U-hat enters the P-test rows, P-hat the U-test rows.
-    for ii in range(nx + 1):
-        u_hat = []  # (field, cell_i, trace, weight)
-        if 0 < ii < nx:
-            u_hat.append((_U, ii - 1, ep, 1.0))
-            if ii == m and cfg.lambda_p != 0.0:
-                u_hat.append((_P, ii, em, cfg.lambda_p))
-                u_hat.append((_P, ii - 1, ep, -cfg.lambda_p))
-        if ii == 0:
-            p_hat = [(_P, 0, em, 1.0), (_U, 0, em, cfg.lambda_boundary)]
-        elif ii == nx:
-            p_hat = [(_P, nx - 1, ep, 1.0), (_U, nx - 1, ep, -cfg.lambda_boundary)]
-        else:
-            p_hat = [(_P, ii, em, 1.0)]
-        for j in range(ny):
-            tests = []
-            if ii >= 1:
-                tests.append((ii - 1, -ep))
-            if ii <= nx - 1:
-                tests.append((ii, em))
-            for ci, tv in tests:
-                for fld, ti, cv, wt in u_hat:
-                    acc.add(off(ci, j, _P), off(ti, j, fld), xblock(tv, cv, j, wt))
-                for fld, ti, cv, wt in p_hat:
-                    acc.add(off(ci, j, _U), off(ti, j, fld), xblock(tv, cv, j, wt))
-
-    # Horizontal edges: U-hat enters the Q-test rows, Q-hat the U-test rows.
-    for jj in range(ny + 1):
-        u_hat = []
-        if 0 < jj < ny:
-            u_hat.append((_U, jj - 1, ep, 1.0))
-            if jj == m and cfg.lambda_q != 0.0:
-                u_hat.append((_Q, jj, em, cfg.lambda_q))
-                u_hat.append((_Q, jj - 1, ep, -cfg.lambda_q))
-        if jj == 0:
-            q_hat = [(_Q, 0, em, 1.0), (_U, 0, em, cfg.lambda_boundary)]
-        elif jj == ny:
-            q_hat = [(_Q, ny - 1, ep, 1.0), (_U, ny - 1, ep, -cfg.lambda_boundary)]
-        else:
-            q_hat = [(_Q, jj, em, 1.0)]
-        for i in range(nx):
-            tests = []
-            if jj >= 1:
-                tests.append((jj - 1, -ep))
-            if jj <= ny - 1:
-                tests.append((jj, em))
-            for cj, tv in tests:
-                for fld, tj, cv, wt in u_hat:
-                    acc.add(off(i, cj, _Q), off(i, tj, fld), yblock(tv, cv, i, wt))
-                for fld, tj, cv, wt in q_hat:
-                    acc.add(off(i, cj, _U), off(i, tj, fld), yblock(tv, cv, i, wt))
-
-    rows = np.concatenate(acc.rows)
-    cols = np.concatenate(acc.cols)
-    vals = np.concatenate(acc.vals)
-    matrix = from_coo(ndof, rows, cols, vals)
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    matrix = from_coo(3 * nx * ny * B2, rows, cols, vals)
+    rhs = np.zeros((ny, nx, 3, B2))
+    rhs[:, :, _U] = f_mom.transpose(1, 0, 2)
     ordering = "cell-major lexicographic (x fastest); per cell [P, Q, U] tensor modes"
-    return SparseSystem(matrix=matrix, rhs=rhs, ordering=ordering)
+    return SparseSystem(matrix=matrix, rhs=rhs.ravel(), ordering=ordering)
 
 
 def coeffs_to_solution_2d(mesh: TensorMesh2D, k: int, x: np.ndarray) -> LdgSolution2D:
@@ -279,8 +207,8 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig2D,
     cU, cP, cQ = t.u.coeffs, t.p.coeffs, t.q.coeffs
     cV, cS, cR = z.u.coeffs, z.p.coeffs, z.q.coeffs
 
-    Xn = (0.5 * (mx.points[:-1] + mx.points[1:]))[:, None] + 0.5 * hx[:, None] * rule.nodes[None, :]
-    Yn = (0.5 * (my.points[:-1] + my.points[1:]))[:, None] + 0.5 * hy[:, None] * rule.nodes[None, :]
+    Xn = mx.quad_points(rule.nodes)
+    Yn = my.quad_points(rule.nodes)
     bV = np.broadcast_to(
         np.asarray(b(Xn[:, None, :, None], Yn[None, :, None, :]), dtype=float),
         (nx, ny, rule.n, rule.n),

@@ -72,6 +72,11 @@ class ShishkinMesh1D:
         """Endpoints of 0-based cell j."""
         return float(self.points[j]), float(self.points[j + 1])
 
+    def quad_points(self, t: np.ndarray) -> np.ndarray:
+        """Physical points (ncells, len(t)) of reference points t in [-1, 1]."""
+        mid = 0.5 * (self.points[:-1] + self.points[1:])
+        return mid[:, None] + 0.5 * self.widths[:, None] * t[None, :]
+
 
 def build_shishkin_1d(params: MeshParams) -> ShishkinMesh1D:
     """Construct the graded mesh from its closed-form point formula.

@@ -40,19 +40,18 @@ def _nq(k: int, nq: int | None) -> int:
     return nq if nq is not None else k + 1 + ERROR_EXTRA_NODES
 
 
-def _error_pieces_1d(w, problem, nq):
+def _error_pieces_1d(w, problem, cfg, nq):
     """Shared integrals and traces for the 1D norms.
 
     Returns (l2q_sq, bu_sq, l2u_sq, linf_u, jump_eu_0, jump_eu_N, jump_eq_m)
-    where e = exact - discrete and m is the special interface 3N/4.
+    where e = exact - discrete and m is the special interface of cfg.
     """
     mesh = w.u.mesh
     N = mesh.ncells
     k = w.u.degree
     rule = gauss_rule(_nq(k, nq))
     h = mesh.widths
-    mid = 0.5 * (mesh.points[:-1] + mesh.points[1:])
-    X = mid[:, None] + 0.5 * h[:, None] * rule.nodes[None, :]
+    X = mesh.quad_points(rule.nodes)
 
     eu = np.asarray(problem.u_exact(X), dtype=float) - w.u.values_on_ref(rule.nodes)
     eq = np.asarray(problem.q_exact(X), dtype=float) - w.q.values_on_ref(rule.nodes)
@@ -63,7 +62,7 @@ def _error_pieces_1d(w, problem, nq):
     l2u_sq = float(np.einsum("jg,g,j->", eu**2, rule.weights, wgt))
 
     ends = np.array([-1.0, 1.0])
-    Xe = mid[:, None] + 0.5 * h[:, None] * ends[None, :]
+    Xe = mesh.quad_points(ends)
     eu_ends = np.asarray(problem.u_exact(Xe), dtype=float) - w.u.values_on_ref(ends)
     linf_u = float(max(np.abs(eu).max(), np.abs(eu_ends).max()))
 
@@ -74,7 +73,7 @@ def _error_pieces_1d(w, problem, nq):
     jump_eu_0 = -(u0 - w.u.trace_right(0))
     jump_eu_N = u1 - w.u.trace_left(N)
 
-    m = 3 * N // 4
+    m = cfg.special_interface
     xm = float(mesh.points[m])
     qm = float(np.asarray(problem.q_exact(np.array([xm])), dtype=float)[0])
     jump_eq_m = (qm - w.q.trace_left(m)) - (qm - w.q.trace_right(m))
@@ -84,22 +83,17 @@ def _error_pieces_1d(w, problem, nq):
 def energy_error_1d(w, problem, cfg, nq: int | None = None) -> float:
     """Energy-norm error: eps^{-1}|e_q|^2 + |b^{1/2} e_u|^2 plus the
     lambda-weighted boundary and special-interface jump terms."""
-    l2q, bu, _, _, j0, jN, jm = _error_pieces_1d(w, problem, nq)
-    val = l2q / problem.eps + bu + cfg.lambda0 * j0**2 + cfg.lambdaN * jN**2
-    val += cfg.lambda_q * jm**2
-    return float(np.sqrt(val))
+    return error_report_1d(w, problem, cfg, nq).err_energy
 
 
-def balanced_error_1d(w, problem, nq: int | None = None) -> float:
+def balanced_error_1d(w, problem, cfg, nq: int | None = None) -> float:
     """Balanced-norm error: the flux term is weighted eps^{-3/2} and all
     jump terms carry unit weight."""
-    l2q, bu, _, _, j0, jN, jm = _error_pieces_1d(w, problem, nq)
-    val = l2q / problem.eps**1.5 + bu + j0**2 + jN**2 + jm**2
-    return float(np.sqrt(val))
+    return error_report_1d(w, problem, cfg, nq).err_balanced
 
 
 def error_report_1d(w, problem, cfg, nq: int | None = None) -> ErrorReport:
-    l2q, bu, l2u, linf, j0, jN, jm = _error_pieces_1d(w, problem, nq)
+    l2q, bu, l2u, linf, j0, jN, jm = _error_pieces_1d(w, problem, cfg, nq)
     energy = np.sqrt(l2q / problem.eps + bu + cfg.lambda0 * j0**2
                      + cfg.lambdaN * jN**2 + cfg.lambda_q * jm**2)
     balanced = np.sqrt(l2q / problem.eps**1.5 + bu + j0**2 + jN**2 + jm**2)
@@ -122,8 +116,7 @@ def discrete_energy_sq(w, b, cfg, nq: int | None = None) -> float:
     h = mesh.widths
     q_sq = float(np.einsum("jm,m,j->", w.q.coeffs**2, mass, 0.5 * h))
     rule = gauss_rule(_nq(k, nq))
-    mid = 0.5 * (mesh.points[:-1] + mesh.points[1:])
-    X = mid[:, None] + 0.5 * h[:, None] * rule.nodes[None, :]
+    X = mesh.quad_points(rule.nodes)
     bX = np.broadcast_to(np.asarray(b(X), dtype=float), X.shape)
     Uv = w.u.values_on_ref(rule.nodes)
     bu_sq = float(np.einsum("jg,g,j->", bX * Uv**2, rule.weights, 0.5 * h))
@@ -137,20 +130,13 @@ def discrete_energy_sq(w, b, cfg, nq: int | None = None) -> float:
 # -- 2D ----------------------------------------------------------------------
 
 
-def _edge_quadrature(mesh1d, nq_nodes, nq_weights):
-    """Physical nodes (ncells, g) and the per-cell half widths of a 1D mesh."""
-    mid = 0.5 * (mesh1d.points[:-1] + mesh1d.points[1:])
-    nodes = mid[:, None] + 0.5 * mesh1d.widths[:, None] * nq_nodes[None, :]
-    return nodes, 0.5 * mesh1d.widths
-
-
 def _line_jump_sq_x(field_exact, poly, i: int, rule) -> float:
     """Integral over the vertical line x = x_i of the squared error jump."""
     mesh = poly.mesh
     my = mesh.mesh_y
     k = poly.degree
     phi = legendre_basis(k, rule.nodes)
-    Y, wy = _edge_quadrature(my, rule.nodes, rule.weights)
+    Y, wy = my.quad_points(rule.nodes), 0.5 * my.widths
     x = float(mesh.mesh_x.points[i])
     exact = np.asarray(field_exact(np.full_like(Y, x), Y), dtype=float)
     nx = mesh.mesh_x.ncells
@@ -170,7 +156,7 @@ def _line_jump_sq_y(field_exact, poly, j: int, rule) -> float:
     mx = mesh.mesh_x
     k = poly.degree
     phi = legendre_basis(k, rule.nodes)
-    X, wx = _edge_quadrature(mx, rule.nodes, rule.weights)
+    X, wx = mx.quad_points(rule.nodes), 0.5 * mx.widths
     y = float(mesh.mesh_y.points[j])
     exact = np.asarray(field_exact(X, np.full_like(X, y)), dtype=float)
     ny = mesh.mesh_y.ncells
@@ -185,13 +171,13 @@ def _line_jump_sq_y(field_exact, poly, j: int, rule) -> float:
     return float(np.einsum("ig,g,i->", jump**2, rule.weights, wx))
 
 
-def _error_pieces_2d(t, problem, nq):
+def _error_pieces_2d(t, problem, cfg, nq):
     mesh = t.u.mesh
     mx, my = mesh.mesh_x, mesh.mesh_y
     k = t.u.degree
     rule = gauss_rule(_nq(k, nq))
-    X, wx = _edge_quadrature(mx, rule.nodes, rule.weights)
-    Y, wy = _edge_quadrature(my, rule.nodes, rule.weights)
+    X, wx = mx.quad_points(rule.nodes), 0.5 * mx.widths
+    Y, wy = my.quad_points(rule.nodes), 0.5 * my.widths
     X4 = X[:, None, :, None]
     Y4 = Y[None, :, None, :]
 
@@ -207,8 +193,7 @@ def _error_pieces_2d(t, problem, nq):
     bu_sq, l2u_sq = vol(bV * eu**2), vol(eu**2)
 
     ext = np.concatenate([rule.nodes, [-1.0, 1.0]])
-    Xe = (0.5 * (mx.points[:-1] + mx.points[1:]))[:, None] + 0.5 * mx.widths[:, None] * ext[None, :]
-    Ye = (0.5 * (my.points[:-1] + my.points[1:]))[:, None] + 0.5 * my.widths[:, None] * ext[None, :]
+    Xe, Ye = mx.quad_points(ext), my.quad_points(ext)
     eu_ext = np.asarray(problem.u_exact(Xe[:, None, :, None], Ye[None, :, None, :]), dtype=float) \
         - t.u.values_on_ref(ext, ext)
     linf_u = float(np.abs(eu_ext).max())
@@ -218,30 +203,23 @@ def _error_pieces_2d(t, problem, nq):
           _line_jump_sq_x(problem.u_exact, t.u, nx, rule),
           _line_jump_sq_y(problem.u_exact, t.u, 0, rule),
           _line_jump_sq_y(problem.u_exact, t.u, ny, rule))
-    jp_m = _line_jump_sq_x(problem.p_exact, t.p, 3 * nx // 4, rule)
-    jq_m = _line_jump_sq_y(problem.q_exact, t.q, 3 * ny // 4, rule)
+    jp_m = _line_jump_sq_x(problem.p_exact, t.p, cfg.special_index, rule)
+    jq_m = _line_jump_sq_y(problem.q_exact, t.q, cfg.special_index, rule)
     return l2p_sq, l2q_sq, bu_sq, l2u_sq, linf_u, ju, jp_m, jq_m
 
 
 def energy_error_2d(t, problem, cfg, nq: int | None = None) -> float:
-    l2p, l2q, bu, _, _, ju, jp, jq = _error_pieces_2d(t, problem, nq)
-    val = (l2p + l2q) / problem.eps + bu
-    val += cfg.lambda_boundary * sum(ju)
-    val += cfg.lambda_p * jp + cfg.lambda_q * jq
-    return float(np.sqrt(val))
+    return error_report_2d(t, problem, cfg, nq).err_energy
 
 
 def balanced_error_2d(t, problem, cfg, nq: int | None = None) -> float:
     """2D balanced norm: flux terms at eps^{-3/2}, unit weight on the
     boundary jumps, but lambda weights retained on the special lines."""
-    l2p, l2q, bu, _, _, ju, jp, jq = _error_pieces_2d(t, problem, nq)
-    val = (l2p + l2q) / problem.eps**1.5 + bu + sum(ju)
-    val += cfg.lambda_p * jp + cfg.lambda_q * jq
-    return float(np.sqrt(val))
+    return error_report_2d(t, problem, cfg, nq).err_balanced
 
 
 def error_report_2d(t, problem, cfg, nq: int | None = None) -> ErrorReport:
-    l2p, l2q, bu, l2u, linf, ju, jp, jq = _error_pieces_2d(t, problem, nq)
+    l2p, l2q, bu, l2u, linf, ju, jp, jq = _error_pieces_2d(t, problem, cfg, nq)
     energy = np.sqrt((l2p + l2q) / problem.eps + bu
                      + cfg.lambda_boundary * sum(ju) + cfg.lambda_p * jp + cfg.lambda_q * jq)
     balanced = np.sqrt((l2p + l2q) / problem.eps**1.5 + bu + sum(ju)
@@ -271,8 +249,8 @@ def discrete_energy_sq_2d(t, b, cfg, nq: int | None = None) -> float:
         return float((per_cell * area).sum())
 
     rule = gauss_rule(_nq(k, nq))
-    X, wx = _edge_quadrature(mx, rule.nodes, rule.weights)
-    Y, wy = _edge_quadrature(my, rule.nodes, rule.weights)
+    X, wx = mx.quad_points(rule.nodes), 0.5 * mx.widths
+    Y, wy = my.quad_points(rule.nodes), 0.5 * my.widths
     bV = np.broadcast_to(
         np.asarray(b(X[:, None, :, None], Y[None, :, None, :]), dtype=float),
         (nx, ny, rule.n, rule.n),
@@ -288,6 +266,6 @@ def discrete_energy_sq_2d(t, b, cfg, nq: int | None = None) -> float:
         edge_sq_x(t.u.jump_x(0), 0.5 * hy) + edge_sq_x(t.u.jump_x(nx), 0.5 * hy)
         + edge_sq_x(t.u.jump_y(0), 0.5 * hx) + edge_sq_x(t.u.jump_y(ny), 0.5 * hx)
     )
-    val += cfg.lambda_p * edge_sq_x(t.p.jump_x(3 * nx // 4), 0.5 * hy)
-    val += cfg.lambda_q * edge_sq_x(t.q.jump_y(3 * ny // 4), 0.5 * hx)
+    val += cfg.lambda_p * edge_sq_x(t.p.jump_x(cfg.special_index), 0.5 * hy)
+    val += cfg.lambda_q * edge_sq_x(t.q.jump_y(cfg.special_index), 0.5 * hx)
     return val

@@ -36,7 +36,8 @@ DEFAULT_EXTRA_NODES = 4  # k+5 nodes: integrands contain layer exponentials
 
 
 def _cell_moments(z, a: float, b: float, k: int, nq: int) -> np.ndarray:
-    """Legendre coefficients of the local L2 projection of z onto degree k."""
+    """Legendre coefficients of the L2 projection of z onto degree k on the
+    interval (a, b), a cell or an edge."""
     rule = gauss_rule(nq)
     x = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
     phi = legendre_basis(k, rule.nodes)
@@ -134,15 +135,6 @@ def _cell_moments_2d(z, cell, k: int, nq: int) -> np.ndarray:
     return raw * scale[:, None] * scale[None, :]
 
 
-def _edge_moments(zline, a: float, b: float, k: int, nq: int) -> np.ndarray:
-    """Legendre coefficients of a 1D function on the edge (a, b)."""
-    rule = gauss_rule(nq)
-    s = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
-    phi = legendre_basis(k, rule.nodes)
-    raw = phi @ (rule.weights * np.asarray(zline(s), dtype=float))
-    return (2.0 * np.arange(k + 1) + 1.0) / 2.0 * raw
-
-
 def l2_project_2d(z, cell, k: int, nq: int | None = None) -> np.ndarray:
     """Tensor L2 projection coefficients (k+1, k+1) on one rectangular cell."""
     nq = nq if nq is not None else k + 1 + DEFAULT_EXTRA_NODES
@@ -167,19 +159,19 @@ def gauss_radau_2d(z, cell, k: int, axis: int, side: str, nq: int | None = None)
     em, _ = end_vals(k)
     if axis == 0:
         if side == "minus":
-            edge = _edge_moments(lambda s: z(np.full_like(s, bx), s), ay, by, k, nq)
+            edge = _cell_moments(lambda s: z(np.full_like(s, bx), s), ay, by, k, nq)
             c[k, :] = edge - c[:k, :].sum(axis=0)
         elif side == "plus":
-            edge = _edge_moments(lambda s: z(np.full_like(s, ax), s), ay, by, k, nq)
+            edge = _cell_moments(lambda s: z(np.full_like(s, ax), s), ay, by, k, nq)
             c[k, :] = (edge - em[:k] @ c[:k, :]) * em[k]
         else:
             raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
     elif axis == 1:
         if side == "minus":
-            edge = _edge_moments(lambda s: z(s, np.full_like(s, by)), ax, bx, k, nq)
+            edge = _cell_moments(lambda s: z(s, np.full_like(s, by)), ax, bx, k, nq)
             c[:, k] = edge - c[:, :k].sum(axis=1)
         elif side == "plus":
-            edge = _edge_moments(lambda s: z(s, np.full_like(s, ay)), ax, bx, k, nq)
+            edge = _cell_moments(lambda s: z(s, np.full_like(s, ay)), ax, bx, k, nq)
             c[:, k] = (edge - c[:, :k] @ em[:k]) * em[k]
         else:
             raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
@@ -269,14 +261,13 @@ def measure_interp_error(field, interp: PiecewisePoly1D, norm: str = "l2",
     k = interp.degree
     nq = nq if nq is not None else k + 1 + DEFAULT_EXTRA_NODES
     rule = gauss_rule(nq)
-    mid = 0.5 * (mesh.points[:-1] + mesh.points[1:])
-    X = mid[:, None] + 0.5 * mesh.widths[:, None] * rule.nodes[None, :]
+    X = mesh.quad_points(rule.nodes)
     diff = np.asarray(field(X), dtype=float) - interp.values_on_ref(rule.nodes)
     if norm == "l2":
         return float(np.sqrt(np.einsum("jg,g,j->", diff**2, rule.weights, 0.5 * mesh.widths)))
     if norm == "linf":
         ends = np.array([-1.0, 1.0])
-        Xe = mid[:, None] + 0.5 * mesh.widths[:, None] * ends[None, :]
+        Xe = mesh.quad_points(ends)
         diff_e = np.asarray(field(Xe), dtype=float) - interp.values_on_ref(ends)
         return float(max(np.abs(diff).max(), np.abs(diff_e).max()))
     raise ValueError(f"norm must be 'l2' or 'linf', got {norm!r}")
@@ -289,12 +280,9 @@ def measure_interp_error_2d(field, interp: PiecewisePoly2D, norm: str = "l2",
     nq = nq if nq is not None else k + 1 + DEFAULT_EXTRA_NODES
     rule = gauss_rule(nq)
     mx, my = mesh.mesh_x, mesh.mesh_y
-    midx = 0.5 * (mx.points[:-1] + mx.points[1:])
-    midy = 0.5 * (my.points[:-1] + my.points[1:])
 
     def sample(tx, ty):
-        X = midx[:, None] + 0.5 * mx.widths[:, None] * tx[None, :]
-        Y = midy[:, None] + 0.5 * my.widths[:, None] * ty[None, :]
+        X, Y = mx.quad_points(tx), my.quad_points(ty)
         exact = np.asarray(field(X[:, None, :, None], Y[None, :, None, :]), dtype=float)
         return exact - interp.values_on_ref(tx, ty)
 

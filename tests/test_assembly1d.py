@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,11 +12,10 @@ from ldgrd.assembly1d import (
     coeffs_to_solution,
     flux_q_hat,
     flux_u_hat,
-    residual_check,
     solution_to_coeffs,
     solve_1d,
 )
-from ldgrd.linalg import lu_solve, matvec
+from ldgrd.linalg import lu_solve, matvec, residual_inf
 from ldgrd.mesh import MeshParams, build_shishkin_1d
 from ldgrd.norms import discrete_energy_sq
 from ldgrd.polyspace import PiecewisePoly1D
@@ -156,13 +156,22 @@ def test_energy_identity_on_random_pairs(eps, N, k, rng):
         assert abs(b_val - e_val) <= 1e-10 * abs(e_val)
 
 
-def test_bilinear_matches_assembled_matrix(rng):
+FLUXES = {
+    "paper": FluxConfig.paper,
+    "classic": FluxConfig.classic,
+    "paper_m3": lambda eps, N: dataclasses.replace(FluxConfig.paper(eps, N), special_interface=3),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("flux", sorted(FLUXES))
+def test_bilinear_matches_assembled_matrix(flux, k, rng):
     # chi^T (A w) must equal B(w; chi) for the same quadrature
     eps = 1e-4
-    N, k = 8, 2
+    N = 8
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     prob = layer1d(eps)
-    cfg = FluxConfig.paper(eps, N)
+    cfg = FLUXES[flux](eps, N)
     system = assemble(mesh, prob, k, cfg)
     w = make_pair(mesh, k, rng)
     chi = make_pair(mesh, k, rng)
@@ -189,11 +198,12 @@ def test_residual_check_contract(rng):
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=4))
     system = assemble(mesh, poly_exact_1d(eps), 1, FluxConfig.paper(eps, 4))
     x = lu_solve(system.matrix, system.rhs)
-    assert residual_check(system, x) <= 1e-10 * max(1.0, np.abs(system.rhs).max())
+    r = residual_inf(system.matrix, x, system.rhs)
+    assert r <= 1e-10 * max(1.0, np.abs(system.rhs).max())
     xp = x.copy()
     xp[3] += 1.0
-    assert residual_check(system, xp) > 0.0
-    assert math.isclose(residual_check(system, np.zeros_like(x)),
+    assert residual_inf(system.matrix, xp, system.rhs) > 0.0
+    assert math.isclose(residual_inf(system.matrix, np.zeros_like(x), system.rhs),
                         np.abs(system.rhs).max(), rel_tol=1e-15)
 
 

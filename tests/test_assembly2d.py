@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -94,13 +95,22 @@ def test_energy_identity_2d(eps, N, k, rng):
         assert abs(b_val - e_val) <= 1e-9 * abs(e_val)
 
 
-def test_bilinear_matches_assembled_matrix_2d(rng):
+FLUXES = {
+    "paper": FluxConfig2D.paper,
+    "classic": FluxConfig2D.classic,
+    "paper_m1": lambda eps, N: dataclasses.replace(FluxConfig2D.paper(eps, N), special_index=1),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("flux", sorted(FLUXES))
+def test_bilinear_matches_assembled_matrix_2d(flux, k, rng):
     eps = 1e-4
-    N, k = 4, 2
+    N = 4
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     mesh2 = build_tensor_2d(m, m)
     prob = layer2d(eps)
-    cfg = FluxConfig2D.paper(eps, N)
+    cfg = FLUXES[flux](eps, N)
     system = assemble2d(mesh2, prob, k, cfg)
     t = make_triple(mesh2, k, rng)
     z = make_triple(mesh2, k, rng)

@@ -1,17 +1,18 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 import pytest
 
-from ldgrd.assembly1d import FluxConfig, LdgSolution1D, solve_1d
-from ldgrd.assembly2d import FluxConfig2D, LdgSolution2D
+from ldgrd.assembly1d import FluxConfig, LdgSolution1D, bilinear_B, solve_1d
+from ldgrd.assembly2d import FluxConfig2D, LdgSolution2D, bilinear_B2d
 from ldgrd.mesh import MeshParams, build_shishkin_1d
 from ldgrd.norms import (
     balanced_error_1d,
     balanced_error_2d,
     discrete_energy_sq,
+    discrete_energy_sq_2d,
     energy_error_1d,
     energy_error_2d,
     error_report_1d,
@@ -62,7 +63,8 @@ def test_balanced_error_hand_value():
     mesh = uniform_mesh(8)
     prob = ZeroProblem1D(eps=eps)
     w = unit_pair(mesh, eps)
-    assert math.isclose(balanced_error_1d(w, prob), math.sqrt(3.0), rel_tol=1e-13)
+    cfg = FluxConfig.paper(eps, 8)
+    assert math.isclose(balanced_error_1d(w, prob, cfg), math.sqrt(3.0), rel_tol=1e-13)
 
 
 def test_discrete_energy_hand_value():
@@ -76,6 +78,19 @@ def test_discrete_energy_hand_value():
     z = LdgSolution1D(q=PiecewisePoly1D(mesh, np.zeros((8, 2))),
                       u=PiecewisePoly1D(mesh, np.zeros((8, 2))))
     assert discrete_energy_sq(z, lambda x: np.ones_like(x), cfg) == 0.0
+
+
+@pytest.mark.parametrize("special", [5, 6])
+def test_energy_error_reads_special_interface(special, rng):
+    # the jump term sits where cfg puts it, as in the scheme (3N/4 = 6 here)
+    mesh = uniform_mesh(8)
+    eps = mesh.params.eps
+    cfg = replace(FluxConfig.paper(eps, 8), special_interface=special)
+    w = LdgSolution1D(q=PiecewisePoly1D(mesh, rng.standard_normal((8, 3))),
+                      u=PiecewisePoly1D(mesh, rng.standard_normal((8, 3))))
+    prob = ZeroProblem1D(eps=eps)
+    b_val = bilinear_B(w, w, prob.b, cfg)
+    assert math.isclose(energy_error_1d(w, prob, cfg) ** 2, b_val, rel_tol=1e-12)
 
 
 def test_exact_solution_has_zero_error():
@@ -105,7 +120,7 @@ def test_norm_homogeneity(s, rng):
     w1 = LdgSolution1D(q=PiecewisePoly1D(mesh, qc), u=PiecewisePoly1D(mesh, uc))
     ws = LdgSolution1D(q=PiecewisePoly1D(mesh, s * qc), u=PiecewisePoly1D(mesh, s * uc))
     for fn in (lambda w: energy_error_1d(w, prob, cfg),
-               lambda w: balanced_error_1d(w, prob)):
+               lambda w: balanced_error_1d(w, prob, cfg)):
         assert math.isclose(fn(ws), s * fn(w1), rel_tol=1e-12)
     rep1 = error_report_1d(w1, prob, cfg)
     reps = error_report_1d(ws, prob, cfg)
@@ -134,7 +149,7 @@ def test_error_monotone_under_refinement():
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
         cfg = FluxConfig.paper(eps, N)
         w = solve_1d(mesh, prob, 1, cfg)
-        val = balanced_error_1d(w, prob)
+        val = balanced_error_1d(w, prob, cfg)
         if prev is not None:
             assert val <= 1.05 * prev
         prev = val
@@ -193,3 +208,17 @@ def test_2d_zero_error():
                       q=PiecewisePoly2D(mesh2, zero))
     assert balanced_error_2d(t, prob, cfg) == 0.0
     assert energy_error_2d(t, prob, cfg) == 0.0
+
+
+@pytest.mark.parametrize("special", [5, 6])
+def test_2d_energy_norms_read_special_index(special, rng):
+    # the jump lines sit where cfg puts them, as in the scheme (3N/4 = 6 here)
+    mesh2 = uniform_mesh_2d(8)
+    eps = mesh2.mesh_x.params.eps
+    cfg = replace(FluxConfig2D.paper(eps, 8), special_index=special)
+    t = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((8, 8, 3, 3)))
+                        for _ in range(3)))
+    prob = ZeroProblem2D(eps=eps)
+    b_val = bilinear_B2d(t, t, prob.b, cfg)
+    assert math.isclose(discrete_energy_sq_2d(t, prob.b, cfg), b_val, rel_tol=1e-12)
+    assert math.isclose(energy_error_2d(t, prob, cfg) ** 2, b_val, rel_tol=1e-12)
