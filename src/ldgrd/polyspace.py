@@ -56,39 +56,26 @@ def gauss_rule(n: int) -> QuadratureRule:
 def legendre_eval(degree: int, t):
     """Value of the Legendre polynomial of the given degree at t in [-1, 1]."""
     t = np.asarray(t, dtype=float)
-    if degree == 0:
-        return np.ones_like(t)
-    prev = np.ones_like(t)
-    cur = t.copy()
-    for m in range(1, degree):
-        prev, cur = cur, ((2 * m + 1) * t * cur - m * prev) / (m + 1)
-    return cur
+    return legendre_basis(degree, t)[degree].reshape(t.shape)
 
 
-@lru_cache(maxsize=None)
-def _basis_cached(k: int, key: bytes, nt: int) -> np.ndarray:
-    t = np.frombuffer(key, dtype=float)
-    vals = np.empty((k + 1, nt))
+def legendre_basis(k: int, t: np.ndarray) -> np.ndarray:
+    """Rows P_0..P_k evaluated at the nodes t, shape (k+1, len(t)), by the
+    three-term recurrence; computed on every call, nothing is cached."""
+    t = np.ravel(np.asarray(t, dtype=float))
+    vals = np.empty((k + 1, t.size))
     vals[0] = 1.0
     if k >= 1:
         vals[1] = t
     for m in range(1, k):
         vals[m + 1] = ((2 * m + 1) * t * vals[m] - m * vals[m - 1]) / (m + 1)
-    vals.flags.writeable = False
     return vals
-
-
-def legendre_basis(k: int, t: np.ndarray) -> np.ndarray:
-    """Rows P_0..P_k evaluated at the nodes t, shape (k+1, len(t))."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return _basis_cached(k, t.tobytes(), t.size)
 
 
 def legendre_basis_deriv(k: int, t: np.ndarray) -> np.ndarray:
     """Rows P_0'..P_k' at the nodes t (derivatives in the reference variable)."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
     vals = legendre_basis(k, t)
-    der = np.zeros((k + 1, t.size))
+    der = np.zeros_like(vals)
     if k >= 1:
         der[1] = 1.0
     for m in range(2, k + 1):
@@ -133,8 +120,7 @@ class LocalPoly:
     coeffs: np.ndarray
 
     def eval(self, t):
-        phi = legendre_basis(self.degree, np.atleast_1d(t))
-        out = self.coeffs @ phi
+        out = self.coeffs @ legendre_basis(self.degree, t)
         return out if np.ndim(t) else float(out[0])
 
 
@@ -169,18 +155,9 @@ class PiecewisePoly1D:
         xf = np.atleast_1d(x)
         pts = self.mesh.points
         cells = np.clip(np.searchsorted(pts, xf, side="right") - 1, 0, self.mesh.ncells - 1)
-        h = self.mesh.widths[cells]
-        t = 2.0 * (xf - pts[cells]) / h - 1.0
-        k = self.degree
-        vals = np.zeros_like(xf)
-        prev = np.ones_like(t)
-        vals += self.coeffs[cells, 0] * prev
-        if k >= 1:
-            cur = t.copy()
-            vals += self.coeffs[cells, 1] * cur
-            for m in range(1, k):
-                prev, cur = cur, ((2 * m + 1) * t * cur - m * prev) / (m + 1)
-                vals += self.coeffs[cells, m + 1] * cur
+        t = 2.0 * (xf - pts[cells]) / self.mesh.widths[cells] - 1.0
+        phi = legendre_basis(self.degree, t)
+        vals = sum(self.coeffs[cells, m] * phi[m] for m in range(self.degree + 1))
         return float(vals[0]) if scalar else vals
 
     def values_on_ref(self, t: np.ndarray) -> np.ndarray:
@@ -256,9 +233,7 @@ class PiecewisePoly2D:
         j = int(np.clip(np.searchsorted(my.points, y, side="right") - 1, 0, my.ncells - 1))
         tx = 2.0 * (x - mx.points[i]) / mx.widths[i] - 1.0
         ty = 2.0 * (y - my.points[j]) / my.widths[j] - 1.0
-        k = self.degree
-        px = legendre_basis(k, np.array([tx]))[:, 0]
-        py = legendre_basis(k, np.array([ty]))[:, 0]
+        px, py = legendre_basis(self.degree, [tx, ty]).T.copy()
         return float(px @ self.coeffs[i, j] @ py)
 
     def trace_x(self, i: int, side: str) -> np.ndarray:

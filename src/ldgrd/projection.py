@@ -34,59 +34,115 @@ __all__ = [
 
 DEFAULT_EXTRA_NODES = 4  # k+5 nodes: integrands contain layer exponentials
 
+# Every projection below is one moment kernel applied to arrays of cells (a
+# single cell is the 0-d case), followed where needed by the Gauss-Radau
+# endpoint fix along one coefficient axis.  The composites call the kernel
+# once for the whole mesh and apply the fix where their region mask holds.
 
-def _cell_moments(z, a: float, b: float, k: int, nq: int) -> np.ndarray:
-    """Legendre coefficients of the L2 projection of z onto degree k on the
-    interval (a, b), a cell or an edge."""
+
+def _nq(k: int, nq: int | None) -> int:
+    return nq if nq is not None else k + 1 + DEFAULT_EXTRA_NODES
+
+
+def _quad_points(cell, t: np.ndarray) -> np.ndarray:
+    """Points (..., len(t)) of the reference nodes t on the intervals cell = (a, b)."""
+    a, b = (np.asarray(e, dtype=float)[..., None] for e in cell)
+    return 0.5 * (a + b) + 0.5 * (b - a) * t
+
+
+def _moments(z, cell, k: int, nq: int) -> np.ndarray:
+    """Legendre coefficients (..., k+1) of the L2 projection of z onto degree
+    k on each interval cell = (a, b), a cell or an edge; a and b broadcast."""
     rule = gauss_rule(nq)
-    x = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
     phi = legendre_basis(k, rule.nodes)
-    zx = np.asarray(z(x), dtype=float)
-    raw = phi @ (rule.weights * zx)
+    zx = np.asarray(z(_quad_points(cell, rule.nodes)), dtype=float)
+    raw = np.matmul(phi, (rule.weights * zx)[..., None])[..., 0]
     return (2.0 * np.arange(k + 1) + 1.0) / 2.0 * raw
+
+
+def _moments_2d(z, cell, k: int, nq: int) -> np.ndarray:
+    """Tensor L2 coefficients (..., k+1, k+1) on each rectangle
+    cell = ((xa, xb), (ya, yb)); the four bounds broadcast."""
+    rule = gauss_rule(nq)
+    x, y = (_quad_points(interval, rule.nodes) for interval in cell)
+    phi = legendre_basis(k, rule.nodes)
+    zz = np.asarray(z(x[..., :, None], y[..., None, :]), dtype=float)
+    raw = np.einsum("x,y,...xy,mx,ny->...mn", rule.weights, rule.weights, zz, phi, phi)
+    scale = (2.0 * np.arange(k + 1) + 1.0) / 2.0
+    return raw * scale[:, None] * scale[None, :]
+
+
+def _radau_fix(c: np.ndarray, trace, axis: int, side: str, where=True) -> np.ndarray:
+    """Gauss-Radau endpoint fix of tensor moments c (..., k+1, k+1), in
+    place on the cells where `where` holds; 1D moments enter as (..., 1, k+1).
+
+    Moments against P_0..P_{k-1} along the coefficient axis `axis` (-2 for
+    the x-mode, -1 for the y-mode) coincide with the L2 ones; the top mode
+    is set, mode by mode in the other axis, so that the trace at t = +1
+    (side 'minus') or t = -1 ('plus') equals `trace`.
+    """
+    k = c.shape[axis] - 1
+    if k < 1:
+        raise ValueError("Gauss-Radau projection needs degree k >= 1")
+    rest = (slice(None),) * (-1 - axis)
+    top, low = (..., k, *rest), (..., slice(k), *rest)
+    if side == "minus":
+        fixed = trace - c[low].sum(axis=axis)
+    elif side == "plus":
+        em, _ = end_vals(k)
+        fixed = (trace - (c[low] @ em[:k] if axis == -1 else em[:k] @ c[low])) * em[k]
+    else:
+        raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
+    c[top] = np.where(np.expand_dims(where, -1), fixed, c[top])
+    return c
+
+
+def _radau_1d(z, cell, k: int, nq: int, side: str, where=True) -> np.ndarray:
+    """Gauss-Radau coefficients (..., k+1) on the intervals cell = (a, b)
+    where `where` holds, L2 coefficients elsewhere."""
+    c = _moments(z, cell, k, nq)
+    end = np.expand_dims(cell[1] if side == "minus" else cell[0], -1)
+    # as (..., 1, k+1) the 'plus' dot is one vector dot per cell, rounded as on one cell
+    _radau_fix(c[..., None, :], np.asarray(z(end), dtype=float), -1, side, where)
+    return c
+
+
+def _radau_2d(z, c: np.ndarray, cell, k: int, nq: int, axis: int, side: str,
+              where=True) -> np.ndarray:
+    """Directional Gauss-Radau fix of the tensor moments c on the rectangles
+    cell where `where` holds, with the L2 moments of the trace on the
+    matched edge as the endpoint values."""
+    if axis not in (0, 1):
+        raise ValueError(f"axis must be 0 or 1, got {axis}")
+    lo, hi = cell[axis]
+    end = np.expand_dims(hi if side == "minus" else lo, -1)
+    edge = _moments(lambda s: z(end, s) if axis == 0 else z(s, end), cell[1 - axis], k, nq)
+    return _radau_fix(c, edge, axis - 2, side, where)  # x-mode is coefficient axis -2
 
 
 def l2_project(z, cell: tuple[float, float], k: int, nq: int | None = None) -> LocalPoly:
     """Local L2 projection onto polynomials of degree k on the cell (a, b)."""
-    a, b = cell
-    nq = nq if nq is not None else k + 1 + DEFAULT_EXTRA_NODES
-    return LocalPoly(degree=k, coeffs=_cell_moments(z, a, b, k, nq))
+    return LocalPoly(degree=k, coeffs=_moments(z, cell, k, _nq(k, nq)))
 
 
 def gauss_radau_minus(z, cell: tuple[float, float], k: int, nq: int | None = None) -> LocalPoly:
     """Projection matching moments against degree k-1 and the value of z at
     the right endpoint of the cell."""
-    if k < 1:
-        raise ValueError("Gauss-Radau projection needs degree k >= 1")
-    a, b = cell
-    nq = nq if nq is not None else k + 1 + DEFAULT_EXTRA_NODES
-    c = _cell_moments(z, a, b, k, nq)
-    # Moments against P_0..P_{k-1} coincide with the L2 coefficients; the
-    # top coefficient is fixed by the endpoint condition at t = +1.
-    zb = float(np.asarray(z(np.array([b])), dtype=float)[0])
-    c[k] = zb - c[:k].sum()
-    return LocalPoly(degree=k, coeffs=c)
+    return LocalPoly(degree=k, coeffs=_radau_1d(z, cell, k, _nq(k, nq), "minus"))
 
 
 def gauss_radau_plus(z, cell: tuple[float, float], k: int, nq: int | None = None) -> LocalPoly:
     """Mirror image of gauss_radau_minus: endpoint matched at the left end."""
-    if k < 1:
-        raise ValueError("Gauss-Radau projection needs degree k >= 1")
-    a, b = cell
-    nq = nq if nq is not None else k + 1 + DEFAULT_EXTRA_NODES
-    c = _cell_moments(z, a, b, k, nq)
-    za = float(np.asarray(z(np.array([a])), dtype=float)[0])
-    em, _ = end_vals(k)
-    c[k] = (za - c[:k] @ em[:k]) * em[k]
-    return LocalPoly(degree=k, coeffs=c)
+    return LocalPoly(degree=k, coeffs=_radau_1d(z, cell, k, _nq(k, nq), "plus"))
 
 
-def _compose_1d(z, mesh: ShishkinMesh1D, k: int, rule_for_cell, nq) -> PiecewisePoly1D:
-    N = mesh.ncells
-    coeffs = np.empty((N, k + 1))
-    for j in range(N):
-        coeffs[j] = rule_for_cell(j)(z, mesh.cell(j), k, nq).coeffs
-    return PiecewisePoly1D(mesh, coeffs)
+def _fine_band(j: np.ndarray, N: int) -> np.ndarray:
+    """0-based cell index lies in a boundary-layer band, excluding the last cell."""
+    return (j < N // 4) | ((3 * N // 4 <= j) & (j < N - 1))
+
+
+def _mid_band(j: np.ndarray, N: int) -> np.ndarray:
+    return (N // 4 <= j) & (j < 3 * N // 4)
 
 
 def composite_u_1d(u, mesh: ShishkinMesh1D, k: int, nq: int | None = None) -> PiecewisePoly1D:
@@ -96,49 +152,31 @@ def composite_u_1d(u, mesh: ShishkinMesh1D, k: int, nq: int | None = None) -> Pi
     one (0-based cells 0..N/4-1 and 3N/4..N-2); plain L2 projection on the
     coarse interior cells and on the final cell.
     """
-    N = mesh.ncells
-
-    def pick(j):
-        if j < N // 4 or (3 * N // 4 <= j < N - 1):
-            return gauss_radau_minus
-        return l2_project
-
-    return _compose_1d(u, mesh, k, pick, nq)
+    cells, N = (mesh.points[:-1], mesh.points[1:]), mesh.ncells
+    return PiecewisePoly1D(mesh, _radau_1d(u, cells, k, _nq(k, nq), "minus",
+                                           where=_fine_band(np.arange(N), N)))
 
 
 def composite_q_1d(q, mesh: ShishkinMesh1D, k: int, nq: int | None = None) -> PiecewisePoly1D:
     """Layer-aware interpolant of the flux variable: L2 projection on the
     first cell, left-endpoint-matching Gauss-Radau everywhere else."""
-    def pick(j):
-        return l2_project if j == 0 else gauss_radau_plus
-
-    return _compose_1d(q, mesh, k, pick, nq)
+    cells = mesh.points[:-1], mesh.points[1:]
+    return PiecewisePoly1D(mesh, _radau_1d(q, cells, k, _nq(k, nq), "plus",
+                                           where=np.arange(mesh.ncells) > 0))
 
 
 def l2_interpolant_1d(z, mesh: ShishkinMesh1D, k: int, nq: int | None = None) -> PiecewisePoly1D:
     """Cellwise L2 projection on every cell (no endpoint matching)."""
-    return _compose_1d(z, mesh, k, lambda j: l2_project, nq)
+    cells = mesh.points[:-1], mesh.points[1:]
+    return PiecewisePoly1D(mesh, _moments(z, cells, k, _nq(k, nq)))
 
 
 # -- 2D projections ---------------------------------------------------------
 
 
-def _cell_moments_2d(z, cell, k: int, nq: int) -> np.ndarray:
-    (ax, bx), (ay, by) = cell
-    rule = gauss_rule(nq)
-    x = 0.5 * (ax + bx) + 0.5 * (bx - ax) * rule.nodes
-    y = 0.5 * (ay + by) + 0.5 * (by - ay) * rule.nodes
-    phi = legendre_basis(k, rule.nodes)
-    zz = np.asarray(z(x[:, None], y[None, :]), dtype=float)
-    raw = np.einsum("x,y,xy,mx,ny->mn", rule.weights, rule.weights, zz, phi, phi)
-    scale = (2.0 * np.arange(k + 1) + 1.0) / 2.0
-    return raw * scale[:, None] * scale[None, :]
-
-
 def l2_project_2d(z, cell, k: int, nq: int | None = None) -> np.ndarray:
     """Tensor L2 projection coefficients (k+1, k+1) on one rectangular cell."""
-    nq = nq if nq is not None else k + 1 + DEFAULT_EXTRA_NODES
-    return _cell_moments_2d(z, cell, k, nq)
+    return _moments_2d(z, cell, k, _nq(k, nq))
 
 
 def gauss_radau_2d(z, cell, k: int, axis: int, side: str, nq: int | None = None) -> np.ndarray:
@@ -151,42 +189,14 @@ def gauss_radau_2d(z, cell, k: int, axis: int, side: str, nq: int | None = None)
     Realized as the 1D Gauss-Radau solve applied mode-by-mode on top of the
     tensor L2 moments, which is what the defining conditions factor into.
     """
-    if k < 1:
-        raise ValueError("Gauss-Radau projection needs degree k >= 1")
-    nq = nq if nq is not None else k + 1 + DEFAULT_EXTRA_NODES
-    (ax, bx), (ay, by) = cell
-    c = _cell_moments_2d(z, cell, k, nq)
-    em, _ = end_vals(k)
-    if axis == 0:
-        if side == "minus":
-            edge = _cell_moments(lambda s: z(np.full_like(s, bx), s), ay, by, k, nq)
-            c[k, :] = edge - c[:k, :].sum(axis=0)
-        elif side == "plus":
-            edge = _cell_moments(lambda s: z(np.full_like(s, ax), s), ay, by, k, nq)
-            c[k, :] = (edge - em[:k] @ c[:k, :]) * em[k]
-        else:
-            raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
-    elif axis == 1:
-        if side == "minus":
-            edge = _cell_moments(lambda s: z(s, np.full_like(s, by)), ax, bx, k, nq)
-            c[:, k] = edge - c[:, :k].sum(axis=1)
-        elif side == "plus":
-            edge = _cell_moments(lambda s: z(s, np.full_like(s, ay)), ax, bx, k, nq)
-            c[:, k] = (edge - c[:, :k] @ em[:k]) * em[k]
-        else:
-            raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
-    else:
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
-    return c
+    nq = _nq(k, nq)
+    return _radau_2d(z, _moments_2d(z, cell, k, nq), cell, k, nq, axis, side)
 
 
-def _fine_band(j: int, N: int) -> bool:
-    """0-based cell index lies in a boundary-layer band, excluding the last cell."""
-    return j < N // 4 or (3 * N // 4 <= j < N - 1)
-
-
-def _mid_band(j: int, N: int) -> bool:
-    return N // 4 <= j < 3 * N // 4
+def _mesh_cells(mesh: TensorMesh2D):
+    """Every cell ((xa, xb), (ya, yb)) of the mesh, bounds broadcasting to (nx, ny)."""
+    px, py = mesh.mesh_x.points[:, None], mesh.mesh_y.points[None, :]
+    return (px[:-1], px[1:]), (py[:, :-1], py[:, 1:])
 
 
 def composite_u_2d(u, mesh: TensorMesh2D, k: int, nq: int | None = None) -> PiecewisePoly2D:
@@ -198,56 +208,32 @@ def composite_u_2d(u, mesh: TensorMesh2D, k: int, nq: int | None = None) -> Piec
     column) take the plain tensor L2 projection.
     """
     nx, ny = mesh.shape
-    coeffs = np.empty((nx, ny, k + 1, k + 1))
-    for i in range(nx):
-        for j in range(ny):
-            cell = mesh.cell(i, j)
-            if _fine_band(i, nx) and _mid_band(j, ny):
-                coeffs[i, j] = gauss_radau_2d(u, cell, k, axis=0, side="minus", nq=nq)
-            elif _mid_band(i, nx) and _fine_band(j, ny):
-                coeffs[i, j] = gauss_radau_2d(u, cell, k, axis=1, side="minus", nq=nq)
-            else:
-                coeffs[i, j] = l2_project_2d(u, cell, k, nq=nq)
-    return PiecewisePoly2D(mesh, coeffs)
+    i, j = np.arange(nx)[:, None], np.arange(ny)[None, :]
+    cells, nq = _mesh_cells(mesh), _nq(k, nq)
+    c = _moments_2d(u, cells, k, nq)
+    c = _radau_2d(u, c, cells, k, nq, 0, "minus", where=_fine_band(i, nx) & _mid_band(j, ny))
+    c = _radau_2d(u, c, cells, k, nq, 1, "minus", where=_mid_band(i, nx) & _fine_band(j, ny))
+    return PiecewisePoly2D(mesh, c)
 
 
 def composite_px_2d(p, mesh: TensorMesh2D, k: int, nq: int | None = None) -> PiecewisePoly2D:
     """Interpolant of the x-flux: L2 on the first column, left-edge-matching
     Gauss-Radau in x on all other cells."""
-    nx, ny = mesh.shape
-    coeffs = np.empty((nx, ny, k + 1, k + 1))
-    for i in range(nx):
-        for j in range(ny):
-            cell = mesh.cell(i, j)
-            if i == 0:
-                coeffs[i, j] = l2_project_2d(p, cell, k, nq=nq)
-            else:
-                coeffs[i, j] = gauss_radau_2d(p, cell, k, axis=0, side="plus", nq=nq)
-    return PiecewisePoly2D(mesh, coeffs)
+    cells, nq = _mesh_cells(mesh), _nq(k, nq)
+    return PiecewisePoly2D(mesh, _radau_2d(p, _moments_2d(p, cells, k, nq), cells, k, nq, 0,
+                                           "plus", where=np.arange(mesh.shape[0])[:, None] > 0))
 
 
 def composite_qy_2d(q, mesh: TensorMesh2D, k: int, nq: int | None = None) -> PiecewisePoly2D:
     """Interpolant of the y-flux: L2 on the first row, bottom-edge-matching
     Gauss-Radau in y elsewhere."""
-    nx, ny = mesh.shape
-    coeffs = np.empty((nx, ny, k + 1, k + 1))
-    for i in range(nx):
-        for j in range(ny):
-            cell = mesh.cell(i, j)
-            if j == 0:
-                coeffs[i, j] = l2_project_2d(q, cell, k, nq=nq)
-            else:
-                coeffs[i, j] = gauss_radau_2d(q, cell, k, axis=1, side="plus", nq=nq)
-    return PiecewisePoly2D(mesh, coeffs)
+    cells, nq = _mesh_cells(mesh), _nq(k, nq)
+    return PiecewisePoly2D(mesh, _radau_2d(q, _moments_2d(q, cells, k, nq), cells, k, nq, 1,
+                                           "plus", where=np.arange(mesh.shape[1])[None, :] > 0))
 
 
 def l2_interpolant_2d(z, mesh: TensorMesh2D, k: int, nq: int | None = None) -> PiecewisePoly2D:
-    nx, ny = mesh.shape
-    coeffs = np.empty((nx, ny, k + 1, k + 1))
-    for i in range(nx):
-        for j in range(ny):
-            coeffs[i, j] = l2_project_2d(z, mesh.cell(i, j), k, nq=nq)
-    return PiecewisePoly2D(mesh, coeffs)
+    return PiecewisePoly2D(mesh, _moments_2d(z, _mesh_cells(mesh), k, _nq(k, nq)))
 
 
 # -- interpolation-error measurement ----------------------------------------
@@ -259,8 +245,7 @@ def measure_interp_error(field, interp: PiecewisePoly1D, norm: str = "l2",
     polynomial; the max norm samples quadrature nodes plus both cell ends."""
     mesh = interp.mesh
     k = interp.degree
-    nq = nq if nq is not None else k + 1 + DEFAULT_EXTRA_NODES
-    rule = gauss_rule(nq)
+    rule = gauss_rule(_nq(k, nq))
     X = mesh.quad_points(rule.nodes)
     diff = np.asarray(field(X), dtype=float) - interp.values_on_ref(rule.nodes)
     if norm == "l2":
@@ -277,8 +262,7 @@ def measure_interp_error_2d(field, interp: PiecewisePoly2D, norm: str = "l2",
                             nq: int | None = None) -> float:
     mesh = interp.mesh
     k = interp.degree
-    nq = nq if nq is not None else k + 1 + DEFAULT_EXTRA_NODES
-    rule = gauss_rule(nq)
+    rule = gauss_rule(_nq(k, nq))
     mx, my = mesh.mesh_x, mesh.mesh_y
 
     def sample(tx, ty):

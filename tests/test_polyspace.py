@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ldgrd.mesh import MeshParams, build_shishkin_1d
+from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.polyspace import (
     PiecewisePoly1D,
     PiecewisePoly2D,
@@ -179,6 +180,24 @@ def test_2d_eval_and_traces(rng):
         x_edge = mesh2.mesh_x.points[2]
         direct = [poly.eval(x_edge - 1e-12, yy) for yy in ys]
         assert np.abs(vals[jj] - direct).max() < 1e-9
+
+
+def test_eval_does_not_grow_memory(rng):
+    # point evaluation at arbitrary points keeps nothing per point: 20,000
+    # evaluations at distinct points once left 40,000 basis-cache entries
+    m = build_shishkin_1d(MeshParams(eps=1e-6, beta=1.0, sigma=3.0, N=8))
+    poly = PiecewisePoly2D(build_tensor_2d(m, m), rng.standard_normal((8, 8, 3, 3)))
+    points = rng.uniform(0.0, 1.0, size=(20000, 2)).tolist()
+    poly.eval(0.5, 0.5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for x, y in points:
+            poly.eval(x, y)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 2**20, f"{grown / 2**20:.1f} MiB retained by 20,000 evaluations"
 
 
 def test_2d_jump_conventions(rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.polyspace import gauss_rule, legendre_basis
@@ -105,6 +107,14 @@ def test_gauss_radau_rejects_degree_zero():
         gauss_radau_minus(smooth, (0.0, 1.0), k=0)
     with pytest.raises(ValueError):
         gauss_radau_plus(smooth, (0.0, 1.0), k=0)
+    # every composite with Gauss-Radau cells, whatever its region mask
+    mesh = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=8))
+    mesh2 = build_tensor_2d(mesh, mesh)
+    for composite, args in ((composite_u_1d, (smooth, mesh)), (composite_q_1d, (smooth, mesh)),
+                            (composite_u_2d, (smooth2, mesh2)), (composite_px_2d, (smooth2, mesh2)),
+                            (composite_qy_2d, (smooth2, mesh2))):
+        with pytest.raises(ValueError, match="k >= 1"):
+            composite(*args, 0)
 
 
 def test_composite_u_region_table():
@@ -117,7 +127,7 @@ def test_composite_u_region_table():
             ref = gauss_radau_minus(smooth, cell, k)
         else:  # coarse middle cells and the last cell
             ref = l2_project(smooth, cell, k)
-        assert np.abs(comp.coeffs[j] - ref.coeffs).max() < 1e-14
+        assert np.array_equal(comp.coeffs[j], ref.coeffs)
 
 
 def test_composite_q_region_table():
@@ -125,10 +135,10 @@ def test_composite_q_region_table():
     k = 2
     comp = composite_q_1d(smooth, mesh, k)
     ref0 = l2_project(smooth, mesh.cell(0), k)
-    assert np.abs(comp.coeffs[0] - ref0.coeffs).max() < 1e-14
+    assert np.array_equal(comp.coeffs[0], ref0.coeffs)
     for j in range(1, 8):
         ref = gauss_radau_plus(smooth, mesh.cell(j), k)
-        assert np.abs(comp.coeffs[j] - ref.coeffs).max() < 1e-14
+        assert np.array_equal(comp.coeffs[j], ref.coeffs)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -222,21 +232,18 @@ def test_composite_u_2d_region_table():
     mesh2 = build_tensor_2d(m, m)
     k = 1
     comp = composite_u_2d(smooth2, mesh2, k)
-    # corner cell: plain tensor L2
-    ref = l2_project_2d(smooth2, mesh2.cell(0, 0), k)
-    assert np.abs(comp.coeffs[0, 0] - ref).max() < 1e-13
-    # x-layer band against the coarse middle in y: graded in x
-    ref = gauss_radau_2d(smooth2, mesh2.cell(0, 3), k, axis=0, side="minus")
-    assert np.abs(comp.coeffs[0, 3] - ref).max() < 1e-13
-    # y-layer band: graded in y
-    ref = gauss_radau_2d(smooth2, mesh2.cell(3, 6), k, axis=1, side="minus")
-    assert np.abs(comp.coeffs[3, 6] - ref).max() < 1e-13
-    # final row and column fall through to plain L2, like the last 1D cell
-    ref = l2_project_2d(smooth2, mesh2.cell(3, 7), k)
-    assert np.abs(comp.coeffs[3, 7] - ref).max() < 1e-13
-    # outermost column (i = N-1) with y interior: plain L2
-    ref = l2_project_2d(smooth2, mesh2.cell(7, 3), k)
-    assert np.abs(comp.coeffs[7, 3] - ref).max() < 1e-13
+    # fine bands without the final cell are 0, 1 and 6; the coarse middle is 2..5
+    fine, mid = {0, 1, 6}, {2, 3, 4, 5}
+    for i in range(8):
+        for j in range(8):
+            cell = mesh2.cell(i, j)
+            if i in fine and j in mid:  # x-layer band against the coarse middle in y
+                ref = gauss_radau_2d(smooth2, cell, k, axis=0, side="minus")
+            elif i in mid and j in fine:  # y-layer band: graded in y
+                ref = gauss_radau_2d(smooth2, cell, k, axis=1, side="minus")
+            else:  # interior block, corners, final row and column: plain tensor L2
+                ref = l2_project_2d(smooth2, cell, k)
+            assert np.array_equal(comp.coeffs[i, j], ref), (i, j)
 
 
 def test_composite_flux_2d_region_tables():
@@ -244,15 +251,22 @@ def test_composite_flux_2d_region_tables():
     mesh2 = build_tensor_2d(m, m)
     k = 1
     cp = composite_px_2d(smooth2, mesh2, k)
-    ref = l2_project_2d(smooth2, mesh2.cell(0, 5), k)
-    assert np.abs(cp.coeffs[0, 5] - ref).max() < 1e-13
-    ref = gauss_radau_2d(smooth2, mesh2.cell(4, 5), k, axis=0, side="plus")
-    assert np.abs(cp.coeffs[4, 5] - ref).max() < 1e-13
     cq = composite_qy_2d(smooth2, mesh2, k)
-    ref = l2_project_2d(smooth2, mesh2.cell(5, 0), k)
-    assert np.abs(cq.coeffs[5, 0] - ref).max() < 1e-13
-    ref = gauss_radau_2d(smooth2, mesh2.cell(5, 4), k, axis=1, side="plus")
-    assert np.abs(cq.coeffs[5, 4] - ref).max() < 1e-13
+    for i in range(8):
+        for j in range(8):
+            cell = mesh2.cell(i, j)
+            # x-flux: L2 on the first column, left-edge Gauss-Radau in x elsewhere
+            if i == 0:
+                ref = l2_project_2d(smooth2, cell, k)
+            else:
+                ref = gauss_radau_2d(smooth2, cell, k, axis=0, side="plus")
+            assert np.array_equal(cp.coeffs[i, j], ref), (i, j)
+            # y-flux: L2 on the first row, bottom-edge Gauss-Radau in y elsewhere
+            if j == 0:
+                ref = l2_project_2d(smooth2, cell, k)
+            else:
+                ref = gauss_radau_2d(smooth2, cell, k, axis=1, side="plus")
+            assert np.array_equal(cq.coeffs[i, j], ref), (i, j)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -268,3 +282,99 @@ def test_2d_composites_reproduce_tensor_polynomials(k, rng):
     for comp in (composite_u_2d(z, mesh2, k), composite_px_2d(z, mesh2, k),
                  composite_qy_2d(z, mesh2, k)):
         assert measure_interp_error_2d(z, comp, "linf") < 1e-12
+
+
+# -- defining conditions of every composite cell (property tests) ------------
+
+EPS_POOL = (1e-8, 1e-6, 1e-7, 1e-9, 1e-10, 1e-11, 1e-12)  # the benchmark's eps pool
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+weights = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def check_cells_1d(z, comp, region, tol=1e-12):
+    """Every cell of comp meets the defining conditions of its region: 'l2',
+    'minus' (right endpoint matched) or 'plus' (left endpoint matched).
+    Moments are taken with an independent 30-point rule."""
+    mesh, k = comp.mesh, comp.degree
+    fine = gauss_rule(30)
+    phi = legendre_basis(k, fine.nodes)
+    resid = z(mesh.quad_points(fine.nodes)) - comp.values_on_ref(fine.nodes)
+    moments = (resid * fine.weights) @ phi.T
+    ends = {"minus": (mesh.points[1:], 1.0), "plus": (mesh.points[:-1], -1.0)}
+    for j in range(mesh.ncells):
+        side = region(j)
+        upto = k + 1 if side == "l2" else k
+        assert np.abs(moments[j, :upto]).max() < tol, (j, side)
+        if side != "l2":
+            x, t = ends[side]
+            dev = comp.values_on_ref(np.array([t]))[j, 0] - z(x[j:j + 1])[0]
+            assert abs(dev) < tol, (j, side)
+
+
+@PROPERTY
+@given(k=st.integers(1, 4), eps=st.sampled_from(EPS_POOL), N=st.sampled_from([8, 16]),
+       w=st.tuples(weights, weights, weights))
+def test_composite_1d_cells_meet_defining_conditions(k, eps, N, w):
+    mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+
+    def z(x):
+        return w[0] * np.sin(3.0 * x) + w[1] * x**2 + w[2]
+
+    # Gauss-Radau on the fine bands except the final cell, L2 elsewhere
+    check_cells_1d(z, composite_u_1d(z, mesh, k),
+                   lambda j: "minus" if j < N // 4 or 3 * N // 4 <= j < N - 1 else "l2")
+    check_cells_1d(z, composite_q_1d(z, mesh, k), lambda j: "l2" if j == 0 else "plus")
+
+
+def check_cells_2d(z, comp, region, tol=1e-12):
+    """Every cell of comp meets the defining conditions of its region: None
+    for tensor L2, else (axis, side) of the directional Gauss-Radau
+    projection (volume moments one degree lower in that axis, trace on the
+    matched edge L2-fitted along it), with an independent 30-point rule."""
+    mesh, k = comp.mesh, comp.degree
+    mx, my = mesh.mesh_x, mesh.mesh_y
+    fine = gauss_rule(30)
+    wphi = legendre_basis(k, fine.nodes) * fine.weights
+    X, Y = mx.quad_points(fine.nodes), my.quad_points(fine.nodes)
+    resid = z(X[:, None, :, None], Y[None, :, None, :]) - comp.values_on_ref(fine.nodes, fine.nodes)
+    vol = wphi @ resid @ wphi.T
+    edges = {}
+    for side, t, xs, ys in (("minus", 1.0, mx.points[1:], my.points[1:]),
+                            ("plus", -1.0, mx.points[:-1], my.points[:-1])):
+        ex = z(xs[:, None, None], Y[None, :, :]) - comp.values_on_ref(np.array([t]), fine.nodes)[:, :, 0]
+        ey = z(X[:, None, :], ys[None, :, None]) - comp.values_on_ref(fine.nodes, np.array([t]))[..., 0]
+        edges[0, side] = ex @ wphi.T
+        edges[1, side] = ey @ wphi.T
+    nx, ny = mesh.shape
+    for i in range(nx):
+        for j in range(ny):
+            rule = region(i, j)
+            if rule is None:
+                assert np.abs(vol[i, j]).max() < tol, (i, j)
+                continue
+            axis, side = rule
+            low = vol[i, j, :k, :] if axis == 0 else vol[i, j, :, :k]
+            assert np.abs(low).max() < tol, (i, j, rule)
+            assert np.abs(edges[axis, side][i, j]).max() < tol, (i, j, rule)
+
+
+@PROPERTY
+@given(k=st.integers(1, 2), eps=st.sampled_from(EPS_POOL), w=st.tuples(weights, weights, weights))
+def test_composite_2d_cells_meet_defining_conditions(k, eps, w):
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=8))
+    mesh2 = build_tensor_2d(m, m)
+
+    def z(x, y):
+        return w[0] * np.sin(2.0 * x + 0.1) * (w[1] + np.cos(y)) + w[2] * x * y
+
+    def u_region(i, j):
+        fine, mid = {0, 1, 6}, {2, 3, 4, 5}
+        if i in fine and j in mid:
+            return 0, "minus"
+        if i in mid and j in fine:
+            return 1, "minus"
+        return None
+
+    check_cells_2d(z, composite_u_2d(z, mesh2, k), u_region)
+    check_cells_2d(z, composite_px_2d(z, mesh2, k), lambda i, j: None if i == 0 else (0, "plus"))
+    check_cells_2d(z, composite_qy_2d(z, mesh2, k), lambda i, j: None if j == 0 else (1, "plus"))
