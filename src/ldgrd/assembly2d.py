@@ -94,8 +94,7 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
     G = grad_matrix(k)
     mass = leg_mass(k)
     hx, hy = mx.widths, my.widths
-    X4 = mx.quad_points(rule.nodes)[:, None, :, None]
-    Y4 = my.quad_points(rule.nodes)[None, :, None, :]
+    X4, Y4 = mesh.quad_points(rule.nodes, rule.nodes)
     shape4 = (nx, ny, rule.n, rule.n)
     bV = np.broadcast_to(np.asarray(problem.b(X4, Y4), dtype=float), shape4)
     fV = np.broadcast_to(np.asarray(problem.f(X4, Y4), dtype=float), shape4)
@@ -187,7 +186,7 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig2D,
                  nq: int | None = None) -> float:
     """Evaluate the 2D compact bilinear form B(T; Z) for Z = (v, s, r).
 
-    Same structure as the 1D form, duplicated per direction: volume terms,
+    Same structure as the 1D form, applied once per direction: volume terms,
     upwind edge sums entering with a minus sign, downwind boundary edge
     terms, boundary penalties on U and the two jump-penalty lines.  On the
     diagonal it reproduces the squared 2D energy norm.
@@ -195,24 +194,19 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig2D,
     if t.u.mesh is not z.u.mesh or t.u.degree != z.u.degree:
         raise ValueError("both arguments must share mesh and degree")
     mesh = t.u.mesh
-    mx, my = mesh.mesh_x, mesh.mesh_y
     nx, ny = mesh.shape
     k = t.u.degree
     nqv = nq if nq is not None else k + 1 + ASSEMBLY_EXTRA_NODES
     rule = gauss_rule(nqv)
     G = grad_matrix(k)
     mass = leg_mass(k)
-    hx, hy = mx.widths, my.widths
+    hx, hy = mesh.mesh_x.widths, mesh.mesh_y.widths
 
     cU, cP, cQ = t.u.coeffs, t.p.coeffs, t.q.coeffs
     cV, cS, cR = z.u.coeffs, z.p.coeffs, z.q.coeffs
 
-    Xn = mx.quad_points(rule.nodes)
-    Yn = my.quad_points(rule.nodes)
-    bV = np.broadcast_to(
-        np.asarray(b(Xn[:, None, :, None], Yn[None, :, None, :]), dtype=float),
-        (nx, ny, rule.n, rule.n),
-    )
+    bV = np.broadcast_to(np.asarray(b(*mesh.quad_points(rule.nodes, rule.nodes)), dtype=float),
+                         (nx, ny, rule.n, rule.n))
     Uv = t.u.values_on_ref(rule.nodes, rule.nodes)
     Vv = z.u.values_on_ref(rule.nodes, rule.nodes)
     total = float(np.einsum("ijxy,x,y,i,j->", bV * Uv * Vv, rule.weights, rule.weights,
@@ -227,41 +221,27 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig2D,
     total += float(np.einsum("ijma,ab,ijmb,m,i->", cR, G, cU, mass, 0.5 * hx))
     total += float(np.einsum("ijma,ab,ijmb,m,i->", cV, G, cQ, mass, 0.5 * hx))
 
-    def line_dot_x(A, Bc, j_weights):
-        # A, Bc: (ny, k+1) tangential coefficients on one vertical line.
-        return float(np.einsum("jn,jn,n,j->", A, Bc, mass, j_weights))
+    def line_dot(A, Bc, weights):
+        # A, Bc: (n_t, k+1) tangential coefficients on one mesh line.
+        return float(np.einsum("jn,jn,n,j->", A, Bc, mass, weights))
 
-    wy = 0.5 * hy
-    wx = 0.5 * hx
     m = cfg.special_index
-
-    for ii in range(1, nx):
-        jump_s = z.p.trace_x(ii, "left") - z.p.trace_x(ii, "right")
-        total -= line_dot_x(t.u.trace_x(ii, "left"), jump_s, wy)
-    for ii in range(nx):
-        total -= line_dot_x(t.p.trace_x(ii, "right"), z.u.jump_x(ii), wy)
-    total -= line_dot_x(t.p.trace_x(nx, "left"), z.u.jump_x(nx), wy)
-    if cfg.lambda_p != 0.0:
-        jp = t.p.trace_x(m, "left") - t.p.trace_x(m, "right")
-        js = z.p.trace_x(m, "left") - z.p.trace_x(m, "right")
-        total += cfg.lambda_p * line_dot_x(jp, js, wy)
-    total += cfg.lambda_boundary * (
-        line_dot_x(t.u.jump_x(0), z.u.jump_x(0), wy)
-        + line_dot_x(t.u.jump_x(nx), z.u.jump_x(nx), wy)
-    )
-
-    for jj in range(1, ny):
-        jump_r = z.q.trace_y(jj, "left") - z.q.trace_y(jj, "right")
-        total -= line_dot_x(t.u.trace_y(jj, "left"), jump_r, wx)
-    for jj in range(ny):
-        total -= line_dot_x(t.q.trace_y(jj, "right"), z.u.jump_y(jj), wx)
-    total -= line_dot_x(t.q.trace_y(ny, "left"), z.u.jump_y(ny), wx)
-    if cfg.lambda_q != 0.0:
-        jq = t.q.trace_y(m, "left") - t.q.trace_y(m, "right")
-        jr = z.q.trace_y(m, "left") - z.q.trace_y(m, "right")
-        total += cfg.lambda_q * line_dot_x(jq, jr, wx)
-    total += cfg.lambda_boundary * (
-        line_dot_x(t.u.jump_y(0), z.u.jump_y(0), wx)
-        + line_dot_x(t.u.jump_y(ny), z.u.jump_y(ny), wx)
-    )
+    # Lines normal to x carry P and the tangential weight hy/2, lines normal
+    # to y carry Q and hx/2; x before y, as in the assembled matrix.
+    for axis, lam, flux_t, flux_z, w_t in ((0, cfg.lambda_p, t.p, z.p, 0.5 * hy),
+                                           (1, cfg.lambda_q, t.q, z.q, 0.5 * hx)):
+        n = mesh.shape[axis]
+        for i in range(1, n):
+            total -= line_dot(t.u.trace(axis, i, "left"), flux_z.jump(axis, i), w_t)
+        for i in range(n):
+            total -= line_dot(flux_t.trace(axis, i, "right"), z.u.jump(axis, i), w_t)
+        total -= line_dot(flux_t.trace(axis, n, "left"), z.u.jump(axis, n), w_t)
+        if lam != 0.0:
+            jt = flux_t.trace(axis, m, "left") - flux_t.trace(axis, m, "right")
+            jz = flux_z.trace(axis, m, "left") - flux_z.trace(axis, m, "right")
+            total += lam * line_dot(jt, jz, w_t)
+        total += cfg.lambda_boundary * (
+            line_dot(t.u.jump(axis, 0), z.u.jump(axis, 0), w_t)
+            + line_dot(t.u.jump(axis, n), z.u.jump(axis, n), w_t)
+        )
     return total

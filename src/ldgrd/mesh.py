@@ -125,6 +125,12 @@ class TensorMesh2D:
     def cell(self, i: int, j: int) -> tuple[tuple[float, float], tuple[float, float]]:
         return self.mesh_x.cell(i), self.mesh_y.cell(j)
 
+    def quad_points(self, tx: np.ndarray, ty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Physical points of the reference grid tx x ty in every cell, as the
+        broadcastable pair X (nx, 1, len(tx), 1), Y (1, ny, 1, len(ty))."""
+        return (self.mesh_x.quad_points(tx)[:, None, :, None],
+                self.mesh_y.quad_points(ty)[None, :, None, :])
+
 
 def build_tensor_2d(mesh_x: ShishkinMesh1D, mesh_y: ShishkinMesh1D) -> TensorMesh2D:
     return TensorMesh2D(mesh_x=mesh_x, mesh_y=mesh_y)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyspace import gauss_rule, leg_mass, legendre_basis
+from .polyspace import gauss_rule, layer_nq, leg_mass, legendre_basis
 
 __all__ = [
     "ErrorReport",
@@ -21,9 +21,6 @@ __all__ = [
     "discrete_energy_sq_2d",
 ]
 
-ERROR_EXTRA_NODES = 4  # k+5 nodes: error integrands contain layer exponentials
-
-
 @dataclass(frozen=True)
 class ErrorReport:
     """Error measures of one solve; err_l2_p is None in 1D."""
@@ -36,10 +33,6 @@ class ErrorReport:
     err_l2_p: float | None = None
 
 
-def _nq(k: int, nq: int | None) -> int:
-    return nq if nq is not None else k + 1 + ERROR_EXTRA_NODES
-
-
 def _error_pieces_1d(w, problem, cfg, nq):
     """Shared integrals and traces for the 1D norms.
 
@@ -49,7 +42,7 @@ def _error_pieces_1d(w, problem, cfg, nq):
     mesh = w.u.mesh
     N = mesh.ncells
     k = w.u.degree
-    rule = gauss_rule(_nq(k, nq))
+    rule = gauss_rule(layer_nq(k, nq))
     h = mesh.widths
     X = mesh.quad_points(rule.nodes)
 
@@ -115,7 +108,7 @@ def discrete_energy_sq(w, b, cfg, nq: int | None = None) -> float:
     mass = leg_mass(k)
     h = mesh.widths
     q_sq = float(np.einsum("jm,m,j->", w.q.coeffs**2, mass, 0.5 * h))
-    rule = gauss_rule(_nq(k, nq))
+    rule = gauss_rule(layer_nq(k, nq))
     X = mesh.quad_points(rule.nodes)
     bX = np.broadcast_to(np.asarray(b(X), dtype=float), X.shape)
     Uv = w.u.values_on_ref(rule.nodes)
@@ -130,56 +123,34 @@ def discrete_energy_sq(w, b, cfg, nq: int | None = None) -> float:
 # -- 2D ----------------------------------------------------------------------
 
 
-def _line_jump_sq_x(field_exact, poly, i: int, rule) -> float:
-    """Integral over the vertical line x = x_i of the squared error jump."""
-    mesh = poly.mesh
-    my = mesh.mesh_y
-    k = poly.degree
-    phi = legendre_basis(k, rule.nodes)
-    Y, wy = my.quad_points(rule.nodes), 0.5 * my.widths
-    x = float(mesh.mesh_x.points[i])
-    exact = np.asarray(field_exact(np.full_like(Y, x), Y), dtype=float)
-    nx = mesh.mesh_x.ncells
+def _line_jump_sq(field_exact, poly, axis: int, i: int, rule) -> float:
+    """Integral over the mesh line i normal to `axis` (x = x_i for axis 0,
+    y = y_i for axis 1) of the squared error jump."""
+    meshes = poly.mesh.mesh_x, poly.mesh.mesh_y
+    normal, along = meshes[axis], meshes[1 - axis]
+    phi = legendre_basis(poly.degree, rule.nodes)
+    S = along.quad_points(rule.nodes)
+    line = np.full_like(S, float(normal.points[i]))
+    exact = np.asarray(field_exact(*((line, S) if axis == 0 else (S, line))), dtype=float)
+    n = normal.ncells
     if i == 0:
-        jump = -(exact - poly.trace_x(0, "right") @ phi)
-    elif i == nx:
-        jump = exact - poly.trace_x(nx, "left") @ phi
+        jump = -(exact - poly.trace(axis, 0, "right") @ phi)
+    elif i == n:
+        jump = exact - poly.trace(axis, n, "left") @ phi
     else:
-        left = exact - poly.trace_x(i, "left") @ phi
-        right = exact - poly.trace_x(i, "right") @ phi
+        left = exact - poly.trace(axis, i, "left") @ phi
+        right = exact - poly.trace(axis, i, "right") @ phi
         jump = left - right
-    return float(np.einsum("jg,g,j->", jump**2, rule.weights, wy))
-
-
-def _line_jump_sq_y(field_exact, poly, j: int, rule) -> float:
-    mesh = poly.mesh
-    mx = mesh.mesh_x
-    k = poly.degree
-    phi = legendre_basis(k, rule.nodes)
-    X, wx = mx.quad_points(rule.nodes), 0.5 * mx.widths
-    y = float(mesh.mesh_y.points[j])
-    exact = np.asarray(field_exact(X, np.full_like(X, y)), dtype=float)
-    ny = mesh.mesh_y.ncells
-    if j == 0:
-        jump = -(exact - poly.trace_y(0, "right") @ phi)
-    elif j == ny:
-        jump = exact - poly.trace_y(ny, "left") @ phi
-    else:
-        top = exact - poly.trace_y(j, "left") @ phi
-        bot = exact - poly.trace_y(j, "right") @ phi
-        jump = top - bot
-    return float(np.einsum("ig,g,i->", jump**2, rule.weights, wx))
+    return float(np.einsum("jg,g,j->", jump**2, rule.weights, 0.5 * along.widths))
 
 
 def _error_pieces_2d(t, problem, cfg, nq):
     mesh = t.u.mesh
     mx, my = mesh.mesh_x, mesh.mesh_y
     k = t.u.degree
-    rule = gauss_rule(_nq(k, nq))
-    X, wx = mx.quad_points(rule.nodes), 0.5 * mx.widths
-    Y, wy = my.quad_points(rule.nodes), 0.5 * my.widths
-    X4 = X[:, None, :, None]
-    Y4 = Y[None, :, None, :]
+    rule = gauss_rule(layer_nq(k, nq))
+    wx, wy = 0.5 * mx.widths, 0.5 * my.widths
+    X4, Y4 = mesh.quad_points(rule.nodes, rule.nodes)
 
     eu = np.asarray(problem.u_exact(X4, Y4), dtype=float) - t.u.values_on_ref(rule.nodes, rule.nodes)
     ep_ = np.asarray(problem.p_exact(X4, Y4), dtype=float) - t.p.values_on_ref(rule.nodes, rule.nodes)
@@ -193,18 +164,14 @@ def _error_pieces_2d(t, problem, cfg, nq):
     bu_sq, l2u_sq = vol(bV * eu**2), vol(eu**2)
 
     ext = np.concatenate([rule.nodes, [-1.0, 1.0]])
-    Xe, Ye = mx.quad_points(ext), my.quad_points(ext)
-    eu_ext = np.asarray(problem.u_exact(Xe[:, None, :, None], Ye[None, :, None, :]), dtype=float) \
+    eu_ext = np.asarray(problem.u_exact(*mesh.quad_points(ext, ext)), dtype=float) \
         - t.u.values_on_ref(ext, ext)
     linf_u = float(np.abs(eu_ext).max())
 
-    nx, ny = mesh.shape
-    ju = (_line_jump_sq_x(problem.u_exact, t.u, 0, rule),
-          _line_jump_sq_x(problem.u_exact, t.u, nx, rule),
-          _line_jump_sq_y(problem.u_exact, t.u, 0, rule),
-          _line_jump_sq_y(problem.u_exact, t.u, ny, rule))
-    jp_m = _line_jump_sq_x(problem.p_exact, t.p, cfg.special_index, rule)
-    jq_m = _line_jump_sq_y(problem.q_exact, t.q, cfg.special_index, rule)
+    ju = tuple(_line_jump_sq(problem.u_exact, t.u, axis, i, rule)
+               for axis, n in enumerate(mesh.shape) for i in (0, n))
+    jp_m = _line_jump_sq(problem.p_exact, t.p, 0, cfg.special_index, rule)
+    jq_m = _line_jump_sq(problem.q_exact, t.q, 1, cfg.special_index, rule)
     return l2p_sq, l2q_sq, bu_sq, l2u_sq, linf_u, ju, jp_m, jq_m
 
 
@@ -237,35 +204,30 @@ def error_report_2d(t, problem, cfg, nq: int | None = None) -> ErrorReport:
 def discrete_energy_sq_2d(t, b, cfg, nq: int | None = None) -> float:
     """Squared 2D energy norm of a discrete triple (U, P, Q)."""
     mesh = t.u.mesh
-    mx, my = mesh.mesh_x, mesh.mesh_y
     nx, ny = mesh.shape
     k = t.u.degree
     mass = leg_mass(k)
-    hx, hy = mx.widths, my.widths
+    hx, hy = mesh.mesh_x.widths, mesh.mesh_y.widths
     area = np.outer(0.5 * hx, 0.5 * hy)
 
     def l2sq(poly):
         per_cell = np.einsum("ijmn,m,n->ij", poly.coeffs**2, mass, mass)
         return float((per_cell * area).sum())
 
-    rule = gauss_rule(_nq(k, nq))
-    X, wx = mx.quad_points(rule.nodes), 0.5 * mx.widths
-    Y, wy = my.quad_points(rule.nodes), 0.5 * my.widths
-    bV = np.broadcast_to(
-        np.asarray(b(X[:, None, :, None], Y[None, :, None, :]), dtype=float),
-        (nx, ny, rule.n, rule.n),
-    )
+    rule = gauss_rule(layer_nq(k, nq))
+    bV = np.broadcast_to(np.asarray(b(*mesh.quad_points(rule.nodes, rule.nodes)), dtype=float),
+                         (nx, ny, rule.n, rule.n))
     Uv = t.u.values_on_ref(rule.nodes, rule.nodes)
-    bu_sq = float(np.einsum("ijxy,x,y,i,j->", bV * Uv**2, rule.weights, rule.weights, wx, wy))
+    bu_sq = float(np.einsum("ijxy,x,y,i,j->", bV * Uv**2, rule.weights, rule.weights,
+                            0.5 * hx, 0.5 * hy))
+    w_t = 0.5 * hy, 0.5 * hx  # along the lines normal to x, and to y
 
-    def edge_sq_x(jump_coeffs, w1d):
-        return float(np.einsum("jn,n,j->", jump_coeffs**2, mass, w1d))
+    def edge_sq(poly, axis, i):
+        return float(np.einsum("jn,n,j->", poly.jump(axis, i)**2, mass, w_t[axis]))
 
     val = (l2sq(t.p) + l2sq(t.q)) / cfg.eps + bu_sq
-    val += cfg.lambda_boundary * (
-        edge_sq_x(t.u.jump_x(0), 0.5 * hy) + edge_sq_x(t.u.jump_x(nx), 0.5 * hy)
-        + edge_sq_x(t.u.jump_y(0), 0.5 * hx) + edge_sq_x(t.u.jump_y(ny), 0.5 * hx)
-    )
-    val += cfg.lambda_p * edge_sq_x(t.p.jump_x(cfg.special_index), 0.5 * hy)
-    val += cfg.lambda_q * edge_sq_x(t.q.jump_y(cfg.special_index), 0.5 * hx)
+    val += cfg.lambda_boundary * sum(edge_sq(t.u, axis, i)
+                                     for axis, n in enumerate(mesh.shape) for i in (0, n))
+    val += cfg.lambda_p * edge_sq(t.p, 0, cfg.special_index)
+    val += cfg.lambda_q * edge_sq(t.q, 1, cfg.special_index)
     return val

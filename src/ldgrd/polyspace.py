@@ -13,6 +13,7 @@ from .mesh import ShishkinMesh1D, TensorMesh2D
 __all__ = [
     "QuadratureRule",
     "gauss_rule",
+    "layer_nq",
     "legendre_eval",
     "legendre_basis",
     "legendre_basis_deriv",
@@ -51,6 +52,16 @@ def gauss_rule(n: int) -> QuadratureRule:
         raise ValueError(f"quadrature rule needs at least one node, got {n}")
     nodes, weights = _gauss_cached(n)
     return QuadratureRule(nodes=nodes, weights=weights)
+
+
+LAYER_EXTRA_NODES = 4  # k+5 nodes: the integrands contain layer exponentials
+
+
+def layer_nq(k: int, nq: int | None = None) -> int:
+    """Node count for integrals of non-polynomial functions (exact
+    solutions, their errors and projections) against degree-k polynomials:
+    nq if given, else k+1+LAYER_EXTRA_NODES."""
+    return nq if nq is not None else k + 1 + LAYER_EXTRA_NODES
 
 
 def legendre_eval(degree: int, t):
@@ -213,20 +224,6 @@ class PiecewisePoly2D:
         py = legendre_basis(k, ty)
         return np.einsum("ijmn,mx,ny->ijxy", self.coeffs, px, py)
 
-    def dx_values_on_ref(self, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-        k = self.degree
-        dpx = legendre_basis_deriv(k, tx)
-        py = legendre_basis(k, ty)
-        vals = np.einsum("ijmn,mx,ny->ijxy", self.coeffs, dpx, py)
-        return vals * (2.0 / self.mesh.mesh_x.widths)[:, None, None, None]
-
-    def dy_values_on_ref(self, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-        k = self.degree
-        px = legendre_basis(k, tx)
-        dpy = legendre_basis_deriv(k, ty)
-        vals = np.einsum("ijmn,mx,ny->ijxy", self.coeffs, px, dpy)
-        return vals * (2.0 / self.mesh.mesh_y.widths)[None, :, None, None]
-
     def eval(self, x: float, y: float) -> float:
         mx, my = self.mesh.mesh_x, self.mesh.mesh_y
         i = int(np.clip(np.searchsorted(mx.points, x, side="right") - 1, 0, mx.ncells - 1))
@@ -236,46 +233,34 @@ class PiecewisePoly2D:
         px, py = legendre_basis(self.degree, [tx, ty]).T.copy()
         return float(px @ self.coeffs[i, j] @ py)
 
-    def trace_x(self, i: int, side: str) -> np.ndarray:
-        """Tangential Legendre coefficients (ny, k+1) of the trace on the
-        vertical line x = x_i; side 'left' uses cell i-1, 'right' cell i."""
-        em, ep = end_vals(self.degree)
-        if side == "left":
-            if i < 1 or i > self.mesh.mesh_x.ncells:
-                raise IndexError(f"no cell left of line x_{i}")
-            return np.einsum("jmn,m->jn", self.coeffs[i - 1], ep)
-        if side == "right":
-            if i < 0 or i >= self.mesh.mesh_x.ncells:
-                raise IndexError(f"no cell right of line x_{i}")
-            return np.einsum("jmn,m->jn", self.coeffs[i], em)
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    def _ncells(self, axis: int) -> int:
+        if axis not in (0, 1):
+            raise ValueError(f"axis must be 0 or 1, got {axis!r}")
+        return self.mesh.shape[axis]
 
-    def trace_y(self, j: int, side: str) -> np.ndarray:
-        """Tangential coefficients (nx, k+1) on the horizontal line y = y_j."""
+    def trace(self, axis: int, i: int, side: str) -> np.ndarray:
+        """Tangential Legendre coefficients of the trace on the mesh line i
+        normal to `axis`: x = x_i, shape (ny, k+1), for axis 0; y = y_i,
+        shape (nx, k+1), for axis 1.  Side 'left' uses cell i-1 along the
+        axis, 'right' cell i."""
+        n = self._ncells(axis)
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        c = i - 1 if side == "left" else i
+        if c < 0 or c >= n:
+            raise IndexError(f"no cell {side} of line {i} along axis {axis}")
         em, ep = end_vals(self.degree)
-        if side == "left":
-            if j < 1 or j > self.mesh.mesh_y.ncells:
-                raise IndexError(f"no cell below line y_{j}")
-            return np.einsum("imn,n->im", self.coeffs[:, j - 1], ep)
-        if side == "right":
-            if j < 0 or j >= self.mesh.mesh_y.ncells:
-                raise IndexError(f"no cell above line y_{j}")
-            return np.einsum("imn,n->im", self.coeffs[:, j], em)
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        end = ep if side == "left" else em
+        if axis == 0:
+            return np.einsum("jmn,m->jn", self.coeffs[c], end)
+        return np.einsum("imn,n->im", self.coeffs[:, c], end)
 
-    def jump_x(self, i: int) -> np.ndarray:
-        """Jump coefficients across x = x_i with the 1D interface convention."""
-        nx = self.mesh.mesh_x.ncells
+    def jump(self, axis: int, i: int) -> np.ndarray:
+        """Jump coefficients across mesh line i normal to `axis`, with the
+        1D interface convention."""
+        n = self._ncells(axis)
         if i == 0:
-            return -self.trace_x(0, "right")
-        if i == nx:
-            return self.trace_x(nx, "left")
-        return self.trace_x(i, "left") - self.trace_x(i, "right")
-
-    def jump_y(self, j: int) -> np.ndarray:
-        ny = self.mesh.mesh_y.ncells
-        if j == 0:
-            return -self.trace_y(0, "right")
-        if j == ny:
-            return self.trace_y(ny, "left")
-        return self.trace_y(j, "left") - self.trace_y(j, "right")
+            return -self.trace(axis, 0, "right")
+        if i == n:
+            return self.trace(axis, n, "left")
+        return self.trace(axis, i, "left") - self.trace(axis, i, "right")

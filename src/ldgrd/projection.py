@@ -12,6 +12,7 @@ from .polyspace import (
     PiecewisePoly2D,
     end_vals,
     gauss_rule,
+    layer_nq,
     legendre_basis,
 )
 
@@ -32,16 +33,10 @@ __all__ = [
     "measure_interp_error_2d",
 ]
 
-DEFAULT_EXTRA_NODES = 4  # k+5 nodes: integrands contain layer exponentials
-
 # Every projection below is one moment kernel applied to arrays of cells (a
 # single cell is the 0-d case), followed where needed by the Gauss-Radau
 # endpoint fix along one coefficient axis.  The composites call the kernel
 # once for the whole mesh and apply the fix where their region mask holds.
-
-
-def _nq(k: int, nq: int | None) -> int:
-    return nq if nq is not None else k + 1 + DEFAULT_EXTRA_NODES
 
 
 def _quad_points(cell, t: np.ndarray) -> np.ndarray:
@@ -122,18 +117,18 @@ def _radau_2d(z, c: np.ndarray, cell, k: int, nq: int, axis: int, side: str,
 
 def l2_project(z, cell: tuple[float, float], k: int, nq: int | None = None) -> LocalPoly:
     """Local L2 projection onto polynomials of degree k on the cell (a, b)."""
-    return LocalPoly(degree=k, coeffs=_moments(z, cell, k, _nq(k, nq)))
+    return LocalPoly(degree=k, coeffs=_moments(z, cell, k, layer_nq(k, nq)))
 
 
 def gauss_radau_minus(z, cell: tuple[float, float], k: int, nq: int | None = None) -> LocalPoly:
     """Projection matching moments against degree k-1 and the value of z at
     the right endpoint of the cell."""
-    return LocalPoly(degree=k, coeffs=_radau_1d(z, cell, k, _nq(k, nq), "minus"))
+    return LocalPoly(degree=k, coeffs=_radau_1d(z, cell, k, layer_nq(k, nq), "minus"))
 
 
 def gauss_radau_plus(z, cell: tuple[float, float], k: int, nq: int | None = None) -> LocalPoly:
     """Mirror image of gauss_radau_minus: endpoint matched at the left end."""
-    return LocalPoly(degree=k, coeffs=_radau_1d(z, cell, k, _nq(k, nq), "plus"))
+    return LocalPoly(degree=k, coeffs=_radau_1d(z, cell, k, layer_nq(k, nq), "plus"))
 
 
 def _fine_band(j: np.ndarray, N: int) -> np.ndarray:
@@ -153,7 +148,7 @@ def composite_u_1d(u, mesh: ShishkinMesh1D, k: int, nq: int | None = None) -> Pi
     coarse interior cells and on the final cell.
     """
     cells, N = (mesh.points[:-1], mesh.points[1:]), mesh.ncells
-    return PiecewisePoly1D(mesh, _radau_1d(u, cells, k, _nq(k, nq), "minus",
+    return PiecewisePoly1D(mesh, _radau_1d(u, cells, k, layer_nq(k, nq), "minus",
                                            where=_fine_band(np.arange(N), N)))
 
 
@@ -161,14 +156,14 @@ def composite_q_1d(q, mesh: ShishkinMesh1D, k: int, nq: int | None = None) -> Pi
     """Layer-aware interpolant of the flux variable: L2 projection on the
     first cell, left-endpoint-matching Gauss-Radau everywhere else."""
     cells = mesh.points[:-1], mesh.points[1:]
-    return PiecewisePoly1D(mesh, _radau_1d(q, cells, k, _nq(k, nq), "plus",
+    return PiecewisePoly1D(mesh, _radau_1d(q, cells, k, layer_nq(k, nq), "plus",
                                            where=np.arange(mesh.ncells) > 0))
 
 
 def l2_interpolant_1d(z, mesh: ShishkinMesh1D, k: int, nq: int | None = None) -> PiecewisePoly1D:
     """Cellwise L2 projection on every cell (no endpoint matching)."""
     cells = mesh.points[:-1], mesh.points[1:]
-    return PiecewisePoly1D(mesh, _moments(z, cells, k, _nq(k, nq)))
+    return PiecewisePoly1D(mesh, _moments(z, cells, k, layer_nq(k, nq)))
 
 
 # -- 2D projections ---------------------------------------------------------
@@ -176,7 +171,7 @@ def l2_interpolant_1d(z, mesh: ShishkinMesh1D, k: int, nq: int | None = None) ->
 
 def l2_project_2d(z, cell, k: int, nq: int | None = None) -> np.ndarray:
     """Tensor L2 projection coefficients (k+1, k+1) on one rectangular cell."""
-    return _moments_2d(z, cell, k, _nq(k, nq))
+    return _moments_2d(z, cell, k, layer_nq(k, nq))
 
 
 def gauss_radau_2d(z, cell, k: int, axis: int, side: str, nq: int | None = None) -> np.ndarray:
@@ -189,7 +184,7 @@ def gauss_radau_2d(z, cell, k: int, axis: int, side: str, nq: int | None = None)
     Realized as the 1D Gauss-Radau solve applied mode-by-mode on top of the
     tensor L2 moments, which is what the defining conditions factor into.
     """
-    nq = _nq(k, nq)
+    nq = layer_nq(k, nq)
     return _radau_2d(z, _moments_2d(z, cell, k, nq), cell, k, nq, axis, side)
 
 
@@ -209,7 +204,7 @@ def composite_u_2d(u, mesh: TensorMesh2D, k: int, nq: int | None = None) -> Piec
     """
     nx, ny = mesh.shape
     i, j = np.arange(nx)[:, None], np.arange(ny)[None, :]
-    cells, nq = _mesh_cells(mesh), _nq(k, nq)
+    cells, nq = _mesh_cells(mesh), layer_nq(k, nq)
     c = _moments_2d(u, cells, k, nq)
     c = _radau_2d(u, c, cells, k, nq, 0, "minus", where=_fine_band(i, nx) & _mid_band(j, ny))
     c = _radau_2d(u, c, cells, k, nq, 1, "minus", where=_mid_band(i, nx) & _fine_band(j, ny))
@@ -219,7 +214,7 @@ def composite_u_2d(u, mesh: TensorMesh2D, k: int, nq: int | None = None) -> Piec
 def composite_px_2d(p, mesh: TensorMesh2D, k: int, nq: int | None = None) -> PiecewisePoly2D:
     """Interpolant of the x-flux: L2 on the first column, left-edge-matching
     Gauss-Radau in x on all other cells."""
-    cells, nq = _mesh_cells(mesh), _nq(k, nq)
+    cells, nq = _mesh_cells(mesh), layer_nq(k, nq)
     return PiecewisePoly2D(mesh, _radau_2d(p, _moments_2d(p, cells, k, nq), cells, k, nq, 0,
                                            "plus", where=np.arange(mesh.shape[0])[:, None] > 0))
 
@@ -227,13 +222,13 @@ def composite_px_2d(p, mesh: TensorMesh2D, k: int, nq: int | None = None) -> Pie
 def composite_qy_2d(q, mesh: TensorMesh2D, k: int, nq: int | None = None) -> PiecewisePoly2D:
     """Interpolant of the y-flux: L2 on the first row, bottom-edge-matching
     Gauss-Radau in y elsewhere."""
-    cells, nq = _mesh_cells(mesh), _nq(k, nq)
+    cells, nq = _mesh_cells(mesh), layer_nq(k, nq)
     return PiecewisePoly2D(mesh, _radau_2d(q, _moments_2d(q, cells, k, nq), cells, k, nq, 1,
                                            "plus", where=np.arange(mesh.shape[1])[None, :] > 0))
 
 
 def l2_interpolant_2d(z, mesh: TensorMesh2D, k: int, nq: int | None = None) -> PiecewisePoly2D:
-    return PiecewisePoly2D(mesh, _moments_2d(z, _mesh_cells(mesh), k, _nq(k, nq)))
+    return PiecewisePoly2D(mesh, _moments_2d(z, _mesh_cells(mesh), k, layer_nq(k, nq)))
 
 
 # -- interpolation-error measurement ----------------------------------------
@@ -245,7 +240,7 @@ def measure_interp_error(field, interp: PiecewisePoly1D, norm: str = "l2",
     polynomial; the max norm samples quadrature nodes plus both cell ends."""
     mesh = interp.mesh
     k = interp.degree
-    rule = gauss_rule(_nq(k, nq))
+    rule = gauss_rule(layer_nq(k, nq))
     X = mesh.quad_points(rule.nodes)
     diff = np.asarray(field(X), dtype=float) - interp.values_on_ref(rule.nodes)
     if norm == "l2":
@@ -262,18 +257,16 @@ def measure_interp_error_2d(field, interp: PiecewisePoly2D, norm: str = "l2",
                             nq: int | None = None) -> float:
     mesh = interp.mesh
     k = interp.degree
-    rule = gauss_rule(_nq(k, nq))
-    mx, my = mesh.mesh_x, mesh.mesh_y
+    rule = gauss_rule(layer_nq(k, nq))
 
     def sample(tx, ty):
-        X, Y = mx.quad_points(tx), my.quad_points(ty)
-        exact = np.asarray(field(X[:, None, :, None], Y[None, :, None, :]), dtype=float)
+        exact = np.asarray(field(*mesh.quad_points(tx, ty)), dtype=float)
         return exact - interp.values_on_ref(tx, ty)
 
     diff = sample(rule.nodes, rule.nodes)
     if norm == "l2":
         val = np.einsum("ijxy,x,y,i,j->", diff**2, rule.weights, rule.weights,
-                        0.5 * mx.widths, 0.5 * my.widths)
+                        0.5 * mesh.mesh_x.widths, 0.5 * mesh.mesh_y.widths)
         return float(np.sqrt(val))
     if norm == "linf":
         ext = np.concatenate([rule.nodes, [-1.0, 1.0]])

@@ -41,7 +41,7 @@ def test_system_dimension():
     eps = 1e-4
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=4))
     system = assemble(mesh, poly_exact_1d(eps), 1, FluxConfig.paper(eps, 4))
-    assert system.matrix.n == 16  # 2 * N * (k+1)
+    assert system.matrix.shape[0] == 16  # 2 * N * (k+1)
     assert "Q_0" in system.ordering
 
 

@@ -41,7 +41,7 @@ def test_system_dimension():
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=4))
     mesh2 = build_tensor_2d(m, m)
     system = assemble2d(mesh2, poly_exact_2d(eps), 1, FluxConfig2D.paper(eps, 4))
-    assert system.matrix.n == 192  # 3 * N^2 * (k+1)^2
+    assert system.matrix.shape[0] == 192  # 3 * N^2 * (k+1)^2
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-8])

@@ -56,6 +56,16 @@ def test_nonfinite_rejected():
         from_coo(2, [0, 1], [0, 1], [1.0, np.inf])
 
 
+def test_unrefinable_residual_raises():
+    # SPD with condition number 1e14: one refinement step leaves a residual
+    # of about 1e-3, far above the 2e-10 tolerance
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    A = dense_to_sparse(Q @ np.diag(np.geomspace(1.0, 1e-14, 8)) @ Q.T)
+    with pytest.raises(SingularSystemError, match="misses the tolerance"):
+        lu_solve(A, rng.standard_normal(8))
+
+
 def test_duplicate_triplets_are_summed():
     A = from_coo(2, [0, 0, 1], [0, 0, 1], [1.0, 2.5, 1.0])
     assert np.allclose(matvec(A, np.array([1.0, 1.0])), [3.5, 1.0])

@@ -8,7 +8,6 @@ from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.polyspace import (
     PiecewisePoly1D,
     PiecewisePoly2D,
-    end_vals,
     gauss_rule,
     grad_matrix,
     leg_mass,
@@ -169,8 +168,7 @@ def test_2d_eval_and_traces(rng):
     assert abs(poly.eval(x, y) - px @ coeffs[i, j] @ py) < 1e-13
 
     # traces: evaluating the tangential coefficients reproduces edge values
-    em, ep = end_vals(k)
-    line = poly.trace_x(2, "left")  # from cells (1, :)
+    line = poly.trace(0, 2, "left")  # from cells (1, :)
     ty_nodes = np.array([-0.7, 0.2])
     phi = legendre_basis(k, ty_nodes)
     vals = line @ phi
@@ -180,6 +178,17 @@ def test_2d_eval_and_traces(rng):
         x_edge = mesh2.mesh_x.points[2]
         direct = [poly.eval(x_edge - 1e-12, yy) for yy in ys]
         assert np.abs(vals[jj] - direct).max() < 1e-9
+
+    # y traces on the line y = y_j, from cells (:, j-1) ('left') and (:, j) ('right')
+    for j, side, offset in ((2, "left", -1e-12), (2, "right", 1e-12), (4, "left", 0.0),
+                            (0, "right", 0.0)):
+        vals = poly.trace(1, j, side) @ phi
+        y_edge = mesh2.mesh_y.points[j] + offset
+        for ii in range(4):
+            x0, x1 = mesh2.mesh_x.cell(ii)
+            xs = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * ty_nodes
+            direct = [poly.eval(xx, y_edge) for xx in xs]
+            assert np.abs(vals[ii] - direct).max() < 1e-9
 
 
 def test_eval_does_not_grow_memory(rng):
@@ -205,12 +214,30 @@ def test_2d_jump_conventions(rng):
     coeffs = np.zeros((4, 4, 2, 2))
     coeffs[..., 0, 0] = 1.0  # constant one
     poly = PiecewisePoly2D(mesh2, coeffs)
-    for i in range(1, 4):
-        assert np.abs(poly.jump_x(i)).max() < 1e-15
-    assert np.allclose(poly.jump_x(0)[:, 0], -1.0)
-    assert np.allclose(poly.jump_x(4)[:, 0], 1.0)
-    assert np.allclose(poly.jump_y(0)[:, 0], -1.0)
-    assert np.allclose(poly.jump_y(4)[:, 0], 1.0)
+    for axis in (0, 1):
+        for i in range(1, 4):
+            assert np.abs(poly.jump(axis, i)).max() < 1e-15
+        assert np.allclose(poly.jump(axis, 0)[:, 0], -1.0)
+        assert np.allclose(poly.jump(axis, 4)[:, 0], 1.0)
+
+
+def test_2d_trace_rejects_bad_line(rng):
+    mesh2 = build_tensor_2d(uniform_mesh(4), uniform_mesh(8))
+    poly = PiecewisePoly2D(mesh2, rng.standard_normal((4, 8, 2, 2)))
+    assert poly.trace(1, 8, "left").shape == (4, 2)
+    for axis in (2, -1):
+        with pytest.raises(ValueError):
+            poly.trace(axis, 1, "left")
+        with pytest.raises(ValueError):
+            poly.jump(axis, 1)
+    with pytest.raises(ValueError):
+        poly.trace(0, 1, "up")
+    for axis, i, side in ((0, 0, "left"), (0, 4, "right"), (0, 5, "left"),
+                          (1, 8, "right"), (1, 9, "left"), (1, -1, "right")):
+        with pytest.raises(IndexError):
+            poly.trace(axis, i, side)
+    with pytest.raises(IndexError):
+        poly.jump(0, 5)
 
 
 def test_mass_diag():
