@@ -7,10 +7,6 @@ from .assembly2d import FluxConfig2D, LdgSolution2D, assemble2d, bilinear_B2d, s
 from .mesh import MeshParams, ShishkinMesh1D, TensorMesh2D, build_shishkin_1d, build_tensor_2d
 from .norms import (
     ErrorReport,
-    balanced_error_1d,
-    balanced_error_2d,
-    energy_error_1d,
-    energy_error_2d,
     error_report_1d,
     error_report_2d,
 )
@@ -34,12 +30,8 @@ __all__ = [
     "assemble2d",
     "bilinear_B",
     "bilinear_B2d",
-    "balanced_error_1d",
-    "balanced_error_2d",
     "build_shishkin_1d",
     "build_tensor_2d",
-    "energy_error_1d",
-    "energy_error_2d",
     "error_report_1d",
     "error_report_2d",
     "get_problem",

@@ -98,52 +98,60 @@ def flux_q_hat(w: LdgSolution1D, j: int, cfg: FluxConfig) -> float:
 
 
 class _Coupling(NamedTuple):
-    """One family of interface blocks: outer(test_trace, trial_trace) * weight
-    at test_cell's test_field rows and trial_cell's trial_field columns."""
+    """One family of dense blocks at test_cell's test_field rows and
+    trial_cell's trial_field columns; blocks is (len(test_cell) or 1, k+1, k+1)."""
 
     test_cell: np.ndarray
     test_field: int
-    test_trace: np.ndarray
     trial_cell: np.ndarray
     trial_field: int
-    trial_trace: np.ndarray
-    weight: float
+    blocks: np.ndarray
 
 
 _FLUX, _PRIMAL = 0, 1  # Q and U in 1D; P or Q, and U, per direction in 2D
+_N_VOLUME = 3  # the table's leading volume entries: the flux mass and G twice
 
 
-def _flux_coupling(N: int, k: int, lambda0: float, lambdaN: float, lambda_jump: float,
-                   special: int) -> list[_Coupling]:
-    """The numerical-flux pair across the N+1 interfaces of N cells, as a table.
+def _couplings(mesh: ShishkinMesh1D, k: int, inv_eps: float, lambda0: float, lambdaN: float,
+               lambda_jump: float, special: int) -> list[_Coupling]:
+    """The scheme's b-independent operator in one direction, as a table.
 
-    U-hat (upwind U^-, plus lambda_jump*(Q^+ - Q^-) at the special interface)
-    enters the flux test rows; Q-hat (downwind Q^+, boundary values penalized
-    by lambda0*U and -lambdaN*U) enters the primal test rows.  Each hat is
-    tested from the cell right of the interface (+em) and from the cell left
-    of it (-ep).  The table order fixes the order in which from_coo sums the
-    entries at one matrix position, and so the last bits of the matrix:
-    right-cell tests first, then left-cell tests, each in the listed order.
+    First the volume terms: the flux mass weighted by inv_eps, and G in both
+    mixed field pairs.  Then the numerical-flux pair across the N+1
+    interfaces: U-hat (upwind U^-, plus lambda_jump*(Q^+ - Q^-) at the
+    special interface) enters the flux test rows; Q-hat (downwind Q^+,
+    boundary values penalized by lambda0*U and -lambdaN*U) enters the primal
+    test rows.  Each hat is tested from the cell right of the interface
+    (+em) and from the cell left of it (-ep).  The table order fixes the
+    order in which from_coo sums the entries at one matrix position, and so
+    the last bits of the matrix: right-cell tests first, then left-cell
+    tests, each in the listed order.
     """
+    N = mesh.ncells
     em, ep = end_vals(k)
+    G = grad_matrix(k)[None]
+    cells = np.arange(N)
+    table = [_Coupling(cells, _FLUX, cells, _FLUX,
+                       (inv_eps * 0.5 * mesh.widths)[:, None, None] * np.diag(leg_mass(k))),
+             _Coupling(cells, _FLUX, cells, _PRIMAL, G),
+             _Coupling(cells, _PRIMAL, cells, _FLUX, G)]
     interior = np.arange(1, N)
     first, last = np.array([0]), np.array([N])
     # (test field, interfaces, trial cell offset, trial field, trial trace, weight)
     hats = [(_FLUX, interior, -1, _PRIMAL, ep, 1.0)]
     if lambda_jump != 0.0:
-        jump = interior[interior == special]
+        jump = np.array([special])
         hats += [(_FLUX, jump, 0, _FLUX, em, lambda_jump),
                  (_FLUX, jump, -1, _FLUX, ep, -lambda_jump)]
     hats += [(_PRIMAL, first, 0, _FLUX, em, 1.0), (_PRIMAL, first, 0, _PRIMAL, em, lambda0),
              (_PRIMAL, interior, 0, _FLUX, em, 1.0),
              (_PRIMAL, last, -1, _FLUX, ep, 1.0), (_PRIMAL, last, -1, _PRIMAL, ep, -lambdaN)]
-    table = []
     for test_offset, test_trace in ((0, em), (-1, -ep)):
         for test_field, interfaces, trial_offset, trial_field, trial_trace, weight in hats:
             j = interfaces[(interfaces + test_offset >= 0) & (interfaces + test_offset < N)]
             if j.size:
-                table.append(_Coupling(j + test_offset, test_field, test_trace,
-                                       j + trial_offset, trial_field, trial_trace, weight))
+                table.append(_Coupling(j + test_offset, test_field, j + trial_offset, trial_field,
+                                       (np.outer(test_trace, trial_trace) * weight)[None]))
     return table
 
 
@@ -158,13 +166,20 @@ def _block_triplets(r0: np.ndarray, c0: np.ndarray, blocks: np.ndarray):
     return rows.ravel(), cols.ravel(), vals.ravel()
 
 
-def _check_consistent(mesh: ShishkinMesh1D, problem, cfg: FluxConfig) -> None:
+def _check_special(N: int, special: int) -> None:
+    if not 1 <= special <= N - 1:
+        raise ValueError(f"special line index {special} is not an interior line 1..{N - 1} "
+                         f"of a mesh with N={N} cells")
+
+
+def _check_consistent(mesh: ShishkinMesh1D, problem, cfg, special: int) -> None:
     if not math.isclose(problem.eps, mesh.params.eps, rel_tol=1e-12):
         raise ValueError(
             f"problem eps={problem.eps} does not match mesh eps={mesh.params.eps}"
         )
     if not math.isclose(cfg.eps, problem.eps, rel_tol=1e-12):
         raise ValueError(f"flux config eps={cfg.eps} does not match problem eps={problem.eps}")
+    _check_special(mesh.ncells, special)
 
 
 def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig,
@@ -178,14 +193,12 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig,
     """
     if k < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {k}")
-    _check_consistent(mesh, problem, cfg)
+    _check_consistent(mesh, problem, cfg, cfg.special_interface)
     N = mesh.ncells
     B = k + 1
     nq = nq if nq is not None else k + 1 + ASSEMBLY_EXTRA_NODES
     rule = gauss_rule(nq)
     phi = legendre_basis(k, rule.nodes)
-    G = grad_matrix(k)
-    mass = leg_mass(k)
     h = mesh.widths
     X = mesh.quad_points(rule.nodes)
     bX = np.broadcast_to(np.asarray(problem.b(X), dtype=float), X.shape)
@@ -196,17 +209,15 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig,
     def off(c, field):  # coefficient (and test-row) offset of field in cell c
         return (2 * c + field) * B
 
+    table = _couplings(mesh, k, 1.0 / cfg.eps, cfg.lambda0, cfg.lambdaN, cfg.lambda_q,
+                       cfg.special_interface)
+    # The reaction mass follows the volume entries: the order in which from_coo
+    # sums coincident entries depends on each triplet's place in its row, and
+    # this place keeps the matrix's last bits.
     cells = np.arange(N)
-    iq, iu = off(cells, _FLUX), off(cells, _PRIMAL)
-    parts = [
-        _block_triplets(iq, iq, (1.0 / cfg.eps * 0.5 * h)[:, None, None] * np.diag(mass)),
-        _block_triplets(iq, iu, G),
-        _block_triplets(iu, iq, G),
-        _block_triplets(iu, iu, b_blocks),
-    ]
-    for t in _flux_coupling(N, k, cfg.lambda0, cfg.lambdaN, cfg.lambda_q, cfg.special_interface):
-        parts.append(_block_triplets(off(t.test_cell, t.test_field), off(t.trial_cell, t.trial_field),
-                                     np.outer(t.test_trace, t.trial_trace) * t.weight))
+    table.insert(_N_VOLUME, _Coupling(cells, _PRIMAL, cells, _PRIMAL, b_blocks))
+    parts = [_block_triplets(off(t.test_cell, t.test_field), off(t.trial_cell, t.trial_field),
+                             t.blocks) for t in table]
     rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
     matrix = from_coo(2 * N * B, rows, cols, vals)
     rhs = np.zeros((N, 2, B))
@@ -251,6 +262,7 @@ def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, cfg: FluxConfig,
         raise ValueError("both arguments must share mesh and degree")
     mesh = w.u.mesh
     N = mesh.ncells
+    _check_special(N, cfg.special_interface)
     k = w.u.degree
     nq = nq if nq is not None else k + 1 + ASSEMBLY_EXTRA_NODES
     rule = gauss_rule(nq)

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly1d import ASSEMBLY_EXTRA_NODES, _block_triplets, _check_consistent, _flux_coupling
+from .assembly1d import (ASSEMBLY_EXTRA_NODES, _block_triplets, _check_consistent, _check_special,
+                         _couplings)
 from .linalg import SparseSystem, from_coo, lu_solve
 from .mesh import TensorMesh2D
 from .polyspace import PiecewisePoly2D, gauss_rule, grad_matrix, leg_mass, legendre_basis
@@ -73,13 +74,14 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
 
     Cells are numbered lexicographically with the x index fastest; each
     cell's unknowns are ordered [P, Q, U] blocks of tensor-Legendre modes
-    (x-mode major).  Edge couplings mirror the 1D pattern per direction,
-    with the jump penalties oriented for a positive diagonal, as in 1D.
+    (x-mode major).  Apart from the reaction mass, the system is the 1D
+    operator table of each direction (assembly1d._couplings) times the
+    tangential mass along the other one, a Kronecker product per cell pair.
     """
     if k < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {k}")
     mx, my = mesh.mesh_x, mesh.mesh_y
-    _check_consistent(mx, problem, cfg)
+    _check_consistent(mx, problem, cfg, cfg.special_index)
     nx, ny = mesh.shape
     if nx != ny:
         raise ValueError(
@@ -91,8 +93,6 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
     nqv = nq if nq is not None else k + 1 + ASSEMBLY_EXTRA_NODES
     rule = gauss_rule(nqv)
     phi = legendre_basis(k, rule.nodes)
-    G = grad_matrix(k)
-    mass = leg_mass(k)
     hx, hy = mx.widths, my.widths
     X4, Y4 = mesh.quad_points(rule.nodes, rule.nodes)
     shape4 = (nx, ny, rule.n, rule.n)
@@ -109,42 +109,27 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
     def off(i, j, field):
         return ((j * nx + i) * 3 + field) * B2
 
-    ci, cj = np.arange(nx)[:, None], np.arange(ny)[None, :]
-    iP, iQ, iU = off(ci, cj, _P), off(ci, cj, _Q), off(ci, cj, _U)
-    Dm = np.diag(mass)
-    cell_mass = (0.25 * hx[:, None] * hy[None, :])[:, :, None, None] * np.kron(Dm, Dm)
-    gx = (0.5 * hy)[None, :, None, None] * np.kron(G, Dm)
-    gy = (0.5 * hx)[:, None, None, None] * np.kron(Dm, G)
-    inv_eps = 1.0 / cfg.eps
-    parts = [
-        _block_triplets(iP, iP, inv_eps * cell_mass),
-        _block_triplets(iP, iU, gx),
-        _block_triplets(iQ, iQ, inv_eps * cell_mass),
-        _block_triplets(iQ, iU, gy),
-        _block_triplets(iU, iP, gx),
-        _block_triplets(iU, iQ, gy),
-        _block_triplets(iU, iU, b_blocks),
-    ]
-    # Edges normal to each axis carry the 1D flux coupling across them, times
-    # the tangential mass (h/2)*diag(mass) along them: a Kronecker product.
-    # fields maps the table's (flux, primal) fields; parts keeps the order in
-    # which from_coo sums coincident entries, as in _flux_coupling.
-    for axis, lambda_jump, fields, h_t in ((0, cfg.lambda_p, (_P, _U), hy),
-                                           (1, cfg.lambda_q, (_Q, _U), hx)):
-        along = np.arange(h_t.size)
-        t_mass = (0.5 * h_t)[:, None, None] * Dm
-        for t in _flux_coupling(nx, k, cfg.lambda_boundary, cfg.lambda_boundary, lambda_jump,
-                                cfg.special_index):
-            normal = np.outer(t.test_trace, t.trial_trace)
-            blocks = t.weight * (normal[None, :, None, :, None] * t_mass[:, None, :, None, :])
-            test = (t.test_cell[:, None], along)  # (i, j) of the cells, for axis 0
-            trial = (t.trial_cell[:, None], along)
+    iU = off(np.arange(nx)[:, None], np.arange(ny), _U)
+    parts = [_block_triplets(iU, iU, b_blocks)]
+    # Every other block is a 1D table entry along the axis times the
+    # tangential mass (h/2)*diag(mass) along the other one: kron(x, y)
+    # factors, x-mode major.  The table's (flux, primal) fields are (P, U)
+    # along x and (Q, U) along y.
+    for axis, lambda_jump, flux in ((0, cfg.lambda_p, _P), (1, cfg.lambda_q, _Q)):
+        normal, along = (mx, my) if axis == 0 else (my, mx)
+        t_mass = ((0.5 * along.widths)[:, None, None] * np.diag(leg_mass(k)))[None]
+        tangential = np.arange(along.ncells)
+        for t in _couplings(normal, k, 1.0 / cfg.eps, cfg.lambda_boundary, cfg.lambda_boundary,
+                            lambda_jump, cfg.special_index):
+            factors = (t.blocks[:, None], t_mass)  # (n|1, 1|n_t, k+1, k+1) each
+            fx, fy = factors if axis == 0 else factors[::-1]
+            blocks = np.einsum("...ac,...bd->...abcd", fx, fy)
+            test, trial = (t.test_cell[:, None], tangential), (t.trial_cell[:, None], tangential)
             if axis == 1:
-                blocks = blocks.transpose(0, 2, 1, 4, 3)
                 test, trial = test[::-1], trial[::-1]
-            parts.append(_block_triplets(off(*test, fields[t.test_field]),
-                                         off(*trial, fields[t.trial_field]),
-                                         blocks.reshape(-1, B2, B2)))
+            parts.append(_block_triplets(off(*test, (flux, _U)[t.test_field]),
+                                         off(*trial, (flux, _U)[t.trial_field]),
+                                         blocks.reshape(blocks.shape[:2] + (B2, B2))))
 
     rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
     matrix = from_coo(3 * nx * ny * B2, rows, cols, vals)
@@ -195,6 +180,7 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig2D,
         raise ValueError("both arguments must share mesh and degree")
     mesh = t.u.mesh
     nx, ny = mesh.shape
+    _check_special(min(nx, ny), cfg.special_index)
     k = t.u.degree
     nqv = nq if nq is not None else k + 1 + ASSEMBLY_EXTRA_NODES
     rule = gauss_rule(nqv)

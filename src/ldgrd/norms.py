@@ -11,12 +11,8 @@ from .polyspace import gauss_rule, layer_nq, leg_mass, legendre_basis
 
 __all__ = [
     "ErrorReport",
-    "energy_error_1d",
-    "balanced_error_1d",
     "error_report_1d",
     "discrete_energy_sq",
-    "energy_error_2d",
-    "balanced_error_2d",
     "error_report_2d",
     "discrete_energy_sq_2d",
 ]
@@ -73,19 +69,10 @@ def _error_pieces_1d(w, problem, cfg, nq):
     return l2q_sq, bu_sq, l2u_sq, linf_u, jump_eu_0, jump_eu_N, jump_eq_m
 
 
-def energy_error_1d(w, problem, cfg, nq: int | None = None) -> float:
-    """Energy-norm error: eps^{-1}|e_q|^2 + |b^{1/2} e_u|^2 plus the
-    lambda-weighted boundary and special-interface jump terms."""
-    return error_report_1d(w, problem, cfg, nq).err_energy
-
-
-def balanced_error_1d(w, problem, cfg, nq: int | None = None) -> float:
-    """Balanced-norm error: the flux term is weighted eps^{-3/2} and all
-    jump terms carry unit weight."""
-    return error_report_1d(w, problem, cfg, nq).err_balanced
-
-
 def error_report_1d(w, problem, cfg, nq: int | None = None) -> ErrorReport:
+    """Energy norm: eps^{-1}|e_q|^2 + |b^{1/2} e_u|^2 plus the lambda-weighted
+    boundary and special-interface jumps.  Balanced norm: the flux term
+    weighted eps^{-3/2} and unit weight on every jump."""
     l2q, bu, l2u, linf, j0, jN, jm = _error_pieces_1d(w, problem, cfg, nq)
     energy = np.sqrt(l2q / problem.eps + bu + cfg.lambda0 * j0**2
                      + cfg.lambdaN * jN**2 + cfg.lambda_q * jm**2)
@@ -175,17 +162,9 @@ def _error_pieces_2d(t, problem, cfg, nq):
     return l2p_sq, l2q_sq, bu_sq, l2u_sq, linf_u, ju, jp_m, jq_m
 
 
-def energy_error_2d(t, problem, cfg, nq: int | None = None) -> float:
-    return error_report_2d(t, problem, cfg, nq).err_energy
-
-
-def balanced_error_2d(t, problem, cfg, nq: int | None = None) -> float:
-    """2D balanced norm: flux terms at eps^{-3/2}, unit weight on the
-    boundary jumps, but lambda weights retained on the special lines."""
-    return error_report_2d(t, problem, cfg, nq).err_balanced
-
-
 def error_report_2d(t, problem, cfg, nq: int | None = None) -> ErrorReport:
+    """As in 1D, except that the balanced norm keeps the lambda weights on
+    the special lines (unit weight on the boundary jumps)."""
     l2p, l2q, bu, l2u, linf, ju, jp, jq = _error_pieces_2d(t, problem, cfg, nq)
     energy = np.sqrt((l2p + l2q) / problem.eps + bu
                      + cfg.lambda_boundary * sum(ju) + cfg.lambda_p * jp + cfg.lambda_q * jq)

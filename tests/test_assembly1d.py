@@ -227,3 +227,18 @@ def test_degree_zero_rejected():
     with pytest.raises(ValueError):
         assemble(mesh, poly_exact_1d(mesh.params.eps), 0,
                  FluxConfig.paper(mesh.params.eps, 4))
+
+
+@pytest.mark.parametrize("special", [0, 8])
+def test_special_interface_out_of_range_rejected(special, rng):
+    # interfaces 0 and N are boundaries: the jump penalty has no cell pair
+    # there, and the energy identity silently fails (or bilinear_B indexes
+    # past the mesh)
+    mesh = uniform_mesh(8)
+    eps = mesh.params.eps
+    cfg = dataclasses.replace(FluxConfig.paper(eps, 8), special_interface=special)
+    with pytest.raises(ValueError, match=f"index {special} .* N=8"):
+        assemble(mesh, poly_exact_1d(eps), 1, cfg)
+    w = make_pair(mesh, 1, rng)
+    with pytest.raises(ValueError, match=f"index {special} .* N=8"):
+        bilinear_B(w, w, ones_b, cfg)

@@ -8,16 +8,7 @@ import pytest
 from ldgrd.assembly1d import FluxConfig, LdgSolution1D, bilinear_B, solve_1d
 from ldgrd.assembly2d import FluxConfig2D, LdgSolution2D, bilinear_B2d
 from ldgrd.mesh import MeshParams, build_shishkin_1d
-from ldgrd.norms import (
-    balanced_error_1d,
-    balanced_error_2d,
-    discrete_energy_sq,
-    discrete_energy_sq_2d,
-    energy_error_1d,
-    energy_error_2d,
-    error_report_1d,
-    error_report_2d,
-)
+from ldgrd.norms import discrete_energy_sq, discrete_energy_sq_2d, error_report_1d, error_report_2d
 from ldgrd.polyspace import PiecewisePoly1D, PiecewisePoly2D
 from ldgrd.problems import layer1d, poly_exact_1d
 
@@ -54,7 +45,7 @@ def test_energy_error_hand_value():
     cfg = FluxConfig(eps=eps, lambda0=0.01, lambdaN=0.01, lambda_q=100.0,
                      special_interface=6)
     w = unit_pair(mesh, eps)
-    val = energy_error_1d(w, prob, cfg)
+    val = error_report_1d(w, prob, cfg).err_energy
     assert math.isclose(val, math.sqrt(1.0 + 2.0 * 0.01), rel_tol=1e-13)
 
 
@@ -64,7 +55,7 @@ def test_balanced_error_hand_value():
     prob = ZeroProblem1D(eps=eps)
     w = unit_pair(mesh, eps)
     cfg = FluxConfig.paper(eps, 8)
-    assert math.isclose(balanced_error_1d(w, prob, cfg), math.sqrt(3.0), rel_tol=1e-13)
+    assert math.isclose(error_report_1d(w, prob, cfg).err_balanced, math.sqrt(3.0), rel_tol=1e-13)
 
 
 def test_discrete_energy_hand_value():
@@ -90,7 +81,7 @@ def test_energy_error_reads_special_interface(special, rng):
                       u=PiecewisePoly1D(mesh, rng.standard_normal((8, 3))))
     prob = ZeroProblem1D(eps=eps)
     b_val = bilinear_B(w, w, prob.b, cfg)
-    assert math.isclose(energy_error_1d(w, prob, cfg) ** 2, b_val, rel_tol=1e-12)
+    assert math.isclose(error_report_1d(w, prob, cfg).err_energy ** 2, b_val, rel_tol=1e-12)
 
 
 def test_exact_solution_has_zero_error():
@@ -119,8 +110,8 @@ def test_norm_homogeneity(s, rng):
     uc = rng.standard_normal((16, 3))
     w1 = LdgSolution1D(q=PiecewisePoly1D(mesh, qc), u=PiecewisePoly1D(mesh, uc))
     ws = LdgSolution1D(q=PiecewisePoly1D(mesh, s * qc), u=PiecewisePoly1D(mesh, s * uc))
-    for fn in (lambda w: energy_error_1d(w, prob, cfg),
-               lambda w: balanced_error_1d(w, prob, cfg)):
+    for fn in (lambda w: error_report_1d(w, prob, cfg).err_energy,
+               lambda w: error_report_1d(w, prob, cfg).err_balanced):
         assert math.isclose(fn(ws), s * fn(w1), rel_tol=1e-12)
     rep1 = error_report_1d(w1, prob, cfg)
     reps = error_report_1d(ws, prob, cfg)
@@ -149,7 +140,7 @@ def test_error_monotone_under_refinement():
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
         cfg = FluxConfig.paper(eps, N)
         w = solve_1d(mesh, prob, 1, cfg)
-        val = balanced_error_1d(w, prob, cfg)
+        val = error_report_1d(w, prob, cfg).err_balanced
         if prev is not None:
             assert val <= 1.05 * prev
         prev = val
@@ -189,8 +180,8 @@ def test_2d_hand_values():
                        lambda_q=100.0, special_index=3)
     t = unit_triple(mesh2)
     # b=2 volume term plus four unit boundary edge families
-    assert math.isclose(balanced_error_2d(t, prob, cfg), math.sqrt(6.0), rel_tol=1e-13)
-    assert math.isclose(energy_error_2d(t, prob, cfg), math.sqrt(2.0 + 4.0 * 0.01),
+    assert math.isclose(error_report_2d(t, prob, cfg).err_balanced, math.sqrt(6.0), rel_tol=1e-13)
+    assert math.isclose(error_report_2d(t, prob, cfg).err_energy, math.sqrt(2.0 + 4.0 * 0.01),
                         rel_tol=1e-13)
     rep = error_report_2d(t, prob, cfg)
     assert rep.err_l2_p is not None and rep.err_l2_p == 0.0
@@ -206,8 +197,8 @@ def test_2d_zero_error():
     zero = np.zeros((nx, ny, 2, 2))
     t = LdgSolution2D(u=PiecewisePoly2D(mesh2, zero), p=PiecewisePoly2D(mesh2, zero),
                       q=PiecewisePoly2D(mesh2, zero))
-    assert balanced_error_2d(t, prob, cfg) == 0.0
-    assert energy_error_2d(t, prob, cfg) == 0.0
+    assert error_report_2d(t, prob, cfg).err_balanced == 0.0
+    assert error_report_2d(t, prob, cfg).err_energy == 0.0
 
 
 @pytest.mark.parametrize("special", [5, 6])
@@ -221,4 +212,4 @@ def test_2d_energy_norms_read_special_index(special, rng):
     prob = ZeroProblem2D(eps=eps)
     b_val = bilinear_B2d(t, t, prob.b, cfg)
     assert math.isclose(discrete_energy_sq_2d(t, prob.b, cfg), b_val, rel_tol=1e-12)
-    assert math.isclose(energy_error_2d(t, prob, cfg) ** 2, b_val, rel_tol=1e-12)
+    assert math.isclose(error_report_2d(t, prob, cfg).err_energy ** 2, b_val, rel_tol=1e-12)
