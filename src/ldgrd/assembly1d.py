@@ -109,50 +109,50 @@ class _Coupling(NamedTuple):
 
 
 _FLUX, _PRIMAL = 0, 1  # Q and U in 1D; P or Q, and U, per direction in 2D
-_N_VOLUME = 3  # the table's leading volume entries: the flux mass and G twice
 
 
 def _couplings(mesh: ShishkinMesh1D, k: int, inv_eps: float, lambda0: float, lambdaN: float,
-               lambda_jump: float, special: int) -> list[_Coupling]:
-    """The scheme's b-independent operator in one direction, as a table.
+               lambda_jump: float, special: int) -> tuple[list[_Coupling], list[_Coupling]]:
+    """The scheme's b-independent operator in one direction, as two tables.
 
-    First the volume terms: the flux mass weighted by inv_eps, and G in both
-    mixed field pairs.  Then the numerical-flux pair across the N+1
-    interfaces: U-hat (upwind U^-, plus lambda_jump*(Q^+ - Q^-) at the
-    special interface) enters the flux test rows; Q-hat (downwind Q^+,
+    The volume table holds the flux mass weighted by inv_eps, and G in both
+    mixed field pairs.  The hats table holds the numerical-flux pair across
+    the N+1 interfaces: U-hat (upwind U^-, plus lambda_jump*(Q^+ - Q^-) at
+    the special interface) enters the flux test rows; Q-hat (downwind Q^+,
     boundary values penalized by lambda0*U and -lambdaN*U) enters the primal
     test rows.  Each hat is tested from the cell right of the interface
-    (+em) and from the cell left of it (-ep).  The table order fixes the
-    order in which from_coo sums the entries at one matrix position, and so
-    the last bits of the matrix: right-cell tests first, then left-cell
+    (+em) and from the cell left of it (-ep).  The order of the hats fixes
+    the order in which from_coo sums the entries at one matrix position, and
+    so the last bits of the matrix: right-cell tests first, then left-cell
     tests, each in the listed order.
     """
     N = mesh.ncells
     em, ep = end_vals(k)
     G = grad_matrix(k)[None]
     cells = np.arange(N)
-    table = [_Coupling(cells, _FLUX, cells, _FLUX,
-                       (inv_eps * 0.5 * mesh.widths)[:, None, None] * np.diag(leg_mass(k))),
-             _Coupling(cells, _FLUX, cells, _PRIMAL, G),
-             _Coupling(cells, _PRIMAL, cells, _FLUX, G)]
+    volume = [_Coupling(cells, _FLUX, cells, _FLUX,
+                        (inv_eps * 0.5 * mesh.widths)[:, None, None] * np.diag(leg_mass(k))),
+              _Coupling(cells, _FLUX, cells, _PRIMAL, G),
+              _Coupling(cells, _PRIMAL, cells, _FLUX, G)]
     interior = np.arange(1, N)
     first, last = np.array([0]), np.array([N])
     # (test field, interfaces, trial cell offset, trial field, trial trace, weight)
-    hats = [(_FLUX, interior, -1, _PRIMAL, ep, 1.0)]
+    specs = [(_FLUX, interior, -1, _PRIMAL, ep, 1.0)]
     if lambda_jump != 0.0:
         jump = np.array([special])
-        hats += [(_FLUX, jump, 0, _FLUX, em, lambda_jump),
-                 (_FLUX, jump, -1, _FLUX, ep, -lambda_jump)]
-    hats += [(_PRIMAL, first, 0, _FLUX, em, 1.0), (_PRIMAL, first, 0, _PRIMAL, em, lambda0),
-             (_PRIMAL, interior, 0, _FLUX, em, 1.0),
-             (_PRIMAL, last, -1, _FLUX, ep, 1.0), (_PRIMAL, last, -1, _PRIMAL, ep, -lambdaN)]
+        specs += [(_FLUX, jump, 0, _FLUX, em, lambda_jump),
+                  (_FLUX, jump, -1, _FLUX, ep, -lambda_jump)]
+    specs += [(_PRIMAL, first, 0, _FLUX, em, 1.0), (_PRIMAL, first, 0, _PRIMAL, em, lambda0),
+              (_PRIMAL, interior, 0, _FLUX, em, 1.0),
+              (_PRIMAL, last, -1, _FLUX, ep, 1.0), (_PRIMAL, last, -1, _PRIMAL, ep, -lambdaN)]
+    hats = []
     for test_offset, test_trace in ((0, em), (-1, -ep)):
-        for test_field, interfaces, trial_offset, trial_field, trial_trace, weight in hats:
+        for test_field, interfaces, trial_offset, trial_field, trial_trace, weight in specs:
             j = interfaces[(interfaces + test_offset >= 0) & (interfaces + test_offset < N)]
             if j.size:
-                table.append(_Coupling(j + test_offset, test_field, j + trial_offset, trial_field,
-                                       (np.outer(test_trace, trial_trace) * weight)[None]))
-    return table
+                hats.append(_Coupling(j + test_offset, test_field, j + trial_offset, trial_field,
+                                      (np.outer(test_trace, trial_trace) * weight)[None]))
+    return volume, hats
 
 
 def _block_triplets(r0: np.ndarray, c0: np.ndarray, blocks: np.ndarray):
@@ -209,15 +209,14 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig,
     def off(c, field):  # coefficient (and test-row) offset of field in cell c
         return (2 * c + field) * B
 
-    table = _couplings(mesh, k, 1.0 / cfg.eps, cfg.lambda0, cfg.lambdaN, cfg.lambda_q,
-                       cfg.special_interface)
-    # The reaction mass follows the volume entries: the order in which from_coo
-    # sums coincident entries depends on each triplet's place in its row, and
-    # this place keeps the matrix's last bits.
-    cells = np.arange(N)
-    table.insert(_N_VOLUME, _Coupling(cells, _PRIMAL, cells, _PRIMAL, b_blocks))
+    volume, hats = _couplings(mesh, k, 1.0 / cfg.eps, cfg.lambda0, cfg.lambdaN, cfg.lambda_q,
+                              cfg.special_interface)
+    # The reaction mass goes between the volume entries and the hats: the order
+    # in which from_coo sums coincident entries depends on each triplet's place
+    # in its row, and this place keeps the matrix's last bits.
+    reaction = _Coupling(np.arange(N), _PRIMAL, np.arange(N), _PRIMAL, b_blocks)
     parts = [_block_triplets(off(t.test_cell, t.test_field), off(t.trial_cell, t.trial_field),
-                             t.blocks) for t in table]
+                             t.blocks) for t in volume + [reaction] + hats]
     rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
     matrix = from_coo(2 * N * B, rows, cols, vals)
     rhs = np.zeros((N, 2, B))

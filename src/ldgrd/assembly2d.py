@@ -119,8 +119,9 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
         normal, along = (mx, my) if axis == 0 else (my, mx)
         t_mass = ((0.5 * along.widths)[:, None, None] * np.diag(leg_mass(k)))[None]
         tangential = np.arange(along.ncells)
-        for t in _couplings(normal, k, 1.0 / cfg.eps, cfg.lambda_boundary, cfg.lambda_boundary,
-                            lambda_jump, cfg.special_index):
+        volume, hats = _couplings(normal, k, 1.0 / cfg.eps, cfg.lambda_boundary,
+                                  cfg.lambda_boundary, lambda_jump, cfg.special_index)
+        for t in volume + hats:
             factors = (t.blocks[:, None], t_mass)  # (n|1, 1|n_t, k+1, k+1) each
             fx, fy = factors if axis == 0 else factors[::-1]
             blocks = np.einsum("...ac,...bd->...abcd", fx, fy)
@@ -223,9 +224,7 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig2D,
             total -= line_dot(flux_t.trace(axis, i, "right"), z.u.jump(axis, i), w_t)
         total -= line_dot(flux_t.trace(axis, n, "left"), z.u.jump(axis, n), w_t)
         if lam != 0.0:
-            jt = flux_t.trace(axis, m, "left") - flux_t.trace(axis, m, "right")
-            jz = flux_z.trace(axis, m, "left") - flux_z.trace(axis, m, "right")
-            total += lam * line_dot(jt, jz, w_t)
+            total += lam * line_dot(flux_t.jump(axis, m), flux_z.jump(axis, m), w_t)
         total += cfg.lambda_boundary * (
             line_dot(t.u.jump(axis, 0), z.u.jump(axis, 0), w_t)
             + line_dot(t.u.jump(axis, n), z.u.jump(axis, n), w_t)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly1d import _check_special
 from .polyspace import gauss_rule, layer_nq, leg_mass, legendre_basis
 
 __all__ = [
@@ -37,6 +38,7 @@ def _error_pieces_1d(w, problem, cfg, nq):
     """
     mesh = w.u.mesh
     N = mesh.ncells
+    _check_special(N, cfg.special_interface)
     k = w.u.degree
     rule = gauss_rule(layer_nq(k, nq))
     h = mesh.widths
@@ -91,6 +93,7 @@ def discrete_energy_sq(w, b, cfg, nq: int | None = None) -> float:
     the flux term and quadrature for the b-weighted term."""
     mesh = w.u.mesh
     N = mesh.ncells
+    _check_special(N, cfg.special_interface)
     k = w.u.degree
     mass = leg_mass(k)
     h = mesh.widths
@@ -100,10 +103,9 @@ def discrete_energy_sq(w, b, cfg, nq: int | None = None) -> float:
     bX = np.broadcast_to(np.asarray(b(X), dtype=float), X.shape)
     Uv = w.u.values_on_ref(rule.nodes)
     bu_sq = float(np.einsum("jg,g,j->", bX * Uv**2, rule.weights, 0.5 * h))
-    m = cfg.special_interface
     val = q_sq / cfg.eps + bu_sq
     val += cfg.lambda0 * w.u.jump(0) ** 2 + cfg.lambdaN * w.u.jump(N) ** 2
-    val += cfg.lambda_q * w.q.jump(m) ** 2
+    val += cfg.lambda_q * w.q.jump(cfg.special_interface) ** 2
     return val
 
 
@@ -133,6 +135,7 @@ def _line_jump_sq(field_exact, poly, axis: int, i: int, rule) -> float:
 
 def _error_pieces_2d(t, problem, cfg, nq):
     mesh = t.u.mesh
+    _check_special(min(mesh.shape), cfg.special_index)
     mx, my = mesh.mesh_x, mesh.mesh_y
     k = t.u.degree
     rule = gauss_rule(layer_nq(k, nq))
@@ -184,6 +187,7 @@ def discrete_energy_sq_2d(t, b, cfg, nq: int | None = None) -> float:
     """Squared 2D energy norm of a discrete triple (U, P, Q)."""
     mesh = t.u.mesh
     nx, ny = mesh.shape
+    _check_special(min(nx, ny), cfg.special_index)
     k = t.u.degree
     mass = leg_mass(k)
     hx, hy = mesh.mesh_x.widths, mesh.mesh_y.widths

@@ -17,7 +17,7 @@ from ldgrd.assembly1d import (
 )
 from ldgrd.linalg import lu_solve, matvec, residual_inf
 from ldgrd.mesh import MeshParams, build_shishkin_1d
-from ldgrd.norms import discrete_energy_sq
+from ldgrd.norms import discrete_energy_sq, error_report_1d
 from ldgrd.polyspace import PiecewisePoly1D
 from ldgrd.problems import layer1d, poly_exact_1d
 from ldgrd.projection import l2_interpolant_1d
@@ -232,13 +232,15 @@ def test_degree_zero_rejected():
 @pytest.mark.parametrize("special", [0, 8])
 def test_special_interface_out_of_range_rejected(special, rng):
     # interfaces 0 and N are boundaries: the jump penalty has no cell pair
-    # there, and the energy identity silently fails (or bilinear_B indexes
-    # past the mesh)
+    # there, and the energy identity silently fails (or bilinear_B and the
+    # norms index past the mesh)
     mesh = uniform_mesh(8)
     eps = mesh.params.eps
+    problem = poly_exact_1d(eps)
     cfg = dataclasses.replace(FluxConfig.paper(eps, 8), special_interface=special)
-    with pytest.raises(ValueError, match=f"index {special} .* N=8"):
-        assemble(mesh, poly_exact_1d(eps), 1, cfg)
     w = make_pair(mesh, 1, rng)
-    with pytest.raises(ValueError, match=f"index {special} .* N=8"):
-        bilinear_B(w, w, ones_b, cfg)
+    for call in (lambda: assemble(mesh, problem, 1, cfg), lambda: bilinear_B(w, w, ones_b, cfg),
+                 lambda: discrete_energy_sq(w, ones_b, cfg),
+                 lambda: error_report_1d(w, problem, cfg)):
+        with pytest.raises(ValueError, match=f"index {special} .* N=8"):
+            call()

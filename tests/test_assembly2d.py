@@ -17,7 +17,7 @@ from ldgrd.assembly2d import (
 )
 from ldgrd.linalg import matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
-from ldgrd.norms import discrete_energy_sq_2d
+from ldgrd.norms import discrete_energy_sq_2d, error_report_2d
 from ldgrd.polyspace import PiecewisePoly2D
 from ldgrd.problems import layer1d, layer2d, poly_exact_2d
 
@@ -123,14 +123,18 @@ def test_bilinear_matches_assembled_matrix_2d(flux, k, rng):
 
 @pytest.mark.parametrize("special", [0, 8])
 def test_special_index_out_of_range_rejected(special, rng):
+    # lines 0 and N are boundaries: without the check the norms add a
+    # boundary jump in place of the special line's one and return a value
     mesh2 = uniform_mesh_2d(8)
     eps = mesh2.mesh_x.params.eps
+    problem = poly_exact_2d(eps)
     cfg = dataclasses.replace(FluxConfig2D.paper(eps, 8), special_index=special)
-    with pytest.raises(ValueError, match=f"index {special} .* N=8"):
-        assemble2d(mesh2, poly_exact_2d(eps), 1, cfg)
     t = make_triple(mesh2, 1, rng)
-    with pytest.raises(ValueError, match=f"index {special} .* N=8"):
-        bilinear_B2d(t, t, two_b, cfg)
+    for call in (lambda: assemble2d(mesh2, problem, 1, cfg), lambda: bilinear_B2d(t, t, two_b, cfg),
+                 lambda: discrete_energy_sq_2d(t, two_b, cfg),
+                 lambda: error_report_2d(t, problem, cfg)):
+        with pytest.raises(ValueError, match=f"index {special} .* N=8"):
+            call()
 
 
 @pytest.mark.parametrize("flux", ["paper", "classic"])
