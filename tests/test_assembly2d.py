@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from ldgrd.assembly1d import FluxConfig, assemble
 from ldgrd.assembly2d import (
@@ -15,7 +18,7 @@ from ldgrd.assembly2d import (
     solution_to_coeffs_2d,
     solve_2d,
 )
-from ldgrd.linalg import matvec
+from ldgrd.linalg import _block_inverse, lu_solve, matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import discrete_energy_sq_2d, error_report_2d
 from ldgrd.polyspace import PiecewisePoly2D
@@ -155,6 +158,48 @@ def test_dense_block_pattern(dim, k, flux):
                        getattr(FluxConfig2D, flux)(eps, N)).matrix
     B = (k + 1) ** dim
     assert sp.bsr_array(A, blocksize=(B, B)).data.size == A.nnz
+
+
+def flux_mask(mesh2, k):
+    """The P and Q unknowns of the per-cell [P, Q, U] ordering."""
+    return np.tile(np.repeat([True, True, False], (k + 1) ** 2), mesh2.shape[0] * mesh2.shape[1])
+
+
+@pytest.mark.parametrize("problem", [layer2d, poly_exact_2d])
+@pytest.mark.parametrize("flux", ["paper", "classic"])
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_condensed_solve_matches_full_lu(k, eps, flux, problem):
+    # Solution vectors, not errors: poly_exact_2d is reproduced to ~1e-17
+    # at k >= 2 on both paths, so a relative error difference means nothing.
+    N = 16 if k <= 2 else 8
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    mesh2 = build_tensor_2d(m, m)
+    system = assemble2d(mesh2, problem(eps), k, getattr(FluxConfig2D, flux)(eps, N))
+    full = lu_solve(system.matrix, system.rhs)
+    condensed = lu_solve(system.matrix, system.rhs, eliminate=flux_mask(mesh2, k))
+    assert np.abs(condensed - full).max() <= 1e-12 * np.abs(full).max()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 3), eps=st.sampled_from([1e-4, 1e-6, 1e-8, 1e-10, 1e-12]),
+       N=st.sampled_from([4, 8, 12, 16]), flux=st.sampled_from(["paper", "classic"]),
+       c=st.floats(0.0, 4.0))
+def test_saddle_point_structure(k, eps, N, flux, c):
+    # The structure the condensed solve relies on, with a variable reaction
+    # coefficient b = 1 + c*x*(1 - y).
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    mesh2 = build_tensor_2d(m, m)
+    problem = dataclasses.replace(layer2d(eps), b=lambda x, y: 1.0 + c * x * (1.0 - y))
+    A = assemble2d(mesh2, problem, k, getattr(FluxConfig2D, flux)(eps, N)).matrix
+    mask = flux_mask(mesh2, k)
+    f, u = np.flatnonzero(mask), np.flatnonzero(~mask)
+    Af, Au = A[f], A[u]
+    assert abs(Af[:, u] + Au[:, f].T).max() <= 1e-15 * abs(A).max()
+    _, labels = connected_components(Af[:, f], directed=False)
+    assert np.bincount(labels).max() <= 2 * (k + 1) ** 2
+    S = Au[:, u] - Au[:, f] @ _block_inverse(Af[:, f]) @ Af[:, u]
+    assert abs(S - S.T).max() <= 1e-14 * abs(S).max()
 
 
 def test_assembly_2d_deterministic():

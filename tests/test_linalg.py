@@ -1,10 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 
-from ldgrd.assembly1d import FluxConfig, assemble
+from ldgrd.assembly1d import FluxConfig, assemble, solve_1d
+from ldgrd.assembly2d import FluxConfig2D, solve_2d
 from ldgrd.linalg import SingularSystemError, from_coo, lu_solve, matvec, residual_inf
-from ldgrd.mesh import MeshParams, build_shishkin_1d
-from ldgrd.problems import poly_exact_1d
+from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
+from ldgrd.problems import poly_exact_1d, poly_exact_2d
 
 
 def dense_to_sparse(A):
@@ -48,6 +51,21 @@ def test_singular_matrix_raises():
         lu_solve(A, np.ones(2))
 
 
+def test_singular_eliminated_block_raises():
+    # the eliminated unknowns 0 and 1 form one singular block
+    A = dense_to_sparse(np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 0.0], [-1.0, 0.0, 3.0]]))
+    with pytest.raises(SingularSystemError, match="eliminated block of 2 unknowns is singular"):
+        lu_solve(A, np.ones(3), eliminate=[True, True, False])
+
+
+def test_eliminate_mask_checked():
+    A = dense_to_sparse(np.eye(3))
+    with pytest.raises(ValueError, match="eliminate has shape"):
+        lu_solve(A, np.ones(3), eliminate=[True, False])
+    with pytest.raises(ValueError, match="selects no unknown"):
+        lu_solve(A, np.ones(3), eliminate=[False, False, False])
+
+
 def test_nonfinite_rejected():
     A = dense_to_sparse(np.eye(2))
     with pytest.raises(ValueError):
@@ -56,14 +74,47 @@ def test_nonfinite_rejected():
         from_coo(2, [0, 1], [0, 1], [1.0, np.inf])
 
 
-def test_unrefinable_residual_raises():
+def ill_conditioned():
     # SPD with condition number 1e14: one refinement step leaves a residual
     # of about 1e-3, far above the 2e-10 tolerance
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    A = dense_to_sparse(Q @ np.diag(np.geomspace(1.0, 1e-14, 8)) @ Q.T)
+    return dense_to_sparse(Q @ np.diag(np.geomspace(1.0, 1e-14, 8)) @ Q.T), rng.standard_normal(8)
+
+
+def test_unrefinable_residual_raises():
+    A, rhs = ill_conditioned()
     with pytest.raises(SingularSystemError, match="misses the tolerance"):
-        lu_solve(A, rng.standard_normal(8))
+        lu_solve(A, rhs)
+
+
+def solve_records(caplog):
+    """The key=value fields of each lu_solve record."""
+    return [dict(item.split("=") for item in r.getMessage().split()[1:])
+            for r in caplog.records if r.name == "ldgrd" and r.levelno == logging.DEBUG]
+
+
+def test_debug_record_per_solve(caplog):
+    eps, N = 1e-4, 4
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
+    with caplog.at_level(logging.DEBUG, logger="ldgrd"):
+        solve_1d(m, poly_exact_1d(eps), 1, FluxConfig.paper(eps, N))
+        solve_2d(build_tensor_2d(m, m), poly_exact_2d(eps), 1, FluxConfig2D.paper(eps, N))
+    one, two = solve_records(caplog)
+    assert (one["path"], one["unknowns"], one["factored"]) == ("lu", "16", "16")
+    assert (two["path"], two["unknowns"], two["factored"]) == ("condensed", "192", "64")
+    for rec in (one, two):
+        assert int(rec["fill"]) >= int(rec["nnz"]) > 0
+        assert rec["refined"] == "False"
+        assert float(rec["refined_residual"]) == float(rec["residual"]) <= 1e-10
+
+    caplog.clear()
+    A, rhs = ill_conditioned()
+    with caplog.at_level(logging.DEBUG, logger="ldgrd"), pytest.raises(SingularSystemError):
+        lu_solve(A, rhs)
+    (rec,) = solve_records(caplog)
+    assert rec["refined"] == "True"
+    assert float(rec["refined_residual"]) > 2e-10
 
 
 def test_duplicate_triplets_are_summed():
