@@ -3,7 +3,7 @@ reaction-diffusion problems on layer-adapted meshes, with energy- and
 balanced-norm error measurement and a convergence-study CLI."""
 
 from .assembly1d import FluxConfig, LdgSolution1D, assemble, bilinear_B, solve_1d
-from .assembly2d import FluxConfig2D, LdgSolution2D, assemble2d, bilinear_B2d, solve_2d
+from .assembly2d import LdgSolution2D, assemble2d, bilinear_B2d, solve_2d
 from .mesh import MeshParams, ShishkinMesh1D, TensorMesh2D, build_shishkin_1d, build_tensor_2d
 from .norms import (
     ErrorReport,
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FluxConfig",
-    "FluxConfig2D",
     "LdgSolution1D",
     "LdgSolution2D",
     "MeshParams",

@@ -30,30 +30,29 @@ ASSEMBLY_EXTRA_NODES = 1  # one node beyond exactness for the polynomial terms
 
 @dataclass(frozen=True)
 class FluxConfig:
-    """Stabilization parameters of the numerical fluxes.
+    """Stabilization parameters of the numerical fluxes, in 1D and 2D.
 
-    lambda0/lambdaN weight the boundary penalties on U, lambda_q the jump
-    penalty on Q at the single special interface (index 3N/4).  lambda_q=0
-    recovers the plain upwind flux used for the ablation study.
+    lambda_boundary weights the penalty on U at every boundary point (1D) or
+    edge (2D), lambda_jump the jump penalty on the flux at the special
+    interface (1D) or on both special lines x = x_m and y = y_m (2D), with
+    m = special_index = 3N/4.  lambda_jump=0 recovers the plain upwind flux
+    used for the ablation study.
     """
 
     eps: float
-    lambda0: float
-    lambdaN: float
-    lambda_q: float
-    special_interface: int
+    lambda_boundary: float
+    lambda_jump: float
+    special_index: int
 
     @classmethod
     def paper(cls, eps: float, N: int) -> "FluxConfig":
         s = math.sqrt(eps)
-        return cls(eps=eps, lambda0=s, lambdaN=s, lambda_q=1.0 / s,
-                   special_interface=3 * N // 4)
+        return cls(eps=eps, lambda_boundary=s, lambda_jump=1.0 / s, special_index=3 * N // 4)
 
     @classmethod
     def classic(cls, eps: float, N: int) -> "FluxConfig":
         s = math.sqrt(eps)
-        return cls(eps=eps, lambda0=s, lambdaN=s, lambda_q=0.0,
-                   special_interface=3 * N // 4)
+        return cls(eps=eps, lambda_boundary=s, lambda_jump=0.0, special_index=3 * N // 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,27 +72,28 @@ def flux_u_hat(w: LdgSolution1D, j: int, cfg: FluxConfig) -> float:
 
     Zero at both boundary interfaces; the upwind value U^- elsewhere.  At
     the special interface a jump penalty on Q is added, oriented as
-    lambda_q * (Q^+ - Q^-) so that its diagonal contribution to the scheme's
-    bilinear form is +lambda_q*[[Q]]^2 (the orientation required for the
-    energy identity; the opposite one makes the penalty antidissipative).
+    lambda_jump * (Q^+ - Q^-) so that its diagonal contribution to the
+    scheme's bilinear form is +lambda_jump*[[Q]]^2 (the orientation required
+    for the energy identity; the opposite one makes the penalty
+    antidissipative).
     """
     N = w.u.mesh.ncells
     if j == 0 or j == N:
         return 0.0
     val = w.u.trace_left(j)
-    if j == cfg.special_interface and cfg.lambda_q != 0.0:
-        val += cfg.lambda_q * (w.q.trace_right(j) - w.q.trace_left(j))
+    if j == cfg.special_index and cfg.lambda_jump != 0.0:
+        val += cfg.lambda_jump * (w.q.trace_right(j) - w.q.trace_left(j))
     return val
 
 
 def flux_q_hat(w: LdgSolution1D, j: int, cfg: FluxConfig) -> float:
     """Single-valued trace of Q at interface j: downwind value Q^+ in the
-    interior, boundary values penalized by lambda*U toward u=0."""
+    interior, boundary values penalized by lambda_boundary*U toward u=0."""
     N = w.q.mesh.ncells
     if j == 0:
-        return w.q.trace_right(0) + cfg.lambda0 * w.u.trace_right(0)
+        return w.q.trace_right(0) + cfg.lambda_boundary * w.u.trace_right(0)
     if j == N:
-        return w.q.trace_left(N) - cfg.lambdaN * w.u.trace_left(N)
+        return w.q.trace_left(N) - cfg.lambda_boundary * w.u.trace_left(N)
     return w.q.trace_right(j)
 
 
@@ -111,40 +111,42 @@ class _Coupling(NamedTuple):
 _FLUX, _PRIMAL = 0, 1  # Q and U in 1D; P or Q, and U, per direction in 2D
 
 
-def _couplings(mesh: ShishkinMesh1D, k: int, inv_eps: float, lambda0: float, lambdaN: float,
-               lambda_jump: float, special: int) -> tuple[list[_Coupling], list[_Coupling]]:
+def _couplings(mesh: ShishkinMesh1D, k: int,
+               cfg: FluxConfig) -> tuple[list[_Coupling], list[_Coupling]]:
     """The scheme's b-independent operator in one direction, as two tables.
 
-    The volume table holds the flux mass weighted by inv_eps, and G in both
+    The volume table holds the flux mass weighted by 1/eps, and G in both
     mixed field pairs.  The hats table holds the numerical-flux pair across
     the N+1 interfaces: U-hat (upwind U^-, plus lambda_jump*(Q^+ - Q^-) at
     the special interface) enters the flux test rows; Q-hat (downwind Q^+,
-    boundary values penalized by lambda0*U and -lambdaN*U) enters the primal
-    test rows.  Each hat is tested from the cell right of the interface
-    (+em) and from the cell left of it (-ep).  The order of the hats fixes
-    the order in which from_coo sums the entries at one matrix position, and
-    so the last bits of the matrix: right-cell tests first, then left-cell
-    tests, each in the listed order.
+    boundary values penalized by lambda_boundary*U at x_0 and
+    -lambda_boundary*U at x_N) enters the primal test rows.  Each hat is
+    tested from the cell right of the interface (+em) and from the cell left
+    of it (-ep).  The order of the hats fixes the order in which from_coo
+    sums the entries at one matrix position, and so the last bits of the
+    matrix: right-cell tests first, then left-cell tests, each in the listed
+    order.
     """
     N = mesh.ncells
     em, ep = end_vals(k)
     G = grad_matrix(k)[None]
     cells = np.arange(N)
     volume = [_Coupling(cells, _FLUX, cells, _FLUX,
-                        (inv_eps * 0.5 * mesh.widths)[:, None, None] * np.diag(leg_mass(k))),
+                        (1.0 / cfg.eps * 0.5 * mesh.widths)[:, None, None] * np.diag(leg_mass(k))),
               _Coupling(cells, _FLUX, cells, _PRIMAL, G),
               _Coupling(cells, _PRIMAL, cells, _FLUX, G)]
     interior = np.arange(1, N)
     first, last = np.array([0]), np.array([N])
     # (test field, interfaces, trial cell offset, trial field, trial trace, weight)
     specs = [(_FLUX, interior, -1, _PRIMAL, ep, 1.0)]
-    if lambda_jump != 0.0:
-        jump = np.array([special])
-        specs += [(_FLUX, jump, 0, _FLUX, em, lambda_jump),
-                  (_FLUX, jump, -1, _FLUX, ep, -lambda_jump)]
-    specs += [(_PRIMAL, first, 0, _FLUX, em, 1.0), (_PRIMAL, first, 0, _PRIMAL, em, lambda0),
+    if cfg.lambda_jump != 0.0:
+        jump = np.array([cfg.special_index])
+        specs += [(_FLUX, jump, 0, _FLUX, em, cfg.lambda_jump),
+                  (_FLUX, jump, -1, _FLUX, ep, -cfg.lambda_jump)]
+    lam = cfg.lambda_boundary
+    specs += [(_PRIMAL, first, 0, _FLUX, em, 1.0), (_PRIMAL, first, 0, _PRIMAL, em, lam),
               (_PRIMAL, interior, 0, _FLUX, em, 1.0),
-              (_PRIMAL, last, -1, _FLUX, ep, 1.0), (_PRIMAL, last, -1, _PRIMAL, ep, -lambdaN)]
+              (_PRIMAL, last, -1, _FLUX, ep, 1.0), (_PRIMAL, last, -1, _PRIMAL, ep, -lam)]
     hats = []
     for test_offset, test_trace in ((0, em), (-1, -ep)):
         for test_field, interfaces, trial_offset, trial_field, trial_trace, weight in specs:
@@ -172,18 +174,17 @@ def _check_special(N: int, special: int) -> None:
                          f"of a mesh with N={N} cells")
 
 
-def _check_consistent(mesh: ShishkinMesh1D, problem, cfg, special: int) -> None:
+def _check_consistent(mesh: ShishkinMesh1D, problem, cfg: FluxConfig) -> None:
     if not math.isclose(problem.eps, mesh.params.eps, rel_tol=1e-12):
         raise ValueError(
             f"problem eps={problem.eps} does not match mesh eps={mesh.params.eps}"
         )
     if not math.isclose(cfg.eps, problem.eps, rel_tol=1e-12):
         raise ValueError(f"flux config eps={cfg.eps} does not match problem eps={problem.eps}")
-    _check_special(mesh.ncells, special)
+    _check_special(mesh.ncells, cfg.special_index)
 
 
-def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig,
-             nq: int | None = None) -> SparseSystem:
+def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig) -> SparseSystem:
     """Assemble the 2N(k+1)-dimensional system for the pair (Q, U).
 
     Unknown ordering is cell-major with the Q block before the U block in
@@ -193,11 +194,10 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig,
     """
     if k < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {k}")
-    _check_consistent(mesh, problem, cfg, cfg.special_interface)
+    _check_consistent(mesh, problem, cfg)
     N = mesh.ncells
     B = k + 1
-    nq = nq if nq is not None else k + 1 + ASSEMBLY_EXTRA_NODES
-    rule = gauss_rule(nq)
+    rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
     phi = legendre_basis(k, rule.nodes)
     h = mesh.widths
     X = mesh.quad_points(rule.nodes)
@@ -209,8 +209,7 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig,
     def off(c, field):  # coefficient (and test-row) offset of field in cell c
         return (2 * c + field) * B
 
-    volume, hats = _couplings(mesh, k, 1.0 / cfg.eps, cfg.lambda0, cfg.lambdaN, cfg.lambda_q,
-                              cfg.special_interface)
+    volume, hats = _couplings(mesh, k, cfg)
     # The reaction mass goes between the volume entries and the hats: the order
     # in which from_coo sums coincident entries depends on each triplet's place
     # in its row, and this place keeps the matrix's last bits.
@@ -239,16 +238,14 @@ def solution_to_coeffs(w: LdgSolution1D) -> np.ndarray:
     return np.stack([w.q.coeffs, w.u.coeffs], axis=1).ravel()
 
 
-def solve_1d(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig,
-             nq: int | None = None) -> LdgSolution1D:
+def solve_1d(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig) -> LdgSolution1D:
     """Assemble, solve and unpack the discrete pair."""
-    system = assemble(mesh, problem, k, cfg, nq=nq)
+    system = assemble(mesh, problem, k, cfg)
     x = lu_solve(system.matrix, system.rhs)
     return coeffs_to_solution(mesh, k, x)
 
 
-def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, cfg: FluxConfig,
-               nq: int | None = None) -> float:
+def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, cfg: FluxConfig) -> float:
     """Evaluate the scheme's compact bilinear form B(W; chi).
 
     This is the cell-sum of the elementwise equations with the fluxes
@@ -261,10 +258,9 @@ def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, cfg: FluxConfig,
         raise ValueError("both arguments must share mesh and degree")
     mesh = w.u.mesh
     N = mesh.ncells
-    _check_special(N, cfg.special_interface)
+    _check_special(N, cfg.special_index)
     k = w.u.degree
-    nq = nq if nq is not None else k + 1 + ASSEMBLY_EXTRA_NODES
-    rule = gauss_rule(nq)
+    rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
     G = grad_matrix(k)
     mass = leg_mass(k)
     em, ep = end_vals(k)
@@ -295,9 +291,9 @@ def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, cfg: FluxConfig,
     total -= float(Qp[1:] @ jump_v)
     total -= Qp[0] * (-Vp[0])  # j=0 term of the downwind sum, [[v]]_0 = -v^+
     total -= Qm[-1] * Vm[-1]  # boundary term (Q v)^-_N
-    total += cfg.lambda0 * (-Up[0]) * (-Vp[0])
-    total += cfg.lambdaN * Um[-1] * Vm[-1]
-    if cfg.lambda_q != 0.0:
-        m = cfg.special_interface
-        total += cfg.lambda_q * (Qm[m - 1] - Qp[m]) * (Rm[m - 1] - Rp[m])
+    total += cfg.lambda_boundary * (-Up[0]) * (-Vp[0])
+    total += cfg.lambda_boundary * Um[-1] * Vm[-1]
+    if cfg.lambda_jump != 0.0:
+        m = cfg.special_index
+        total += cfg.lambda_jump * (Qm[m - 1] - Qp[m]) * (Rm[m - 1] - Rp[m])
     return total

@@ -4,19 +4,17 @@ in each direction."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly1d import (ASSEMBLY_EXTRA_NODES, _block_triplets, _check_consistent, _check_special,
-                         _couplings)
+from .assembly1d import (ASSEMBLY_EXTRA_NODES, FluxConfig, _block_triplets, _check_consistent,
+                         _check_special, _couplings)
 from .linalg import SparseSystem, from_coo, lu_solve
 from .mesh import TensorMesh2D
 from .polyspace import PiecewisePoly2D, gauss_rule, grad_matrix, leg_mass, legendre_basis
 
 __all__ = [
-    "FluxConfig2D",
     "LdgSolution2D",
     "assemble2d",
     "solve_2d",
@@ -26,31 +24,6 @@ __all__ = [
 ]
 
 _P, _Q, _U = 0, 1, 2  # per-cell block order
-
-
-@dataclass(frozen=True)
-class FluxConfig2D:
-    """Stabilization parameters of the 2D fluxes: a common boundary penalty
-    weight on U for all four edge families, and the two jump-penalty weights
-    on the special mesh lines (x-flux line for P, y-flux line for Q)."""
-
-    eps: float
-    lambda_boundary: float
-    lambda_p: float
-    lambda_q: float
-    special_index: int
-
-    @classmethod
-    def paper(cls, eps: float, N: int) -> "FluxConfig2D":
-        s = math.sqrt(eps)
-        return cls(eps=eps, lambda_boundary=s, lambda_p=1.0 / s, lambda_q=1.0 / s,
-                   special_index=3 * N // 4)
-
-    @classmethod
-    def classic(cls, eps: float, N: int) -> "FluxConfig2D":
-        s = math.sqrt(eps)
-        return cls(eps=eps, lambda_boundary=s, lambda_p=0.0, lambda_q=0.0,
-                   special_index=3 * N // 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +41,7 @@ class LdgSolution2D:
             raise ValueError("U, P, Q must share one degree")
 
 
-def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
-               nq: int | None = None) -> SparseSystem:
+def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> SparseSystem:
     """Assemble the 3*N^2*(k+1)^2 system for the triple (U, P, Q).
 
     Cells are numbered lexicographically with the x index fastest; each
@@ -81,7 +53,7 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
     if k < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {k}")
     mx, my = mesh.mesh_x, mesh.mesh_y
-    _check_consistent(mx, problem, cfg, cfg.special_index)
+    _check_consistent(mx, problem, cfg)
     nx, ny = mesh.shape
     if nx != ny:
         raise ValueError(
@@ -90,8 +62,7 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
         )
     B1 = k + 1
     B2 = B1 * B1
-    nqv = nq if nq is not None else k + 1 + ASSEMBLY_EXTRA_NODES
-    rule = gauss_rule(nqv)
+    rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
     phi = legendre_basis(k, rule.nodes)
     hx, hy = mx.widths, my.widths
     X4, Y4 = mesh.quad_points(rule.nodes, rule.nodes)
@@ -115,12 +86,11 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
     # tangential mass (h/2)*diag(mass) along the other one: kron(x, y)
     # factors, x-mode major.  The table's (flux, primal) fields are (P, U)
     # along x and (Q, U) along y.
-    for axis, lambda_jump, flux in ((0, cfg.lambda_p, _P), (1, cfg.lambda_q, _Q)):
+    for axis, flux in ((0, _P), (1, _Q)):
         normal, along = (mx, my) if axis == 0 else (my, mx)
         t_mass = ((0.5 * along.widths)[:, None, None] * np.diag(leg_mass(k)))[None]
         tangential = np.arange(along.ncells)
-        volume, hats = _couplings(normal, k, 1.0 / cfg.eps, cfg.lambda_boundary,
-                                  cfg.lambda_boundary, lambda_jump, cfg.special_index)
+        volume, hats = _couplings(normal, k, cfg)
         for t in volume + hats:
             factors = (t.blocks[:, None], t_mass)  # (n|1, 1|n_t, k+1, k+1) each
             fx, fy = factors if axis == 0 else factors[::-1]
@@ -161,9 +131,8 @@ def solution_to_coeffs_2d(t: LdgSolution2D) -> np.ndarray:
     return stacked.ravel()
 
 
-def solve_2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
-             nq: int | None = None) -> LdgSolution2D:
-    system = assemble2d(mesh, problem, k, cfg, nq=nq)
+def solve_2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> LdgSolution2D:
+    system = assemble2d(mesh, problem, k, cfg)
     # P and Q are coupled only within their cell and across the special
     # lines, so they are condensed out of the solve.
     flux = np.tile(np.repeat(np.arange(3) != _U, (k + 1) ** 2), mesh.shape[0] * mesh.shape[1])
@@ -171,8 +140,7 @@ def solve_2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig2D,
     return coeffs_to_solution_2d(mesh, k, x)
 
 
-def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig2D,
-                 nq: int | None = None) -> float:
+def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig) -> float:
     """Evaluate the 2D compact bilinear form B(T; Z) for Z = (v, s, r).
 
     Same structure as the 1D form, applied once per direction: volume terms,
@@ -186,8 +154,7 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig2D,
     nx, ny = mesh.shape
     _check_special(min(nx, ny), cfg.special_index)
     k = t.u.degree
-    nqv = nq if nq is not None else k + 1 + ASSEMBLY_EXTRA_NODES
-    rule = gauss_rule(nqv)
+    rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
     G = grad_matrix(k)
     mass = leg_mass(k)
     hx, hy = mesh.mesh_x.widths, mesh.mesh_y.widths
@@ -218,16 +185,15 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig2D,
     m = cfg.special_index
     # Lines normal to x carry P and the tangential weight hy/2, lines normal
     # to y carry Q and hx/2; x before y, as in the assembled matrix.
-    for axis, lam, flux_t, flux_z, w_t in ((0, cfg.lambda_p, t.p, z.p, 0.5 * hy),
-                                           (1, cfg.lambda_q, t.q, z.q, 0.5 * hx)):
+    for axis, flux_t, flux_z, w_t in ((0, t.p, z.p, 0.5 * hy), (1, t.q, z.q, 0.5 * hx)):
         n = mesh.shape[axis]
         for i in range(1, n):
             total -= line_dot(t.u.trace(axis, i, "left"), flux_z.jump(axis, i), w_t)
         for i in range(n):
             total -= line_dot(flux_t.trace(axis, i, "right"), z.u.jump(axis, i), w_t)
         total -= line_dot(flux_t.trace(axis, n, "left"), z.u.jump(axis, n), w_t)
-        if lam != 0.0:
-            total += lam * line_dot(flux_t.jump(axis, m), flux_z.jump(axis, m), w_t)
+        if cfg.lambda_jump != 0.0:
+            total += cfg.lambda_jump * line_dot(flux_t.jump(axis, m), flux_z.jump(axis, m), w_t)
         total += cfg.lambda_boundary * (
             line_dot(t.u.jump(axis, 0), z.u.jump(axis, 0), w_t)
             + line_dot(t.u.jump(axis, n), z.u.jump(axis, n), w_t)

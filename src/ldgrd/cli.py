@@ -43,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    sigma = None if str(args.sigma).strip() == "k+1" else float(args.sigma)
     try:
+        sigma = None if str(args.sigma).strip() == "k+1" else float(args.sigma)
         cfg = StudyConfig(
             dim=args.dim,
             degrees=tuple(args.degree),

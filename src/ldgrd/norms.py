@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly1d import _check_special
-from .polyspace import gauss_rule, layer_nq, leg_mass, legendre_basis
+from .polyspace import layer_rule, leg_mass, legendre_basis
 
 __all__ = [
     "ErrorReport",
@@ -30,7 +30,7 @@ class ErrorReport:
     err_l2_p: float | None = None
 
 
-def _error_pieces_1d(w, problem, cfg, nq):
+def _error_pieces_1d(w, problem, cfg):
     """Shared integrals and traces for the 1D norms.
 
     Returns (l2q_sq, bu_sq, l2u_sq, linf_u, jump_eu_0, jump_eu_N, jump_eq_m)
@@ -38,9 +38,8 @@ def _error_pieces_1d(w, problem, cfg, nq):
     """
     mesh = w.u.mesh
     N = mesh.ncells
-    _check_special(N, cfg.special_interface)
-    k = w.u.degree
-    rule = gauss_rule(layer_nq(k, nq))
+    _check_special(N, cfg.special_index)
+    rule = layer_rule(w.u.degree)
     h = mesh.widths
     X = mesh.quad_points(rule.nodes)
 
@@ -64,20 +63,20 @@ def _error_pieces_1d(w, problem, cfg, nq):
     jump_eu_0 = -(u0 - w.u.trace_right(0))
     jump_eu_N = u1 - w.u.trace_left(N)
 
-    m = cfg.special_interface
+    m = cfg.special_index
     xm = float(mesh.points[m])
     qm = float(np.asarray(problem.q_exact(np.array([xm])), dtype=float)[0])
     jump_eq_m = (qm - w.q.trace_left(m)) - (qm - w.q.trace_right(m))
     return l2q_sq, bu_sq, l2u_sq, linf_u, jump_eu_0, jump_eu_N, jump_eq_m
 
 
-def error_report_1d(w, problem, cfg, nq: int | None = None) -> ErrorReport:
+def error_report_1d(w, problem, cfg) -> ErrorReport:
     """Energy norm: eps^{-1}|e_q|^2 + |b^{1/2} e_u|^2 plus the lambda-weighted
     boundary and special-interface jumps.  Balanced norm: the flux term
     weighted eps^{-3/2} and unit weight on every jump."""
-    l2q, bu, l2u, linf, j0, jN, jm = _error_pieces_1d(w, problem, cfg, nq)
-    energy = np.sqrt(l2q / problem.eps + bu + cfg.lambda0 * j0**2
-                     + cfg.lambdaN * jN**2 + cfg.lambda_q * jm**2)
+    l2q, bu, l2u, linf, j0, jN, jm = _error_pieces_1d(w, problem, cfg)
+    energy = np.sqrt(l2q / problem.eps + bu + cfg.lambda_boundary * j0**2
+                     + cfg.lambda_boundary * jN**2 + cfg.lambda_jump * jm**2)
     balanced = np.sqrt(l2q / problem.eps**1.5 + bu + j0**2 + jN**2 + jm**2)
     return ErrorReport(
         err_energy=float(energy),
@@ -88,24 +87,24 @@ def error_report_1d(w, problem, cfg, nq: int | None = None) -> ErrorReport:
     )
 
 
-def discrete_energy_sq(w, b, cfg, nq: int | None = None) -> float:
+def discrete_energy_sq(w, b, cfg) -> float:
     """Squared energy norm of a discrete pair, via exact Legendre sums for
     the flux term and quadrature for the b-weighted term."""
     mesh = w.u.mesh
     N = mesh.ncells
-    _check_special(N, cfg.special_interface)
+    _check_special(N, cfg.special_index)
     k = w.u.degree
     mass = leg_mass(k)
     h = mesh.widths
     q_sq = float(np.einsum("jm,m,j->", w.q.coeffs**2, mass, 0.5 * h))
-    rule = gauss_rule(layer_nq(k, nq))
+    rule = layer_rule(k)
     X = mesh.quad_points(rule.nodes)
     bX = np.broadcast_to(np.asarray(b(X), dtype=float), X.shape)
     Uv = w.u.values_on_ref(rule.nodes)
     bu_sq = float(np.einsum("jg,g,j->", bX * Uv**2, rule.weights, 0.5 * h))
     val = q_sq / cfg.eps + bu_sq
-    val += cfg.lambda0 * w.u.jump(0) ** 2 + cfg.lambdaN * w.u.jump(N) ** 2
-    val += cfg.lambda_q * w.q.jump(cfg.special_interface) ** 2
+    val += cfg.lambda_boundary * w.u.jump(0) ** 2 + cfg.lambda_boundary * w.u.jump(N) ** 2
+    val += cfg.lambda_jump * w.q.jump(cfg.special_index) ** 2
     return val
 
 
@@ -133,12 +132,11 @@ def _line_jump_sq(field_exact, poly, axis: int, i: int, rule) -> float:
     return float(np.einsum("jg,g,j->", jump**2, rule.weights, 0.5 * along.widths))
 
 
-def _error_pieces_2d(t, problem, cfg, nq):
+def _error_pieces_2d(t, problem, cfg):
     mesh = t.u.mesh
     _check_special(min(mesh.shape), cfg.special_index)
     mx, my = mesh.mesh_x, mesh.mesh_y
-    k = t.u.degree
-    rule = gauss_rule(layer_nq(k, nq))
+    rule = layer_rule(t.u.degree)
     wx, wy = 0.5 * mx.widths, 0.5 * my.widths
     X4, Y4 = mesh.quad_points(rule.nodes, rule.nodes)
 
@@ -165,14 +163,14 @@ def _error_pieces_2d(t, problem, cfg, nq):
     return l2p_sq, l2q_sq, bu_sq, l2u_sq, linf_u, ju, jp_m, jq_m
 
 
-def error_report_2d(t, problem, cfg, nq: int | None = None) -> ErrorReport:
-    """As in 1D, except that the balanced norm keeps the lambda weights on
-    the special lines (unit weight on the boundary jumps)."""
-    l2p, l2q, bu, l2u, linf, ju, jp, jq = _error_pieces_2d(t, problem, cfg, nq)
+def error_report_2d(t, problem, cfg) -> ErrorReport:
+    """As in 1D, except that the balanced norm keeps the lambda_jump weight
+    on the special lines (unit weight on the boundary jumps)."""
+    l2p, l2q, bu, l2u, linf, ju, jp, jq = _error_pieces_2d(t, problem, cfg)
+    lam = cfg.lambda_jump
     energy = np.sqrt((l2p + l2q) / problem.eps + bu
-                     + cfg.lambda_boundary * sum(ju) + cfg.lambda_p * jp + cfg.lambda_q * jq)
-    balanced = np.sqrt((l2p + l2q) / problem.eps**1.5 + bu + sum(ju)
-                       + cfg.lambda_p * jp + cfg.lambda_q * jq)
+                     + cfg.lambda_boundary * sum(ju) + lam * jp + lam * jq)
+    balanced = np.sqrt((l2p + l2q) / problem.eps**1.5 + bu + sum(ju) + lam * jp + lam * jq)
     return ErrorReport(
         err_energy=float(energy),
         err_balanced=float(balanced),
@@ -183,7 +181,7 @@ def error_report_2d(t, problem, cfg, nq: int | None = None) -> ErrorReport:
     )
 
 
-def discrete_energy_sq_2d(t, b, cfg, nq: int | None = None) -> float:
+def discrete_energy_sq_2d(t, b, cfg) -> float:
     """Squared 2D energy norm of a discrete triple (U, P, Q)."""
     mesh = t.u.mesh
     nx, ny = mesh.shape
@@ -197,7 +195,7 @@ def discrete_energy_sq_2d(t, b, cfg, nq: int | None = None) -> float:
         per_cell = np.einsum("ijmn,m,n->ij", poly.coeffs**2, mass, mass)
         return float((per_cell * area).sum())
 
-    rule = gauss_rule(layer_nq(k, nq))
+    rule = layer_rule(k)
     bV = np.broadcast_to(np.asarray(b(*mesh.quad_points(rule.nodes, rule.nodes)), dtype=float),
                          (nx, ny, rule.n, rule.n))
     Uv = t.u.values_on_ref(rule.nodes, rule.nodes)
@@ -211,6 +209,6 @@ def discrete_energy_sq_2d(t, b, cfg, nq: int | None = None) -> float:
     val = (l2sq(t.p) + l2sq(t.q)) / cfg.eps + bu_sq
     val += cfg.lambda_boundary * sum(edge_sq(t.u, axis, i)
                                      for axis, n in enumerate(mesh.shape) for i in (0, n))
-    val += cfg.lambda_p * edge_sq(t.p, 0, cfg.special_index)
-    val += cfg.lambda_q * edge_sq(t.q, 1, cfg.special_index)
+    val += cfg.lambda_jump * edge_sq(t.p, 0, cfg.special_index)
+    val += cfg.lambda_jump * edge_sq(t.q, 1, cfg.special_index)
     return val

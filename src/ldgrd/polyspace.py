@@ -13,8 +13,7 @@ from .mesh import ShishkinMesh1D, TensorMesh2D
 __all__ = [
     "QuadratureRule",
     "gauss_rule",
-    "layer_nq",
-    "legendre_eval",
+    "layer_rule",
     "legendre_basis",
     "legendre_basis_deriv",
     "leg_mass",
@@ -57,17 +56,11 @@ def gauss_rule(n: int) -> QuadratureRule:
 LAYER_EXTRA_NODES = 4  # k+5 nodes: the integrands contain layer exponentials
 
 
-def layer_nq(k: int, nq: int | None = None) -> int:
-    """Node count for integrals of non-polynomial functions (exact
-    solutions, their errors and projections) against degree-k polynomials:
-    nq if given, else k+1+LAYER_EXTRA_NODES."""
-    return nq if nq is not None else k + 1 + LAYER_EXTRA_NODES
-
-
-def legendre_eval(degree: int, t):
-    """Value of the Legendre polynomial of the given degree at t in [-1, 1]."""
-    t = np.asarray(t, dtype=float)
-    return legendre_basis(degree, t)[degree].reshape(t.shape)
+def layer_rule(k: int) -> QuadratureRule:
+    """Rule for integrals of non-polynomial functions (exact solutions,
+    their errors and projections) against degree-k polynomials:
+    k+1+LAYER_EXTRA_NODES nodes, the constant read at call time."""
+    return gauss_rule(k + 1 + LAYER_EXTRA_NODES)
 
 
 def legendre_basis(k: int, t: np.ndarray) -> np.ndarray:
@@ -174,11 +167,6 @@ class PiecewisePoly1D:
     def values_on_ref(self, t: np.ndarray) -> np.ndarray:
         """Values at the same reference nodes in every cell, shape (ncells, len(t))."""
         return self.coeffs @ legendre_basis(self.degree, t)
-
-    def deriv_values_on_ref(self, t: np.ndarray) -> np.ndarray:
-        """Physical-derivative values at reference nodes per cell."""
-        ref = self.coeffs @ legendre_basis_deriv(self.degree, t)
-        return ref * (2.0 / self.mesh.widths)[:, None]
 
     def trace_left(self, j: int) -> float:
         if j < 1 or j > self.mesh.ncells:

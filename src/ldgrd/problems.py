@@ -147,12 +147,10 @@ def poly_exact_1d(eps: float) -> ProblemSpec1D:
     )
 
 
-def layer2d(eps: float) -> ProblemSpec2D:
-    """Separable two-dimensional layer problem u(x,y) = u1(x)*u1(y) with
-    b = 2, so layers form along all four edges and in the corners."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    base = layer1d(eps)
+def _tensor_2d(base: ProblemSpec1D, name: str) -> ProblemSpec2D:
+    """Separable problem u(x,y) = u1(x)*u1(y), with u1 the exact solution of
+    the 1D problem base, and b = 2."""
+    eps = base.eps
     u1, du1, d2u1 = base.u_exact, base.du_exact, base.d2u_exact
 
     def u(x, y):
@@ -174,46 +172,22 @@ def layer2d(eps: float) -> ProblemSpec2D:
         return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, 2.0)
 
     return ProblemSpec2D(
-        name="layer2d", eps=eps, beta=1.0, b=b, f=f,
+        name=name, eps=eps, beta=base.beta, b=b, f=f,
         u_exact=u, p_exact=p, q_exact=q, lap_exact=lap,
     )
+
+
+def layer2d(eps: float) -> ProblemSpec2D:
+    """Two-dimensional layer problem u(x,y) = u1(x)*u1(y) with u1 the
+    solution of layer1d and b = 2, so layers form along all four edges and
+    in the corners."""
+    return _tensor_2d(layer1d(eps), "layer2d")
 
 
 def poly_exact_2d(eps: float) -> ProblemSpec2D:
-    """Biquadratic exact solution u = x(1-x)y(1-y) with b = 2."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-
-    def u(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return x * (1.0 - x) * y * (1.0 - y)
-
-    def p(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return eps * (1.0 - 2.0 * x) * y * (1.0 - y)
-
-    def q(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return eps * x * (1.0 - x) * (1.0 - 2.0 * y)
-
-    def lap(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return -2.0 * y * (1.0 - y) - 2.0 * x * (1.0 - x)
-
-    def f(x, y):
-        return -eps * lap(x, y) + 2.0 * u(x, y)
-
-    def b(x, y):
-        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, 2.0)
-
-    return ProblemSpec2D(
-        name="poly2d", eps=eps, beta=1.0, b=b, f=f,
-        u_exact=u, p_exact=p, q_exact=q, lap_exact=lap,
-    )
+    """Biquadratic exact solution u = x(1-x)y(1-y) with b = 2, the tensor
+    product of poly_exact_1d."""
+    return _tensor_2d(poly_exact_1d(eps), "poly2d")
 
 
 PROBLEM_NAMES = {

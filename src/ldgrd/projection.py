@@ -11,8 +11,7 @@ from .polyspace import (
     PiecewisePoly1D,
     PiecewisePoly2D,
     end_vals,
-    gauss_rule,
-    layer_nq,
+    layer_rule,
     legendre_basis,
 )
 
@@ -45,20 +44,20 @@ def _quad_points(cell, t: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b) + 0.5 * (b - a) * t
 
 
-def _moments(z, cell, k: int, nq: int) -> np.ndarray:
+def _moments(z, cell, k: int) -> np.ndarray:
     """Legendre coefficients (..., k+1) of the L2 projection of z onto degree
     k on each interval cell = (a, b), a cell or an edge; a and b broadcast."""
-    rule = gauss_rule(nq)
+    rule = layer_rule(k)
     phi = legendre_basis(k, rule.nodes)
     zx = np.asarray(z(_quad_points(cell, rule.nodes)), dtype=float)
     raw = np.matmul(phi, (rule.weights * zx)[..., None])[..., 0]
     return (2.0 * np.arange(k + 1) + 1.0) / 2.0 * raw
 
 
-def _moments_2d(z, cell, k: int, nq: int) -> np.ndarray:
+def _moments_2d(z, cell, k: int) -> np.ndarray:
     """Tensor L2 coefficients (..., k+1, k+1) on each rectangle
     cell = ((xa, xb), (ya, yb)); the four bounds broadcast."""
-    rule = gauss_rule(nq)
+    rule = layer_rule(k)
     x, y = (_quad_points(interval, rule.nodes) for interval in cell)
     phi = legendre_basis(k, rule.nodes)
     zz = np.asarray(z(x[..., :, None], y[..., None, :]), dtype=float)
@@ -92,18 +91,17 @@ def _radau_fix(c: np.ndarray, trace, axis: int, side: str, where=True) -> np.nda
     return c
 
 
-def _radau_1d(z, cell, k: int, nq: int, side: str, where=True) -> np.ndarray:
+def _radau_1d(z, cell, k: int, side: str, where=True) -> np.ndarray:
     """Gauss-Radau coefficients (..., k+1) on the intervals cell = (a, b)
     where `where` holds, L2 coefficients elsewhere."""
-    c = _moments(z, cell, k, nq)
+    c = _moments(z, cell, k)
     end = np.expand_dims(cell[1] if side == "minus" else cell[0], -1)
     # as (..., 1, k+1) the 'plus' dot is one vector dot per cell, rounded as on one cell
     _radau_fix(c[..., None, :], np.asarray(z(end), dtype=float), -1, side, where)
     return c
 
 
-def _radau_2d(z, c: np.ndarray, cell, k: int, nq: int, axis: int, side: str,
-              where=True) -> np.ndarray:
+def _radau_2d(z, c: np.ndarray, cell, k: int, axis: int, side: str, where=True) -> np.ndarray:
     """Directional Gauss-Radau fix of the tensor moments c on the rectangles
     cell where `where` holds, with the L2 moments of the trace on the
     matched edge as the endpoint values."""
@@ -111,24 +109,24 @@ def _radau_2d(z, c: np.ndarray, cell, k: int, nq: int, axis: int, side: str,
         raise ValueError(f"axis must be 0 or 1, got {axis}")
     lo, hi = cell[axis]
     end = np.expand_dims(hi if side == "minus" else lo, -1)
-    edge = _moments(lambda s: z(end, s) if axis == 0 else z(s, end), cell[1 - axis], k, nq)
+    edge = _moments(lambda s: z(end, s) if axis == 0 else z(s, end), cell[1 - axis], k)
     return _radau_fix(c, edge, axis - 2, side, where)  # x-mode is coefficient axis -2
 
 
-def l2_project(z, cell: tuple[float, float], k: int, nq: int | None = None) -> LocalPoly:
+def l2_project(z, cell: tuple[float, float], k: int) -> LocalPoly:
     """Local L2 projection onto polynomials of degree k on the cell (a, b)."""
-    return LocalPoly(degree=k, coeffs=_moments(z, cell, k, layer_nq(k, nq)))
+    return LocalPoly(degree=k, coeffs=_moments(z, cell, k))
 
 
-def gauss_radau_minus(z, cell: tuple[float, float], k: int, nq: int | None = None) -> LocalPoly:
+def gauss_radau_minus(z, cell: tuple[float, float], k: int) -> LocalPoly:
     """Projection matching moments against degree k-1 and the value of z at
     the right endpoint of the cell."""
-    return LocalPoly(degree=k, coeffs=_radau_1d(z, cell, k, layer_nq(k, nq), "minus"))
+    return LocalPoly(degree=k, coeffs=_radau_1d(z, cell, k, "minus"))
 
 
-def gauss_radau_plus(z, cell: tuple[float, float], k: int, nq: int | None = None) -> LocalPoly:
+def gauss_radau_plus(z, cell: tuple[float, float], k: int) -> LocalPoly:
     """Mirror image of gauss_radau_minus: endpoint matched at the left end."""
-    return LocalPoly(degree=k, coeffs=_radau_1d(z, cell, k, layer_nq(k, nq), "plus"))
+    return LocalPoly(degree=k, coeffs=_radau_1d(z, cell, k, "plus"))
 
 
 def _fine_band(j: np.ndarray, N: int) -> np.ndarray:
@@ -140,7 +138,7 @@ def _mid_band(j: np.ndarray, N: int) -> np.ndarray:
     return (N // 4 <= j) & (j < 3 * N // 4)
 
 
-def composite_u_1d(u, mesh: ShishkinMesh1D, k: int, nq: int | None = None) -> PiecewisePoly1D:
+def composite_u_1d(u, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly1D:
     """Layer-aware interpolant of the primal variable.
 
     Right-endpoint-matching Gauss-Radau on the fine cells except the last
@@ -148,33 +146,31 @@ def composite_u_1d(u, mesh: ShishkinMesh1D, k: int, nq: int | None = None) -> Pi
     coarse interior cells and on the final cell.
     """
     cells, N = (mesh.points[:-1], mesh.points[1:]), mesh.ncells
-    return PiecewisePoly1D(mesh, _radau_1d(u, cells, k, layer_nq(k, nq), "minus",
-                                           where=_fine_band(np.arange(N), N)))
+    return PiecewisePoly1D(mesh, _radau_1d(u, cells, k, "minus", where=_fine_band(np.arange(N), N)))
 
 
-def composite_q_1d(q, mesh: ShishkinMesh1D, k: int, nq: int | None = None) -> PiecewisePoly1D:
+def composite_q_1d(q, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly1D:
     """Layer-aware interpolant of the flux variable: L2 projection on the
     first cell, left-endpoint-matching Gauss-Radau everywhere else."""
     cells = mesh.points[:-1], mesh.points[1:]
-    return PiecewisePoly1D(mesh, _radau_1d(q, cells, k, layer_nq(k, nq), "plus",
-                                           where=np.arange(mesh.ncells) > 0))
+    return PiecewisePoly1D(mesh, _radau_1d(q, cells, k, "plus", where=np.arange(mesh.ncells) > 0))
 
 
-def l2_interpolant_1d(z, mesh: ShishkinMesh1D, k: int, nq: int | None = None) -> PiecewisePoly1D:
+def l2_interpolant_1d(z, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly1D:
     """Cellwise L2 projection on every cell (no endpoint matching)."""
     cells = mesh.points[:-1], mesh.points[1:]
-    return PiecewisePoly1D(mesh, _moments(z, cells, k, layer_nq(k, nq)))
+    return PiecewisePoly1D(mesh, _moments(z, cells, k))
 
 
 # -- 2D projections ---------------------------------------------------------
 
 
-def l2_project_2d(z, cell, k: int, nq: int | None = None) -> np.ndarray:
+def l2_project_2d(z, cell, k: int) -> np.ndarray:
     """Tensor L2 projection coefficients (k+1, k+1) on one rectangular cell."""
-    return _moments_2d(z, cell, k, layer_nq(k, nq))
+    return _moments_2d(z, cell, k)
 
 
-def gauss_radau_2d(z, cell, k: int, axis: int, side: str, nq: int | None = None) -> np.ndarray:
+def gauss_radau_2d(z, cell, k: int, axis: int, side: str) -> np.ndarray:
     """Directional Gauss-Radau projection on a rectangular cell.
 
     Volume moments are matched against polynomials one degree lower in the
@@ -184,8 +180,7 @@ def gauss_radau_2d(z, cell, k: int, axis: int, side: str, nq: int | None = None)
     Realized as the 1D Gauss-Radau solve applied mode-by-mode on top of the
     tensor L2 moments, which is what the defining conditions factor into.
     """
-    nq = layer_nq(k, nq)
-    return _radau_2d(z, _moments_2d(z, cell, k, nq), cell, k, nq, axis, side)
+    return _radau_2d(z, _moments_2d(z, cell, k), cell, k, axis, side)
 
 
 def _mesh_cells(mesh: TensorMesh2D):
@@ -194,7 +189,7 @@ def _mesh_cells(mesh: TensorMesh2D):
     return (px[:-1], px[1:]), (py[:, :-1], py[:, 1:])
 
 
-def composite_u_2d(u, mesh: TensorMesh2D, k: int, nq: int | None = None) -> PiecewisePoly2D:
+def composite_u_2d(u, mesh: TensorMesh2D, k: int) -> PiecewisePoly2D:
     """Layer-aware 2D interpolant of u.
 
     On the edge-layer bands the Gauss-Radau projection acts in the
@@ -204,43 +199,41 @@ def composite_u_2d(u, mesh: TensorMesh2D, k: int, nq: int | None = None) -> Piec
     """
     nx, ny = mesh.shape
     i, j = np.arange(nx)[:, None], np.arange(ny)[None, :]
-    cells, nq = _mesh_cells(mesh), layer_nq(k, nq)
-    c = _moments_2d(u, cells, k, nq)
-    c = _radau_2d(u, c, cells, k, nq, 0, "minus", where=_fine_band(i, nx) & _mid_band(j, ny))
-    c = _radau_2d(u, c, cells, k, nq, 1, "minus", where=_mid_band(i, nx) & _fine_band(j, ny))
+    cells = _mesh_cells(mesh)
+    c = _moments_2d(u, cells, k)
+    c = _radau_2d(u, c, cells, k, 0, "minus", where=_fine_band(i, nx) & _mid_band(j, ny))
+    c = _radau_2d(u, c, cells, k, 1, "minus", where=_mid_band(i, nx) & _fine_band(j, ny))
     return PiecewisePoly2D(mesh, c)
 
 
-def composite_px_2d(p, mesh: TensorMesh2D, k: int, nq: int | None = None) -> PiecewisePoly2D:
+def composite_px_2d(p, mesh: TensorMesh2D, k: int) -> PiecewisePoly2D:
     """Interpolant of the x-flux: L2 on the first column, left-edge-matching
     Gauss-Radau in x on all other cells."""
-    cells, nq = _mesh_cells(mesh), layer_nq(k, nq)
-    return PiecewisePoly2D(mesh, _radau_2d(p, _moments_2d(p, cells, k, nq), cells, k, nq, 0,
-                                           "plus", where=np.arange(mesh.shape[0])[:, None] > 0))
+    cells = _mesh_cells(mesh)
+    return PiecewisePoly2D(mesh, _radau_2d(p, _moments_2d(p, cells, k), cells, k, 0, "plus",
+                                           where=np.arange(mesh.shape[0])[:, None] > 0))
 
 
-def composite_qy_2d(q, mesh: TensorMesh2D, k: int, nq: int | None = None) -> PiecewisePoly2D:
+def composite_qy_2d(q, mesh: TensorMesh2D, k: int) -> PiecewisePoly2D:
     """Interpolant of the y-flux: L2 on the first row, bottom-edge-matching
     Gauss-Radau in y elsewhere."""
-    cells, nq = _mesh_cells(mesh), layer_nq(k, nq)
-    return PiecewisePoly2D(mesh, _radau_2d(q, _moments_2d(q, cells, k, nq), cells, k, nq, 1,
-                                           "plus", where=np.arange(mesh.shape[1])[None, :] > 0))
+    cells = _mesh_cells(mesh)
+    return PiecewisePoly2D(mesh, _radau_2d(q, _moments_2d(q, cells, k), cells, k, 1, "plus",
+                                           where=np.arange(mesh.shape[1])[None, :] > 0))
 
 
-def l2_interpolant_2d(z, mesh: TensorMesh2D, k: int, nq: int | None = None) -> PiecewisePoly2D:
-    return PiecewisePoly2D(mesh, _moments_2d(z, _mesh_cells(mesh), k, layer_nq(k, nq)))
+def l2_interpolant_2d(z, mesh: TensorMesh2D, k: int) -> PiecewisePoly2D:
+    return PiecewisePoly2D(mesh, _moments_2d(z, _mesh_cells(mesh), k))
 
 
 # -- interpolation-error measurement ----------------------------------------
 
 
-def measure_interp_error(field, interp: PiecewisePoly1D, norm: str = "l2",
-                         nq: int | None = None) -> float:
+def measure_interp_error(field, interp: PiecewisePoly1D, norm: str = "l2") -> float:
     """L2 or max-norm distance between a callable field and a piecewise
     polynomial; the max norm samples quadrature nodes plus both cell ends."""
     mesh = interp.mesh
-    k = interp.degree
-    rule = gauss_rule(layer_nq(k, nq))
+    rule = layer_rule(interp.degree)
     X = mesh.quad_points(rule.nodes)
     diff = np.asarray(field(X), dtype=float) - interp.values_on_ref(rule.nodes)
     if norm == "l2":
@@ -253,11 +246,9 @@ def measure_interp_error(field, interp: PiecewisePoly1D, norm: str = "l2",
     raise ValueError(f"norm must be 'l2' or 'linf', got {norm!r}")
 
 
-def measure_interp_error_2d(field, interp: PiecewisePoly2D, norm: str = "l2",
-                            nq: int | None = None) -> float:
+def measure_interp_error_2d(field, interp: PiecewisePoly2D, norm: str = "l2") -> float:
     mesh = interp.mesh
-    k = interp.degree
-    rule = gauss_rule(layer_nq(k, nq))
+    rule = layer_rule(interp.degree)
 
     def sample(tx, ty):
         exact = np.asarray(field(*mesh.quad_points(tx, ty)), dtype=float)

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .assembly1d import FluxConfig, solve_1d
-from .assembly2d import FluxConfig2D, solve_2d
+from .assembly2d import solve_2d
 from .mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from .norms import ErrorReport, error_report_1d, error_report_2d
 from .problems import PROBLEM_NAMES, get_problem
@@ -48,7 +48,8 @@ def rate_p(e_n: float, e_2n: float, n: int) -> float:
 class StudyConfig:
     """One sweep: problem, degrees, eps values, mesh sizes and flux variant.
 
-    sigma=None applies the default grading rule sigma = k + 1.
+    sigma=None applies the default grading rule sigma = k + 1; a given
+    sigma must be positive.  The mesh takes beta from the problem.
     """
 
     dim: int = 1
@@ -58,7 +59,6 @@ class StudyConfig:
     sigma: float | None = None
     problem: str = "layer1d"
     flux: str = "paper"
-    beta: float = 1.0
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -68,6 +68,8 @@ class StudyConfig:
         for n in self.n_list:
             if n < 4 or n % 4 != 0:
                 raise ValueError(f"every N must be a positive multiple of 4, got {n}")
+        if self.sigma is not None and not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.flux not in ("paper", "classic"):
             raise ValueError(f"flux must be 'paper' or 'classic', got {self.flux!r}")
         if self.problem not in PROBLEM_NAMES:
@@ -102,18 +104,14 @@ def _run_case(cfg: StudyConfig, k: int, eps: float, n: int) -> ConvergenceRecord
     sigma = cfg.sigma_for(k)
     rec = ConvergenceRecord(dim=cfg.dim, k=k, sigma=sigma, eps=eps, N=n)
     try:
-        params = MeshParams(eps=eps, beta=cfg.beta, sigma=sigma, N=n)
-        mesh1 = build_shishkin_1d(params)
         problem = get_problem(cfg.problem, eps)
+        mesh = build_shishkin_1d(MeshParams(eps=eps, beta=problem.beta, sigma=sigma, N=n))
+        fc = getattr(FluxConfig, cfg.flux)(eps, n)
         if cfg.dim == 1:
-            fc = FluxConfig.paper(eps, n) if cfg.flux == "paper" else FluxConfig.classic(eps, n)
-            w = solve_1d(mesh1, problem, k, fc)
-            rec.report = error_report_1d(w, problem, fc)
+            rec.report = error_report_1d(solve_1d(mesh, problem, k, fc), problem, fc)
         else:
-            mesh2 = build_tensor_2d(mesh1, mesh1)
-            fc2 = FluxConfig2D.paper(eps, n) if cfg.flux == "paper" else FluxConfig2D.classic(eps, n)
-            t = solve_2d(mesh2, problem, k, fc2)
-            rec.report = error_report_2d(t, problem, fc2)
+            t = solve_2d(build_tensor_2d(mesh, mesh), problem, k, fc)
+            rec.report = error_report_2d(t, problem, fc)
     except Exception as exc:  # per-case failures recorded; the sweep continues
         rec.status = f"error: {type(exc).__name__}"
         rec.detail = str(exc)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ldgrd.assembly1d import FluxConfig, LdgSolution1D, solve_1d
-from ldgrd.assembly2d import FluxConfig2D, LdgSolution2D
+from ldgrd.assembly2d import LdgSolution2D
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import discrete_energy_sq, discrete_energy_sq_2d, error_report_2d
 from ldgrd.polyspace import PiecewisePoly1D, PiecewisePoly2D, gauss_rule, legendre_basis
@@ -82,7 +82,7 @@ def run2d():
     for N in (8, 16, 32, 64, 128):
         m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
         mesh2 = build_tensor_2d(m, m)
-        cfg = FluxConfig2D.paper(eps, N)
+        cfg = FluxConfig.paper(eps, N)
         sol = solve_2d(mesh2, prob, 1, cfg)
         vals[N] = error_report_2d(sol, prob, cfg).err_balanced
     return vals, time.time() - t0
@@ -198,7 +198,7 @@ def test_criterion_05_energy_identity():
             for k in (1, 2):
                 m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
                 mesh2 = build_tensor_2d(m, m)
-                cfg2 = FluxConfig2D.paper(eps, N)
+                cfg2 = FluxConfig.paper(eps, N)
                 shape = (N, N, k + 1, k + 1)
                 for _ in range(7):
                     z = LdgSolution2D(
@@ -228,7 +228,7 @@ def test_criterion_06_polynomial_exactness():
 
     mesh2 = build_tensor_2d(mesh, mesh)
     prob2 = poly_exact_2d(eps)
-    t = solve_2d(mesh2, prob2, 2, FluxConfig2D.paper(eps, 8))
+    t = solve_2d(mesh2, prob2, 2, FluxConfig.paper(eps, 8))
     ext = np.linspace(-1.0, 1.0, 5)
     mids = 0.5 * (mesh.points[:-1] + mesh.points[1:])
     X = mids[:, None] + 0.5 * mesh.widths[:, None] * ext[None, :]

@@ -59,8 +59,7 @@ def test_flux_u_hat_jump_penalty_values():
     # piecewise constants around the special interface m=3: Q jumps by 2
     eps = 1e-4
     mesh = uniform_mesh(4)
-    cfg = FluxConfig(eps=eps, lambda0=0.01, lambdaN=0.01, lambda_q=100.0,
-                     special_interface=3)
+    cfg = FluxConfig(eps=eps, lambda_boundary=0.01, lambda_jump=100.0, special_index=3)
     qc = np.zeros((4, 2))
     qc[3, 0] = 2.0  # Q = 2 on the cell right of interface 3, 0 to the left
     uc = np.zeros((4, 2))
@@ -84,7 +83,7 @@ def test_flux_q_hat_values(rng):
     uc = np.zeros((4, 2))
     uc[0] = [0.5, -0.5]  # U = 0.5 - 0.5 t on first cell: U+(0) = 1
     w = LdgSolution1D(q=PiecewisePoly1D(mesh, qc), u=PiecewisePoly1D(mesh, uc))
-    assert math.isclose(flux_q_hat(w, 0, cfg), 0.01, rel_tol=1e-14)  # lambda0 * 1
+    assert math.isclose(flux_q_hat(w, 0, cfg), 0.01, rel_tol=1e-14)  # lambda_boundary * 1
     w2 = make_pair(mesh, 2, rng)
     for j in (1, 2, 3):
         assert flux_q_hat(w2, j, cfg) == w2.q.trace_right(j)
@@ -126,8 +125,7 @@ def test_bilinear_hand_value():
     # penalties sqrt(eps) each
     eps = 1e-4
     mesh = uniform_mesh(8)
-    cfg = FluxConfig(eps=eps, lambda0=0.01, lambdaN=0.01, lambda_q=100.0,
-                     special_interface=6)
+    cfg = FluxConfig(eps=eps, lambda_boundary=0.01, lambda_jump=100.0, special_index=6)
     coeffs = np.zeros((8, 2))
     u1 = PiecewisePoly1D(mesh, coeffs + np.array([1.0, 0.0]))
     w = LdgSolution1D(q=PiecewisePoly1D(mesh, coeffs), u=u1)
@@ -159,7 +157,7 @@ def test_energy_identity_on_random_pairs(eps, N, k, rng):
 FLUXES = {
     "paper": FluxConfig.paper,
     "classic": FluxConfig.classic,
-    "paper_m3": lambda eps, N: dataclasses.replace(FluxConfig.paper(eps, N), special_interface=3),
+    "paper_m3": lambda eps, N: dataclasses.replace(FluxConfig.paper(eps, N), special_index=3),
 }
 
 
@@ -237,7 +235,7 @@ def test_special_interface_out_of_range_rejected(special, rng):
     mesh = uniform_mesh(8)
     eps = mesh.params.eps
     problem = poly_exact_1d(eps)
-    cfg = dataclasses.replace(FluxConfig.paper(eps, 8), special_interface=special)
+    cfg = dataclasses.replace(FluxConfig.paper(eps, 8), special_index=special)
     w = make_pair(mesh, 1, rng)
     for call in (lambda: assemble(mesh, problem, 1, cfg), lambda: bilinear_B(w, w, ones_b, cfg),
                  lambda: discrete_energy_sq(w, ones_b, cfg),

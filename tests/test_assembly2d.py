@@ -10,7 +10,6 @@ from scipy.sparse.csgraph import connected_components
 
 from ldgrd.assembly1d import FluxConfig, assemble
 from ldgrd.assembly2d import (
-    FluxConfig2D,
     LdgSolution2D,
     assemble2d,
     bilinear_B2d,
@@ -45,7 +44,7 @@ def test_system_dimension():
     eps = 1e-4
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=4))
     mesh2 = build_tensor_2d(m, m)
-    system = assemble2d(mesh2, poly_exact_2d(eps), 1, FluxConfig2D.paper(eps, 4))
+    system = assemble2d(mesh2, poly_exact_2d(eps), 1, FluxConfig.paper(eps, 4))
     assert system.matrix.shape[0] == 192  # 3 * N^2 * (k+1)^2
 
 
@@ -55,7 +54,7 @@ def test_polynomial_exactness_2d(eps):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=3.0, N=N))
     mesh2 = build_tensor_2d(m, m)
     prob = poly_exact_2d(eps)
-    t = solve_2d(mesh2, prob, k, FluxConfig2D.paper(eps, N))
+    t = solve_2d(mesh2, prob, k, FluxConfig.paper(eps, N))
     ext = np.linspace(-1.0, 1.0, 5)
     mids_x = 0.5 * (m.points[:-1] + m.points[1:])
     X = mids_x[:, None] + 0.5 * m.widths[:, None] * ext[None, :]
@@ -71,8 +70,7 @@ def test_bilinear_2d_hand_value():
     # families at weight sqrt(eps) each
     eps = 1e-4
     mesh2 = uniform_mesh_2d(4)
-    cfg = FluxConfig2D(eps=eps, lambda_boundary=0.01, lambda_p=100.0,
-                       lambda_q=100.0, special_index=3)
+    cfg = FluxConfig(eps=eps, lambda_boundary=0.01, lambda_jump=100.0, special_index=3)
     nx, ny = mesh2.shape
     zero = np.zeros((nx, ny, 2, 2))
     one = zero.copy()
@@ -92,7 +90,7 @@ def test_bilinear_2d_hand_value():
 def test_energy_identity_2d(eps, N, k, rng):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2 = build_tensor_2d(m, m)
-    cfg = FluxConfig2D.paper(eps, N)
+    cfg = FluxConfig.paper(eps, N)
     for _ in range(3):
         z = make_triple(mesh2, k, rng)
         b_val = bilinear_B2d(z, z, two_b, cfg)
@@ -101,9 +99,9 @@ def test_energy_identity_2d(eps, N, k, rng):
 
 
 FLUXES = {
-    "paper": FluxConfig2D.paper,
-    "classic": FluxConfig2D.classic,
-    "paper_m1": lambda eps, N: dataclasses.replace(FluxConfig2D.paper(eps, N), special_index=1),
+    "paper": FluxConfig.paper,
+    "classic": FluxConfig.classic,
+    "paper_m1": lambda eps, N: dataclasses.replace(FluxConfig.paper(eps, N), special_index=1),
 }
 
 
@@ -131,7 +129,7 @@ def test_special_index_out_of_range_rejected(special, rng):
     mesh2 = uniform_mesh_2d(8)
     eps = mesh2.mesh_x.params.eps
     problem = poly_exact_2d(eps)
-    cfg = dataclasses.replace(FluxConfig2D.paper(eps, 8), special_index=special)
+    cfg = dataclasses.replace(FluxConfig.paper(eps, 8), special_index=special)
     t = make_triple(mesh2, 1, rng)
     for call in (lambda: assemble2d(mesh2, problem, 1, cfg), lambda: bilinear_B2d(t, t, two_b, cfg),
                  lambda: discrete_energy_sq_2d(t, two_b, cfg),
@@ -155,7 +153,7 @@ def test_dense_block_pattern(dim, k, flux):
         A = assemble(m, layer1d(eps), k, getattr(FluxConfig, flux)(eps, N)).matrix
     else:
         A = assemble2d(build_tensor_2d(m, m), layer2d(eps), k,
-                       getattr(FluxConfig2D, flux)(eps, N)).matrix
+                       getattr(FluxConfig, flux)(eps, N)).matrix
     B = (k + 1) ** dim
     assert sp.bsr_array(A, blocksize=(B, B)).data.size == A.nnz
 
@@ -175,7 +173,7 @@ def test_condensed_solve_matches_full_lu(k, eps, flux, problem):
     N = 16 if k <= 2 else 8
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2 = build_tensor_2d(m, m)
-    system = assemble2d(mesh2, problem(eps), k, getattr(FluxConfig2D, flux)(eps, N))
+    system = assemble2d(mesh2, problem(eps), k, getattr(FluxConfig, flux)(eps, N))
     full = lu_solve(system.matrix, system.rhs)
     condensed = lu_solve(system.matrix, system.rhs, eliminate=flux_mask(mesh2, k))
     assert np.abs(condensed - full).max() <= 1e-12 * np.abs(full).max()
@@ -191,7 +189,7 @@ def test_saddle_point_structure(k, eps, N, flux, c):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2 = build_tensor_2d(m, m)
     problem = dataclasses.replace(layer2d(eps), b=lambda x, y: 1.0 + c * x * (1.0 - y))
-    A = assemble2d(mesh2, problem, k, getattr(FluxConfig2D, flux)(eps, N)).matrix
+    A = assemble2d(mesh2, problem, k, getattr(FluxConfig, flux)(eps, N)).matrix
     mask = flux_mask(mesh2, k)
     f, u = np.flatnonzero(mask), np.flatnonzero(~mask)
     Af, Au = A[f], A[u]
@@ -207,7 +205,7 @@ def test_assembly_2d_deterministic():
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=8))
     mesh2 = build_tensor_2d(m, m)
     prob = layer2d(eps)
-    cfg = FluxConfig2D.paper(eps, 8)
+    cfg = FluxConfig.paper(eps, 8)
     s1 = assemble2d(mesh2, prob, 1, cfg)
     s2 = assemble2d(mesh2, prob, 1, cfg)
     assert np.array_equal(s1.matrix.indptr, s2.matrix.indptr)
@@ -226,8 +224,8 @@ def test_coefficient_roundtrip_2d(rng):
 
 
 def test_classic_flux_config():
-    cfg = FluxConfig2D.classic(1e-8, 16)
-    assert cfg.lambda_p == 0.0 and cfg.lambda_q == 0.0
+    cfg = FluxConfig.classic(1e-8, 16)
+    assert cfg.lambda_jump == 0.0
     assert cfg.lambda_boundary == 1e-4
     assert cfg.special_index == 12
 
@@ -269,7 +267,7 @@ def test_smooth_solution_converges_at_optimal_order():
     for N in (8, 16, 32):
         m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
         mesh2 = build_tensor_2d(m, m)
-        cfg = FluxConfig2D.paper(eps, N)
+        cfg = FluxConfig.paper(eps, N)
         t = solve_2d(mesh2, prob, k, cfg)
         errs.append(error_report_2d(t, prob, cfg).err_l2_u)
     order = math.log(errs[1] / errs[2]) / math.log(2.0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ldgrd.assembly1d import FluxConfig, assemble, solve_1d
-from ldgrd.assembly2d import FluxConfig2D, solve_2d
+from ldgrd.assembly1d import FluxConfig
+from ldgrd.assembly2d import solve_2d
 from ldgrd.linalg import SingularSystemError, from_coo, lu_solve, matvec, residual_inf
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.problems import poly_exact_1d, poly_exact_2d
@@ -99,7 +100,7 @@ def test_debug_record_per_solve(caplog):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     with caplog.at_level(logging.DEBUG, logger="ldgrd"):
         solve_1d(m, poly_exact_1d(eps), 1, FluxConfig.paper(eps, N))
-        solve_2d(build_tensor_2d(m, m), poly_exact_2d(eps), 1, FluxConfig2D.paper(eps, N))
+        solve_2d(build_tensor_2d(m, m), poly_exact_2d(eps), 1, FluxConfig.paper(eps, N))
     one, two = solve_records(caplog)
     assert (one["path"], one["unknowns"], one["factored"]) == ("lu", "16", "16")
     assert (two["path"], two["unknowns"], two["factored"]) == ("condensed", "192", "64")

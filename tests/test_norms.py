@@ -5,12 +5,13 @@ from typing import Callable
 import numpy as np
 import pytest
 
+from ldgrd import polyspace
 from ldgrd.assembly1d import FluxConfig, LdgSolution1D, bilinear_B, solve_1d
-from ldgrd.assembly2d import FluxConfig2D, LdgSolution2D, bilinear_B2d
-from ldgrd.mesh import MeshParams, build_shishkin_1d
+from ldgrd.assembly2d import LdgSolution2D, bilinear_B2d, solve_2d
+from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import discrete_energy_sq, discrete_energy_sq_2d, error_report_1d, error_report_2d
 from ldgrd.polyspace import PiecewisePoly1D, PiecewisePoly2D
-from ldgrd.problems import layer1d, poly_exact_1d
+from ldgrd.problems import layer1d, layer2d, poly_exact_1d
 
 from conftest import uniform_mesh, uniform_mesh_2d
 
@@ -42,8 +43,7 @@ def test_energy_error_hand_value():
     eps = 1e-4
     mesh = uniform_mesh(8)
     prob = ZeroProblem1D(eps=eps)
-    cfg = FluxConfig(eps=eps, lambda0=0.01, lambdaN=0.01, lambda_q=100.0,
-                     special_interface=6)
+    cfg = FluxConfig(eps=eps, lambda_boundary=0.01, lambda_jump=100.0, special_index=6)
     w = unit_pair(mesh, eps)
     val = error_report_1d(w, prob, cfg).err_energy
     assert math.isclose(val, math.sqrt(1.0 + 2.0 * 0.01), rel_tol=1e-13)
@@ -61,8 +61,7 @@ def test_balanced_error_hand_value():
 def test_discrete_energy_hand_value():
     eps = 1e-4
     mesh = uniform_mesh(8)
-    cfg = FluxConfig(eps=eps, lambda0=0.01, lambdaN=0.01, lambda_q=100.0,
-                     special_interface=6)
+    cfg = FluxConfig(eps=eps, lambda_boundary=0.01, lambda_jump=100.0, special_index=6)
     w = unit_pair(mesh, eps)
     val = discrete_energy_sq(w, lambda x: np.ones_like(x), cfg)
     assert math.isclose(val, 1.02, rel_tol=1e-13)
@@ -76,7 +75,7 @@ def test_energy_error_reads_special_interface(special, rng):
     # the jump term sits where cfg puts it, as in the scheme (3N/4 = 6 here)
     mesh = uniform_mesh(8)
     eps = mesh.params.eps
-    cfg = replace(FluxConfig.paper(eps, 8), special_interface=special)
+    cfg = replace(FluxConfig.paper(eps, 8), special_index=special)
     w = LdgSolution1D(q=PiecewisePoly1D(mesh, rng.standard_normal((8, 3))),
                       u=PiecewisePoly1D(mesh, rng.standard_normal((8, 3))))
     prob = ZeroProblem1D(eps=eps)
@@ -118,16 +117,32 @@ def test_norm_homogeneity(s, rng):
     assert math.isclose(reps.err_linf_u, s * rep1.err_linf_u, rel_tol=1e-12)
 
 
-def test_quadrature_refinement_stability():
+def test_quadrature_refinement_stability(monkeypatch):
     eps = 1e-8
     N, k = 64, 1
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     prob = layer1d(eps)
     cfg = FluxConfig.paper(eps, N)
     w = solve_1d(mesh, prob, k, cfg)
-    base = error_report_1d(w, prob, cfg, nq=k + 5)
-    fine = error_report_1d(w, prob, cfg, nq=2 * (k + 5))
+    base = error_report_1d(w, prob, cfg)  # the default rule, k+5 nodes
+    monkeypatch.setattr(polyspace, "LAYER_EXTRA_NODES", k + 9)  # 2(k+5) nodes
+    fine = error_report_1d(w, prob, cfg)
     for name in ("err_energy", "err_balanced", "err_l2_u", "err_l2_q"):
+        b, f = getattr(base, name), getattr(fine, name)
+        assert abs(b - f) / f < 1e-3
+
+
+def test_quadrature_refinement_stability_2d(monkeypatch):
+    eps = 1e-8
+    N, k = 16, 1
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
+    prob = layer2d(eps)
+    cfg = FluxConfig.paper(eps, N)
+    t = solve_2d(build_tensor_2d(m, m), prob, k, cfg)
+    base = error_report_2d(t, prob, cfg)  # the default rule, k+5 nodes per axis
+    monkeypatch.setattr(polyspace, "LAYER_EXTRA_NODES", k + 9)  # 2(k+5) nodes per axis
+    fine = error_report_2d(t, prob, cfg)
+    for name in ("err_energy", "err_balanced", "err_l2_u", "err_l2_q", "err_l2_p"):
         b, f = getattr(base, name), getattr(fine, name)
         assert abs(b - f) / f < 1e-3
 
@@ -176,8 +191,7 @@ def test_2d_hand_values():
     eps = 1e-4
     mesh2 = uniform_mesh_2d(4)
     prob = ZeroProblem2D(eps=eps)
-    cfg = FluxConfig2D(eps=eps, lambda_boundary=0.01, lambda_p=100.0,
-                       lambda_q=100.0, special_index=3)
+    cfg = FluxConfig(eps=eps, lambda_boundary=0.01, lambda_jump=100.0, special_index=3)
     t = unit_triple(mesh2)
     # b=2 volume term plus four unit boundary edge families
     assert math.isclose(error_report_2d(t, prob, cfg).err_balanced, math.sqrt(6.0), rel_tol=1e-13)
@@ -192,7 +206,7 @@ def test_2d_hand_values():
 def test_2d_zero_error():
     mesh2 = uniform_mesh_2d(4)
     prob = ZeroProblem2D(eps=1e-4)
-    cfg = FluxConfig2D.paper(1e-4, 4)
+    cfg = FluxConfig.paper(1e-4, 4)
     nx, ny = mesh2.shape
     zero = np.zeros((nx, ny, 2, 2))
     t = LdgSolution2D(u=PiecewisePoly2D(mesh2, zero), p=PiecewisePoly2D(mesh2, zero),
@@ -206,7 +220,7 @@ def test_2d_energy_norms_read_special_index(special, rng):
     # the jump lines sit where cfg puts them, as in the scheme (3N/4 = 6 here)
     mesh2 = uniform_mesh_2d(8)
     eps = mesh2.mesh_x.params.eps
-    cfg = replace(FluxConfig2D.paper(eps, 8), special_index=special)
+    cfg = replace(FluxConfig.paper(eps, 8), special_index=special)
     t = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((8, 8, 3, 3)))
                         for _ in range(3)))
     prob = ZeroProblem2D(eps=eps)

@@ -13,7 +13,6 @@ from ldgrd.polyspace import (
     leg_mass,
     legendre_basis,
     legendre_basis_deriv,
-    legendre_eval,
 )
 
 from conftest import uniform_mesh, uniform_mesh_2d
@@ -50,11 +49,11 @@ def test_rule_weights_and_exactness(n, rng):
 
 
 def test_legendre_point_values():
-    assert legendre_eval(0, 0.7) == 1.0
-    assert legendre_eval(1, 0.7) == 0.7
-    assert abs(legendre_eval(2, 0.5) - (-0.125)) < 1e-15
-    assert legendre_eval(3, 1.0) == 1.0
-    assert legendre_eval(3, -1.0) == -1.0
+    assert legendre_basis(0, 0.7)[0] == 1.0
+    assert legendre_basis(1, 0.7)[1] == 0.7
+    assert abs(legendre_basis(2, 0.5)[2] - (-0.125)) < 1e-15
+    assert legendre_basis(3, 1.0)[3] == 1.0
+    assert legendre_basis(3, -1.0)[3] == -1.0
 
 
 def test_legendre_orthogonality():
@@ -137,19 +136,6 @@ def test_values_on_ref_consistent_with_eval(rng):
     for j in range(8):
         xs = mid[j] + 0.5 * mesh.widths[j] * t
         assert np.abs(poly.eval(xs) - vals[j]).max() < 1e-13
-
-
-def test_deriv_values_on_ref(rng):
-    mesh = uniform_mesh(4)
-    coeffs = rng.standard_normal((4, 4))
-    poly = PiecewisePoly1D(mesh, coeffs)
-    t = np.array([-0.5, 0.25])
-    der = poly.deriv_values_on_ref(t)
-    h = 1e-7
-    vp = poly.values_on_ref(t + h)
-    vm = poly.values_on_ref(t - h)
-    fd = (vp - vm) / (2 * h) * (2.0 / mesh.widths)[:, None]
-    assert np.abs(der - fd).max() < 1e-5
 
 
 def test_2d_eval_and_traces(rng):

@@ -167,6 +167,13 @@ def test_cli_rejects_empty_n_list(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_rejects_bad_sigma(capsys):
+    for sigma in ("abc", "0", "-1"):
+        code = main(["--degree", "1", "--eps", "1e-6", "--N", "8", "--sigma", sigma])
+        assert code == 2, sigma
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_nonzero_exit_on_case_failure(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["--degree", "3", "--eps", "1e-2", "--N", "8",

@@ -1,10 +1,13 @@
-"""Compare the assembled systems of two source trees of ldgrd.
+"""Compare the assembled systems, solutions and error reports of two source
+trees of ldgrd.
 
 Dump mode imports ldgrd from the given tree (its `src/` directory) in this
-process only, assembles every case of the acceptance grids and saves the CSR
-`indptr`, `indices`, `data` and the right-hand side `rhs` of each case to an
-`.npz` file.  Run it once per tree, each in its own process, so that the two
-packages never share an interpreter:
+process only, assembles and solves every case of the acceptance grids and
+saves, per case, the CSR `indptr`, `indices`, `data`, the right-hand side
+`rhs`, the solution vector `x` and the `error_report` values `report` (in
+field order, without the 1D `err_l2_p`) to an `.npz` file.  Run it once per
+tree, each in its own process, so that the two packages never share an
+interpreter:
 
     python3 tools/compare_outputs.py dump /path/to/parent parent.npz
     python3 tools/compare_outputs.py dump . new.npz
@@ -38,19 +41,20 @@ import numpy as np
 GRID_1D = dict(k=(1, 2, 3), eps=(1e-4, 1e-6, 1e-8, 1e-10, 1e-12), N=(32, 64, 128, 256, 512, 1024))
 GRID_2D = dict(k=(1, 2), eps=(1e-6, 1e-8, 1e-12), N=(8, 16, 32))
 SPECIAL_1D, SPECIAL_2D = 3, 5
-RTOL_2D_DATA = 1e-15  # the 1D system and the 2D pattern and rhs stay bitwise
+RTOL_2D_DATA = 1e-15  # every other array, the 2D pattern and rhs included, stays bitwise
 
 
 def _cases():
-    """Yield (key, system) for every case of both grids."""
-    from ldgrd.assembly1d import FluxConfig, assemble
-    from ldgrd.assembly2d import FluxConfig2D, assemble2d
+    """Yield (key, system, solution vector, error report) for every case of
+    both grids."""
+    from ldgrd.assembly1d import FluxConfig, assemble, solution_to_coeffs, solve_1d
+    from ldgrd.assembly2d import assemble2d, solution_to_coeffs_2d, solve_2d
     from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
+    from ldgrd.norms import error_report_1d, error_report_2d
     from ldgrd.problems import get_problem
 
     for dim, grid in ((1, GRID_1D), (2, GRID_2D)):
-        Config = FluxConfig if dim == 1 else FluxConfig2D
-        special = {"special_interface": SPECIAL_1D} if dim == 1 else {"special_index": SPECIAL_2D}
+        special = SPECIAL_1D if dim == 1 else SPECIAL_2D
         for k in grid["k"]:
             for eps in grid["eps"]:
                 problem = get_problem(f"layer{dim}d", eps)
@@ -60,16 +64,22 @@ def _cases():
                     except ValueError:
                         continue
                     configs = {
-                        "paper": Config.paper(eps, N),
-                        "classic": Config.classic(eps, N),
-                        "special": dataclasses.replace(Config.paper(eps, N), **special),
+                        "paper": FluxConfig.paper(eps, N),
+                        "classic": FluxConfig.classic(eps, N),
+                        "special": dataclasses.replace(FluxConfig.paper(eps, N),
+                                                       special_index=special),
                     }
                     for name, cfg in configs.items():
                         key = f"{dim}d/k{k}/eps{eps:.0e}/N{N}/{name}"
                         if dim == 1:
-                            yield key, assemble(mesh, problem, k, cfg)
+                            w = solve_1d(mesh, problem, k, cfg)
+                            yield (key, assemble(mesh, problem, k, cfg), solution_to_coeffs(w),
+                                   error_report_1d(w, problem, cfg))
                         else:
-                            yield key, assemble2d(build_tensor_2d(mesh, mesh), problem, k, cfg)
+                            mesh2 = build_tensor_2d(mesh, mesh)
+                            t = solve_2d(mesh2, problem, k, cfg)
+                            yield (key, assemble2d(mesh2, problem, k, cfg),
+                                   solution_to_coeffs_2d(t), error_report_2d(t, problem, cfg))
 
 
 def dump(tree: Path, out: Path) -> None:
@@ -80,12 +90,14 @@ def dump(tree: Path, out: Path) -> None:
     if not Path(ldgrd.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"imported ldgrd from {ldgrd.__file__}, not from {src}")
     arrays = {}
-    for key, system in _cases():
+    for key, system, x, report in _cases():
         A = system.matrix
+        values = [v for v in dataclasses.astuple(report) if v is not None]
         arrays.update({f"{key}/indptr": A.indptr, f"{key}/indices": A.indices,
-                       f"{key}/data": A.data, f"{key}/rhs": system.rhs})
+                       f"{key}/data": A.data, f"{key}/rhs": system.rhs,
+                       f"{key}/x": x, f"{key}/report": np.array(values)})
     np.savez(out, **arrays)
-    print(f"{len(arrays) // 4} cases, {len(arrays)} arrays from {src} -> {out}")
+    print(f"{len(arrays) // 6} cases, {len(arrays)} arrays from {src} -> {out}")
 
 
 def _status(a, b) -> tuple[str, float]:
@@ -128,7 +140,8 @@ def compare(old: Path, new: Path) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    d = sub.add_parser("dump", help="assemble the grids with the ldgrd of TREE and save them")
+    d = sub.add_parser("dump", help="assemble and solve the grids with the ldgrd of TREE "
+                                    "and save them")
     d.add_argument("tree", type=Path, help="source tree holding src/ldgrd")
     d.add_argument("out", type=Path, help="output .npz file")
     c = sub.add_parser("compare", help="compare two dumps array by array")
