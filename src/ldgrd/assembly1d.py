@@ -19,6 +19,7 @@ __all__ = [
     "flux_u_hat",
     "flux_q_hat",
     "assemble",
+    "table_matrix",
     "solve_1d",
     "bilinear_B",
     "coeffs_to_solution",
@@ -168,6 +169,23 @@ def _block_triplets(r0: np.ndarray, c0: np.ndarray, blocks: np.ndarray):
     return rows.ravel(), cols.ravel(), vals.ravel()
 
 
+def _table_sum(N: int, B: int, table: list[_Coupling]):
+    """The matrix of the table's blocks, in the unknown ordering of assemble."""
+    def off(c, field):  # coefficient (and test-row) offset of field in cell c
+        return (2 * c + field) * B
+
+    parts = [_block_triplets(off(t.test_cell, t.test_field), off(t.trial_cell, t.trial_field),
+                             t.blocks) for t in table]
+    return from_coo(2 * N * B, *(np.concatenate(a) for a in zip(*parts)))
+
+
+def table_matrix(mesh: ShishkinMesh1D, k: int, cfg: FluxConfig):
+    """The scheme's b-free 1D operator: the matrix of assemble without the
+    reaction mass."""
+    volume, hats = _couplings(mesh, k, cfg)
+    return _table_sum(mesh.ncells, k + 1, volume + hats)
+
+
 def _check_special(N: int, special: int) -> None:
     if not 1 <= special <= N - 1:
         raise ValueError(f"special line index {special} is not an interior line 1..{N - 1} "
@@ -205,19 +223,12 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig) -> SparseSy
     fX = np.broadcast_to(np.asarray(problem.f(X), dtype=float), X.shape)
     b_blocks = np.einsum("g,jg,ag,ng->jan", rule.weights, bX, phi, phi) * (0.5 * h)[:, None, None]
     f_mom = np.einsum("g,jg,ag->ja", rule.weights, fX, phi) * (0.5 * h)[:, None]
-
-    def off(c, field):  # coefficient (and test-row) offset of field in cell c
-        return (2 * c + field) * B
-
     volume, hats = _couplings(mesh, k, cfg)
     # The reaction mass goes between the volume entries and the hats: the order
     # in which from_coo sums coincident entries depends on each triplet's place
     # in its row, and this place keeps the matrix's last bits.
     reaction = _Coupling(np.arange(N), _PRIMAL, np.arange(N), _PRIMAL, b_blocks)
-    parts = [_block_triplets(off(t.test_cell, t.test_field), off(t.trial_cell, t.trial_field),
-                             t.blocks) for t in volume + [reaction] + hats]
-    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-    matrix = from_coo(2 * N * B, rows, cols, vals)
+    matrix = _table_sum(N, B, volume + [reaction] + hats)
     rhs = np.zeros((N, 2, B))
     rhs[:, _PRIMAL] = f_mom
     ordering = "cell-major; per cell [Q_0..Q_k, U_0..U_k]"

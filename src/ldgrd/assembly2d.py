@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly1d import (ASSEMBLY_EXTRA_NODES, FluxConfig, _block_triplets, _check_consistent,
-                         _check_special, _couplings)
-from .linalg import SparseSystem, from_coo, lu_solve
+                         _check_special, _couplings, table_matrix)
+from .linalg import Elimination, KroneckerSumSolve, SparseSystem, from_coo, lu_solve
 from .mesh import TensorMesh2D
 from .polyspace import PiecewisePoly2D, gauss_rule, grad_matrix, leg_mass, legendre_basis
 
@@ -69,9 +69,10 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> SparseSy
     shape4 = (nx, ny, rule.n, rule.n)
     bV = np.broadcast_to(np.asarray(problem.b(X4, Y4), dtype=float), shape4)
     fV = np.broadcast_to(np.asarray(problem.f(X4, Y4), dtype=float), shape4)
-    # (b u, v) blocks and f moments for all cells at once
-    b_blocks = np.einsum("ijxy,x,y,ax,mx,by,ny->ijabmn",
-                         bV, rule.weights, rule.weights, phi, phi, phi, phi)
+    # (b u, v) blocks, contracted one axis at a time (x, then y) by matmuls
+    wpp = np.einsum("x,ax,mx->xam", rule.weights, phi, phi).reshape(rule.n, B2)
+    b_blocks = (np.swapaxes(np.swapaxes(bV, 2, 3) @ wpp, 2, 3) @ wpp).reshape(
+        nx, ny, B1, B1, B1, B1).transpose(0, 1, 2, 4, 3, 5)
     b_blocks = b_blocks.reshape(nx, ny, B2, B2) * np.multiply.outer(
         0.5 * hx, 0.5 * hy)[:, :, None, None]
     f_mom = np.einsum("ijxy,x,y,ax,by->ijab", fV, rule.weights, rule.weights, phi, phi)
@@ -131,12 +132,32 @@ def solution_to_coeffs_2d(t: LdgSolution2D) -> np.ndarray:
     return stacked.ravel()
 
 
+def _tensor_solve(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig):
+    """The fast-diagonalization solve of the Schur complement in U if b is one
+    positive constant on the assembly quadrature grid, else None."""
+    nodes = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES).nodes
+    bV = np.asarray(problem.b(*mesh.quad_points(nodes, nodes)), dtype=float).ravel()
+    if not (bV[0] > 0.0 and np.all(bV == bV[0])):
+        return None
+    B1, (nx, ny) = k + 1, mesh.shape
+
+    def axis(m):  # the 1D Schur operator in U of the b-free table, and the U mass
+        flux = np.tile(np.repeat([True, False], B1), m.ncells)
+        return (Elimination(table_matrix(m, k, cfg), flux).schur(),
+                ((0.5 * m.widths)[:, None] * leg_mass(k)).ravel())
+
+    # U is ordered [y cell, x cell, x mode, y mode]
+    order = np.arange(nx * ny * B1 * B1).reshape(ny, nx, B1, B1).transpose(1, 2, 0, 3).ravel()
+    return KroneckerSumSolve(float(bV[0]), axis(mesh.mesh_x), axis(mesh.mesh_y), order)
+
+
 def solve_2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> LdgSolution2D:
     system = assemble2d(mesh, problem, k, cfg)
     # P and Q are coupled only within their cell and across the special
     # lines, so they are condensed out of the solve.
     flux = np.tile(np.repeat(np.arange(3) != _U, (k + 1) ** 2), mesh.shape[0] * mesh.shape[1])
-    x = lu_solve(system.matrix, system.rhs, eliminate=flux)
+    x = lu_solve(system.matrix, system.rhs, eliminate=flux,
+                 schur_solve=_tensor_solve(mesh, problem, k, cfg))
     return coeffs_to_solution_2d(mesh, k, x)
 
 

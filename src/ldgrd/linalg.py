@@ -17,6 +17,8 @@ __all__ = [
     "matvec",
     "lu_solve",
     "residual_inf",
+    "Elimination",
+    "KroneckerSumSolve",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -99,58 +101,85 @@ def _block_inverse(Aff: sp.csr_array) -> sp.csr_array:
                         shape=(n, n))
 
 
-def _factor_lu(A: sp.csr_array):
-    """Factor the whole of A; returns (solve, factored matrix, factor)."""
-    try:
-        factor = spla.splu(A.tocsc())
-    except RuntimeError as exc:  # SuperLU reports the failing pivot index
-        raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
-    return factor.solve, A, factor
+class Elimination:
+    """Blockwise elimination of the unknowns f = mask from A x = r; A[f,f]
+    must split into small independent blocks, which are inverted exactly."""
 
+    def __init__(self, A: sp.csr_array, mask: np.ndarray):
+        self.f, self.u = f, u = np.flatnonzero(mask), np.flatnonzero(~mask)
+        Af, self.Au = A[f], A[u]
+        self.Aff_inv, self.Auf, self.Afu = _block_inverse(Af[:, f]), self.Au[:, f], Af[:, u]
 
-def _factor_condensed(A: sp.csr_array, mask: np.ndarray):
-    """Eliminate the unknowns f = mask blockwise and factor the Schur
-    complement S = A[u,u] - A[u,f] A[f,f]^-1 A[f,u] in the others; returns
-    (solve, S, factor).  S is taken to be symmetric positive definite, so it
-    is factored without pivoting."""
-    f, u = np.flatnonzero(mask), np.flatnonzero(~mask)
-    Af, Au = A[f], A[u]
-    Aff_inv = _block_inverse(Af[:, f])
-    Auf, Afu = Au[:, f], Af[:, u]
-    S = (Au[:, u] - Auf @ (Aff_inv @ Afu)).tocsc()
-    try:
-        factor = spla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SingularSystemError(
-            f"sparse LU factorization of the Schur complement failed: {exc}") from exc
+    def schur(self) -> sp.csr_array:
+        """S = A[u,u] - A[u,f] A[f,f]^-1 A[f,u], by three sparse products."""
+        return self.Au[:, self.u] - self.Auf @ (self.Aff_inv @ self.Afu)
 
-    def solve(r):
-        x = np.empty_like(r)
-        x[u] = factor.solve(r[u] - Auf @ (Aff_inv @ r[f]))
-        x[f] = Aff_inv @ (r[f] - Afu @ x[u])
+    def factor(self):
+        """Factor S, taken to be symmetric positive definite, without pivoting;
+        returns (solve of A, record sizes)."""
+        solve_s, sizes = _splu(self.schur(), " of the Schur complement", diag_pivot_thresh=0.0,
+                               permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        return (lambda r: self.solve(r, solve_s)), sizes
+
+    def solve(self, r: np.ndarray, schur_solve) -> np.ndarray:
+        """A^-1 r from a solve of S; the unknowns f are recovered blockwise."""
+        x, f, u = np.empty_like(r), self.f, self.u
+        x[u] = schur_solve(r[u] - self.Auf @ (self.Aff_inv @ r[f]))
+        x[f] = self.Aff_inv @ (r[f] - self.Afu @ x[u])
         return x
 
-    return solve, S, factor
+
+class KroneckerSumSolve:
+    """Solve of S = b*Mx⊗My + Kx⊗My + Mx⊗Ky, b > 0, K symmetric positive
+    semidefinite and M positive diagonal (given as vectors), by fast
+    diagonalization (Lynch, Rice & Thomas 1964): per axis, V = M^-1/2 W with
+    (lam, W) = eigh(M^-1/2 K M^-1/2) has V^T M V = I and V^T K V = diag(lam).
+    g[order] lays the unknowns out as the matrix [x unknown, y unknown]."""
+
+    def __init__(self, b: float, x, y, order: np.ndarray):
+        self.b, self.order, self.axes = b, order, []
+        for K, m in (x, y):
+            s = 1.0 / np.sqrt(m)
+            lam, W = np.linalg.eigh(s[:, None] * K.toarray() * s)
+            self.axes.append((s[:, None] * W, lam))
+        self.size = self.axes[0][1].size
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        (Vx, lx), (Vy, ly) = self.axes
+        G = g[self.order].reshape(lx.size, ly.size)
+        y = np.empty_like(g)
+        y[self.order] = (Vx @ ((Vx.T @ G @ Vy) / (self.b + lx[:, None] + ly)) @ Vy.T).ravel()
+        return y
 
 
-def lu_solve(A: sp.csr_array, rhs: np.ndarray, eliminate=None) -> np.ndarray:
+def _splu(M: sp.csr_array, what: str = "", **options):
+    """SuperLU factor of M; returns (solve, record sizes)."""
+    try:
+        factor = spla.splu(M.tocsc(), **options)
+    except RuntimeError as exc:  # SuperLU reports the failing pivot index
+        raise SingularSystemError(f"sparse LU factorization{what} failed: {exc}") from exc
+    return factor.solve, lambda: (M.shape[0], M.nnz, factor.L.nnz + factor.U.nnz)
+
+
+def lu_solve(A: sp.csr_array, rhs: np.ndarray, eliminate=None,
+             schur_solve: KroneckerSumSolve | None = None) -> np.ndarray:
     """Direct sparse LU solve: SuperLU with partial pivoting on all of A.
 
     With ``eliminate`` (a boolean mask over the unknowns) the masked unknowns
-    are condensed out instead: A[f,f] must split into small independent
-    blocks, which are inverted exactly, and the Schur complement in the other
-    unknowns must be symmetric positive definite, as for the flux unknowns of
-    the LDG saddle-point systems; SuperLU factors that complement without
-    pivoting, and the masked unknowns are recovered blockwise.
+    are condensed out instead (see Elimination), and SuperLU factors the
+    Schur complement in the others without pivoting: it must be symmetric
+    positive definite, as for the flux unknowns of the LDG saddle-point
+    systems.  Given ``schur_solve`` as well, that complement is solved by it
+    and neither formed nor factored unless the result misses the tolerance.
 
-    On either path, performs one step of iterative refinement on the full
-    system if the residual misses RESIDUAL_TOL * max(1, |rhs|_inf); raises
-    SingularSystemError on a singular pivot or block, or if the refined
-    residual still misses the tolerance.  Logs one DEBUG record per solve to
-    the "ldgrd" logger: the path, the unknown count, the size, nnz and LU
-    fill of the factored matrix, and the residual before and after
-    refinement.
+    Refines once on the full system if the residual misses RESIDUAL_TOL *
+    max(1, |rhs|_inf), and always after ``schur_solve``; if that refined
+    residual misses, falls back to factoring S.  Raises SingularSystemError
+    on a singular pivot or block, or if the last refined residual misses.
+    Logs one DEBUG record per path tried to the "ldgrd" logger: the path
+    (lu, condensed or tensor), the unknown count, the size, nnz and LU fill
+    of the factored matrix (tensor: eigenproblem size, 0, 0), and the
+    residual before and after refinement.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (A.shape[0],):
@@ -158,31 +187,36 @@ def lu_solve(A: sp.csr_array, rhs: np.ndarray, eliminate=None) -> np.ndarray:
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs contains non-finite entries")
     if eliminate is None:
-        path, (solve, factored, factor) = "lu", _factor_lu(A)
+        paths = [("lu", lambda: _splu(A))]
     else:
         mask = np.asarray(eliminate, dtype=bool)
         if mask.shape != (A.shape[0],):
             raise ValueError(f"eliminate has shape {mask.shape}, expected ({A.shape[0]},)")
         if not mask.any():
             raise ValueError("eliminate selects no unknown")
-        path, (solve, factored, factor) = "condensed", _factor_condensed(A, mask)
-    x = solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("solver produced non-finite values")
+        elim = Elimination(A, mask)
+        paths = [("condensed", elim.factor)]
+        if schur_solve is not None:
+            paths.insert(0, ("tensor", lambda: (lambda r: elim.solve(r, schur_solve),
+                                                lambda: (schur_solve.size, 0, 0))))
     tol = RESIDUAL_TOL * max(1.0, float(np.abs(rhs).max(initial=0.0)))
-    residual = rhs - matvec(A, x)
-    before = after = float(np.abs(residual).max(initial=0.0))
-    refined = before > tol
-    if refined:
-        x = x + solve(residual)
-        after = residual_inf(A, x, rhs)
-    if logger.isEnabledFor(logging.DEBUG):  # reading L and U copies the factor
-        logger.debug("lu_solve path=%s unknowns=%d factored=%d nnz=%d fill=%d "
-                     "residual=%.3g refined=%s refined_residual=%.3g",
-                     path, A.shape[0], factored.shape[0], factored.nnz,
-                     factor.L.nnz + factor.U.nnz, before, refined, after)
-    if after > tol:
-        raise SingularSystemError(
-            f"residual {after:.3g} after one refinement step misses the tolerance {tol:.3g}"
-        )
-    return x
+    for path, factor in paths:
+        solve, sizes = factor()
+        x = solve(rhs)
+        if not np.all(np.isfinite(x)):
+            raise SingularSystemError("solver produced non-finite values")
+        residual = rhs - matvec(A, x)
+        before = after = float(np.abs(residual).max(initial=0.0))
+        refined = path == "tensor" or before > tol
+        if refined:
+            x = x + solve(residual)
+            after = residual_inf(A, x, rhs)
+        if logger.isEnabledFor(logging.DEBUG):  # reading L and U copies the factor
+            logger.debug("lu_solve path=%s unknowns=%d factored=%d nnz=%d fill=%d "
+                         "residual=%.3g refined=%s refined_residual=%.3g",
+                         path, A.shape[0], *sizes(), before, refined, after)
+        if after <= tol:
+            return x
+    raise SingularSystemError(
+        f"residual {after:.3g} after one refinement step misses the tolerance {tol:.3g}"
+    )

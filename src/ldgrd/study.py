@@ -23,6 +23,10 @@ __all__ = [
     "CSV_HEADER",
 ]
 
+# Errors below this are round-off (at most 1.3e-15 in the exactness cases; the
+# smallest discretization error on the supported range is 4e-12): no rate.
+ROUNDOFF_FLOOR = 1e-13
+
 CSV_HEADER = ("dim,k,sigma,eps,N,err_energy,err_balanced,err_l2_u,err_linf_u,"
               "rs_energy,rp_energy,rs_balanced,rp_balanced,status")
 
@@ -130,13 +134,12 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
                 nxt = by_n.get(2 * rec.N)
                 if nxt is None or rec.report is None or nxt.report is None:
                     continue
-                try:
-                    rec.rs_energy = rate_s(rec.report.err_energy, nxt.report.err_energy)
-                    rec.rp_energy = rate_p(rec.report.err_energy, nxt.report.err_energy, rec.N)
-                    rec.rs_balanced = rate_s(rec.report.err_balanced, nxt.report.err_balanced)
-                    rec.rp_balanced = rate_p(rec.report.err_balanced, nxt.report.err_balanced, rec.N)
-                except ValueError:
-                    pass  # zero error (exactness cases) has no meaningful rate
+                e, e2 = rec.report.err_energy, nxt.report.err_energy
+                if e >= ROUNDOFF_FLOOR and e2 >= ROUNDOFF_FLOOR:
+                    rec.rs_energy, rec.rp_energy = rate_s(e, e2), rate_p(e, e2, rec.N)
+                e, e2 = rec.report.err_balanced, nxt.report.err_balanced
+                if e >= ROUNDOFF_FLOOR and e2 >= ROUNDOFF_FLOOR:
+                    rec.rs_balanced, rec.rp_balanced = rate_s(e, e2), rate_p(e, e2, rec.N)
             records.extend(group)
     return records
 

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from ldgrd.assembly1d import FluxConfig, assemble
+from ldgrd.assembly1d import FluxConfig, assemble, table_matrix
 from ldgrd.assembly2d import (
     LdgSolution2D,
     assemble2d,
@@ -17,10 +18,10 @@ from ldgrd.assembly2d import (
     solution_to_coeffs_2d,
     solve_2d,
 )
-from ldgrd.linalg import _block_inverse, lu_solve, matvec
+from ldgrd.linalg import Elimination, KroneckerSumSolve, _block_inverse, lu_solve, matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import discrete_energy_sq_2d, error_report_2d
-from ldgrd.polyspace import PiecewisePoly2D
+from ldgrd.polyspace import PiecewisePoly2D, leg_mass
 from ldgrd.problems import layer1d, layer2d, poly_exact_2d
 
 from conftest import uniform_mesh_2d
@@ -198,6 +199,85 @@ def test_saddle_point_structure(k, eps, N, flux, c):
     assert np.bincount(labels).max() <= 2 * (k + 1) ** 2
     S = Au[:, u] - Au[:, f] @ _block_inverse(Af[:, f]) @ Af[:, u]
     assert abs(S - S.T).max() <= 1e-14 * abs(S).max()
+
+
+@pytest.mark.parametrize("problem", [layer2d, poly_exact_2d])
+@pytest.mark.parametrize("flux", ["paper", "classic"])
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_tensor_solve_matches_full_lu(k, eps, flux, problem, caplog):
+    # b = 2 in both problems, so solve_2d takes the fast-diagonalization path.
+    N = 16 if k <= 2 else 8
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    mesh2 = build_tensor_2d(m, m)
+    cfg = getattr(FluxConfig, flux)(eps, N)
+    system = assemble2d(mesh2, problem(eps), k, cfg)
+    full = lu_solve(system.matrix, system.rhs)
+    with caplog.at_level(logging.DEBUG, logger="ldgrd"):
+        tensor = solution_to_coeffs_2d(solve_2d(mesh2, problem(eps), k, cfg))
+    assert [r.getMessage().split()[1] for r in caplog.records if r.name == "ldgrd"] == [
+        "path=tensor"]
+    assert np.abs(tensor - full).max() <= 1e-12 * np.abs(full).max()
+
+
+def u_order(n, k):
+    """Indices that lay the U unknowns (ordered [y cell, x cell, x mode,
+    y mode]) out as [(x cell, x mode), (y cell, y mode)]."""
+    B1 = k + 1
+    return np.arange(n * n * B1 * B1).reshape(n, n, B1, B1).transpose(1, 2, 0, 3).ravel()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 3), eps=st.sampled_from([1e-4, 1e-6, 1e-8, 1e-10, 1e-12]),
+       N=st.sampled_from([4, 8, 12, 16]), flux=st.sampled_from(["paper", "classic"]),
+       b=st.floats(0.1, 4.0), same_mesh=st.booleans())
+def test_schur_complement_is_a_kronecker_sum(k, eps, N, flux, b, same_mesh):
+    # For constant b the Schur complement in U is b*M⊗M + Kx⊗My + Mx⊗Ky,
+    # with K the 1D Schur operator in U of the b-free table and M its mass.
+    mx = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    my = mx if same_mesh else build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 2.0,
+                                                           N=N))
+    cfg = getattr(FluxConfig, flux)(eps, N)
+    problem = dataclasses.replace(layer2d(eps), b=lambda x, y: np.full(np.shape(x), b))
+    A = assemble2d(build_tensor_2d(mx, my), problem, k, cfg).matrix
+    S = Elimination(A, flux_mask(build_tensor_2d(mx, my), k)).schur()
+    pairs = []
+    for m in (mx, my):
+        K = Elimination(table_matrix(m, k, cfg),
+                        np.tile(np.repeat([True, False], k + 1), N)).schur().toarray()
+        assert np.abs(K - K.T).max() <= 1e-13 * np.abs(K).max()
+        assert np.linalg.eigvalsh(K).min() >= -1e-13 * np.abs(K).max()
+        pairs.append((K, sp.diags_array(((0.5 * m.widths)[:, None] * leg_mass(k)).ravel())))
+    (Kx, Mx), (Ky, My) = pairs
+    kron_sum = b * sp.kron(Mx, My) + sp.kron(Kx, My) + sp.kron(Mx, Ky)
+    order = u_order(N, k)
+    S_perm = S[order][:, order]
+    assert abs(S_perm - kron_sum).max() <= 1e-13 * abs(S).max()
+    # and the fast-diagonalization solve inverts it
+    solve = KroneckerSumSolve(b, (sp.csr_array(Kx), Mx.diagonal()),
+                              (sp.csr_array(Ky), My.diagonal()), order)
+    g = np.random.default_rng(N).standard_normal(S.shape[0])
+    assert np.abs(S @ solve(g) - g).max() <= 1e-10 * np.abs(g).max()
+
+
+def test_tensor_solve_falls_back_to_the_condensed_path(monkeypatch, caplog):
+    # A tensor solve that misses by a factor keeps a residual far above the
+    # tolerance after one refinement step, so S is factored after all.
+    eps, N, k = 1e-8, 8, 2
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    mesh2, cfg = build_tensor_2d(m, m), FluxConfig.paper(eps, N)
+    system = assemble2d(mesh2, layer2d(eps), k, cfg)
+    full = lu_solve(system.matrix, system.rhs)
+    exact = KroneckerSumSolve.__call__
+    monkeypatch.setattr(KroneckerSumSolve, "__call__", lambda self, g: 1.5 * exact(self, g))
+    with caplog.at_level(logging.DEBUG, logger="ldgrd"):
+        x = solution_to_coeffs_2d(solve_2d(mesh2, layer2d(eps), k, cfg))
+    tensor, condensed = (dict(item.split("=") for item in r.getMessage().split()[1:])
+                         for r in caplog.records if r.name == "ldgrd")
+    assert (tensor["path"], tensor["refined"]) == ("tensor", "True")
+    assert float(tensor["refined_residual"]) > 1e-10 * max(1.0, np.abs(system.rhs).max())
+    assert condensed["path"] == "condensed"
+    assert np.abs(x - full).max() <= 1e-12 * np.abs(full).max()
 
 
 def test_assembly_2d_deterministic():

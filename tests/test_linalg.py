@@ -1,10 +1,10 @@
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
 from ldgrd.assembly1d import FluxConfig, assemble, solve_1d
-from ldgrd.assembly1d import FluxConfig
 from ldgrd.assembly2d import solve_2d
 from ldgrd.linalg import SingularSystemError, from_coo, lu_solve, matvec, residual_inf
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
@@ -98,16 +98,24 @@ def solve_records(caplog):
 def test_debug_record_per_solve(caplog):
     eps, N = 1e-4, 4
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
+    mesh2, cfg = build_tensor_2d(m, m), FluxConfig.paper(eps, N)
+    # b = 2 takes the tensor path, a variable b the condensed one
+    variable_b = dataclasses.replace(poly_exact_2d(eps), b=lambda x, y: 2.0 + x * (1.0 - y))
     with caplog.at_level(logging.DEBUG, logger="ldgrd"):
         solve_1d(m, poly_exact_1d(eps), 1, FluxConfig.paper(eps, N))
-        solve_2d(build_tensor_2d(m, m), poly_exact_2d(eps), 1, FluxConfig.paper(eps, N))
-    one, two = solve_records(caplog)
+        solve_2d(mesh2, variable_b, 1, cfg)
+        solve_2d(mesh2, poly_exact_2d(eps), 1, cfg)
+    one, two, tensor = solve_records(caplog)
     assert (one["path"], one["unknowns"], one["factored"]) == ("lu", "16", "16")
     assert (two["path"], two["unknowns"], two["factored"]) == ("condensed", "192", "64")
     for rec in (one, two):
         assert int(rec["fill"]) >= int(rec["nnz"]) > 0
         assert rec["refined"] == "False"
         assert float(rec["refined_residual"]) == float(rec["residual"]) <= 1e-10
+    # the tensor path factors nothing; its eigenproblems have N(k+1) unknowns
+    assert (tensor["path"], tensor["unknowns"], tensor["factored"]) == ("tensor", "192", "8")
+    assert (tensor["nnz"], tensor["fill"], tensor["refined"]) == ("0", "0", "True")
+    assert float(tensor["refined_residual"]) <= float(tensor["residual"]) <= 1e-10
 
     caplog.clear()
     A, rhs = ill_conditioned()

@@ -7,6 +7,7 @@ import pytest
 from ldgrd.cli import main
 from ldgrd.study import (
     CSV_HEADER,
+    ROUNDOFF_FLOOR,
     ConvergenceRecord,
     StudyConfig,
     rate_p,
@@ -205,3 +206,19 @@ def test_package_export_surface():
     for name in ldgrd.__all__:
         assert getattr(ldgrd, name) is not None
     assert ldgrd.__version__
+
+
+def test_no_rates_on_roundoff_errors(tmp_path):
+    # poly2d lies in the discrete space at k=2, so both errors are round-off
+    # (about 1e-17) and their log-ratio is noise.
+    out = tmp_path / "sweep.csv"
+    code = main(["--dim", "2", "--degree", "2", "--N", "8,16", "--problem", "poly2d",
+                 "--eps", "1e-6", "--flux", "classic", "--format", "csv", "--out", str(out)])
+    assert code == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 2
+    for row in rows:
+        assert float(row["err_energy"]) < ROUNDOFF_FLOOR
+        assert float(row["err_balanced"]) < ROUNDOFF_FLOOR
+        for name in ("rs_energy", "rp_energy", "rs_balanced", "rp_balanced"):
+            assert row[name] == ""

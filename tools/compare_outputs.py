@@ -26,7 +26,11 @@ exist are skipped):
 - 1D, `layer1d`: k = 1, 2, 3; eps = 1e-4 .. 1e-12; N = 32 .. 1024; flux
   configs paper, classic and paper with special interface 3.
 - 2D, `layer2d`: k = 1, 2; N = 8, 16, 32; eps = 1e-6, 1e-8, 1e-12; flux
-  configs paper, classic and paper with special index 5.
+  configs paper, classic and paper with special index 5.  Per (k, N), one
+  more case at eps = 1e-8 with the paper config has the variable reaction
+  coefficient b = 1 + x(1-y) (and f made consistent with the exact
+  solution), so that the solve's variable-b path is compared too; the
+  shipped problems have constant b.
 """
 
 from __future__ import annotations
@@ -42,6 +46,18 @@ GRID_1D = dict(k=(1, 2, 3), eps=(1e-4, 1e-6, 1e-8, 1e-10, 1e-12), N=(32, 64, 128
 GRID_2D = dict(k=(1, 2), eps=(1e-6, 1e-8, 1e-12), N=(8, 16, 32))
 SPECIAL_1D, SPECIAL_2D = 3, 5
 RTOL_2D_DATA = 1e-15  # every other array, the 2D pattern and rhs included, stays bitwise
+VARIABLE_B_EPS = 1e-8
+
+
+def _variable_b(problem):
+    """The 2D problem with b = 1 + x(1-y) and f = -eps*Lap(u) + b*u."""
+    def b(x, y):
+        return 1.0 + x * (1.0 - y)
+
+    def f(x, y):
+        return -problem.eps * problem.lap_exact(x, y) + b(x, y) * problem.u_exact(x, y)
+
+    return dataclasses.replace(problem, b=b, f=f)
 
 
 def _cases():
@@ -69,17 +85,20 @@ def _cases():
                         "special": dataclasses.replace(FluxConfig.paper(eps, N),
                                                        special_index=special),
                     }
-                    for name, cfg in configs.items():
+                    cases = [(name, cfg, problem) for name, cfg in configs.items()]
+                    if dim == 2 and eps == VARIABLE_B_EPS:
+                        cases.append(("variable_b", configs["paper"], _variable_b(problem)))
+                    for name, cfg, prob in cases:
                         key = f"{dim}d/k{k}/eps{eps:.0e}/N{N}/{name}"
                         if dim == 1:
-                            w = solve_1d(mesh, problem, k, cfg)
-                            yield (key, assemble(mesh, problem, k, cfg), solution_to_coeffs(w),
-                                   error_report_1d(w, problem, cfg))
+                            w = solve_1d(mesh, prob, k, cfg)
+                            yield (key, assemble(mesh, prob, k, cfg), solution_to_coeffs(w),
+                                   error_report_1d(w, prob, cfg))
                         else:
                             mesh2 = build_tensor_2d(mesh, mesh)
-                            t = solve_2d(mesh2, problem, k, cfg)
-                            yield (key, assemble2d(mesh2, problem, k, cfg),
-                                   solution_to_coeffs_2d(t), error_report_2d(t, problem, cfg))
+                            t = solve_2d(mesh2, prob, k, cfg)
+                            yield (key, assemble2d(mesh2, prob, k, cfg),
+                                   solution_to_coeffs_2d(t), error_report_2d(t, prob, cfg))
 
 
 def dump(tree: Path, out: Path) -> None:
