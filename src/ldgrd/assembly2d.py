@@ -7,9 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly1d import (ASSEMBLY_EXTRA_NODES, FluxConfig, _block_triplets, _check_consistent,
-                         _check_special, _couplings, table_matrix)
+from .assembly1d import (ASSEMBLY_EXTRA_NODES, FluxConfig, _check_consistent, _check_special,
+                         table_matrix)
 from .linalg import Elimination, KroneckerSumSolve, SparseSystem, from_coo, lu_solve
 from .mesh import TensorMesh2D
 from .polyspace import PiecewisePoly2D, gauss_rule, grad_matrix, leg_mass, legendre_basis
@@ -22,9 +23,6 @@ __all__ = [
     "coeffs_to_solution_2d",
     "solution_to_coeffs_2d",
 ]
-
-_P, _Q, _U = 0, 1, 2  # per-cell block order
-
 
 @dataclass(frozen=True, eq=False)
 class LdgSolution2D:
@@ -41,19 +39,29 @@ class LdgSolution2D:
             raise ValueError("U, P, Q must share one degree")
 
 
+def _axis(m, k: int, cfg: FluxConfig):
+    """One axis's b-free 1D table (assembly1d.table_matrix, per cell [flux, U]),
+    the mask of its flux unknowns, and its mass (h/2)*diag(mass) in
+    (cell, mode) order."""
+    flux = np.tile(np.repeat([True, False], k + 1), m.ncells)
+    return table_matrix(m, k, cfg), flux, ((0.5 * m.widths)[:, None] * leg_mass(k)).ravel()
+
+
 def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> SparseSystem:
     """Assemble the 3*N^2*(k+1)^2 system for the triple (U, P, Q).
 
-    Cells are numbered lexicographically with the x index fastest; each
-    cell's unknowns are ordered [P, Q, U] blocks of tensor-Legendre modes
-    (x-mode major).  Apart from the reaction mass, the system is the 1D
-    operator table of each direction (assembly1d._couplings) times the
-    tangential mass along the other one, a Kronecker product per cell pair.
+    The unknowns are field-major [P; Q; U], each field in Kronecker order
+    (x cell, x mode, y cell, y mode).  Apart from the reaction mass, each
+    block is the Kronecker product of one axis's 1D operator table
+    (assembly1d.table_matrix, split into flux and U blocks) with the mass M
+    of the other axis: the table along x acts on (P, U), the one along y on
+    (Q, U).
     """
     if k < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {k}")
     mx, my = mesh.mesh_x, mesh.mesh_y
     _check_consistent(mx, problem, cfg)
+    _check_consistent(my, problem, cfg)
     nx, ny = mesh.shape
     if nx != ny:
         raise ValueError(
@@ -64,7 +72,7 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> SparseSy
     B2 = B1 * B1
     rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
     phi = legendre_basis(k, rule.nodes)
-    hx, hy = mx.widths, my.widths
+    area = np.multiply.outer(0.5 * mx.widths, 0.5 * my.widths)
     X4, Y4 = mesh.quad_points(rule.nodes, rule.nodes)
     shape4 = (nx, ny, rule.n, rule.n)
     bV = np.broadcast_to(np.asarray(problem.b(X4, Y4), dtype=float), shape4)
@@ -73,63 +81,41 @@ def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> SparseSy
     wpp = np.einsum("x,ax,mx->xam", rule.weights, phi, phi).reshape(rule.n, B2)
     b_blocks = (np.swapaxes(np.swapaxes(bV, 2, 3) @ wpp, 2, 3) @ wpp).reshape(
         nx, ny, B1, B1, B1, B1).transpose(0, 1, 2, 4, 3, 5)
-    b_blocks = b_blocks.reshape(nx, ny, B2, B2) * np.multiply.outer(
-        0.5 * hx, 0.5 * hy)[:, :, None, None]
+    b_blocks = b_blocks * area[:, :, None, None, None, None]
     f_mom = np.einsum("ijxy,x,y,ax,by->ijab", fV, rule.weights, rule.weights, phi, phi)
-    f_mom = f_mom.reshape(nx, ny, B2) * np.multiply.outer(0.5 * hx, 0.5 * hy)[:, :, None]
+    f_mom = f_mom * area[:, :, None, None]
 
-    def off(i, j, field):
-        return ((j * nx + i) * 3 + field) * B2
+    n = nx * ny * B2
+    cell = np.arange(n).reshape(nx, B1, ny, B1).transpose(0, 2, 1, 3)  # U index of (i, j, a, b)
+    rows, cols = np.broadcast_arrays(cell[..., None, None], cell[:, :, None, None], b_blocks)[:2]
+    reaction = sp.coo_array((b_blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
 
-    iU = off(np.arange(nx)[:, None], np.arange(ny), _U)
-    parts = [_block_triplets(iU, iU, b_blocks)]
-    # Every other block is a 1D table entry along the axis times the
-    # tangential mass (h/2)*diag(mass) along the other one: kron(x, y)
-    # factors, x-mode major.  The table's (flux, primal) fields are (P, U)
-    # along x and (Q, U) along y.
-    for axis, flux in ((0, _P), (1, _Q)):
-        normal, along = (mx, my) if axis == 0 else (my, mx)
-        t_mass = ((0.5 * along.widths)[:, None, None] * np.diag(leg_mass(k)))[None]
-        tangential = np.arange(along.ncells)
-        volume, hats = _couplings(normal, k, cfg)
-        for t in volume + hats:
-            factors = (t.blocks[:, None], t_mass)  # (n|1, 1|n_t, k+1, k+1) each
-            fx, fy = factors if axis == 0 else factors[::-1]
-            blocks = np.einsum("...ac,...bd->...abcd", fx, fy)
-            test, trial = (t.test_cell[:, None], tangential), (t.trial_cell[:, None], tangential)
-            if axis == 1:
-                test, trial = test[::-1], trial[::-1]
-            parts.append(_block_triplets(off(*test, (flux, _U)[t.test_field]),
-                                         off(*trial, (flux, _U)[t.trial_field]),
-                                         blocks.reshape(blocks.shape[:2] + (B2, B2))))
+    def blocks(m):  # the table's (flux, flux), (flux, U), (U, flux), (U, U) blocks, and M
+        table, f, mass = _axis(m, k, cfg)
+        return [table[r][:, c] for r in (f, ~f) for c in (f, ~f)], sp.diags_array(mass)
 
-    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-    matrix = from_coo(3 * nx * ny * B2, rows, cols, vals)
-    rhs = np.zeros((ny, nx, 3, B2))
-    rhs[:, :, _U] = f_mom.transpose(1, 0, 2)
-    ordering = "cell-major lexicographic (x fastest); per cell [P, Q, U] tensor modes"
-    return SparseSystem(matrix=matrix, rhs=rhs.ravel(), ordering=ordering)
+    (Xff, Xfu, Xuf, Xuu), Mx = blocks(mx)
+    (Yff, Yfu, Yuf, Yuu), My = blocks(my)
+    A = sp.block_array([[sp.kron(Xff, My), None, sp.kron(Xfu, My)],
+                        [None, sp.kron(Mx, Yff), sp.kron(Mx, Yfu)],
+                        [sp.kron(Xuf, My), sp.kron(Mx, Yuf),
+                         sp.kron(Xuu, My) + sp.kron(Mx, Yuu) + reaction]], format="coo")
+    matrix = from_coo(3 * n, A.row, A.col, A.data)
+    rhs = np.concatenate([np.zeros(2 * n), f_mom.transpose(0, 2, 1, 3).ravel()])
+    ordering = "field-major [P; Q; U], each (x cell, x mode, y cell, y mode)"
+    return SparseSystem(matrix=matrix, rhs=rhs, ordering=ordering)
 
 
 def coeffs_to_solution_2d(mesh: TensorMesh2D, k: int, x: np.ndarray) -> LdgSolution2D:
     nx, ny = mesh.shape
-    B1 = k + 1
-    blocks = np.asarray(x, dtype=float).reshape(ny, nx, 3, B1, B1)
-
-    def field(f):
-        return PiecewisePoly2D(mesh, np.ascontiguousarray(blocks[:, :, f].transpose(1, 0, 2, 3)))
-
-    return LdgSolution2D(u=field(_U), p=field(_P), q=field(_Q))
+    p, q, u = np.asarray(x, dtype=float).reshape(3, nx, k + 1, ny, k + 1).transpose(
+        0, 1, 3, 2, 4).copy()
+    return LdgSolution2D(u=PiecewisePoly2D(mesh, u), p=PiecewisePoly2D(mesh, p),
+                         q=PiecewisePoly2D(mesh, q))
 
 
 def solution_to_coeffs_2d(t: LdgSolution2D) -> np.ndarray:
-    stacked = np.stack(
-        [t.p.coeffs.transpose(1, 0, 2, 3),
-         t.q.coeffs.transpose(1, 0, 2, 3),
-         t.u.coeffs.transpose(1, 0, 2, 3)],
-        axis=2,
-    )
-    return stacked.ravel()
+    return np.stack([t.p.coeffs, t.q.coeffs, t.u.coeffs]).transpose(0, 1, 3, 2, 4).ravel()
 
 
 def _tensor_solve(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig):
@@ -139,23 +125,19 @@ def _tensor_solve(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig):
     bV = np.asarray(problem.b(*mesh.quad_points(nodes, nodes)), dtype=float).ravel()
     if not (bV[0] > 0.0 and np.all(bV == bV[0])):
         return None
-    B1, (nx, ny) = k + 1, mesh.shape
 
     def axis(m):  # the 1D Schur operator in U of the b-free table, and the U mass
-        flux = np.tile(np.repeat([True, False], B1), m.ncells)
-        return (Elimination(table_matrix(m, k, cfg), flux).schur(),
-                ((0.5 * m.widths)[:, None] * leg_mass(k)).ravel())
+        table, flux, mass = _axis(m, k, cfg)
+        return Elimination(table, flux).schur(), mass
 
-    # U is ordered [y cell, x cell, x mode, y mode]
-    order = np.arange(nx * ny * B1 * B1).reshape(ny, nx, B1, B1).transpose(1, 2, 0, 3).ravel()
-    return KroneckerSumSolve(float(bV[0]), axis(mesh.mesh_x), axis(mesh.mesh_y), order)
+    return KroneckerSumSolve(float(bV[0]), axis(mesh.mesh_x), axis(mesh.mesh_y))
 
 
 def solve_2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> LdgSolution2D:
     system = assemble2d(mesh, problem, k, cfg)
     # P and Q are coupled only within their cell and across the special
     # lines, so they are condensed out of the solve.
-    flux = np.tile(np.repeat(np.arange(3) != _U, (k + 1) ** 2), mesh.shape[0] * mesh.shape[1])
+    flux = np.arange(system.rhs.size) < 2 * system.rhs.size // 3
     x = lu_solve(system.matrix, system.rhs, eliminate=flux,
                  schur_solve=_tensor_solve(mesh, problem, k, cfg))
     return coeffs_to_solution_2d(mesh, k, x)

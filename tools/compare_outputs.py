@@ -5,9 +5,13 @@ Dump mode imports ldgrd from the given tree (its `src/` directory) in this
 process only, assembles and solves every case of the acceptance grids and
 saves, per case, the CSR `indptr`, `indices`, `data`, the right-hand side
 `rhs`, the solution vector `x` and the `error_report` values `report` (in
-field order, without the 1D `err_l2_p`) to an `.npz` file.  Run it once per
-tree, each in its own process, so that the two packages never share an
-interpreter:
+field order, without the 1D `err_l2_p`) to an `.npz` file.  The 2D arrays do
+not depend on the tree's unknown layout: `x` holds the solved fields
+[P, Q, U], each (nx, ny, k+1, k+1), `rhs` is mapped to the same fields
+through the tree's own `coeffs_to_solution_2d`, and the matrix is permuted
+to one fixed per-cell order through its `solution_to_coeffs_2d`, with
+explicit zeros dropped.  Run it once per tree, each in its own process, so
+that the two packages never share an interpreter:
 
     python3 tools/compare_outputs.py dump /path/to/parent parent.npz
     python3 tools/compare_outputs.py dump . new.npz
@@ -64,7 +68,7 @@ def _cases():
     """Yield (key, system, solution vector, error report) for every case of
     both grids."""
     from ldgrd.assembly1d import FluxConfig, assemble, solution_to_coeffs, solve_1d
-    from ldgrd.assembly2d import assemble2d, solution_to_coeffs_2d, solve_2d
+    from ldgrd.assembly2d import assemble2d, solve_2d
     from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
     from ldgrd.norms import error_report_1d, error_report_2d
     from ldgrd.problems import get_problem
@@ -97,8 +101,34 @@ def _cases():
                         else:
                             mesh2 = build_tensor_2d(mesh, mesh)
                             t = solve_2d(mesh2, prob, k, cfg)
-                            yield (key, assemble2d(mesh2, prob, k, cfg),
-                                   solution_to_coeffs_2d(t), error_report_2d(t, prob, cfg))
+                            system = assemble2d(mesh2, prob, k, cfg)
+                            yield (key, _per_cell(mesh2, k, system), _fields(t),
+                                   error_report_2d(t, prob, cfg))
+
+
+def _fields(t) -> np.ndarray:
+    """The fields [P, Q, U] of a 2D triple, each (nx, ny, k+1, k+1)."""
+    return np.stack([t.p.coeffs, t.q.coeffs, t.u.coeffs])
+
+
+def _per_cell(mesh2, k: int, system):
+    """The 2D system in one fixed per-cell order (cell (i, j) with j fastest,
+    then field P, Q, U, x mode, y mode), whatever the tree's own unknown
+    layout: the matrix with explicit zeros dropped and the rhs as _fields."""
+    import scipy.sparse as sp
+    from ldgrd.assembly2d import LdgSolution2D, coeffs_to_solution_2d, solution_to_coeffs_2d
+    from ldgrd.polyspace import PiecewisePoly2D
+
+    nx, ny = mesh2.shape
+    index = np.arange(nx * ny * 3 * (k + 1) ** 2).reshape(nx, ny, 3, k + 1, k + 1)
+    p, q, u = (PiecewisePoly2D(mesh2, index[:, :, f].astype(float)) for f in range(3))
+    where = solution_to_coeffs_2d(LdgSolution2D(u=u, p=p, q=q)).astype(np.int64)
+    A = system.matrix.tocoo()
+    matrix = sp.csr_array((A.data, (where[A.row], where[A.col])), shape=A.shape)
+    matrix.eliminate_zeros()
+    matrix.sort_indices()
+    return dataclasses.replace(system, matrix=matrix,
+                               rhs=_fields(coeffs_to_solution_2d(mesh2, k, system.rhs)))
 
 
 def dump(tree: Path, out: Path) -> None:
