@@ -11,12 +11,15 @@ import scipy.sparse as sp
 
 from .assembly1d import (ASSEMBLY_EXTRA_NODES, FluxConfig, _check_consistent, _check_special,
                          table_matrix)
-from .linalg import Elimination, KroneckerSumSolve, SparseSystem, from_coo, lu_solve
+from .linalg import (KroneckerSumSolve, SparseSystem, _block_inverse, _refined_solve, from_coo,
+                     lu_solve)
 from .mesh import TensorMesh2D
-from .polyspace import PiecewisePoly2D, gauss_rule, grad_matrix, leg_mass, legendre_basis
+from .polyspace import (PiecewisePoly2D, gauss_rule, grad_matrix, leg_mass, legendre_basis,
+                        tensor_sum)
 
 __all__ = [
     "LdgSolution2D",
+    "LdgOperator2D",
     "assemble2d",
     "solve_2d",
     "bilinear_B2d",
@@ -39,71 +42,131 @@ class LdgSolution2D:
             raise ValueError("U, P, Q must share one degree")
 
 
-def _axis(m, k: int, cfg: FluxConfig):
-    """One axis's b-free 1D table (assembly1d.table_matrix, per cell [flux, U]),
-    the mask of its flux unknowns, and its mass (h/2)*diag(mass) in
-    (cell, mode) order."""
-    flux = np.tile(np.repeat([True, False], k + 1), m.ncells)
-    return table_matrix(m, k, cfg), flux, ((0.5 * m.widths)[:, None] * leg_mass(k)).ravel()
+class _Axis:
+    """One axis's b-free 1D table (assembly1d.table_matrix) split into its
+    (flux, flux), (flux, U), (U, flux) and (U, U) blocks, the inverse of the
+    first, the 1D Schur operator K in U with the mass (h/2)*diag(mass) in
+    (cell, mode) order as the pair ``schur``."""
+
+    def __init__(self, m, k: int, cfg: FluxConfig):
+        table = table_matrix(m, k, cfg)
+        f = np.tile(np.repeat([True, False], k + 1), m.ncells)
+        self.ff, self.fu, self.uf, self.uu = (table[r][:, c] for r in (f, ~f) for c in (f, ~f))
+        self.ff_inv = _block_inverse(self.ff)
+        self.mass = ((0.5 * m.widths)[:, None] * leg_mass(k)).ravel()
+        self.schur = self.uu - self.uf @ (self.ff_inv @ self.fu), self.mass
+
+
+def _half(a: _Axis, o: _Axis, F: np.ndarray, U: np.ndarray):
+    """The flux rows and the U rows of axis a's table times the mass of axis
+    o, applied to the flux field F and to U, both with a's unknowns first."""
+    return (a.ff @ F + a.fu @ U) * o.mass, (a.uf @ F + a.uu @ U) * o.mass
+
+
+class LdgOperator2D:
+    """The 2D system of the triple (U, P, Q), kept as its two 1D axes.
+
+    The unknowns are field-major [P; Q; U], each field in Kronecker order
+    (x cell, x mode, y cell, y mode): an (Nx(k+1), Ny(k+1)) array V, with
+    (X⊗Y) vec(V) = vec(X V Y^T).  With the x table acting on (P, U), the y
+    table on (Q, U), the other axis's mass M and the per-cell reaction mass R:
+
+        [Xff⊗My   0        Xfu⊗My               ]
+        [0        Mx⊗Yff   Mx⊗Yfu               ]
+        [Xuf⊗My   Mx⊗Yuf   Xuu⊗My + Mx⊗Yuu + R  ]
+
+    ``b`` is the reaction coefficient if it is one positive constant on the
+    quadrature grid, else None.  If mesh_y is mesh_x, so is the y axis.
+    """
+
+    def __init__(self, mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig):
+        if k < 1:
+            raise ValueError(f"polynomial degree must be >= 1, got {k}")
+        mx, my = mesh.mesh_x, mesh.mesh_y
+        _check_consistent(mx, problem, cfg)
+        _check_consistent(my, problem, cfg)
+        nx, ny = mesh.shape
+        if nx != ny:
+            raise ValueError(
+                f"the flux definition uses one special line index per direction; "
+                f"got nx={nx} != ny={ny}"
+            )
+        self.x = _Axis(mx, k, cfg)
+        self.y = self.x if my is mx else _Axis(my, k, cfg)
+        B1 = k + 1
+        B2 = B1 * B1
+        rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
+        phi = legendre_basis(k, rule.nodes)
+        area = np.multiply.outer(0.5 * mx.widths, 0.5 * my.widths)
+        X4, Y4 = mesh.quad_points(rule.nodes, rule.nodes)
+        shape4 = (nx, ny, rule.n, rule.n)
+        bV = np.broadcast_to(np.asarray(problem.b(X4, Y4), dtype=float), shape4)
+        fV = np.broadcast_to(np.asarray(problem.f(X4, Y4), dtype=float), shape4)
+        b0 = bV[0, 0, 0, 0]
+        self.b = float(b0) if np.isfinite(b0) and b0 > 0.0 and np.all(bV == b0) else None
+        # (b u, v) blocks, contracted one axis at a time (x, then y) by matmuls
+        wpp = np.einsum("x,ax,mx->xam", rule.weights, phi, phi).reshape(rule.n, B2)
+        b_blocks = (np.swapaxes(np.swapaxes(bV, 2, 3) @ wpp, 2, 3) @ wpp).reshape(
+            nx, ny, B1, B1, B1, B1).transpose(0, 1, 2, 4, 3, 5).reshape(nx, ny, B2, B2)
+        self.reaction = b_blocks * area[:, :, None, None]
+        f_mom = np.einsum("ijxy,x,y,ax,by->ijab", fV, rule.weights, rule.weights, phi, phi)
+        f_mom = f_mom * area[:, :, None, None]
+        n = nx * ny * B2
+        self.rhs = np.concatenate([np.zeros(2 * n), f_mom.transpose(0, 2, 1, 3).ravel()])
+        # the U index of each cell's (x mode, y mode), shape (nx, ny, (k+1)^2)
+        self.cell = np.arange(n).reshape(nx, B1, ny, B1).transpose(0, 2, 1, 3).reshape(nx, ny, B2)
+
+    def _fields(self, v: np.ndarray) -> np.ndarray:
+        return v.reshape(3, self.x.mass.size, self.y.mass.size)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The matrix times v, by 1D sparse products and R per cell."""
+        P, Q, U = self._fields(v)
+        fp, up = _half(self.x, self.y, P, U)
+        fq, uq = _half(self.y, self.x, Q.T, U.T)
+        out = np.concatenate([fp.ravel(), fq.T.ravel(), (up + uq.T).ravel()])
+        out[2 * U.size + self.cell] += (self.reaction @ U.ravel()[self.cell][..., None])[..., 0]
+        return out
+
+    def factor(self):
+        """(solve, record sizes) for constant b: the fast-diagonalization
+        setup of the Schur complement S = b Mx⊗My + Kx⊗My + Mx⊗Ky in U."""
+        if self.b is None:
+            raise ValueError("the matrix-free solve needs one positive constant b")
+        self._schur_solve = KroneckerSumSolve(self.b, self.x.schur, self.y.schur)
+        return self.solve, lambda: (self.x.mass.size, 0, 0)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """The inverse times r, after factor(): P and Q are eliminated with
+        each axis's Xff^-1, S is solved, and P and Q are recovered."""
+        rP, rQ, rU = self._fields(r)
+        x, y = self.x, self.y
+        U = self._schur_solve(rU - x.uf @ (x.ff_inv @ rP)
+                              - (y.uf @ (y.ff_inv @ rQ.T)).T).reshape(rU.shape)
+        P = x.ff_inv @ (rP / y.mass - x.fu @ U)
+        Q = y.ff_inv @ (rQ.T / x.mass - y.fu @ U.T)
+        return np.concatenate([P.ravel(), Q.T.ravel(), U.ravel()])
+
+    def matrix(self) -> sp.csr_array:
+        """The assembled matrix: sp.kron of the same blocks, R placed per cell."""
+        x, y, n = self.x, self.y, self.cell.size
+        Mx, My = sp.diags_array(x.mass), sp.diags_array(y.mass)
+        rows, cols = np.broadcast_arrays(self.cell[..., :, None], self.cell[..., None, :])
+        reaction = sp.coo_array((self.reaction.ravel(), (rows.ravel(), cols.ravel())),
+                                shape=(n, n))
+        A = sp.block_array([[sp.kron(x.ff, My), None, sp.kron(x.fu, My)],
+                            [None, sp.kron(Mx, y.ff), sp.kron(Mx, y.fu)],
+                            [sp.kron(x.uf, My), sp.kron(Mx, y.uf),
+                             sp.kron(x.uu, My) + sp.kron(Mx, y.uu) + reaction]], format="coo")
+        return from_coo(3 * n, A.row, A.col, A.data)
 
 
 def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> SparseSystem:
-    """Assemble the 3*N^2*(k+1)^2 system for the triple (U, P, Q).
-
-    The unknowns are field-major [P; Q; U], each field in Kronecker order
-    (x cell, x mode, y cell, y mode).  Apart from the reaction mass, each
-    block is the Kronecker product of one axis's 1D operator table
-    (assembly1d.table_matrix, split into flux and U blocks) with the mass M
-    of the other axis: the table along x acts on (P, U), the one along y on
-    (Q, U).
-    """
-    if k < 1:
-        raise ValueError(f"polynomial degree must be >= 1, got {k}")
-    mx, my = mesh.mesh_x, mesh.mesh_y
-    _check_consistent(mx, problem, cfg)
-    _check_consistent(my, problem, cfg)
-    nx, ny = mesh.shape
-    if nx != ny:
-        raise ValueError(
-            f"the flux definition uses one special line index per direction; "
-            f"got nx={nx} != ny={ny}"
-        )
-    B1 = k + 1
-    B2 = B1 * B1
-    rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
-    phi = legendre_basis(k, rule.nodes)
-    area = np.multiply.outer(0.5 * mx.widths, 0.5 * my.widths)
-    X4, Y4 = mesh.quad_points(rule.nodes, rule.nodes)
-    shape4 = (nx, ny, rule.n, rule.n)
-    bV = np.broadcast_to(np.asarray(problem.b(X4, Y4), dtype=float), shape4)
-    fV = np.broadcast_to(np.asarray(problem.f(X4, Y4), dtype=float), shape4)
-    # (b u, v) blocks, contracted one axis at a time (x, then y) by matmuls
-    wpp = np.einsum("x,ax,mx->xam", rule.weights, phi, phi).reshape(rule.n, B2)
-    b_blocks = (np.swapaxes(np.swapaxes(bV, 2, 3) @ wpp, 2, 3) @ wpp).reshape(
-        nx, ny, B1, B1, B1, B1).transpose(0, 1, 2, 4, 3, 5)
-    b_blocks = b_blocks * area[:, :, None, None, None, None]
-    f_mom = np.einsum("ijxy,x,y,ax,by->ijab", fV, rule.weights, rule.weights, phi, phi)
-    f_mom = f_mom * area[:, :, None, None]
-
-    n = nx * ny * B2
-    cell = np.arange(n).reshape(nx, B1, ny, B1).transpose(0, 2, 1, 3)  # U index of (i, j, a, b)
-    rows, cols = np.broadcast_arrays(cell[..., None, None], cell[:, :, None, None], b_blocks)[:2]
-    reaction = sp.coo_array((b_blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
-
-    def blocks(m):  # the table's (flux, flux), (flux, U), (U, flux), (U, U) blocks, and M
-        table, f, mass = _axis(m, k, cfg)
-        return [table[r][:, c] for r in (f, ~f) for c in (f, ~f)], sp.diags_array(mass)
-
-    (Xff, Xfu, Xuf, Xuu), Mx = blocks(mx)
-    (Yff, Yfu, Yuf, Yuu), My = blocks(my)
-    A = sp.block_array([[sp.kron(Xff, My), None, sp.kron(Xfu, My)],
-                        [None, sp.kron(Mx, Yff), sp.kron(Mx, Yfu)],
-                        [sp.kron(Xuf, My), sp.kron(Mx, Yuf),
-                         sp.kron(Xuu, My) + sp.kron(Mx, Yuu) + reaction]], format="coo")
-    matrix = from_coo(3 * n, A.row, A.col, A.data)
-    rhs = np.concatenate([np.zeros(2 * n), f_mom.transpose(0, 2, 1, 3).ravel()])
+    """Assemble the 3*N^2*(k+1)^2 system for the triple (U, P, Q): the
+    matrix and rhs of LdgOperator2D."""
+    op = LdgOperator2D(mesh, problem, k, cfg)
     ordering = "field-major [P; Q; U], each (x cell, x mode, y cell, y mode)"
-    return SparseSystem(matrix=matrix, rhs=rhs, ordering=ordering)
+    return SparseSystem(matrix=op.matrix(), rhs=op.rhs, ordering=ordering)
 
 
 def coeffs_to_solution_2d(mesh: TensorMesh2D, k: int, x: np.ndarray) -> LdgSolution2D:
@@ -118,29 +181,19 @@ def solution_to_coeffs_2d(t: LdgSolution2D) -> np.ndarray:
     return np.stack([t.p.coeffs, t.q.coeffs, t.u.coeffs]).transpose(0, 1, 3, 2, 4).ravel()
 
 
-def _tensor_solve(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig):
-    """The fast-diagonalization solve of the Schur complement in U if b is one
-    positive constant on the assembly quadrature grid, else None."""
-    nodes = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES).nodes
-    bV = np.asarray(problem.b(*mesh.quad_points(nodes, nodes)), dtype=float).ravel()
-    if not (bV[0] > 0.0 and np.all(bV == bV[0])):
-        return None
-
-    def axis(m):  # the 1D Schur operator in U of the b-free table, and the U mass
-        table, flux, mass = _axis(m, k, cfg)
-        return Elimination(table, flux).schur(), mass
-
-    return KroneckerSumSolve(float(bV[0]), axis(mesh.mesh_x), axis(mesh.mesh_y))
-
-
 def solve_2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> LdgSolution2D:
-    system = assemble2d(mesh, problem, k, cfg)
-    # P and Q are coupled only within their cell and across the special
-    # lines, so they are condensed out of the solve.
-    flux = np.arange(system.rhs.size) < 2 * system.rhs.size // 3
-    x = lu_solve(system.matrix, system.rhs, eliminate=flux,
-                 schur_solve=_tensor_solve(mesh, problem, k, cfg))
-    return coeffs_to_solution_2d(mesh, k, x)
+    """Constant b: LdgOperator2D.solve, refined once on the residual of its
+    apply (record path tensor); nothing is assembled.  Variable b, or a
+    refined residual that misses its tolerance: lu_solve of the assembled
+    matrix with P and Q condensed out (they couple only within their cell
+    and across the special lines)."""
+    op = LdgOperator2D(mesh, problem, k, cfg)
+    if op.b is not None:
+        x, residual, tol = _refined_solve("tensor", op.apply, op.factor, op.rhs, always=True)
+        if residual <= tol:
+            return coeffs_to_solution_2d(mesh, k, x)
+    flux = np.arange(op.rhs.size) < 2 * op.rhs.size // 3
+    return coeffs_to_solution_2d(mesh, k, lu_solve(op.matrix(), op.rhs, eliminate=flux))
 
 
 def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig) -> float:
@@ -169,8 +222,7 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig) -> floa
                          (nx, ny, rule.n, rule.n))
     Uv = t.u.values_on_ref(rule.nodes, rule.nodes)
     Vv = z.u.values_on_ref(rule.nodes, rule.nodes)
-    total = float(np.einsum("ijxy,x,y,i,j->", bV * Uv * Vv, rule.weights, rule.weights,
-                            0.5 * hx, 0.5 * hy))
+    total = tensor_sum(bV * Uv * Vv, rule.weights, 0.5 * hx, 0.5 * hy)
     area = np.multiply.outer(0.5 * hx, 0.5 * hy)
     total += (1.0 / cfg.eps) * float(np.einsum("ijmn,m,n,ij->", cP * cS, mass, mass, area))
     total += (1.0 / cfg.eps) * float(np.einsum("ijmn,m,n,ij->", cQ * cR, mass, mass, area))

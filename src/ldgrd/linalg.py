@@ -136,18 +136,18 @@ class KroneckerSumSolve:
     semidefinite and M positive diagonal (given as vectors), by fast
     diagonalization (Lynch, Rice & Thomas 1964): per axis, V = M^-1/2 W with
     (lam, W) = eigh(M^-1/2 K M^-1/2) has V^T M V = I and V^T K V = diag(lam).
-    Vectors are in Kronecker order: x unknown major, y unknown minor."""
+    Vectors are in Kronecker order: x unknown major, y unknown minor.  If y
+    is the pair x itself, its eigenpairs are computed once."""
 
     def __init__(self, b: float, x, y):
         self.b, self.axes = b, []
-        for K, m in (x, y):
+        for K, m in (x, y)[:1 if y is x else 2]:
             s = 1.0 / np.sqrt(m)
             lam, W = np.linalg.eigh(s[:, None] * K.toarray() * s)
             self.axes.append((s[:, None] * W, lam))
-        self.size = self.axes[0][1].size
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
-        (Vx, lx), (Vy, ly) = self.axes
+        (Vx, lx), (Vy, ly) = self.axes[0], self.axes[-1]
         G = g.reshape(lx.size, ly.size)
         return (Vx @ ((Vx.T @ G @ Vy) / (self.b + lx[:, None] + ly)) @ Vy.T).ravel()
 
@@ -161,62 +161,63 @@ def _splu(M: sp.csr_array, what: str = "", **options):
     return factor.solve, lambda: (M.shape[0], M.nnz, factor.L.nnz + factor.U.nnz)
 
 
-def lu_solve(A: sp.csr_array, rhs: np.ndarray, eliminate=None,
-             schur_solve: KroneckerSumSolve | None = None) -> np.ndarray:
-    """Direct sparse LU solve: SuperLU with partial pivoting on all of A.
+def _refined_solve(path: str, apply, factor, rhs: np.ndarray, always: bool = False):
+    """x = solve(rhs), with (solve, sizes) = factor(), then one refinement
+    step on the residual of apply: always, or if the residual misses
+    RESIDUAL_TOL * max(1, |rhs|_inf).  Returns (x, refined residual, that
+    tolerance).  Raises ValueError on a non-finite rhs and
+    SingularSystemError on a non-finite x.  Logs one DEBUG record to the
+    "ldgrd" logger: the path, the unknown count, the size, nnz and LU fill of
+    the factored matrix, and the residual before and after refinement."""
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("rhs contains non-finite entries")
+    solve, sizes = factor()
+    x = solve(rhs)
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError("solver produced non-finite values")
+    residual = rhs - apply(x)
+    before = after = float(np.abs(residual).max(initial=0.0))
+    tol = RESIDUAL_TOL * max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    refined = always or before > tol
+    if refined:
+        x = x + solve(residual)
+        after = float(np.abs(rhs - apply(x)).max(initial=0.0))
+    if logger.isEnabledFor(logging.DEBUG):  # reading L and U copies the factor
+        logger.debug("solve path=%s unknowns=%d factored=%d nnz=%d fill=%d "
+                     "residual=%.3g refined=%s refined_residual=%.3g",
+                     path, rhs.size, *sizes(), before, refined, after)
+    return x, after, tol
+
+
+def lu_solve(A: sp.csr_array, rhs: np.ndarray, eliminate=None) -> np.ndarray:
+    """Direct sparse LU solve: SuperLU with partial pivoting on all of A
+    (record path lu).
 
     With ``eliminate`` (a boolean mask over the unknowns) the masked unknowns
-    are condensed out instead (see Elimination), and SuperLU factors the
-    Schur complement in the others without pivoting: it must be symmetric
-    positive definite, as for the flux unknowns of the LDG saddle-point
-    systems.  Given ``schur_solve`` as well, that complement is solved by it
-    and neither formed nor factored unless the result misses the tolerance.
+    are condensed out instead (see Elimination, record path condensed), and
+    SuperLU factors the Schur complement in the others without pivoting: it
+    must be symmetric positive definite, as for the flux unknowns of the LDG
+    saddle-point systems.
 
-    Refines once on the full system if the residual misses RESIDUAL_TOL *
-    max(1, |rhs|_inf), and always after ``schur_solve``; if that refined
-    residual misses, falls back to factoring S.  Raises SingularSystemError
-    on a singular pivot or block, or if the last refined residual misses.
-    Logs one DEBUG record per path tried to the "ldgrd" logger: the path
-    (lu, condensed or tensor), the unknown count, the size, nnz and LU fill
-    of the factored matrix (tensor: eigenproblem size, 0, 0), and the
-    residual before and after refinement.
+    Refines once on the full system if the residual misses its tolerance
+    (see _refined_solve).  Raises SingularSystemError on a singular pivot or
+    block, or if the refined residual still misses.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (A.shape[0],):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({A.shape[0]},)")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("rhs contains non-finite entries")
     if eliminate is None:
-        paths = [("lu", lambda: _splu(A))]
+        path, factor = "lu", lambda: _splu(A)
     else:
         mask = np.asarray(eliminate, dtype=bool)
         if mask.shape != (A.shape[0],):
             raise ValueError(f"eliminate has shape {mask.shape}, expected ({A.shape[0]},)")
         if not mask.any():
             raise ValueError("eliminate selects no unknown")
-        elim = Elimination(A, mask)
-        paths = [("condensed", elim.factor)]
-        if schur_solve is not None:
-            paths.insert(0, ("tensor", lambda: (lambda r: elim.solve(r, schur_solve),
-                                                lambda: (schur_solve.size, 0, 0))))
-    tol = RESIDUAL_TOL * max(1.0, float(np.abs(rhs).max(initial=0.0)))
-    for path, factor in paths:
-        solve, sizes = factor()
-        x = solve(rhs)
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError("solver produced non-finite values")
-        residual = rhs - matvec(A, x)
-        before = after = float(np.abs(residual).max(initial=0.0))
-        refined = path == "tensor" or before > tol
-        if refined:
-            x = x + solve(residual)
-            after = residual_inf(A, x, rhs)
-        if logger.isEnabledFor(logging.DEBUG):  # reading L and U copies the factor
-            logger.debug("lu_solve path=%s unknowns=%d factored=%d nnz=%d fill=%d "
-                         "residual=%.3g refined=%s refined_residual=%.3g",
-                         path, A.shape[0], *sizes(), before, refined, after)
-        if after <= tol:
-            return x
-    raise SingularSystemError(
-        f"residual {after:.3g} after one refinement step misses the tolerance {tol:.3g}"
-    )
+        path, factor = "condensed", lambda: Elimination(A, mask).factor()
+    x, after, tol = _refined_solve(path, lambda v: matvec(A, v), factor, rhs)
+    if after > tol:
+        raise SingularSystemError(
+            f"residual {after:.3g} after one refinement step misses the tolerance {tol:.3g}"
+        )
+    return x

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly1d import _check_special
-from .polyspace import layer_rule, leg_mass, legendre_basis
+from .polyspace import layer_rule, leg_mass, legendre_basis, tensor_sum
 
 __all__ = [
     "ErrorReport",
@@ -146,7 +146,7 @@ def _error_pieces_2d(t, problem, cfg):
     bV = np.broadcast_to(np.asarray(problem.b(X4, Y4), dtype=float), eu.shape)
 
     def vol(fsq):
-        return float(np.einsum("ijxy,x,y,i,j->", fsq, rule.weights, rule.weights, wx, wy))
+        return tensor_sum(fsq, rule.weights, wx, wy)
 
     l2p_sq, l2q_sq = vol(ep_**2), vol(eq**2)
     bu_sq, l2u_sq = vol(bV * eu**2), vol(eu**2)
@@ -199,8 +199,7 @@ def discrete_energy_sq_2d(t, b, cfg) -> float:
     bV = np.broadcast_to(np.asarray(b(*mesh.quad_points(rule.nodes, rule.nodes)), dtype=float),
                          (nx, ny, rule.n, rule.n))
     Uv = t.u.values_on_ref(rule.nodes, rule.nodes)
-    bu_sq = float(np.einsum("ijxy,x,y,i,j->", bV * Uv**2, rule.weights, rule.weights,
-                            0.5 * hx, 0.5 * hy))
+    bu_sq = tensor_sum(bV * Uv**2, rule.weights, 0.5 * hx, 0.5 * hy)
     w_t = 0.5 * hy, 0.5 * hx  # along the lines normal to x, and to y
 
     def edge_sq(poly, axis, i):

@@ -19,6 +19,7 @@ __all__ = [
     "leg_mass",
     "grad_matrix",
     "end_vals",
+    "tensor_sum",
     "LocalPoly",
     "PiecewisePoly1D",
     "PiecewisePoly2D",
@@ -116,6 +117,14 @@ def end_vals(k: int) -> tuple[np.ndarray, np.ndarray]:
     return minus, plus
 
 
+def tensor_sum(vals: np.ndarray, weights: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> float:
+    """Sum of vals[i, j, x, y] * weights[x] * weights[y] * wx[i] * wy[j],
+    contracted one axis at a time."""
+    n = weights.size
+    per_cell = ((vals.reshape(-1, n) @ weights).reshape(-1, n) @ weights).reshape(wx.size, wy.size)
+    return float(wx @ per_cell @ wy)
+
+
 @dataclass(frozen=True, eq=False)
 class LocalPoly:
     """Polynomial on one reference cell, stored as Legendre coefficients."""
@@ -208,9 +217,7 @@ class PiecewisePoly2D:
     def values_on_ref(self, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
         """Values on the tensor reference grid per cell, shape (nx, ny, len(tx), len(ty))."""
         k = self.degree
-        px = legendre_basis(k, tx)
-        py = legendre_basis(k, ty)
-        return np.einsum("ijmn,mx,ny->ijxy", self.coeffs, px, py)
+        return legendre_basis(k, tx).T @ (self.coeffs @ legendre_basis(k, ty))
 
     def eval(self, x: float, y: float) -> float:
         mx, my = self.mesh.mesh_x, self.mesh.mesh_y

@@ -6,12 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from ldgrd.assembly1d import FluxConfig, assemble, table_matrix
 from ldgrd.assembly2d import (
+    LdgOperator2D,
     LdgSolution2D,
     assemble2d,
     bilinear_B2d,
@@ -19,7 +21,8 @@ from ldgrd.assembly2d import (
     solution_to_coeffs_2d,
     solve_2d,
 )
-from ldgrd.linalg import Elimination, KroneckerSumSolve, _block_inverse, lu_solve, matvec
+from ldgrd.linalg import (Elimination, KroneckerSumSolve, SingularSystemError, _block_inverse,
+                          lu_solve, matvec)
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import discrete_energy_sq_2d, error_report_2d
 from ldgrd.polyspace import PiecewisePoly2D, leg_mass
@@ -288,7 +291,8 @@ def test_schur_complement_is_a_kronecker_sum(k, eps, N, flux, b, same_mesh):
 
 def test_tensor_solve_falls_back_to_the_condensed_path(monkeypatch, caplog):
     # A tensor solve that misses by a factor keeps a residual far above the
-    # tolerance after one refinement step, so S is factored after all.
+    # tolerance after one refinement step, so the assembled system is solved
+    # with P and Q condensed out after all.
     eps, N, k = 1e-8, 8, 2
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2, cfg = build_tensor_2d(m, m), FluxConfig.paper(eps, N)
@@ -304,6 +308,130 @@ def test_tensor_solve_falls_back_to_the_condensed_path(monkeypatch, caplog):
     assert float(tensor["refined_residual"]) > 1e-10 * max(1.0, np.abs(system.rhs).max())
     assert condensed["path"] == "condensed"
     assert np.abs(x - full).max() <= 1e-12 * np.abs(full).max()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 3), eps=st.sampled_from([1e-4, 1e-6, 1e-8, 1e-10, 1e-12]),
+       N=st.sampled_from([4, 8, 12]), flux=st.sampled_from(["paper", "classic"]),
+       same_mesh=st.booleans(), variable_b=st.booleans(), seed=st.integers(0, 2**16))
+def test_operator_apply_matches_matrix(k, eps, N, flux, same_mesh, variable_b, seed):
+    # The matrix-free apply is the assembled matrix, and both are the
+    # bilinear form: z . apply(t) = B(t; z).  The residual of a solve is at
+    # rounding level for any right-hand side, not only the [0; 0; F] of a
+    # solve_2d call, whose P and Q parts vanish.
+    mx = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    my = mx if same_mesh else build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 2.0,
+                                                           N=N))
+    mesh2, cfg = build_tensor_2d(mx, my), getattr(FluxConfig, flux)(eps, N)
+    problem = layer2d(eps)
+    if variable_b:
+        problem = dataclasses.replace(problem, b=lambda x, y: 1.0 + x * (1.0 - y))
+    op = LdgOperator2D(mesh2, problem, k, cfg)
+    assert (op.b is None) == variable_b and (op.y is op.x) == same_mesh
+    A = op.matrix()
+    rng = np.random.default_rng(seed)
+    t, z = make_triple(mesh2, k, rng), make_triple(mesh2, k, rng)
+    x = solution_to_coeffs_2d(t)
+    Ax = op.apply(x)
+    assert np.abs(Ax - A @ x).max() <= 1e-13 * abs(A).max() * np.abs(x).max()
+    form = bilinear_B2d(t, z, problem.b, cfg)
+    assert abs(solution_to_coeffs_2d(z) @ Ax - form) <= 1e-11 * max(abs(form), 1.0)
+    if not variable_b:  # and the matrix-free solve inverts it, P and Q parts included
+        op.factor()
+        y = op.solve(Ax)
+        assert np.abs(op.apply(y) - Ax).max() <= 1e-14 * abs(A).max() * np.abs(y).max()
+
+
+def test_constant_b_solve_neither_assembles_nor_factors(monkeypatch):
+    eps, N, k = 1e-6, 8, 2
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    mesh2, problem, cfg = build_tensor_2d(m, m), layer2d(eps), FluxConfig.paper(eps, N)
+    system = assemble2d(mesh2, problem, k, cfg)
+    full = lu_solve(system.matrix, system.rhs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called by the constant-b solve")
+
+    monkeypatch.setattr(spla, "splu", forbidden)
+    monkeypatch.setattr("ldgrd.assembly2d.assemble2d", forbidden)
+    monkeypatch.setattr(LdgOperator2D, "matrix", forbidden)
+    monkeypatch.setattr(Elimination, "__init__", forbidden)
+    x = solution_to_coeffs_2d(solve_2d(mesh2, problem, k, cfg))
+    assert np.abs(x - full).max() <= 1e-12 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("same_mesh", [True, False])
+def test_one_eigh_per_distinct_axis(same_mesh, monkeypatch):
+    eps, N, k = 1e-6, 8, 1
+    mx = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
+    my = mx if same_mesh else build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=3.0, N=N))
+    calls = {"eigh": 0, "table_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr("ldgrd.assembly2d.table_matrix", counted("table_matrix", table_matrix))
+    solve_2d(build_tensor_2d(mx, my), layer2d(eps), k, FluxConfig.paper(eps, N))
+    assert calls == {"eigh": 1 if same_mesh else 2, "table_matrix": 1 if same_mesh else 2}
+
+
+@pytest.mark.parametrize("case, error, match", [
+    ("k=0", ValueError, "polynomial degree must be >= 1"),
+    ("mesh_x eps", ValueError, "does not match mesh eps"),
+    ("mesh_y eps", ValueError, "does not match mesh eps"),
+    ("cfg eps", ValueError, "flux config eps"),
+    ("nx != ny", ValueError, "nx=8 != ny=12"),
+    ("special 0", ValueError, "index 0 .* N=8"),
+    ("special 8", ValueError, "index 8 .* N=8"),
+    ("non-finite f", ValueError, "rhs contains non-finite entries"),
+    ("non-finite solve", SingularSystemError, "non-finite"),
+])
+def test_constant_b_solve_checks(case, error, match, monkeypatch):
+    eps, N = 1e-6, 8
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
+    other = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=N))
+    mx = my = m
+    k, problem, cfg = 1, layer2d(eps), FluxConfig.paper(eps, N)
+    if case == "k=0":
+        k = 0
+    elif case == "mesh_x eps":
+        mx = other
+    elif case == "mesh_y eps":
+        my = other
+    elif case == "cfg eps":
+        cfg = FluxConfig.paper(1e-4, N)
+    elif case == "nx != ny":
+        my = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=12))
+    elif case.startswith("special"):
+        cfg = dataclasses.replace(cfg, special_index=int(case.split()[1]))
+    elif case == "non-finite f":
+        problem = dataclasses.replace(problem, f=lambda x, y: np.full(np.broadcast(x, y).shape,
+                                                                      np.nan))
+    else:
+        monkeypatch.setattr(KroneckerSumSolve, "__call__", lambda self, g: np.full(g.size, np.nan))
+    with pytest.raises(error, match=match):
+        solve_2d(build_tensor_2d(mx, my), problem, k, cfg)
+
+
+def test_constant_b_solve_peak_memory():
+    # Nothing of the size of the assembled matrix is built: the peak is a
+    # small multiple of the solution vector (about 8.8x; the assembled
+    # solve's peak is about 50x).
+    eps, N, k = 1e-8, 64, 1
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    mesh2, problem, cfg = build_tensor_2d(m, m), layer2d(eps), FluxConfig.paper(eps, N)
+    solve_2d(mesh2, problem, k, cfg)  # warm the caches of the reference-cell helpers
+    tracemalloc.start()
+    try:
+        solve_2d(mesh2, problem, k, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 3 * N * N * (k + 1) ** 2 * 8
 
 
 def test_assembly_2d_deterministic():

@@ -13,6 +13,7 @@ from ldgrd.polyspace import (
     leg_mass,
     legendre_basis,
     legendre_basis_deriv,
+    tensor_sum,
 )
 
 from conftest import uniform_mesh, uniform_mesh_2d
@@ -136,6 +137,29 @@ def test_values_on_ref_consistent_with_eval(rng):
     for j in range(8):
         xs = mid[j] + 0.5 * mesh.widths[j] * t
         assert np.abs(poly.eval(xs) - vals[j]).max() < 1e-13
+
+
+def test_2d_values_on_ref_consistent_with_eval(rng):
+    # different x and y meshes and reference nodes, so that the two axes of
+    # the sum-factorized evaluation cannot be swapped unseen
+    mx = build_shishkin_1d(MeshParams(eps=1e-6, beta=1.0, sigma=2.0, N=4))
+    my = build_shishkin_1d(MeshParams(eps=1e-6, beta=1.0, sigma=3.0, N=4))
+    poly = PiecewisePoly2D(build_tensor_2d(mx, my), rng.standard_normal((4, 4, 3, 3)))
+    tx, ty = np.array([-0.3, 0.1, 0.8]), np.array([-0.9, 0.5])
+    vals = poly.values_on_ref(tx, ty)
+    assert vals.shape == (4, 4, 3, 2)
+    X = 0.5 * (mx.points[:-1] + mx.points[1:])[:, None] + 0.5 * mx.widths[:, None] * tx
+    Y = 0.5 * (my.points[:-1] + my.points[1:])[:, None] + 0.5 * my.widths[:, None] * ty
+    for i, j, a, b in np.ndindex(vals.shape):
+        assert abs(vals[i, j, a, b] - poly.eval(X[i, a], Y[j, b])) < 1e-12
+
+
+def test_tensor_sum_matches_einsum(rng):
+    vals = rng.standard_normal((3, 4, 5, 5))
+    w, wx, wy = rng.random(5), rng.random(3), rng.random(4)
+    ref = np.einsum("ijxy,x,y,i,j->", vals, w, w, wx, wy)
+    assert abs(tensor_sum(vals, w, wx, wy) - ref) <= 1e-14 * np.einsum(
+        "ijxy,x,y,i,j->", np.abs(vals), w, w, wx, wy)
 
 
 def test_2d_eval_and_traces(rng):
