@@ -11,8 +11,7 @@ import scipy.sparse as sp
 
 from .assembly1d import (ASSEMBLY_EXTRA_NODES, FluxConfig, _check_consistent, _check_special,
                          table_matrix)
-from .linalg import (KroneckerSumSolve, SparseSystem, _block_inverse, _refined_solve, from_coo,
-                     lu_solve)
+from .linalg import KroneckerSumSolve, SparseSystem, _block_inverse, _refined_solve, from_coo, pcg
 from .mesh import TensorMesh2D
 from .polyspace import (PiecewisePoly2D, gauss_rule, grad_matrix, leg_mass, legendre_basis,
                         tensor_sum)
@@ -75,8 +74,8 @@ class LdgOperator2D:
         [0        Mx⊗Yff   Mx⊗Yfu               ]
         [Xuf⊗My   Mx⊗Yuf   Xuu⊗My + Mx⊗Yuu + R  ]
 
-    ``b`` is the reaction coefficient if it is one positive constant on the
-    quadrature grid, else None.  If mesh_y is mesh_x, so is the y axis.
+    ``b_range`` is (min b, max b) over the quadrature grid.  If mesh_y is
+    mesh_x, so is the y axis.
     """
 
     def __init__(self, mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig):
@@ -102,15 +101,14 @@ class LdgOperator2D:
         shape4 = (nx, ny, rule.n, rule.n)
         bV = np.broadcast_to(np.asarray(problem.b(X4, Y4), dtype=float), shape4)
         fV = np.broadcast_to(np.asarray(problem.f(X4, Y4), dtype=float), shape4)
-        b0 = bV[0, 0, 0, 0]
-        self.b = float(b0) if np.isfinite(b0) and b0 > 0.0 and np.all(bV == b0) else None
+        self.b_range = float(bV.min()), float(bV.max())
         # (b u, v) blocks, contracted one axis at a time (x, then y) by matmuls
         wpp = np.einsum("x,ax,mx->xam", rule.weights, phi, phi).reshape(rule.n, B2)
         b_blocks = (np.swapaxes(np.swapaxes(bV, 2, 3) @ wpp, 2, 3) @ wpp).reshape(
             nx, ny, B1, B1, B1, B1).transpose(0, 1, 2, 4, 3, 5).reshape(nx, ny, B2, B2)
         self.reaction = b_blocks * area[:, :, None, None]
-        f_mom = np.einsum("ijxy,x,y,ax,by->ijab", fV, rule.weights, rule.weights, phi, phi)
-        f_mom = f_mom * area[:, :, None, None]
+        wphi = rule.weights * phi
+        f_mom = (wphi @ fV @ wphi.T) * area[:, :, None, None]
         n = nx * ny * B2
         self.rhs = np.concatenate([np.zeros(2 * n), f_mom.transpose(0, 2, 1, 3).ravel()])
         # the U index of each cell's (x mode, y mode), shape (nx, ny, (k+1)^2)
@@ -119,30 +117,53 @@ class LdgOperator2D:
     def _fields(self, v: np.ndarray) -> np.ndarray:
         return v.reshape(3, self.x.mass.size, self.y.mass.size)
 
+    def _react(self, u: np.ndarray, out: np.ndarray):
+        """out += R u, cell by cell, for U unknowns u."""
+        out[self.cell] += (self.reaction @ u[self.cell][..., None])[..., 0]
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The matrix times v, by 1D sparse products and R per cell."""
         P, Q, U = self._fields(v)
         fp, up = _half(self.x, self.y, P, U)
         fq, uq = _half(self.y, self.x, Q.T, U.T)
         out = np.concatenate([fp.ravel(), fq.T.ravel(), (up + uq.T).ravel()])
-        out[2 * U.size + self.cell] += (self.reaction @ U.ravel()[self.cell][..., None])[..., 0]
+        self._react(U.ravel(), out[2 * U.size:])
+        return out
+
+    def _schur_apply(self, u: np.ndarray) -> np.ndarray:
+        """S u, with S = Kx⊗My + Mx⊗Ky + R the Schur complement in U."""
+        (Kx, mx), (Ky, my) = self.x.schur, self.y.schur
+        U = u.reshape(mx.size, my.size)
+        out = ((Kx @ U) * my + mx[:, None] * (Ky @ U.T).T).ravel()
+        self._react(u, out)
         return out
 
     def factor(self):
-        """(solve, record sizes) for constant b: the fast-diagonalization
-        setup of the Schur complement S = b Mx⊗My + Kx⊗My + Mx⊗Ky in U."""
-        if self.b is None:
-            raise ValueError("the matrix-free solve needs one positive constant b")
-        self._schur_solve = KroneckerSumSolve(self.b, self.x.schur, self.y.schur)
-        return self.solve, lambda: (self.x.mass.size, 0, 0)
+        """(solve, record fields): the fast-diagonalization setup of the
+        preconditioner b̄ Mx⊗My + Kx⊗My + Mx⊗Ky of S, b̄ = (min b + max b)/2,
+        which is S itself for constant b.  Raises ValueError unless b is
+        finite and positive on the quadrature grid."""
+        lo, hi = self.b_range
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo > 0.0):
+            raise ValueError(f"the 2D solve needs a finite positive b; got b in [{lo}, {hi}] "
+                             f"on the quadrature grid")
+        self._precondition = KroneckerSumSolve(0.5 * (lo + hi), self.x.schur, self.y.schur)
+        self.iterations = []
+        return self.solve, lambda: (f"factored={self.x.mass.size} "
+                                    f"iterations={','.join(map(str, self.iterations))}")
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """The inverse times r, after factor(): P and Q are eliminated with
-        each axis's Xff^-1, S is solved, and P and Q are recovered."""
+        each axis's Xff^-1, S is solved by PCG preconditioned by factor()'s
+        solve (its iteration count appended to ``iterations``), and P and Q
+        are recovered."""
         rP, rQ, rU = self._fields(r)
         x, y = self.x, self.y
-        U = self._schur_solve(rU - x.uf @ (x.ff_inv @ rP)
-                              - (y.uf @ (y.ff_inv @ rQ.T)).T).reshape(rU.shape)
+        g = rU - x.uf @ (x.ff_inv @ rP) - (y.uf @ (y.ff_inv @ rQ.T)).T
+        lo, hi = self.b_range
+        U, iterations = pcg(self._schur_apply, self._precondition, g.ravel(), hi / lo)
+        self.iterations.append(iterations)
+        U = U.reshape(rU.shape)
         P = x.ff_inv @ (rP / y.mass - x.fu @ U)
         Q = y.ff_inv @ (rQ.T / x.mass - y.fu @ U.T)
         return np.concatenate([P.ravel(), Q.T.ravel(), U.ravel()])
@@ -182,18 +203,12 @@ def solution_to_coeffs_2d(t: LdgSolution2D) -> np.ndarray:
 
 
 def solve_2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> LdgSolution2D:
-    """Constant b: LdgOperator2D.solve, refined once on the residual of its
-    apply (record path tensor); nothing is assembled.  Variable b, or a
-    refined residual that misses its tolerance: lu_solve of the assembled
-    matrix with P and Q condensed out (they couple only within their cell
-    and across the special lines)."""
+    """LdgOperator2D.solve, refined once on the residual of its apply (record
+    path pcg); nothing is assembled or factored.  Raises SingularSystemError
+    if the refined residual misses its tolerance (see _refined_solve)."""
     op = LdgOperator2D(mesh, problem, k, cfg)
-    if op.b is not None:
-        x, residual, tol = _refined_solve("tensor", op.apply, op.factor, op.rhs, always=True)
-        if residual <= tol:
-            return coeffs_to_solution_2d(mesh, k, x)
-    flux = np.arange(op.rhs.size) < 2 * op.rhs.size // 3
-    return coeffs_to_solution_2d(mesh, k, lu_solve(op.matrix(), op.rhs, eliminate=flux))
+    x = _refined_solve("pcg", op.apply, op.factor, op.rhs, always=True)
+    return coeffs_to_solution_2d(mesh, k, x)
 
 
 def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig) -> float:

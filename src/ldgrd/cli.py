@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="mesh grading constant; the default rule 'k+1' "
                              "ties it to the degree")
     parser.add_argument("--problem", default="layer1d",
-                        choices=("layer1d", "poly1d", "layer2d", "poly2d"))
+                        choices=("layer1d", "poly1d", "layer2d", "layer2d_varb", "poly2d"))
     parser.add_argument("--flux", default="paper", choices=("paper", "classic"),
                         help="'classic' drops the interior jump penalty")
     parser.add_argument("--format", dest="fmt", default="table", choices=("csv", "table"))

@@ -1,4 +1,5 @@
-"""Compressed-sparse-row storage and direct solution of the assembled systems."""
+"""Compressed-sparse-row storage, the direct solve of the assembled 1D
+systems and the pieces of the matrix-free 2D solve."""
 
 from __future__ import annotations
 
@@ -17,17 +18,18 @@ __all__ = [
     "matvec",
     "lu_solve",
     "residual_inf",
-    "Elimination",
     "KroneckerSumSolve",
+    "pcg",
 ]
 
 RESIDUAL_TOL = 1e-10
+PCG_RTOL = 1e-13
 
 logger = logging.getLogger("ldgrd")
 
 
 class SingularSystemError(RuntimeError):
-    """Raised when LU factorization hits a singular pivot or an eliminated
+    """Raised when LU factorization hits a singular pivot or an inverted
     block is singular, or when the refined solution still misses the
     residual tolerance."""
 
@@ -101,36 +103,6 @@ def _block_inverse(Aff: sp.csr_array) -> sp.csr_array:
                         shape=(n, n))
 
 
-class Elimination:
-    """Blockwise elimination of the unknowns f = mask from A x = r; A[f,f]
-    must split into small independent blocks, which are inverted exactly."""
-
-    def __init__(self, A: sp.csr_array, mask: np.ndarray):
-        self.f, self.u = f, u = np.flatnonzero(mask), np.flatnonzero(~mask)
-        Af, self.Au = A[f], A[u]
-        self.Aff_inv, self.Auf, self.Afu = _block_inverse(Af[:, f]), self.Au[:, f], Af[:, u]
-
-    def schur(self) -> sp.csr_array:
-        """S = A[u,u] - A[u,f] A[f,f]^-1 A[f,u], by three sparse products."""
-        return self.Au[:, self.u] - self.Auf @ (self.Aff_inv @ self.Afu)
-
-    def factor(self):
-        """Factor S, taken to be symmetric positive definite, without pivoting;
-        returns (solve of A, record sizes).  COLAMD gives less fill than
-        minimum degree on S^T + S in the Kronecker order of the 2D U unknowns
-        (k=2, N=64: 18.0M against 22.9M)."""
-        solve_s, sizes = _splu(self.schur(), " of the Schur complement", diag_pivot_thresh=0.0,
-                               permc_spec="COLAMD", options={"SymmetricMode": True})
-        return (lambda r: self.solve(r, solve_s)), sizes
-
-    def solve(self, r: np.ndarray, schur_solve) -> np.ndarray:
-        """A^-1 r from a solve of S; the unknowns f are recovered blockwise."""
-        x, f, u = np.empty_like(r), self.f, self.u
-        x[u] = schur_solve(r[u] - self.Auf @ (self.Aff_inv @ r[f]))
-        x[f] = self.Aff_inv @ (r[f] - self.Afu @ x[u])
-        return x
-
-
 class KroneckerSumSolve:
     """Solve of S = b*Mx⊗My + Kx⊗My + Mx⊗Ky, b > 0, K symmetric positive
     semidefinite and M positive diagonal (given as vectors), by fast
@@ -152,26 +124,49 @@ class KroneckerSumSolve:
         return (Vx @ ((Vx.T @ G @ Vy) / (self.b + lx[:, None] + ly)) @ Vy.T).ravel()
 
 
-def _splu(M: sp.csr_array, what: str = "", **options):
-    """SuperLU factor of M; returns (solve, record sizes)."""
+def pcg(apply, precondition, g: np.ndarray, kappa: float):
+    """Preconditioned conjugate gradients for S x = g from x = 0, with S
+    symmetric positive definite given by apply and kappa >= 1 a bound on the
+    condition number of the preconditioned S.  Stops once |g - S x|_2 <=
+    PCG_RTOL * |g|_2 (or on a non-finite residual), or after twice the
+    classical CG bound ceil(sqrt(kappa)/2 * ln(2/PCG_RTOL)) iterations.
+    Returns (x, iteration count)."""
+    cap = 2 * int(np.ceil(0.5 * np.sqrt(kappa) * np.log(2.0 / PCG_RTOL)))
+    x, r, p, rz = np.zeros_like(g), g.copy(), None, None
+    stop, it = PCG_RTOL * np.linalg.norm(g), 0
+    while it < cap and np.linalg.norm(r) > stop:
+        z = precondition(r)
+        rz, rz_old = r @ z, rz
+        p = z if p is None else z + (rz / rz_old) * p
+        Sp = apply(p)
+        alpha = rz / (p @ Sp)
+        x += alpha * p
+        r -= alpha * Sp
+        it += 1
+    return x, it
+
+
+def _splu(M: sp.csr_array):
+    """SuperLU factor of M; returns (solve, record fields)."""
     try:
-        factor = spla.splu(M.tocsc(), **options)
+        factor = spla.splu(M.tocsc())
     except RuntimeError as exc:  # SuperLU reports the failing pivot index
-        raise SingularSystemError(f"sparse LU factorization{what} failed: {exc}") from exc
-    return factor.solve, lambda: (M.shape[0], M.nnz, factor.L.nnz + factor.U.nnz)
+        raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
+    return factor.solve, lambda: (f"factored={M.shape[0]} nnz={M.nnz} "
+                                  f"fill={factor.L.nnz + factor.U.nnz}")
 
 
 def _refined_solve(path: str, apply, factor, rhs: np.ndarray, always: bool = False):
-    """x = solve(rhs), with (solve, sizes) = factor(), then one refinement
+    """x = solve(rhs), with (solve, record) = factor(), then one refinement
     step on the residual of apply: always, or if the residual misses
-    RESIDUAL_TOL * max(1, |rhs|_inf).  Returns (x, refined residual, that
-    tolerance).  Raises ValueError on a non-finite rhs and
-    SingularSystemError on a non-finite x.  Logs one DEBUG record to the
-    "ldgrd" logger: the path, the unknown count, the size, nnz and LU fill of
-    the factored matrix, and the residual before and after refinement."""
+    RESIDUAL_TOL * max(1, |rhs|_inf).  Logs one DEBUG record to the "ldgrd"
+    logger: the path, the unknown count, the key=value fields of record()
+    and the residual before and after refinement.  Raises ValueError on a
+    non-finite rhs, and SingularSystemError on a non-finite x or if the
+    refined residual still misses the tolerance (naming record()'s fields)."""
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs contains non-finite entries")
-    solve, sizes = factor()
+    solve, record = factor()
     x = solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solver produced non-finite values")
@@ -183,41 +178,20 @@ def _refined_solve(path: str, apply, factor, rhs: np.ndarray, always: bool = Fal
         x = x + solve(residual)
         after = float(np.abs(rhs - apply(x)).max(initial=0.0))
     if logger.isEnabledFor(logging.DEBUG):  # reading L and U copies the factor
-        logger.debug("solve path=%s unknowns=%d factored=%d nnz=%d fill=%d "
-                     "residual=%.3g refined=%s refined_residual=%.3g",
-                     path, rhs.size, *sizes(), before, refined, after)
-    return x, after, tol
+        logger.debug("solve path=%s unknowns=%d %s residual=%.3g refined=%s "
+                     "refined_residual=%.3g", path, rhs.size, record(), before, refined, after)
+    if after > tol:
+        raise SingularSystemError(f"{path} solve: residual {after:.3g} after one refinement "
+                                  f"step misses the tolerance {tol:.3g} ({record()})")
+    return x
 
 
-def lu_solve(A: sp.csr_array, rhs: np.ndarray, eliminate=None) -> np.ndarray:
-    """Direct sparse LU solve: SuperLU with partial pivoting on all of A
-    (record path lu).
-
-    With ``eliminate`` (a boolean mask over the unknowns) the masked unknowns
-    are condensed out instead (see Elimination, record path condensed), and
-    SuperLU factors the Schur complement in the others without pivoting: it
-    must be symmetric positive definite, as for the flux unknowns of the LDG
-    saddle-point systems.
-
-    Refines once on the full system if the residual misses its tolerance
-    (see _refined_solve).  Raises SingularSystemError on a singular pivot or
-    block, or if the refined residual still misses.
-    """
+def lu_solve(A: sp.csr_array, rhs: np.ndarray) -> np.ndarray:
+    """Direct sparse LU solve: SuperLU with partial pivoting (record path
+    lu), refined once on the residual if it misses its tolerance (see
+    _refined_solve).  Raises SingularSystemError on a singular pivot, or if
+    the refined residual still misses."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (A.shape[0],):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({A.shape[0]},)")
-    if eliminate is None:
-        path, factor = "lu", lambda: _splu(A)
-    else:
-        mask = np.asarray(eliminate, dtype=bool)
-        if mask.shape != (A.shape[0],):
-            raise ValueError(f"eliminate has shape {mask.shape}, expected ({A.shape[0]},)")
-        if not mask.any():
-            raise ValueError("eliminate selects no unknown")
-        path, factor = "condensed", lambda: Elimination(A, mask).factor()
-    x, after, tol = _refined_solve(path, lambda v: matvec(A, v), factor, rhs)
-    if after > tol:
-        raise SingularSystemError(
-            f"residual {after:.3g} after one refinement step misses the tolerance {tol:.3g}"
-        )
-    return x
+    return _refined_solve("lu", lambda v: matvec(A, v), lambda: _splu(A), rhs)

@@ -13,6 +13,7 @@ __all__ = [
     "ProblemSpec2D",
     "layer1d",
     "layer2d",
+    "layer2d_variable_b",
     "poly_exact_1d",
     "poly_exact_2d",
     "get_problem",
@@ -147,9 +148,13 @@ def poly_exact_1d(eps: float) -> ProblemSpec1D:
     )
 
 
-def _tensor_2d(base: ProblemSpec1D, name: str) -> ProblemSpec2D:
+def _two(x, y):
+    return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, 2.0)
+
+
+def _tensor_2d(base: ProblemSpec1D, name: str, b: Callable) -> ProblemSpec2D:
     """Separable problem u(x,y) = u1(x)*u1(y), with u1 the exact solution of
-    the 1D problem base, and b = 2."""
+    the 1D problem base, reaction coefficient b and f = -eps*Lap(u) + b*u."""
     eps = base.eps
     u1, du1, d2u1 = base.u_exact, base.du_exact, base.d2u_exact
 
@@ -166,10 +171,7 @@ def _tensor_2d(base: ProblemSpec1D, name: str) -> ProblemSpec2D:
         return d2u1(x) * u1(y) + u1(x) * d2u1(y)
 
     def f(x, y):
-        return -eps * lap(x, y) + 2.0 * u(x, y)
-
-    def b(x, y):
-        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, 2.0)
+        return -eps * lap(x, y) + b(x, y) * u(x, y)
 
     return ProblemSpec2D(
         name=name, eps=eps, beta=base.beta, b=b, f=f,
@@ -181,19 +183,25 @@ def layer2d(eps: float) -> ProblemSpec2D:
     """Two-dimensional layer problem u(x,y) = u1(x)*u1(y) with u1 the
     solution of layer1d and b = 2, so layers form along all four edges and
     in the corners."""
-    return _tensor_2d(layer1d(eps), "layer2d")
+    return _tensor_2d(layer1d(eps), "layer2d", _two)
+
+
+def layer2d_variable_b(eps: float) -> ProblemSpec2D:
+    """layer2d's u with the variable reaction coefficient b = 2 + x(1-y)."""
+    return _tensor_2d(layer1d(eps), "layer2d_varb", lambda x, y: 2.0 + x * (1.0 - y))
 
 
 def poly_exact_2d(eps: float) -> ProblemSpec2D:
     """Biquadratic exact solution u = x(1-x)y(1-y) with b = 2, the tensor
     product of poly_exact_1d."""
-    return _tensor_2d(poly_exact_1d(eps), "poly2d")
+    return _tensor_2d(poly_exact_1d(eps), "poly2d", _two)
 
 
 PROBLEM_NAMES = {
     "layer1d": (1, layer1d),
     "poly1d": (1, poly_exact_1d),
     "layer2d": (2, layer2d),
+    "layer2d_varb": (2, layer2d_variable_b),
     "poly2d": (2, poly_exact_2d),
 }
 

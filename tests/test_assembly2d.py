@@ -1,10 +1,13 @@
 import dataclasses
+import gc
 import logging
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -21,12 +24,12 @@ from ldgrd.assembly2d import (
     solution_to_coeffs_2d,
     solve_2d,
 )
-from ldgrd.linalg import (Elimination, KroneckerSumSolve, SingularSystemError, _block_inverse,
-                          lu_solve, matvec)
+from ldgrd.linalg import (KroneckerSumSolve, SingularSystemError, _block_inverse,
+                          _refined_solve, lu_solve, matvec)
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import discrete_energy_sq_2d, error_report_2d
 from ldgrd.polyspace import PiecewisePoly2D, leg_mass
-from ldgrd.problems import layer1d, layer2d, poly_exact_2d
+from ldgrd.problems import layer1d, layer2d, layer2d_variable_b, poly_exact_2d
 
 from conftest import uniform_mesh_2d
 
@@ -202,19 +205,33 @@ def flux_mask(mesh2, k):
     return np.arange(3 * n) < 2 * n
 
 
+def schur(A, mask):
+    """The Schur complement of A in the unknowns outside mask."""
+    f, u = np.flatnonzero(mask), np.flatnonzero(~mask)
+    Af, Au = A[f], A[u]
+    return Au[:, u] - Au[:, f] @ _block_inverse(Af[:, f]) @ Af[:, u]
+
+
+def with_variable_b(problem, c=1.0):
+    return dataclasses.replace(problem, b=lambda x, y: 1.0 + c * x * (1.0 - y))
+
+
 @pytest.mark.parametrize("problem", [layer2d, poly_exact_2d])
 @pytest.mark.parametrize("flux", ["paper", "classic"])
 @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_condensed_solve_matches_full_lu(k, eps, flux, problem):
-    # Solution vectors, not errors: poly_exact_2d is reproduced to ~1e-17
-    # at k >= 2 on both paths, so a relative error difference means nothing.
+    # With b = 1 + x(1-y), solve_2d condenses P and Q out and solves the
+    # Schur complement in U by PCG with an inexact preconditioner.  Solution
+    # vectors, not errors: poly_exact_2d is reproduced to ~1e-17 at k >= 2,
+    # so a relative error difference means nothing.
     N = 16 if k <= 2 else 8
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    mesh2 = build_tensor_2d(m, m)
-    system = assemble2d(mesh2, problem(eps), k, getattr(FluxConfig, flux)(eps, N))
+    mesh2, cfg = build_tensor_2d(m, m), getattr(FluxConfig, flux)(eps, N)
+    varied = with_variable_b(problem(eps))
+    system = assemble2d(mesh2, varied, k, cfg)
     full = lu_solve(system.matrix, system.rhs)
-    condensed = lu_solve(system.matrix, system.rhs, eliminate=flux_mask(mesh2, k))
+    condensed = solution_to_coeffs_2d(solve_2d(mesh2, varied, k, cfg))
     assert np.abs(condensed - full).max() <= 1e-12 * np.abs(full).max()
 
 
@@ -227,15 +244,15 @@ def test_saddle_point_structure(k, eps, N, flux, c):
     # coefficient b = 1 + c*x*(1 - y).
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2 = build_tensor_2d(m, m)
-    problem = dataclasses.replace(layer2d(eps), b=lambda x, y: 1.0 + c * x * (1.0 - y))
-    A = assemble2d(mesh2, problem, k, getattr(FluxConfig, flux)(eps, N)).matrix
+    A = assemble2d(mesh2, with_variable_b(layer2d(eps), c), k,
+                   getattr(FluxConfig, flux)(eps, N)).matrix
     mask = flux_mask(mesh2, k)
     f, u = np.flatnonzero(mask), np.flatnonzero(~mask)
     Af, Au = A[f], A[u]
     assert abs(Af[:, u] + Au[:, f].T).max() <= 1e-15 * abs(A).max()
     _, labels = connected_components(Af[:, f], directed=False)
     assert np.bincount(labels).max() <= 2 * (k + 1) ** 2
-    S = Au[:, u] - Au[:, f] @ _block_inverse(Af[:, f]) @ Af[:, u]
+    S = schur(A, mask)
     assert abs(S - S.T).max() <= 1e-14 * abs(S).max()
 
 
@@ -244,7 +261,8 @@ def test_saddle_point_structure(k, eps, N, flux, c):
 @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_tensor_solve_matches_full_lu(k, eps, flux, problem, caplog):
-    # b = 2 in both problems, so solve_2d takes the fast-diagonalization path.
+    # b = 2 in both problems, so the fast-diagonalization preconditioner is
+    # exact and PCG takes one step in the solve and one in the refinement.
     N = 16 if k <= 2 else 8
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2 = build_tensor_2d(m, m)
@@ -253,8 +271,8 @@ def test_tensor_solve_matches_full_lu(k, eps, flux, problem, caplog):
     full = lu_solve(system.matrix, system.rhs)
     with caplog.at_level(logging.DEBUG, logger="ldgrd"):
         tensor = solution_to_coeffs_2d(solve_2d(mesh2, problem(eps), k, cfg))
-    assert [r.getMessage().split()[1] for r in caplog.records if r.name == "ldgrd"] == [
-        "path=tensor"]
+    (record,) = [r.getMessage() for r in caplog.records if r.name == "ldgrd"]
+    assert record.split()[1] == "path=pcg" and " iterations=1,1 " in record
     assert np.abs(tensor - full).max() <= 1e-12 * np.abs(full).max()
 
 
@@ -271,11 +289,10 @@ def test_schur_complement_is_a_kronecker_sum(k, eps, N, flux, b, same_mesh):
     cfg = getattr(FluxConfig, flux)(eps, N)
     problem = dataclasses.replace(layer2d(eps), b=lambda x, y: np.full(np.shape(x), b))
     A = assemble2d(build_tensor_2d(mx, my), problem, k, cfg).matrix
-    S = Elimination(A, flux_mask(build_tensor_2d(mx, my), k)).schur()
+    S = schur(A, flux_mask(build_tensor_2d(mx, my), k))
     pairs = []
     for m in (mx, my):
-        K = Elimination(table_matrix(m, k, cfg),
-                        np.tile(np.repeat([True, False], k + 1), N)).schur().toarray()
+        K = schur(table_matrix(m, k, cfg), np.tile(np.repeat([True, False], k + 1), N)).toarray()
         assert np.abs(K - K.T).max() <= 1e-13 * np.abs(K).max()
         assert np.linalg.eigvalsh(K).min() >= -1e-13 * np.abs(K).max()
         pairs.append((K, sp.diags_array(((0.5 * m.widths)[:, None] * leg_mass(k)).ravel())))
@@ -289,10 +306,53 @@ def test_schur_complement_is_a_kronecker_sum(k, eps, N, flux, b, same_mesh):
     assert np.abs(S @ solve(g) - g).max() <= 1e-10 * np.abs(g).max()
 
 
-def test_tensor_solve_falls_back_to_the_condensed_path(monkeypatch, caplog):
-    # A tensor solve that misses by a factor keeps a residual far above the
-    # tolerance after one refinement step, so the assembled system is solved
-    # with P and Q condensed out after all.
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 2), eps=st.sampled_from([1e-4, 1e-8, 1e-12]), N=st.sampled_from([4, 8]),
+       flux=st.sampled_from(["paper", "classic"]), c=st.floats(0.0, 20.0),
+       same_mesh=st.booleans())
+def test_preconditioner_is_spectrally_equivalent(k, eps, N, flux, c, same_mesh):
+    # The generalized eigenvalues of (S, b̄ M⊗M + Kx⊗My + Mx⊗Ky) lie in
+    # [min(1, min b/b̄), max(1, max b/b̄)], b̄ = (min b + max b)/2 over the
+    # quadrature grid: the preconditioned condition number, and with it the
+    # PCG iteration count, is bounded by max b / min b alone.
+    mx = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    my = mx if same_mesh else build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 2.0,
+                                                           N=N))
+    mesh2, cfg = build_tensor_2d(mx, my), getattr(FluxConfig, flux)(eps, N)
+    op = LdgOperator2D(mesh2, with_variable_b(layer2d(eps), c), k, cfg)
+    S = schur(op.matrix(), flux_mask(mesh2, k)).toarray()
+    lo, hi = op.b_range
+    bbar = 0.5 * (lo + hi)
+    (Kx, mx_), (Ky, my_) = op.x.schur, op.y.schur
+    P = (bbar * np.diag(np.kron(mx_, my_)) + np.kron(Kx.toarray(), np.diag(my_))
+         + np.kron(np.diag(mx_), Ky.toarray()))
+    lam = scipy.linalg.eigh(0.5 * (S + S.T), 0.5 * (P + P.T), eigvals_only=True)
+    assert lam.min() >= min(1.0, lo / bbar) * (1.0 - 1e-8)
+    assert lam.max() <= max(1.0, hi / bbar) * (1.0 + 1e-8)
+
+
+def test_solved_operator_is_freed_without_the_cycle_collector():
+    # The PCG state lives in the solve, not on the operator: a reference
+    # cycle would keep the operator's arrays until the collector runs.
+    eps, N, k = 1e-6, 8, 1
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    op = LdgOperator2D(build_tensor_2d(m, m), layer2d_variable_b(eps), k,
+                       FluxConfig.paper(eps, N))
+    gc.disable()
+    try:
+        _refined_solve("pcg", op.apply, op.factor, op.rhs, always=True)
+        freed = weakref.ref(op)
+        del op
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_missed_solve_raises_with_residual_and_iterations(monkeypatch, caplog):
+    # PCG is invariant to a scaled preconditioner, so a solve that misses by
+    # a factor still converges; without the preconditioner, PCG stops at its
+    # cap (32 for constant b) far from the solution, and the refined
+    # residual misses its tolerance.
     eps, N, k = 1e-8, 8, 2
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2, cfg = build_tensor_2d(m, m), FluxConfig.paper(eps, N)
@@ -300,14 +360,15 @@ def test_tensor_solve_falls_back_to_the_condensed_path(monkeypatch, caplog):
     full = lu_solve(system.matrix, system.rhs)
     exact = KroneckerSumSolve.__call__
     monkeypatch.setattr(KroneckerSumSolve, "__call__", lambda self, g: 1.5 * exact(self, g))
-    with caplog.at_level(logging.DEBUG, logger="ldgrd"):
-        x = solution_to_coeffs_2d(solve_2d(mesh2, layer2d(eps), k, cfg))
-    tensor, condensed = (dict(item.split("=") for item in r.getMessage().split()[1:])
-                         for r in caplog.records if r.name == "ldgrd")
-    assert (tensor["path"], tensor["refined"]) == ("tensor", "True")
-    assert float(tensor["refined_residual"]) > 1e-10 * max(1.0, np.abs(system.rhs).max())
-    assert condensed["path"] == "condensed"
+    x = solution_to_coeffs_2d(solve_2d(mesh2, layer2d(eps), k, cfg))
     assert np.abs(x - full).max() <= 1e-12 * np.abs(full).max()
+    monkeypatch.setattr(KroneckerSumSolve, "__call__", lambda self, g: g)
+    with pytest.raises(SingularSystemError, match=r"^pcg solve: residual (\S+) after one "
+                       r"refinement step misses the tolerance \S+ \(factored=24 "
+                       r"iterations=32,32\)$") as info:
+        solve_2d(mesh2, layer2d(eps), k, cfg)
+    residual = float(str(info.value).split()[3])
+    assert residual > 1e-10 * max(1.0, np.abs(system.rhs).max())
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -323,11 +384,9 @@ def test_operator_apply_matches_matrix(k, eps, N, flux, same_mesh, variable_b, s
     my = mx if same_mesh else build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 2.0,
                                                            N=N))
     mesh2, cfg = build_tensor_2d(mx, my), getattr(FluxConfig, flux)(eps, N)
-    problem = layer2d(eps)
-    if variable_b:
-        problem = dataclasses.replace(problem, b=lambda x, y: 1.0 + x * (1.0 - y))
+    problem = with_variable_b(layer2d(eps)) if variable_b else layer2d(eps)
     op = LdgOperator2D(mesh2, problem, k, cfg)
-    assert (op.b is None) == variable_b and (op.y is op.x) == same_mesh
+    assert (op.y is op.x) == same_mesh
     A = op.matrix()
     rng = np.random.default_rng(seed)
     t, z = make_triple(mesh2, k, rng), make_triple(mesh2, k, rng)
@@ -336,28 +395,29 @@ def test_operator_apply_matches_matrix(k, eps, N, flux, same_mesh, variable_b, s
     assert np.abs(Ax - A @ x).max() <= 1e-13 * abs(A).max() * np.abs(x).max()
     form = bilinear_B2d(t, z, problem.b, cfg)
     assert abs(solution_to_coeffs_2d(z) @ Ax - form) <= 1e-11 * max(abs(form), 1.0)
-    if not variable_b:  # and the matrix-free solve inverts it, P and Q parts included
-        op.factor()
-        y = op.solve(Ax)
-        assert np.abs(op.apply(y) - Ax).max() <= 1e-14 * abs(A).max() * np.abs(y).max()
+    # and the matrix-free solve inverts it, P and Q parts included
+    solve, _ = op.factor()
+    y = solve(Ax)
+    assert np.abs(op.apply(y) - Ax).max() <= 1e-14 * abs(A).max() * np.abs(y).max()
 
 
 def test_constant_b_solve_neither_assembles_nor_factors(monkeypatch):
+    # nor does a variable-b solve
     eps, N, k = 1e-6, 8, 2
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    mesh2, problem, cfg = build_tensor_2d(m, m), layer2d(eps), FluxConfig.paper(eps, N)
-    system = assemble2d(mesh2, problem, k, cfg)
-    full = lu_solve(system.matrix, system.rhs)
+    mesh2, cfg = build_tensor_2d(m, m), FluxConfig.paper(eps, N)
+    problems = (layer2d(eps), layer2d_variable_b(eps))
+    fulls = [lu_solve(s.matrix, s.rhs) for s in (assemble2d(mesh2, p, k, cfg) for p in problems)]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("called by the constant-b solve")
+        raise AssertionError("called by the 2D solve")
 
     monkeypatch.setattr(spla, "splu", forbidden)
     monkeypatch.setattr("ldgrd.assembly2d.assemble2d", forbidden)
     monkeypatch.setattr(LdgOperator2D, "matrix", forbidden)
-    monkeypatch.setattr(Elimination, "__init__", forbidden)
-    x = solution_to_coeffs_2d(solve_2d(mesh2, problem, k, cfg))
-    assert np.abs(x - full).max() <= 1e-12 * np.abs(full).max()
+    for problem, full in zip(problems, fulls):
+        x = solution_to_coeffs_2d(solve_2d(mesh2, problem, k, cfg))
+        assert np.abs(x - full).max() <= 1e-12 * np.abs(full).max()
 
 
 @pytest.mark.parametrize("same_mesh", [True, False])
@@ -389,6 +449,8 @@ def test_one_eigh_per_distinct_axis(same_mesh, monkeypatch):
     ("special 8", ValueError, "index 8 .* N=8"),
     ("non-finite f", ValueError, "rhs contains non-finite entries"),
     ("non-finite solve", SingularSystemError, "non-finite"),
+    ("b <= 0", ValueError, "needs a finite positive b; got b in"),
+    ("non-finite b", ValueError, "needs a finite positive b; got b in"),
 ])
 def test_constant_b_solve_checks(case, error, match, monkeypatch):
     eps, N = 1e-6, 8
@@ -411,6 +473,10 @@ def test_constant_b_solve_checks(case, error, match, monkeypatch):
     elif case == "non-finite f":
         problem = dataclasses.replace(problem, f=lambda x, y: np.full(np.broadcast(x, y).shape,
                                                                       np.nan))
+    elif case == "b <= 0":
+        problem = dataclasses.replace(problem, b=lambda x, y: x - 0.5 + 0.0 * y)
+    elif case == "non-finite b":
+        problem = dataclasses.replace(problem, b=lambda x, y: np.where(x < 0.5, 2.0, np.nan) + y)
     else:
         monkeypatch.setattr(KroneckerSumSolve, "__call__", lambda self, g: np.full(g.size, np.nan))
     with pytest.raises(error, match=match):

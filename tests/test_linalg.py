@@ -6,7 +6,8 @@ import pytest
 
 from ldgrd.assembly1d import FluxConfig, assemble, solve_1d
 from ldgrd.assembly2d import solve_2d
-from ldgrd.linalg import SingularSystemError, from_coo, lu_solve, matvec, residual_inf
+from ldgrd.linalg import (SingularSystemError, _block_inverse, from_coo, lu_solve, matvec,
+                          residual_inf)
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.problems import poly_exact_1d, poly_exact_2d
 
@@ -53,18 +54,10 @@ def test_singular_matrix_raises():
 
 
 def test_singular_eliminated_block_raises():
-    # the eliminated unknowns 0 and 1 form one singular block
-    A = dense_to_sparse(np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 0.0], [-1.0, 0.0, 3.0]]))
+    # unknowns 0 and 1 form one singular block, unknown 2 a regular one
+    A = dense_to_sparse(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 3.0]]))
     with pytest.raises(SingularSystemError, match="eliminated block of 2 unknowns is singular"):
-        lu_solve(A, np.ones(3), eliminate=[True, True, False])
-
-
-def test_eliminate_mask_checked():
-    A = dense_to_sparse(np.eye(3))
-    with pytest.raises(ValueError, match="eliminate has shape"):
-        lu_solve(A, np.ones(3), eliminate=[True, False])
-    with pytest.raises(ValueError, match="selects no unknown"):
-        lu_solve(A, np.ones(3), eliminate=[False, False, False])
+        _block_inverse(A)
 
 
 def test_nonfinite_rejected():
@@ -99,23 +92,29 @@ def test_debug_record_per_solve(caplog):
     eps, N = 1e-4, 4
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     mesh2, cfg = build_tensor_2d(m, m), FluxConfig.paper(eps, N)
-    # b = 2 takes the tensor path, a variable b the condensed one
+    # every 2D solve runs PCG on the Schur complement in U; for b = 2 its
+    # fast-diagonalization preconditioner is exact
     variable_b = dataclasses.replace(poly_exact_2d(eps), b=lambda x, y: 2.0 + x * (1.0 - y))
     with caplog.at_level(logging.DEBUG, logger="ldgrd"):
         solve_1d(m, poly_exact_1d(eps), 1, FluxConfig.paper(eps, N))
         solve_2d(mesh2, variable_b, 1, cfg)
         solve_2d(mesh2, poly_exact_2d(eps), 1, cfg)
-    one, two, tensor = solve_records(caplog)
+    one, two, constant = solve_records(caplog)
     assert (one["path"], one["unknowns"], one["factored"]) == ("lu", "16", "16")
-    assert (two["path"], two["unknowns"], two["factored"]) == ("condensed", "192", "64")
-    for rec in (one, two):
-        assert int(rec["fill"]) >= int(rec["nnz"]) > 0
-        assert rec["refined"] == "False"
-        assert float(rec["refined_residual"]) == float(rec["residual"]) <= 1e-10
-    # the tensor path factors nothing; its eigenproblems have N(k+1) unknowns
-    assert (tensor["path"], tensor["unknowns"], tensor["factored"]) == ("tensor", "192", "8")
-    assert (tensor["nnz"], tensor["fill"], tensor["refined"]) == ("0", "0", "True")
-    assert float(tensor["refined_residual"]) <= float(tensor["residual"]) <= 1e-10
+    assert int(one["fill"]) >= int(one["nnz"]) > 0
+    assert one["refined"] == "False"
+    assert float(one["refined_residual"]) == float(one["residual"]) <= 1e-10
+    # nothing is factored; the eigenproblems have N(k+1) unknowns, and each
+    # of the two S-solves (solve, refinement) reports its PCG iterations
+    for rec in (two, constant):
+        assert (rec["path"], rec["unknowns"], rec["factored"]) == ("pcg", "192", "8")
+        assert "nnz" not in rec and "fill" not in rec
+        assert rec["refined"] == "True"
+        assert float(rec["refined_residual"]) <= 1e-10
+    assert constant["iterations"] == "1,1"
+    # b lies in [2, 3), so the iteration cap is at most
+    # 2 * ceil(sqrt(3/2)/2 * ln(2e13)) = 38
+    assert all(1 < int(n) < 38 for n in two["iterations"].split(","))
 
     caplog.clear()
     A, rhs = ill_conditioned()

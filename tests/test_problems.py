@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ldgrd.problems import get_problem, layer1d, layer2d, poly_exact_1d, poly_exact_2d
+from ldgrd.problems import (get_problem, layer1d, layer2d, layer2d_variable_b, poly_exact_1d,
+                            poly_exact_2d)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8, 1e-12])
@@ -84,11 +85,14 @@ def test_layer2d_laplacian_against_finite_differences(rng):
 
 def test_layer2d_residual(rng):
     eps = 1e-6
-    p = layer2d(eps)
     xs = rng.uniform(0.0, 1.0, 50)
     ys = rng.uniform(0.0, 1.0, 50)
-    resid = -eps * p.lap_exact(xs, ys) + p.b(xs, ys) * p.u_exact(xs, ys) - p.f(xs, ys)
-    assert np.abs(resid).max() < 1e-12
+    for p in (layer2d(eps), layer2d_variable_b(eps)):
+        resid = -eps * p.lap_exact(xs, ys) + p.b(xs, ys) * p.u_exact(xs, ys) - p.f(xs, ys)
+        assert np.abs(resid).max() < 1e-12
+    # same u, b = 2 + x(1-y)
+    assert np.all(p.u_exact(xs, ys) == layer2d(eps).u_exact(xs, ys))
+    assert np.abs(p.b(xs, ys) - (2.0 + xs * (1.0 - ys))).max() == 0.0
 
 
 def test_poly2d_hand_values(rng):

@@ -222,3 +222,18 @@ def test_no_rates_on_roundoff_errors(tmp_path):
         assert float(row["err_balanced"]) < ROUNDOFF_FLOOR
         for name in ("rs_energy", "rp_energy", "rs_balanced", "rp_balanced"):
             assert row[name] == ""
+
+
+def test_cli_runs_the_variable_b_2d_problem(tmp_path):
+    # b = 2 + x(1-y) is not constant, so every solve runs PCG with an
+    # inexact preconditioner; the errors still fall with N.
+    out = tmp_path / "sweep.csv"
+    code = main(["--dim", "2", "--degree", "1,2", "--N", "8,16,32", "--problem", "layer2d_varb",
+                 "--eps", "1e-4,1e-8", "--format", "csv", "--out", str(out)])
+    assert code == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 12
+    assert {row["status"] for row in rows} == {"ok"}
+    for coarse, fine in zip(rows, rows[1:]):
+        if (coarse["k"], coarse["eps"]) == (fine["k"], fine["eps"]):
+            assert float(fine["err_balanced"]) < float(coarse["err_balanced"])
