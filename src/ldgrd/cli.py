@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .problems import PROBLEM_NAMES
 from .study import StudyConfig, records_to_csv, records_to_table, run_study
 
 
@@ -32,8 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sigma", default="k+1",
                         help="mesh grading constant; the default rule 'k+1' "
                              "ties it to the degree")
-    parser.add_argument("--problem", default="layer1d",
-                        choices=("layer1d", "poly1d", "layer2d", "layer2d_varb", "poly2d"))
+    parser.add_argument("--problem", default="layer1d", choices=tuple(PROBLEM_NAMES))
     parser.add_argument("--flux", default="paper", choices=("paper", "classic"),
                         help="'classic' drops the interior jump penalty")
     parser.add_argument("--format", dest="fmt", default="table", choices=("csv", "table"))

@@ -28,7 +28,6 @@ __all__ = [
     "composite_u_2d",
     "composite_px_2d",
     "composite_qy_2d",
-    "l2_interpolant_2d",
     "measure_interp_error",
     "measure_interp_error_2d",
 ]
@@ -60,9 +59,8 @@ def _moments_2d(z, cell, k: int) -> np.ndarray:
     cell = ((xa, xb), (ya, yb)); the four bounds broadcast."""
     rule = layer_rule(k)
     x, y = (_quad_points(interval, rule.nodes) for interval in cell)
-    phi = legendre_basis(k, rule.nodes)
-    zz = np.asarray(z(x[..., :, None], y[..., None, :]), dtype=float)
-    raw = np.einsum("x,y,...xy,mx,ny->...mn", rule.weights, rule.weights, zz, phi, phi)
+    wphi = rule.weights * legendre_basis(k, rule.nodes)
+    raw = wphi @ np.asarray(z(x[..., :, None], y[..., None, :]), dtype=float) @ wphi.T
     scale = (2.0 * np.arange(k + 1) + 1.0) / 2.0
     return raw * scale[:, None] * scale[None, :]
 
@@ -221,10 +219,6 @@ def composite_qy_2d(q, mesh: TensorMesh2D, k: int) -> PiecewisePoly2D:
     cells = _mesh_cells(mesh)
     return PiecewisePoly2D(mesh, _radau_2d(q, _moments_2d(q, cells, k), cells, k, 1, "plus",
                                            where=np.arange(mesh.shape[1])[None, :] > 0))
-
-
-def l2_interpolant_2d(z, mesh: TensorMesh2D, k: int) -> PiecewisePoly2D:
-    return PiecewisePoly2D(mesh, _moments_2d(z, _mesh_cells(mesh), k))
 
 
 # -- interpolation-error measurement ----------------------------------------

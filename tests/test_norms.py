@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -11,7 +12,7 @@ from ldgrd.assembly2d import LdgSolution2D, bilinear_B2d, solve_2d
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import discrete_energy_sq, discrete_energy_sq_2d, error_report_1d, error_report_2d
 from ldgrd.polyspace import PiecewisePoly1D, PiecewisePoly2D
-from ldgrd.problems import layer1d, layer2d, poly_exact_1d
+from ldgrd.problems import ProblemSpec1D, layer1d, layer2d, layer2d_variable_b, poly_exact_1d
 
 from conftest import uniform_mesh, uniform_mesh_2d
 
@@ -227,3 +228,68 @@ def test_2d_energy_norms_read_special_index(special, rng):
     b_val = bilinear_B2d(t, t, prob.b, cfg)
     assert math.isclose(discrete_energy_sq_2d(t, prob.b, cfg), b_val, rel_tol=1e-12)
     assert math.isclose(error_report_2d(t, prob, cfg).err_energy ** 2, b_val, rel_tol=1e-12)
+
+
+# -- what the error reports evaluate, and their memory ---------------------------
+
+
+def recorded(problem, names):
+    """problem with the callables `names` wrapped to record the broadcast
+    shape of every call."""
+    calls = []
+
+    def wrap(name, fn):
+        def call(*args):
+            calls.append((name, np.broadcast(*args).shape))
+            return fn(*args)
+        return call
+
+    return replace(problem, **{name: wrap(name, getattr(problem, name)) for name in names}), calls
+
+
+@pytest.mark.parametrize("problem", [layer1d, layer2d, layer2d_variable_b])
+def test_error_reports_sample_exact_fields_on_the_volume_grid_only(problem, rng):
+    # The exact fields are continuous and u vanishes on the boundary, so the
+    # jump terms need no exact value on a mesh line or at a point; u is
+    # sampled once, on the nodes plus the cell ends.
+    eps, N, k = 1e-4, 8, 2
+    spec = problem(eps)
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    cfg = FluxConfig.paper(eps, N)
+    if isinstance(spec, ProblemSpec1D):
+        dim, names, report = 1, ("u_exact", "q_exact", "b"), error_report_1d
+        w = LdgSolution1D(*(PiecewisePoly1D(m, rng.standard_normal((N, k + 1))) for _ in "qu"))
+    else:
+        dim, names, report = 2, ("u_exact", "p_exact", "q_exact", "b"), error_report_2d
+        mesh2 = build_tensor_2d(m, m)
+        w = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
+                            for _ in "upq"))
+    spec, calls = recorded(spec, names)
+    report(w, spec, cfg)
+    n = polyspace.layer_rule(k).n
+    assert [name for name, _ in calls].count("u_exact") == 1
+    assert {name for name, _ in calls} == set(names)
+    for name, shape in calls:
+        # (cells per axis..., points per cell per axis...), at least the nodes
+        assert len(shape) == 2 * dim and shape[:dim] == (N,) * dim, (name, shape)
+        assert min(shape[dim:]) >= n, (name, shape)
+
+
+def test_error_report_2d_peak_memory(rng):
+    # u is sampled once on the nodes-plus-ends grid and each error field is
+    # formed in place, reduced and dropped before the next, so the peak stays
+    # under 5 arrays the size of the node grid (about 3.6 at k=1)
+    eps, N, k = 1e-8, 64, 1
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    mesh2, problem, cfg = build_tensor_2d(m, m), layer2d(eps), FluxConfig.paper(eps, N)
+    t = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
+                        for _ in "upq"))
+    error_report_2d(t, problem, cfg)
+    tracemalloc.start()
+    try:
+        error_report_2d(t, problem, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    node_grid = (N * polyspace.layer_rule(k).n) ** 2 * 8
+    assert peak <= 5 * node_grid, peak / node_grid

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ldgrd.problems import (get_problem, layer1d, layer2d, layer2d_variable_b, poly_exact_1d,
-                            poly_exact_2d)
+from ldgrd.problems import (PROBLEM_NAMES, get_problem, layer1d, layer2d, layer2d_variable_b,
+                            poly_exact_1d, poly_exact_2d)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8, 1e-12])
@@ -13,6 +13,21 @@ def test_layer1d_boundary_and_midpoint(eps):
     assert abs(p.u_exact(np.array([0.0]))[0]) < 1e-12
     assert abs(p.u_exact(np.array([1.0]))[0]) < 1e-12
     assert abs(p.u_exact(np.array([0.5]))[0]) < 1e-12  # layer parts cancel, cos vanishes
+
+
+@pytest.mark.parametrize("name", list(PROBLEM_NAMES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
+def test_shipped_problem_vanishes_on_the_boundary(name, eps, rng):
+    # the norms take every error jump from the discrete solution alone, which
+    # holds because u is continuous and vanishes on the boundary
+    dim, _ = PROBLEM_NAMES[name]
+    p = get_problem(name, eps)
+    if dim == 1:
+        assert np.all(p.u_exact(np.array([0.0, 1.0])) == 0.0)
+        return
+    s, zero, one = rng.uniform(0.0, 1.0, 50), np.zeros(50), np.ones(50)
+    for x, y in ((zero, s), (one, s), (s, zero), (s, one)):
+        assert np.all(p.u_exact(x, y) == 0.0)
 
 
 @pytest.mark.parametrize("name", ["layer1d", "poly1d"])

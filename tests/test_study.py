@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from ldgrd.cli import main
+from ldgrd.cli import build_parser, main
+from ldgrd.problems import PROBLEM_NAMES
 from ldgrd.study import (
     CSV_HEADER,
     ROUNDOFF_FLOOR,
@@ -181,6 +182,17 @@ def test_cli_nonzero_exit_on_case_failure(tmp_path, capsys):
                  "--problem", "layer1d", "--format", "csv", "--out", str(out)])
     assert code == 1
     assert "failed" in capsys.readouterr().err
+
+
+def test_cli_problem_choices_are_the_shipped_problems(capsys):
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if a.dest == "problem"]
+    assert list(action.choices) == list(PROBLEM_NAMES)
+    for name in PROBLEM_NAMES:
+        assert parser.parse_args(["--problem", name]).problem == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["--problem", "nosuch"])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_table_to_stdout(capsys):
