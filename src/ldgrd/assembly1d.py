@@ -158,25 +158,19 @@ def _couplings(mesh: ShishkinMesh1D, k: int,
     return volume, hats
 
 
-def _block_triplets(r0: np.ndarray, c0: np.ndarray, blocks: np.ndarray):
-    """COO triplets of dense blocks with top-left corners (r0, c0); blocks
-    broadcasts against r0.shape + (rows, cols)."""
-    r0, c0 = np.broadcast_arrays(r0, c0)
-    nr, nc = blocks.shape[-2:]
-    vals = np.broadcast_to(blocks, r0.shape + (nr, nc))
-    rows = np.broadcast_to(r0[..., None, None] + np.arange(nr)[:, None], vals.shape)
-    cols = np.broadcast_to(c0[..., None, None] + np.arange(nc), vals.shape)
-    return rows.ravel(), cols.ravel(), vals.ravel()
-
-
 def _table_sum(N: int, B: int, table: list[_Coupling]):
-    """The matrix of the table's blocks, in the unknown ordering of assemble."""
-    def off(c, field):  # coefficient (and test-row) offset of field in cell c
-        return (2 * c + field) * B
-
-    parts = [_block_triplets(off(t.test_cell, t.test_field), off(t.trial_cell, t.trial_field),
-                             t.blocks) for t in table]
-    return from_coo(2 * N * B, *(np.concatenate(a) for a in zip(*parts)))
+    """The matrix of the table's blocks, in the unknown ordering of assemble:
+    from_coo of their triplets, built in one pass, block by block in table
+    order and row-major in each block."""
+    r0, c0, vals = [], [], []
+    for t in table:
+        n = len(t.test_cell)
+        r0.append((2 * t.test_cell + t.test_field) * B)
+        c0.append((2 * t.trial_cell + t.trial_field) * B)
+        vals.append(np.broadcast_to(t.blocks, (n, B, B)))
+    rows = (np.concatenate(r0)[:, None] + np.repeat(np.arange(B), B)).ravel()
+    cols = (np.concatenate(c0)[:, None] + np.tile(np.arange(B), B)).ravel()
+    return from_coo(2 * N * B, rows, cols, np.concatenate(vals).ravel())
 
 
 def table_matrix(mesh: ShishkinMesh1D, k: int, cfg: FluxConfig):

@@ -224,24 +224,29 @@ def composite_qy_2d(q, mesh: TensorMesh2D, k: int) -> PiecewisePoly2D:
 # -- interpolation-error measurement ----------------------------------------
 
 
+def _check_norm(norm: str) -> None:
+    if norm not in ("l2", "linf"):
+        raise ValueError(f"norm must be 'l2' or 'linf', got {norm!r}")
+
+
 def measure_interp_error(field, interp: PiecewisePoly1D, norm: str = "l2") -> float:
     """L2 or max-norm distance between a callable field and a piecewise
     polynomial; the max norm samples quadrature nodes plus both cell ends."""
+    _check_norm(norm)
     mesh = interp.mesh
     rule = layer_rule(interp.degree)
     X = mesh.quad_points(rule.nodes)
     diff = np.asarray(field(X), dtype=float) - interp.values_on_ref(rule.nodes)
     if norm == "l2":
         return float(np.sqrt(np.einsum("jg,g,j->", diff**2, rule.weights, 0.5 * mesh.widths)))
-    if norm == "linf":
-        ends = np.array([-1.0, 1.0])
-        Xe = mesh.quad_points(ends)
-        diff_e = np.asarray(field(Xe), dtype=float) - interp.values_on_ref(ends)
-        return float(max(np.abs(diff).max(), np.abs(diff_e).max()))
-    raise ValueError(f"norm must be 'l2' or 'linf', got {norm!r}")
+    ends = np.array([-1.0, 1.0])
+    Xe = mesh.quad_points(ends)
+    diff_e = np.asarray(field(Xe), dtype=float) - interp.values_on_ref(ends)
+    return float(max(np.abs(diff).max(), np.abs(diff_e).max()))
 
 
 def measure_interp_error_2d(field, interp: PiecewisePoly2D, norm: str = "l2") -> float:
+    _check_norm(norm)
     mesh = interp.mesh
     rule = layer_rule(interp.degree)
 
@@ -250,11 +255,9 @@ def measure_interp_error_2d(field, interp: PiecewisePoly2D, norm: str = "l2") ->
         diff -= np.asarray(field(*mesh.quad_points(tx, ty)), dtype=float)
         return diff
 
-    diff = sample(rule.nodes, rule.nodes)
     if norm == "l2":
+        diff = sample(rule.nodes, rule.nodes)
         return float(np.sqrt(tensor_sum(diff**2, rule.weights, 0.5 * mesh.mesh_x.widths,
                                         0.5 * mesh.mesh_y.widths)))
-    if norm == "linf":
-        ext = np.concatenate([rule.nodes, [-1.0, 1.0]])
-        return float(np.abs(sample(ext, ext)).max())
-    raise ValueError(f"norm must be 'l2' or 'linf', got {norm!r}")
+    ext = np.concatenate([rule.nodes, [-1.0, 1.0]])  # the nodes plus both cell ends
+    return float(np.abs(sample(ext, ext)).max())

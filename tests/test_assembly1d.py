@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import ldgrd.assembly1d as assembly1d
 from ldgrd.assembly1d import (
     FluxConfig,
     LdgSolution1D,
@@ -14,11 +16,12 @@ from ldgrd.assembly1d import (
     flux_u_hat,
     solution_to_coeffs,
     solve_1d,
+    table_matrix,
 )
-from ldgrd.linalg import lu_solve, matvec, residual_inf
+from ldgrd.linalg import from_coo, lu_solve, matvec, residual_inf
 from ldgrd.mesh import MeshParams, build_shishkin_1d
 from ldgrd.norms import discrete_energy_sq, error_report_1d
-from ldgrd.polyspace import PiecewisePoly1D
+from ldgrd.polyspace import PiecewisePoly1D, gauss_rule, legendre_basis
 from ldgrd.problems import layer1d, poly_exact_1d
 from ldgrd.projection import l2_interpolant_1d
 
@@ -189,6 +192,84 @@ def test_assembly_deterministic():
     assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
     assert np.array_equal(s1.matrix.data, s2.matrix.data)
     assert np.array_equal(s1.rhs, s2.rhs)
+
+
+def coo_matrix_of(N, k, table):
+    """from_coo of the table's triplets, built coupling by coupling: the
+    assembly before the one-pass triplet builder, kept as the oracle."""
+    B = k + 1
+    parts = []
+    for t in table:
+        r0 = (2 * t.test_cell + t.test_field) * B
+        c0 = (2 * t.trial_cell + t.trial_field) * B
+        vals = np.broadcast_to(t.blocks, r0.shape + (B, B))
+        rows = np.broadcast_to(r0[:, None, None] + np.arange(B)[:, None], vals.shape)
+        cols = np.broadcast_to(c0[:, None, None] + np.arange(B), vals.shape)
+        parts.append((rows.ravel(), cols.ravel(), vals.ravel()))
+    return from_coo(2 * N * B, *(np.concatenate(a) for a in zip(*parts)))
+
+
+def reaction_coupling(mesh, problem, k):
+    """The reaction mass (b u, v) as assemble computes it."""
+    rule = gauss_rule(k + 1 + assembly1d.ASSEMBLY_EXTRA_NODES)
+    phi = legendre_basis(k, rule.nodes)
+    X = mesh.quad_points(rule.nodes)
+    bX = np.broadcast_to(np.asarray(problem.b(X), dtype=float), X.shape)
+    blocks = (np.einsum("g,jg,ag,ng->jan", rule.weights, bX, phi, phi)
+              * (0.5 * mesh.widths)[:, None, None])
+    cells = np.arange(mesh.ncells)
+    return assembly1d._Coupling(cells, assembly1d._PRIMAL, cells, assembly1d._PRIMAL, blocks)
+
+
+def assert_bitwise(A, ref):
+    for name in ("indptr", "indices"):
+        a, r = getattr(A, name), getattr(ref, name)
+        assert a.dtype == r.dtype and np.array_equal(a, r), name
+    assert A.data.dtype == ref.data.dtype and A.data.shape == ref.data.shape
+    assert np.array_equal(A.data.view(np.uint64), ref.data.view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("flux", sorted(FLUXES))
+def test_assembly_is_bitwise_from_coo(flux, k):
+    """assemble and table_matrix equal from_coo of the table's triplets, in
+    table order, bit for bit: pattern, index dtypes and every bit of every
+    value (the reaction mass right after the volume entries in assemble).
+
+    The triplet order is part of this, because it fixes the order in which
+    scipy sums coincident entries: coo_tocsr buckets each row's triplets
+    stably, then an unstable sort orders each row's columns.  Summing each
+    entry's terms in table order instead is not the same.  At k = 3 (rows of
+    more than 16 triplets) one entry of every matrix, whose terms cancel,
+    comes out as -1.1e-16 instead of 0.0, and 13 of the benchmark's 90
+    sweep1d cases then miss its 1e-12 reference gate.
+    """
+    for N in (8, 32, 1024):
+        for eps in (1e-4, 1e-8, 1e-12):
+            mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
+            problem, cfg = layer1d(eps), FLUXES[flux](eps, N)
+            volume, hats = assembly1d._couplings(mesh, k, cfg)
+            assert_bitwise(table_matrix(mesh, k, cfg), coo_matrix_of(N, k, volume + hats))
+            reaction = reaction_coupling(mesh, problem, k)
+            assert_bitwise(assemble(mesh, problem, k, cfg).matrix,
+                           coo_matrix_of(N, k, volume + [reaction] + hats))
+
+
+def test_assembly_1d_peak_memory():
+    # The triplets are built in one pass, without per-coupling pieces: the
+    # transient peak of assemble is about 5.4x the finished CSR arrays
+    # (7.7x when they were built coupling by coupling).
+    eps, N, k = 1e-8, 4096, 3
+    mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    problem, cfg = layer1d(eps), FluxConfig.paper(eps, N)
+    assemble(mesh, problem, k, cfg)  # warm the caches of the reference-cell helpers
+    tracemalloc.start()
+    try:
+        A = assemble(mesh, problem, k, cfg).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
 def test_residual_check_contract(rng):

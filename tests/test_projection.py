@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.polyspace import gauss_rule, legendre_basis
-from ldgrd.problems import layer1d
+from ldgrd.problems import layer1d, layer2d
 from ldgrd.projection import (
     composite_px_2d,
     composite_q_1d,
@@ -282,6 +284,37 @@ def test_2d_composites_reproduce_tensor_polynomials(k, rng):
     for comp in (composite_u_2d(z, mesh2, k), composite_px_2d(z, mesh2, k),
                  composite_qy_2d(z, mesh2, k)):
         assert measure_interp_error_2d(z, comp, "linf") < 1e-12
+
+
+def test_measure_interp_error_2d_linf_samples_only_its_own_grid():
+    # The max norm samples the nodes plus both cell ends, which contain the
+    # nodes, and nothing else: its tracemalloc peak (5.16 MiB) stays below
+    # that of also sampling the node grid first (6.69 MiB).
+    eps, N, k = 1e-8, 64, 2
+    spec = layer2d(eps)
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=spec.beta, sigma=k + 1.0, N=N))
+    mesh2 = build_tensor_2d(m, m)
+    comp = composite_u_2d(spec.u_exact, mesh2, k)
+    measure_interp_error_2d(spec.u_exact, comp, "linf")  # warm the reference-cell caches
+    tracemalloc.start()
+    try:
+        measure_interp_error_2d(spec.u_exact, comp, "linf")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.69 * 2**20
+
+
+def test_measure_interp_error_rejects_a_bad_norm_before_sampling():
+    def field(*args):
+        raise AssertionError("the field was sampled")
+
+    mesh, mesh2 = uniform_mesh(4), uniform_mesh_2d(4)
+    u1 = l2_interpolant_1d(lambda x: x, mesh, 1)
+    u2 = composite_u_2d(lambda x, y: x * y, mesh2, 1)
+    for measure, interp in ((measure_interp_error, u1), (measure_interp_error_2d, u2)):
+        with pytest.raises(ValueError, match="norm must be 'l2' or 'linf', got 'l1'"):
+            measure(field, interp, "l1")
 
 
 # -- defining conditions of every composite cell (property tests) ------------

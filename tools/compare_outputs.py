@@ -22,12 +22,15 @@ dtype, shape and values), structure-equal (same dtype and shape, different
 values; the maximum difference relative to max|a| is printed) or differs
 (missing, or another dtype or shape).  The tolerance is that of the
 acceptance criteria: a 2D matrix's `data` may differ by at most
-RTOL_2D_DATA * max|A|, and every other array must be bitwise equal.  It
-exits with status 1 if any array is outside its tolerance.
+RTOL_2D_DATA * max|A|, and every other array must be bitwise equal.  The
+last two lines give the verdict per dimension (`1d: n arrays, m outside
+tolerance`, then the same for 2d), so that a change to one dimension can be
+read from its line alone.  It exits with status 1 if any array is outside
+its tolerance.
 
 Grids (sigma = k + 1, as in the convergence study; cases whose mesh does not
 exist are skipped):
-- 1D, `layer1d`: k = 1, 2, 3; eps = 1e-4 .. 1e-12; N = 32 .. 1024; flux
+- 1D, `layer1d`: k = 1 .. 4; eps = 1e-4 .. 1e-12; N = 32 .. 1024; flux
   configs paper, classic and paper with special interface 3.
 - 2D, `layer2d`: k = 1, 2; N = 8, 16, 32; eps = 1e-6, 1e-8, 1e-12; flux
   configs paper, classic and paper with special index 5.  Per (k, N), one
@@ -46,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-GRID_1D = dict(k=(1, 2, 3), eps=(1e-4, 1e-6, 1e-8, 1e-10, 1e-12), N=(32, 64, 128, 256, 512, 1024))
+GRID_1D = dict(k=(1, 2, 3, 4), eps=(1e-4, 1e-6, 1e-8, 1e-10, 1e-12),
+               N=(32, 64, 128, 256, 512, 1024))
 GRID_2D = dict(k=(1, 2), eps=(1e-6, 1e-8, 1e-12), N=(8, 16, 32))
 SPECIAL_1D, SPECIAL_2D = 3, 5
 RTOL_2D_DATA = 1e-15  # every other array, the 2D pattern and rhs included, stays bitwise
@@ -168,7 +172,7 @@ def compare(old: Path, new: Path) -> int:
         a, b = dict(fa), dict(fb)
     counts = {"bitwise": 0, "structure": 0, "differs": 0}
     worst = {}
-    failed = 0
+    per_dim = {"1d": [0, 0], "2d": [0, 0]}  # arrays, arrays outside tolerance
     for key in sorted(a.keys() | b.keys()):
         status, rel = _status(a.get(key), b.get(key))
         counts[status] += 1
@@ -176,14 +180,17 @@ def compare(old: Path, new: Path) -> int:
             name = key.split("/", 1)[0] + "/" + key.rsplit("/", 1)[1]
             worst[name] = max(worst.get(name, 0.0), rel)
         bad = status == "differs" or rel > _rtol(key)
-        failed += bad
+        tally = per_dim[key.split("/", 1)[0]]
+        tally[0] += 1
+        tally[1] += bad
         print(f"{'FAIL' if bad else 'ok  '} {key}: {status}"
               + (f", max|d|/max|a| = {rel:.3g}" if status == "structure" else ""))
     print(f"{len(a.keys() | b.keys())} arrays: " + ", ".join(f"{n} {s}" for s, n in counts.items()))
     for name, rel in sorted(worst.items()):
         print(f"  worst structure-equal {name}: max|d|/max|a| = {rel:.3g}")
-    print(f"{failed} arrays outside tolerance")
-    return 1 if failed else 0
+    for dim, (n, bad) in per_dim.items():
+        print(f"{dim}: {n} arrays, {bad} outside tolerance")
+    return 1 if any(bad for _, bad in per_dim.values()) else 0
 
 
 def main(argv=None) -> int:
