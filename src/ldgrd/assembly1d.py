@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -112,72 +113,130 @@ class _Coupling(NamedTuple):
 _FLUX, _PRIMAL = 0, 1  # Q and U in 1D; P or Q, and U, per direction in 2D
 
 
-def _couplings(mesh: ShishkinMesh1D, k: int,
-               cfg: FluxConfig) -> tuple[list[_Coupling], list[_Coupling]]:
-    """The scheme's b-independent operator in one direction, as two tables.
+class _Layout(NamedTuple):
+    """The eps-independent part of the 1D table for one (N, k, special index,
+    jump penalty on or off), every array read-only.  volume and hats are the
+    table's couplings with unweighted blocks: the flux mass without its cell
+    factors 1/eps * h/2, and each hat's trace outer product without its
+    weight _hat_weights(cfg)[codes].  rows and cols are the block row and
+    column offsets, in table order, of the volume, of the reaction mass of
+    assemble and of the hats; traces[hat_index] are the hats' blocks."""
 
-    The volume table holds the flux mass weighted by 1/eps, and G in both
-    mixed field pairs.  The hats table holds the numerical-flux pair across
-    the N+1 interfaces: U-hat (upwind U^-, plus lambda_jump*(Q^+ - Q^-) at
-    the special interface) enters the flux test rows; Q-hat (downwind Q^+,
-    boundary values penalized by lambda_boundary*U at x_0 and
-    -lambda_boundary*U at x_N) enters the primal test rows.  Each hat is
-    tested from the cell right of the interface (+em) and from the cell left
-    of it (-ep).  The order of the hats fixes the order in which from_coo
-    sums the entries at one matrix position, and so the last bits of the
-    matrix: right-cell tests first, then left-cell tests, each in the listed
-    order.
+    volume: tuple[_Coupling, ...]
+    hats: tuple[_Coupling, ...]
+    codes: np.ndarray
+    traces: np.ndarray
+    hat_index: np.ndarray
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    cols: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _hat_weights(cfg: FluxConfig) -> np.ndarray:
+    return np.array([1.0, cfg.lambda_jump, -cfg.lambda_jump,
+                     cfg.lambda_boundary, -cfg.lambda_boundary])
+
+
+@lru_cache(maxsize=8)
+def _layout(N: int, k: int, special_index: int, jump: bool) -> _Layout:
+    """The scheme's b-independent operator in one direction, as two tables
+    of couplings (weighted by _couplings and _table_sum for each case).  The
+    volume table holds the flux mass weighted by 1/eps, and G in both mixed
+    field pairs.  The hats table holds the
+    numerical-flux pair across the N+1 interfaces: U-hat (upwind U^-, plus
+    lambda_jump*(Q^+ - Q^-) at the special interface) enters the flux test
+    rows; Q-hat (downwind Q^+, boundary values penalized by
+    lambda_boundary*U at x_0 and -lambda_boundary*U at x_N) enters the
+    primal test rows.  Each hat is tested from the cell right of the
+    interface (+em) and from the cell left of it (-ep).  The order of the
+    hats fixes the order in which from_coo sums the entries at one matrix
+    position, and so the last bits of the matrix: right-cell tests first,
+    then left-cell tests, each in the listed order.
     """
-    N = mesh.ncells
+    B = k + 1
     em, ep = end_vals(k)
     G = grad_matrix(k)[None]
     cells = np.arange(N)
-    volume = [_Coupling(cells, _FLUX, cells, _FLUX,
-                        (1.0 / cfg.eps * 0.5 * mesh.widths)[:, None, None] * np.diag(leg_mass(k))),
+    mass = np.diag(leg_mass(k))[None]
+    volume = (_Coupling(cells, _FLUX, cells, _FLUX, mass),
               _Coupling(cells, _FLUX, cells, _PRIMAL, G),
-              _Coupling(cells, _PRIMAL, cells, _FLUX, G)]
+              _Coupling(cells, _PRIMAL, cells, _FLUX, G))
     interior = np.arange(1, N)
     first, last = np.array([0]), np.array([N])
-    # (test field, interfaces, trial cell offset, trial field, trial trace, weight)
-    specs = [(_FLUX, interior, -1, _PRIMAL, ep, 1.0)]
-    if cfg.lambda_jump != 0.0:
-        jump = np.array([cfg.special_index])
-        specs += [(_FLUX, jump, 0, _FLUX, em, cfg.lambda_jump),
-                  (_FLUX, jump, -1, _FLUX, ep, -cfg.lambda_jump)]
-    lam = cfg.lambda_boundary
-    specs += [(_PRIMAL, first, 0, _FLUX, em, 1.0), (_PRIMAL, first, 0, _PRIMAL, em, lam),
-              (_PRIMAL, interior, 0, _FLUX, em, 1.0),
-              (_PRIMAL, last, -1, _FLUX, ep, 1.0), (_PRIMAL, last, -1, _PRIMAL, ep, -lam)]
-    hats = []
+    # (test field, interfaces, trial cell offset, trial field, trial trace,
+    # weight code: 1, +-lambda_jump, +-lambda_boundary)
+    specs = [(_FLUX, interior, -1, _PRIMAL, ep, 0)]
+    if jump:
+        special = np.array([special_index])
+        specs += [(_FLUX, special, 0, _FLUX, em, 1), (_FLUX, special, -1, _FLUX, ep, 2)]
+    specs += [(_PRIMAL, first, 0, _FLUX, em, 0), (_PRIMAL, first, 0, _PRIMAL, em, 3),
+              (_PRIMAL, interior, 0, _FLUX, em, 0),
+              (_PRIMAL, last, -1, _FLUX, ep, 0), (_PRIMAL, last, -1, _PRIMAL, ep, 4)]
+    hats, codes = [], []
     for test_offset, test_trace in ((0, em), (-1, -ep)):
-        for test_field, interfaces, trial_offset, trial_field, trial_trace, weight in specs:
+        for test_field, interfaces, trial_offset, trial_field, trial_trace, code in specs:
             j = interfaces[(interfaces + test_offset >= 0) & (interfaces + test_offset < N)]
             if j.size:
                 hats.append(_Coupling(j + test_offset, test_field, j + trial_offset, trial_field,
-                                      (np.outer(test_trace, trial_trace) * weight)[None]))
-    return volume, hats
+                                      np.outer(test_trace, trial_trace)[None]))
+                codes.append(code)
+    reaction = _Coupling(cells, _PRIMAL, cells, _PRIMAL, None)  # blocks made by assemble
+    parts = (volume, (reaction,), hats)
+    rows = tuple(np.concatenate([(2 * t.test_cell + t.test_field) * B for t in p]) for p in parts)
+    cols = tuple(np.concatenate([(2 * t.trial_cell + t.trial_field) * B for t in p])
+                 for p in parts)
+    lay = _Layout(volume, tuple(hats), np.array(codes), np.concatenate([t.blocks for t in hats]),
+                  np.repeat(np.arange(len(hats)), [len(t.test_cell) for t in hats]), rows, cols)
+    for a in (cells, mass, lay.codes, lay.traces, lay.hat_index, *rows, *cols,
+              *(a for t in hats for a in (t.test_cell, t.trial_cell, t.blocks))):
+        a.flags.writeable = False
+    return lay
 
 
-def _table_sum(N: int, B: int, table: list[_Coupling]):
+def _flux_mass(mesh: ShishkinMesh1D, cfg: FluxConfig, mass: np.ndarray, out=None):
+    return np.multiply((1.0 / cfg.eps * 0.5 * mesh.widths)[:, None, None], mass, out=out)
+
+
+def _couplings(mesh: ShishkinMesh1D, k: int,
+               cfg: FluxConfig) -> tuple[list[_Coupling], list[_Coupling]]:
+    """The scheme's b-independent operator in one direction, as the volume
+    and hats tables of _layout weighted for this mesh and cfg."""
+    lay = _layout(mesh.ncells, k, cfg.special_index, cfg.lambda_jump != 0.0)
+    mass = lay.volume[0]
+    volume = [mass._replace(blocks=_flux_mass(mesh, cfg, mass.blocks)), *lay.volume[1:]]
+    weights = _hat_weights(cfg)
+    return volume, [t._replace(blocks=t.blocks * weights[c]) for t, c in zip(lay.hats, lay.codes)]
+
+
+def _table_sum(mesh: ShishkinMesh1D, k: int, cfg: FluxConfig, reaction=None):
     """The matrix of the table's blocks, in the unknown ordering of assemble:
     from_coo of their triplets, built in one pass, block by block in table
-    order and row-major in each block."""
-    r0, c0, vals = [], [], []
-    for t in table:
-        n = len(t.test_cell)
-        r0.append((2 * t.test_cell + t.test_field) * B)
-        c0.append((2 * t.trial_cell + t.trial_field) * B)
-        vals.append(np.broadcast_to(t.blocks, (n, B, B)))
-    rows = (np.concatenate(r0)[:, None] + np.repeat(np.arange(B), B)).ravel()
-    cols = (np.concatenate(c0)[:, None] + np.tile(np.arange(B), B)).ravel()
-    return from_coo(2 * N * B, rows, cols, np.concatenate(vals).ravel())
+    order and row-major in each block.  reaction, the (N, k+1, k+1) blocks
+    of the reaction mass, goes between the volume entries and the hats: the
+    order in which from_coo sums coincident entries depends on each
+    triplet's place in its row, and this place keeps the matrix's last bits.
+    The offsets are the cached layout's; only the values are formed here.
+    """
+    N, B = mesh.ncells, k + 1
+    lay = _layout(N, k, cfg.special_index, cfg.lambda_jump != 0.0)
+    parts = (0, 2) if reaction is None else (0, 1, 2)
+    r0 = np.concatenate([lay.rows[p] for p in parts])
+    c0 = np.concatenate([lay.cols[p] for p in parts])
+    rows = (r0[:, None] + np.repeat(np.arange(B), B)).ravel()
+    cols = (c0[:, None] + np.tile(np.arange(B), B)).ravel()
+    vals = np.empty((len(r0), B, B))
+    _flux_mass(mesh, cfg, lay.volume[0].blocks, out=vals[:N])
+    vals[N:3 * N] = lay.volume[1].blocks  # G in both mixed field pairs
+    if reaction is not None:
+        vals[3 * N:4 * N] = reaction
+    hats = lay.traces * _hat_weights(cfg)[lay.codes][:, None, None]
+    np.take(hats, lay.hat_index, axis=0, out=vals[len(r0) - len(lay.hat_index):])
+    return from_coo(2 * N * B, rows, cols, vals.ravel())
 
 
 def table_matrix(mesh: ShishkinMesh1D, k: int, cfg: FluxConfig):
     """The scheme's b-free 1D operator: the matrix of assemble without the
     reaction mass."""
-    volume, hats = _couplings(mesh, k, cfg)
-    return _table_sum(mesh.ncells, k + 1, volume + hats)
+    return _table_sum(mesh, k, cfg)
 
 
 def _check_special(N: int, special: int) -> None:
@@ -215,14 +274,14 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig) -> SparseSy
     X = mesh.quad_points(rule.nodes)
     bX = np.broadcast_to(np.asarray(problem.b(X), dtype=float), X.shape)
     fX = np.broadcast_to(np.asarray(problem.f(X), dtype=float), X.shape)
-    b_blocks = np.einsum("g,jg,ag,ng->jan", rule.weights, bX, phi, phi) * (0.5 * h)[:, None, None]
+    # The reaction blocks sum ((w*b)*phi_a)*phi_n over the nodes in order from
+    # zero, as np.einsum("g,jg,ag,ng->jan", ...) does, to the last bit.
+    b_blocks = np.zeros((N, B, B))
+    for g, w in enumerate(rule.weights):
+        b_blocks += ((w * bX[:, g])[:, None] * phi[:, g])[:, :, None] * phi[:, g]
+    b_blocks *= (0.5 * h)[:, None, None]
     f_mom = np.einsum("g,jg,ag->ja", rule.weights, fX, phi) * (0.5 * h)[:, None]
-    volume, hats = _couplings(mesh, k, cfg)
-    # The reaction mass goes between the volume entries and the hats: the order
-    # in which from_coo sums coincident entries depends on each triplet's place
-    # in its row, and this place keeps the matrix's last bits.
-    reaction = _Coupling(np.arange(N), _PRIMAL, np.arange(N), _PRIMAL, b_blocks)
-    matrix = _table_sum(N, B, volume + [reaction] + hats)
+    matrix = _table_sum(mesh, k, cfg, b_blocks)
     rhs = np.zeros((N, 2, B))
     rhs[:, _PRIMAL] = f_mom
     ordering = "cell-major; per cell [Q_0..Q_k, U_0..U_k]"

@@ -59,6 +59,13 @@ class ProblemSpec2D:
     lap_exact: Callable
 
 
+def _exp(a: np.ndarray) -> np.ndarray:
+    """exp(a), evaluated only where it does not underflow: exp is +0.0 below
+    about -745.13, so +0.0 is written for every a <= -746 unevaluated (NaN
+    stays NaN)."""
+    return np.exp(a, out=np.zeros_like(a), where=~(a <= -746.0))
+
+
 def _layer_parts(eps: float):
     """Closed-form two-layer profile g, g' and g'' with g(0) = 1, g(1) = -1.
 
@@ -71,15 +78,15 @@ def _layer_parts(eps: float):
 
     def g(x):
         x = np.asarray(x, dtype=float)
-        return (np.exp(-x / s) - np.exp(-(1.0 - x) / s)) / denom
+        return (_exp(-x / s) - _exp(-(1.0 - x) / s)) / denom
 
     def dg(x):
         x = np.asarray(x, dtype=float)
-        return -(np.exp(-x / s) + np.exp(-(1.0 - x) / s)) / (s * denom)
+        return -(_exp(-x / s) + _exp(-(1.0 - x) / s)) / (s * denom)
 
     def d2g(x):
         x = np.asarray(x, dtype=float)
-        return (np.exp(-x / s) - np.exp(-(1.0 - x) / s)) / (s * s * denom)
+        return (_exp(-x / s) - _exp(-(1.0 - x) / s)) / (s * s * denom)
 
     return g, dg, d2g
 

@@ -255,6 +255,50 @@ def test_assembly_is_bitwise_from_coo(flux, k):
                            coo_matrix_of(N, k, volume + [reaction] + hats))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_assembly_with_variable_b_is_bitwise_from_coo(k):
+    """With b = 1 + x^2 the reaction blocks' summation order shows (b = 1 of
+    layer1d hides it): assemble's node-by-node sum equals the einsum of
+    reaction_coupling, and the matrix from_coo of the table's triplets, bit
+    for bit."""
+    for N in (8, 32, 1024):
+        for eps in (1e-4, 1e-8, 1e-12):
+            mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
+            problem = dataclasses.replace(layer1d(eps), b=lambda x: 1.0 + x**2)
+            cfg = FluxConfig.paper(eps, N)
+            volume, hats = assembly1d._couplings(mesh, k, cfg)
+            reaction = reaction_coupling(mesh, problem, k)
+            assert_bitwise(assemble(mesh, problem, k, cfg).matrix,
+                           coo_matrix_of(N, k, volume + [reaction] + hats))
+
+
+def test_table_layout_is_cached_per_structure():
+    """The eps-free layout is built once per (N, k, special index, jump
+    penalty), is read-only, and is a package-level functools cache, which
+    the benchmark's tracer empties before every execution."""
+    layout = assembly1d._layout
+    assert hasattr(layout, "cache_clear") and layout.__module__.startswith("ldgrd")
+    assert getattr(assembly1d, layout.__name__) is layout
+    layout.cache_clear()
+    N, k = 32, 2
+    for eps in (1e-4, 1e-8):
+        mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
+        assemble(mesh, layer1d(eps), k, FluxConfig.paper(eps, N))
+    info = layout.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for flux in ("classic", "paper_m3"):
+        table_matrix(mesh, k, FLUXES[flux](1e-8, N))
+    assert layout.cache_info().currsize == 3
+    assert layout.cache_info().misses == 3
+    lay = layout(N, k, 3 * N // 4, True)
+    arrays = [lay.codes, lay.traces, lay.hat_index, *lay.rows, *lay.cols]
+    arrays += [a for t in lay.volume + lay.hats for a in (t.test_cell, t.trial_cell, t.blocks)]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
 def test_assembly_1d_peak_memory():
     # The triplets are built in one pass, without per-coupling pieces: the
     # transient peak of assemble is about 5.4x the finished CSR arrays

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ldgrd.problems import (PROBLEM_NAMES, get_problem, layer1d, layer2d, layer2d_variable_b,
-                            poly_exact_1d, poly_exact_2d)
+from ldgrd.problems import (PROBLEM_NAMES, _layer_parts, get_problem, layer1d, layer2d,
+                            layer2d_variable_b, poly_exact_1d, poly_exact_2d)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8, 1e-12])
@@ -64,6 +64,36 @@ def test_layer1d_underflow_safe():
     x = np.linspace(0.0, 1.0, 1001)
     for fn in (p.u_exact, p.du_exact, p.d2u_exact, p.q_exact, p.f):
         assert np.all(np.isfinite(fn(x)))
+
+
+EPS_POOL = (1e-8, 1e-6, 1e-7, 1e-9, 1e-10, 1e-11, 1e-12)  # the benchmark's eps pool
+
+
+def plain_layer_parts(eps):
+    """g, g' and g'' of _layer_parts with every exponential evaluated: the
+    formula before the underflowing ones were skipped, kept as the oracle."""
+    s = math.sqrt(eps)
+    denom = 1.0 - math.exp(-1.0 / s)
+    return (lambda x: (np.exp(-x / s) - np.exp(-(1.0 - x) / s)) / denom,
+            lambda x: -(np.exp(-x / s) + np.exp(-(1.0 - x) / s)) / (s * denom),
+            lambda x: (np.exp(-x / s) - np.exp(-(1.0 - x) / s)) / (s * s * denom))
+
+
+@pytest.mark.parametrize("eps", EPS_POOL + (1e-4,))
+def test_layer_parts_skip_only_underflowing_exponentials(eps):
+    # Both exponentials' arguments sweep -800..-700, across exp's underflow to
+    # +0.0 (about -745.13) and the -746 below which exp is not evaluated, plus
+    # the floats next to -746 itself; the values must keep every bit.
+    s = math.sqrt(eps)
+    a = np.concatenate([np.linspace(-800.0, -700.0, 4001),
+                        np.nextafter(-746.0, [-np.inf, 0.0]), [-746.0, -745.13]])
+    x = np.concatenate([-a * s, 1.0 + a * s, np.linspace(0.0, 1.0, 1001)])
+    x = x[(x >= 0.0) & (x <= 1.0)]
+    for fn, ref in zip(_layer_parts(eps), plain_layer_parts(eps)):
+        got, want = fn(x), ref(x)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isnan(fn(np.array([np.nan]))).all()
 
 
 def test_poly1d_hand_values():

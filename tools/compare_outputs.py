@@ -1,5 +1,5 @@
-"""Compare the assembled systems, solutions and error reports of two source
-trees of ldgrd.
+"""Compare the assembled systems, solutions, error reports and composite
+interpolants of two source trees of ldgrd.
 
 Dump mode imports ldgrd from the given tree (its `src/` directory) in this
 process only, assembles and solves every case of the acceptance grids and
@@ -10,8 +10,10 @@ not depend on the tree's unknown layout: `x` holds the solved fields
 [P, Q, U], each (nx, ny, k+1, k+1), `rhs` is mapped to the same fields
 through the tree's own `coeffs_to_solution_2d`, and the matrix is permuted
 to one fixed per-cell order through its `solution_to_coeffs_2d`, with
-explicit zeros dropped.  Run it once per tree, each in its own process, so
-that the two packages never share an interpreter:
+explicit zeros dropped.  It also saves the coefficients `coeffs` and the
+errors `err` (l2, then linf) of the composite interpolants of the benchmark's
+interp workload.  Run it once per tree, each in its own process, so that the
+two packages never share an interpreter:
 
     python3 tools/compare_outputs.py dump /path/to/parent parent.npz
     python3 tools/compare_outputs.py dump . new.npz
@@ -23,10 +25,10 @@ values; the maximum difference relative to max|a| is printed) or differs
 (missing, or another dtype or shape).  The tolerance is that of the
 acceptance criteria: a 2D matrix's `data` may differ by at most
 RTOL_2D_DATA * max|A|, and every other array must be bitwise equal.  The
-last two lines give the verdict per dimension (`1d: n arrays, m outside
-tolerance`, then the same for 2d), so that a change to one dimension can be
-read from its line alone.  It exits with status 1 if any array is outside
-its tolerance.
+last three lines give the verdict per group (`1d: n arrays, m outside
+tolerance`, then the same for 2d and interp), so that a change to one of
+them can be read from its line alone.  It exits with status 1 if any array
+is outside its tolerance.
 
 Grids (sigma = k + 1, as in the convergence study; cases whose mesh does not
 exist are skipped):
@@ -38,6 +40,10 @@ exist are skipped):
   coefficient b = 1 + x(1-y) (and f made consistent with the exact
   solution), so that the solve's variable-b path is compared too; the
   shipped problems have constant b.
+- interp, as the benchmark's interp workload builds them: `composite_u_1d`
+  and `composite_q_1d` of `layer1d` at k = 1, 3 and N = 16384;
+  `composite_u_2d`, `composite_px_2d` and `composite_qy_2d` of `layer2d` at
+  k = 1, 2 and N = 64; eps = 1e-6, 1e-8, 1e-12.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ GRID_2D = dict(k=(1, 2), eps=(1e-6, 1e-8, 1e-12), N=(8, 16, 32))
 SPECIAL_1D, SPECIAL_2D = 3, 5
 RTOL_2D_DATA = 1e-15  # every other array, the 2D pattern and rhs included, stays bitwise
 VARIABLE_B_EPS = 1e-8
+GRID_INTERP = dict(eps=(1e-6, 1e-8, 1e-12), k1=(1, 3), N1=16384, k2=(1, 2), N2=64)
 
 
 def _variable_b(problem):
@@ -110,6 +117,36 @@ def _cases():
                                    error_report_2d(t, prob, cfg))
 
 
+def _interpolants():
+    """Yield (key, coefficients, [l2 error, linf error]) for every composite
+    interpolant of the interp grid."""
+    from ldgrd import projection as pj
+    from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
+    from ldgrd.problems import get_problem
+
+    g = GRID_INTERP
+    for eps in g["eps"]:
+        for dim, degrees, N in ((1, g["k1"], g["N1"]), (2, g["k2"], g["N2"])):
+            spec = get_problem(f"layer{dim}d", eps)
+            if dim == 1:
+                fields = {"u": (pj.composite_u_1d, spec.u_exact),
+                          "q": (pj.composite_q_1d, spec.q_exact)}
+                measure = pj.measure_interp_error
+            else:
+                fields = {"u": (pj.composite_u_2d, spec.u_exact),
+                          "px": (pj.composite_px_2d, spec.p_exact),
+                          "qy": (pj.composite_qy_2d, spec.q_exact)}
+                measure = pj.measure_interp_error_2d
+            for k in degrees:
+                m = build_shishkin_1d(MeshParams(eps=eps, beta=spec.beta, sigma=k + 1, N=N))
+                if dim == 2:
+                    m = build_tensor_2d(m, m)
+                for name, (build, field) in fields.items():
+                    interp = build(field, m, k)
+                    yield (f"interp/{dim}d/{name}/k{k}/eps{eps:.0e}/N{N}", interp.coeffs,
+                           np.array([measure(field, interp, norm) for norm in ("l2", "linf")]))
+
+
 def _fields(t) -> np.ndarray:
     """The fields [P, Q, U] of a 2D triple, each (nx, ny, k+1, k+1)."""
     return np.stack([t.p.coeffs, t.q.coeffs, t.u.coeffs])
@@ -149,8 +186,12 @@ def dump(tree: Path, out: Path) -> None:
         arrays.update({f"{key}/indptr": A.indptr, f"{key}/indices": A.indices,
                        f"{key}/data": A.data, f"{key}/rhs": system.rhs,
                        f"{key}/x": x, f"{key}/report": np.array(values)})
+    ncases = len(arrays) // 6
+    for key, coeffs, err in _interpolants():
+        arrays.update({f"{key}/coeffs": coeffs, f"{key}/err": err})
     np.savez(out, **arrays)
-    print(f"{len(arrays) // 6} cases, {len(arrays)} arrays from {src} -> {out}")
+    print(f"{ncases} cases, {(len(arrays) - 6 * ncases) // 2} interpolants, {len(arrays)} arrays "
+          f"from {src} -> {out}")
 
 
 def _status(a, b) -> tuple[str, float]:
@@ -172,7 +213,7 @@ def compare(old: Path, new: Path) -> int:
         a, b = dict(fa), dict(fb)
     counts = {"bitwise": 0, "structure": 0, "differs": 0}
     worst = {}
-    per_dim = {"1d": [0, 0], "2d": [0, 0]}  # arrays, arrays outside tolerance
+    per_dim = {"1d": [0, 0], "2d": [0, 0], "interp": [0, 0]}  # arrays, arrays outside tolerance
     for key in sorted(a.keys() | b.keys()):
         status, rel = _status(a.get(key), b.get(key))
         counts[status] += 1
@@ -196,8 +237,8 @@ def compare(old: Path, new: Path) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    d = sub.add_parser("dump", help="assemble and solve the grids with the ldgrd of TREE "
-                                    "and save them")
+    d = sub.add_parser("dump", help="assemble and solve the grids and build the interpolants "
+                                    "with the ldgrd of TREE, and save them")
     d.add_argument("tree", type=Path, help="source tree holding src/ldgrd")
     d.add_argument("out", type=Path, help="output .npz file")
     c = sub.add_parser("compare", help="compare two dumps array by array")
