@@ -38,13 +38,19 @@ class FluxConfig:
     edge (2D), lambda_jump the jump penalty on the flux at the special
     interface (1D) or on both special lines x = x_m and y = y_m (2D), with
     m = special_index = 3N/4.  lambda_jump=0 recovers the plain upwind flux
-    used for the ablation study.
+    used for the ablation study.  Both weights must be finite and >= 0, as
+    the energy identity needs; ValueError otherwise.
     """
 
     eps: float
     lambda_boundary: float
     lambda_jump: float
     special_index: int
+
+    def __post_init__(self):
+        for name in ("lambda_boundary", "lambda_jump"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     @classmethod
     def paper(cls, eps: float, N: int) -> "FluxConfig":

@@ -10,11 +10,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly1d import (ASSEMBLY_EXTRA_NODES, FluxConfig, _check_consistent, _check_special,
-                         table_matrix)
-from .linalg import KroneckerSumSolve, SparseSystem, _block_inverse, _refined_solve, from_coo, pcg
+                         _flux_mass, table_matrix)
+from .linalg import KroneckerSumSolve, SparseSystem, _refined_solve, from_coo, pcg
 from .mesh import TensorMesh2D
-from .polyspace import (PiecewisePoly2D, gauss_rule, grad_matrix, leg_mass, legendre_basis,
-                        tensor_sum)
+from .polyspace import (PiecewisePoly2D, end_vals, gauss_rule, grad_matrix, leg_mass,
+                        legendre_basis, tensor_sum)
 
 __all__ = [
     "LdgSolution2D",
@@ -45,13 +45,21 @@ class _Axis:
     """One axis's b-free 1D table (assembly1d.table_matrix) split into its
     (flux, flux), (flux, U), (U, flux) and (U, U) blocks, the inverse of the
     first, the 1D Schur operator K in U with the mass (h/2)*diag(mass) in
-    (cell, mode) order as the pair ``schur``."""
+    (cell, mode) order as the pair ``schur``.  The flux block is D +
+    lambda_jump v v^T, D the flux mass and v the flux jump at the special
+    interface, and is inverted by Sherman-Morrison (denominator >= 1)."""
 
     def __init__(self, m, k: int, cfg: FluxConfig):
         table = table_matrix(m, k, cfg)
         f = np.tile(np.repeat([True, False], k + 1), m.ncells)
         self.ff, self.fu, self.uf, self.uu = (table[r][:, c] for r in (f, ~f) for c in (f, ~f))
-        self.ff_inv = _block_inverse(self.ff)
+        d = _flux_mass(m, cfg, leg_mass(k)).ravel()
+        em, ep = end_vals(k)
+        v, s = np.zeros(d.size), cfg.special_index * (k + 1)
+        v[s - k - 1:s], v[s:s + k + 1] = -ep, em
+        w = sp.csr_array((v / d)[:, None])
+        c = cfg.lambda_jump / (1.0 + cfg.lambda_jump * (v @ (v / d)))
+        self.ff_inv = sp.diags_array(1.0 / d) - c * (w @ w.T)
         self.mass = ((0.5 * m.widths)[:, None] * leg_mass(k)).ravel()
         self.schur = self.uu - self.uf @ (self.ff_inv @ self.fu), self.mass
 

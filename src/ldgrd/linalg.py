@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import csgraph
 
 __all__ = [
     "SparseSystem",
@@ -29,9 +28,8 @@ logger = logging.getLogger("ldgrd")
 
 
 class SingularSystemError(RuntimeError):
-    """Raised when LU factorization hits a singular pivot or an inverted
-    block is singular, or when the refined solution still misses the
-    residual tolerance."""
+    """Raised when LU factorization hits a singular pivot, or when the
+    refined solution still misses the residual tolerance."""
 
 
 @dataclass(eq=False)
@@ -69,38 +67,6 @@ def matvec(A: sp.csr_array, x: np.ndarray) -> np.ndarray:
 
 def residual_inf(A: sp.csr_array, x: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.abs(matvec(A, x) - rhs).max(initial=0.0))
-
-
-def _block_inverse(Aff: sp.csr_array) -> sp.csr_array:
-    """Inverse of a matrix whose connected components are small: each
-    component is inverted densely, batched over the components of one size."""
-    n = Aff.shape[0]
-    ncomp, labels = csgraph.connected_components(Aff, directed=False)
-    sizes = np.bincount(labels, minlength=ncomp)
-    start = np.cumsum(sizes) - sizes
-    order = np.argsort(labels, kind="stable")  # the unknowns of each component, consecutive
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n) - start[labels[order]]
-    coo = Aff.tocoo()
-    entry_size = sizes[labels[coo.row]]
-    rows, cols, vals = [], [], []
-    for s in np.unique(sizes):
-        comps = np.flatnonzero(sizes == s)
-        slot = np.empty(ncomp, dtype=np.intp)
-        slot[comps] = np.arange(comps.size)
-        members = order[start[comps][:, None] + np.arange(s)]
-        on = entry_size == s
-        blocks = np.zeros((comps.size, s, s))
-        blocks[slot[labels[coo.row[on]]], pos[coo.row[on]], pos[coo.col[on]]] = coo.data[on]
-        try:
-            inv = np.linalg.inv(blocks)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"an eliminated block of {s} unknowns is singular") from exc
-        rows.append(np.broadcast_to(members[:, :, None], inv.shape).ravel())
-        cols.append(np.broadcast_to(members[:, None, :], inv.shape).ravel())
-        vals.append(inv.ravel())
-    return sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n, n))
 
 
 class KroneckerSumSolve:

@@ -367,3 +367,12 @@ def test_special_interface_out_of_range_rejected(special, rng):
                  lambda: error_report_1d(w, problem, cfg)):
         with pytest.raises(ValueError, match=f"index {special} .* N=8"):
             call()
+
+
+@pytest.mark.parametrize("value", [-1e-300, -1.0, -math.inf, math.inf, math.nan])
+@pytest.mark.parametrize("name", ["lambda_boundary", "lambda_jump"])
+def test_negative_or_nonfinite_penalty_rejected(name, value):
+    # the energy identity, and the 2D solve's closed-form flux-block inverse,
+    # need both weights finite and >= 0
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        dataclasses.replace(FluxConfig.paper(1e-8, 16), **{name: value})

@@ -24,8 +24,7 @@ from ldgrd.assembly2d import (
     solution_to_coeffs_2d,
     solve_2d,
 )
-from ldgrd.linalg import (KroneckerSumSolve, SingularSystemError, _block_inverse,
-                          _refined_solve, lu_solve, matvec)
+from ldgrd.linalg import KroneckerSumSolve, SingularSystemError, _refined_solve, lu_solve, matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import discrete_energy_sq_2d, error_report_2d
 from ldgrd.polyspace import PiecewisePoly2D, leg_mass
@@ -205,11 +204,22 @@ def flux_mask(mesh2, k):
     return np.arange(3 * n) < 2 * n
 
 
+def component_inverse(A):
+    """The inverse of A, one dense inverse per connected component."""
+    _, labels = connected_components(A, directed=False)
+    order = np.argsort(labels, kind="stable")  # each component's unknowns contiguous
+    B, ends = A[order][:, order], np.cumsum(np.bincount(labels))
+    inv = sp.block_diag([np.linalg.inv(B[a:e, a:e].toarray())
+                         for a, e in zip(np.r_[0, ends[:-1]], ends)], format="csr")
+    back = np.argsort(order)
+    return inv[back][:, back]
+
+
 def schur(A, mask):
     """The Schur complement of A in the unknowns outside mask."""
     f, u = np.flatnonzero(mask), np.flatnonzero(~mask)
     Af, Au = A[f], A[u]
-    return Au[:, u] - Au[:, f] @ _block_inverse(Af[:, f]) @ Af[:, u]
+    return Au[:, u] - Au[:, f] @ component_inverse(Af[:, f]) @ Af[:, u]
 
 
 def with_variable_b(problem, c=1.0):
@@ -288,13 +298,16 @@ def test_schur_complement_is_a_kronecker_sum(k, eps, N, flux, b, same_mesh):
                                                            N=N))
     cfg = getattr(FluxConfig, flux)(eps, N)
     problem = dataclasses.replace(layer2d(eps), b=lambda x, y: np.full(np.shape(x), b))
-    A = assemble2d(build_tensor_2d(mx, my), problem, k, cfg).matrix
-    S = schur(A, flux_mask(build_tensor_2d(mx, my), k))
+    op = LdgOperator2D(build_tensor_2d(mx, my), problem, k, cfg)
+    S = schur(op.matrix(), flux_mask(build_tensor_2d(mx, my), k))
     pairs = []
-    for m in (mx, my):
+    for m, axis in ((mx, op.x), (my, op.y)):
         K = schur(table_matrix(m, k, cfg), np.tile(np.repeat([True, False], k + 1), N)).toarray()
         assert np.abs(K - K.T).max() <= 1e-13 * np.abs(K).max()
         assert np.linalg.eigvalsh(K).min() >= -1e-13 * np.abs(K).max()
+        # the operator's closed-form flux-block inverse and its 1D Schur operator
+        assert abs(axis.ff_inv @ axis.ff - sp.eye_array(K.shape[0])).max() <= 1e-14
+        assert np.abs(axis.schur[0].toarray() - K).max() <= 1e-13 * np.abs(K).max()
         pairs.append((K, sp.diags_array(((0.5 * m.widths)[:, None] * leg_mass(k)).ravel())))
     (Kx, Mx), (Ky, My) = pairs
     kron_sum = b * sp.kron(Mx, My) + sp.kron(Kx, My) + sp.kron(Mx, Ky)

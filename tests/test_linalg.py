@@ -6,8 +6,7 @@ import pytest
 
 from ldgrd.assembly1d import FluxConfig, assemble, solve_1d
 from ldgrd.assembly2d import solve_2d
-from ldgrd.linalg import (SingularSystemError, _block_inverse, from_coo, lu_solve, matvec,
-                          residual_inf)
+from ldgrd.linalg import SingularSystemError, from_coo, lu_solve, matvec, residual_inf
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.problems import poly_exact_1d, poly_exact_2d
 
@@ -51,13 +50,6 @@ def test_singular_matrix_raises():
     A = dense_to_sparse(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularSystemError):
         lu_solve(A, np.ones(2))
-
-
-def test_singular_eliminated_block_raises():
-    # unknowns 0 and 1 form one singular block, unknown 2 a regular one
-    A = dense_to_sparse(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 3.0]]))
-    with pytest.raises(SingularSystemError, match="eliminated block of 2 unknowns is singular"):
-        _block_inverse(A)
 
 
 def test_nonfinite_rejected():
