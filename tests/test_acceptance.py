@@ -2,7 +2,8 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Nine criteria pass.  Criterion 9 compares the 2D rate with the reference
-rate where the reference defines it, on the pairs N=32->64 and N=64->128.
+rate where the reference defines it, on the pairs N=32->64 and N=64->128,
+for constant b and for the variable b = 2 + x(1-y).
 Criterion 1 (reference error table) stays open: the table names no source
 problem, norm or mesh constants, and the computed errors sit at 0.397-0.445
 of it; its assertion message holds the measured evidence.  What would settle
@@ -20,7 +21,7 @@ from ldgrd.assembly2d import LdgSolution2D
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import discrete_energy_sq, discrete_energy_sq_2d, error_report_2d
 from ldgrd.polyspace import PiecewisePoly1D, PiecewisePoly2D, gauss_rule, legendre_basis
-from ldgrd.problems import layer1d, layer2d, poly_exact_1d, poly_exact_2d
+from ldgrd.problems import layer1d, layer2d, layer2d_variable_b, poly_exact_1d, poly_exact_2d
 from ldgrd.projection import (
     composite_px_2d,
     composite_q_1d,
@@ -73,19 +74,24 @@ def grid1d():
     return index, elapsed
 
 
-@pytest.fixture(scope="module")
-def run2d():
+def balanced_errors_2d(problem, n_list):
+    """k=1, eps 1e-8 balanced-norm errors of problem per N, and the time."""
     t0 = time.time()
     eps = 1e-8
     vals = {}
-    prob = layer2d(eps)
-    for N in (8, 16, 32, 64, 128):
+    prob = problem(eps)
+    for N in n_list:
         m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
         mesh2 = build_tensor_2d(m, m)
         cfg = FluxConfig.paper(eps, N)
         sol = solve_2d(mesh2, prob, 1, cfg)
         vals[N] = error_report_2d(sol, prob, cfg).err_balanced
     return vals, time.time() - t0
+
+
+@pytest.fixture(scope="module")
+def run2d():
+    return balanced_errors_2d(layer2d, (8, 16, 32, 64, 128))
 
 
 def test_criterion_01_table_reproduction(grid1d):
@@ -374,6 +380,21 @@ def test_criterion_09_2d_convergence(run2d):
         f"refinement: r_p {rp_16:.3f} (N=16->32), {rp_32:.3f} (N=32->64), "
         f"{rp_64:.3f} (N=64->128)."
     )
+
+
+def test_criterion_09_2d_convergence_variable_b():
+    # Criterion 9's rate check for b = 2 + x(1-y), the solve's PCG path: the
+    # same pairs, reference rates and tolerance.
+    vals, elapsed = balanced_errors_2d(layer2d_variable_b, (16, 32, 64, 128))
+    rp_32 = rate_p(vals[32], vals[64], 32)
+    rp_64 = rate_p(vals[64], vals[128], 64)
+    ok = abs(rp_32 - TABLE_RP_K1[0]) <= 0.1 and abs(rp_64 - TABLE_RP_K1[1]) <= 0.1
+    report(9, "2D convergence, variable b", ok,
+           f"r_p 32->64 {rp_32:.3f} vs reference {TABLE_RP_K1[0]:.2f}, 64->128 {rp_64:.3f} "
+           f"vs reference {TABLE_RP_K1[1]:.2f}, runtime {elapsed:.1f}s")
+    assert ok, (f"variable-b 2D balanced-norm rates {rp_32:.3f} (N=32->64) and {rp_64:.3f} "
+                f"(N=64->128) vs reference {TABLE_RP_K1[0]:.2f} and {TABLE_RP_K1[1]:.2f} "
+                f"(tolerance 0.1, as in criterion 3)")
 
 
 def test_criterion_10_flux_ablation(grid1d):

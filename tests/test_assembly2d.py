@@ -364,8 +364,9 @@ def test_solved_operator_is_freed_without_the_cycle_collector():
 def test_missed_solve_raises_with_residual_and_iterations(monkeypatch, caplog):
     # PCG is invariant to a scaled preconditioner, so a solve that misses by
     # a factor still converges; without the preconditioner, PCG stops at its
-    # cap (32 for constant b) far from the solution, and the refined
-    # residual misses its tolerance.
+    # cap far from the solution, and the refined residual misses its
+    # tolerance.  For constant b (kappa = 1) the cap is
+    # 2 * ceil(1/2 * ln(2/RESIDUAL_TOL)) = 2 * ceil(11.86) = 24.
     eps, N, k = 1e-8, 8, 2
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2, cfg = build_tensor_2d(m, m), FluxConfig.paper(eps, N)
@@ -378,10 +379,41 @@ def test_missed_solve_raises_with_residual_and_iterations(monkeypatch, caplog):
     monkeypatch.setattr(KroneckerSumSolve, "__call__", lambda self, g: g)
     with pytest.raises(SingularSystemError, match=r"^pcg solve: residual (\S+) after one "
                        r"refinement step misses the tolerance \S+ \(factored=24 "
-                       r"iterations=32,32\)$") as info:
+                       r"iterations=24,24\)$") as info:
         solve_2d(mesh2, layer2d(eps), k, cfg)
     residual = float(str(info.value).split()[3])
     assert residual > 1e-10 * max(1.0, np.abs(system.rhs).max())
+
+
+def pcg_iterations(problem, k, N, caplog):
+    """The PCG step count of each S-solve of a solve_2d call at eps 1e-8,
+    from its DEBUG record."""
+    eps = 1e-8
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    with caplog.at_level(logging.DEBUG, logger="ldgrd"):
+        solve_2d(build_tensor_2d(m, m), problem(eps), k, FluxConfig.paper(eps, N))
+    (record,) = [r.getMessage() for r in caplog.records if r.name == "ldgrd"]
+    return [int(n) for n in record.split(" iterations=")[1].split()[0].split(",")]
+
+
+def test_constant_b_takes_one_fd_apply_per_s_solve(monkeypatch, caplog):
+    # PCG stops at RESIDUAL_TOL, not at rounding level, so the exact
+    # fast-diagonalization preconditioner of constant b ends each S-solve
+    # (solve, refinement) in one step, also at N=256, where its own relative
+    # residual (about 1.1e-13) is far from rounding level.
+    exact, calls = KroneckerSumSolve.__call__, []
+    monkeypatch.setattr(KroneckerSumSolve, "__call__",
+                        lambda self, g: calls.append(g.size) or exact(self, g))
+    assert pcg_iterations(layer2d, 1, 256, caplog) == [1, 1]
+    assert len(calls) == 2
+
+
+def test_variable_b_pcg_step_bound(caplog):
+    # b = 2 + x(1-y): kappa < 3/2 bounds the steps by the CG estimate
+    # ceil(sqrt(3/2)/2 * ln(2/RESIDUAL_TOL)) = 15; 11 are taken, and the
+    # refinement step still meets the full-system tolerance (else solve_2d
+    # raises).
+    assert all(n <= 12 for n in pcg_iterations(layer2d_variable_b, 1, 64, caplog))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -50,10 +50,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# The 2D solutions' last bits depend on the BLAS thread count: pin it to one,
+# as perfbench/run.py does, before numpy is imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 GRID_1D = dict(k=(1, 2, 3, 4), eps=(1e-4, 1e-6, 1e-8, 1e-10, 1e-12),
                N=(32, 64, 128, 256, 512, 1024))

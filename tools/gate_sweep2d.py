@@ -35,6 +35,9 @@ def main(argv=None) -> int:
     parser.add_argument("tree", type=Path, help="source tree with perfbench/ and src/ldgrd")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.tree.resolve() / "perfbench"))
+    # The 2D solutions' last bits depend on the BLAS thread count; importing
+    # the benchmark's runner pins it to one before numpy is imported.
+    import run  # noqa: F401
     import gate
     import workloads
 
