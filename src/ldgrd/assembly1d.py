@@ -105,36 +105,23 @@ def flux_q_hat(w: LdgSolution1D, j: int, cfg: FluxConfig) -> float:
     return w.q.trace_right(j)
 
 
-class _Coupling(NamedTuple):
-    """One family of dense blocks at test_cell's test_field rows and
-    trial_cell's trial_field columns; blocks is (len(test_cell) or 1, k+1, k+1)."""
-
-    test_cell: np.ndarray
-    test_field: int
-    trial_cell: np.ndarray
-    trial_field: int
-    blocks: np.ndarray
-
-
 _FLUX, _PRIMAL = 0, 1  # Q and U in 1D; P or Q, and U, per direction in 2D
 
 
 class _Layout(NamedTuple):
     """The eps-independent part of the 1D table for one (N, k, special index,
-    jump penalty on or off), every array read-only.  volume and hats are the
-    table's couplings with unweighted blocks: the flux mass without its cell
-    factors 1/eps * h/2, and each hat's trace outer product without its
-    weight _hat_weights(cfg)[codes].  rows and cols are the block row and
-    column offsets, in table order, of the volume, of the reaction mass of
-    assemble and of the hats; traces[hat_index] are the hats' blocks."""
+    jump penalty on or off), every array read-only.  rows and cols are the
+    top-left offsets of the table's (k+1, k+1) blocks in table order: the
+    flux mass, G in (Q, U), G in (U, Q), the reaction mass of assemble (N
+    blocks each), then the hats.  traces holds each hat family's trace outer
+    product without its weight _hat_weights(cfg)[codes], and traces[hat_index]
+    are the hats' blocks."""
 
-    volume: tuple[_Coupling, ...]
-    hats: tuple[_Coupling, ...]
-    codes: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     traces: np.ndarray
+    codes: np.ndarray
     hat_index: np.ndarray
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
-    cols: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _hat_weights(cfg: FluxConfig) -> np.ndarray:
@@ -144,28 +131,23 @@ def _hat_weights(cfg: FluxConfig) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _layout(N: int, k: int, special_index: int, jump: bool) -> _Layout:
-    """The scheme's b-independent operator in one direction, as two tables
-    of couplings (weighted by _couplings and _table_sum for each case).  The
-    volume table holds the flux mass weighted by 1/eps, and G in both mixed
-    field pairs.  The hats table holds the
-    numerical-flux pair across the N+1 interfaces: U-hat (upwind U^-, plus
-    lambda_jump*(Q^+ - Q^-) at the special interface) enters the flux test
-    rows; Q-hat (downwind Q^+, boundary values penalized by
-    lambda_boundary*U at x_0 and -lambda_boundary*U at x_N) enters the
-    primal test rows.  Each hat is tested from the cell right of the
-    interface (+em) and from the cell left of it (-ep).  The order of the
-    hats fixes the order in which from_coo sums the entries at one matrix
-    position, and so the last bits of the matrix: right-cell tests first,
-    then left-cell tests, each in the listed order.
+    """The scheme's b-independent operator in one direction, as one flat
+    table of blocks (weighted by _table_sum for each case).  After the cell
+    blocks, the hats hold the numerical-flux pair across the N+1
+    interfaces: U-hat (upwind U^-, plus lambda_jump*(Q^+ - Q^-) at the
+    special interface) enters the flux test rows; Q-hat (downwind Q^+,
+    boundary values penalized by lambda_boundary*U at x_0 and
+    -lambda_boundary*U at x_N) enters the primal test rows.  Each hat is
+    tested from the cell right of the interface (+em) and from the cell left
+    of it (-ep).  The order of the hats fixes the order in which from_coo
+    sums the entries at one matrix position, and so the last bits of the
+    matrix: right-cell tests first, then left-cell tests, each in the listed
+    order.
     """
-    B = k + 1
     em, ep = end_vals(k)
-    G = grad_matrix(k)[None]
-    cells = np.arange(N)
-    mass = np.diag(leg_mass(k))[None]
-    volume = (_Coupling(cells, _FLUX, cells, _FLUX, mass),
-              _Coupling(cells, _FLUX, cells, _PRIMAL, G),
-              _Coupling(cells, _PRIMAL, cells, _FLUX, G))
+    cell = 2 * np.arange(N)
+    rows = [cell + _FLUX, cell + _FLUX, cell + _PRIMAL, cell + _PRIMAL]
+    cols = [cell + _FLUX, cell + _PRIMAL, cell + _FLUX, cell + _PRIMAL]
     interior = np.arange(1, N)
     first, last = np.array([0]), np.array([N])
     # (test field, interfaces, trial cell offset, trial field, trial trace,
@@ -177,23 +159,20 @@ def _layout(N: int, k: int, special_index: int, jump: bool) -> _Layout:
     specs += [(_PRIMAL, first, 0, _FLUX, em, 0), (_PRIMAL, first, 0, _PRIMAL, em, 3),
               (_PRIMAL, interior, 0, _FLUX, em, 0),
               (_PRIMAL, last, -1, _FLUX, ep, 0), (_PRIMAL, last, -1, _PRIMAL, ep, 4)]
-    hats, codes = [], []
+    traces, codes, counts = [], [], []
     for test_offset, test_trace in ((0, em), (-1, -ep)):
         for test_field, interfaces, trial_offset, trial_field, trial_trace, code in specs:
             j = interfaces[(interfaces + test_offset >= 0) & (interfaces + test_offset < N)]
             if j.size:
-                hats.append(_Coupling(j + test_offset, test_field, j + trial_offset, trial_field,
-                                      np.outer(test_trace, trial_trace)[None]))
+                rows.append(2 * (j + test_offset) + test_field)
+                cols.append(2 * (j + trial_offset) + trial_field)
+                traces.append(np.outer(test_trace, trial_trace))
                 codes.append(code)
-    reaction = _Coupling(cells, _PRIMAL, cells, _PRIMAL, None)  # blocks made by assemble
-    parts = (volume, (reaction,), hats)
-    rows = tuple(np.concatenate([(2 * t.test_cell + t.test_field) * B for t in p]) for p in parts)
-    cols = tuple(np.concatenate([(2 * t.trial_cell + t.trial_field) * B for t in p])
-                 for p in parts)
-    lay = _Layout(volume, tuple(hats), np.array(codes), np.concatenate([t.blocks for t in hats]),
-                  np.repeat(np.arange(len(hats)), [len(t.test_cell) for t in hats]), rows, cols)
-    for a in (cells, mass, lay.codes, lay.traces, lay.hat_index, *rows, *cols,
-              *(a for t in hats for a in (t.test_cell, t.trial_cell, t.blocks))):
+                counts.append(j.size)
+    lay = _Layout(np.concatenate(rows) * (k + 1), np.concatenate(cols) * (k + 1),
+                  np.array(traces), np.array(codes),
+                  np.repeat(np.arange(len(codes)), counts))
+    for a in lay:
         a.flags.writeable = False
     return lay
 
@@ -202,36 +181,26 @@ def _flux_mass(mesh: ShishkinMesh1D, cfg: FluxConfig, mass: np.ndarray, out=None
     return np.multiply((1.0 / cfg.eps * 0.5 * mesh.widths)[:, None, None], mass, out=out)
 
 
-def _couplings(mesh: ShishkinMesh1D, k: int,
-               cfg: FluxConfig) -> tuple[list[_Coupling], list[_Coupling]]:
-    """The scheme's b-independent operator in one direction, as the volume
-    and hats tables of _layout weighted for this mesh and cfg."""
-    lay = _layout(mesh.ncells, k, cfg.special_index, cfg.lambda_jump != 0.0)
-    mass = lay.volume[0]
-    volume = [mass._replace(blocks=_flux_mass(mesh, cfg, mass.blocks)), *lay.volume[1:]]
-    weights = _hat_weights(cfg)
-    return volume, [t._replace(blocks=t.blocks * weights[c]) for t, c in zip(lay.hats, lay.codes)]
-
-
 def _table_sum(mesh: ShishkinMesh1D, k: int, cfg: FluxConfig, reaction=None):
     """The matrix of the table's blocks, in the unknown ordering of assemble:
     from_coo of their triplets, built in one pass, block by block in table
     order and row-major in each block.  reaction, the (N, k+1, k+1) blocks
-    of the reaction mass, goes between the volume entries and the hats: the
-    order in which from_coo sums coincident entries depends on each
-    triplet's place in its row, and this place keeps the matrix's last bits.
-    The offsets are the cached layout's; only the values are formed here.
+    of the reaction mass, goes between G and the hats, and without it that
+    slice of the layout is dropped: the order in which from_coo sums
+    coincident entries depends on each triplet's place in its row, and this
+    place keeps the matrix's last bits.  The offsets are the cached
+    layout's; only the values are formed here.
     """
     N, B = mesh.ncells, k + 1
     lay = _layout(N, k, cfg.special_index, cfg.lambda_jump != 0.0)
-    parts = (0, 2) if reaction is None else (0, 1, 2)
-    r0 = np.concatenate([lay.rows[p] for p in parts])
-    c0 = np.concatenate([lay.cols[p] for p in parts])
+    r0, c0 = lay.rows, lay.cols
+    if reaction is None:
+        r0, c0 = (np.delete(a, np.s_[3 * N:4 * N]) for a in (r0, c0))
     rows = (r0[:, None] + np.repeat(np.arange(B), B)).ravel()
     cols = (c0[:, None] + np.tile(np.arange(B), B)).ravel()
     vals = np.empty((len(r0), B, B))
-    _flux_mass(mesh, cfg, lay.volume[0].blocks, out=vals[:N])
-    vals[N:3 * N] = lay.volume[1].blocks  # G in both mixed field pairs
+    _flux_mass(mesh, cfg, np.diag(leg_mass(k)), out=vals[:N])
+    vals[N:3 * N] = grad_matrix(k)  # G in both mixed field pairs
     if reaction is not None:
         vals[3 * N:4 * N] = reaction
     hats = lay.traces * _hat_weights(cfg)[lay.codes][:, None, None]

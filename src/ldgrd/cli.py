@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .problems import PROBLEM_NAMES
@@ -54,17 +55,14 @@ def main(argv: list[str] | None = None) -> int:
             problem=args.problem,
             flux=args.flux,
         )
-    except ValueError as exc:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    records = run_study(cfg)
-    text = records_to_csv(records) if args.fmt == "csv" else records_to_table(records)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with out as fh:
+        records = run_study(cfg)
+        fh.write(records_to_csv(records) if args.fmt == "csv" else records_to_table(records))
 
     failures = [r for r in records if r.status != "ok"]
     for r in failures:

@@ -91,7 +91,7 @@ def balanced_errors_2d(problem, n_list):
 
 @pytest.fixture(scope="module")
 def run2d():
-    return balanced_errors_2d(layer2d, (8, 16, 32, 64, 128))
+    return balanced_errors_2d(layer2d, (8, 16, 32, 64, 128, 256, 512))
 
 
 def test_criterion_01_table_reproduction(grid1d):
@@ -354,31 +354,29 @@ def test_criterion_08_interpolation_rates():
 def test_criterion_09_2d_convergence(run2d):
     # The method is of order k+1 only asymptotically, so the 2D rate is
     # compared with the reference rate on the pairs the reference defines
-    # (TABLE_RP_K1[0], N=32->64, and TABLE_RP_K1[1], N=64->128), at
+    # (TABLE_RP_K1[i] on N=32*2^i -> 64*2^i, here up to N=256->512), at
     # criterion 3's tolerance.
     vals, elapsed = run2d
-    rp_16 = rate_p(vals[16], vals[32], 16)
-    rp_32 = rate_p(vals[32], vals[64], 32)
-    rp_64 = rate_p(vals[64], vals[128], 64)
-    dev_32 = abs(rp_32 - TABLE_RP_K1[0])
-    dev_64 = abs(rp_64 - TABLE_RP_K1[1])
-    ok = dev_32 <= 0.1 and dev_64 <= 0.1 and rp_16 < rp_32 < rp_64 and elapsed < 180.0
+    rp = {N: rate_p(vals[N], vals[2 * N], N) for N in (16, 32, 64, 128, 256)}
+    refs = dict(zip((32, 64, 128, 256), TABLE_RP_K1))
+    devs = {N: abs(rp[N] - ref) for N, ref in refs.items()}
+    rising = all(rp[N] < rp[2 * N] for N in (16, 32, 64, 128))
+    rates = ", ".join(f"{N}->{2 * N} {r:.3f}" for N, r in rp.items())
+    ok = max(devs.values()) <= 0.1 and rising and elapsed < 180.0
     report(9, "2D convergence", ok,
-           f"errors {' / '.join(f'{vals[N]:.4g}' for N in sorted(vals))}, "
-           f"r_p 16->32 {rp_16:.3f}, 32->64 {rp_32:.3f} vs reference {TABLE_RP_K1[0]:.2f}, "
-           f"64->128 {rp_64:.3f} vs reference {TABLE_RP_K1[1]:.2f}, runtime {elapsed:.1f}s")
+           f"errors {' / '.join(f'{vals[N]:.4g}' for N in sorted(vals))}, r_p {rates} vs "
+           f"reference {', '.join(f'{r:.2f}' for r in refs.values())} from N=32 on, "
+           f"runtime {elapsed:.1f}s")
     assert elapsed < 180.0, f"2D runs exceeded the runtime budget: {elapsed:.1f}s"
-    for pair, rp, dev, ref in (("32 and N=64", rp_32, dev_32, TABLE_RP_K1[0]),
-                               ("64 and N=128", rp_64, dev_64, TABLE_RP_K1[1])):
-        assert dev <= 0.1, (
-            f"2D balanced-norm rate between N={pair} is {rp:.3f}, {dev:.3f} away "
-            f"from the reference rate {ref:.2f} on that pair (tolerance 0.1, as in "
-            f"criterion 3); r_p is {rp_16:.3f}, {rp_32:.3f}, {rp_64:.3f} from N=16 on."
+    for N, ref in refs.items():
+        assert devs[N] <= 0.1, (
+            f"2D balanced-norm rate between N={N} and N={2 * N} is {rp[N]:.3f}, "
+            f"{devs[N]:.3f} away from the reference rate {ref:.2f} on that pair (tolerance "
+            f"0.1, as in criterion 3); r_p is {rates}."
         )
-    assert rp_16 < rp_32 < rp_64, (
-        f"2D balanced-norm rate does not rise towards k + 1 = 2 under "
-        f"refinement: r_p {rp_16:.3f} (N=16->32), {rp_32:.3f} (N=32->64), "
-        f"{rp_64:.3f} (N=64->128)."
+    assert rising, (
+        f"2D balanced-norm rate does not rise towards k + 1 = 2 under refinement: "
+        f"r_p {rates}."
     )
 
 

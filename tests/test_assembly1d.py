@@ -1,9 +1,12 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ldgrd.assembly1d as assembly1d
 from ldgrd.assembly1d import (
@@ -18,10 +21,10 @@ from ldgrd.assembly1d import (
     solve_1d,
     table_matrix,
 )
-from ldgrd.linalg import from_coo, lu_solve, matvec, residual_inf
+from ldgrd.linalg import lu_solve, matvec, residual_inf
 from ldgrd.mesh import MeshParams, build_shishkin_1d
 from ldgrd.norms import discrete_energy_sq, error_report_1d
-from ldgrd.polyspace import PiecewisePoly1D, gauss_rule, legendre_basis
+from ldgrd.polyspace import PiecewisePoly1D
 from ldgrd.problems import layer1d, poly_exact_1d
 from ldgrd.projection import l2_interpolant_1d
 
@@ -194,47 +197,46 @@ def test_assembly_deterministic():
     assert np.array_equal(s1.rhs, s2.rhs)
 
 
-def coo_matrix_of(N, k, table):
-    """from_coo of the table's triplets, built coupling by coupling: the
-    assembly before the one-pass triplet builder, kept as the oracle."""
-    B = k + 1
-    parts = []
-    for t in table:
-        r0 = (2 * t.test_cell + t.test_field) * B
-        c0 = (2 * t.trial_cell + t.trial_field) * B
-        vals = np.broadcast_to(t.blocks, r0.shape + (B, B))
-        rows = np.broadcast_to(r0[:, None, None] + np.arange(B)[:, None], vals.shape)
-        cols = np.broadcast_to(c0[:, None, None] + np.arange(B), vals.shape)
-        parts.append((rows.ravel(), cols.ravel(), vals.ravel()))
-    return from_coo(2 * N * B, *(np.concatenate(a) for a in zip(*parts)))
+# sha256 of (dtype, bytes) of indptr, indices and data, over table_matrix
+# then assemble for each N in (8, 32, 1024) and eps in (1e-4, 1e-8, 1e-12);
+# with b = 1 + x^2 (paper_varb) over assemble only.
+BIT_DIGESTS = {
+    ('classic', 1): "d5f75d2897f58bfed14b31dc259d0c001f68775c39546baede3a01a43b42540b",
+    ('classic', 2): "f625edad9bfeaca8cbcf5bda7adc21ac7fd57187a260d55293d5ea12348f3909",
+    ('classic', 3): "a62c9bc6fa229f273adc1d49c14011be86c90bcb2471b710e69c687d946ea99e",
+    ('classic', 4): "5739f901a1dca2de1141071f6ca6ff6fe29fa50ff2bd5d164c6d77916238a1e8",
+    ('paper', 1): "148c2ae8648acdc8c468112b4d18f76e116f9b5bf1c6713f878a541ded3769ec",
+    ('paper', 2): "745e6f3251046ddabae7176679c1e41e9388ab531cf12c0f06518dbe23c5aa54",
+    ('paper', 3): "c407330dab36c5e7b35b2919af46d9b7c17bd4d1f04fc3397d73eee081750317",
+    ('paper', 4): "78bdafb91074bf7466db4672a85dec985adf21c7ed8aef1e785c71b1f3c6664c",
+    ('paper_m3', 1): "0ae81093bc9c70e053a29df55bcdbd4eefc5ddba129943e03f100b097de2dcb9",
+    ('paper_m3', 2): "9de256d9bc750da84cd1f6d49768cc414fb0edc77095f9a99b55aaedeefed355",
+    ('paper_m3', 3): "20a0cab9861c1541b81dcfe892e630188f2d80103c86d137a2406ccde1277b95",
+    ('paper_m3', 4): "a81a6f87969092266da4c1107b445daedaabd4cf7c8304137fc3ef9f10e8f88b",
+    ('paper_varb', 1): "d09f469472d94dd612a964a68ee716ad51fde786b35b77a95de6becd0c9f33d0",
+    ('paper_varb', 2): "fec224a9c6d564b8a2f5987ecc095c7ccd32ad1e67eb09f7adbb6f984e9a6435",
+    ('paper_varb', 3): "ff28a739cf86211eb1b5398f9ad989bc3d7e2600551d538bda664d1ad1682521",
+    ('paper_varb', 4): "e97fb4e0b6b11d542e26875bae72370a4ec1a950d3fca722e392dd649fbc05ff",
+}
 
 
-def reaction_coupling(mesh, problem, k):
-    """The reaction mass (b u, v) as assemble computes it."""
-    rule = gauss_rule(k + 1 + assembly1d.ASSEMBLY_EXTRA_NODES)
-    phi = legendre_basis(k, rule.nodes)
-    X = mesh.quad_points(rule.nodes)
-    bX = np.broadcast_to(np.asarray(problem.b(X), dtype=float), X.shape)
-    blocks = (np.einsum("g,jg,ag,ng->jan", rule.weights, bX, phi, phi)
-              * (0.5 * mesh.widths)[:, None, None])
-    cells = np.arange(mesh.ncells)
-    return assembly1d._Coupling(cells, assembly1d._PRIMAL, cells, assembly1d._PRIMAL, blocks)
-
-
-def assert_bitwise(A, ref):
-    for name in ("indptr", "indices"):
-        a, r = getattr(A, name), getattr(ref, name)
-        assert a.dtype == r.dtype and np.array_equal(a, r), name
-    assert A.data.dtype == ref.data.dtype and A.data.shape == ref.data.shape
-    assert np.array_equal(A.data.view(np.uint64), ref.data.view(np.uint64))
+def bit_digest(matrices):
+    h = hashlib.sha256()
+    for A in matrices:
+        for a in (A.indptr, A.indices, A.data):
+            h.update(a.dtype.str.encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize("flux", sorted(FLUXES))
+@pytest.mark.parametrize("flux", sorted(FLUXES) + ["paper_varb"])
 def test_assembly_is_bitwise_from_coo(flux, k):
-    """assemble and table_matrix equal from_coo of the table's triplets, in
-    table order, bit for bit: pattern, index dtypes and every bit of every
-    value (the reaction mass right after the volume entries in assemble).
+    """assemble and table_matrix are, bit for bit (pattern, index dtypes and
+    every bit of every value), from_coo of the table's triplets built
+    coupling by coupling in table order, with the reaction mass right after
+    the volume entries and its blocks from np.einsum("g,jg,ag,ng->jan", ...):
+    BIT_DIGESTS are that construction's matrices.
 
     The triplet order is part of this, because it fixes the order in which
     scipy sums coincident entries: coo_tocsr buckets each row's triplets
@@ -243,33 +245,22 @@ def test_assembly_is_bitwise_from_coo(flux, k):
     more than 16 triplets) one entry of every matrix, whose terms cancel,
     comes out as -1.1e-16 instead of 0.0, and 13 of the benchmark's 90
     sweep1d cases then miss its 1e-12 reference gate.
+
+    With b = 1 + x^2 the reaction blocks' summation order shows (b = 1 of
+    layer1d hides it): assemble's node-by-node sum equals the einsum.
     """
-    for N in (8, 32, 1024):
-        for eps in (1e-4, 1e-8, 1e-12):
-            mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
-            problem, cfg = layer1d(eps), FLUXES[flux](eps, N)
-            volume, hats = assembly1d._couplings(mesh, k, cfg)
-            assert_bitwise(table_matrix(mesh, k, cfg), coo_matrix_of(N, k, volume + hats))
-            reaction = reaction_coupling(mesh, problem, k)
-            assert_bitwise(assemble(mesh, problem, k, cfg).matrix,
-                           coo_matrix_of(N, k, volume + [reaction] + hats))
+    def matrices():
+        for N in (8, 32, 1024):
+            for eps in (1e-4, 1e-8, 1e-12):
+                mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
+                problem, cfg = layer1d(eps), FLUXES[flux.removesuffix("_varb")](eps, N)
+                if flux == "paper_varb":
+                    problem = dataclasses.replace(problem, b=lambda x: 1.0 + x**2)
+                else:
+                    yield table_matrix(mesh, k, cfg)
+                yield assemble(mesh, problem, k, cfg).matrix
 
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_assembly_with_variable_b_is_bitwise_from_coo(k):
-    """With b = 1 + x^2 the reaction blocks' summation order shows (b = 1 of
-    layer1d hides it): assemble's node-by-node sum equals the einsum of
-    reaction_coupling, and the matrix from_coo of the table's triplets, bit
-    for bit."""
-    for N in (8, 32, 1024):
-        for eps in (1e-4, 1e-8, 1e-12):
-            mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
-            problem = dataclasses.replace(layer1d(eps), b=lambda x: 1.0 + x**2)
-            cfg = FluxConfig.paper(eps, N)
-            volume, hats = assembly1d._couplings(mesh, k, cfg)
-            reaction = reaction_coupling(mesh, problem, k)
-            assert_bitwise(assemble(mesh, problem, k, cfg).matrix,
-                           coo_matrix_of(N, k, volume + [reaction] + hats))
+    assert bit_digest(matrices()) == BIT_DIGESTS[flux, k]
 
 
 def test_table_layout_is_cached_per_structure():
@@ -291,12 +282,34 @@ def test_table_layout_is_cached_per_structure():
     assert layout.cache_info().currsize == 3
     assert layout.cache_info().misses == 3
     lay = layout(N, k, 3 * N // 4, True)
-    arrays = [lay.codes, lay.traces, lay.hat_index, *lay.rows, *lay.cols]
-    arrays += [a for t in lay.volume + lay.hats for a in (t.test_cell, t.trial_cell, t.blocks)]
-    for a in arrays:
+    assert len(lay.rows) == len(lay.cols) == 4 * N + len(lay.hat_index)
+    assert len(lay.traces) == len(lay.codes) == lay.hat_index[-1] + 1
+    for a in lay:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 4), N=st.integers(1, 16).map(lambda m: 4 * m),
+       eps_exp=st.floats(3.0, 12.0), flux=st.sampled_from(["paper", "classic"]),
+       data=st.data())
+def test_table_saddle_point_structure(k, N, eps_exp, flux, data):
+    """The b-free table is [[Aqq, Aqu], [Auq, Auu]] with Aqq and Auu exactly
+    symmetric and Auq = -Aqu^T up to rounding, at any special interface.  A
+    sign error in any hat breaks this at O(1), and the check does not use the
+    layout's offsets."""
+    eps = 10.0 ** -eps_exp
+    special = data.draw(st.integers(1, N - 1), label="special_index")
+    cfg = dataclasses.replace(getattr(FluxConfig, flux)(eps, N), special_index=special)
+    mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=1.0, N=N))  # tau <= 1/4
+    table = table_matrix(mesh, k, cfg).toarray()
+    q = np.tile(np.repeat([True, False], k + 1), N)
+    Aqq, Aqu = table[np.ix_(q, q)], table[np.ix_(q, ~q)]
+    Auq, Auu = table[np.ix_(~q, q)], table[np.ix_(~q, ~q)]
+    assert np.array_equal(Aqq, Aqq.T)
+    assert np.array_equal(Auu, Auu.T)
+    assert np.abs(Aqu + Auq.T).max() <= 1e-14 * np.abs(Aqu).max()
 
 
 def test_assembly_1d_peak_memory():

@@ -176,6 +176,19 @@ def test_cli_rejects_bad_sigma(capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_rejects_unwritable_out_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # the output is opened first: a bad path must not cost a whole sweep
+    def no_sweep(cfg):
+        raise AssertionError("run_study called")
+
+    monkeypatch.setattr("ldgrd.cli.run_study", no_sweep)
+    code = main(["--degree", "1", "--eps", "1e-6", "--N", "8",
+                 "--out", str(tmp_path / "missing" / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x.csv" in err
+
+
 def test_cli_nonzero_exit_on_case_failure(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["--degree", "3", "--eps", "1e-2", "--N", "8",

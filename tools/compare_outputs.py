@@ -35,11 +35,12 @@ exist are skipped):
 - 1D, `layer1d`: k = 1 .. 4; eps = 1e-4 .. 1e-12; N = 32 .. 1024; flux
   configs paper, classic and paper with special interface 3.
 - 2D, `layer2d`: k = 1, 2; N = 8, 16, 32; eps = 1e-6, 1e-8, 1e-12; flux
-  configs paper, classic and paper with special index 5.  Per (k, N), one
-  more case at eps = 1e-8 with the paper config has the variable reaction
-  coefficient b = 1 + x(1-y) (and f made consistent with the exact
-  solution), so that the solve's variable-b path is compared too; the
-  shipped problems have constant b.
+  configs paper, classic and paper with special index 5.
+- In both, per (k, N), one more case at eps = 1e-8 with the paper config has
+  a variable reaction coefficient, b = 1 + x^2 in 1D and b = 1 + x(1-y) in
+  2D (and f made consistent with the exact solution).  The shipped problems
+  have constant b, which hides the summation order of the 1D reaction blocks
+  and does not take the 2D solve's variable-b path.
 - interp, as the benchmark's interp workload builds them: `composite_u_1d`
   and `composite_q_1d` of `layer1d` at k = 1, 3 and N = 16384;
   `composite_u_2d`, `composite_px_2d` and `composite_qy_2d` of `layer2d` at
@@ -71,13 +72,22 @@ VARIABLE_B_EPS = 1e-8
 GRID_INTERP = dict(eps=(1e-6, 1e-8, 1e-12), k1=(1, 3), N1=16384, k2=(1, 2), N2=64)
 
 
-def _variable_b(problem):
-    """The 2D problem with b = 1 + x(1-y) and f = -eps*Lap(u) + b*u."""
-    def b(x, y):
-        return 1.0 + x * (1.0 - y)
+def _variable_b(problem, dim: int):
+    """The problem with b = 1 + x^2 (1D) or b = 1 + x(1-y) (2D), and
+    f = -eps*Lap(u) + b*u."""
+    if dim == 1:
+        def b(x):
+            return 1.0 + x**2
 
-    def f(x, y):
-        return -problem.eps * problem.lap_exact(x, y) + b(x, y) * problem.u_exact(x, y)
+        lap = problem.d2u_exact
+    else:
+        def b(x, y):
+            return 1.0 + x * (1.0 - y)
+
+        lap = problem.lap_exact
+
+    def f(*xy):
+        return -problem.eps * lap(*xy) + b(*xy) * problem.u_exact(*xy)
 
     return dataclasses.replace(problem, b=b, f=f)
 
@@ -108,8 +118,8 @@ def _cases():
                                                        special_index=special),
                     }
                     cases = [(name, cfg, problem) for name, cfg in configs.items()]
-                    if dim == 2 and eps == VARIABLE_B_EPS:
-                        cases.append(("variable_b", configs["paper"], _variable_b(problem)))
+                    if eps == VARIABLE_B_EPS:
+                        cases.append(("variable_b", configs["paper"], _variable_b(problem, dim)))
                     for name, cfg, prob in cases:
                         key = f"{dim}d/k{k}/eps{eps:.0e}/N{N}/{name}"
                         if dim == 1:
