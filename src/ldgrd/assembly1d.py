@@ -259,8 +259,7 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig) -> SparseSy
     matrix = _table_sum(mesh, k, cfg, b_blocks)
     rhs = np.zeros((N, 2, B))
     rhs[:, _PRIMAL] = f_mom
-    ordering = "cell-major; per cell [Q_0..Q_k, U_0..U_k]"
-    return SparseSystem(matrix=matrix, rhs=rhs.ravel(), ordering=ordering)
+    return SparseSystem(matrix=matrix, rhs=rhs.ravel())
 
 
 def coeffs_to_solution(mesh: ShishkinMesh1D, k: int, x: np.ndarray) -> LdgSolution1D:

@@ -70,20 +70,33 @@ def _half(a: _Axis, o: _Axis, F: np.ndarray, U: np.ndarray):
     return (a.ff @ F + a.fu @ U) * o.mass, (a.uf @ F + a.uu @ U) * o.mass
 
 
+def _contract(phi: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """(I⊗phi^T) A (I⊗phi) for phi of shape (p, q) and A of shape (m p, n p),
+    both axes cell-major, by two reshaped matmuls: with phi the basis at the
+    nodes, the values at the nodes of the coefficients A; with phi^T, the
+    moments of the nodal values A."""
+    p, q = phi.shape
+    A = (A.reshape(-1, p) @ phi).reshape(A.shape[0] // p, p, -1)
+    return (phi.T @ A).reshape(-1, A.shape[-1])
+
+
 class LdgOperator2D:
     """The 2D system of the triple (U, P, Q), kept as its two 1D axes.
 
     The unknowns are field-major [P; Q; U], each field in Kronecker order
     (x cell, x mode, y cell, y mode): an (Nx(k+1), Ny(k+1)) array V, with
     (X⊗Y) vec(V) = vec(X V Y^T).  With the x table acting on (P, U), the y
-    table on (Q, U), the other axis's mass M and the per-cell reaction mass R:
+    table on (Q, U), the other axis's mass M and the reaction mass R:
 
         [Xff⊗My   0        Xfu⊗My               ]
         [0        Mx⊗Yff   Mx⊗Yfu               ]
         [Xuf⊗My   Mx⊗Yuf   Xuu⊗My + Mx⊗Yuu + R  ]
 
-    ``b_range`` is (min b, max b) over the quadrature grid.  If mesh_y is
-    mesh_x, so is the y axis.
+    R = E^T diag(bw) E is sum-factorized (Orszag 1980): E = Ex⊗Ey with
+    Ex = I⊗phi^T the values of each x cell's modes at the quadrature nodes,
+    and ``bw`` b times the quadrature weights and cell areas on the per-axis
+    node grid, (x cell, x node) by (y cell, y node).  ``b_range`` is
+    (min b, max b) over that grid.  If mesh_y is mesh_x, so is the y axis.
     """
 
     def __init__(self, mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig):
@@ -100,51 +113,37 @@ class LdgOperator2D:
             )
         self.x = _Axis(mx, k, cfg)
         self.y = self.x if my is mx else _Axis(my, k, cfg)
-        B1 = k + 1
-        B2 = B1 * B1
         rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
-        phi = legendre_basis(k, rule.nodes)
-        area = np.multiply.outer(0.5 * mx.widths, 0.5 * my.widths)
-        X4, Y4 = mesh.quad_points(rule.nodes, rule.nodes)
-        shape4 = (nx, ny, rule.n, rule.n)
-        bV = np.broadcast_to(np.asarray(problem.b(X4, Y4), dtype=float), shape4)
-        fV = np.broadcast_to(np.asarray(problem.f(X4, Y4), dtype=float), shape4)
+        self.phi = legendre_basis(k, rule.nodes)
+        X, Y = (m.quad_points(rule.nodes).reshape(-1, 1) for m in (mx, my))
+        wx, wy = (np.outer(0.5 * m.widths, rule.weights).ravel() for m in (mx, my))
+        grid = (X.size, Y.size)
+        bV = np.broadcast_to(np.asarray(problem.b(X, Y.T), dtype=float), grid)
         self.b_range = float(bV.min()), float(bV.max())
-        # (b u, v) blocks, contracted one axis at a time (x, then y) by matmuls
-        wpp = np.einsum("x,ax,mx->xam", rule.weights, phi, phi).reshape(rule.n, B2)
-        b_blocks = (np.swapaxes(np.swapaxes(bV, 2, 3) @ wpp, 2, 3) @ wpp).reshape(
-            nx, ny, B1, B1, B1, B1).transpose(0, 1, 2, 4, 3, 5).reshape(nx, ny, B2, B2)
-        self.reaction = b_blocks * area[:, :, None, None]
-        wphi = rule.weights * phi
-        f_mom = (wphi @ fV @ wphi.T) * area[:, :, None, None]
-        n = nx * ny * B2
-        self.rhs = np.concatenate([np.zeros(2 * n), f_mom.transpose(0, 2, 1, 3).ravel()])
-        # the U index of each cell's (x mode, y mode), shape (nx, ny, (k+1)^2)
-        self.cell = np.arange(n).reshape(nx, B1, ny, B1).transpose(0, 2, 1, 3).reshape(nx, ny, B2)
+        self.bw = bV * wx[:, None] * wy
+        fw = np.broadcast_to(np.asarray(problem.f(X, Y.T), dtype=float), grid) * wx[:, None] * wy
+        f_mom = _contract(self.phi.T, fw)
+        self.rhs = np.concatenate([np.zeros(2 * f_mom.size), f_mom.ravel()])
 
     def _fields(self, v: np.ndarray) -> np.ndarray:
         return v.reshape(3, self.x.mass.size, self.y.mass.size)
 
-    def _react(self, u: np.ndarray, out: np.ndarray):
-        """out += R u, cell by cell, for U unknowns u."""
-        out[self.cell] += (self.reaction @ u[self.cell][..., None])[..., 0]
+    def _react(self, U: np.ndarray) -> np.ndarray:
+        """R U = Ex^T (bw ∘ (Ex U Ey^T)) Ey for U unknowns as an array."""
+        return _contract(self.phi.T, self.bw * _contract(self.phi, U))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """The matrix times v, by 1D sparse products and R per cell."""
+        """The matrix times v, by 1D sparse products and the sum-factorized R."""
         P, Q, U = self._fields(v)
         fp, up = _half(self.x, self.y, P, U)
         fq, uq = _half(self.y, self.x, Q.T, U.T)
-        out = np.concatenate([fp.ravel(), fq.T.ravel(), (up + uq.T).ravel()])
-        self._react(U.ravel(), out[2 * U.size:])
-        return out
+        return np.concatenate([fp.ravel(), fq.T.ravel(), (up + uq.T + self._react(U)).ravel()])
 
     def _schur_apply(self, u: np.ndarray) -> np.ndarray:
         """S u, with S = Kx⊗My + Mx⊗Ky + R the Schur complement in U."""
         (Kx, mx), (Ky, my) = self.x.schur, self.y.schur
         U = u.reshape(mx.size, my.size)
-        out = ((Kx @ U) * my + mx[:, None] * (Ky @ U.T).T).ravel()
-        self._react(u, out)
-        return out
+        return ((Kx @ U) * my + mx[:, None] * (Ky @ U.T).T + self._react(U)).ravel()
 
     def factor(self):
         """(solve, record fields): the fast-diagonalization setup of the
@@ -177,12 +176,18 @@ class LdgOperator2D:
         return np.concatenate([P.ravel(), Q.T.ravel(), U.ravel()])
 
     def matrix(self) -> sp.csr_array:
-        """The assembled matrix: sp.kron of the same blocks, R placed per cell."""
-        x, y, n = self.x, self.y, self.cell.size
+        """The assembled matrix: sp.kron of the same blocks, and R's per-cell
+        blocks from bw, placed as COO."""
+        x, y, phi = self.x, self.y, self.phi
+        (B1, q), (nx, ny) = phi.shape, (s // phi.shape[1] for s in self.bw.shape)
+        n = x.mass.size * y.mass.size
+        pp = np.einsum("ap,bp->pab", phi, phi)
+        blocks = np.einsum("ipjq,pac,qbd->ijabcd", self.bw.reshape(nx, q, ny, q), pp, pp)
+        # the U index of each cell's (x mode, y mode), shape (nx, ny, k+1, k+1)
+        cell = np.arange(n).reshape(nx, B1, ny, B1).transpose(0, 2, 1, 3)
+        rows, cols = np.broadcast_arrays(cell[..., None, None], cell[:, :, None, None])
+        reaction = sp.coo_array((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
         Mx, My = sp.diags_array(x.mass), sp.diags_array(y.mass)
-        rows, cols = np.broadcast_arrays(self.cell[..., :, None], self.cell[..., None, :])
-        reaction = sp.coo_array((self.reaction.ravel(), (rows.ravel(), cols.ravel())),
-                                shape=(n, n))
         A = sp.block_array([[sp.kron(x.ff, My), None, sp.kron(x.fu, My)],
                             [None, sp.kron(Mx, y.ff), sp.kron(Mx, y.fu)],
                             [sp.kron(x.uf, My), sp.kron(Mx, y.uf),
@@ -192,10 +197,10 @@ class LdgOperator2D:
 
 def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> SparseSystem:
     """Assemble the 3*N^2*(k+1)^2 system for the triple (U, P, Q): the
-    matrix and rhs of LdgOperator2D."""
+    matrix and rhs of LdgOperator2D.  Unknown ordering is field-major
+    [P; Q; U], each field in (x cell, x mode, y cell, y mode) order."""
     op = LdgOperator2D(mesh, problem, k, cfg)
-    ordering = "field-major [P; Q; U], each (x cell, x mode, y cell, y mode)"
-    return SparseSystem(matrix=op.matrix(), rhs=op.rhs, ordering=ordering)
+    return SparseSystem(matrix=op.matrix(), rhs=op.rhs)
 
 
 def coeffs_to_solution_2d(mesh: TensorMesh2D, k: int, x: np.ndarray) -> LdgSolution2D:

@@ -33,11 +33,10 @@ class SingularSystemError(RuntimeError):
 
 @dataclass(eq=False)
 class SparseSystem:
-    """Assembled linear system plus a description of the unknown ordering."""
+    """Assembled linear system."""
 
     matrix: sp.csr_array
     rhs: np.ndarray
-    ordering: str
 
 
 def from_coo(n: int, rows, cols, vals) -> sp.csr_array:
@@ -88,26 +87,19 @@ class KroneckerSumSolve:
 
 
 def pcg(apply, precondition, g: np.ndarray, kappa: float):
-    """Preconditioned conjugate gradients for S x = g from x = 0, with S
-    symmetric positive definite given by apply and kappa >= 1 a bound on the
-    condition number of the preconditioned S.  Stops once |g - S x|_2 <=
-    RESIDUAL_TOL * |g|_2 (or on a non-finite residual), or after twice the
-    classical CG bound ceil(sqrt(kappa)/2 * ln(2/RESIDUAL_TOL)) iterations;
-    a refinement step on the full system restores the accuracy (Higham
-    2002, ch. 12).  Returns (x, iteration count)."""
+    """Preconditioned conjugate gradients (scipy's cg) for S x = g from x = 0,
+    with S symmetric positive definite given by apply and kappa >= 1 a bound
+    on the condition number of the preconditioned S.  Stops once
+    |g - S x|_2 < RESIDUAL_TOL * |g|_2, or after twice the classical CG bound
+    ceil(sqrt(kappa)/2 * ln(2/RESIDUAL_TOL)) iterations; a refinement step on
+    the full system restores the accuracy (Higham 2002, ch. 12).  Returns
+    (x, iteration count)."""
     cap = 2 * int(np.ceil(0.5 * np.sqrt(kappa) * np.log(2.0 / RESIDUAL_TOL)))
-    x, r, p, rz = np.zeros_like(g), g.copy(), None, None
-    stop, it = RESIDUAL_TOL * np.linalg.norm(g), 0
-    while it < cap and np.linalg.norm(r) > stop:
-        z = precondition(r)
-        rz, rz_old = r @ z, rz
-        p = z if p is None else z + (rz / rz_old) * p
-        Sp = apply(p)
-        alpha = rz / (p @ Sp)
-        x += alpha * p
-        r -= alpha * Sp
-        it += 1
-    return x, it
+    steps = []
+    S, M = (spla.LinearOperator((g.size, g.size), matvec=f, dtype=float)
+            for f in (apply, precondition))
+    x, _ = spla.cg(S, g, rtol=RESIDUAL_TOL, atol=0.0, maxiter=cap, M=M, callback=steps.append)
+    return x, len(steps)
 
 
 def _splu(M: sp.csr_array):

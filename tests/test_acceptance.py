@@ -74,17 +74,17 @@ def grid1d():
     return index, elapsed
 
 
-def balanced_errors_2d(problem, n_list):
-    """k=1, eps 1e-8 balanced-norm errors of problem per N, and the time."""
+def balanced_errors_2d(problem, n_list, k=1, eps=1e-8):
+    """Balanced-norm errors of problem per N at degree k (sigma = k + 1), and
+    the time."""
     t0 = time.time()
-    eps = 1e-8
     vals = {}
     prob = problem(eps)
     for N in n_list:
-        m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
+        m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
         mesh2 = build_tensor_2d(m, m)
         cfg = FluxConfig.paper(eps, N)
-        sol = solve_2d(mesh2, prob, 1, cfg)
+        sol = solve_2d(mesh2, prob, k, cfg)
         vals[N] = error_report_2d(sol, prob, cfg).err_balanced
     return vals, time.time() - t0
 
@@ -393,6 +393,24 @@ def test_criterion_09_2d_convergence_variable_b():
     assert ok, (f"variable-b 2D balanced-norm rates {rp_32:.3f} (N=32->64) and {rp_64:.3f} "
                 f"(N=64->128) vs reference {TABLE_RP_K1[0]:.2f} and {TABLE_RP_K1[1]:.2f} "
                 f"(tolerance 0.1, as in criterion 3)")
+
+
+def test_2d_rates_are_eps_uniform_at_k2():
+    # The balanced-norm rate of layer2d at k=2 does not depend on eps: on
+    # each N pair from 32->64 to 128->256 it varies over eps 1e-6, 1e-9 and
+    # 1e-12 by at most 1e-3 (about 8e-5 measured).
+    n_list = (32, 64, 128, 256)
+    rp = {}
+    for eps in (1e-6, 1e-9, 1e-12):
+        vals, _ = balanced_errors_2d(layer2d, n_list, k=2, eps=eps)
+        rp[eps] = [rate_p(vals[N], vals[2 * N], N) for N in n_list[:-1]]
+    spread = [max(r[i] for r in rp.values()) - min(r[i] for r in rp.values())
+              for i in range(len(n_list) - 1)]
+    assert max(spread) <= 1e-3, (
+        f"k=2 2D balanced-norm rates vary over eps by up to {max(spread):.3g} "
+        f"(tolerance 1e-3): " + "; ".join(
+            f"eps {eps:.0e}: " + ", ".join(f"{r:.5f}" for r in rates)
+            for eps, rates in rp.items()))
 
 
 def test_criterion_10_flux_ablation(grid1d):

@@ -48,7 +48,6 @@ def test_system_dimension():
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=4))
     system = assemble(mesh, poly_exact_1d(eps), 1, FluxConfig.paper(eps, 4))
     assert system.matrix.shape[0] == 16  # 2 * N * (k+1)
-    assert "Q_0" in system.ordering
 
 
 def test_flux_u_hat_boundaries_and_interior(rng):

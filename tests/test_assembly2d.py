@@ -530,7 +530,7 @@ def test_constant_b_solve_checks(case, error, match, monkeypatch):
 
 def test_constant_b_solve_peak_memory():
     # Nothing of the size of the assembled matrix is built: the peak is a
-    # small multiple of the solution vector (about 8.8x; the assembled
+    # small multiple of the solution vector (about 7.7x; the assembled
     # solve's peak is about 50x).
     eps, N, k = 1e-8, 64, 1
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
@@ -543,6 +543,24 @@ def test_constant_b_solve_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 3 * N * N * (k + 1) ** 2 * 8
+
+
+def test_operator_retains_no_per_cell_reaction_blocks():
+    # The reaction mass is kept as b times the quadrature weights on the
+    # node grid and applied sum-factorized, not as N^2 (k+1)^4 per-cell
+    # blocks: the operator retains less than 3x the solution vector (about
+    # 1.7x; the per-cell blocks alone are (k+1)^2/3 = 5.3x at k=3).
+    eps, N, k = 1e-8, 32, 3
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    mesh2, problem, cfg = build_tensor_2d(m, m), layer2d(eps), FluxConfig.paper(eps, N)
+    LdgOperator2D(mesh2, problem, k, cfg)  # warm the caches of the reference-cell helpers
+    tracemalloc.start()
+    try:
+        op = LdgOperator2D(mesh2, problem, k, cfg)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 3 * 3 * N * N * (k + 1) ** 2 * 8
 
 
 def test_assembly_2d_deterministic():

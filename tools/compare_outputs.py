@@ -22,13 +22,16 @@ two packages never share an interpreter:
 Compare mode reports, for each array, whether it is bitwise equal (same
 dtype, shape and values), structure-equal (same dtype and shape, different
 values; the maximum difference relative to max|a| is printed) or differs
-(missing, or another dtype or shape).  The tolerance is that of the
-acceptance criteria: a 2D matrix's `data` may differ by at most
-RTOL_2D_DATA * max|A|, and every other array must be bitwise equal.  The
-last three lines give the verdict per group (`1d: n arrays, m outside
-tolerance`, then the same for 2d and interp), so that a change to one of
-them can be read from its line alone.  It exits with status 1 if any array
-is outside its tolerance.
+(missing, or another dtype or shape).  Where a 2D matrix's `data`,
+`indices` or `indptr` differs in shape, it also prints max|A-B|/max|A| of
+the two CSR matrices rebuilt from them, so that a pattern change by
+noise-level entries can be told from a real one; this changes no verdict.
+The tolerance is that of the acceptance criteria: a 2D matrix's `data`
+may differ by at most RTOL_2D_DATA * max|A|, and every other array must be
+bitwise equal.  The last three lines give the verdict per group (`1d: n
+arrays, m outside tolerance`, then the same for 2d and interp), so that a
+change to one of them can be read from its line alone.  It exits with
+status 1 if any array is outside its tolerance.
 
 Grids (sigma = k + 1, as in the convergence study; cases whose mesh does not
 exist are skipped):
@@ -69,6 +72,7 @@ GRID_2D = dict(k=(1, 2), eps=(1e-6, 1e-8, 1e-12), N=(8, 16, 32))
 SPECIAL_1D, SPECIAL_2D = 3, 5
 RTOL_2D_DATA = 1e-15  # every other array, the 2D pattern and rhs included, stays bitwise
 VARIABLE_B_EPS = 1e-8
+CSR_FIELDS = ("data", "indices", "indptr")
 GRID_INTERP = dict(eps=(1e-6, 1e-8, 1e-12), k1=(1, 3), N1=16384, k2=(1, 2), N2=64)
 
 
@@ -221,6 +225,17 @@ def _status(a, b) -> tuple[str, float]:
     return "structure", diff / scale if scale else float("inf")
 
 
+def _rebuilt_rel(a: dict, b: dict, case: str) -> float:
+    """max|A-B|/max|A| of one case's CSR matrices rebuilt from both dumps."""
+    import scipy.sparse as sp
+
+    A, B = (sp.csr_array(tuple(d[f"{case}/{f}"] for f in CSR_FIELDS),
+                         shape=(d[f"{case}/indptr"].size - 1,) * 2) for d in (a, b))
+    if A.shape != B.shape:
+        return float("nan")
+    return float(abs(A - B).max() / abs(A).max())
+
+
 def _rtol(key: str) -> float:
     return RTOL_2D_DATA if key.startswith("2d/") and key.endswith("/data") else 0.0
 
@@ -229,7 +244,7 @@ def compare(old: Path, new: Path) -> int:
     with np.load(old) as fa, np.load(new) as fb:
         a, b = dict(fa), dict(fb)
     counts = {"bitwise": 0, "structure": 0, "differs": 0}
-    worst = {}
+    worst, rebuilt = {}, {}
     per_dim = {"1d": [0, 0], "2d": [0, 0], "interp": [0, 0]}  # arrays, arrays outside tolerance
     for key in sorted(a.keys() | b.keys()):
         status, rel = _status(a.get(key), b.get(key))
@@ -243,9 +258,19 @@ def compare(old: Path, new: Path) -> int:
         tally[1] += bad
         print(f"{'FAIL' if bad else 'ok  '} {key}: {status}"
               + (f", max|d|/max|a| = {rel:.3g}" if status == "structure" else ""))
+        case, field = key.rsplit("/", 1)
+        if (status == "differs" and key.startswith("2d/") and field in CSR_FIELDS
+                and case not in rebuilt
+                and all(f"{case}/{f}" in d for d in (a, b) for f in CSR_FIELDS)):
+            rebuilt[case] = _rebuilt_rel(a, b, case)
+            print(f"     {case}: pattern differs, rebuilt matrices max|A-B|/max|A| = "
+                  f"{rebuilt[case]:.3g}")
     print(f"{len(a.keys() | b.keys())} arrays: " + ", ".join(f"{n} {s}" for s, n in counts.items()))
     for name, rel in sorted(worst.items()):
         print(f"  worst structure-equal {name}: max|d|/max|a| = {rel:.3g}")
+    if rebuilt:
+        print(f"  worst rebuilt 2d matrix of {len(rebuilt)} with another pattern: "
+              f"max|A-B|/max|A| = {max(rebuilt.values()):.3g}")
     for dim, (n, bad) in per_dim.items():
         print(f"{dim}: {n} arrays, {bad} outside tolerance")
     return 1 if any(bad for _, bad in per_dim.values()) else 0
