@@ -220,13 +220,17 @@ def _check_special(N: int, special: int) -> None:
                          f"of a mesh with N={N} cells")
 
 
+def _check_flux_eps(problem, cfg: FluxConfig) -> None:
+    if not math.isclose(cfg.eps, problem.eps, rel_tol=1e-12):
+        raise ValueError(f"flux config eps={cfg.eps} does not match problem eps={problem.eps}")
+
+
 def _check_consistent(mesh: ShishkinMesh1D, problem, cfg: FluxConfig) -> None:
     if not math.isclose(problem.eps, mesh.params.eps, rel_tol=1e-12):
         raise ValueError(
             f"problem eps={problem.eps} does not match mesh eps={mesh.params.eps}"
         )
-    if not math.isclose(cfg.eps, problem.eps, rel_tol=1e-12):
-        raise ValueError(f"flux config eps={cfg.eps} does not match problem eps={problem.eps}")
+    _check_flux_eps(problem, cfg)
     _check_special(mesh.ncells, cfg.special_index)
 
 

@@ -12,16 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly1d import _check_special
+from .assembly1d import _check_flux_eps, _check_special
 from .polyspace import layer_rule, leg_mass, tensor_sum
 
-__all__ = [
-    "ErrorReport",
-    "error_report_1d",
-    "discrete_energy_sq",
-    "error_report_2d",
-    "discrete_energy_sq_2d",
-]
+__all__ = ["ErrorReport", "error_report_1d", "error_report_2d"]
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -64,7 +58,9 @@ def _error_pieces_1d(w, problem):
 def error_report_1d(w, problem, cfg) -> ErrorReport:
     """Energy norm: eps^{-1}|e_q|^2 + |b^{1/2} e_u|^2 plus the lambda-weighted
     boundary and special-interface jumps.  Balanced norm: the flux term
-    weighted eps^{-3/2} and unit weight on every jump."""
+    weighted eps^{-3/2} and unit weight on every jump.  problem and cfg must
+    share eps."""
+    _check_flux_eps(problem, cfg)
     ju, jm = _jumps_sq_1d(w, cfg)
     l2q, bu, l2u, linf = _error_pieces_1d(w, problem)
     energy = np.sqrt(l2q / problem.eps + bu + cfg.lambda_boundary * ju + cfg.lambda_jump * jm)
@@ -76,19 +72,6 @@ def error_report_1d(w, problem, cfg) -> ErrorReport:
         err_linf_u=linf,
         err_l2_q=float(np.sqrt(l2q)),
     )
-
-
-def discrete_energy_sq(w, b, cfg) -> float:
-    """Squared energy norm of a discrete pair, via exact Legendre sums for
-    the flux term and quadrature for the b-weighted term."""
-    ju, jm = _jumps_sq_1d(w, cfg)
-    mesh, k = w.u.mesh, w.u.degree
-    wgt = 0.5 * mesh.widths
-    q_sq = float(np.einsum("jm,m,j->", w.q.coeffs**2, leg_mass(k), wgt))
-    rule = layer_rule(k)
-    bU2 = b(mesh.quad_points(rule.nodes)) * w.u.values_on_ref(rule.nodes) ** 2
-    bu_sq = float(np.einsum("jg,g,j->", bU2, rule.weights, wgt))
-    return q_sq / cfg.eps + bu_sq + cfg.lambda_boundary * ju + cfg.lambda_jump * jm
 
 
 # -- 2D ----------------------------------------------------------------------
@@ -146,6 +129,7 @@ def _error_pieces_2d(t, problem):
 def error_report_2d(t, problem, cfg) -> ErrorReport:
     """As in 1D, except that the balanced norm keeps the lambda_jump weight
     on the special lines (unit weight on the boundary jumps)."""
+    _check_flux_eps(problem, cfg)
     ju, js = _jumps_sq_2d(t, cfg)
     l2p, l2q, bu, l2u, linf = _error_pieces_2d(t, problem)
     lam = cfg.lambda_jump
@@ -160,21 +144,3 @@ def error_report_2d(t, problem, cfg) -> ErrorReport:
         err_l2_p=float(np.sqrt(l2p)),
     )
 
-
-def discrete_energy_sq_2d(t, b, cfg) -> float:
-    """Squared 2D energy norm of a discrete triple (U, P, Q)."""
-    ju, js = _jumps_sq_2d(t, cfg)
-    mesh, k = t.u.mesh, t.u.degree
-    mass = leg_mass(k)
-    hx, hy = 0.5 * mesh.mesh_x.widths, 0.5 * mesh.mesh_y.widths
-    area = np.outer(hx, hy)
-
-    def l2sq(poly):
-        per_cell = np.einsum("ijmn,m,n->ij", poly.coeffs**2, mass, mass)
-        return float((per_cell * area).sum())
-
-    rule = layer_rule(k)
-    U2 = t.u.values_on_ref(rule.nodes, rule.nodes) ** 2
-    bu_sq = tensor_sum(b(*mesh.quad_points(rule.nodes, rule.nodes)) * U2, rule.weights, hx, hy)
-    val = (l2sq(t.p) + l2sq(t.q)) / cfg.eps + bu_sq
-    return val + cfg.lambda_boundary * ju + cfg.lambda_jump * js

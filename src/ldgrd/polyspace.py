@@ -39,18 +39,14 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=None)
-def _gauss_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_rule(n: int) -> QuadratureRule:
+    """n-point Gauss-Legendre rule, exact for polynomials of degree 2n-1;
+    one read-only rule per n."""
+    if n < 1:
+        raise ValueError(f"quadrature rule needs at least one node, got {n}")
     nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return nodes, weights
-
-
-def gauss_rule(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule, exact for polynomials of degree 2n-1."""
-    if n < 1:
-        raise ValueError(f"quadrature rule needs at least one node, got {n}")
-    nodes, weights = _gauss_cached(n)
     return QuadratureRule(nodes=nodes, weights=weights)
 
 

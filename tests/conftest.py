@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ldgrd.assembly2d import LdgSolution2D
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
+from ldgrd.norms import error_report_1d, error_report_2d
+from ldgrd.problems import layer1d, layer2d
 
 
 @pytest.fixture
@@ -20,3 +24,17 @@ def uniform_mesh(N: int):
 def uniform_mesh_2d(N: int):
     m = uniform_mesh(N)
     return build_tensor_2d(m, m)
+
+
+def _zero(*x):
+    return 0.0
+
+
+def energy_sq(w, b, cfg):
+    """Squared energy norm of a discrete pair or triple w with reaction
+    coefficient b: the shipped error report against a zero exact solution."""
+    if isinstance(w, LdgSolution2D):
+        zero = replace(layer2d(cfg.eps), b=b, u_exact=_zero, p_exact=_zero, q_exact=_zero)
+        return error_report_2d(w, zero, cfg).err_energy ** 2
+    zero = replace(layer1d(cfg.eps), b=b, u_exact=_zero, q_exact=_zero)
+    return error_report_1d(w, zero, cfg).err_energy ** 2

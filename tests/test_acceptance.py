@@ -19,7 +19,7 @@ import pytest
 from ldgrd.assembly1d import FluxConfig, LdgSolution1D, solve_1d
 from ldgrd.assembly2d import LdgSolution2D
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
-from ldgrd.norms import discrete_energy_sq, discrete_energy_sq_2d, error_report_2d
+from ldgrd.norms import error_report_2d
 from ldgrd.polyspace import PiecewisePoly1D, PiecewisePoly2D, gauss_rule, legendre_basis
 from ldgrd.problems import layer1d, layer2d, layer2d_variable_b, poly_exact_1d, poly_exact_2d
 from ldgrd.projection import (
@@ -38,6 +38,8 @@ from ldgrd.projection import (
 from ldgrd.assembly1d import bilinear_B
 from ldgrd.assembly2d import bilinear_B2d, solve_2d
 from ldgrd.study import StudyConfig, rate_p, run_study
+
+from conftest import energy_sq
 
 EPS_GRID = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 
@@ -193,7 +195,7 @@ def test_criterion_05_energy_identity():
                         u=PiecewisePoly1D(mesh, rng.standard_normal((N, k + 1))),
                     )
                     b_val = bilinear_B(chi, chi, ones_b, cfg)
-                    e_val = discrete_energy_sq(chi, ones_b, cfg)
+                    e_val = energy_sq(chi, ones_b, cfg)
                     rel = abs(b_val - e_val) / abs(e_val)
                     worst = max(worst, rel)
                     count1 += 1
@@ -213,7 +215,7 @@ def test_criterion_05_energy_identity():
                         q=PiecewisePoly2D(mesh2, rng.standard_normal(shape)),
                     )
                     b_val = bilinear_B2d(z, z, two_b, cfg2)
-                    e_val = discrete_energy_sq_2d(z, two_b, cfg2)
+                    e_val = energy_sq(z, two_b, cfg2)
                     rel = abs(b_val - e_val) / abs(e_val)
                     worst = max(worst, rel)
                     count2 += 1

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ldgrd.assembly1d as assembly1d
@@ -23,12 +23,12 @@ from ldgrd.assembly1d import (
 )
 from ldgrd.linalg import lu_solve, matvec, residual_inf
 from ldgrd.mesh import MeshParams, build_shishkin_1d
-from ldgrd.norms import discrete_energy_sq, error_report_1d
+from ldgrd.norms import error_report_1d
 from ldgrd.polyspace import PiecewisePoly1D
 from ldgrd.problems import layer1d, poly_exact_1d
 from ldgrd.projection import l2_interpolant_1d
 
-from conftest import uniform_mesh
+from conftest import energy_sq, uniform_mesh
 
 
 def ones_b(x):
@@ -155,8 +155,26 @@ def test_energy_identity_on_random_pairs(eps, N, k, rng):
     for _ in range(4):
         chi = make_pair(mesh, k, rng)
         b_val = bilinear_B(chi, chi, ones_b, cfg)
-        e_val = discrete_energy_sq(chi, ones_b, cfg)
-        assert abs(b_val - e_val) <= 1e-10 * abs(e_val)
+        e_val = energy_sq(chi, ones_b, cfg)
+        assert abs(b_val - e_val) <= 1e-12 * abs(e_val)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 4), N=st.integers(1, 16).map(lambda m: 4 * m),
+       eps_exp=st.floats(3.0, 12.0), flux=st.sampled_from(["paper", "classic"]),
+       b=st.sampled_from([ones_b, lambda x: 1.0 + x * x]), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_energy_identity_property(k, N, eps_exp, flux, b, seed, data):
+    """B(w; w) is the shipped error report's squared energy norm of w, for
+    any degree, mesh, eps, flux, special interface and b, to rounding."""
+    eps = 10.0 ** -eps_exp
+    assume((k + 1.0) * math.sqrt(eps) * math.log(N) <= 0.25)  # tau of sigma = k+1
+    special = data.draw(st.integers(1, N - 1), label="special_index")
+    cfg = dataclasses.replace(getattr(FluxConfig, flux)(eps, N), special_index=special)
+    mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    w = make_pair(mesh, k, np.random.default_rng(seed))
+    e_val = energy_sq(w, b, cfg)
+    assert abs(bilinear_B(w, w, b, cfg) - e_val) <= 1e-12 * e_val
 
 
 FLUXES = {
@@ -375,7 +393,6 @@ def test_special_interface_out_of_range_rejected(special, rng):
     cfg = dataclasses.replace(FluxConfig.paper(eps, 8), special_index=special)
     w = make_pair(mesh, 1, rng)
     for call in (lambda: assemble(mesh, problem, 1, cfg), lambda: bilinear_B(w, w, ones_b, cfg),
-                 lambda: discrete_energy_sq(w, ones_b, cfg),
                  lambda: error_report_1d(w, problem, cfg)):
         with pytest.raises(ValueError, match=f"index {special} .* N=8"):
             call()

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -26,11 +26,11 @@ from ldgrd.assembly2d import (
 )
 from ldgrd.linalg import KroneckerSumSolve, SingularSystemError, _refined_solve, lu_solve, matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
-from ldgrd.norms import discrete_energy_sq_2d, error_report_2d
+from ldgrd.norms import error_report_2d
 from ldgrd.polyspace import PiecewisePoly2D, leg_mass
 from ldgrd.problems import layer1d, layer2d, layer2d_variable_b, poly_exact_2d
 
-from conftest import uniform_mesh_2d
+from conftest import energy_sq, uniform_mesh_2d
 
 
 def two_b(x, y):
@@ -101,8 +101,25 @@ def test_energy_identity_2d(eps, N, k, rng):
     for _ in range(3):
         z = make_triple(mesh2, k, rng)
         b_val = bilinear_B2d(z, z, two_b, cfg)
-        e_val = discrete_energy_sq_2d(z, two_b, cfg)
-        assert abs(b_val - e_val) <= 1e-9 * abs(e_val)
+        e_val = energy_sq(z, two_b, cfg)
+        assert abs(b_val - e_val) <= 1e-12 * abs(e_val)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 3), N=st.integers(1, 4).map(lambda m: 4 * m),
+       eps_exp=st.floats(3.0, 12.0), flux=st.sampled_from(["paper", "classic"]),
+       b=st.sampled_from([two_b, lambda x, y: 1.0 + x * (1.0 - y)]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_energy_identity_property_2d(k, N, eps_exp, flux, b, seed, data):
+    """As test_energy_identity_property in 1D, for the triple (U, P, Q)."""
+    eps = 10.0 ** -eps_exp
+    assume((k + 1.0) * math.sqrt(eps) * math.log(N) <= 0.25)  # tau of sigma = k+1
+    special = data.draw(st.integers(1, N - 1), label="special_index")
+    cfg = dataclasses.replace(getattr(FluxConfig, flux)(eps, N), special_index=special)
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    t = make_triple(build_tensor_2d(m, m), k, np.random.default_rng(seed))
+    e_val = energy_sq(t, b, cfg)
+    assert abs(bilinear_B2d(t, t, b, cfg) - e_val) <= 1e-12 * e_val
 
 
 FLUXES = {
@@ -155,7 +172,6 @@ def test_special_index_out_of_range_rejected(special, rng):
     cfg = dataclasses.replace(FluxConfig.paper(eps, 8), special_index=special)
     t = make_triple(mesh2, 1, rng)
     for call in (lambda: assemble2d(mesh2, problem, 1, cfg), lambda: bilinear_B2d(t, t, two_b, cfg),
-                 lambda: discrete_energy_sq_2d(t, two_b, cfg),
                  lambda: error_report_2d(t, problem, cfg)):
         with pytest.raises(ValueError, match=f"index {special} .* N=8"):
             call()

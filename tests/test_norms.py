@@ -10,11 +10,11 @@ from ldgrd import polyspace
 from ldgrd.assembly1d import FluxConfig, LdgSolution1D, bilinear_B, solve_1d
 from ldgrd.assembly2d import LdgSolution2D, bilinear_B2d, solve_2d
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
-from ldgrd.norms import discrete_energy_sq, discrete_energy_sq_2d, error_report_1d, error_report_2d
+from ldgrd.norms import error_report_1d, error_report_2d
 from ldgrd.polyspace import PiecewisePoly1D, PiecewisePoly2D
 from ldgrd.problems import ProblemSpec1D, layer1d, layer2d, layer2d_variable_b, poly_exact_1d
 
-from conftest import uniform_mesh, uniform_mesh_2d
+from conftest import energy_sq, uniform_mesh, uniform_mesh_2d
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,11 @@ def test_discrete_energy_hand_value():
     mesh = uniform_mesh(8)
     cfg = FluxConfig(eps=eps, lambda_boundary=0.01, lambda_jump=100.0, special_index=6)
     w = unit_pair(mesh, eps)
-    val = discrete_energy_sq(w, lambda x: np.ones_like(x), cfg)
+    val = energy_sq(w, lambda x: np.ones_like(x), cfg)
     assert math.isclose(val, 1.02, rel_tol=1e-13)
     z = LdgSolution1D(q=PiecewisePoly1D(mesh, np.zeros((8, 2))),
                       u=PiecewisePoly1D(mesh, np.zeros((8, 2))))
-    assert discrete_energy_sq(z, lambda x: np.ones_like(x), cfg) == 0.0
+    assert energy_sq(z, lambda x: np.ones_like(x), cfg) == 0.0
 
 
 @pytest.mark.parametrize("special", [5, 6])
@@ -226,8 +226,26 @@ def test_2d_energy_norms_read_special_index(special, rng):
                         for _ in range(3)))
     prob = ZeroProblem2D(eps=eps)
     b_val = bilinear_B2d(t, t, prob.b, cfg)
-    assert math.isclose(discrete_energy_sq_2d(t, prob.b, cfg), b_val, rel_tol=1e-12)
     assert math.isclose(error_report_2d(t, prob, cfg).err_energy ** 2, b_val, rel_tol=1e-12)
+
+
+def test_error_report_1d_rejects_an_eps_mismatch(rng):
+    # eps comes from the problem and the penalty weights from cfg: a report
+    # that mixed two eps would measure neither norm, so it refuses, as
+    # assembly does
+    mesh = build_shishkin_1d(MeshParams(eps=1e-8, beta=1.0, sigma=2.0, N=32))
+    w = LdgSolution1D(*(PiecewisePoly1D(mesh, rng.standard_normal((32, 2))) for _ in range(2)))
+    with pytest.raises(ValueError, match="flux config eps=1e-06 does not match problem eps=1e-08"):
+        error_report_1d(w, layer1d(1e-8), FluxConfig.paper(1e-6, 32))
+
+
+def test_error_report_2d_rejects_an_eps_mismatch(rng):
+    m = build_shishkin_1d(MeshParams(eps=1e-8, beta=1.0, sigma=2.0, N=8))
+    mesh2 = build_tensor_2d(m, m)
+    t = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((8, 8, 2, 2)))
+                        for _ in range(3)))
+    with pytest.raises(ValueError, match="flux config eps=1e-06 does not match problem eps=1e-08"):
+        error_report_2d(t, layer2d(1e-8), FluxConfig.paper(1e-6, 8))
 
 
 # -- what the error reports evaluate, and their memory ---------------------------
