@@ -3,7 +3,7 @@ reaction-diffusion problems on layer-adapted meshes, with energy- and
 balanced-norm error measurement and a convergence-study CLI."""
 
 from .assembly1d import FluxConfig, LdgSolution1D, assemble, bilinear_B, solve_1d
-from .assembly2d import LdgSolution2D, assemble2d, bilinear_B2d, solve_2d
+from .assembly2d import LdgSolution2D, bilinear_B2d, solve_2d
 from .mesh import MeshParams, ShishkinMesh1D, TensorMesh2D, build_shishkin_1d, build_tensor_2d
 from .norms import (
     ErrorReport,
@@ -26,7 +26,6 @@ __all__ = [
     "ConvergenceRecord",
     "StudyConfig",
     "assemble",
-    "assemble2d",
     "bilinear_B",
     "bilinear_B2d",
     "build_shishkin_1d",

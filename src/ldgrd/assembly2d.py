@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 from .assembly1d import (ASSEMBLY_EXTRA_NODES, FluxConfig, _check_consistent, _check_special,
                          _flux_mass, table_matrix)
-from .linalg import KroneckerSumSolve, SparseSystem, _refined_solve, from_coo, pcg
+from .linalg import KroneckerSumSolve, _refined_solve, from_coo, pcg
 from .mesh import TensorMesh2D
 from .polyspace import (PiecewisePoly2D, end_vals, gauss_rule, grad_matrix, leg_mass,
                         legendre_basis, tensor_sum)
@@ -19,7 +19,6 @@ from .polyspace import (PiecewisePoly2D, end_vals, gauss_rule, grad_matrix, leg_
 __all__ = [
     "LdgSolution2D",
     "LdgOperator2D",
-    "assemble2d",
     "solve_2d",
     "bilinear_B2d",
     "coeffs_to_solution_2d",
@@ -193,14 +192,6 @@ class LdgOperator2D:
                             [sp.kron(x.uf, My), sp.kron(Mx, y.uf),
                              sp.kron(x.uu, My) + sp.kron(Mx, y.uu) + reaction]], format="coo")
         return from_coo(3 * n, A.row, A.col, A.data)
-
-
-def assemble2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> SparseSystem:
-    """Assemble the 3*N^2*(k+1)^2 system for the triple (U, P, Q): the
-    matrix and rhs of LdgOperator2D.  Unknown ordering is field-major
-    [P; Q; U], each field in (x cell, x mode, y cell, y mode) order."""
-    op = LdgOperator2D(mesh, problem, k, cfg)
-    return SparseSystem(matrix=op.matrix(), rhs=op.rhs)
 
 
 def coeffs_to_solution_2d(mesh: TensorMesh2D, k: int, x: np.ndarray) -> LdgSolution2D:

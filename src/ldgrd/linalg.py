@@ -16,7 +16,6 @@ __all__ = [
     "from_coo",
     "matvec",
     "lu_solve",
-    "residual_inf",
     "KroneckerSumSolve",
     "pcg",
 ]
@@ -59,10 +58,6 @@ def matvec(A: sp.csr_array, x: np.ndarray) -> np.ndarray:
     if x.shape != (A.shape[1],):
         raise ValueError(f"vector has shape {x.shape}, expected ({A.shape[1]},)")
     return A @ x
-
-
-def residual_inf(A: sp.csr_array, x: np.ndarray, rhs: np.ndarray) -> float:
-    return float(np.abs(matvec(A, x) - rhs).max(initial=0.0))
 
 
 class KroneckerSumSolve:

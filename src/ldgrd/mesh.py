@@ -34,10 +34,9 @@ class MeshParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        for name in ("beta", "sigma"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.N < 4 or self.N % 4 != 0:
             raise ValueError(f"N must be a positive multiple of 4, got {self.N}")
         if self.tau > 0.25:
@@ -67,10 +66,6 @@ class ShishkinMesh1D:
     @property
     def ncells(self) -> int:
         return self.params.N
-
-    def cell(self, j: int) -> tuple[float, float]:
-        """Endpoints of 0-based cell j."""
-        return float(self.points[j]), float(self.points[j + 1])
 
     def quad_points(self, t: np.ndarray) -> np.ndarray:
         """Physical points (ncells, len(t)) of reference points t in [-1, 1]."""
@@ -121,9 +116,6 @@ class TensorMesh2D:
     def ncells(self) -> int:
         nx, ny = self.shape
         return nx * ny
-
-    def cell(self, i: int, j: int) -> tuple[tuple[float, float], tuple[float, float]]:
-        return self.mesh_x.cell(i), self.mesh_y.cell(j)
 
     def quad_points(self, tx: np.ndarray, ty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Physical points of the reference grid tx x ty in every cell, as the

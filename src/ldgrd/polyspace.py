@@ -20,7 +20,6 @@ __all__ = [
     "grad_matrix",
     "end_vals",
     "tensor_sum",
-    "LocalPoly",
     "PiecewisePoly1D",
     "PiecewisePoly2D",
 ]
@@ -121,18 +120,6 @@ def tensor_sum(vals: np.ndarray, weights: np.ndarray, wx: np.ndarray, wy: np.nda
     return float(wx @ per_cell @ wy)
 
 
-@dataclass(frozen=True, eq=False)
-class LocalPoly:
-    """Polynomial on one reference cell, stored as Legendre coefficients."""
-
-    degree: int
-    coeffs: np.ndarray
-
-    def eval(self, t):
-        out = self.coeffs @ legendre_basis(self.degree, t)
-        return out if np.ndim(t) else float(out[0])
-
-
 class PiecewisePoly1D:
     """Element of the broken polynomial space: one Legendre coefficient row
     per mesh cell, no continuity across interfaces.
@@ -156,18 +143,6 @@ class PiecewisePoly1D:
     @property
     def degree(self) -> int:
         return self.coeffs.shape[1] - 1
-
-    def eval(self, x):
-        """Point values; at an interior mesh point the right-cell limit is taken."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xf = np.atleast_1d(x)
-        pts = self.mesh.points
-        cells = np.clip(np.searchsorted(pts, xf, side="right") - 1, 0, self.mesh.ncells - 1)
-        t = 2.0 * (xf - pts[cells]) / self.mesh.widths[cells] - 1.0
-        phi = legendre_basis(self.degree, t)
-        vals = sum(self.coeffs[cells, m] * phi[m] for m in range(self.degree + 1))
-        return float(vals[0]) if scalar else vals
 
     def values_on_ref(self, t: np.ndarray) -> np.ndarray:
         """Values at the same reference nodes in every cell, shape (ncells, len(t))."""
@@ -214,15 +189,6 @@ class PiecewisePoly2D:
         """Values on the tensor reference grid per cell, shape (nx, ny, len(tx), len(ty))."""
         k = self.degree
         return legendre_basis(k, tx).T @ (self.coeffs @ legendre_basis(k, ty))
-
-    def eval(self, x: float, y: float) -> float:
-        mx, my = self.mesh.mesh_x, self.mesh.mesh_y
-        i = int(np.clip(np.searchsorted(mx.points, x, side="right") - 1, 0, mx.ncells - 1))
-        j = int(np.clip(np.searchsorted(my.points, y, side="right") - 1, 0, my.ncells - 1))
-        tx = 2.0 * (x - mx.points[i]) / mx.widths[i] - 1.0
-        ty = 2.0 * (y - my.points[j]) / my.widths[j] - 1.0
-        px, py = legendre_basis(self.degree, [tx, ty]).T.copy()
-        return float(px @ self.coeffs[i, j] @ py)
 
     def _ncells(self, axis: int) -> int:
         if axis not in (0, 1):

@@ -6,25 +6,12 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import ShishkinMesh1D, TensorMesh2D
-from .polyspace import (
-    LocalPoly,
-    PiecewisePoly1D,
-    PiecewisePoly2D,
-    end_vals,
-    layer_rule,
-    legendre_basis,
-    tensor_sum,
-)
+from .polyspace import (PiecewisePoly1D, PiecewisePoly2D, end_vals, layer_rule, legendre_basis,
+                        tensor_sum)
 
 __all__ = [
-    "l2_project",
-    "gauss_radau_minus",
-    "gauss_radau_plus",
     "composite_u_1d",
     "composite_q_1d",
-    "l2_interpolant_1d",
-    "l2_project_2d",
-    "gauss_radau_2d",
     "composite_u_2d",
     "composite_px_2d",
     "composite_qy_2d",
@@ -81,11 +68,9 @@ def _radau_fix(c: np.ndarray, trace, axis: int, side: str, where=True) -> np.nda
     top, low = (..., k, *rest), (..., slice(k), *rest)
     if side == "minus":
         fixed = trace - c[low].sum(axis=axis)
-    elif side == "plus":
+    else:
         em, _ = end_vals(k)
         fixed = (trace - (c[low] @ em[:k] if axis == -1 else em[:k] @ c[low])) * em[k]
-    else:
-        raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
     c[top] = np.where(np.expand_dims(where, -1), fixed, c[top])
     return c
 
@@ -103,29 +88,13 @@ def _radau_1d(z, cell, k: int, side: str, where=True) -> np.ndarray:
 def _radau_2d(z, c: np.ndarray, cell, k: int, axis: int, side: str, where=True) -> np.ndarray:
     """Directional Gauss-Radau fix of the tensor moments c on the rectangles
     cell where `where` holds, with the L2 moments of the trace on the
-    matched edge as the endpoint values."""
-    if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
+    matched edge as the endpoint values: volume moments one degree lower in
+    `axis` (0 grades in x, 1 in y) stay the L2 ones, and side 'minus'
+    matches the upper edge of that axis, 'plus' the lower one."""
     lo, hi = cell[axis]
     end = np.expand_dims(hi if side == "minus" else lo, -1)
     edge = _moments(lambda s: z(end, s) if axis == 0 else z(s, end), cell[1 - axis], k)
     return _radau_fix(c, edge, axis - 2, side, where)  # x-mode is coefficient axis -2
-
-
-def l2_project(z, cell: tuple[float, float], k: int) -> LocalPoly:
-    """Local L2 projection onto polynomials of degree k on the cell (a, b)."""
-    return LocalPoly(degree=k, coeffs=_moments(z, cell, k))
-
-
-def gauss_radau_minus(z, cell: tuple[float, float], k: int) -> LocalPoly:
-    """Projection matching moments against degree k-1 and the value of z at
-    the right endpoint of the cell."""
-    return LocalPoly(degree=k, coeffs=_radau_1d(z, cell, k, "minus"))
-
-
-def gauss_radau_plus(z, cell: tuple[float, float], k: int) -> LocalPoly:
-    """Mirror image of gauss_radau_minus: endpoint matched at the left end."""
-    return LocalPoly(degree=k, coeffs=_radau_1d(z, cell, k, "plus"))
 
 
 def _fine_band(j: np.ndarray, N: int) -> np.ndarray:
@@ -155,31 +124,7 @@ def composite_q_1d(q, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly1D:
     return PiecewisePoly1D(mesh, _radau_1d(q, cells, k, "plus", where=np.arange(mesh.ncells) > 0))
 
 
-def l2_interpolant_1d(z, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly1D:
-    """Cellwise L2 projection on every cell (no endpoint matching)."""
-    cells = mesh.points[:-1], mesh.points[1:]
-    return PiecewisePoly1D(mesh, _moments(z, cells, k))
-
-
 # -- 2D projections ---------------------------------------------------------
-
-
-def l2_project_2d(z, cell, k: int) -> np.ndarray:
-    """Tensor L2 projection coefficients (k+1, k+1) on one rectangular cell."""
-    return _moments_2d(z, cell, k)
-
-
-def gauss_radau_2d(z, cell, k: int, axis: int, side: str) -> np.ndarray:
-    """Directional Gauss-Radau projection on a rectangular cell.
-
-    Volume moments are matched against polynomials one degree lower in the
-    chosen axis (full degree in the other), and the trace on the matched
-    edge is L2-fitted along that edge.  axis=0 grades in x, axis=1 in y;
-    side 'minus' matches the upper edge of the axis, 'plus' the lower one.
-    Realized as the 1D Gauss-Radau solve applied mode-by-mode on top of the
-    tensor L2 moments, which is what the defining conditions factor into.
-    """
-    return _radau_2d(z, _moments_2d(z, cell, k), cell, k, axis, side)
 
 
 def _mesh_cells(mesh: TensorMesh2D):

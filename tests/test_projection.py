@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import legval
 
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.polyspace import gauss_rule, legendre_basis
 from ldgrd.problems import layer1d, layer2d
 from ldgrd.projection import (
+    _moments,
+    _moments_2d,
+    _radau_1d,
+    _radau_2d,
     composite_px_2d,
     composite_q_1d,
     composite_qy_2d,
     composite_u_1d,
     composite_u_2d,
-    gauss_radau_2d,
-    gauss_radau_minus,
-    gauss_radau_plus,
-    l2_interpolant_1d,
-    l2_project,
-    l2_project_2d,
     measure_interp_error,
     measure_interp_error_2d,
 )
@@ -35,29 +34,34 @@ def smooth2(x, y):
     return np.sin(2.0 * x + 0.3) * np.cos(1.5 * y) + x * y**2
 
 
+# The single-cell checks call the projection kernels on one cell, the 0-d
+# case of the arrays of cells the composites pass; values at reference
+# points come from numpy's legval.
+
+
 def test_l2_constant():
-    p = l2_project(lambda x: np.full_like(x, 5.0), (0.2, 0.7), k=1)
-    assert np.allclose(p.coeffs, [5.0, 0.0], atol=1e-14)
+    c = _moments(lambda x: np.full_like(x, 5.0), (0.2, 0.7), 1)
+    assert np.allclose(c, [5.0, 0.0], atol=1e-14)
 
 
 def test_l2_of_x_squared_hand_solution():
     # moments of x^2 against {1, x} on (0,1) give -1/6 + x
-    p = l2_project(lambda x: x**2, (0.0, 1.0), k=1)
-    assert abs(p.eval(-1.0) - (-1.0 / 6.0)) < 1e-14
-    assert abs(p.eval(1.0) - 5.0 / 6.0) < 1e-14
+    c = _moments(lambda x: x**2, (0.0, 1.0), 1)
+    assert abs(legval(-1.0, c) - (-1.0 / 6.0)) < 1e-14
+    assert abs(legval(1.0, c) - 5.0 / 6.0) < 1e-14
 
 
 def test_gauss_radau_minus_hand_solution():
     # match the mean (1/3) and the right endpoint value 1: -1/3 + 4x/3
-    p = gauss_radau_minus(lambda x: x**2, (0.0, 1.0), k=1)
-    assert abs(p.eval(-1.0) - (-1.0 / 3.0)) < 1e-14
-    assert abs(p.eval(1.0) - 1.0) < 1e-14
+    c = _radau_1d(lambda x: x**2, (0.0, 1.0), 1, "minus")
+    assert abs(legval(-1.0, c) - (-1.0 / 3.0)) < 1e-14
+    assert abs(legval(1.0, c) - 1.0) < 1e-14
 
 
 def test_gauss_radau_plus_left_endpoint():
-    p = gauss_radau_plus(lambda x: x**2, (0.0, 1.0), k=1)
-    assert abs(p.eval(-1.0)) < 1e-14
-    assert abs(p.eval(1.0) - 2.0 / 3.0) < 1e-14  # (2/3) x at x=1
+    c = _radau_1d(lambda x: x**2, (0.0, 1.0), 1, "plus")
+    assert abs(legval(-1.0, c)) < 1e-14
+    assert abs(legval(1.0, c) - 2.0 / 3.0) < 1e-14  # (2/3) x at x=1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -69,10 +73,9 @@ def test_projections_reproduce_polynomials(k, rng):
 
     cell = (0.3, 0.55)
     t = np.linspace(-1, 1, 9)
-    for proj in (l2_project, gauss_radau_minus, gauss_radau_plus):
-        p = proj(z, cell, k)
-        xs = 0.5 * (cell[0] + cell[1]) + 0.5 * (cell[1] - cell[0]) * t
-        assert np.abs(p.eval(t) - z(xs)).max() < 1e-13
+    xs = 0.5 * (cell[0] + cell[1]) + 0.5 * (cell[1] - cell[0]) * t
+    for c in (_moments(z, cell, k), _radau_1d(z, cell, k, "minus"), _radau_1d(z, cell, k, "plus")):
+        assert np.abs(legval(t, c) - z(xs)).max() < 1e-13
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -86,29 +89,28 @@ def test_orthogonality_conditions(k, cell):
     phi = legendre_basis(k, rule.nodes)
     zx = smooth(xs)
 
-    p = l2_project(smooth, cell, k)
-    resid = zx - p.eval(rule.nodes)
+    c = _moments(smooth, cell, k)
+    resid = zx - legval(rule.nodes, c)
     moments = phi @ (rule.weights * resid)
     assert np.abs(moments).max() < 1e-12
 
-    pm = gauss_radau_minus(smooth, cell, k)
-    resid = zx - pm.eval(rule.nodes)
+    cm = _radau_1d(smooth, cell, k, "minus")
+    resid = zx - legval(rule.nodes, cm)
     moments = phi[:k] @ (rule.weights * resid)
     assert np.abs(moments).max() < 1e-12
-    assert abs(pm.eval(1.0) - smooth(np.array([b]))[0]) < 1e-12
+    assert abs(legval(1.0, cm) - smooth(np.array([b]))[0]) < 1e-12
 
-    pp = gauss_radau_plus(smooth, cell, k)
-    resid = zx - pp.eval(rule.nodes)
+    cp = _radau_1d(smooth, cell, k, "plus")
+    resid = zx - legval(rule.nodes, cp)
     moments = phi[:k] @ (rule.weights * resid)
     assert np.abs(moments).max() < 1e-12
-    assert abs(pp.eval(-1.0) - smooth(np.array([a]))[0]) < 1e-12
+    assert abs(legval(-1.0, cp) - smooth(np.array([a]))[0]) < 1e-12
 
 
 def test_gauss_radau_rejects_degree_zero():
-    with pytest.raises(ValueError):
-        gauss_radau_minus(smooth, (0.0, 1.0), k=0)
-    with pytest.raises(ValueError):
-        gauss_radau_plus(smooth, (0.0, 1.0), k=0)
+    for side in ("minus", "plus"):
+        with pytest.raises(ValueError, match="k >= 1"):
+            _radau_1d(smooth, (0.0, 1.0), 0, side)
     # every composite with Gauss-Radau cells, whatever its region mask
     mesh = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=8))
     mesh2 = build_tensor_2d(mesh, mesh)
@@ -124,23 +126,23 @@ def test_composite_u_region_table():
     k = 1
     comp = composite_u_1d(smooth, mesh, k)
     for j in range(8):
-        cell = mesh.cell(j)
+        cell = mesh.points[j], mesh.points[j + 1]
         if j < 2 or j in (6,):  # fine bands except the final cell
-            ref = gauss_radau_minus(smooth, cell, k)
+            ref = _radau_1d(smooth, cell, k, "minus")
         else:  # coarse middle cells and the last cell
-            ref = l2_project(smooth, cell, k)
-        assert np.array_equal(comp.coeffs[j], ref.coeffs)
+            ref = _moments(smooth, cell, k)
+        assert np.array_equal(comp.coeffs[j], ref)
 
 
 def test_composite_q_region_table():
     mesh = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=8))
     k = 2
     comp = composite_q_1d(smooth, mesh, k)
-    ref0 = l2_project(smooth, mesh.cell(0), k)
-    assert np.array_equal(comp.coeffs[0], ref0.coeffs)
+    ref0 = _moments(smooth, (mesh.points[0], mesh.points[1]), k)
+    assert np.array_equal(comp.coeffs[0], ref0)
     for j in range(1, 8):
-        ref = gauss_radau_plus(smooth, mesh.cell(j), k)
-        assert np.array_equal(comp.coeffs[j], ref.coeffs)
+        ref = _radau_1d(smooth, (mesh.points[j], mesh.points[j + 1]), k, "plus")
+        assert np.array_equal(comp.coeffs[j], ref)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -157,7 +159,7 @@ def test_composites_reproduce_global_polynomials(k, rng):
 
 def test_measure_interp_error_zero_for_member():
     mesh = uniform_mesh(8)
-    comp = l2_interpolant_1d(lambda x: 1.0 - 2.0 * x, mesh, 1)
+    comp = composite_u_1d(lambda x: 1.0 - 2.0 * x, mesh, 1)
     assert measure_interp_error(lambda x: 1.0 - 2.0 * x, comp, "l2") < 1e-13
     assert measure_interp_error(lambda x: 1.0 - 2.0 * x, comp, "linf") < 1e-13
 
@@ -182,7 +184,7 @@ def test_flux_interpolant_eps_scaling():
 def test_2d_gauss_radau_defining_conditions(axis, side):
     k = 2
     cell = ((0.2, 0.45), ((0.6, 0.9)))
-    c = gauss_radau_2d(smooth2, cell, k, axis=axis, side=side)
+    c = _radau_2d(smooth2, _moments_2d(smooth2, cell, k), cell, k, axis, side)
     rule = gauss_rule(20)
     (ax, bx), (ay, by) = cell
     xs = 0.5 * (ax + bx) + 0.5 * (bx - ax) * rule.nodes
@@ -223,9 +225,12 @@ def test_2d_gauss_radau_tensor_factorization(rng):
     def b(y):
         return np.cos(y) - y**2
 
-    c2 = gauss_radau_2d(lambda x, y: a(x) * b(y), cell, k, axis=0, side="minus")
-    ca = gauss_radau_minus(a, cell[0], k).coeffs
-    cb = l2_project(b, cell[1], k).coeffs
+    def ab(x, y):
+        return a(x) * b(y)
+
+    c2 = _radau_2d(ab, _moments_2d(ab, cell, k), cell, k, 0, "minus")
+    ca = _radau_1d(a, cell[0], k, "minus")
+    cb = _moments(b, cell[1], k)
     assert np.abs(c2 - np.outer(ca, cb)).max() < 1e-12
 
 
@@ -238,13 +243,13 @@ def test_composite_u_2d_region_table():
     fine, mid = {0, 1, 6}, {2, 3, 4, 5}
     for i in range(8):
         for j in range(8):
-            cell = mesh2.cell(i, j)
+            cell = (m.points[i], m.points[i + 1]), (m.points[j], m.points[j + 1])
+            ref = _moments_2d(smooth2, cell, k)
             if i in fine and j in mid:  # x-layer band against the coarse middle in y
-                ref = gauss_radau_2d(smooth2, cell, k, axis=0, side="minus")
+                ref = _radau_2d(smooth2, ref, cell, k, 0, "minus")
             elif i in mid and j in fine:  # y-layer band: graded in y
-                ref = gauss_radau_2d(smooth2, cell, k, axis=1, side="minus")
-            else:  # interior block, corners, final row and column: plain tensor L2
-                ref = l2_project_2d(smooth2, cell, k)
+                ref = _radau_2d(smooth2, ref, cell, k, 1, "minus")
+            # else interior block, corners, final row and column: plain tensor L2
             assert np.array_equal(comp.coeffs[i, j], ref), (i, j)
 
 
@@ -256,18 +261,16 @@ def test_composite_flux_2d_region_tables():
     cq = composite_qy_2d(smooth2, mesh2, k)
     for i in range(8):
         for j in range(8):
-            cell = mesh2.cell(i, j)
+            cell = (m.points[i], m.points[i + 1]), (m.points[j], m.points[j + 1])
             # x-flux: L2 on the first column, left-edge Gauss-Radau in x elsewhere
-            if i == 0:
-                ref = l2_project_2d(smooth2, cell, k)
-            else:
-                ref = gauss_radau_2d(smooth2, cell, k, axis=0, side="plus")
+            ref = _moments_2d(smooth2, cell, k)
+            if i > 0:
+                ref = _radau_2d(smooth2, ref, cell, k, 0, "plus")
             assert np.array_equal(cp.coeffs[i, j], ref), (i, j)
             # y-flux: L2 on the first row, bottom-edge Gauss-Radau in y elsewhere
-            if j == 0:
-                ref = l2_project_2d(smooth2, cell, k)
-            else:
-                ref = gauss_radau_2d(smooth2, cell, k, axis=1, side="plus")
+            ref = _moments_2d(smooth2, cell, k)
+            if j > 0:
+                ref = _radau_2d(smooth2, ref, cell, k, 1, "plus")
             assert np.array_equal(cq.coeffs[i, j], ref), (i, j)
 
 
@@ -310,7 +313,7 @@ def test_measure_interp_error_rejects_a_bad_norm_before_sampling():
         raise AssertionError("the field was sampled")
 
     mesh, mesh2 = uniform_mesh(4), uniform_mesh_2d(4)
-    u1 = l2_interpolant_1d(lambda x: x, mesh, 1)
+    u1 = composite_u_1d(lambda x: x, mesh, 1)
     u2 = composite_u_2d(lambda x, y: x * y, mesh2, 1)
     for measure, interp in ((measure_interp_error, u1), (measure_interp_error_2d, u2)):
         with pytest.raises(ValueError, match="norm must be 'l2' or 'linf', got 'l1'"):

@@ -1,6 +1,8 @@
 import csv
+import importlib
 import io
 import math
+import pkgutil
 
 import pytest
 
@@ -228,8 +230,12 @@ def test_balanced_rate_climbs_toward_optimal_order():
 def test_package_export_surface():
     import ldgrd
 
-    for name in ldgrd.__all__:
-        assert getattr(ldgrd, name) is not None
+    # the package and every submodule: each name in its __all__ resolves
+    modules = [ldgrd] + [importlib.import_module(f"ldgrd.{m.name}")
+                         for m in pkgutil.iter_modules(ldgrd.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert getattr(module, name, None) is not None, f"{module.__name__}.{name}"
     assert ldgrd.__version__
 
 

@@ -100,7 +100,8 @@ def _cases():
     """Yield (key, system, solution vector, error report) for every case of
     both grids."""
     from ldgrd.assembly1d import FluxConfig, assemble, solution_to_coeffs, solve_1d
-    from ldgrd.assembly2d import assemble2d, solve_2d
+    from ldgrd.assembly2d import LdgOperator2D, solve_2d
+    from ldgrd.linalg import SparseSystem
     from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
     from ldgrd.norms import error_report_1d, error_report_2d
     from ldgrd.problems import get_problem
@@ -133,7 +134,8 @@ def _cases():
                         else:
                             mesh2 = build_tensor_2d(mesh, mesh)
                             t = solve_2d(mesh2, prob, k, cfg)
-                            system = assemble2d(mesh2, prob, k, cfg)
+                            op = LdgOperator2D(mesh2, prob, k, cfg)
+                            system = SparseSystem(matrix=op.matrix(), rhs=op.rhs)
                             yield (key, _per_cell(mesh2, k, system), _fields(t),
                                    error_report_2d(t, prob, cfg))
 
