@@ -32,35 +32,31 @@ ASSEMBLY_EXTRA_NODES = 1  # one node beyond exactness for the polynomial terms
 
 @dataclass(frozen=True)
 class FluxConfig:
-    """Stabilization parameters of the numerical fluxes, in 1D and 2D.
+    """Stabilization of the numerical fluxes, in 1D and 2D.
 
-    lambda_boundary weights the penalty on U at every boundary point (1D) or
-    edge (2D), lambda_jump the jump penalty on the flux at the special
-    interface (1D) or on both special lines x = x_m and y = y_m (2D), with
-    m = special_index = 3N/4.  lambda_jump=0 recovers the plain upwind flux
-    used for the ablation study.  Both weights must be finite and >= 0, as
-    the energy identity needs; ValueError otherwise.
+    The penalty on U at every boundary point (1D) or edge (2D) has weight
+    lambda_boundary = sqrt(eps).  With jump, the flux also carries a jump
+    penalty of weight lambda_jump = 1/sqrt(eps) at the mesh's special
+    interface x_m (1D) or on both special lines x = x_m and y = y_m (2D),
+    m = ShishkinMesh1D.special_index = 3N/4; jump=False recovers the plain
+    upwind flux used for the ablation study.  eps must lie in (0, 1), as for
+    the mesh; ValueError otherwise.
     """
 
     eps: float
-    lambda_boundary: float
-    lambda_jump: float
-    special_index: int
+    jump: bool = True
 
     def __post_init__(self):
-        for name in ("lambda_boundary", "lambda_jump"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
 
-    @classmethod
-    def paper(cls, eps: float, N: int) -> "FluxConfig":
-        s = math.sqrt(eps)
-        return cls(eps=eps, lambda_boundary=s, lambda_jump=1.0 / s, special_index=3 * N // 4)
+    @property
+    def lambda_boundary(self) -> float:
+        return math.sqrt(self.eps)
 
-    @classmethod
-    def classic(cls, eps: float, N: int) -> "FluxConfig":
-        s = math.sqrt(eps)
-        return cls(eps=eps, lambda_boundary=s, lambda_jump=0.0, special_index=3 * N // 4)
+    @property
+    def lambda_jump(self) -> float:
+        return 1.0 / math.sqrt(self.eps) if self.jump else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +81,11 @@ def flux_u_hat(w: LdgSolution1D, j: int, cfg: FluxConfig) -> float:
     for the energy identity; the opposite one makes the penalty
     antidissipative).
     """
-    N = w.u.mesh.ncells
-    if j == 0 or j == N:
+    mesh = w.u.mesh
+    if j == 0 or j == mesh.ncells:
         return 0.0
     val = w.u.trace_left(j)
-    if j == cfg.special_index and cfg.lambda_jump != 0.0:
+    if j == mesh.special_index and cfg.jump:
         val += cfg.lambda_jump * (w.q.trace_right(j) - w.q.trace_left(j))
     return val
 
@@ -130,12 +126,12 @@ def _hat_weights(cfg: FluxConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _layout(N: int, k: int, special_index: int, jump: bool) -> _Layout:
+def _layout(N: int, k: int, m: int, jump: bool) -> _Layout:
     """The scheme's b-independent operator in one direction, as one flat
     table of blocks (weighted by _table_sum for each case).  After the cell
     blocks, the hats hold the numerical-flux pair across the N+1
     interfaces: U-hat (upwind U^-, plus lambda_jump*(Q^+ - Q^-) at the
-    special interface) enters the flux test rows; Q-hat (downwind Q^+,
+    special interface m) enters the flux test rows; Q-hat (downwind Q^+,
     boundary values penalized by lambda_boundary*U at x_0 and
     -lambda_boundary*U at x_N) enters the primal test rows.  Each hat is
     tested from the cell right of the interface (+em) and from the cell left
@@ -154,7 +150,7 @@ def _layout(N: int, k: int, special_index: int, jump: bool) -> _Layout:
     # weight code: 1, +-lambda_jump, +-lambda_boundary)
     specs = [(_FLUX, interior, -1, _PRIMAL, ep, 0)]
     if jump:
-        special = np.array([special_index])
+        special = np.array([m])
         specs += [(_FLUX, special, 0, _FLUX, em, 1), (_FLUX, special, -1, _FLUX, ep, 2)]
     specs += [(_PRIMAL, first, 0, _FLUX, em, 0), (_PRIMAL, first, 0, _PRIMAL, em, 3),
               (_PRIMAL, interior, 0, _FLUX, em, 0),
@@ -192,7 +188,7 @@ def _table_sum(mesh: ShishkinMesh1D, k: int, cfg: FluxConfig, reaction=None):
     layout's; only the values are formed here.
     """
     N, B = mesh.ncells, k + 1
-    lay = _layout(N, k, cfg.special_index, cfg.lambda_jump != 0.0)
+    lay = _layout(N, k, mesh.special_index, cfg.jump)
     r0, c0 = lay.rows, lay.cols
     if reaction is None:
         r0, c0 = (np.delete(a, np.s_[3 * N:4 * N]) for a in (r0, c0))
@@ -214,12 +210,6 @@ def table_matrix(mesh: ShishkinMesh1D, k: int, cfg: FluxConfig):
     return _table_sum(mesh, k, cfg)
 
 
-def _check_special(N: int, special: int) -> None:
-    if not 1 <= special <= N - 1:
-        raise ValueError(f"special line index {special} is not an interior line 1..{N - 1} "
-                         f"of a mesh with N={N} cells")
-
-
 def _check_flux_eps(problem, cfg: FluxConfig) -> None:
     if not math.isclose(cfg.eps, problem.eps, rel_tol=1e-12):
         raise ValueError(f"flux config eps={cfg.eps} does not match problem eps={problem.eps}")
@@ -231,7 +221,6 @@ def _check_consistent(mesh: ShishkinMesh1D, problem, cfg: FluxConfig) -> None:
             f"problem eps={problem.eps} does not match mesh eps={mesh.params.eps}"
         )
     _check_flux_eps(problem, cfg)
-    _check_special(mesh.ncells, cfg.special_index)
 
 
 def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig) -> SparseSystem:
@@ -299,8 +288,6 @@ def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, cfg: FluxConfig) -> floa
     if w.u.mesh is not chi.u.mesh or w.u.degree != chi.u.degree:
         raise ValueError("both arguments must share mesh and degree")
     mesh = w.u.mesh
-    N = mesh.ncells
-    _check_special(N, cfg.special_index)
     k = w.u.degree
     rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
     G = grad_matrix(k)
@@ -335,7 +322,7 @@ def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, cfg: FluxConfig) -> floa
     total -= Qm[-1] * Vm[-1]  # boundary term (Q v)^-_N
     total += cfg.lambda_boundary * (-Up[0]) * (-Vp[0])
     total += cfg.lambda_boundary * Um[-1] * Vm[-1]
-    if cfg.lambda_jump != 0.0:
-        m = cfg.special_index
+    if cfg.jump:
+        m = mesh.special_index
         total += cfg.lambda_jump * (Qm[m - 1] - Qp[m]) * (Rm[m - 1] - Rp[m])
     return total

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly1d import (ASSEMBLY_EXTRA_NODES, FluxConfig, _check_consistent, _check_special,
-                         _flux_mass, table_matrix)
+from .assembly1d import (ASSEMBLY_EXTRA_NODES, FluxConfig, _check_consistent, _flux_mass,
+                         table_matrix)
 from .linalg import KroneckerSumSolve, _refined_solve, from_coo, pcg
 from .mesh import TensorMesh2D
 from .polyspace import (PiecewisePoly2D, end_vals, gauss_rule, grad_matrix, leg_mass,
@@ -54,7 +54,7 @@ class _Axis:
         self.ff, self.fu, self.uf, self.uu = (table[r][:, c] for r in (f, ~f) for c in (f, ~f))
         d = _flux_mass(m, cfg, leg_mass(k)).ravel()
         em, ep = end_vals(k)
-        v, s = np.zeros(d.size), cfg.special_index * (k + 1)
+        v, s = np.zeros(d.size), m.special_index * (k + 1)
         v[s - k - 1:s], v[s:s + k + 1] = -ep, em
         w = sp.csr_array((v / d)[:, None])
         c = cfg.lambda_jump / (1.0 + cfg.lambda_jump * (v @ (v / d)))
@@ -227,7 +227,6 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig) -> floa
         raise ValueError("both arguments must share mesh and degree")
     mesh = t.u.mesh
     nx, ny = mesh.shape
-    _check_special(min(nx, ny), cfg.special_index)
     k = t.u.degree
     rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
     G = grad_matrix(k)
@@ -256,17 +255,16 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig) -> floa
         # A, Bc: (n_t, k+1) tangential coefficients on one mesh line.
         return float(np.einsum("jn,jn,n,j->", A, Bc, mass, weights))
 
-    m = cfg.special_index
     # Lines normal to x carry P and the tangential weight hy/2, lines normal
     # to y carry Q and hx/2; x before y, as in the assembled matrix.
     for axis, flux_t, flux_z, w_t in ((0, t.p, z.p, 0.5 * hy), (1, t.q, z.q, 0.5 * hx)):
-        n = mesh.shape[axis]
+        n, m = mesh.shape[axis], (mesh.mesh_x, mesh.mesh_y)[axis].special_index
         for i in range(1, n):
             total -= line_dot(t.u.trace(axis, i, "left"), flux_z.jump(axis, i), w_t)
         for i in range(n):
             total -= line_dot(flux_t.trace(axis, i, "right"), z.u.jump(axis, i), w_t)
         total -= line_dot(flux_t.trace(axis, n, "left"), z.u.jump(axis, n), w_t)
-        if cfg.lambda_jump != 0.0:
+        if cfg.jump:
             total += cfg.lambda_jump * line_dot(flux_t.jump(axis, m), flux_z.jump(axis, m), w_t)
         total += cfg.lambda_boundary * (
             line_dot(t.u.jump(axis, 0), z.u.jump(axis, 0), w_t)

@@ -67,6 +67,11 @@ class ShishkinMesh1D:
     def ncells(self) -> int:
         return self.params.N
 
+    @property
+    def special_index(self) -> int:
+        """Index 3N/4 of the transition point 1 - tau: the flux jump penalty's line."""
+        return 3 * self.params.N // 4
+
     def quad_points(self, t: np.ndarray) -> np.ndarray:
         """Physical points (ncells, len(t)) of reference points t in [-1, 1]."""
         mid = 0.5 * (self.points[:-1] + self.points[1:])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly1d import _check_flux_eps, _check_special
+from .assembly1d import _check_flux_eps
 from .polyspace import layer_rule, leg_mass, tensor_sum
 
 __all__ = ["ErrorReport", "error_report_1d", "error_report_2d"]
@@ -29,12 +29,11 @@ class ErrorReport:
     err_l2_p: float | None = None
 
 
-def _jumps_sq_1d(w, cfg):
+def _jumps_sq_1d(w):
     """Squared jumps of a discrete pair: (U at x_0 plus U at x_N, Q at the
-    special interface of cfg)."""
-    N = w.u.mesh.ncells
-    _check_special(N, cfg.special_index)
-    return w.u.jump(0) ** 2 + w.u.jump(N) ** 2, w.q.jump(cfg.special_index) ** 2
+    mesh's special interface)."""
+    mesh = w.u.mesh
+    return w.u.jump(0) ** 2 + w.u.jump(mesh.ncells) ** 2, w.q.jump(mesh.special_index) ** 2
 
 
 def _error_pieces_1d(w, problem):
@@ -61,7 +60,7 @@ def error_report_1d(w, problem, cfg) -> ErrorReport:
     weighted eps^{-3/2} and unit weight on every jump.  problem and cfg must
     share eps."""
     _check_flux_eps(problem, cfg)
-    ju, jm = _jumps_sq_1d(w, cfg)
+    ju, jm = _jumps_sq_1d(w)
     l2q, bu, l2u, linf = _error_pieces_1d(w, problem)
     energy = np.sqrt(l2q / problem.eps + bu + cfg.lambda_boundary * ju + cfg.lambda_jump * jm)
     balanced = np.sqrt(l2q / problem.eps**1.5 + bu + ju + jm)
@@ -77,12 +76,11 @@ def error_report_1d(w, problem, cfg) -> ErrorReport:
 # -- 2D ----------------------------------------------------------------------
 
 
-def _jumps_sq_2d(t, cfg):
+def _jumps_sq_2d(t):
     """Squared jumps of a discrete triple, each integrated along its mesh line
     by the Legendre mass: (U on the four boundary lines, P on x = x_m plus Q
-    on y = y_m, m the special index of cfg)."""
+    on y = y_m, m the special index of each axis's mesh)."""
     mesh = t.u.mesh
-    _check_special(min(mesh.shape), cfg.special_index)
     mass = leg_mass(t.u.degree)
     along = 0.5 * mesh.mesh_y.widths, 0.5 * mesh.mesh_x.widths  # lines normal to x, to y
 
@@ -90,8 +88,7 @@ def _jumps_sq_2d(t, cfg):
         return float(np.einsum("jn,n,j->", poly.jump(axis, i) ** 2, mass, along[axis]))
 
     ju = sum(sq(t.u, axis, i) for axis, n in enumerate(mesh.shape) for i in (0, n))
-    m = cfg.special_index
-    return ju, sq(t.p, 0, m) + sq(t.q, 1, m)
+    return ju, sq(t.p, 0, mesh.mesh_x.special_index) + sq(t.q, 1, mesh.mesh_y.special_index)
 
 
 def _error_pieces_2d(t, problem):
@@ -130,7 +127,7 @@ def error_report_2d(t, problem, cfg) -> ErrorReport:
     """As in 1D, except that the balanced norm keeps the lambda_jump weight
     on the special lines (unit weight on the boundary jumps)."""
     _check_flux_eps(problem, cfg)
-    ju, js = _jumps_sq_2d(t, cfg)
+    ju, js = _jumps_sq_2d(t)
     l2p, l2q, bu, l2u, linf = _error_pieces_2d(t, problem)
     lam = cfg.lambda_jump
     energy = np.sqrt((l2p + l2q) / problem.eps + bu + cfg.lambda_boundary * ju + lam * js)

@@ -110,7 +110,7 @@ def _run_case(cfg: StudyConfig, k: int, eps: float, n: int) -> ConvergenceRecord
     try:
         problem = get_problem(cfg.problem, eps)
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=problem.beta, sigma=sigma, N=n))
-        fc = getattr(FluxConfig, cfg.flux)(eps, n)
+        fc = FluxConfig(eps, jump=cfg.flux == "paper")
         if cfg.dim == 1:
             rec.report = error_report_1d(solve_1d(mesh, problem, k, fc), problem, fc)
         else:

@@ -30,11 +30,17 @@ def _zero(*x):
     return 0.0
 
 
-def energy_sq(w, b, cfg):
-    """Squared energy norm of a discrete pair or triple w with reaction
-    coefficient b: the shipped error report against a zero exact solution."""
+def zero_report(w, b, cfg):
+    """The shipped error report of a discrete pair or triple w against a zero
+    exact solution with reaction coefficient b: the norms of w itself."""
     if isinstance(w, LdgSolution2D):
         zero = replace(layer2d(cfg.eps), b=b, u_exact=_zero, p_exact=_zero, q_exact=_zero)
-        return error_report_2d(w, zero, cfg).err_energy ** 2
+        return error_report_2d(w, zero, cfg)
     zero = replace(layer1d(cfg.eps), b=b, u_exact=_zero, q_exact=_zero)
-    return error_report_1d(w, zero, cfg).err_energy ** 2
+    return error_report_1d(w, zero, cfg)
+
+
+def energy_sq(w, b, cfg):
+    """Squared energy norm of a discrete pair or triple w with reaction
+    coefficient b."""
+    return zero_report(w, b, cfg).err_energy ** 2

@@ -61,7 +61,7 @@ def test_1d_reports_near_the_converged_solution(k, bound):
     for eps in (1e-6, 1e-8, 1e-10, 1e-12):
         problem = get_problem("layer1d", eps)
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=problem.beta, sigma=k + 1.0, N=N))
-        cfg = FluxConfig.paper(eps, N)
+        cfg = FluxConfig(eps)
         system = assemble(mesh, problem, k, cfg)
         solve, _ = _splu(system.matrix)
         x = converged_solution(system.matrix, system.rhs, solve)
@@ -77,7 +77,7 @@ def test_2d_reports_near_the_converged_solution(name, k, N):
     for eps in (1e-6, 1e-8, 1e-12):
         problem = get_problem(name, eps)
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=problem.beta, sigma=k + 1.0, N=N))
-        mesh2, cfg = build_tensor_2d(mesh, mesh), FluxConfig.paper(eps, N)
+        mesh2, cfg = build_tensor_2d(mesh, mesh), FluxConfig(eps)
         op = LdgOperator2D(mesh2, problem, k, cfg)
         solve, _ = op.factor()
         x = converged_solution(op.matrix(), op.rhs, solve)

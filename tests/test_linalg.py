@@ -83,12 +83,12 @@ def solve_records(caplog):
 def test_debug_record_per_solve(caplog):
     eps, N = 1e-4, 4
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
-    mesh2, cfg = build_tensor_2d(m, m), FluxConfig.paper(eps, N)
+    mesh2, cfg = build_tensor_2d(m, m), FluxConfig(eps)
     # every 2D solve runs PCG on the Schur complement in U; for b = 2 its
     # fast-diagonalization preconditioner is exact
     variable_b = dataclasses.replace(poly_exact_2d(eps), b=lambda x, y: 2.0 + x * (1.0 - y))
     with caplog.at_level(logging.DEBUG, logger="ldgrd"):
-        solve_1d(m, poly_exact_1d(eps), 1, FluxConfig.paper(eps, N))
+        solve_1d(m, poly_exact_1d(eps), 1, FluxConfig(eps))
         solve_2d(mesh2, variable_b, 1, cfg)
         solve_2d(mesh2, poly_exact_2d(eps), 1, cfg)
     one, two, constant = solve_records(caplog)
@@ -142,7 +142,7 @@ def test_shuffled_triplets_give_canonical_rows(rng):
 def test_residual_contract_on_assembled_system():
     eps = 1e-4
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=4))
-    system = assemble(mesh, poly_exact_1d(eps), 1, FluxConfig.paper(eps, 4))
+    system = assemble(mesh, poly_exact_1d(eps), 1, FluxConfig(eps))
     x = lu_solve(system.matrix, system.rhs)
     r = np.abs(matvec(system.matrix, x) - system.rhs).max()
     assert r <= 1e-10 * max(1.0, np.abs(system.rhs).max())

@@ -44,7 +44,7 @@ def test_energy_error_hand_value():
     eps = 1e-4
     mesh = uniform_mesh(8)
     prob = ZeroProblem1D(eps=eps)
-    cfg = FluxConfig(eps=eps, lambda_boundary=0.01, lambda_jump=100.0, special_index=6)
+    cfg = FluxConfig(eps)
     w = unit_pair(mesh, eps)
     val = error_report_1d(w, prob, cfg).err_energy
     assert math.isclose(val, math.sqrt(1.0 + 2.0 * 0.01), rel_tol=1e-13)
@@ -55,14 +55,14 @@ def test_balanced_error_hand_value():
     mesh = uniform_mesh(8)
     prob = ZeroProblem1D(eps=eps)
     w = unit_pair(mesh, eps)
-    cfg = FluxConfig.paper(eps, 8)
+    cfg = FluxConfig(eps)
     assert math.isclose(error_report_1d(w, prob, cfg).err_balanced, math.sqrt(3.0), rel_tol=1e-13)
 
 
 def test_discrete_energy_hand_value():
     eps = 1e-4
     mesh = uniform_mesh(8)
-    cfg = FluxConfig(eps=eps, lambda_boundary=0.01, lambda_jump=100.0, special_index=6)
+    cfg = FluxConfig(eps)
     w = unit_pair(mesh, eps)
     val = energy_sq(w, lambda x: np.ones_like(x), cfg)
     assert math.isclose(val, 1.02, rel_tol=1e-13)
@@ -71,12 +71,11 @@ def test_discrete_energy_hand_value():
     assert energy_sq(z, lambda x: np.ones_like(x), cfg) == 0.0
 
 
-@pytest.mark.parametrize("special", [5, 6])
-def test_energy_error_reads_special_interface(special, rng):
-    # the jump term sits where cfg puts it, as in the scheme (3N/4 = 6 here)
+def test_energy_error_reads_special_interface(rng):
+    # the jump term sits where the scheme puts it, at the mesh's 3N/4 = 6
     mesh = uniform_mesh(8)
     eps = mesh.params.eps
-    cfg = replace(FluxConfig.paper(eps, 8), special_index=special)
+    cfg = FluxConfig(eps)
     w = LdgSolution1D(q=PiecewisePoly1D(mesh, rng.standard_normal((8, 3))),
                       u=PiecewisePoly1D(mesh, rng.standard_normal((8, 3))))
     prob = ZeroProblem1D(eps=eps)
@@ -89,7 +88,7 @@ def test_exact_solution_has_zero_error():
     N, k = 8, 2
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=3.0, N=N))
     prob = poly_exact_1d(eps)
-    cfg = FluxConfig.paper(eps, N)
+    cfg = FluxConfig(eps)
     w = solve_1d(mesh, prob, k, cfg)
     rep = error_report_1d(w, prob, cfg)
     assert rep.err_energy < 1e-10
@@ -105,7 +104,7 @@ def test_norm_homogeneity(s, rng):
     eps = 1e-6
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=16))
     prob = ZeroProblem1D(eps=eps)
-    cfg = FluxConfig.paper(eps, 16)
+    cfg = FluxConfig(eps)
     qc = rng.standard_normal((16, 3))
     uc = rng.standard_normal((16, 3))
     w1 = LdgSolution1D(q=PiecewisePoly1D(mesh, qc), u=PiecewisePoly1D(mesh, uc))
@@ -123,7 +122,7 @@ def test_quadrature_refinement_stability(monkeypatch):
     N, k = 64, 1
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     prob = layer1d(eps)
-    cfg = FluxConfig.paper(eps, N)
+    cfg = FluxConfig(eps)
     w = solve_1d(mesh, prob, k, cfg)
     base = error_report_1d(w, prob, cfg)  # the default rule, k+5 nodes
     monkeypatch.setattr(polyspace, "LAYER_EXTRA_NODES", k + 9)  # 2(k+5) nodes
@@ -138,7 +137,7 @@ def test_quadrature_refinement_stability_2d(monkeypatch):
     N, k = 16, 1
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     prob = layer2d(eps)
-    cfg = FluxConfig.paper(eps, N)
+    cfg = FluxConfig(eps)
     t = solve_2d(build_tensor_2d(m, m), prob, k, cfg)
     base = error_report_2d(t, prob, cfg)  # the default rule, k+5 nodes per axis
     monkeypatch.setattr(polyspace, "LAYER_EXTRA_NODES", k + 9)  # 2(k+5) nodes per axis
@@ -154,7 +153,7 @@ def test_error_monotone_under_refinement():
     prev = None
     for N in (16, 32, 64, 128):
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
-        cfg = FluxConfig.paper(eps, N)
+        cfg = FluxConfig(eps)
         w = solve_1d(mesh, prob, 1, cfg)
         val = error_report_1d(w, prob, cfg).err_balanced
         if prev is not None:
@@ -169,7 +168,7 @@ def test_balanced_at_least_energy_on_solver_errors():
     prob = layer1d(eps)
     for N in (16, 64):
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
-        cfg = FluxConfig.paper(eps, N)
+        cfg = FluxConfig(eps)
         w = solve_1d(mesh, prob, 1, cfg)
         rep = error_report_1d(w, prob, cfg)
         assert rep.err_balanced >= rep.err_energy
@@ -192,7 +191,7 @@ def test_2d_hand_values():
     eps = 1e-4
     mesh2 = uniform_mesh_2d(4)
     prob = ZeroProblem2D(eps=eps)
-    cfg = FluxConfig(eps=eps, lambda_boundary=0.01, lambda_jump=100.0, special_index=3)
+    cfg = FluxConfig(eps)
     t = unit_triple(mesh2)
     # b=2 volume term plus four unit boundary edge families
     assert math.isclose(error_report_2d(t, prob, cfg).err_balanced, math.sqrt(6.0), rel_tol=1e-13)
@@ -207,7 +206,7 @@ def test_2d_hand_values():
 def test_2d_zero_error():
     mesh2 = uniform_mesh_2d(4)
     prob = ZeroProblem2D(eps=1e-4)
-    cfg = FluxConfig.paper(1e-4, 4)
+    cfg = FluxConfig(1e-4)
     nx, ny = mesh2.shape
     zero = np.zeros((nx, ny, 2, 2))
     t = LdgSolution2D(u=PiecewisePoly2D(mesh2, zero), p=PiecewisePoly2D(mesh2, zero),
@@ -216,12 +215,11 @@ def test_2d_zero_error():
     assert error_report_2d(t, prob, cfg).err_energy == 0.0
 
 
-@pytest.mark.parametrize("special", [5, 6])
-def test_2d_energy_norms_read_special_index(special, rng):
-    # the jump lines sit where cfg puts them, as in the scheme (3N/4 = 6 here)
+def test_2d_energy_norms_read_special_index(rng):
+    # the jump lines sit where the scheme puts them, at the mesh's 3N/4 = 6
     mesh2 = uniform_mesh_2d(8)
     eps = mesh2.mesh_x.params.eps
-    cfg = replace(FluxConfig.paper(eps, 8), special_index=special)
+    cfg = FluxConfig(eps)
     t = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((8, 8, 3, 3)))
                         for _ in range(3)))
     prob = ZeroProblem2D(eps=eps)
@@ -236,7 +234,7 @@ def test_error_report_1d_rejects_an_eps_mismatch(rng):
     mesh = build_shishkin_1d(MeshParams(eps=1e-8, beta=1.0, sigma=2.0, N=32))
     w = LdgSolution1D(*(PiecewisePoly1D(mesh, rng.standard_normal((32, 2))) for _ in range(2)))
     with pytest.raises(ValueError, match="flux config eps=1e-06 does not match problem eps=1e-08"):
-        error_report_1d(w, layer1d(1e-8), FluxConfig.paper(1e-6, 32))
+        error_report_1d(w, layer1d(1e-8), FluxConfig(1e-6))
 
 
 def test_error_report_2d_rejects_an_eps_mismatch(rng):
@@ -245,7 +243,7 @@ def test_error_report_2d_rejects_an_eps_mismatch(rng):
     t = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((8, 8, 2, 2)))
                         for _ in range(3)))
     with pytest.raises(ValueError, match="flux config eps=1e-06 does not match problem eps=1e-08"):
-        error_report_2d(t, layer2d(1e-8), FluxConfig.paper(1e-6, 8))
+        error_report_2d(t, layer2d(1e-8), FluxConfig(1e-6))
 
 
 # -- what the error reports evaluate, and their memory ---------------------------
@@ -273,7 +271,7 @@ def test_error_reports_sample_exact_fields_on_the_volume_grid_only(problem, rng)
     eps, N, k = 1e-4, 8, 2
     spec = problem(eps)
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    cfg = FluxConfig.paper(eps, N)
+    cfg = FluxConfig(eps)
     if isinstance(spec, ProblemSpec1D):
         dim, names, report = 1, ("u_exact", "q_exact", "b"), error_report_1d
         w = LdgSolution1D(*(PiecewisePoly1D(m, rng.standard_normal((N, k + 1))) for _ in "qu"))
@@ -299,7 +297,7 @@ def test_error_report_2d_peak_memory(rng):
     # under 5 arrays the size of the node grid (about 3.6 at k=1)
     eps, N, k = 1e-8, 64, 1
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    mesh2, problem, cfg = build_tensor_2d(m, m), layer2d(eps), FluxConfig.paper(eps, N)
+    mesh2, problem, cfg = build_tensor_2d(m, m), layer2d(eps), FluxConfig(eps)
     t = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
                         for _ in "upq"))
     error_report_2d(t, problem, cfg)

@@ -36,9 +36,9 @@ status 1 if any array is outside its tolerance.
 Grids (sigma = k + 1, as in the convergence study; cases whose mesh does not
 exist are skipped):
 - 1D, `layer1d`: k = 1 .. 4; eps = 1e-4 .. 1e-12; N = 32 .. 1024; flux
-  configs paper, classic and paper with special interface 3.
+  configs paper and classic.
 - 2D, `layer2d`: k = 1, 2; N = 8, 16, 32; eps = 1e-6, 1e-8, 1e-12; flux
-  configs paper, classic and paper with special index 5.
+  configs paper and classic.
 - In both, per (k, N), one more case at eps = 1e-8 with the paper config has
   a variable reaction coefficient, b = 1 + x^2 in 1D and b = 1 + x(1-y) in
   2D (and f made consistent with the exact solution).  The shipped problems
@@ -69,7 +69,6 @@ import numpy as np  # noqa: E402
 GRID_1D = dict(k=(1, 2, 3, 4), eps=(1e-4, 1e-6, 1e-8, 1e-10, 1e-12),
                N=(32, 64, 128, 256, 512, 1024))
 GRID_2D = dict(k=(1, 2), eps=(1e-6, 1e-8, 1e-12), N=(8, 16, 32))
-SPECIAL_1D, SPECIAL_2D = 3, 5
 RTOL_2D_DATA = 1e-15  # every other array, the 2D pattern and rhs included, stays bitwise
 VARIABLE_B_EPS = 1e-8
 CSR_FIELDS = ("data", "indices", "indptr")
@@ -96,6 +95,14 @@ def _variable_b(problem, dim: int):
     return dataclasses.replace(problem, b=b, f=f)
 
 
+def _flux(FluxConfig, eps: float, N: int, jump: bool):
+    """FluxConfig(eps, jump=jump), also from trees whose FluxConfig is built
+    by its class methods paper(eps, N) and classic(eps, N)."""
+    if hasattr(FluxConfig, "paper"):
+        return getattr(FluxConfig, "paper" if jump else "classic")(eps, N)
+    return FluxConfig(eps, jump=jump)
+
+
 def _cases():
     """Yield (key, system, solution vector, error report) for every case of
     both grids."""
@@ -107,7 +114,6 @@ def _cases():
     from ldgrd.problems import get_problem
 
     for dim, grid in ((1, GRID_1D), (2, GRID_2D)):
-        special = SPECIAL_1D if dim == 1 else SPECIAL_2D
         for k in grid["k"]:
             for eps in grid["eps"]:
                 problem = get_problem(f"layer{dim}d", eps)
@@ -116,12 +122,8 @@ def _cases():
                         mesh = build_shishkin_1d(MeshParams(eps=eps, sigma=k + 1.0, N=N))
                     except ValueError:
                         continue
-                    configs = {
-                        "paper": FluxConfig.paper(eps, N),
-                        "classic": FluxConfig.classic(eps, N),
-                        "special": dataclasses.replace(FluxConfig.paper(eps, N),
-                                                       special_index=special),
-                    }
+                    configs = {"paper": _flux(FluxConfig, eps, N, True),
+                               "classic": _flux(FluxConfig, eps, N, False)}
                     cases = [(name, cfg, problem) for name, cfg in configs.items()]
                     if eps == VARIABLE_B_EPS:
                         cases.append(("variable_b", configs["paper"], _variable_b(problem, dim)))
