@@ -17,8 +17,6 @@ from .polyspace import PiecewisePoly1D, end_vals, gauss_rule, grad_matrix, leg_m
 __all__ = [
     "FluxConfig",
     "LdgSolution1D",
-    "flux_u_hat",
-    "flux_q_hat",
     "assemble",
     "table_matrix",
     "solve_1d",
@@ -69,36 +67,6 @@ class LdgSolution1D:
     def __post_init__(self):
         if self.q.mesh is not self.u.mesh or self.q.degree != self.u.degree:
             raise ValueError("Q and U must share mesh and degree")
-
-
-def flux_u_hat(w: LdgSolution1D, j: int, cfg: FluxConfig) -> float:
-    """Single-valued trace of U at interface j.
-
-    Zero at both boundary interfaces; the upwind value U^- elsewhere.  At
-    the special interface a jump penalty on Q is added, oriented as
-    lambda_jump * (Q^+ - Q^-) so that its diagonal contribution to the
-    scheme's bilinear form is +lambda_jump*[[Q]]^2 (the orientation required
-    for the energy identity; the opposite one makes the penalty
-    antidissipative).
-    """
-    mesh = w.u.mesh
-    if j == 0 or j == mesh.ncells:
-        return 0.0
-    val = w.u.trace_left(j)
-    if j == mesh.special_index and cfg.jump:
-        val += cfg.lambda_jump * (w.q.trace_right(j) - w.q.trace_left(j))
-    return val
-
-
-def flux_q_hat(w: LdgSolution1D, j: int, cfg: FluxConfig) -> float:
-    """Single-valued trace of Q at interface j: downwind value Q^+ in the
-    interior, boundary values penalized by lambda_boundary*U toward u=0."""
-    N = w.q.mesh.ncells
-    if j == 0:
-        return w.q.trace_right(0) + cfg.lambda_boundary * w.u.trace_right(0)
-    if j == N:
-        return w.q.trace_left(N) - cfg.lambda_boundary * w.u.trace_left(N)
-    return w.q.trace_right(j)
 
 
 _FLUX, _PRIMAL = 0, 1  # Q and U in 1D; P or Q, and U, per direction in 2D

@@ -104,12 +104,6 @@ class LdgOperator2D:
         mx, my = mesh.mesh_x, mesh.mesh_y
         _check_consistent(mx, problem, cfg)
         _check_consistent(my, problem, cfg)
-        nx, ny = mesh.shape
-        if nx != ny:
-            raise ValueError(
-                f"the flux definition uses one special line index per direction; "
-                f"got nx={nx} != ny={ny}"
-            )
         self.x = _Axis(mx, k, cfg)
         self.y = self.x if my is mx else _Axis(my, k, cfg)
         rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)

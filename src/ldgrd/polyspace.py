@@ -124,10 +124,9 @@ class PiecewisePoly1D:
     """Element of the broken polynomial space: one Legendre coefficient row
     per mesh cell, no continuity across interfaces.
 
-    Interface convention: trace_left(j) is the limit at x_j from cell j-1,
-    trace_right(j) from cell j (0-based cells).  jump(j) is
-    trace_left - trace_right at interior interfaces, -trace_right at j=0
-    and +trace_left at j=N.
+    Interface convention: jump(j) = v^- - v^+ at x_j, with v^- the limit
+    from cell j-1 and v^+ from cell j (0-based cells); it is -v^+ at j=0
+    and v^- at j=N, and raises IndexError outside 0..N.
     """
 
     def __init__(self, mesh: ShishkinMesh1D, coeffs: np.ndarray):
@@ -148,25 +147,14 @@ class PiecewisePoly1D:
         """Values at the same reference nodes in every cell, shape (ncells, len(t))."""
         return self.coeffs @ legendre_basis(self.degree, t)
 
-    def trace_left(self, j: int) -> float:
-        if j < 1 or j > self.mesh.ncells:
-            raise IndexError(f"no cell to the left of interface {j}")
-        em, ep = end_vals(self.degree)
-        return float(self.coeffs[j - 1] @ ep)
-
-    def trace_right(self, j: int) -> float:
-        if j < 0 or j >= self.mesh.ncells:
-            raise IndexError(f"no cell to the right of interface {j}")
-        em, ep = end_vals(self.degree)
-        return float(self.coeffs[j] @ em)
-
     def jump(self, j: int) -> float:
         N = self.mesh.ncells
-        if j == 0:
-            return -self.trace_right(0)
-        if j == N:
-            return self.trace_left(N)
-        return self.trace_left(j) - self.trace_right(j)
+        if not 0 <= j <= N:
+            raise IndexError(f"interface {j} outside 0..{N}")
+        em, ep = end_vals(self.degree)
+        minus = float(self.coeffs[j - 1] @ ep) if j > 0 else 0.0
+        plus = float(self.coeffs[j] @ em) if j < N else 0.0
+        return minus - plus
 
 
 class PiecewisePoly2D:

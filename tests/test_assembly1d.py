@@ -15,8 +15,6 @@ from ldgrd.assembly1d import (
     assemble,
     bilinear_B,
     coeffs_to_solution,
-    flux_q_hat,
-    flux_u_hat,
     solution_to_coeffs,
     solve_1d,
     table_matrix,
@@ -25,7 +23,6 @@ from ldgrd.linalg import matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d
 from ldgrd.polyspace import PiecewisePoly1D
 from ldgrd.problems import layer1d, poly_exact_1d
-from ldgrd.projection import _moments
 
 from conftest import energy_sq, uniform_mesh
 
@@ -49,70 +46,6 @@ def test_system_dimension():
     assert system.matrix.shape[0] == 16  # 2 * N * (k+1)
 
 
-def test_flux_u_hat_boundaries_and_interior(rng):
-    mesh = uniform_mesh(8)
-    cfg = FluxConfig(mesh.params.eps)
-    w = make_pair(mesh, 1, rng)
-    assert flux_u_hat(w, 0, cfg) == 0.0
-    assert flux_u_hat(w, 8, cfg) == 0.0
-    for j in (1, 2, 3, 4, 5, 7):
-        assert flux_u_hat(w, j, cfg) == w.u.trace_left(j)
-
-
-def test_flux_u_hat_jump_penalty_values():
-    # piecewise constants around the special interface m=3: Q jumps by 2
-    eps = 1e-4
-    mesh = uniform_mesh(4)
-    cfg = FluxConfig(eps)
-    qc = np.zeros((4, 2))
-    qc[3, 0] = 2.0  # Q = 2 on the cell right of interface 3, 0 to the left
-    uc = np.zeros((4, 2))
-    uc[2, 0] = 1.0  # U^- at interface 3 is 1
-    w = LdgSolution1D(q=PiecewisePoly1D(mesh, qc), u=PiecewisePoly1D(mesh, uc))
-    # penalty takes the downwind-minus-upwind trace difference of Q
-    expected = 1.0 + 100.0 * (w.q.trace_right(3) - w.q.trace_left(3))
-    assert expected == 201.0
-    assert flux_u_hat(w, 3, cfg) == expected
-    # continuous Q across the interface: penalty vanishes
-    qc2 = np.ones((4, 2)) * np.array([1.0, 0.0])
-    w2 = LdgSolution1D(q=PiecewisePoly1D(mesh, qc2), u=PiecewisePoly1D(mesh, uc))
-    assert flux_u_hat(w2, 3, cfg) == 1.0
-
-
-def test_flux_q_hat_values(rng):
-    eps = 1e-4
-    mesh = uniform_mesh(4)
-    cfg = FluxConfig(eps)
-    qc = np.zeros((4, 2))
-    uc = np.zeros((4, 2))
-    uc[0] = [0.5, -0.5]  # U = 0.5 - 0.5 t on first cell: U+(0) = 1
-    w = LdgSolution1D(q=PiecewisePoly1D(mesh, qc), u=PiecewisePoly1D(mesh, uc))
-    assert math.isclose(flux_q_hat(w, 0, cfg), 0.01, rel_tol=1e-14)  # lambda_boundary * 1
-    w2 = make_pair(mesh, 2, rng)
-    for j in (1, 2, 3):
-        assert flux_q_hat(w2, j, cfg) == w2.q.trace_right(j)
-    # zero trace of U at the right boundary: penalty vanishes
-    qc3 = rng.standard_normal((4, 2))
-    uc3 = np.zeros((4, 2))
-    w3 = LdgSolution1D(q=PiecewisePoly1D(mesh, qc3), u=PiecewisePoly1D(mesh, uc3))
-    assert flux_q_hat(w3, 4, cfg) == w3.q.trace_left(4)
-
-
-def test_flux_consistency_for_continuous_fields():
-    # globally continuous (U, Q) with U(0) = U(1) = 0: hats return traces
-    mesh = uniform_mesh(8)
-    cfg = FluxConfig(mesh.params.eps)
-    k = 2
-    cells = mesh.points[:-1], mesh.points[1:]  # cellwise L2 projections of U and Q
-    w = LdgSolution1D(q=PiecewisePoly1D(mesh, _moments(lambda x: 1.0 - 2.0 * x, cells, k)),
-                      u=PiecewisePoly1D(mesh, _moments(lambda x: x * (1.0 - x), cells, k)))
-    for j in range(1, 8):
-        assert abs(flux_u_hat(w, j, cfg) - w.u.trace_left(j)) < 1e-12
-        assert abs(flux_q_hat(w, j, cfg) - w.q.trace_right(j)) < 1e-13
-    assert abs(flux_q_hat(w, 0, cfg) - w.q.trace_right(0)) < 1e-13
-    assert abs(flux_q_hat(w, 8, cfg) - w.q.trace_left(8)) < 1e-13
-
-
 @pytest.mark.parametrize("eps", [1e-4, 1e-6])
 @pytest.mark.parametrize("N", [8, 16])
 def test_polynomial_exactness(eps, N):
@@ -126,16 +59,23 @@ def test_polynomial_exactness(eps, N):
 
 
 def test_bilinear_hand_value():
-    # W = chi = (Q=0, U=1), b=1, eps=1e-4: volume term 1 plus two boundary
-    # penalties sqrt(eps) each
     eps = 1e-4
-    mesh = uniform_mesh(8)
-    cfg = FluxConfig(eps)
-    coeffs = np.zeros((8, 2))
-    u1 = PiecewisePoly1D(mesh, coeffs + np.array([1.0, 0.0]))
-    w = LdgSolution1D(q=PiecewisePoly1D(mesh, coeffs), u=u1)
-    val = bilinear_B(w, w, ones_b, cfg)
-    assert math.isclose(val, 1.02, rel_tol=1e-13)
+
+    def form(mesh, q, u, jump=True):
+        w = LdgSolution1D(q=PiecewisePoly1D(mesh, q), u=PiecewisePoly1D(mesh, u))
+        return bilinear_B(w, w, ones_b, FluxConfig(eps, jump=jump))
+
+    # W = (Q=0, U=1), b=1: volume term 1 plus two boundary penalties
+    # sqrt(eps) each
+    zeros = np.zeros((8, 2))
+    assert math.isclose(form(uniform_mesh(8), zeros, zeros + [1.0, 0.0]), 1.02, rel_tol=1e-13)
+    # W = (Q, U=0), Q = 2 on the last cell only: [[Q]] = -2 at the special
+    # interface 3, so B(W; W) = |Q|^2/eps + lambda_jump*[[Q]]^2
+    # = 4*0.25/eps + 100*4, and the jump penalty's share is 400
+    q, u = np.zeros((4, 2)), np.zeros((4, 2))
+    q[3, 0] = 2.0
+    assert form(uniform_mesh(4), q, u) == 10400.0
+    assert form(uniform_mesh(4), q, u, jump=False) == 10000.0
 
 
 def test_bilinear_zero():

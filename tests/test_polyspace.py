@@ -111,7 +111,6 @@ def test_jump_of_single_cell_linear():
     coeffs = np.zeros((4, 2))
     coeffs[0] = [0.125, 0.125]  # x = 0.125 + 0.125 t on [0, 0.25]
     poly = PiecewisePoly1D(mesh, coeffs)
-    assert abs(poly.trace_left(1) - 0.25) < 1e-15
     assert abs(poly.jump(1) - 0.25) < 1e-15
 
 
@@ -119,9 +118,9 @@ def test_trace_errors_outside_domain():
     mesh = uniform_mesh(4)
     poly = PiecewisePoly1D(mesh, np.ones((4, 2)))
     with pytest.raises(IndexError):
-        poly.trace_left(0)
+        poly.jump(-1)
     with pytest.raises(IndexError):
-        poly.trace_right(4)
+        poly.jump(5)
 
 
 def test_values_on_ref_consistent_with_eval(rng):

@@ -95,14 +95,6 @@ def _variable_b(problem, dim: int):
     return dataclasses.replace(problem, b=b, f=f)
 
 
-def _flux(FluxConfig, eps: float, N: int, jump: bool):
-    """FluxConfig(eps, jump=jump), also from trees whose FluxConfig is built
-    by its class methods paper(eps, N) and classic(eps, N)."""
-    if hasattr(FluxConfig, "paper"):
-        return getattr(FluxConfig, "paper" if jump else "classic")(eps, N)
-    return FluxConfig(eps, jump=jump)
-
-
 def _cases():
     """Yield (key, system, solution vector, error report) for every case of
     both grids."""
@@ -122,8 +114,7 @@ def _cases():
                         mesh = build_shishkin_1d(MeshParams(eps=eps, sigma=k + 1.0, N=N))
                     except ValueError:
                         continue
-                    configs = {"paper": _flux(FluxConfig, eps, N, True),
-                               "classic": _flux(FluxConfig, eps, N, False)}
+                    configs = {"paper": FluxConfig(eps), "classic": FluxConfig(eps, jump=False)}
                     cases = [(name, cfg, problem) for name, cfg in configs.items()]
                     if eps == VARIABLE_B_EPS:
                         cases.append(("variable_b", configs["paper"], _variable_b(problem, dim)))
