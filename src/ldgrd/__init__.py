@@ -2,7 +2,7 @@
 reaction-diffusion problems on layer-adapted meshes, with energy- and
 balanced-norm error measurement and a convergence-study CLI."""
 
-from .assembly1d import FluxConfig, LdgSolution1D, assemble, bilinear_B, solve_1d
+from .assembly1d import LdgSolution1D, assemble, bilinear_B, solve_1d
 from .assembly2d import LdgSolution2D, bilinear_B2d, solve_2d
 from .mesh import MeshParams, ShishkinMesh1D, TensorMesh2D, build_shishkin_1d, build_tensor_2d
 from .norms import (
@@ -16,7 +16,6 @@ from .study import ConvergenceRecord, StudyConfig, rate_p, rate_s, run_study
 __version__ = "0.1.0"
 
 __all__ = [
-    "FluxConfig",
     "LdgSolution1D",
     "LdgSolution2D",
     "MeshParams",

@@ -15,7 +15,6 @@ from .mesh import ShishkinMesh1D
 from .polyspace import PiecewisePoly1D, end_vals, gauss_rule, grad_matrix, leg_mass, legendre_basis
 
 __all__ = [
-    "FluxConfig",
     "LdgSolution1D",
     "assemble",
     "table_matrix",
@@ -26,35 +25,6 @@ __all__ = [
 ]
 
 ASSEMBLY_EXTRA_NODES = 1  # one node beyond exactness for the polynomial terms
-
-
-@dataclass(frozen=True)
-class FluxConfig:
-    """Stabilization of the numerical fluxes, in 1D and 2D.
-
-    The penalty on U at every boundary point (1D) or edge (2D) has weight
-    lambda_boundary = sqrt(eps).  With jump, the flux also carries a jump
-    penalty of weight lambda_jump = 1/sqrt(eps) at the mesh's special
-    interface x_m (1D) or on both special lines x = x_m and y = y_m (2D),
-    m = ShishkinMesh1D.special_index = 3N/4; jump=False recovers the plain
-    upwind flux used for the ablation study.  eps must lie in (0, 1), as for
-    the mesh; ValueError otherwise.
-    """
-
-    eps: float
-    jump: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-
-    @property
-    def lambda_boundary(self) -> float:
-        return math.sqrt(self.eps)
-
-    @property
-    def lambda_jump(self) -> float:
-        return 1.0 / math.sqrt(self.eps) if self.jump else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +48,8 @@ class _Layout(NamedTuple):
     top-left offsets of the table's (k+1, k+1) blocks in table order: the
     flux mass, G in (Q, U), G in (U, Q), the reaction mass of assemble (N
     blocks each), then the hats.  traces holds each hat family's trace outer
-    product without its weight _hat_weights(cfg)[codes], and traces[hat_index]
-    are the hats' blocks."""
+    product without its weight (codes: 1, +-lambda_jump, +-lambda_boundary),
+    and traces[hat_index] are the hats' blocks."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -88,9 +58,18 @@ class _Layout(NamedTuple):
     hat_index: np.ndarray
 
 
-def _hat_weights(cfg: FluxConfig) -> np.ndarray:
-    return np.array([1.0, cfg.lambda_jump, -cfg.lambda_jump,
-                     cfg.lambda_boundary, -cfg.lambda_boundary])
+def _flux_weights(eps: float, jump: bool) -> tuple[float, float]:
+    """(lambda_boundary, lambda_jump), the stabilization of the numerical
+    fluxes in 1D and 2D.
+
+    The penalty on U at every boundary point (1D) or edge (2D) has weight
+    lambda_boundary = sqrt(eps).  With jump, the flux also carries a jump
+    penalty of weight lambda_jump = 1/sqrt(eps) at the mesh's special
+    interface x_m (1D) or on both special lines x = x_m and y = y_m (2D),
+    m = ShishkinMesh1D.special_index = 3N/4; jump=False recovers the plain
+    upwind flux used for the ablation study (lambda_jump = 0).
+    """
+    return math.sqrt(eps), 1.0 / math.sqrt(eps) if jump else 0.0
 
 
 @lru_cache(maxsize=8)
@@ -141,11 +120,11 @@ def _layout(N: int, k: int, m: int, jump: bool) -> _Layout:
     return lay
 
 
-def _flux_mass(mesh: ShishkinMesh1D, cfg: FluxConfig, mass: np.ndarray, out=None):
-    return np.multiply((1.0 / cfg.eps * 0.5 * mesh.widths)[:, None, None], mass, out=out)
+def _flux_mass(mesh: ShishkinMesh1D, eps: float, mass: np.ndarray, out=None):
+    return np.multiply((1.0 / eps * 0.5 * mesh.widths)[:, None, None], mass, out=out)
 
 
-def _table_sum(mesh: ShishkinMesh1D, k: int, cfg: FluxConfig, reaction=None):
+def _table_sum(mesh: ShishkinMesh1D, k: int, eps: float, jump: bool, reaction=None):
     """The matrix of the table's blocks, in the unknown ordering of assemble:
     from_coo of their triplets, built in one pass, block by block in table
     order and row-major in each block.  reaction, the (N, k+1, k+1) blocks
@@ -156,52 +135,48 @@ def _table_sum(mesh: ShishkinMesh1D, k: int, cfg: FluxConfig, reaction=None):
     layout's; only the values are formed here.
     """
     N, B = mesh.ncells, k + 1
-    lay = _layout(N, k, mesh.special_index, cfg.jump)
+    lay = _layout(N, k, mesh.special_index, jump)
     r0, c0 = lay.rows, lay.cols
     if reaction is None:
         r0, c0 = (np.delete(a, np.s_[3 * N:4 * N]) for a in (r0, c0))
     rows = (r0[:, None] + np.repeat(np.arange(B), B)).ravel()
     cols = (c0[:, None] + np.tile(np.arange(B), B)).ravel()
     vals = np.empty((len(r0), B, B))
-    _flux_mass(mesh, cfg, np.diag(leg_mass(k)), out=vals[:N])
+    _flux_mass(mesh, eps, np.diag(leg_mass(k)), out=vals[:N])
     vals[N:3 * N] = grad_matrix(k)  # G in both mixed field pairs
     if reaction is not None:
         vals[3 * N:4 * N] = reaction
-    hats = lay.traces * _hat_weights(cfg)[lay.codes][:, None, None]
+    lam_b, lam_j = _flux_weights(eps, jump)
+    hats = lay.traces * np.array([1.0, lam_j, -lam_j, lam_b, -lam_b])[lay.codes][:, None, None]
     np.take(hats, lay.hat_index, axis=0, out=vals[len(r0) - len(lay.hat_index):])
     return from_coo(2 * N * B, rows, cols, vals.ravel())
 
 
-def table_matrix(mesh: ShishkinMesh1D, k: int, cfg: FluxConfig):
+def table_matrix(mesh: ShishkinMesh1D, k: int, eps: float, jump: bool = True):
     """The scheme's b-free 1D operator: the matrix of assemble without the
     reaction mass."""
-    return _table_sum(mesh, k, cfg)
+    return _table_sum(mesh, k, eps, jump)
 
 
-def _check_flux_eps(problem, cfg: FluxConfig) -> None:
-    if not math.isclose(cfg.eps, problem.eps, rel_tol=1e-12):
-        raise ValueError(f"flux config eps={cfg.eps} does not match problem eps={problem.eps}")
-
-
-def _check_consistent(mesh: ShishkinMesh1D, problem, cfg: FluxConfig) -> None:
+def _check_consistent(mesh: ShishkinMesh1D, problem) -> None:
     if not math.isclose(problem.eps, mesh.params.eps, rel_tol=1e-12):
         raise ValueError(
             f"problem eps={problem.eps} does not match mesh eps={mesh.params.eps}"
         )
-    _check_flux_eps(problem, cfg)
 
 
-def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig) -> SparseSystem:
+def assemble(mesh: ShishkinMesh1D, problem, k: int, jump: bool = True) -> SparseSystem:
     """Assemble the 2N(k+1)-dimensional system for the pair (Q, U).
 
     Unknown ordering is cell-major with the Q block before the U block in
     each cell; row blocks follow the same layout (flux-variable test
-    equations first).  The jump penalty couples the Q blocks of the two
+    equations first).  The flux weights are _flux_weights(problem.eps,
+    jump).  The jump penalty couples the Q blocks of the two
     cells flanking the special interface into both of their test rows.
     """
     if k < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {k}")
-    _check_consistent(mesh, problem, cfg)
+    _check_consistent(mesh, problem)
     N = mesh.ncells
     B = k + 1
     rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
@@ -217,7 +192,7 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig) -> SparseSy
         b_blocks += ((w * bX[:, g])[:, None] * phi[:, g])[:, :, None] * phi[:, g]
     b_blocks *= (0.5 * h)[:, None, None]
     f_mom = np.einsum("g,jg,ag->ja", rule.weights, fX, phi) * (0.5 * h)[:, None]
-    matrix = _table_sum(mesh, k, cfg, b_blocks)
+    matrix = _table_sum(mesh, k, problem.eps, jump, b_blocks)
     rhs = np.zeros((N, 2, B))
     rhs[:, _PRIMAL] = f_mom
     return SparseSystem(matrix=matrix, rhs=rhs.ravel())
@@ -237,14 +212,14 @@ def solution_to_coeffs(w: LdgSolution1D) -> np.ndarray:
     return np.stack([w.q.coeffs, w.u.coeffs], axis=1).ravel()
 
 
-def solve_1d(mesh: ShishkinMesh1D, problem, k: int, cfg: FluxConfig) -> LdgSolution1D:
+def solve_1d(mesh: ShishkinMesh1D, problem, k: int, jump: bool = True) -> LdgSolution1D:
     """Assemble, solve and unpack the discrete pair."""
-    system = assemble(mesh, problem, k, cfg)
+    system = assemble(mesh, problem, k, jump)
     x = lu_solve(system.matrix, system.rhs)
     return coeffs_to_solution(mesh, k, x)
 
 
-def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, cfg: FluxConfig) -> float:
+def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, eps: float, jump: bool = True) -> float:
     """Evaluate the scheme's compact bilinear form B(W; chi).
 
     This is the cell-sum of the elementwise equations with the fluxes
@@ -257,6 +232,7 @@ def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, cfg: FluxConfig) -> floa
         raise ValueError("both arguments must share mesh and degree")
     mesh = w.u.mesh
     k = w.u.degree
+    lam_b, lam_j = _flux_weights(eps, jump)
     rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
     G = grad_matrix(k)
     mass = leg_mass(k)
@@ -271,7 +247,7 @@ def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, cfg: FluxConfig) -> floa
     Uvals = cU @ legendre_basis(k, rule.nodes)
     Vvals = cV @ legendre_basis(k, rule.nodes)
     total = float(np.einsum("jg,g,jg,j->", bX * Uvals, rule.weights, Vvals, 0.5 * h))
-    total += (1.0 / cfg.eps) * float(np.einsum("jm,m,jm,j->", cQ, mass, cR, 0.5 * h))
+    total += (1.0 / eps) * float(np.einsum("jm,m,jm,j->", cQ, mass, cR, 0.5 * h))
     total += float(np.einsum("ja,an,jn->", cR, G, cU))  # <U, r'>
     total += float(np.einsum("ja,an,jn->", cV, G, cQ))  # <Q, v'>
 
@@ -288,9 +264,9 @@ def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, cfg: FluxConfig) -> floa
     total -= float(Qp[1:] @ jump_v)
     total -= Qp[0] * (-Vp[0])  # j=0 term of the downwind sum, [[v]]_0 = -v^+
     total -= Qm[-1] * Vm[-1]  # boundary term (Q v)^-_N
-    total += cfg.lambda_boundary * (-Up[0]) * (-Vp[0])
-    total += cfg.lambda_boundary * Um[-1] * Vm[-1]
-    if cfg.jump:
+    total += lam_b * (-Up[0]) * (-Vp[0])
+    total += lam_b * Um[-1] * Vm[-1]
+    if jump:
         m = mesh.special_index
-        total += cfg.lambda_jump * (Qm[m - 1] - Qp[m]) * (Rm[m - 1] - Rp[m])
+        total += lam_j * (Qm[m - 1] - Qp[m]) * (Rm[m - 1] - Rp[m])
     return total

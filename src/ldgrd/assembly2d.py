@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly1d import (ASSEMBLY_EXTRA_NODES, FluxConfig, _check_consistent, _flux_mass,
+from .assembly1d import (ASSEMBLY_EXTRA_NODES, _check_consistent, _flux_mass, _flux_weights,
                          table_matrix)
 from .linalg import KroneckerSumSolve, _refined_solve, from_coo, pcg
 from .mesh import TensorMesh2D
@@ -48,16 +48,17 @@ class _Axis:
     lambda_jump v v^T, D the flux mass and v the flux jump at the special
     interface, and is inverted by Sherman-Morrison (denominator >= 1)."""
 
-    def __init__(self, m, k: int, cfg: FluxConfig):
-        table = table_matrix(m, k, cfg)
+    def __init__(self, m, k: int, eps: float, jump: bool):
+        table = table_matrix(m, k, eps, jump)
         f = np.tile(np.repeat([True, False], k + 1), m.ncells)
         self.ff, self.fu, self.uf, self.uu = (table[r][:, c] for r in (f, ~f) for c in (f, ~f))
-        d = _flux_mass(m, cfg, leg_mass(k)).ravel()
+        d = _flux_mass(m, eps, leg_mass(k)).ravel()
         em, ep = end_vals(k)
         v, s = np.zeros(d.size), m.special_index * (k + 1)
         v[s - k - 1:s], v[s:s + k + 1] = -ep, em
         w = sp.csr_array((v / d)[:, None])
-        c = cfg.lambda_jump / (1.0 + cfg.lambda_jump * (v @ (v / d)))
+        lam = _flux_weights(eps, jump)[1]
+        c = lam / (1.0 + lam * (v @ (v / d)))
         self.ff_inv = sp.diags_array(1.0 / d) - c * (w @ w.T)
         self.mass = ((0.5 * m.widths)[:, None] * leg_mass(k)).ravel()
         self.schur = self.uu - self.uf @ (self.ff_inv @ self.fu), self.mass
@@ -98,14 +99,14 @@ class LdgOperator2D:
     (min b, max b) over that grid.  If mesh_y is mesh_x, so is the y axis.
     """
 
-    def __init__(self, mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig):
+    def __init__(self, mesh: TensorMesh2D, problem, k: int, jump: bool = True):
         if k < 1:
             raise ValueError(f"polynomial degree must be >= 1, got {k}")
         mx, my = mesh.mesh_x, mesh.mesh_y
-        _check_consistent(mx, problem, cfg)
-        _check_consistent(my, problem, cfg)
-        self.x = _Axis(mx, k, cfg)
-        self.y = self.x if my is mx else _Axis(my, k, cfg)
+        _check_consistent(mx, problem)
+        _check_consistent(my, problem)
+        self.x = _Axis(mx, k, problem.eps, jump)
+        self.y = self.x if my is mx else _Axis(my, k, problem.eps, jump)
         rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
         self.phi = legendre_basis(k, rule.nodes)
         X, Y = (m.quad_points(rule.nodes).reshape(-1, 1) for m in (mx, my))
@@ -200,16 +201,16 @@ def solution_to_coeffs_2d(t: LdgSolution2D) -> np.ndarray:
     return np.stack([t.p.coeffs, t.q.coeffs, t.u.coeffs]).transpose(0, 1, 3, 2, 4).ravel()
 
 
-def solve_2d(mesh: TensorMesh2D, problem, k: int, cfg: FluxConfig) -> LdgSolution2D:
+def solve_2d(mesh: TensorMesh2D, problem, k: int, jump: bool = True) -> LdgSolution2D:
     """LdgOperator2D.solve, refined once on the residual of its apply (record
     path pcg); nothing is assembled or factored.  Raises SingularSystemError
     if the refined residual misses its tolerance (see _refined_solve)."""
-    op = LdgOperator2D(mesh, problem, k, cfg)
+    op = LdgOperator2D(mesh, problem, k, jump)
     x = _refined_solve("pcg", op.apply, op.factor, op.rhs, always=True)
     return coeffs_to_solution_2d(mesh, k, x)
 
 
-def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig) -> float:
+def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, eps: float, jump: bool = True) -> float:
     """Evaluate the 2D compact bilinear form B(T; Z) for Z = (v, s, r).
 
     Same structure as the 1D form, applied once per direction: volume terms,
@@ -222,6 +223,7 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig) -> floa
     mesh = t.u.mesh
     nx, ny = mesh.shape
     k = t.u.degree
+    lam_b, lam_j = _flux_weights(eps, jump)
     rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
     G = grad_matrix(k)
     mass = leg_mass(k)
@@ -236,8 +238,8 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig) -> floa
     Vv = z.u.values_on_ref(rule.nodes, rule.nodes)
     total = tensor_sum(bV * Uv * Vv, rule.weights, 0.5 * hx, 0.5 * hy)
     area = np.multiply.outer(0.5 * hx, 0.5 * hy)
-    total += (1.0 / cfg.eps) * float(np.einsum("ijmn,m,n,ij->", cP * cS, mass, mass, area))
-    total += (1.0 / cfg.eps) * float(np.einsum("ijmn,m,n,ij->", cQ * cR, mass, mass, area))
+    total += (1.0 / eps) * float(np.einsum("ijmn,m,n,ij->", cP * cS, mass, mass, area))
+    total += (1.0 / eps) * float(np.einsum("ijmn,m,n,ij->", cQ * cR, mass, mass, area))
     # (U, s_x) and (P, v_x): derivative in x-modes, mass in y-modes.
     total += float(np.einsum("ijan,am,ijmn,n,j->", cS, G, cU, mass, 0.5 * hy))
     total += float(np.einsum("ijan,am,ijmn,n,j->", cV, G, cP, mass, 0.5 * hy))
@@ -258,9 +260,9 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, cfg: FluxConfig) -> floa
         for i in range(n):
             total -= line_dot(flux_t.trace(axis, i, "right"), z.u.jump(axis, i), w_t)
         total -= line_dot(flux_t.trace(axis, n, "left"), z.u.jump(axis, n), w_t)
-        if cfg.jump:
-            total += cfg.lambda_jump * line_dot(flux_t.jump(axis, m), flux_z.jump(axis, m), w_t)
-        total += cfg.lambda_boundary * (
+        if jump:
+            total += lam_j * line_dot(flux_t.jump(axis, m), flux_z.jump(axis, m), w_t)
+        total += lam_b * (
             line_dot(t.u.jump(axis, 0), z.u.jump(axis, 0), w_t)
             + line_dot(t.u.jump(axis, n), z.u.jump(axis, n), w_t)
         )

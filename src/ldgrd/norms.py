@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly1d import _check_flux_eps
+from .assembly1d import _flux_weights
 from .polyspace import layer_rule, leg_mass, tensor_sum
 
 __all__ = ["ErrorReport", "error_report_1d", "error_report_2d"]
@@ -54,15 +54,15 @@ def _error_pieces_1d(w, problem):
     return vol(eq**2), vol(problem.b(X) * eu**2), vol(eu**2), linf_u
 
 
-def error_report_1d(w, problem, cfg) -> ErrorReport:
-    """Energy norm: eps^{-1}|e_q|^2 + |b^{1/2} e_u|^2 plus the lambda-weighted
-    boundary and special-interface jumps.  Balanced norm: the flux term
-    weighted eps^{-3/2} and unit weight on every jump.  problem and cfg must
-    share eps."""
-    _check_flux_eps(problem, cfg)
+def error_report_1d(w, problem, jump: bool = True) -> ErrorReport:
+    """Energy norm: eps^{-1}|e_q|^2 + |b^{1/2} e_u|^2 plus the boundary and
+    special-interface jumps weighted by _flux_weights(problem.eps, jump).
+    Balanced norm: the flux term weighted eps^{-3/2} and unit weight on every
+    jump."""
+    lam_b, lam_j = _flux_weights(problem.eps, jump)
     ju, jm = _jumps_sq_1d(w)
     l2q, bu, l2u, linf = _error_pieces_1d(w, problem)
-    energy = np.sqrt(l2q / problem.eps + bu + cfg.lambda_boundary * ju + cfg.lambda_jump * jm)
+    energy = np.sqrt(l2q / problem.eps + bu + lam_b * ju + lam_j * jm)
     balanced = np.sqrt(l2q / problem.eps**1.5 + bu + ju + jm)
     return ErrorReport(
         err_energy=float(energy),
@@ -123,15 +123,14 @@ def _error_pieces_2d(t, problem):
     return l2_sq(t.p, problem.p_exact), l2_sq(t.q, problem.q_exact), bu_sq, l2u_sq, linf_u
 
 
-def error_report_2d(t, problem, cfg) -> ErrorReport:
+def error_report_2d(t, problem, jump: bool = True) -> ErrorReport:
     """As in 1D, except that the balanced norm keeps the lambda_jump weight
     on the special lines (unit weight on the boundary jumps)."""
-    _check_flux_eps(problem, cfg)
+    lam_b, lam_j = _flux_weights(problem.eps, jump)
     ju, js = _jumps_sq_2d(t)
     l2p, l2q, bu, l2u, linf = _error_pieces_2d(t, problem)
-    lam = cfg.lambda_jump
-    energy = np.sqrt((l2p + l2q) / problem.eps + bu + cfg.lambda_boundary * ju + lam * js)
-    balanced = np.sqrt((l2p + l2q) / problem.eps**1.5 + bu + ju + lam * js)
+    energy = np.sqrt((l2p + l2q) / problem.eps + bu + lam_b * ju + lam_j * js)
+    balanced = np.sqrt((l2p + l2q) / problem.eps**1.5 + bu + ju + lam_j * js)
     return ErrorReport(
         err_energy=float(energy),
         err_balanced=float(balanced),

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .assembly1d import FluxConfig, solve_1d
+from .assembly1d import solve_1d
 from .assembly2d import solve_2d
 from .mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from .norms import ErrorReport, error_report_1d, error_report_2d
@@ -53,7 +53,8 @@ class StudyConfig:
     """One sweep: problem, degrees, eps values, mesh sizes and flux variant.
 
     sigma=None applies the default grading rule sigma = k + 1; a given
-    sigma must be positive.  The mesh takes beta from the problem.
+    sigma must be finite and positive.  No degree, eps or N may repeat.
+    The mesh takes beta from the problem.
     """
 
     dim: int = 1
@@ -67,13 +68,15 @@ class StudyConfig:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if not self.degrees or not self.eps_list or not self.n_list:
-            raise ValueError("degrees, eps_list and n_list must be nonempty")
+        for name in ("degrees", "eps_list", "n_list"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{name} must be nonempty, without a repeated value, got {values}")
         for n in self.n_list:
             if n < 4 or n % 4 != 0:
                 raise ValueError(f"every N must be a positive multiple of 4, got {n}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.flux not in ("paper", "classic"):
             raise ValueError(f"flux must be 'paper' or 'classic', got {self.flux!r}")
         if self.problem not in PROBLEM_NAMES:
@@ -110,12 +113,12 @@ def _run_case(cfg: StudyConfig, k: int, eps: float, n: int) -> ConvergenceRecord
     try:
         problem = get_problem(cfg.problem, eps)
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=problem.beta, sigma=sigma, N=n))
-        fc = FluxConfig(eps, jump=cfg.flux == "paper")
+        jump = cfg.flux == "paper"
         if cfg.dim == 1:
-            rec.report = error_report_1d(solve_1d(mesh, problem, k, fc), problem, fc)
+            rec.report = error_report_1d(solve_1d(mesh, problem, k, jump), problem, jump)
         else:
-            t = solve_2d(build_tensor_2d(mesh, mesh), problem, k, fc)
-            rec.report = error_report_2d(t, problem, fc)
+            t = solve_2d(build_tensor_2d(mesh, mesh), problem, k, jump)
+            rec.report = error_report_2d(t, problem, jump)
     except Exception as exc:  # per-case failures recorded; the sweep continues
         rec.status = f"error: {type(exc).__name__}"
         rec.detail = str(exc)

@@ -30,17 +30,17 @@ def _zero(*x):
     return 0.0
 
 
-def zero_report(w, b, cfg):
+def zero_report(w, b, eps, jump=True):
     """The shipped error report of a discrete pair or triple w against a zero
     exact solution with reaction coefficient b: the norms of w itself."""
     if isinstance(w, LdgSolution2D):
-        zero = replace(layer2d(cfg.eps), b=b, u_exact=_zero, p_exact=_zero, q_exact=_zero)
-        return error_report_2d(w, zero, cfg)
-    zero = replace(layer1d(cfg.eps), b=b, u_exact=_zero, q_exact=_zero)
-    return error_report_1d(w, zero, cfg)
+        zero = replace(layer2d(eps), b=b, u_exact=_zero, p_exact=_zero, q_exact=_zero)
+        return error_report_2d(w, zero, jump)
+    zero = replace(layer1d(eps), b=b, u_exact=_zero, q_exact=_zero)
+    return error_report_1d(w, zero, jump)
 
 
-def energy_sq(w, b, cfg):
+def energy_sq(w, b, eps, jump=True):
     """Squared energy norm of a discrete pair or triple w with reaction
     coefficient b."""
-    return zero_report(w, b, cfg).err_energy ** 2
+    return zero_report(w, b, eps, jump).err_energy ** 2

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import legval
 
-from ldgrd.assembly1d import FluxConfig, LdgSolution1D, solve_1d
+from ldgrd.assembly1d import LdgSolution1D, solve_1d
 from ldgrd.assembly2d import LdgSolution2D
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import error_report_1d, error_report_2d
@@ -86,9 +86,8 @@ def balanced_errors_2d(problem, n_list, k=1, eps=1e-8):
     for N in n_list:
         m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
         mesh2 = build_tensor_2d(m, m)
-        cfg = FluxConfig(eps)
-        sol = solve_2d(mesh2, prob, k, cfg)
-        vals[N] = error_report_2d(sol, prob, cfg).err_balanced
+        sol = solve_2d(mesh2, prob, k)
+        vals[N] = error_report_2d(sol, prob).err_balanced
     return vals, time.time() - t0
 
 
@@ -189,14 +188,13 @@ def test_criterion_05_energy_identity():
         for N in (8, 16, 32):
             for k in (1, 2, 3):
                 mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-                cfg = FluxConfig(eps)
                 for _ in range(8):
                     chi = LdgSolution1D(
                         q=PiecewisePoly1D(mesh, rng.standard_normal((N, k + 1))),
                         u=PiecewisePoly1D(mesh, rng.standard_normal((N, k + 1))),
                     )
-                    b_val = bilinear_B(chi, chi, ones_b, cfg)
-                    e_val = energy_sq(chi, ones_b, cfg)
+                    b_val = bilinear_B(chi, chi, ones_b, eps)
+                    e_val = energy_sq(chi, ones_b, eps)
                     rel = abs(b_val - e_val) / abs(e_val)
                     worst = max(worst, rel)
                     count1 += 1
@@ -207,7 +205,6 @@ def test_criterion_05_energy_identity():
             for k in (1, 2):
                 m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
                 mesh2 = build_tensor_2d(m, m)
-                cfg2 = FluxConfig(eps)
                 shape = (N, N, k + 1, k + 1)
                 for _ in range(7):
                     z = LdgSolution2D(
@@ -215,8 +212,8 @@ def test_criterion_05_energy_identity():
                         p=PiecewisePoly2D(mesh2, rng.standard_normal(shape)),
                         q=PiecewisePoly2D(mesh2, rng.standard_normal(shape)),
                     )
-                    b_val = bilinear_B2d(z, z, two_b, cfg2)
-                    e_val = energy_sq(z, two_b, cfg2)
+                    b_val = bilinear_B2d(z, z, two_b, eps)
+                    e_val = energy_sq(z, two_b, eps)
                     rel = abs(b_val - e_val) / abs(e_val)
                     worst = max(worst, rel)
                     count2 += 1
@@ -230,7 +227,7 @@ def test_criterion_06_polynomial_exactness():
     eps = 1e-6
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=3.0, N=8))
     prob = poly_exact_1d(eps)
-    w = solve_1d(mesh, prob, 2, FluxConfig(eps))
+    w = solve_1d(mesh, prob, 2)
     t1 = np.linspace(-1.0, 1.0, 65)
     X1 = mesh.quad_points(t1)
     err1 = max(np.abs(w.u.values_on_ref(t1) - prob.u_exact(X1)).max(),
@@ -238,7 +235,7 @@ def test_criterion_06_polynomial_exactness():
 
     mesh2 = build_tensor_2d(mesh, mesh)
     prob2 = poly_exact_2d(eps)
-    t = solve_2d(mesh2, prob2, 2, FluxConfig(eps))
+    t = solve_2d(mesh2, prob2, 2)
     ext = np.linspace(-1.0, 1.0, 5)
     mids = 0.5 * (mesh.points[:-1] + mesh.points[1:])
     X = mids[:, None] + 0.5 * mesh.widths[:, None] * ext[None, :]
@@ -366,15 +363,15 @@ def test_discrete_part_rates_1d():
     for k in (1, 2, 3):
         rp = {}
         for eps in (1e-6, 1e-8, 1e-10, 1e-12):
-            prob, cfg, errs = layer1d(eps), FluxConfig(eps), []
+            prob, errs = layer1d(eps), []
             for N in (512, 1024):
                 mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-                w = solve_1d(mesh, prob, k, cfg)
+                w = solve_1d(mesh, prob, k)
                 pq = composite_q_1d(prob.q_exact, mesh, k).coeffs - w.q.coeffs
                 pu = composite_u_1d(prob.u_exact, mesh, k).coeffs - w.u.coeffs
                 d = LdgSolution1D(q=PiecewisePoly1D(mesh, pq), u=PiecewisePoly1D(mesh, pu))
-                errs.append(zero_report(d, prob.b, cfg).err_balanced)
-                ratio = errs[-1] / error_report_1d(w, prob, cfg).err_balanced
+                errs.append(zero_report(d, prob.b, eps).err_balanced)
+                ratio = errs[-1] / error_report_1d(w, prob).err_balanced
                 rows.append(f"k={k} eps={eps:.0e} N={N}: ratio {ratio:.3f}")
                 assert ratio <= 0.5, "\n".join(rows)
             rp[eps] = rate_p(*errs, 512)

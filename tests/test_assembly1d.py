@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import ldgrd.assembly1d as assembly1d
 from ldgrd.assembly1d import (
-    FluxConfig,
     LdgSolution1D,
     assemble,
     bilinear_B,
@@ -42,7 +41,7 @@ def make_pair(mesh, k, rng):
 def test_system_dimension():
     eps = 1e-4
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=4))
-    system = assemble(mesh, poly_exact_1d(eps), 1, FluxConfig(eps))
+    system = assemble(mesh, poly_exact_1d(eps), 1)
     assert system.matrix.shape[0] == 16  # 2 * N * (k+1)
 
 
@@ -51,7 +50,7 @@ def test_system_dimension():
 def test_polynomial_exactness(eps, N):
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=3.0, N=N))
     prob = poly_exact_1d(eps)
-    w = solve_1d(mesh, prob, 2, FluxConfig(eps))
+    w = solve_1d(mesh, prob, 2)
     t = np.linspace(-1.0, 1.0, 17)
     X = mesh.quad_points(t)
     assert np.abs(w.u.values_on_ref(t) - prob.u_exact(X)).max() < 1e-10
@@ -63,7 +62,7 @@ def test_bilinear_hand_value():
 
     def form(mesh, q, u, jump=True):
         w = LdgSolution1D(q=PiecewisePoly1D(mesh, q), u=PiecewisePoly1D(mesh, u))
-        return bilinear_B(w, w, ones_b, FluxConfig(eps, jump=jump))
+        return bilinear_B(w, w, ones_b, eps, jump)
 
     # W = (Q=0, U=1), b=1: volume term 1 plus two boundary penalties
     # sqrt(eps) each
@@ -80,10 +79,9 @@ def test_bilinear_hand_value():
 
 def test_bilinear_zero():
     mesh = uniform_mesh(4)
-    cfg = FluxConfig(mesh.params.eps)
     z = LdgSolution1D(q=PiecewisePoly1D(mesh, np.zeros((4, 2))),
                       u=PiecewisePoly1D(mesh, np.zeros((4, 2))))
-    assert bilinear_B(z, z, ones_b, cfg) == 0.0
+    assert bilinear_B(z, z, ones_b, mesh.params.eps) == 0.0
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
@@ -91,11 +89,10 @@ def test_bilinear_zero():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_energy_identity_on_random_pairs(eps, N, k, rng):
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    cfg = FluxConfig(eps)
     for _ in range(4):
         chi = make_pair(mesh, k, rng)
-        b_val = bilinear_B(chi, chi, ones_b, cfg)
-        e_val = energy_sq(chi, ones_b, cfg)
+        b_val = bilinear_B(chi, chi, ones_b, eps)
+        e_val = energy_sq(chi, ones_b, eps)
         assert abs(b_val - e_val) <= 1e-12 * abs(e_val)
 
 
@@ -108,11 +105,11 @@ def test_energy_identity_property(k, N, eps_exp, flux, b, seed):
     any degree, mesh, eps, flux and b, to rounding."""
     eps = 10.0 ** -eps_exp
     assume((k + 1.0) * math.sqrt(eps) * math.log(N) <= 0.25)  # tau of sigma = k+1
-    cfg = FluxConfig(eps, jump=flux == "paper")
+    jump = flux == "paper"
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     w = make_pair(mesh, k, np.random.default_rng(seed))
-    e_val = energy_sq(w, b, cfg)
-    assert abs(bilinear_B(w, w, b, cfg) - e_val) <= 1e-12 * e_val
+    e_val = energy_sq(w, b, eps, jump)
+    assert abs(bilinear_B(w, w, b, eps, jump) - e_val) <= 1e-12 * e_val
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -123,12 +120,12 @@ def test_bilinear_matches_assembled_matrix(flux, k, rng):
     N = 8
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     prob = layer1d(eps)
-    cfg = FluxConfig(eps, jump=flux == "paper")
-    system = assemble(mesh, prob, k, cfg)
+    jump = flux == "paper"
+    system = assemble(mesh, prob, k, jump)
     w = make_pair(mesh, k, rng)
     chi = make_pair(mesh, k, rng)
     lhs = solution_to_coeffs(chi) @ matvec(system.matrix, solution_to_coeffs(w))
-    rhs = bilinear_B(w, chi, prob.b, cfg)
+    rhs = bilinear_B(w, chi, prob.b, eps, jump)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
 
@@ -136,9 +133,8 @@ def test_assembly_deterministic():
     eps = 1e-8
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=16))
     prob = layer1d(eps)
-    cfg = FluxConfig(eps)
-    s1 = assemble(mesh, prob, 1, cfg)
-    s2 = assemble(mesh, prob, 1, cfg)
+    s1 = assemble(mesh, prob, 1)
+    s2 = assemble(mesh, prob, 1)
     assert np.array_equal(s1.matrix.indptr, s2.matrix.indptr)
     assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
     assert np.array_equal(s1.matrix.data, s2.matrix.data)
@@ -197,12 +193,12 @@ def test_assembly_is_bitwise_from_coo(flux, k):
         for N in (8, 32, 1024):
             for eps in (1e-4, 1e-8, 1e-12):
                 mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
-                problem, cfg = layer1d(eps), FluxConfig(eps, jump=flux != "classic")
+                problem, jump = layer1d(eps), flux != "classic"
                 if flux == "paper_varb":
                     problem = dataclasses.replace(problem, b=lambda x: 1.0 + x**2)
                 else:
-                    yield table_matrix(mesh, k, cfg)
-                yield assemble(mesh, problem, k, cfg).matrix
+                    yield table_matrix(mesh, k, eps, jump)
+                yield assemble(mesh, problem, k, jump).matrix
 
     assert bit_digest(matrices()) == BIT_DIGESTS[flux, k]
 
@@ -218,10 +214,10 @@ def test_table_layout_is_cached_per_structure():
     N, k = 32, 2
     for eps in (1e-4, 1e-8):
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
-        assemble(mesh, layer1d(eps), k, FluxConfig(eps))
+        assemble(mesh, layer1d(eps), k)
     info = layout.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    table_matrix(mesh, k, FluxConfig(1e-8, jump=False))
+    table_matrix(mesh, k, 1e-8, jump=False)
     assert layout.cache_info().currsize == 2
     assert layout.cache_info().misses == 2
     lay = layout(N, k, 3 * N // 4, True)
@@ -241,9 +237,8 @@ def test_table_saddle_point_structure(k, N, eps_exp, flux):
     symmetric and Auq = -Aqu^T up to rounding.  A sign error in any hat breaks
     this at O(1), and the check does not use the layout's offsets."""
     eps = 10.0 ** -eps_exp
-    cfg = FluxConfig(eps, jump=flux == "paper")
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=1.0, N=N))  # tau <= 1/4
-    table = table_matrix(mesh, k, cfg).toarray()
+    table = table_matrix(mesh, k, eps, flux == "paper").toarray()
     q = np.tile(np.repeat([True, False], k + 1), N)
     Aqq, Aqu = table[np.ix_(q, q)], table[np.ix_(q, ~q)]
     Auq, Auu = table[np.ix_(~q, q)], table[np.ix_(~q, ~q)]
@@ -258,11 +253,11 @@ def test_assembly_1d_peak_memory():
     # (7.7x when they were built coupling by coupling).
     eps, N, k = 1e-8, 4096, 3
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    problem, cfg = layer1d(eps), FluxConfig(eps)
-    assemble(mesh, problem, k, cfg)  # warm the caches of the reference-cell helpers
+    problem = layer1d(eps)
+    assemble(mesh, problem, k)  # warm the caches of the reference-cell helpers
     tracemalloc.start()
     try:
-        A = assemble(mesh, problem, k, cfg).matrix
+        A = assemble(mesh, problem, k).matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -281,19 +276,11 @@ def test_coefficient_roundtrip(rng):
 def test_eps_mismatch_rejected():
     mesh = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=8))
     with pytest.raises(ValueError, match="eps"):
-        assemble(mesh, layer1d(1e-6), 1, FluxConfig(1e-6))
+        assemble(mesh, layer1d(1e-6), 1)
 
 
 def test_degree_zero_rejected():
     mesh = uniform_mesh(4)
     with pytest.raises(ValueError):
-        assemble(mesh, poly_exact_1d(mesh.params.eps), 0,
-                 FluxConfig(mesh.params.eps))
+        assemble(mesh, poly_exact_1d(mesh.params.eps), 0)
 
-
-@pytest.mark.parametrize("eps", [0.0, -1.0, 1.0, math.inf, math.nan])
-def test_eps_outside_unit_interval_rejected(eps):
-    # the flux weights sqrt(eps) and 1/sqrt(eps) must be finite and positive,
-    # as the energy identity and the 2D solve's flux-block inverse need
-    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
-        FluxConfig(eps)

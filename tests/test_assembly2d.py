@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from ldgrd.assembly1d import FluxConfig, assemble, table_matrix
+from ldgrd.assembly1d import _flux_weights, assemble, table_matrix
 from ldgrd.assembly2d import (
     LdgOperator2D,
     LdgSolution2D,
@@ -49,7 +49,7 @@ def test_system_dimension():
     eps = 1e-4
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=4))
     mesh2 = build_tensor_2d(m, m)
-    op = LdgOperator2D(mesh2, poly_exact_2d(eps), 1, FluxConfig(eps))
+    op = LdgOperator2D(mesh2, poly_exact_2d(eps), 1)
     assert op.matrix().shape[0] == op.rhs.size == 192  # 3 * N^2 * (k+1)^2
 
 
@@ -59,7 +59,7 @@ def test_polynomial_exactness_2d(eps):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=3.0, N=N))
     mesh2 = build_tensor_2d(m, m)
     prob = poly_exact_2d(eps)
-    t = solve_2d(mesh2, prob, k, FluxConfig(eps))
+    t = solve_2d(mesh2, prob, k)
     ext = np.linspace(-1.0, 1.0, 5)
     mids_x = 0.5 * (m.points[:-1] + m.points[1:])
     X = mids_x[:, None] + 0.5 * m.widths[:, None] * ext[None, :]
@@ -75,18 +75,17 @@ def test_bilinear_2d_hand_value():
     # families at weight sqrt(eps) each
     eps = 1e-4
     mesh2 = uniform_mesh_2d(4)
-    cfg = FluxConfig(eps)
     nx, ny = mesh2.shape
     zero = np.zeros((nx, ny, 2, 2))
     one = zero.copy()
     one[..., 0, 0] = 1.0
     t = LdgSolution2D(u=PiecewisePoly2D(mesh2, one), p=PiecewisePoly2D(mesh2, zero),
                       q=PiecewisePoly2D(mesh2, zero))
-    val = bilinear_B2d(t, t, two_b, cfg)
+    val = bilinear_B2d(t, t, two_b, eps)
     assert math.isclose(val, 2.0 + 4.0 * 0.01, rel_tol=1e-13)
     z = LdgSolution2D(u=PiecewisePoly2D(mesh2, zero), p=PiecewisePoly2D(mesh2, zero),
                       q=PiecewisePoly2D(mesh2, zero))
-    assert bilinear_B2d(z, z, two_b, cfg) == 0.0
+    assert bilinear_B2d(z, z, two_b, eps) == 0.0
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-10])
@@ -95,11 +94,10 @@ def test_bilinear_2d_hand_value():
 def test_energy_identity_2d(eps, N, k, rng):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2 = build_tensor_2d(m, m)
-    cfg = FluxConfig(eps)
     for _ in range(3):
         z = make_triple(mesh2, k, rng)
-        b_val = bilinear_B2d(z, z, two_b, cfg)
-        e_val = energy_sq(z, two_b, cfg)
+        b_val = bilinear_B2d(z, z, two_b, eps)
+        e_val = energy_sq(z, two_b, eps)
         assert abs(b_val - e_val) <= 1e-12 * abs(e_val)
 
 
@@ -112,11 +110,11 @@ def test_energy_identity_property_2d(k, N, eps_exp, flux, b, seed):
     """As test_energy_identity_property in 1D, for the triple (U, P, Q)."""
     eps = 10.0 ** -eps_exp
     assume((k + 1.0) * math.sqrt(eps) * math.log(N) <= 0.25)  # tau of sigma = k+1
-    cfg = FluxConfig(eps, jump=flux == "paper")
+    jump = flux == "paper"
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     t = make_triple(build_tensor_2d(m, m), k, np.random.default_rng(seed))
-    e_val = energy_sq(t, b, cfg)
-    assert abs(bilinear_B2d(t, t, b, cfg) - e_val) <= 1e-12 * e_val
+    e_val = energy_sq(t, b, eps, jump)
+    assert abs(bilinear_B2d(t, t, b, eps, jump) - e_val) <= 1e-12 * e_val
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -127,12 +125,12 @@ def test_bilinear_matches_assembled_matrix_2d(flux, k, rng):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     mesh2 = build_tensor_2d(m, m)
     prob = layer2d(eps)
-    cfg = FluxConfig(eps, jump=flux == "paper")
-    A = LdgOperator2D(mesh2, prob, k, cfg).matrix()
+    jump = flux == "paper"
+    A = LdgOperator2D(mesh2, prob, k, jump).matrix()
     t = make_triple(mesh2, k, rng)
     z = make_triple(mesh2, k, rng)
     lhs = solution_to_coeffs_2d(z) @ matvec(A, solution_to_coeffs_2d(t))
-    rhs = bilinear_B2d(t, z, prob.b, cfg)
+    rhs = bilinear_B2d(t, z, prob.b, eps, jump)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
 
@@ -143,12 +141,11 @@ def test_bilinear_matches_assembled_matrix_2d_variable_b(rng):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     mesh2 = build_tensor_2d(m, m)
     prob = dataclasses.replace(layer2d(eps), b=lambda x, y: 1.0 + x * (1.0 - y))
-    cfg = FluxConfig(eps)
-    A = LdgOperator2D(mesh2, prob, k, cfg).matrix()
+    A = LdgOperator2D(mesh2, prob, k).matrix()
     t = make_triple(mesh2, k, rng)
     z = make_triple(mesh2, k, rng)
     lhs = solution_to_coeffs_2d(z) @ matvec(A, solution_to_coeffs_2d(t))
-    rhs = bilinear_B2d(t, z, prob.b, cfg)
+    rhs = bilinear_B2d(t, z, prob.b, eps)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
 
@@ -161,7 +158,7 @@ def test_dense_block_pattern(dim, k, flux):
     # as they are.  The 2D matrix is Kronecker-ordered and has no such blocks.
     eps, N = 1e-6, 8
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    A = assemble(m, layer1d(eps), k, FluxConfig(eps, jump=flux == "paper")).matrix
+    A = assemble(m, layer1d(eps), k, flux == "paper").matrix
     B = (k + 1) ** dim
     assert sp.bsr_array(A, blocksize=(B, B)).data.size == A.nnz
 
@@ -171,10 +168,10 @@ def test_assembly_2d_peak_memory():
     # returns (about 4.3x), so it does not set the size of a 2D solve.
     eps, N, k = 1e-8, 64, 1
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    mesh2, problem, cfg = build_tensor_2d(m, m), layer2d(eps), FluxConfig(eps)
+    mesh2, problem = build_tensor_2d(m, m), layer2d(eps)
     tracemalloc.start()
     try:
-        A = LdgOperator2D(mesh2, problem, k, cfg).matrix()
+        A = LdgOperator2D(mesh2, problem, k).matrix()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -186,7 +183,7 @@ def test_mesh_y_for_another_eps_rejected():
     mx = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     my = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=N))
     with pytest.raises(ValueError, match="does not match mesh eps"):
-        LdgOperator2D(build_tensor_2d(mx, my), layer2d(eps), 1, FluxConfig(eps))
+        LdgOperator2D(build_tensor_2d(mx, my), layer2d(eps), 1)
 
 
 def flux_mask(mesh2, k):
@@ -228,11 +225,11 @@ def test_condensed_solve_matches_full_lu(k, eps, flux, problem):
     # so a relative error difference means nothing.
     N = 16 if k <= 2 else 8
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    mesh2, cfg = build_tensor_2d(m, m), FluxConfig(eps, jump=flux == "paper")
+    mesh2, jump = build_tensor_2d(m, m), flux == "paper"
     varied = with_variable_b(problem(eps))
-    op = LdgOperator2D(mesh2, varied, k, cfg)
+    op = LdgOperator2D(mesh2, varied, k, jump)
     full = lu_solve(op.matrix(), op.rhs)
-    condensed = solution_to_coeffs_2d(solve_2d(mesh2, varied, k, cfg))
+    condensed = solution_to_coeffs_2d(solve_2d(mesh2, varied, k, jump))
     assert np.abs(condensed - full).max() <= 1e-12 * np.abs(full).max()
 
 
@@ -246,7 +243,7 @@ def test_saddle_point_structure(k, eps, N, flux, c):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2 = build_tensor_2d(m, m)
     A = LdgOperator2D(mesh2, with_variable_b(layer2d(eps), c), k,
-                      FluxConfig(eps, jump=flux == "paper")).matrix()
+                      flux == "paper").matrix()
     mask = flux_mask(mesh2, k)
     f, u = np.flatnonzero(mask), np.flatnonzero(~mask)
     Af, Au = A[f], A[u]
@@ -268,7 +265,7 @@ def test_schur_complement_is_symmetric_positive_definite(k, N, eps_exp, flux, va
     assume((k + 1.0) * math.sqrt(eps) * math.log(N) <= 0.25)  # tau of sigma = k+1
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     problem = with_variable_b(layer2d(eps)) if variable_b else layer2d(eps)
-    op = LdgOperator2D(build_tensor_2d(m, m), problem, k, FluxConfig(eps, jump=flux == "paper"))
+    op = LdgOperator2D(build_tensor_2d(m, m), problem, k, flux == "paper")
     S = np.column_stack([op._schur_apply(e) for e in np.eye(op.x.mass.size * op.y.mass.size)])
     assert np.abs(S - S.T).max() <= 1e-14 * np.abs(S).max()
     np.linalg.cholesky(0.5 * (S + S.T))
@@ -284,11 +281,11 @@ def test_tensor_solve_matches_full_lu(k, eps, flux, problem, caplog):
     N = 16 if k <= 2 else 8
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2 = build_tensor_2d(m, m)
-    cfg = FluxConfig(eps, jump=flux == "paper")
-    op = LdgOperator2D(mesh2, problem(eps), k, cfg)
+    jump = flux == "paper"
+    op = LdgOperator2D(mesh2, problem(eps), k, jump)
     full = lu_solve(op.matrix(), op.rhs)
     with caplog.at_level(logging.DEBUG, logger="ldgrd"):
-        tensor = solution_to_coeffs_2d(solve_2d(mesh2, problem(eps), k, cfg))
+        tensor = solution_to_coeffs_2d(solve_2d(mesh2, problem(eps), k, jump))
     (record,) = [r.getMessage() for r in caplog.records if r.name == "ldgrd"]
     assert record.split()[1] == "path=pcg" and " iterations=1,1 " in record
     assert np.abs(tensor - full).max() <= 1e-12 * np.abs(full).max()
@@ -304,13 +301,14 @@ def test_schur_complement_is_a_kronecker_sum(k, eps, N, flux, b, same_mesh):
     mx = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     my = mx if same_mesh else build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 2.0,
                                                            N=N))
-    cfg = FluxConfig(eps, jump=flux == "paper")
+    jump = flux == "paper"
     problem = dataclasses.replace(layer2d(eps), b=lambda x, y: np.full(np.shape(x), b))
-    op = LdgOperator2D(build_tensor_2d(mx, my), problem, k, cfg)
+    op = LdgOperator2D(build_tensor_2d(mx, my), problem, k, jump)
     S = schur(op.matrix(), flux_mask(build_tensor_2d(mx, my), k))
     pairs = []
     for m, axis in ((mx, op.x), (my, op.y)):
-        K = schur(table_matrix(m, k, cfg), np.tile(np.repeat([True, False], k + 1), N)).toarray()
+        K = schur(table_matrix(m, k, eps, jump),
+                  np.tile(np.repeat([True, False], k + 1), N)).toarray()
         assert np.abs(K - K.T).max() <= 1e-13 * np.abs(K).max()
         assert np.linalg.eigvalsh(K).min() >= -1e-13 * np.abs(K).max()
         # the operator's closed-form flux-block inverse and its 1D Schur operator
@@ -339,8 +337,8 @@ def test_preconditioner_is_spectrally_equivalent(k, eps, N, flux, c, same_mesh):
     mx = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     my = mx if same_mesh else build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 2.0,
                                                            N=N))
-    mesh2, cfg = build_tensor_2d(mx, my), FluxConfig(eps, jump=flux == "paper")
-    op = LdgOperator2D(mesh2, with_variable_b(layer2d(eps), c), k, cfg)
+    mesh2, jump = build_tensor_2d(mx, my), flux == "paper"
+    op = LdgOperator2D(mesh2, with_variable_b(layer2d(eps), c), k, jump)
     S = schur(op.matrix(), flux_mask(mesh2, k)).toarray()
     lo, hi = op.b_range
     bbar = 0.5 * (lo + hi)
@@ -357,8 +355,7 @@ def test_solved_operator_is_freed_without_the_cycle_collector():
     # cycle would keep the operator's arrays until the collector runs.
     eps, N, k = 1e-6, 8, 1
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    op = LdgOperator2D(build_tensor_2d(m, m), layer2d_variable_b(eps), k,
-                       FluxConfig(eps))
+    op = LdgOperator2D(build_tensor_2d(m, m), layer2d_variable_b(eps), k)
     gc.disable()
     try:
         _refined_solve("pcg", op.apply, op.factor, op.rhs, always=True)
@@ -377,18 +374,18 @@ def test_missed_solve_raises_with_residual_and_iterations(monkeypatch, caplog):
     # 2 * ceil(1/2 * ln(2/RESIDUAL_TOL)) = 2 * ceil(11.86) = 24.
     eps, N, k = 1e-8, 8, 2
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    mesh2, cfg = build_tensor_2d(m, m), FluxConfig(eps)
-    op = LdgOperator2D(mesh2, layer2d(eps), k, cfg)
+    mesh2 = build_tensor_2d(m, m)
+    op = LdgOperator2D(mesh2, layer2d(eps), k)
     full = lu_solve(op.matrix(), op.rhs)
     exact = KroneckerSumSolve.__call__
     monkeypatch.setattr(KroneckerSumSolve, "__call__", lambda self, g: 1.5 * exact(self, g))
-    x = solution_to_coeffs_2d(solve_2d(mesh2, layer2d(eps), k, cfg))
+    x = solution_to_coeffs_2d(solve_2d(mesh2, layer2d(eps), k))
     assert np.abs(x - full).max() <= 1e-12 * np.abs(full).max()
     monkeypatch.setattr(KroneckerSumSolve, "__call__", lambda self, g: g)
     with pytest.raises(SingularSystemError, match=r"^pcg solve: residual (\S+) after one "
                        r"refinement step misses the tolerance \S+ \(factored=24 "
                        r"iterations=24,24\)$") as info:
-        solve_2d(mesh2, layer2d(eps), k, cfg)
+        solve_2d(mesh2, layer2d(eps), k)
     residual = float(str(info.value).split()[3])
     assert residual > 1e-10 * max(1.0, np.abs(op.rhs).max())
 
@@ -399,7 +396,7 @@ def pcg_iterations(problem, k, N, caplog):
     eps = 1e-8
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     with caplog.at_level(logging.DEBUG, logger="ldgrd"):
-        solve_2d(build_tensor_2d(m, m), problem(eps), k, FluxConfig(eps))
+        solve_2d(build_tensor_2d(m, m), problem(eps), k)
     (record,) = [r.getMessage() for r in caplog.records if r.name == "ldgrd"]
     return [int(n) for n in record.split(" iterations=")[1].split()[0].split(",")]
 
@@ -439,9 +436,9 @@ def test_operator_apply_matches_matrix(k, eps, N, Ny, flux, same_mesh, variable_
     mx = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     my = mx if same_mesh else build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 2.0,
                                                            N=Ny))
-    mesh2, cfg = build_tensor_2d(mx, my), FluxConfig(eps, jump=flux == "paper")
+    mesh2, jump = build_tensor_2d(mx, my), flux == "paper"
     problem = with_variable_b(layer2d(eps)) if variable_b else layer2d(eps)
-    op = LdgOperator2D(mesh2, problem, k, cfg)
+    op = LdgOperator2D(mesh2, problem, k, jump)
     assert (op.y is op.x) == same_mesh
     A = op.matrix()
     rng = np.random.default_rng(seed)
@@ -449,7 +446,7 @@ def test_operator_apply_matches_matrix(k, eps, N, Ny, flux, same_mesh, variable_
     x = solution_to_coeffs_2d(t)
     Ax = op.apply(x)
     assert np.abs(Ax - A @ x).max() <= 1e-13 * abs(A).max() * np.abs(x).max()
-    form = bilinear_B2d(t, z, problem.b, cfg)
+    form = bilinear_B2d(t, z, problem.b, eps, jump)
     assert abs(solution_to_coeffs_2d(z) @ Ax - form) <= 1e-11 * max(abs(form), 1.0)
     # and the matrix-free solve inverts it, P and Q parts included
     solve, _ = op.factor()
@@ -461,9 +458,9 @@ def test_constant_b_solve_neither_assembles_nor_factors(monkeypatch):
     # nor does a variable-b solve
     eps, N, k = 1e-6, 8, 2
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    mesh2, cfg = build_tensor_2d(m, m), FluxConfig(eps)
+    mesh2 = build_tensor_2d(m, m)
     problems = (layer2d(eps), layer2d_variable_b(eps))
-    ops = [LdgOperator2D(mesh2, p, k, cfg) for p in problems]
+    ops = [LdgOperator2D(mesh2, p, k) for p in problems]
     fulls = [lu_solve(op.matrix(), op.rhs) for op in ops]
 
     def forbidden(*args, **kwargs):
@@ -472,7 +469,7 @@ def test_constant_b_solve_neither_assembles_nor_factors(monkeypatch):
     monkeypatch.setattr(spla, "splu", forbidden)
     monkeypatch.setattr(LdgOperator2D, "matrix", forbidden)
     for problem, full in zip(problems, fulls):
-        x = solution_to_coeffs_2d(solve_2d(mesh2, problem, k, cfg))
+        x = solution_to_coeffs_2d(solve_2d(mesh2, problem, k))
         assert np.abs(x - full).max() <= 1e-12 * np.abs(full).max()
 
 
@@ -491,7 +488,7 @@ def test_one_eigh_per_distinct_axis(same_mesh, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr("ldgrd.assembly2d.table_matrix", counted("table_matrix", table_matrix))
-    solve_2d(build_tensor_2d(mx, my), layer2d(eps), k, FluxConfig(eps))
+    solve_2d(build_tensor_2d(mx, my), layer2d(eps), k)
     assert calls == {"eigh": 1 if same_mesh else 2, "table_matrix": 1 if same_mesh else 2}
 
 
@@ -499,7 +496,6 @@ def test_one_eigh_per_distinct_axis(same_mesh, monkeypatch):
     ("k=0", ValueError, "polynomial degree must be >= 1"),
     ("mesh_x eps", ValueError, "does not match mesh eps"),
     ("mesh_y eps", ValueError, "does not match mesh eps"),
-    ("cfg eps", ValueError, "flux config eps"),
     ("non-finite f", ValueError, "rhs contains non-finite entries"),
     ("non-finite solve", SingularSystemError, "non-finite"),
     ("b <= 0", ValueError, "needs a finite positive b; got b in"),
@@ -510,15 +506,13 @@ def test_constant_b_solve_checks(case, error, match, monkeypatch):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     other = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=N))
     mx = my = m
-    k, problem, cfg = 1, layer2d(eps), FluxConfig(eps)
+    k, problem = 1, layer2d(eps)
     if case == "k=0":
         k = 0
     elif case == "mesh_x eps":
         mx = other
     elif case == "mesh_y eps":
         my = other
-    elif case == "cfg eps":
-        cfg = FluxConfig(1e-4)
     elif case == "non-finite f":
         problem = dataclasses.replace(problem, f=lambda x, y: np.full(np.broadcast(x, y).shape,
                                                                       np.nan))
@@ -529,7 +523,7 @@ def test_constant_b_solve_checks(case, error, match, monkeypatch):
     else:
         monkeypatch.setattr(KroneckerSumSolve, "__call__", lambda self, g: np.full(g.size, np.nan))
     with pytest.raises(error, match=match):
-        solve_2d(build_tensor_2d(mx, my), problem, k, cfg)
+        solve_2d(build_tensor_2d(mx, my), problem, k)
 
 
 def test_constant_b_solve_peak_memory():
@@ -538,11 +532,11 @@ def test_constant_b_solve_peak_memory():
     # solve's peak is about 50x).
     eps, N, k = 1e-8, 64, 1
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    mesh2, problem, cfg = build_tensor_2d(m, m), layer2d(eps), FluxConfig(eps)
-    solve_2d(mesh2, problem, k, cfg)  # warm the caches of the reference-cell helpers
+    mesh2, problem = build_tensor_2d(m, m), layer2d(eps)
+    solve_2d(mesh2, problem, k)  # warm the caches of the reference-cell helpers
     tracemalloc.start()
     try:
-        solve_2d(mesh2, problem, k, cfg)
+        solve_2d(mesh2, problem, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -556,11 +550,11 @@ def test_operator_retains_no_per_cell_reaction_blocks():
     # 1.7x; the per-cell blocks alone are (k+1)^2/3 = 5.3x at k=3).
     eps, N, k = 1e-8, 32, 3
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    mesh2, problem, cfg = build_tensor_2d(m, m), layer2d(eps), FluxConfig(eps)
-    LdgOperator2D(mesh2, problem, k, cfg)  # warm the caches of the reference-cell helpers
+    mesh2, problem = build_tensor_2d(m, m), layer2d(eps)
+    LdgOperator2D(mesh2, problem, k)  # warm the caches of the reference-cell helpers
     tracemalloc.start()
     try:
-        op = LdgOperator2D(mesh2, problem, k, cfg)
+        op = LdgOperator2D(mesh2, problem, k)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -572,8 +566,7 @@ def test_assembly_2d_deterministic():
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=8))
     mesh2 = build_tensor_2d(m, m)
     prob = layer2d(eps)
-    cfg = FluxConfig(eps)
-    op1, op2 = LdgOperator2D(mesh2, prob, 1, cfg), LdgOperator2D(mesh2, prob, 1, cfg)
+    op1, op2 = LdgOperator2D(mesh2, prob, 1), LdgOperator2D(mesh2, prob, 1)
     A1, A2 = op1.matrix(), op2.matrix()
     assert np.array_equal(A1.indptr, A2.indptr)
     assert np.array_equal(A1.indices, A2.indices)
@@ -591,9 +584,7 @@ def test_coefficient_roundtrip_2d(rng):
 
 
 def test_classic_flux_config():
-    cfg = FluxConfig(1e-8, jump=False)
-    assert cfg.lambda_jump == 0.0
-    assert cfg.lambda_boundary == 1e-4
+    assert _flux_weights(1e-8, jump=False) == (1e-4, 0.0)
     assert build_shishkin_1d(MeshParams(eps=1e-8, N=16)).special_index == 12
 
 
@@ -634,8 +625,7 @@ def test_smooth_solution_converges_at_optimal_order():
     for N in (8, 16, 32):
         m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
         mesh2 = build_tensor_2d(m, m)
-        cfg = FluxConfig(eps)
-        t = solve_2d(mesh2, prob, k, cfg)
-        errs.append(error_report_2d(t, prob, cfg).err_l2_u)
+        t = solve_2d(mesh2, prob, k)
+        errs.append(error_report_2d(t, prob).err_l2_u)
     order = math.log(errs[1] / errs[2]) / math.log(2.0)
     assert abs(order - (k + 1)) < 0.25, f"errors {errs}, observed order {order}"

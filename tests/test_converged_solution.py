@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ldgrd.assembly1d import FluxConfig, assemble, coeffs_to_solution, solve_1d
+from ldgrd.assembly1d import assemble, coeffs_to_solution, solve_1d
 from ldgrd.assembly2d import LdgOperator2D, coeffs_to_solution_2d, solve_2d
 from ldgrd.linalg import _splu
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
@@ -61,13 +61,12 @@ def test_1d_reports_near_the_converged_solution(k, bound):
     for eps in (1e-6, 1e-8, 1e-10, 1e-12):
         problem = get_problem("layer1d", eps)
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=problem.beta, sigma=k + 1.0, N=N))
-        cfg = FluxConfig(eps)
-        system = assemble(mesh, problem, k, cfg)
+        system = assemble(mesh, problem, k)
         solve, _ = _splu(system.matrix)
         x = converged_solution(system.matrix, system.rhs, solve)
-        w = solve_1d(mesh, problem, k, cfg)
-        distance = report_distance(error_report_1d(w, problem, cfg),
-                                   error_report_1d(coeffs_to_solution(mesh, k, x), problem, cfg))
+        w = solve_1d(mesh, problem, k)
+        distance = report_distance(error_report_1d(w, problem),
+                                   error_report_1d(coeffs_to_solution(mesh, k, x), problem))
         assert distance <= bound, (eps, distance)
 
 
@@ -77,11 +76,11 @@ def test_2d_reports_near_the_converged_solution(name, k, N):
     for eps in (1e-6, 1e-8, 1e-12):
         problem = get_problem(name, eps)
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=problem.beta, sigma=k + 1.0, N=N))
-        mesh2, cfg = build_tensor_2d(mesh, mesh), FluxConfig(eps)
-        op = LdgOperator2D(mesh2, problem, k, cfg)
+        mesh2 = build_tensor_2d(mesh, mesh)
+        op = LdgOperator2D(mesh2, problem, k)
         solve, _ = op.factor()
         x = converged_solution(op.matrix(), op.rhs, solve)
-        t = solve_2d(mesh2, problem, k, cfg)
-        distance = report_distance(error_report_2d(t, problem, cfg),
-                                   error_report_2d(coeffs_to_solution_2d(mesh2, k, x), problem, cfg))
+        t = solve_2d(mesh2, problem, k)
+        distance = report_distance(error_report_2d(t, problem),
+                                   error_report_2d(coeffs_to_solution_2d(mesh2, k, x), problem))
         assert distance <= 1e-12, (eps, distance)

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from ldgrd.assembly1d import FluxConfig, assemble, solve_1d
+from ldgrd.assembly1d import assemble, solve_1d
 from ldgrd.assembly2d import solve_2d
 from ldgrd.linalg import SingularSystemError, from_coo, lu_solve, matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
@@ -83,14 +83,14 @@ def solve_records(caplog):
 def test_debug_record_per_solve(caplog):
     eps, N = 1e-4, 4
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
-    mesh2, cfg = build_tensor_2d(m, m), FluxConfig(eps)
+    mesh2 = build_tensor_2d(m, m)
     # every 2D solve runs PCG on the Schur complement in U; for b = 2 its
     # fast-diagonalization preconditioner is exact
     variable_b = dataclasses.replace(poly_exact_2d(eps), b=lambda x, y: 2.0 + x * (1.0 - y))
     with caplog.at_level(logging.DEBUG, logger="ldgrd"):
-        solve_1d(m, poly_exact_1d(eps), 1, FluxConfig(eps))
-        solve_2d(mesh2, variable_b, 1, cfg)
-        solve_2d(mesh2, poly_exact_2d(eps), 1, cfg)
+        solve_1d(m, poly_exact_1d(eps), 1)
+        solve_2d(mesh2, variable_b, 1)
+        solve_2d(mesh2, poly_exact_2d(eps), 1)
     one, two, constant = solve_records(caplog)
     assert (one["path"], one["unknowns"], one["factored"]) == ("lu", "16", "16")
     assert int(one["fill"]) >= int(one["nnz"]) > 0
@@ -142,7 +142,7 @@ def test_shuffled_triplets_give_canonical_rows(rng):
 def test_residual_contract_on_assembled_system():
     eps = 1e-4
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=4))
-    system = assemble(mesh, poly_exact_1d(eps), 1, FluxConfig(eps))
+    system = assemble(mesh, poly_exact_1d(eps), 1)
     x = lu_solve(system.matrix, system.rhs)
     r = np.abs(matvec(system.matrix, x) - system.rhs).max()
     assert r <= 1e-10 * max(1.0, np.abs(system.rhs).max())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ldgrd import polyspace
-from ldgrd.assembly1d import FluxConfig, LdgSolution1D, bilinear_B, solve_1d
+from ldgrd.assembly1d import LdgSolution1D, bilinear_B, solve_1d
 from ldgrd.assembly2d import LdgSolution2D, bilinear_B2d, solve_2d
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import error_report_1d, error_report_2d
@@ -44,9 +44,8 @@ def test_energy_error_hand_value():
     eps = 1e-4
     mesh = uniform_mesh(8)
     prob = ZeroProblem1D(eps=eps)
-    cfg = FluxConfig(eps)
     w = unit_pair(mesh, eps)
-    val = error_report_1d(w, prob, cfg).err_energy
+    val = error_report_1d(w, prob).err_energy
     assert math.isclose(val, math.sqrt(1.0 + 2.0 * 0.01), rel_tol=1e-13)
 
 
@@ -55,32 +54,29 @@ def test_balanced_error_hand_value():
     mesh = uniform_mesh(8)
     prob = ZeroProblem1D(eps=eps)
     w = unit_pair(mesh, eps)
-    cfg = FluxConfig(eps)
-    assert math.isclose(error_report_1d(w, prob, cfg).err_balanced, math.sqrt(3.0), rel_tol=1e-13)
+    assert math.isclose(error_report_1d(w, prob).err_balanced, math.sqrt(3.0), rel_tol=1e-13)
 
 
 def test_discrete_energy_hand_value():
     eps = 1e-4
     mesh = uniform_mesh(8)
-    cfg = FluxConfig(eps)
     w = unit_pair(mesh, eps)
-    val = energy_sq(w, lambda x: np.ones_like(x), cfg)
+    val = energy_sq(w, lambda x: np.ones_like(x), eps)
     assert math.isclose(val, 1.02, rel_tol=1e-13)
     z = LdgSolution1D(q=PiecewisePoly1D(mesh, np.zeros((8, 2))),
                       u=PiecewisePoly1D(mesh, np.zeros((8, 2))))
-    assert energy_sq(z, lambda x: np.ones_like(x), cfg) == 0.0
+    assert energy_sq(z, lambda x: np.ones_like(x), eps) == 0.0
 
 
 def test_energy_error_reads_special_interface(rng):
     # the jump term sits where the scheme puts it, at the mesh's 3N/4 = 6
     mesh = uniform_mesh(8)
     eps = mesh.params.eps
-    cfg = FluxConfig(eps)
     w = LdgSolution1D(q=PiecewisePoly1D(mesh, rng.standard_normal((8, 3))),
                       u=PiecewisePoly1D(mesh, rng.standard_normal((8, 3))))
     prob = ZeroProblem1D(eps=eps)
-    b_val = bilinear_B(w, w, prob.b, cfg)
-    assert math.isclose(error_report_1d(w, prob, cfg).err_energy ** 2, b_val, rel_tol=1e-12)
+    b_val = bilinear_B(w, w, prob.b, eps)
+    assert math.isclose(error_report_1d(w, prob).err_energy ** 2, b_val, rel_tol=1e-12)
 
 
 def test_exact_solution_has_zero_error():
@@ -88,9 +84,8 @@ def test_exact_solution_has_zero_error():
     N, k = 8, 2
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=3.0, N=N))
     prob = poly_exact_1d(eps)
-    cfg = FluxConfig(eps)
-    w = solve_1d(mesh, prob, k, cfg)
-    rep = error_report_1d(w, prob, cfg)
+    w = solve_1d(mesh, prob, k)
+    rep = error_report_1d(w, prob)
     assert rep.err_energy < 1e-10
     assert rep.err_balanced < 1e-9
     assert rep.err_l2_u < 1e-11
@@ -104,16 +99,15 @@ def test_norm_homogeneity(s, rng):
     eps = 1e-6
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=16))
     prob = ZeroProblem1D(eps=eps)
-    cfg = FluxConfig(eps)
     qc = rng.standard_normal((16, 3))
     uc = rng.standard_normal((16, 3))
     w1 = LdgSolution1D(q=PiecewisePoly1D(mesh, qc), u=PiecewisePoly1D(mesh, uc))
     ws = LdgSolution1D(q=PiecewisePoly1D(mesh, s * qc), u=PiecewisePoly1D(mesh, s * uc))
-    for fn in (lambda w: error_report_1d(w, prob, cfg).err_energy,
-               lambda w: error_report_1d(w, prob, cfg).err_balanced):
+    for fn in (lambda w: error_report_1d(w, prob).err_energy,
+               lambda w: error_report_1d(w, prob).err_balanced):
         assert math.isclose(fn(ws), s * fn(w1), rel_tol=1e-12)
-    rep1 = error_report_1d(w1, prob, cfg)
-    reps = error_report_1d(ws, prob, cfg)
+    rep1 = error_report_1d(w1, prob)
+    reps = error_report_1d(ws, prob)
     assert math.isclose(reps.err_linf_u, s * rep1.err_linf_u, rel_tol=1e-12)
 
 
@@ -122,11 +116,10 @@ def test_quadrature_refinement_stability(monkeypatch):
     N, k = 64, 1
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     prob = layer1d(eps)
-    cfg = FluxConfig(eps)
-    w = solve_1d(mesh, prob, k, cfg)
-    base = error_report_1d(w, prob, cfg)  # the default rule, k+5 nodes
+    w = solve_1d(mesh, prob, k)
+    base = error_report_1d(w, prob)  # the default rule, k+5 nodes
     monkeypatch.setattr(polyspace, "LAYER_EXTRA_NODES", k + 9)  # 2(k+5) nodes
-    fine = error_report_1d(w, prob, cfg)
+    fine = error_report_1d(w, prob)
     for name in ("err_energy", "err_balanced", "err_l2_u", "err_l2_q"):
         b, f = getattr(base, name), getattr(fine, name)
         assert abs(b - f) / f < 1e-3
@@ -137,11 +130,10 @@ def test_quadrature_refinement_stability_2d(monkeypatch):
     N, k = 16, 1
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     prob = layer2d(eps)
-    cfg = FluxConfig(eps)
-    t = solve_2d(build_tensor_2d(m, m), prob, k, cfg)
-    base = error_report_2d(t, prob, cfg)  # the default rule, k+5 nodes per axis
+    t = solve_2d(build_tensor_2d(m, m), prob, k)
+    base = error_report_2d(t, prob)  # the default rule, k+5 nodes per axis
     monkeypatch.setattr(polyspace, "LAYER_EXTRA_NODES", k + 9)  # 2(k+5) nodes per axis
-    fine = error_report_2d(t, prob, cfg)
+    fine = error_report_2d(t, prob)
     for name in ("err_energy", "err_balanced", "err_l2_u", "err_l2_q", "err_l2_p"):
         b, f = getattr(base, name), getattr(fine, name)
         assert abs(b - f) / f < 1e-3
@@ -153,9 +145,8 @@ def test_error_monotone_under_refinement():
     prev = None
     for N in (16, 32, 64, 128):
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
-        cfg = FluxConfig(eps)
-        w = solve_1d(mesh, prob, 1, cfg)
-        val = error_report_1d(w, prob, cfg).err_balanced
+        w = solve_1d(mesh, prob, 1)
+        val = error_report_1d(w, prob).err_balanced
         if prev is not None:
             assert val <= 1.05 * prev
         prev = val
@@ -168,9 +159,8 @@ def test_balanced_at_least_energy_on_solver_errors():
     prob = layer1d(eps)
     for N in (16, 64):
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
-        cfg = FluxConfig(eps)
-        w = solve_1d(mesh, prob, 1, cfg)
-        rep = error_report_1d(w, prob, cfg)
+        w = solve_1d(mesh, prob, 1)
+        rep = error_report_1d(w, prob)
         assert rep.err_balanced >= rep.err_energy
 
 
@@ -191,13 +181,12 @@ def test_2d_hand_values():
     eps = 1e-4
     mesh2 = uniform_mesh_2d(4)
     prob = ZeroProblem2D(eps=eps)
-    cfg = FluxConfig(eps)
     t = unit_triple(mesh2)
     # b=2 volume term plus four unit boundary edge families
-    assert math.isclose(error_report_2d(t, prob, cfg).err_balanced, math.sqrt(6.0), rel_tol=1e-13)
-    assert math.isclose(error_report_2d(t, prob, cfg).err_energy, math.sqrt(2.0 + 4.0 * 0.01),
+    assert math.isclose(error_report_2d(t, prob).err_balanced, math.sqrt(6.0), rel_tol=1e-13)
+    assert math.isclose(error_report_2d(t, prob).err_energy, math.sqrt(2.0 + 4.0 * 0.01),
                         rel_tol=1e-13)
-    rep = error_report_2d(t, prob, cfg)
+    rep = error_report_2d(t, prob)
     assert rep.err_l2_p is not None and rep.err_l2_p == 0.0
     assert math.isclose(rep.err_l2_u, 1.0, rel_tol=1e-13)
     assert math.isclose(rep.err_linf_u, 1.0, rel_tol=1e-13)
@@ -206,44 +195,23 @@ def test_2d_hand_values():
 def test_2d_zero_error():
     mesh2 = uniform_mesh_2d(4)
     prob = ZeroProblem2D(eps=1e-4)
-    cfg = FluxConfig(1e-4)
     nx, ny = mesh2.shape
     zero = np.zeros((nx, ny, 2, 2))
     t = LdgSolution2D(u=PiecewisePoly2D(mesh2, zero), p=PiecewisePoly2D(mesh2, zero),
                       q=PiecewisePoly2D(mesh2, zero))
-    assert error_report_2d(t, prob, cfg).err_balanced == 0.0
-    assert error_report_2d(t, prob, cfg).err_energy == 0.0
+    assert error_report_2d(t, prob).err_balanced == 0.0
+    assert error_report_2d(t, prob).err_energy == 0.0
 
 
 def test_2d_energy_norms_read_special_index(rng):
     # the jump lines sit where the scheme puts them, at the mesh's 3N/4 = 6
     mesh2 = uniform_mesh_2d(8)
     eps = mesh2.mesh_x.params.eps
-    cfg = FluxConfig(eps)
     t = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((8, 8, 3, 3)))
                         for _ in range(3)))
     prob = ZeroProblem2D(eps=eps)
-    b_val = bilinear_B2d(t, t, prob.b, cfg)
-    assert math.isclose(error_report_2d(t, prob, cfg).err_energy ** 2, b_val, rel_tol=1e-12)
-
-
-def test_error_report_1d_rejects_an_eps_mismatch(rng):
-    # eps comes from the problem and the penalty weights from cfg: a report
-    # that mixed two eps would measure neither norm, so it refuses, as
-    # assembly does
-    mesh = build_shishkin_1d(MeshParams(eps=1e-8, beta=1.0, sigma=2.0, N=32))
-    w = LdgSolution1D(*(PiecewisePoly1D(mesh, rng.standard_normal((32, 2))) for _ in range(2)))
-    with pytest.raises(ValueError, match="flux config eps=1e-06 does not match problem eps=1e-08"):
-        error_report_1d(w, layer1d(1e-8), FluxConfig(1e-6))
-
-
-def test_error_report_2d_rejects_an_eps_mismatch(rng):
-    m = build_shishkin_1d(MeshParams(eps=1e-8, beta=1.0, sigma=2.0, N=8))
-    mesh2 = build_tensor_2d(m, m)
-    t = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((8, 8, 2, 2)))
-                        for _ in range(3)))
-    with pytest.raises(ValueError, match="flux config eps=1e-06 does not match problem eps=1e-08"):
-        error_report_2d(t, layer2d(1e-8), FluxConfig(1e-6))
+    b_val = bilinear_B2d(t, t, prob.b, eps)
+    assert math.isclose(error_report_2d(t, prob).err_energy ** 2, b_val, rel_tol=1e-12)
 
 
 # -- what the error reports evaluate, and their memory ---------------------------
@@ -271,7 +239,6 @@ def test_error_reports_sample_exact_fields_on_the_volume_grid_only(problem, rng)
     eps, N, k = 1e-4, 8, 2
     spec = problem(eps)
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    cfg = FluxConfig(eps)
     if isinstance(spec, ProblemSpec1D):
         dim, names, report = 1, ("u_exact", "q_exact", "b"), error_report_1d
         w = LdgSolution1D(*(PiecewisePoly1D(m, rng.standard_normal((N, k + 1))) for _ in "qu"))
@@ -281,7 +248,7 @@ def test_error_reports_sample_exact_fields_on_the_volume_grid_only(problem, rng)
         w = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
                             for _ in "upq"))
     spec, calls = recorded(spec, names)
-    report(w, spec, cfg)
+    report(w, spec)
     n = polyspace.layer_rule(k).n
     assert [name for name, _ in calls].count("u_exact") == 1
     assert {name for name, _ in calls} == set(names)
@@ -297,13 +264,13 @@ def test_error_report_2d_peak_memory(rng):
     # under 5 arrays the size of the node grid (about 3.6 at k=1)
     eps, N, k = 1e-8, 64, 1
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    mesh2, problem, cfg = build_tensor_2d(m, m), layer2d(eps), FluxConfig(eps)
+    mesh2, problem = build_tensor_2d(m, m), layer2d(eps)
     t = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
                         for _ in "upq"))
-    error_report_2d(t, problem, cfg)
+    error_report_2d(t, problem)
     tracemalloc.start()
     try:
-        error_report_2d(t, problem, cfg)
+        error_report_2d(t, problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -156,9 +156,10 @@ def test_get_problem_rejects_unknown():
         get_problem("nosuch", 1e-4)
 
 
-@pytest.mark.parametrize("factory", [layer1d, layer2d, poly_exact_1d, poly_exact_2d])
+@pytest.mark.parametrize("factory", [factory for _, factory in PROBLEM_NAMES.values()])
 def test_eps_domain_validated(factory):
-    with pytest.raises(ValueError):
-        factory(0.0)
-    with pytest.raises(ValueError):
-        factory(1.0)
+    # the flux weights sqrt(eps) and 1/sqrt(eps) must be finite and positive,
+    # as the energy identity and the 2D solve's flux-block inverse need
+    for eps in (0.0, -1.0, 1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+            factory(eps)

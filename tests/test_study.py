@@ -172,10 +172,24 @@ def test_cli_rejects_empty_n_list(capsys):
 
 
 def test_cli_rejects_bad_sigma(capsys):
-    for sigma in ("abc", "0", "-1"):
+    for sigma in ("abc", "0", "-1", "inf", "nan"):
         code = main(["--degree", "1", "--eps", "1e-6", "--N", "8", "--sigma", sigma])
         assert code == 2, sigma
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, values", [("--degree", "1,2,1"), ("--eps", "1e-6,1e-8,1e-6"),
+                                          ("--N", "8,8,16")])
+def test_cli_rejects_repeated_sweep_values(flag, values, capsys, monkeypatch):
+    # a repeated value would solve its cases twice and write duplicate rows
+    def no_sweep(cfg):
+        raise AssertionError("run_study called")
+
+    monkeypatch.setattr("ldgrd.cli.run_study", no_sweep)
+    argv = {"--degree": "1", "--eps": "1e-6", "--N": "8,16"} | {flag: values}
+    code = main([a for item in argv.items() for a in item])
+    assert code == 2
+    assert "without a repeated value" in capsys.readouterr().err
 
 
 def test_cli_rejects_unwritable_out_before_the_sweep(tmp_path, capsys, monkeypatch):
