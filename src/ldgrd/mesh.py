@@ -16,6 +16,12 @@ __all__ = [
 ]
 
 
+def _quad_points(cell, t: np.ndarray) -> np.ndarray:
+    """Points (..., len(t)) of the reference nodes t on the intervals cell = (a, b)."""
+    a, b = (np.asarray(e, dtype=float)[..., None] for e in cell)
+    return 0.5 * (a + b) + 0.5 * (b - a) * t
+
+
 @dataclass(frozen=True)
 class MeshParams:
     """Parameters of the graded 1D mesh.
@@ -74,8 +80,7 @@ class ShishkinMesh1D:
 
     def quad_points(self, t: np.ndarray) -> np.ndarray:
         """Physical points (ncells, len(t)) of reference points t in [-1, 1]."""
-        mid = 0.5 * (self.points[:-1] + self.points[1:])
-        return mid[:, None] + 0.5 * self.widths[:, None] * t[None, :]
+        return _quad_points((self.points[:-1], self.points[1:]), t)
 
 
 def build_shishkin_1d(params: MeshParams) -> ShishkinMesh1D:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly1d import _flux_weights
-from .polyspace import layer_rule, leg_mass, tensor_sum
+from .mesh import _quad_points
+from .polyspace import _chunks, layer_rule, leg_mass, legendre_basis
 
 __all__ = ["ErrorReport", "error_report_1d", "error_report_2d"]
 
@@ -37,21 +38,24 @@ def _jumps_sq_1d(w):
 
 
 def _error_pieces_1d(w, problem):
-    """(|e_q|^2, |b^{1/2} e_u|^2, |e_u|^2, max|e_u|) of the volume error;
-    u is sampled once, on the quadrature nodes plus both cell ends."""
-    mesh = w.u.mesh
-    rule = layer_rule(w.u.degree)
+    """(|e_q|^2, |b^{1/2} e_u|^2, |e_u|^2, max|e_u|) of the volume error,
+    streamed over chunks of cells: u is sampled once, on the quadrature nodes
+    plus both cell ends, and each chunk leaves only its per-cell sums, taken
+    as row sums (not matrix-vector products, which round by chunk size)."""
+    mesh, k = w.u.mesh, w.u.degree
+    rule = layer_rule(k)
     ext = np.concatenate([rule.nodes, [-1.0, 1.0]])
-    X = mesh.quad_points(ext)
-    eu = w.u.values_on_ref(ext) - problem.u_exact(X)
-    linf_u = float(np.abs(eu).max())
-    X, eu = X[:, :rule.n], eu[:, :rule.n]
-    eq = w.q.values_on_ref(rule.nodes) - problem.q_exact(X)
-
-    def vol(fsq):
-        return float(np.einsum("jg,g,j->", fsq, rule.weights, 0.5 * mesh.widths))
-
-    return vol(eq**2), vol(problem.b(X) * eu**2), vol(eu**2), linf_u
+    phi_e, phi = legendre_basis(k, ext), legendre_basis(k, rule.nodes)
+    sums, linf_u = np.empty((3, mesh.ncells)), 0.0
+    for s in _chunks(mesh.ncells, ext.size):
+        X = _quad_points((mesh.points[:-1][s], mesh.points[1:][s]), ext)
+        eu = w.u.coeffs[s] @ phi_e - problem.u_exact(X)
+        linf_u = np.maximum(linf_u, np.abs(eu).max())
+        X, eu = X[:, :rule.n], eu[:, :rule.n]
+        eq = w.q.coeffs[s] @ phi - problem.q_exact(X)
+        sums[:, s] = [(f * rule.weights).sum(axis=1) for f in (eq**2, problem.b(X) * eu**2, eu**2)]
+    l2q, bu, l2u = (float(0.5 * mesh.widths @ per_cell) for per_cell in sums)
+    return l2q, bu, l2u, float(linf_u)
 
 
 def error_report_1d(w, problem, jump: bool = True) -> ErrorReport:
@@ -93,34 +97,37 @@ def _jumps_sq_2d(t):
 
 def _error_pieces_2d(t, problem):
     """(|e_p|^2, |e_q|^2, |b^{1/2} e_u|^2, |e_u|^2, max|e_u|) of the volume
-    error.  u is sampled once, on the quadrature nodes plus both cell ends
-    per axis; each error field is formed in place, reduced and dropped
-    before the next."""
-    mesh = t.u.mesh
-    rule = layer_rule(t.u.degree)
-    n = rule.n
+    error, streamed over chunks of x-rows of cells: u is sampled once, on the
+    quadrature nodes plus both cell ends per axis, each error field is formed
+    in place and reduced to per-cell sums, and the widths are contracted last
+    as tensor_sum contracts them."""
+    mesh, k = t.u.mesh, t.u.degree
+    rule = layer_rule(k)
+    n, wt = rule.n, rule.weights
     ext = np.concatenate([rule.nodes, [-1.0, 1.0]])
+    phi_e, phi = legendre_basis(k, ext), legendre_basis(k, rule.nodes)
     Xe, Ye = mesh.quad_points(ext, ext)
     X, Y = Xe[..., :n, :], Ye[..., :n]
+    sums, linf_u = np.empty((4, *mesh.shape)), 0.0
 
-    def vol(fsq):
-        return tensor_sum(fsq, rule.weights, 0.5 * mesh.mesh_x.widths, 0.5 * mesh.mesh_y.widths)
+    def per_cell(fsq):
+        return ((fsq.reshape(-1, n) @ wt).reshape(-1, n) @ wt).reshape(fsq.shape[:2])
 
-    e = t.u.values_on_ref(ext, ext)
-    e -= problem.u_exact(Xe, Ye)
-    linf_u = float(max(e.max(), -e.min()))
-    e = np.square(e[..., :n, :n])
-    l2u_sq = vol(e)
-    e *= problem.b(X, Y)
-    bu_sq = vol(e)
-    del e
-
-    def l2_sq(poly, exact):
-        e = poly.values_on_ref(rule.nodes, rule.nodes)
-        e -= exact(X, Y)
-        return vol(np.square(e, out=e))
-
-    return l2_sq(t.p, problem.p_exact), l2_sq(t.q, problem.q_exact), bu_sq, l2u_sq, linf_u
+    for s in _chunks(mesh.shape[0], mesh.shape[1] * ext.size**2):
+        e = phi_e.T @ (t.u.coeffs[s] @ phi_e)
+        e -= problem.u_exact(Xe[s], Ye)
+        linf_u = np.maximum(linf_u, max(e.max(), -e.min()))
+        e = np.square(e[..., :n, :n])
+        sums[3, s] = per_cell(e)
+        e *= problem.b(X[s], Y)
+        sums[2, s] = per_cell(e)
+        for i, (poly, exact) in enumerate(((t.p, problem.p_exact), (t.q, problem.q_exact))):
+            e = phi.T @ (poly.coeffs[s] @ phi)
+            e -= exact(X[s], Y)
+            sums[i, s] = per_cell(np.square(e, out=e))
+    wx, wy = 0.5 * mesh.mesh_x.widths, 0.5 * mesh.mesh_y.widths
+    l2p, l2q, bu, l2u = (float(wx @ cell_sums @ wy) for cell_sums in sums)
+    return l2p, l2q, bu, l2u, float(linf_u)
 
 
 def error_report_2d(t, problem, jump: bool = True) -> ErrorReport:

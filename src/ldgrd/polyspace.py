@@ -112,6 +112,17 @@ def end_vals(k: int) -> tuple[np.ndarray, np.ndarray]:
     return minus, plus
 
 
+CHUNK_VALUES = 1 << 15  # doubles per grid temporary of a whole-mesh evaluation (256 KiB)
+
+
+def _chunks(ncells: int, per_cell: int) -> list[slice]:
+    """Near-equal consecutive slices of the ncells leading cells (x-rows in 2D), of at
+    most max(2, CHUNK_VALUES // per_cell) each, the constant read at call time; for even
+    ncells none holds one cell, whose products numpy would round by its vector kernel."""
+    m = -(-ncells // max(2, CHUNK_VALUES // per_cell))
+    return [slice(i * ncells // m, (i + 1) * ncells // m) for i in range(m)]
+
+
 def tensor_sum(vals: np.ndarray, weights: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> float:
     """Sum of vals[i, j, x, y] * weights[x] * weights[y] * wx[i] * wy[j],
     contracted one axis at a time."""

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import ShishkinMesh1D, TensorMesh2D
-from .polyspace import (PiecewisePoly1D, PiecewisePoly2D, end_vals, layer_rule, legendre_basis,
-                        tensor_sum)
+from .mesh import ShishkinMesh1D, TensorMesh2D, _quad_points
+from .polyspace import (PiecewisePoly1D, PiecewisePoly2D, _chunks, end_vals, layer_rule,
+                        legendre_basis)
 
 __all__ = [
     "composite_u_1d",
@@ -21,14 +21,8 @@ __all__ = [
 
 # Every projection below is one moment kernel applied to arrays of cells (a
 # single cell is the 0-d case), followed where needed by the Gauss-Radau
-# endpoint fix along one coefficient axis.  The composites call the kernel
-# once for the whole mesh and apply the fix where their region mask holds.
-
-
-def _quad_points(cell, t: np.ndarray) -> np.ndarray:
-    """Points (..., len(t)) of the reference nodes t on the intervals cell = (a, b)."""
-    a, b = (np.asarray(e, dtype=float)[..., None] for e in cell)
-    return 0.5 * (a + b) + 0.5 * (b - a) * t
+# endpoint fix along one coefficient axis.  The composites fill one coefficient
+# array chunk by chunk of cells and apply the fix where their region mask holds.
 
 
 def _moments(z, cell, k: int) -> np.ndarray:
@@ -106,6 +100,15 @@ def _mid_band(j: np.ndarray, N: int) -> np.ndarray:
     return (N // 4 <= j) & (j < 3 * N // 4)
 
 
+def _composite_1d(z, mesh: ShishkinMesh1D, k: int, side: str, where) -> PiecewisePoly1D:
+    """Gauss-Radau coefficients of z on the cells where the (ncells,) mask
+    `where` holds, L2 coefficients elsewhere, filled chunk by chunk of cells."""
+    c = np.empty((mesh.ncells, k + 1))
+    for s in _chunks(mesh.ncells, layer_rule(k).n):
+        c[s] = _radau_1d(z, (mesh.points[:-1][s], mesh.points[1:][s]), k, side, where[s])
+    return PiecewisePoly1D(mesh, c)
+
+
 def composite_u_1d(u, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly1D:
     """Layer-aware interpolant of the primal variable.
 
@@ -113,24 +116,32 @@ def composite_u_1d(u, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly1D:
     one (0-based cells 0..N/4-1 and 3N/4..N-2); plain L2 projection on the
     coarse interior cells and on the final cell.
     """
-    cells, N = (mesh.points[:-1], mesh.points[1:]), mesh.ncells
-    return PiecewisePoly1D(mesh, _radau_1d(u, cells, k, "minus", where=_fine_band(np.arange(N), N)))
+    N = mesh.ncells
+    return _composite_1d(u, mesh, k, "minus", _fine_band(np.arange(N), N))
 
 
 def composite_q_1d(q, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly1D:
     """Layer-aware interpolant of the flux variable: L2 projection on the
     first cell, left-endpoint-matching Gauss-Radau everywhere else."""
-    cells = mesh.points[:-1], mesh.points[1:]
-    return PiecewisePoly1D(mesh, _radau_1d(q, cells, k, "plus", where=np.arange(mesh.ncells) > 0))
+    return _composite_1d(q, mesh, k, "plus", np.arange(mesh.ncells) > 0)
 
 
 # -- 2D projections ---------------------------------------------------------
 
 
-def _mesh_cells(mesh: TensorMesh2D):
-    """Every cell ((xa, xb), (ya, yb)) of the mesh, bounds broadcasting to (nx, ny)."""
+def _composite_2d(z, mesh: TensorMesh2D, k: int, fixes) -> PiecewisePoly2D:
+    """Tensor L2 coefficients of z, filled chunk by chunk of x-rows of cells,
+    each chunk followed by the directional Gauss-Radau fixes (axis, side,
+    where) on its cells where `where`, broadcasting to mesh.shape, holds."""
+    nx, ny = mesh.shape
     px, py = mesh.mesh_x.points[:, None], mesh.mesh_y.points[None, :]
-    return (px[:-1], px[1:]), (py[:, :-1], py[:, 1:])
+    c = np.empty((nx, ny, k + 1, k + 1))
+    for s in _chunks(nx, ny * layer_rule(k).n ** 2):
+        cells = (px[:-1][s], px[1:][s]), (py[:, :-1], py[:, 1:])
+        c[s] = _moments_2d(z, cells, k)
+        for axis, side, where in fixes:
+            _radau_2d(z, c[s], cells, k, axis, side, np.broadcast_to(where, (nx, ny))[s])
+    return PiecewisePoly2D(mesh, c)
 
 
 def composite_u_2d(u, mesh: TensorMesh2D, k: int) -> PiecewisePoly2D:
@@ -143,27 +154,20 @@ def composite_u_2d(u, mesh: TensorMesh2D, k: int) -> PiecewisePoly2D:
     """
     nx, ny = mesh.shape
     i, j = np.arange(nx)[:, None], np.arange(ny)[None, :]
-    cells = _mesh_cells(mesh)
-    c = _moments_2d(u, cells, k)
-    c = _radau_2d(u, c, cells, k, 0, "minus", where=_fine_band(i, nx) & _mid_band(j, ny))
-    c = _radau_2d(u, c, cells, k, 1, "minus", where=_mid_band(i, nx) & _fine_band(j, ny))
-    return PiecewisePoly2D(mesh, c)
+    return _composite_2d(u, mesh, k, [(0, "minus", _fine_band(i, nx) & _mid_band(j, ny)),
+                                      (1, "minus", _mid_band(i, nx) & _fine_band(j, ny))])
 
 
 def composite_px_2d(p, mesh: TensorMesh2D, k: int) -> PiecewisePoly2D:
     """Interpolant of the x-flux: L2 on the first column, left-edge-matching
     Gauss-Radau in x on all other cells."""
-    cells = _mesh_cells(mesh)
-    return PiecewisePoly2D(mesh, _radau_2d(p, _moments_2d(p, cells, k), cells, k, 0, "plus",
-                                           where=np.arange(mesh.shape[0])[:, None] > 0))
+    return _composite_2d(p, mesh, k, [(0, "plus", np.arange(mesh.shape[0])[:, None] > 0)])
 
 
 def composite_qy_2d(q, mesh: TensorMesh2D, k: int) -> PiecewisePoly2D:
     """Interpolant of the y-flux: L2 on the first row, bottom-edge-matching
     Gauss-Radau in y elsewhere."""
-    cells = _mesh_cells(mesh)
-    return PiecewisePoly2D(mesh, _radau_2d(q, _moments_2d(q, cells, k), cells, k, 1, "plus",
-                                           where=np.arange(mesh.shape[1])[None, :] > 0))
+    return _composite_2d(q, mesh, k, [(1, "plus", np.arange(mesh.shape[1])[None, :] > 0)])
 
 
 # -- interpolation-error measurement ----------------------------------------
@@ -176,33 +180,45 @@ def _check_norm(norm: str) -> None:
 
 def measure_interp_error(field, interp: PiecewisePoly1D, norm: str = "l2") -> float:
     """L2 or max-norm distance between a callable field and a piecewise
-    polynomial; the max norm samples quadrature nodes plus both cell ends."""
+    polynomial, chunk by chunk of cells; the max norm samples quadrature nodes
+    plus both cell ends."""
     _check_norm(norm)
-    mesh = interp.mesh
-    rule = layer_rule(interp.degree)
-    X = mesh.quad_points(rule.nodes)
-    diff = np.asarray(field(X), dtype=float) - interp.values_on_ref(rule.nodes)
-    if norm == "l2":
-        return float(np.sqrt(np.einsum("jg,g,j->", diff**2, rule.weights, 0.5 * mesh.widths)))
+    mesh, k = interp.mesh, interp.degree
+    rule = layer_rule(k)
     ends = np.array([-1.0, 1.0])
-    Xe = mesh.quad_points(ends)
-    diff_e = np.asarray(field(Xe), dtype=float) - interp.values_on_ref(ends)
-    return float(max(np.abs(diff).max(), np.abs(diff_e).max()))
+    phi, phi_e = legendre_basis(k, rule.nodes), legendre_basis(k, ends)
+    sums, linf = np.empty(mesh.ncells), 0.0
+    for s in _chunks(mesh.ncells, rule.n + ends.size):
+        cells, c = (mesh.points[:-1][s], mesh.points[1:][s]), interp.coeffs[s]
+        diff = np.asarray(field(_quad_points(cells, rule.nodes)), dtype=float) - c @ phi
+        if norm == "l2":  # a row sum, not a matrix-vector product: rounded alike in every chunk
+            sums[s] = (diff**2 * rule.weights).sum(axis=1)
+            continue
+        diff_e = np.asarray(field(_quad_points(cells, ends)), dtype=float) - c @ phi_e
+        linf = np.maximum(linf, max(np.abs(diff).max(), np.abs(diff_e).max()))
+    if norm == "l2":
+        return float(np.sqrt(0.5 * mesh.widths @ sums))
+    return float(linf)
 
 
 def measure_interp_error_2d(field, interp: PiecewisePoly2D, norm: str = "l2") -> float:
+    """As in 1D, chunk by chunk of x-rows of cells; widths contracted as in tensor_sum."""
     _check_norm(norm)
-    mesh = interp.mesh
-    rule = layer_rule(interp.degree)
-
-    def sample(tx, ty):  # interpolant minus field, in place: one grid-sized array fewer
-        diff = interp.values_on_ref(tx, ty)
-        diff -= np.asarray(field(*mesh.quad_points(tx, ty)), dtype=float)
-        return diff
-
+    mesh, k = interp.mesh, interp.degree
+    rule = layer_rule(k)
+    n, wt = rule.n, rule.weights
+    t = rule.nodes if norm == "l2" else np.concatenate([rule.nodes, [-1.0, 1.0]])
+    phi = legendre_basis(k, t)
+    X, Y = mesh.quad_points(t, t)
+    sums, linf = np.empty(mesh.shape), 0.0
+    for s in _chunks(mesh.shape[0], mesh.shape[1] * t.size**2):
+        diff = phi.T @ (interp.coeffs[s] @ phi)  # interpolant minus field, in place
+        diff -= np.asarray(field(X[s], Y), dtype=float)
+        if norm == "l2":
+            diff **= 2
+            sums[s] = ((diff.reshape(-1, n) @ wt).reshape(-1, n) @ wt).reshape(-1, mesh.shape[1])
+        else:
+            linf = np.maximum(linf, np.abs(diff).max())
     if norm == "l2":
-        diff = sample(rule.nodes, rule.nodes)
-        return float(np.sqrt(tensor_sum(diff**2, rule.weights, 0.5 * mesh.mesh_x.widths,
-                                        0.5 * mesh.mesh_y.widths)))
-    ext = np.concatenate([rule.nodes, [-1.0, 1.0]])  # the nodes plus both cell ends
-    return float(np.abs(sample(ext, ext)).max())
+        return float(np.sqrt(0.5 * mesh.mesh_x.widths @ sums @ (0.5 * mesh.mesh_y.widths)))
+    return float(linf)

@@ -52,9 +52,9 @@ def rate_p(e_n: float, e_2n: float, n: int) -> float:
 class StudyConfig:
     """One sweep: problem, degrees, eps values, mesh sizes and flux variant.
 
-    sigma=None applies the default grading rule sigma = k + 1; a given
-    sigma must be finite and positive.  No degree, eps or N may repeat.
-    The mesh takes beta from the problem.
+    sigma=None applies the default grading rule sigma = k + 1; a given sigma
+    must be finite and positive.  Degrees are >= 1, eps values lie in (0, 1),
+    and no degree, eps or N may repeat.  Meshes take beta from the problem.
     """
 
     dim: int = 1
@@ -72,6 +72,11 @@ class StudyConfig:
             values = getattr(self, name)
             if not values or len(set(values)) != len(values):
                 raise ValueError(f"{name} must be nonempty, without a repeated value, got {values}")
+        if min(self.degrees) < 1:
+            raise ValueError(f"polynomial degree must be >= 1, got {min(self.degrees)}")
+        for eps in self.eps_list:
+            if not 0.0 < eps < 1.0:
+                raise ValueError(f"eps must lie in (0, 1), got {eps}")
         for n in self.n_list:
             if n < 4 or n % 4 != 0:
                 raise ValueError(f"every N must be a positive multiple of 4, got {n}")

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from ldgrd import polyspace
 from ldgrd.assembly1d import _flux_weights, assemble, table_matrix
 from ldgrd.assembly2d import (
     LdgOperator2D,
@@ -25,8 +26,9 @@ from ldgrd.assembly2d import (
 )
 from ldgrd.linalg import KroneckerSumSolve, SingularSystemError, _refined_solve, lu_solve, matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
+from ldgrd.norms import error_report_2d
 from ldgrd.polyspace import PiecewisePoly2D, leg_mass
-from ldgrd.problems import layer1d, layer2d, layer2d_variable_b, poly_exact_2d
+from ldgrd.problems import ProblemSpec2D, layer1d, layer2d, layer2d_variable_b, poly_exact_2d
 
 from conftest import energy_sq, uniform_mesh_2d
 
@@ -53,8 +55,33 @@ def test_system_dimension():
     assert op.matrix().shape[0] == op.rhs.size == 192  # 3 * N^2 * (k+1)^2
 
 
-@pytest.mark.parametrize("eps", [1e-4, 1e-8])
-def test_polynomial_exactness_2d(eps):
+def cubic_by_quadratic(eps):
+    """u = x(1-x)(1+x) y(1-y), in the discrete space for k >= 3, with the
+    variable b = 2 + x(1-y): neither u nor b is symmetric in x and y."""
+    def b(x, y):
+        return 2.0 + x * (1.0 - y)
+
+    def u(x, y):
+        return (x - x**3) * (y - y**2)
+
+    def p(x, y):
+        return eps * (1.0 - 3.0 * x**2) * (y - y**2)
+
+    def q(x, y):
+        return eps * (x - x**3) * (1.0 - 2.0 * y)
+
+    def lap(x, y):
+        return -6.0 * x * (y - y**2) - 2.0 * (x - x**3)
+
+    def f(x, y):
+        return -eps * lap(x, y) + b(x, y) * u(x, y)
+
+    return ProblemSpec2D(name="cubic_by_quadratic", eps=eps, beta=math.sqrt(2.0), b=b, f=f,
+                         u_exact=u, p_exact=p, q_exact=q, lap_exact=lap)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+def test_polynomial_exactness_2d(eps, monkeypatch):
     N, k = 8, 2
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=3.0, N=N))
     mesh2 = build_tensor_2d(m, m)
@@ -68,6 +95,19 @@ def test_polynomial_exactness_2d(eps):
     for poly, exact in ((t.u, prob.u_exact), (t.p, prob.p_exact), (t.q, prob.q_exact)):
         diff = poly.values_on_ref(ext, ext) - exact(X4, Y4)
         assert np.abs(diff).max() < 1e-9
+    # cubic_by_quadratic tells x from y, so an axis mix-up on an nx != ny mesh
+    # would miss it; its report is also streamed with two x-rows per chunk
+    prob, k = cubic_by_quadratic(eps), 3
+    for shape in ((8, 12), (12, 8), (8, 8)):
+        mx, my = (build_shishkin_1d(MeshParams(eps=eps, beta=prob.beta, sigma=k + 1.0, N=n))
+                  for n in shape)
+        for jump in (True, False):
+            t = solve_2d(build_tensor_2d(mx, my), prob, k, jump)
+            rep = error_report_2d(t, prob, jump)
+            assert max(rep.err_linf_u, rep.err_l2_p, rep.err_l2_q) < 1e-13, (shape, jump, rep)
+            with monkeypatch.context() as patch:
+                patch.setattr(polyspace, "CHUNK_VALUES", 1)
+                assert error_report_2d(t, prob, jump) == rep, (shape, jump)
 
 
 def test_bilinear_2d_hand_value():

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -13,6 +13,8 @@ from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import error_report_1d, error_report_2d
 from ldgrd.polyspace import PiecewisePoly1D, PiecewisePoly2D
 from ldgrd.problems import ProblemSpec1D, layer1d, layer2d, layer2d_variable_b, poly_exact_1d
+from ldgrd.projection import (composite_px_2d, composite_q_1d, composite_qy_2d, composite_u_1d,
+                              composite_u_2d, measure_interp_error, measure_interp_error_2d)
 
 from conftest import energy_sq, uniform_mesh, uniform_mesh_2d
 
@@ -261,7 +263,8 @@ def test_error_reports_sample_exact_fields_on_the_volume_grid_only(problem, rng)
 def test_error_report_2d_peak_memory(rng):
     # u is sampled once on the nodes-plus-ends grid and each error field is
     # formed in place, reduced and dropped before the next, so the peak stays
-    # under 5 arrays the size of the node grid (about 3.6 at k=1)
+    # under 5 arrays the size of the node grid (3.7 at k=1 when every field
+    # spanned the whole mesh; 0.68 now that they are streamed over chunks)
     eps, N, k = 1e-8, 64, 1
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2, problem = build_tensor_2d(m, m), layer2d(eps)
@@ -276,3 +279,102 @@ def test_error_report_2d_peak_memory(rng):
         tracemalloc.stop()
     node_grid = (N * polyspace.layer_rule(k).n) ** 2 * 8
     assert peak <= 5 * node_grid, peak / node_grid
+
+
+# -- streaming over chunks of cells ------------------------------------------------
+
+
+@pytest.mark.parametrize("problem", [layer1d, layer2d, layer2d_variable_b])
+def test_streamed_error_reports_sample_each_cell_once(problem, rng, monkeypatch):
+    # With chunks forced small, u is sampled once per chunk, the chunks' leading
+    # cell counts add up to N (no cell is sampled twice), and every call still
+    # covers the quadrature nodes per axis.
+    eps, N, k = 1e-4, 8, 2
+    monkeypatch.setattr(polyspace, "CHUNK_VALUES", 1)  # two cells, or x-rows, per chunk
+    spec = problem(eps)
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    if isinstance(spec, ProblemSpec1D):
+        dim, names, report = 1, ("u_exact", "q_exact", "b"), error_report_1d
+        w = LdgSolution1D(*(PiecewisePoly1D(m, rng.standard_normal((N, k + 1))) for _ in "qu"))
+    else:
+        dim, names, report = 2, ("u_exact", "p_exact", "q_exact", "b"), error_report_2d
+        mesh2 = build_tensor_2d(m, m)
+        w = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
+                            for _ in "upq"))
+    spec, calls = recorded(spec, names)
+    report(w, spec)
+    n = polyspace.layer_rule(k).n
+    chunks = [name for name, _ in calls].count("u_exact")
+    assert chunks >= 3
+    for name in names:
+        shapes = [shape for called, shape in calls if called == name]
+        assert len(shapes) == chunks, name
+        assert sum(shape[0] for shape in shapes) == N, (name, shapes)
+        for shape in shapes:
+            assert len(shape) == 2 * dim and shape[1:dim] == (N,) * (dim - 1), (name, shape)
+            assert min(shape[dim:]) >= n, (name, shape)
+
+
+def streamed_results(dim, k):
+    """Every streamed result on layer1d at N=1024 (1D) or layer2d on a 16x24
+    mesh (2D), eps 1e-8: the composite interpolants' coefficients, both
+    measures of each in both norms, and the error report of the composites
+    taken as the discrete pair or triple."""
+    eps = 1e-8
+    spec = (layer1d if dim == 1 else layer2d)(eps)
+
+    def mesh(N):
+        return build_shishkin_1d(MeshParams(eps=eps, beta=spec.beta, sigma=k + 1.0, N=N))
+
+    if dim == 1:
+        m, measure, report = mesh(1024), measure_interp_error, error_report_1d
+        fields = (composite_q_1d, spec.q_exact), (composite_u_1d, spec.u_exact)
+        make = LdgSolution1D
+    else:
+        m, measure = build_tensor_2d(mesh(16), mesh(24)), measure_interp_error_2d
+        report = error_report_2d
+        fields = ((composite_u_2d, spec.u_exact), (composite_px_2d, spec.p_exact),
+                  (composite_qy_2d, spec.q_exact))
+        make = LdgSolution2D
+    polys = [(build(exact, m, k), exact) for build, exact in fields]
+    results = [poly.coeffs for poly, _ in polys]
+    results += [measure(exact, poly, norm) for poly, exact in polys for norm in ("l2", "linf")]
+    return results + [astuple(report(make(*(poly for poly, _ in polys)), spec))]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("k", [1, 2])
+def test_streamed_results_do_not_depend_on_the_chunk_size(dim, k, monkeypatch):
+    # Every result is bitwise that of the default chunk size, with two cells
+    # (or x-rows) per chunk and with an odd size that splits them unevenly.
+    base = streamed_results(dim, k)
+    for size in (1, 3001):
+        monkeypatch.setattr(polyspace, "CHUNK_VALUES", size)
+        for a, b in zip(base, streamed_results(dim, k), strict=True):
+            assert np.array_equal(a, b), (size, a, b)
+
+
+@pytest.mark.parametrize("name, bound", [("error_report_2d", 4), ("measure_interp_error_2d", 2),
+                                         ("composite_u_2d", 2)])
+def test_streamed_evaluations_have_bounded_memory(name, bound):
+    # At k=1, N=256 one array on the node grid is 18 MiB and the whole-mesh
+    # evaluations peaked at 64 MiB (the report and the max-norm measure) and
+    # 24 MiB (the composite); streamed, each stays within `bound` MiB beyond
+    # what it returns.
+    eps, N, k = 1e-8, 256, 1
+    spec = layer2d(eps)
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=spec.beta, sigma=k + 1.0, N=N))
+    mesh2 = build_tensor_2d(m, m)
+    u = composite_u_2d(spec.u_exact, mesh2, k)
+    run = {"error_report_2d": lambda: error_report_2d(LdgSolution2D(u=u, p=u, q=u), spec),
+           "measure_interp_error_2d": lambda: measure_interp_error_2d(spec.u_exact, u, "linf"),
+           "composite_u_2d": lambda: composite_u_2d(spec.u_exact, mesh2, k)}[name]
+    run()  # warm the reference-cell caches
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = u.coeffs.nbytes if name == "composite_u_2d" else 0
+    assert peak <= returned + bound * 2**20, (peak - returned) / 2**20

@@ -192,6 +192,22 @@ def test_cli_rejects_repeated_sweep_values(flag, values, capsys, monkeypatch):
     assert "without a repeated value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    *(("--eps", eps, "eps must lie in (0, 1)") for eps in ("0", "-1", "1", "2", "nan", "inf")),
+    *(("--degree", k, "polynomial degree must be >= 1") for k in ("0", "-1")),
+])
+def test_cli_rejects_bad_eps_or_degree(flag, value, message, capsys, monkeypatch):
+    # rejected by the config, before any case runs, instead of failing every case
+    def no_sweep(cfg):
+        raise AssertionError("run_study called")
+
+    monkeypatch.setattr("ldgrd.cli.run_study", no_sweep)
+    argv = {"--degree": "1", "--eps": "1e-6", "--N": "8,16"} | {flag: value}
+    code = main([f"{key}={val}" for key, val in argv.items()])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_rejects_unwritable_out_before_the_sweep(tmp_path, capsys, monkeypatch):
     # the output is opened first: a bad path must not cost a whole sweep
     def no_sweep(cfg):

@@ -33,10 +33,6 @@ arrays, m outside tolerance`, then the same for 2d and interp), so that a
 change to one of them can be read from its line alone.  It exits with
 status 1 if any array is outside its tolerance.
 
-Trees whose flux choice is `assembly1d.FluxConfig(eps, jump)` and trees
-that take `jump` alone are both dumped: `_flux` builds whichever the tree
-has.  That shim is deleted at the next change to this tool.
-
 Grids (sigma = k + 1, as in the convergence study; cases whose mesh does not
 exist are skipped):
 - 1D, `layer1d`: k = 1 .. 4; eps = 1e-4 .. 1e-12; N = 32 .. 1024; flux
@@ -99,17 +95,9 @@ def _variable_b(problem, dim: int):
     return dataclasses.replace(problem, b=b, f=f)
 
 
-def _flux(assembly1d, eps: float, jump: bool):
-    """The tree's flux argument: assembly1d.FluxConfig(eps, jump) where the
-    tree has it, else jump itself."""
-    config = getattr(assembly1d, "FluxConfig", None)
-    return jump if config is None else config(eps, jump=jump)
-
-
 def _cases():
     """Yield (key, system, solution vector, error report) for every case of
     both grids."""
-    from ldgrd import assembly1d
     from ldgrd.assembly1d import assemble, solution_to_coeffs, solve_1d
     from ldgrd.assembly2d import LdgOperator2D, solve_2d
     from ldgrd.linalg import SparseSystem
@@ -126,24 +114,22 @@ def _cases():
                         mesh = build_shishkin_1d(MeshParams(eps=eps, sigma=k + 1.0, N=N))
                     except ValueError:
                         continue
-                    configs = {"paper": _flux(assembly1d, eps, True),
-                               "classic": _flux(assembly1d, eps, False)}
-                    cases = [(name, cfg, problem) for name, cfg in configs.items()]
+                    cases = [("paper", True, problem), ("classic", False, problem)]
                     if eps == VARIABLE_B_EPS:
-                        cases.append(("variable_b", configs["paper"], _variable_b(problem, dim)))
-                    for name, cfg, prob in cases:
+                        cases.append(("variable_b", True, _variable_b(problem, dim)))
+                    for name, jump, prob in cases:
                         key = f"{dim}d/k{k}/eps{eps:.0e}/N{N}/{name}"
                         if dim == 1:
-                            w = solve_1d(mesh, prob, k, cfg)
-                            yield (key, assemble(mesh, prob, k, cfg), solution_to_coeffs(w),
-                                   error_report_1d(w, prob, cfg))
+                            w = solve_1d(mesh, prob, k, jump)
+                            yield (key, assemble(mesh, prob, k, jump), solution_to_coeffs(w),
+                                   error_report_1d(w, prob, jump))
                         else:
                             mesh2 = build_tensor_2d(mesh, mesh)
-                            t = solve_2d(mesh2, prob, k, cfg)
-                            op = LdgOperator2D(mesh2, prob, k, cfg)
+                            t = solve_2d(mesh2, prob, k, jump)
+                            op = LdgOperator2D(mesh2, prob, k, jump)
                             system = SparseSystem(matrix=op.matrix(), rhs=op.rhs)
                             yield (key, _per_cell(mesh2, k, system), _fields(t),
-                                   error_report_2d(t, prob, cfg))
+                                   error_report_2d(t, prob, jump))
 
 
 def _interpolants():
