@@ -7,11 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly1d import (ASSEMBLY_EXTRA_NODES, _check_consistent, _flux_mass, _flux_weights,
                          table_matrix)
-from .linalg import KroneckerSumSolve, _refined_solve, from_coo, pcg
+from .linalg import KroneckerSumSolve, _refined_solve, from_coo, pcg, sp
 from .mesh import TensorMesh2D
 from .polyspace import (PiecewisePoly2D, end_vals, gauss_rule, grad_matrix, leg_mass,
                         legendre_basis, tensor_sum)

@@ -3,12 +3,11 @@ systems and the pieces of the matrix-free 2D solve."""
 
 from __future__ import annotations
 
+import importlib
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "SparseSystem",
@@ -23,6 +22,23 @@ __all__ = [
 RESIDUAL_TOL = 1e-10
 
 logger = logging.getLogger("ldgrd")
+
+
+class _Deferred:
+    """Stands in for a module that is imported on the first attribute
+    access, so that ``import ldgrd`` loads no scipy until a solve needs it.
+    Every access looks the attribute up on the real module: a patch of that
+    module is seen, and no function is cached here."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+sp = _Deferred("scipy.sparse")
+spla = _Deferred("scipy.sparse.linalg")
 
 
 class SingularSystemError(RuntimeError):

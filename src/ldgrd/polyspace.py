@@ -118,7 +118,11 @@ CHUNK_VALUES = 1 << 15  # doubles per grid temporary of a whole-mesh evaluation 
 def _chunks(ncells: int, per_cell: int) -> list[slice]:
     """Near-equal consecutive slices of the ncells leading cells (x-rows in 2D), of at
     most max(2, CHUNK_VALUES // per_cell) each, the constant read at call time; for even
-    ncells none holds one cell, whose products numpy would round by its vector kernel."""
+    ncells none holds one cell, whose products numpy would round by its vector kernel.
+    The 2D per-cell sums are matrix-vector products (as in tensor_sum), whose rows
+    OpenBLAS rounds in blocks of four: they do not depend on the chunking only because
+    each chunk's row counts, c*ny*n and c*ny, are multiples of 4, as MeshParams's
+    N % 4 == 0 makes them.  Another BLAS, or another N, could make them depend on it."""
     m = -(-ncells // max(2, CHUNK_VALUES // per_cell))
     return [slice(i * ncells // m, (i + 1) * ncells // m) for i in range(m)]
 

@@ -1,9 +1,16 @@
+import ast
 import dataclasses
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+import ldgrd
 from ldgrd.assembly1d import assemble, solve_1d
 from ldgrd.assembly2d import solve_2d
 from ldgrd.linalg import SingularSystemError, from_coo, lu_solve, matvec
@@ -146,3 +153,67 @@ def test_residual_contract_on_assembled_system():
     x = lu_solve(system.matrix, system.rhs)
     r = np.abs(matvec(system.matrix, x) - system.rhs).max()
     assert r <= 1e-10 * max(1.0, np.abs(system.rhs).max())
+
+
+# ldgrd.linalg holds scipy.sparse and scipy.sparse.linalg as deferred
+# handles: importing the package loads numpy only, and scipy loads on the
+# first solve or 2D operator.  The checks below run in fresh interpreters,
+# since this one has scipy loaded already.
+
+SRC = str(Path(ldgrd.__file__).resolve().parents[1])
+
+PRELUDE = """\
+import atexit, sys
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+atexit.register(lambda: print(scipy_loaded(), file=sys.stderr))
+"""
+
+
+def run_fresh(code: str):
+    """Run code in a fresh interpreter that imports ldgrd from this tree.
+    Returns its exit code, the scipy modules loaded at its exit and its
+    stderr."""
+    proc = subprocess.run([sys.executable, "-c", PRELUDE + code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+    return proc.returncode, ast.literal_eval(proc.stderr.splitlines()[-1]), proc.stderr
+
+
+def test_library_use_without_a_solve_loads_no_scipy():
+    # the interpolants and their errors, as the interp benchmark calls them
+    code, loaded, err = run_fresh("""\
+from ldgrd import MeshParams, build_shishkin_1d, build_tensor_2d, layer1d, layer2d, solve_1d
+from ldgrd.projection import (composite_u_1d, composite_u_2d, measure_interp_error,
+                              measure_interp_error_2d)
+eps, k = 1e-8, 2
+m1 = build_shishkin_1d(MeshParams(eps=eps, sigma=k + 1.0, N=16))
+u1, u2 = layer1d(eps).u_exact, layer2d(eps).u_exact
+for norm in ("l2", "linf"):
+    measure_interp_error(u1, composite_u_1d(u1, m1, k), norm)
+    measure_interp_error_2d(u2, composite_u_2d(u2, build_tensor_2d(m1, m1), k), norm)
+assert not scipy_loaded(), scipy_loaded()
+solve_1d(m1, layer1d(eps), k)
+""")
+    assert code == 0, err
+    assert "scipy.sparse.linalg" in loaded
+
+
+@pytest.mark.parametrize("argv, exit_code", [(["--help"], 0), (["--eps", "0"], 2)],
+                         ids=["help", "invalid-eps"])
+def test_cli_exits_load_no_scipy(argv, exit_code):
+    code, loaded, err = run_fresh(f"from ldgrd.cli import main\nraise SystemExit(main({argv!r}))\n")
+    assert code == exit_code, err
+    assert loaded == []
+
+
+def test_deferred_scipy_resolves_at_call_time(monkeypatch):
+    # a patch of the real module reaches the solve, as the benchmark's
+    # tracer and the 2D solve's forbidden-splu test rely on
+    def failing(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", failing)
+    eps = 1e-4
+    system = assemble(build_shishkin_1d(MeshParams(eps=eps, sigma=2.0, N=4)), poly_exact_1d(eps), 1)
+    with pytest.raises(SingularSystemError, match="exactly singular"):
+        lu_solve(system.matrix, system.rhs)

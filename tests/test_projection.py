@@ -414,3 +414,18 @@ def test_composite_2d_cells_meet_defining_conditions(k, eps, w):
     check_cells_2d(z, composite_u_2d(z, mesh2, k), u_region)
     check_cells_2d(z, composite_px_2d(z, mesh2, k), lambda i, j: None if i == 0 else (0, "plus"))
     check_cells_2d(z, composite_qy_2d(z, mesh2, k), lambda i, j: None if j == 0 else (1, "plus"))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: a point near x = 1 carries the rounding "
+                   "of 1 - x, so the right layer has an error floor of about 1e-16/sqrt(eps)")
+def test_l2_projection_is_mirror_symmetric_at_small_eps():
+    # z(x) = z(1 - x) on a mesh symmetric about 1/2, so in exact arithmetic
+    # the coefficients of cell N-1-j are those of cell j with the odd modes
+    # negated.  The left layer's distances to the boundary are the points
+    # themselves; the right layer's are 1 - x, rounded.
+    k, N, eps = 4, 16384, 1e-12
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    s = np.sqrt(eps)
+    c = _moments(lambda x: np.exp(-x / s) + np.exp(-(1.0 - x) / s), (m.points[:-1], m.points[1:]), k)
+    mirrored = c[::-1] * (-1.0) ** np.arange(k + 1)
+    assert np.abs(c - mirrored).max() <= 1e-13
