@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SparseSystem, from_coo, lu_solve
+from .linalg import Pattern, SparseSystem, lu_solve
 from .mesh import ShishkinMesh1D
 from .polyspace import PiecewisePoly1D, end_vals, gauss_rule, grad_matrix, leg_mass, legendre_basis
 
@@ -42,20 +42,19 @@ class LdgSolution1D:
 _FLUX, _PRIMAL = 0, 1  # Q and U in 1D; P or Q, and U, per direction in 2D
 
 
-class _Layout(NamedTuple):
+class _Plan(NamedTuple):
     """The eps-independent part of the 1D table for one (N, k, special index,
-    jump penalty on or off), every array read-only.  rows and cols are the
-    top-left offsets of the table's (k+1, k+1) blocks in table order: the
-    flux mass, G in (Q, U), G in (U, Q), the reaction mass of assemble (N
-    blocks each), then the hats.  traces holds each hat family's trace outer
-    product without its weight (codes: 1, +-lambda_jump, +-lambda_boundary),
-    and traces[hat_index] are the hats' blocks."""
+    jump penalty on or off, reaction mass on or off), every array
+    read-only.  traces holds each hat family's trace outer product without
+    its weight (codes: 1, +-lambda_jump, +-lambda_boundary), and
+    traces[hat_index] are the hats' blocks.  pattern (a linalg.Pattern)
+    sums the table's blocks, in table order and row-major in each block,
+    into the CSR matrix of assemble's unknown ordering."""
 
-    rows: np.ndarray
-    cols: np.ndarray
     traces: np.ndarray
     codes: np.ndarray
     hat_index: np.ndarray
+    pattern: Pattern
 
 
 def _flux_weights(eps: float, jump: bool) -> tuple[float, float]:
@@ -72,25 +71,30 @@ def _flux_weights(eps: float, jump: bool) -> tuple[float, float]:
     return math.sqrt(eps), 1.0 / math.sqrt(eps) if jump else 0.0
 
 
-@lru_cache(maxsize=8)
-def _layout(N: int, k: int, m: int, jump: bool) -> _Layout:
+@lru_cache(maxsize=1)
+def _plan(N: int, k: int, m: int, jump: bool, reaction: bool) -> _Plan:
     """The scheme's b-independent operator in one direction, as one flat
-    table of blocks (weighted by _table_sum for each case).  After the cell
-    blocks, the hats hold the numerical-flux pair across the N+1
-    interfaces: U-hat (upwind U^-, plus lambda_jump*(Q^+ - Q^-) at the
-    special interface m) enters the flux test rows; Q-hat (downwind Q^+,
-    boundary values penalized by lambda_boundary*U at x_0 and
-    -lambda_boundary*U at x_N) enters the primal test rows.  Each hat is
+    table of blocks (weighted by _table_sum for each case): the flux mass,
+    G in (Q, U), G in (U, Q), with reaction the reaction mass of assemble
+    (N blocks each), then the hats.  The hats hold the numerical-flux pair
+    across the N+1 interfaces: U-hat (upwind U^-, plus
+    lambda_jump*(Q^+ - Q^-) at the special interface m) enters the flux
+    test rows; Q-hat (downwind Q^+, boundary values penalized by
+    lambda_boundary*U at x_0 and -lambda_boundary*U at x_N) enters the
+    primal test rows.  Each hat is
     tested from the cell right of the interface (+em) and from the cell left
-    of it (-ep).  The order of the hats fixes the order in which from_coo
-    sums the entries at one matrix position, and so the last bits of the
-    matrix: right-cell tests first, then left-cell tests, each in the listed
-    order.
+    of it (-ep).  The order of the blocks fixes the order in which the
+    entries at one matrix position are summed, and so the last bits of the
+    matrix: the reaction mass right after G, and right-cell tests of the
+    hats first, then left-cell tests, each in the listed order.  The
+    pattern, its summation order and the column order of the LU factors
+    depend on neither eps nor b; one entry serves a sweep's cases at one
+    (N, k), which study.run_study computes back to back.
     """
     em, ep = end_vals(k)
     cell = 2 * np.arange(N)
-    rows = [cell + _FLUX, cell + _FLUX, cell + _PRIMAL, cell + _PRIMAL]
-    cols = [cell + _FLUX, cell + _PRIMAL, cell + _FLUX, cell + _PRIMAL]
+    rows = [cell + _FLUX, cell + _FLUX, cell + _PRIMAL] + [cell + _PRIMAL] * reaction
+    cols = [cell + _FLUX, cell + _PRIMAL, cell + _FLUX] + [cell + _PRIMAL] * reaction
     interior = np.arange(1, N)
     first, last = np.array([0]), np.array([N])
     # (test field, interfaces, trial cell offset, trial field, trial trace,
@@ -112,12 +116,14 @@ def _layout(N: int, k: int, m: int, jump: bool) -> _Layout:
                 traces.append(np.outer(test_trace, trial_trace))
                 codes.append(code)
                 counts.append(j.size)
-    lay = _Layout(np.concatenate(rows) * (k + 1), np.concatenate(cols) * (k + 1),
-                  np.array(traces), np.array(codes),
-                  np.repeat(np.arange(len(codes)), counts))
-    for a in lay:
+    B = k + 1
+    rows = (np.concatenate(rows)[:, None] * B + np.repeat(np.arange(B), B)).ravel()
+    cols = (np.concatenate(cols)[:, None] * B + np.tile(np.arange(B), B)).ravel()
+    plan = _Plan(np.array(traces), np.array(codes), np.repeat(np.arange(len(codes)), counts),
+                 Pattern(2 * N * B, rows, cols))
+    for a in plan[:3]:
         a.flags.writeable = False
-    return lay
+    return plan
 
 
 def _flux_mass(mesh: ShishkinMesh1D, eps: float, mass: np.ndarray, out=None):
@@ -125,37 +131,29 @@ def _flux_mass(mesh: ShishkinMesh1D, eps: float, mass: np.ndarray, out=None):
 
 
 def _table_sum(mesh: ShishkinMesh1D, k: int, eps: float, jump: bool, reaction=None):
-    """The matrix of the table's blocks, in the unknown ordering of assemble:
-    from_coo of their triplets, built in one pass, block by block in table
-    order and row-major in each block.  reaction, the (N, k+1, k+1) blocks
-    of the reaction mass, goes between G and the hats, and without it that
-    slice of the layout is dropped: the order in which from_coo sums
-    coincident entries depends on each triplet's place in its row, and this
-    place keeps the matrix's last bits.  The offsets are the cached
-    layout's; only the values are formed here.
+    """The matrix of the table's blocks, in the unknown ordering of assemble,
+    bit for bit from_coo of their triplets (block by block in table order,
+    row-major in each block), and its pattern.  reaction, the (N, k+1, k+1)
+    blocks of the reaction mass, goes between G and the hats; without it
+    the table has no such slice.  Only the block values are formed here.
     """
     N, B = mesh.ncells, k + 1
-    lay = _layout(N, k, mesh.special_index, jump)
-    r0, c0 = lay.rows, lay.cols
-    if reaction is None:
-        r0, c0 = (np.delete(a, np.s_[3 * N:4 * N]) for a in (r0, c0))
-    rows = (r0[:, None] + np.repeat(np.arange(B), B)).ravel()
-    cols = (c0[:, None] + np.tile(np.arange(B), B)).ravel()
-    vals = np.empty((len(r0), B, B))
+    plan = _plan(N, k, mesh.special_index, jump, reaction is not None)
+    vals = np.empty((len(plan.hat_index) + (3 if reaction is None else 4) * N, B, B))
     _flux_mass(mesh, eps, np.diag(leg_mass(k)), out=vals[:N])
     vals[N:3 * N] = grad_matrix(k)  # G in both mixed field pairs
     if reaction is not None:
         vals[3 * N:4 * N] = reaction
     lam_b, lam_j = _flux_weights(eps, jump)
-    hats = lay.traces * np.array([1.0, lam_j, -lam_j, lam_b, -lam_b])[lay.codes][:, None, None]
-    np.take(hats, lay.hat_index, axis=0, out=vals[len(r0) - len(lay.hat_index):])
-    return from_coo(2 * N * B, rows, cols, vals.ravel())
+    hats = plan.traces * np.array([1.0, lam_j, -lam_j, lam_b, -lam_b])[plan.codes][:, None, None]
+    np.take(hats, plan.hat_index, axis=0, out=vals[len(vals) - len(plan.hat_index):])
+    return plan.pattern.matrix(vals.ravel()), plan.pattern
 
 
 def table_matrix(mesh: ShishkinMesh1D, k: int, eps: float, jump: bool = True):
     """The scheme's b-free 1D operator: the matrix of assemble without the
     reaction mass."""
-    return _table_sum(mesh, k, eps, jump)
+    return _table_sum(mesh, k, eps, jump)[0]
 
 
 def _check_consistent(mesh: ShishkinMesh1D, problem) -> None:
@@ -192,10 +190,10 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, jump: bool = True) -> Sparse
         b_blocks += ((w * bX[:, g])[:, None] * phi[:, g])[:, :, None] * phi[:, g]
     b_blocks *= (0.5 * h)[:, None, None]
     f_mom = np.einsum("g,jg,ag->ja", rule.weights, fX, phi) * (0.5 * h)[:, None]
-    matrix = _table_sum(mesh, k, problem.eps, jump, b_blocks)
+    matrix, pattern = _table_sum(mesh, k, problem.eps, jump, b_blocks)
     rhs = np.zeros((N, 2, B))
     rhs[:, _PRIMAL] = f_mom
-    return SparseSystem(matrix=matrix, rhs=rhs.ravel())
+    return SparseSystem(matrix=matrix, rhs=rhs.ravel(), pattern=pattern)
 
 
 def coeffs_to_solution(mesh: ShishkinMesh1D, k: int, x: np.ndarray) -> LdgSolution1D:
@@ -215,7 +213,7 @@ def solution_to_coeffs(w: LdgSolution1D) -> np.ndarray:
 def solve_1d(mesh: ShishkinMesh1D, problem, k: int, jump: bool = True) -> LdgSolution1D:
     """Assemble, solve and unpack the discrete pair."""
     system = assemble(mesh, problem, k, jump)
-    x = lu_solve(system.matrix, system.rhs)
+    x = lu_solve(system.matrix, system.rhs, system.pattern)
     return coeffs_to_solution(mesh, k, x)
 
 

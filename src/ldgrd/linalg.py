@@ -13,6 +13,7 @@ __all__ = [
     "SparseSystem",
     "SingularSystemError",
     "from_coo",
+    "Pattern",
     "matvec",
     "lu_solve",
     "KroneckerSumSolve",
@@ -48,10 +49,12 @@ class SingularSystemError(RuntimeError):
 
 @dataclass(eq=False)
 class SparseSystem:
-    """Assembled linear system."""
+    """Assembled linear system; pattern, if given, is the Pattern that built
+    matrix."""
 
     matrix: sp.csr_array
     rhs: np.ndarray
+    pattern: Pattern | None = None
 
 
 def from_coo(n: int, rows, cols, vals) -> sp.csr_array:
@@ -67,6 +70,78 @@ def from_coo(n: int, rows, cols, vals) -> sp.csr_array:
     if not np.all(np.isfinite(csr.data)):
         raise ValueError("matrix contains non-finite entries")
     return csr
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _indptr(major: np.ndarray, n: int) -> np.ndarray:
+    """The int32 indptr of n rows (or columns) whose entries, stored in
+    order, lie in rows (or columns) major."""
+    return np.append(0, np.cumsum(np.bincount(major, minlength=n))).astype(np.int32)
+
+
+class Pattern:
+    """The square CSR pattern (int32 indptr and indices, read-only) that
+    from_coo makes of one set of triplet positions, for building many
+    matrices from values at those positions.  matrix(vals) equals
+    from_coo(n, rows, cols, vals) bit for bit: from_coo buckets the
+    triplets by row (stably), sorts each row's columns with scipy's unstable
+    sort and sums each run of equal columns from left to right.  The same
+    scipy sort, run once on the triplet numbers, finds that order: every
+    entry's first triplet (first), then, for the entries with a j-th one,
+    their places and that triplet (later[j-1]).
+
+    A pattern also keeps the column order of SuperLU's factors, which
+    depends on the pattern only: lu_solve records COLAMD's perm_c at the
+    first factorization of a matrix with this pattern, and later ones
+    gather their values straight into the column-permuted CSC."""
+
+    def __init__(self, n: int, rows, cols):
+        rows, cols = np.asarray(rows), np.asarray(cols, dtype=np.int32)
+        by_row = np.argsort(rows, kind="stable")
+        indptr = _indptr(rows, n)
+        probe = sp.csr_array((by_row.astype(float), cols[by_row], indptr), shape=(n, n))
+        probe.sort_indices()
+        source, col = probe.data.astype(np.intp), probe.indices
+        row = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+        start = np.flatnonzero(np.append(True, (col[1:] != col[:-1]) | (row[1:] != row[:-1])))
+        count = np.diff(start, append=source.size)
+        self.n = n
+        self.first = _frozen(source[start])
+        self.later = []
+        for j in range(1, count.max(initial=1)):
+            more = count > j
+            self.later.append((_frozen(np.flatnonzero(more)), _frozen(source[start[more] + j])))
+        self.indices = _frozen(col[start])
+        self.indptr = _frozen(_indptr(row[start], n))
+        self.perm_c = None
+
+    def matrix(self, vals: np.ndarray) -> sp.csr_array:
+        """The CSR matrix of the triplet values vals; it holds this
+        pattern's indptr itself and a view of its indices."""
+        data = vals[self.first]
+        for where, which in self.later:
+            data[where] += vals[which]
+        if not np.all(np.isfinite(data)):
+            raise ValueError("matrix contains non-finite entries")
+        return sp.csr_array((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def _order_columns(self, perm_c: np.ndarray) -> None:
+        """Record perm_c, and where each CSR entry goes in the CSC of the
+        columns in that order: column perm_c[c] holds column c."""
+        col = perm_c[self.indices]
+        self._to_csc = _frozen(np.argsort(col, kind="stable"))
+        rows = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr))
+        self._csc_indices = _frozen(rows[self._to_csc])
+        self._csc_indptr = _frozen(_indptr(col, self.n))
+        self.perm_c = _frozen(np.array(perm_c))
+
+    def _permuted_csc(self, A: sp.csr_array) -> sp.csc_array:
+        return sp.csc_array((A.data[self._to_csc], self._csc_indices, self._csc_indptr),
+                            shape=A.shape)
 
 
 def matvec(A: sp.csr_array, x: np.ndarray) -> np.ndarray:
@@ -113,14 +188,29 @@ def pcg(apply, precondition, g: np.ndarray, kappa: float):
     return x, len(steps)
 
 
-def _splu(M: sp.csr_array):
-    """SuperLU factor of M; returns (solve, record fields)."""
+def _splu(M: sp.csr_array, pattern: Pattern | None = None):
+    """SuperLU factor of M; returns (solve, record fields).  COLAMD orders
+    the columns, unless pattern, M's Pattern, holds the order of an earlier
+    factorization (record ordering=reused): then the columns in that order
+    are factored as they stand (permc_spec NATURAL), which gives the same
+    factors bit for bit, and x is permuted back."""
+    reused = pattern is not None and pattern.perm_c is not None
     try:
-        factor = spla.splu(M.tocsc())
+        if reused:
+            factor = spla.splu(pattern._permuted_csc(M), permc_spec="NATURAL")
+        else:
+            factor = spla.splu(M.tocsc())
     except RuntimeError as exc:  # SuperLU reports the failing pivot index
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
-    return factor.solve, lambda: (f"factored={M.shape[0]} nnz={M.nnz} "
-                                  f"fill={factor.L.nnz + factor.U.nnz}")
+    if reused:
+        solve = lambda b: factor.solve(b)[pattern.perm_c]  # noqa: E731
+    else:
+        solve = factor.solve
+        if pattern is not None:
+            pattern._order_columns(factor.perm_c)
+    return solve, lambda: (f"factored={M.shape[0]} nnz={M.nnz} "
+                           f"fill={factor.L.nnz + factor.U.nnz} "
+                           f"ordering={'reused' if reused else 'colamd'}")
 
 
 def _refined_solve(path: str, apply, factor, rhs: np.ndarray, always: bool = False):
@@ -153,12 +243,16 @@ def _refined_solve(path: str, apply, factor, rhs: np.ndarray, always: bool = Fal
     return x
 
 
-def lu_solve(A: sp.csr_array, rhs: np.ndarray) -> np.ndarray:
+def lu_solve(A: sp.csr_array, rhs: np.ndarray, pattern: Pattern | None = None) -> np.ndarray:
     """Direct sparse LU solve: SuperLU with partial pivoting (record path
     lu), refined once on the residual if it misses its tolerance (see
-    _refined_solve).  Raises SingularSystemError on a singular pivot, or if
-    the refined residual still misses."""
+    _refined_solve).  pattern, the Pattern that built A, lets every
+    factorization after its first reuse the column order (see _splu).
+    Raises SingularSystemError on a singular pivot, or if the refined
+    residual still misses."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (A.shape[0],):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({A.shape[0]},)")
-    return _refined_solve("lu", lambda v: matvec(A, v), lambda: _splu(A), rhs)
+    if pattern is not None and A.indptr is not pattern.indptr:
+        raise ValueError("the matrix was not built by the given pattern")
+    return _refined_solve("lu", lambda v: matvec(A, v), lambda: _splu(A, pattern), rhs)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .assembly1d import _flux_weights
 from .mesh import _quad_points
-from .polyspace import _chunks, layer_rule, leg_mass, legendre_basis
+from .polyspace import _chunks, _row_sums, layer_rule, leg_mass, legendre_basis
 
 __all__ = ["ErrorReport", "error_report_1d", "error_report_2d"]
 
@@ -40,8 +40,8 @@ def _jumps_sq_1d(w):
 def _error_pieces_1d(w, problem):
     """(|e_q|^2, |b^{1/2} e_u|^2, |e_u|^2, max|e_u|) of the volume error,
     streamed over chunks of cells: u is sampled once, on the quadrature nodes
-    plus both cell ends, and each chunk leaves only its per-cell sums, taken
-    as row sums (not matrix-vector products, which round by chunk size)."""
+    plus both cell ends, and each chunk leaves only its per-cell sums
+    (_row_sums)."""
     mesh, k = w.u.mesh, w.u.degree
     rule = layer_rule(k)
     ext = np.concatenate([rule.nodes, [-1.0, 1.0]])
@@ -53,7 +53,7 @@ def _error_pieces_1d(w, problem):
         linf_u = np.maximum(linf_u, np.abs(eu).max())
         X, eu = X[:, :rule.n], eu[:, :rule.n]
         eq = w.q.coeffs[s] @ phi - problem.q_exact(X)
-        sums[:, s] = [(f * rule.weights).sum(axis=1) for f in (eq**2, problem.b(X) * eu**2, eu**2)]
+        sums[:, s] = [_row_sums(f, rule.weights) for f in (eq**2, problem.b(X) * eu**2, eu**2)]
     l2q, bu, l2u = (float(0.5 * mesh.widths @ per_cell) for per_cell in sums)
     return l2q, bu, l2u, float(linf_u)
 

@@ -127,6 +127,14 @@ def _chunks(ncells: int, per_cell: int) -> list[slice]:
     return [slice(i * ncells // m, (i + 1) * ncells // m) for i in range(m)]
 
 
+def _row_sums(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The per-cell sums of f[cell, node] * weights[node] in 1D.  A row sum,
+    not a matrix-vector product, whose rows OpenBLAS rounds in blocks of
+    four: each row's sum has the same bits whatever rows come with it, and so
+    whatever the chunking."""
+    return (f * weights).sum(axis=1)
+
+
 def tensor_sum(vals: np.ndarray, weights: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> float:
     """Sum of vals[i, j, x, y] * weights[x] * weights[y] * wx[i] * wy[j],
     contracted one axis at a time."""

@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import ShishkinMesh1D, TensorMesh2D, _quad_points
-from .polyspace import (PiecewisePoly1D, PiecewisePoly2D, _chunks, end_vals, layer_rule,
-                        legendre_basis)
+from .polyspace import (PiecewisePoly1D, PiecewisePoly2D, _chunks, _row_sums, end_vals,
+                        layer_rule, legendre_basis)
 
 __all__ = [
     "composite_u_1d",
@@ -191,8 +191,8 @@ def measure_interp_error(field, interp: PiecewisePoly1D, norm: str = "l2") -> fl
     for s in _chunks(mesh.ncells, rule.n + ends.size):
         cells, c = (mesh.points[:-1][s], mesh.points[1:][s]), interp.coeffs[s]
         diff = np.asarray(field(_quad_points(cells, rule.nodes)), dtype=float) - c @ phi
-        if norm == "l2":  # a row sum, not a matrix-vector product: rounded alike in every chunk
-            sums[s] = (diff**2 * rule.weights).sum(axis=1)
+        if norm == "l2":
+            sums[s] = _row_sums(diff**2, rule.weights)
             continue
         diff_e = np.asarray(field(_quad_points(cells, ends)), dtype=float) - c @ phi_e
         linf = np.maximum(linf, max(np.abs(diff).max(), np.abs(diff_e).max()))

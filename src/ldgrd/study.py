@@ -132,11 +132,16 @@ def _run_case(cfg: StudyConfig, k: int, eps: float, n: int) -> ConvergenceRecord
 
 def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     """Run every (k, eps, N) case, attach observed rates between consecutive
-    mesh sizes, and return records ordered by (k, eps, N)."""
+    mesh sizes, and return records ordered by (k, eps, N).  The cases run
+    with eps innermost: the cases of one (k, N) share their 1D pattern and
+    its LU column order (assembly1d._plan), which then serves them back to
+    back."""
     records = []
     for k in sorted(cfg.degrees):
+        done = {(eps, n): _run_case(cfg, k, eps, n)
+                for n in sorted(cfg.n_list) for eps in sorted(cfg.eps_list)}
         for eps in sorted(cfg.eps_list):
-            group = [_run_case(cfg, k, eps, n) for n in sorted(cfg.n_list)]
+            group = [done[eps, n] for n in sorted(cfg.n_list)]
             by_n = {rec.N: rec for rec in group}
             for rec in group:
                 nxt = by_n.get(2 * rec.N)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import linalg as spla
 
 import ldgrd.assembly1d as assembly1d
+import ldgrd.linalg as linalg
 from ldgrd.assembly1d import (
     LdgSolution1D,
     assemble,
@@ -203,30 +205,96 @@ def test_assembly_is_bitwise_from_coo(flux, k):
     assert bit_digest(matrices()) == BIT_DIGESTS[flux, k]
 
 
+def _plan_arrays(plan):
+    pattern = plan.pattern
+    arrays = [plan.traces, plan.codes, plan.hat_index, pattern.first, pattern.indptr,
+              pattern.indices, *(a for pair in pattern.later for a in pair)]
+    if pattern.perm_c is not None:
+        arrays += [pattern.perm_c, pattern._to_csc, pattern._csc_indices, pattern._csc_indptr]
+    return arrays
+
+
 def test_table_layout_is_cached_per_structure():
-    """The eps-free layout is built once per (N, k, special index, jump
-    penalty), is read-only, and is a package-level functools cache, which
-    the benchmark's tracer empties before every execution."""
-    layout = assembly1d._layout
-    assert hasattr(layout, "cache_clear") and layout.__module__.startswith("ldgrd")
-    assert getattr(assembly1d, layout.__name__) is layout
-    layout.cache_clear()
+    """The eps-free plan is built once per (N, k, special index, jump
+    penalty, reaction mass) and serves every eps; its arrays are read-only,
+    and rebuilt they are the same bit for bit.  It is a package-level
+    functools cache of one entry, which the benchmark's tracer empties
+    before every execution."""
+    plan = assembly1d._plan
+    assert hasattr(plan, "cache_clear") and plan.__module__.startswith("ldgrd")
+    assert getattr(assembly1d, plan.__name__) is plan
+    assert plan.cache_info().maxsize == 1
+    plan.cache_clear()
     N, k = 32, 2
-    for eps in (1e-4, 1e-8):
+    for eps in (1e-4, 1e-8, 1e-12):
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
-        assemble(mesh, layer1d(eps), k)
-    info = layout.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    table_matrix(mesh, k, 1e-8, jump=False)
-    assert layout.cache_info().currsize == 2
-    assert layout.cache_info().misses == 2
-    lay = layout(N, k, 3 * N // 4, True)
-    assert len(lay.rows) == len(lay.cols) == 4 * N + len(lay.hat_index)
-    assert len(lay.traces) == len(lay.codes) == lay.hat_index[-1] + 1
-    for a in lay:
+        solve_1d(mesh, layer1d(eps), k)
+    info = plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    built = plan(N, k, 3 * N // 4, True, True)
+    assert plan.cache_info().misses == 1
+    assert built.pattern.perm_c is not None  # recorded by the first solve
+    table_matrix(mesh, k, 1e-8, jump=False)  # another pattern takes the entry
+    assert plan.cache_info().currsize == 1
+    assert plan.cache_info().misses == 2
+    assert len(built.traces) == len(built.codes) == built.hat_index[-1] + 1
+    assert built.pattern.later  # entries that sum several blocks' values
+    arrays = _plan_arrays(built)
+    for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0
+    # a matrix holds its plan's pattern: a change of it in place is refused,
+    # a copy's goes through
+    A = assemble(mesh, layer1d(1e-12), k).matrix
+    with pytest.raises(ValueError):
+        A.eliminate_zeros()
+    A.copy().eliminate_zeros()
+    plan.cache_clear()
+    again = plan(N, k, 3 * N // 4, True, True)
+    assert again is not built and again.pattern.perm_c is None
+    solve_1d(mesh, layer1d(1e-12), k)
+    assert (plan.cache_info().misses, plan.cache_info().hits) == (1, 1)
+    for a, b in zip(_plan_arrays(again), arrays, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# sweep1d's grid (paper flux, b = 1, sigma = k + 1) and, on fewer N, k = 4,
+# the classic flux and b = 1 + x^2.
+SWEEP_EPS = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+ORDERING_CASES = ([("paper", k, (32, 64, 128, 256, 512, 1024)) for k in (1, 2, 3)]
+                  + [("paper", 4, (8, 32, 256, 1024))]
+                  + [(flux, k, (8, 32, 256, 1024)) for flux in ("classic", "paper_varb")
+                     for k in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("flux, k, n_list", ORDERING_CASES,
+                         ids=[f"{flux}-k{k}" for flux, k, _ in ORDERING_CASES])
+def test_reused_ordering_is_bitwise_the_reference_lu(flux, k, n_list):
+    """Once a pattern has been factored, every later matrix of it is factored
+    in the recorded column order; its solution is bit for bit that of a
+    fresh SuperLU factorization with COLAMD, and that factorization's perm_c
+    is the recorded one.  Each case is compared, the first of each pattern
+    too, after the pattern has recorded its order."""
+    for N in n_list:
+        for eps in SWEEP_EPS:
+            try:
+                mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+            except ValueError:  # tau > 1/4 at eps=1e-4 on the finer meshes for k >= 3
+                continue
+            problem = layer1d(eps)
+            if flux == "paper_varb":
+                problem = dataclasses.replace(problem, b=lambda x: 1.0 + x**2)
+            system = assemble(mesh, problem, k, flux != "classic")
+            A, rhs, pattern = system.matrix, system.rhs, system.pattern
+            reference = spla.splu(A.tocsc())
+            if pattern.perm_c is None:
+                linalg._splu(A, pattern)
+            solve, record = linalg._splu(A, pattern)
+            assert record().endswith("ordering=reused")
+            assert f"fill={reference.L.nnz + reference.U.nnz} " in record()
+            assert np.array_equal(pattern.perm_c, reference.perm_c), (N, eps)
+            assert np.array_equal(solve(rhs), reference.solve(rhs)), (N, eps)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

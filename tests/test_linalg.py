@@ -11,9 +11,10 @@ import pytest
 import scipy.sparse.linalg
 
 import ldgrd
+import ldgrd.assembly1d as assembly1d
 from ldgrd.assembly1d import assemble, solve_1d
 from ldgrd.assembly2d import solve_2d
-from ldgrd.linalg import SingularSystemError, from_coo, lu_solve, matvec
+from ldgrd.linalg import Pattern, SingularSystemError, from_coo, lu_solve, matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.problems import poly_exact_1d, poly_exact_2d
 
@@ -94,15 +95,20 @@ def test_debug_record_per_solve(caplog):
     # every 2D solve runs PCG on the Schur complement in U; for b = 2 its
     # fast-diagonalization preconditioner is exact
     variable_b = dataclasses.replace(poly_exact_2d(eps), b=lambda x, y: 2.0 + x * (1.0 - y))
+    assembly1d._plan.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="ldgrd"):
+        solve_1d(m, poly_exact_1d(eps), 1)
         solve_1d(m, poly_exact_1d(eps), 1)
         solve_2d(mesh2, variable_b, 1)
         solve_2d(mesh2, poly_exact_2d(eps), 1)
-    one, two, constant = solve_records(caplog)
+    one, again, two, constant = solve_records(caplog)
     assert (one["path"], one["unknowns"], one["factored"]) == ("lu", "16", "16")
     assert int(one["fill"]) >= int(one["nnz"]) > 0
     assert one["refined"] == "False"
     assert float(one["refined_residual"]) == float(one["residual"]) <= 1e-10
+    # the second solve of the pattern reuses the first one's column order
+    assert (one["ordering"], again["ordering"]) == ("colamd", "reused")
+    assert {**again, "ordering": "colamd"} == one
     # nothing is factored; the eigenproblems have N(k+1) unknowns, and each
     # of the two S-solves (solve, refinement) reports its PCG iterations
     for rec in (two, constant):
@@ -120,8 +126,36 @@ def test_debug_record_per_solve(caplog):
     with caplog.at_level(logging.DEBUG, logger="ldgrd"), pytest.raises(SingularSystemError):
         lu_solve(A, rhs)
     (rec,) = solve_records(caplog)
-    assert rec["refined"] == "True"
+    assert rec["refined"] == "True" and rec["ordering"] == "colamd"
     assert float(rec["refined_residual"]) > 2e-10
+
+
+def test_pattern_matrix_is_bitwise_from_coo(rng):
+    # Shuffled triplets with up to four at one position, signed zeros among
+    # them: the pattern's sums are from_coo's, bit for bit, in every row.
+    n = 40
+    rows, cols = rng.integers(0, n, 600), rng.integers(0, n, 600)
+    rows[:n], cols[:n] = np.arange(n), np.arange(n)  # no empty row
+    pattern = Pattern(n, rows, cols)
+    assert pattern.later and pattern.indptr.dtype == pattern.indices.dtype == np.int32
+    for vals in (rng.standard_normal(600) * 10.0 ** rng.integers(-8, 8, 600),
+                 np.where(rng.random(600) < 0.5, -0.0, 0.0)):
+        A, B = pattern.matrix(vals), from_coo(n, rows, cols, vals)
+        for a, b in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    vals[7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        pattern.matrix(vals)
+
+
+def test_pattern_reuse_needs_the_matrix_it_built(rng):
+    pattern = Pattern(2, [0, 1, 1], [0, 0, 1])
+    A = pattern.matrix(np.array([2.0, 1.0, 3.0]))
+    rhs = np.array([2.0, 4.0])
+    for _ in range(2):  # COLAMD, then the recorded order
+        assert np.array_equal(lu_solve(A, rhs, pattern), [1.0, 1.0])
+    with pytest.raises(ValueError, match="pattern"):
+        lu_solve(from_coo(2, [0, 1, 1], [0, 0, 1], [2.0, 1.0, 3.0]), rhs, pattern)
 
 
 def test_duplicate_triplets_are_summed():

@@ -354,6 +354,22 @@ def test_streamed_results_do_not_depend_on_the_chunk_size(dim, k, monkeypatch):
             assert np.array_equal(a, b), (size, a, b)
 
 
+def test_1d_per_cell_sums_do_not_depend_on_the_chunking(rng):
+    # The 1D report and interpolation error share one row sum, whose bits do
+    # not depend on the rows beside it.  A matrix-vector product's do (OpenBLAS
+    # rounds its rows in blocks of four), and the reported scalars would not
+    # show it: row counts here are not multiples of 4, at 8 nodes and more.
+    from ldgrd import norms, projection
+
+    assert norms._row_sums is projection._row_sums is polyspace._row_sums
+    for nodes in (3, 8, 13):
+        f, weights = rng.standard_normal((1023, nodes)), rng.random(nodes)
+        whole = polyspace._row_sums(f, weights)
+        for size in (1, 2, 3, 5, 7, 250):
+            parts = [polyspace._row_sums(f[i:i + size], weights) for i in range(0, len(f), size)]
+            assert np.array_equal(np.concatenate(parts), whole), (nodes, size)
+
+
 @pytest.mark.parametrize("name, bound", [("error_report_2d", 4), ("measure_interp_error_2d", 2),
                                          ("composite_u_2d", 2)])
 def test_streamed_evaluations_have_bounded_memory(name, bound):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import io
 import math
@@ -6,6 +7,8 @@ import pkgutil
 
 import pytest
 
+import ldgrd.assembly1d as assembly1d
+import ldgrd.study as study
 from ldgrd.cli import build_parser, main
 from ldgrd.problems import PROBLEM_NAMES
 from ldgrd.study import (
@@ -125,6 +128,37 @@ def test_csv_bit_stable():
     t1 = records_to_csv(run_study(cfg))
     t2 = records_to_csv(run_study(cfg))
     assert t1 == t2
+
+
+def test_evaluation_order_changes_nothing_observable(monkeypatch):
+    # run_study computes the cases of one (k, N) back to back over eps; its
+    # records, statuses, rates and CSV bytes are those of _run_case called in
+    # (k, eps, N) order.  sweep1d's grid, with the case that has no mesh
+    # (k=3, eps=1e-4, N=1024: tau > 1/4) in its slot.
+    cfg = StudyConfig(dim=1, degrees=(1, 2, 3), eps_list=(1e-4, 1e-6, 1e-8, 1e-10, 1e-12),
+                      n_list=(32, 64, 128, 256, 512, 1024), problem="layer1d")
+    eps_list = sorted(cfg.eps_list)
+    keys = [(k, eps, n) for k in cfg.degrees for eps in eps_list for n in cfg.n_list]
+    assembly1d._plan.cache_clear()
+    explicit = {key: study._run_case(cfg, *key) for key in keys}
+    calls = []
+
+    def replay(cfg, k, eps, n):
+        calls.append((k, eps, n))
+        return dataclasses.replace(explicit[k, eps, n])
+
+    monkeypatch.setattr(study, "_run_case", replay)
+    expected = run_study(cfg)
+    monkeypatch.undo()
+    assert calls == [(k, eps, n) for k in cfg.degrees for n in cfg.n_list for eps in eps_list]
+    assembly1d._plan.cache_clear()
+    records = run_study(cfg)
+    assert [(r.k, r.eps, r.N) for r in records] == keys
+    assert records == expected
+    assert records_to_csv(records).encode() == records_to_csv(expected).encode()
+    failed = [(r.k, r.eps, r.N, r.status) for r in records if r.status != "ok"]
+    assert failed == [(3, 1e-4, 1024, "error: ValueError")]
+    assert sum(r.rs_balanced is not None for r in records) == 74
 
 
 def test_table_output_mentions_each_block():
