@@ -3,6 +3,8 @@ interpolants used to measure interpolation error on graded meshes."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .mesh import ShishkinMesh1D, TensorMesh2D, _quad_points
@@ -23,16 +25,45 @@ __all__ = [
 # single cell is the 0-d case), followed where needed by the Gauss-Radau
 # endpoint fix along one coefficient axis.  The composites fill one coefficient
 # array chunk by chunk of cells and apply the fix where their region mask holds.
+# A field is a pure function of its coordinates: in 1D the composites and
+# measures share its node samples through _node_samples.
+
+
+@lru_cache(maxsize=1)
+def _node_samples(field, mesh: ShishkinMesh1D, k: int) -> np.ndarray:
+    """Read-only (ncells, k+5) values of field at the layer_rule(k) nodes of
+    every cell, sampled chunk by chunk; one entry, so the 1D composite of a
+    field and both of its measures sample it once."""
+    nodes = layer_rule(k).nodes
+    zx = np.empty((mesh.ncells, nodes.size))
+    for s in _chunks(mesh.ncells, nodes.size):
+        zx[s] = field(_quad_points((mesh.points[:-1][s], mesh.points[1:][s]), nodes))
+    zx.flags.writeable = False
+    return zx
+
+
+def _samples(field, mesh: ShishkinMesh1D, k: int) -> np.ndarray:
+    """_node_samples, sampled afresh for a field that cannot be hashed."""
+    try:
+        hash(field)
+    except TypeError:
+        return _node_samples.__wrapped__(field, mesh, k)
+    return _node_samples(field, mesh, k)
+
+
+def _project(zx: np.ndarray, k: int) -> np.ndarray:
+    """Legendre coefficients (..., k+1) of the L2 projection onto degree k
+    from the values zx (..., k+5) at the layer_rule(k) nodes of each cell."""
+    rule = layer_rule(k)
+    phi = legendre_basis(k, rule.nodes)
+    raw = np.matmul(phi, (rule.weights * zx)[..., None])[..., 0]
+    return (2.0 * np.arange(k + 1) + 1.0) / 2.0 * raw
 
 
 def _moments(z, cell, k: int) -> np.ndarray:
     """Legendre coefficients (..., k+1) of the L2 projection of z onto degree
     k on each interval cell = (a, b), a cell or an edge; a and b broadcast."""
-    rule = layer_rule(k)
-    phi = legendre_basis(k, rule.nodes)
-    zx = np.asarray(z(_quad_points(cell, rule.nodes)), dtype=float)
-    raw = np.matmul(phi, (rule.weights * zx)[..., None])[..., 0]
-    return (2.0 * np.arange(k + 1) + 1.0) / 2.0 * raw
+    return _project(np.asarray(z(_quad_points(cell, layer_rule(k).nodes)), dtype=float), k)
 
 
 def _moments_2d(z, cell, k: int) -> np.ndarray:
@@ -72,7 +103,12 @@ def _radau_fix(c: np.ndarray, trace, axis: int, side: str, where=True) -> np.nda
 def _radau_1d(z, cell, k: int, side: str, where=True) -> np.ndarray:
     """Gauss-Radau coefficients (..., k+1) on the intervals cell = (a, b)
     where `where` holds, L2 coefficients elsewhere."""
-    c = _moments(z, cell, k)
+    return _radau_end(_moments(z, cell, k), z, cell, side, where)
+
+
+def _radau_end(c: np.ndarray, z, cell, side: str, where=True) -> np.ndarray:
+    """The 1D Gauss-Radau fix of the L2 coefficients c (..., k+1) on the
+    intervals cell, in place, with z sampled at the matched ends."""
     end = np.expand_dims(cell[1] if side == "minus" else cell[0], -1)
     # as (..., 1, k+1) the 'plus' dot is one vector dot per cell, rounded as on one cell
     _radau_fix(c[..., None, :], np.asarray(z(end), dtype=float), -1, side, where)
@@ -102,10 +138,13 @@ def _mid_band(j: np.ndarray, N: int) -> np.ndarray:
 
 def _composite_1d(z, mesh: ShishkinMesh1D, k: int, side: str, where) -> PiecewisePoly1D:
     """Gauss-Radau coefficients of z on the cells where the (ncells,) mask
-    `where` holds, L2 coefficients elsewhere, filled chunk by chunk of cells."""
+    `where` holds, L2 coefficients elsewhere, filled chunk by chunk of cells
+    from the shared node samples."""
+    zx = _samples(z, mesh, k)
     c = np.empty((mesh.ncells, k + 1))
     for s in _chunks(mesh.ncells, layer_rule(k).n):
-        c[s] = _radau_1d(z, (mesh.points[:-1][s], mesh.points[1:][s]), k, side, where[s])
+        c[s] = _radau_end(_project(zx[s], k), z, (mesh.points[:-1][s], mesh.points[1:][s]),
+                          side, where[s])
     return PiecewisePoly1D(mesh, c)
 
 
@@ -114,7 +153,9 @@ def composite_u_1d(u, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly1D:
 
     Right-endpoint-matching Gauss-Radau on the fine cells except the last
     one (0-based cells 0..N/4-1 and 3N/4..N-2); plain L2 projection on the
-    coarse interior cells and on the final cell.
+    coarse interior cells and on the final cell.  u must be a pure function
+    of x: its node samples are kept in a one-entry cache, keyed on the u and
+    mesh objects, that measure_interp_error of the same u and mesh reuses.
     """
     N = mesh.ncells
     return _composite_1d(u, mesh, k, "minus", _fine_band(np.arange(N), N))
@@ -122,7 +163,8 @@ def composite_u_1d(u, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly1D:
 
 def composite_q_1d(q, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly1D:
     """Layer-aware interpolant of the flux variable: L2 projection on the
-    first cell, left-endpoint-matching Gauss-Radau everywhere else."""
+    first cell, left-endpoint-matching Gauss-Radau everywhere else.  q must
+    be a pure function of x; its node samples are cached as in composite_u_1d."""
     return _composite_1d(q, mesh, k, "plus", np.arange(mesh.ncells) > 0)
 
 
@@ -181,21 +223,26 @@ def _check_norm(norm: str) -> None:
 def measure_interp_error(field, interp: PiecewisePoly1D, norm: str = "l2") -> float:
     """L2 or max-norm distance between a callable field and a piecewise
     polynomial, chunk by chunk of cells; the max norm samples quadrature nodes
-    plus both cell ends."""
+    plus both cell ends.  field must be a pure function of x: its node
+    samples come from the one-entry cache that the 1D composites fill, so a
+    measure right after the composite of the same field and mesh, or after
+    the other norm, samples only the cell ends.  The 2D measure has no such
+    cache: its node grid grows as N^2."""
     _check_norm(norm)
     mesh, k = interp.mesh, interp.degree
     rule = layer_rule(k)
     ends = np.array([-1.0, 1.0])
     phi, phi_e = legendre_basis(k, rule.nodes), legendre_basis(k, ends)
+    zx = _samples(field, mesh, k)
     sums, linf = np.empty(mesh.ncells), 0.0
     for s in _chunks(mesh.ncells, rule.n + ends.size):
         cells, c = (mesh.points[:-1][s], mesh.points[1:][s]), interp.coeffs[s]
-        diff = np.asarray(field(_quad_points(cells, rule.nodes)), dtype=float) - c @ phi
+        diff = zx[s] - c @ phi
         if norm == "l2":
             sums[s] = _row_sums(diff**2, rule.weights)
             continue
         diff_e = np.asarray(field(_quad_points(cells, ends)), dtype=float) - c @ phi_e
-        linf = np.maximum(linf, max(np.abs(diff).max(), np.abs(diff_e).max()))
+        linf = np.maximum(linf, np.maximum(np.abs(diff).max(), np.abs(diff_e).max()))
     if norm == "l2":
         return float(np.sqrt(0.5 * mesh.widths @ sums))
     return float(linf)

@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,12 @@ from numpy.polynomial.legendre import legval
 
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.polyspace import gauss_rule, legendre_basis
+from ldgrd import projection
 from ldgrd.problems import layer1d, layer2d
 from ldgrd.projection import (
+    _fine_band,
     _moments,
+    _node_samples,
     _moments_2d,
     _radau_1d,
     _radau_2d,
@@ -318,6 +323,142 @@ def test_measure_interp_error_rejects_a_bad_norm_before_sampling():
     for measure, interp in ((measure_interp_error, u1), (measure_interp_error_2d, u2)):
         with pytest.raises(ValueError, match="norm must be 'l2' or 'linf', got 'l1'"):
             measure(field, interp, "l1")
+
+
+def test_measure_interp_error_linf_keeps_nan_at_a_cell_end():
+    # NaN only at x = 1 (or x = 0), a cell end and no quadrature node: the
+    # max norm must report it, not the finite node maximum.
+    mesh = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=8))
+    comp = composite_u_1d(lambda x: x, mesh, 1)
+    for end in (0.0, 1.0):
+        err = measure_interp_error(lambda x, end=end: np.where(x == end, np.nan, x), comp, "linf")
+        assert np.isnan(err), end
+    assert measure_interp_error(lambda x: x, comp, "linf") < 1e-15
+
+
+# -- the shared 1D node samples ----------------------------------------------
+
+
+def layer_case(k, N=1024, eps=1e-8):
+    spec = layer1d(eps)
+    return spec, build_shishkin_1d(MeshParams(eps=eps, beta=spec.beta, sigma=k + 1.0, N=N))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_shared_node_samples_are_bitwise_those_of_cold_calls(k):
+    """The composites and both measures give the same bits whether every
+    call samples afresh or all share one sampling, and the composites are
+    the whole-mesh kernels' coefficients, which sample the field themselves."""
+    spec, mesh = layer_case(k)
+    cells = mesh.points[:-1], mesh.points[1:]
+    j = np.arange(mesh.ncells)
+    for build, field, side, where in ((composite_u_1d, spec.u_exact, "minus", _fine_band(j, j.size)),
+                                      (composite_q_1d, spec.q_exact, "plus", j > 0)):
+        cold = []
+        for norm in ("l2", "linf"):
+            _node_samples.cache_clear()
+            comp = build(field, mesh, k)
+            _node_samples.cache_clear()
+            cold.append(measure_interp_error(field, comp, norm))
+        _node_samples.cache_clear()
+        shared = build(field, mesh, k)
+        warm = [measure_interp_error(field, shared, norm) for norm in ("l2", "linf")]
+        assert _node_samples.cache_info().misses == 1
+        assert np.array_equal(shared.coeffs, comp.coeffs)
+        assert np.array_equal(shared.coeffs, _radau_1d(field, cells, k, side, where))
+        assert warm == cold
+
+
+def test_node_samples_are_keyed_on_field_mesh_and_degree():
+    spec, mesh = layer_case(2, N=64)
+    _, other_mesh = layer_case(2, N=64)
+    _node_samples.cache_clear()
+    composite_u_1d(spec.u_exact, mesh, 2)
+    samples = _node_samples(spec.u_exact, mesh, 2)
+    assert _node_samples.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+    def same_u(x):
+        return spec.u_exact(x)
+
+    for args in ((same_u, mesh, 2), (spec.u_exact, other_mesh, 2), (spec.u_exact, mesh, 3)):
+        misses = _node_samples.cache_info().misses
+        assert _node_samples(*args) is not samples
+        assert _node_samples.cache_info().misses == misses + 1
+    assert _node_samples.cache_info().currsize == 1
+    # q measured right after u on the same mesh never gets u's samples
+    q = composite_q_1d(spec.q_exact, mesh, 2)
+    composite_u_1d(spec.u_exact, mesh, 2)
+    misses = _node_samples.cache_info().misses
+    err = measure_interp_error(spec.q_exact, q, "l2")
+    assert _node_samples.cache_info().misses == misses + 1
+    _node_samples.cache_clear()
+    assert err == measure_interp_error(spec.q_exact, q, "l2")
+    # resampled, the same bits
+    assert np.array_equal(_node_samples(spec.u_exact, mesh, 2), samples)
+
+
+def test_node_samples_are_read_only_and_one_package_cache_entry():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracer import clear_package_caches
+
+    spec, mesh = layer_case(1, N=64)
+    samples = _node_samples(spec.u_exact, mesh, 1)
+    assert samples.shape == (64, 6) and not samples.flags.writeable
+    with pytest.raises(ValueError):
+        samples[0, 0] = 0.0
+    assert _node_samples.cache_info().maxsize == 1
+    assert getattr(projection, _node_samples.__name__) is _node_samples
+    clear_package_caches()
+    assert _node_samples.cache_info()[:4] == (0, 0, 1, 0)  # hits, misses, maxsize, currsize
+
+
+def test_an_unhashable_field_is_sampled_without_the_cache():
+    spec, mesh = layer_case(2, N=64)
+
+    class Field:
+        __hash__ = None
+
+        def __call__(self, x):
+            return spec.u_exact(x)
+
+    _node_samples.cache_clear()
+    comp = composite_u_1d(Field(), mesh, 2)
+    errs = [measure_interp_error(Field(), comp, norm) for norm in ("l2", "linf")]
+    assert _node_samples.cache_info()[:2] == (0, 0)
+    assert np.array_equal(comp.coeffs, composite_u_1d(spec.u_exact, mesh, 2).coeffs)
+    assert errs == [measure_interp_error(spec.u_exact, comp, norm) for norm in ("l2", "linf")]
+
+
+def test_shared_node_samples_keep_one_chunked_array():
+    # At k=3, N=16384 one sample array is 1 MiB.  After both composites and
+    # their four measures only the last field's samples stay beyond the
+    # coefficients (a second cache entry would keep 2 MiB); the peak holds
+    # both fields' samples while the entry changes hands, plus chunk-sized
+    # temporaries (a whole-mesh sampling would add several MiB).
+    k = 3
+    spec, mesh = layer_case(k, N=16384)
+    samples = 16384 * (k + 5) * 8
+
+    def run():
+        out = []
+        for build, field in ((composite_u_1d, spec.u_exact), (composite_q_1d, spec.q_exact)):
+            comp = build(field, mesh, k)
+            for norm in ("l2", "linf"):
+                measure_interp_error(field, comp, norm)
+            out.append(comp)
+        return out
+
+    run()  # warm the reference-cell caches
+    _node_samples.cache_clear()
+    tracemalloc.start()
+    try:
+        out = run()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    coeffs = sum(comp.coeffs.nbytes for comp in out)
+    assert retained <= coeffs + samples + 2**16, (retained - coeffs) / 2**20
+    assert peak <= coeffs + 2 * samples + 2**20, (peak - coeffs) / 2**20
 
 
 # -- defining conditions of every composite cell (property tests) ------------

@@ -12,8 +12,11 @@ through the tree's own `coeffs_to_solution_2d`, and the matrix is permuted
 to one fixed per-cell order through its `solution_to_coeffs_2d`, with
 explicit zeros dropped.  It also saves the coefficients `coeffs` and the
 errors `err` (l2, then linf) of the composite interpolants of the benchmark's
-interp workload.  Run it once per tree, each in its own process, so that the
-two packages never share an interpreter:
+interp workload; for each 1D interpolant also `err_cold`, both errors
+measured again right after emptying the shared 1D node-sample cache
+(`projection._node_samples`, where the tree has one), so that the shared and
+the cold sampling are compared bitwise across trees.  Run it once per tree,
+each in its own process, so that the two packages never share an interpreter:
 
     python3 tools/compare_outputs.py dump /path/to/parent parent.npz
     python3 tools/compare_outputs.py dump . new.npz
@@ -133,13 +136,15 @@ def _cases():
 
 
 def _interpolants():
-    """Yield (key, coefficients, [l2 error, linf error]) for every composite
-    interpolant of the interp grid."""
+    """Yield (key, {name: array}) for every composite interpolant of the
+    interp grid: its `coeffs`, its `err` [l2 error, linf error] and, in 1D,
+    the same errors measured with a cold sample cache, `err_cold`."""
     from ldgrd import projection as pj
     from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
     from ldgrd.problems import get_problem
 
     g = GRID_INTERP
+    samples = getattr(pj, "_node_samples", None)  # a tree without the 1D sample cache has none
     for eps in g["eps"]:
         for dim, degrees, N in ((1, g["k1"], g["N1"]), (2, g["k2"], g["N2"])):
             spec = get_problem(f"layer{dim}d", eps)
@@ -158,8 +163,16 @@ def _interpolants():
                     m = build_tensor_2d(m, m)
                 for name, (build, field) in fields.items():
                     interp = build(field, m, k)
-                    yield (f"interp/{dim}d/{name}/k{k}/eps{eps:.0e}/N{N}", interp.coeffs,
-                           np.array([measure(field, interp, norm) for norm in ("l2", "linf")]))
+                    arrays = {"coeffs": interp.coeffs, "err": np.array(
+                        [measure(field, interp, norm) for norm in ("l2", "linf")])}
+                    if dim == 1:
+                        cold = []
+                        for norm in ("l2", "linf"):
+                            if samples is not None:
+                                samples.cache_clear()
+                            cold.append(measure(field, interp, norm))
+                        arrays["err_cold"] = np.array(cold)
+                    yield f"interp/{dim}d/{name}/k{k}/eps{eps:.0e}/N{N}", arrays
 
 
 def _fields(t) -> np.ndarray:
@@ -202,11 +215,12 @@ def dump(tree: Path, out: Path) -> None:
                        f"{key}/data": A.data, f"{key}/rhs": system.rhs,
                        f"{key}/x": x, f"{key}/report": np.array(values)})
     ncases = len(arrays) // 6
-    for key, coeffs, err in _interpolants():
-        arrays.update({f"{key}/coeffs": coeffs, f"{key}/err": err})
+    ninterp = 0
+    for key, interp in _interpolants():
+        arrays.update({f"{key}/{name}": a for name, a in interp.items()})
+        ninterp += 1
     np.savez(out, **arrays)
-    print(f"{ncases} cases, {(len(arrays) - 6 * ncases) // 2} interpolants, {len(arrays)} arrays "
-          f"from {src} -> {out}")
+    print(f"{ncases} cases, {ninterp} interpolants, {len(arrays)} arrays from {src} -> {out}")
 
 
 def _status(a, b) -> tuple[str, float]:
