@@ -7,6 +7,7 @@ from .assembly2d import LdgSolution2D, bilinear_B2d, solve_2d
 from .mesh import MeshParams, ShishkinMesh1D, TensorMesh2D, build_shishkin_1d, build_tensor_2d
 from .norms import (
     ErrorReport,
+    error_report,
     error_report_1d,
     error_report_2d,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "bilinear_B2d",
     "build_shishkin_1d",
     "build_tensor_2d",
+    "error_report",
     "error_report_1d",
     "error_report_2d",
     "get_problem",

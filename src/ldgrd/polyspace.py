@@ -118,29 +118,25 @@ CHUNK_VALUES = 1 << 15  # doubles per grid temporary of a whole-mesh evaluation 
 def _chunks(ncells: int, per_cell: int) -> list[slice]:
     """Near-equal consecutive slices of the ncells leading cells (x-rows in 2D), of at
     most max(2, CHUNK_VALUES // per_cell) each, the constant read at call time; for even
-    ncells none holds one cell, whose products numpy would round by its vector kernel.
-    The 2D per-cell sums are matrix-vector products (as in tensor_sum), whose rows
-    OpenBLAS rounds in blocks of four: they do not depend on the chunking only because
-    each chunk's row counts, c*ny*n and c*ny, are multiples of 4, as MeshParams's
-    N % 4 == 0 makes them.  Another BLAS, or another N, could make them depend on it."""
+    ncells none holds one cell, whose products numpy would round by its vector kernel."""
     m = -(-ncells // max(2, CHUNK_VALUES // per_cell))
     return [slice(i * ncells // m, (i + 1) * ncells // m) for i in range(m)]
 
 
-def _row_sums(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The per-cell sums of f[cell, node] * weights[node] in 1D.  A row sum,
-    not a matrix-vector product, whose rows OpenBLAS rounds in blocks of
-    four: each row's sum has the same bits whatever rows come with it, and so
-    whatever the chunking."""
-    return (f * weights).sum(axis=1)
+def _cell_sums(f: np.ndarray, weights: np.ndarray, dim: int) -> np.ndarray:
+    """The per-cell sums of f[..., node per axis] times the tensor-product
+    weights over its dim trailing node axes, by one np.einsum, which calls no
+    BLAS: each cell's sum has the same bits whatever cells come with it, and
+    so whatever the chunking."""
+    axes = "xy"[:dim]
+    return np.einsum(f"...{axes},{axes}->...", f, np.multiply.outer(weights, weights)
+                     if dim == 2 else weights)
 
 
 def tensor_sum(vals: np.ndarray, weights: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> float:
-    """Sum of vals[i, j, x, y] * weights[x] * weights[y] * wx[i] * wy[j],
-    contracted one axis at a time."""
-    n = weights.size
-    per_cell = ((vals.reshape(-1, n) @ weights).reshape(-1, n) @ weights).reshape(wx.size, wy.size)
-    return float(wx @ per_cell @ wy)
+    """Sum of vals[i, j, x, y] * weights[x] * weights[y] * wx[i] * wy[j]:
+    per-cell sums, then the widths contracted one axis at a time."""
+    return float(wx @ _cell_sums(vals, weights, 2) @ wy)
 
 
 class PiecewisePoly1D:

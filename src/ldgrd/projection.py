@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import ShishkinMesh1D, TensorMesh2D, _quad_points
-from .polyspace import (PiecewisePoly1D, PiecewisePoly2D, _chunks, _row_sums, end_vals,
+from .polyspace import (PiecewisePoly1D, PiecewisePoly2D, _cell_sums, _chunks, end_vals,
                         layer_rule, legendre_basis)
 
 __all__ = [
@@ -239,7 +239,7 @@ def measure_interp_error(field, interp: PiecewisePoly1D, norm: str = "l2") -> fl
         cells, c = (mesh.points[:-1][s], mesh.points[1:][s]), interp.coeffs[s]
         diff = zx[s] - c @ phi
         if norm == "l2":
-            sums[s] = _row_sums(diff**2, rule.weights)
+            sums[s] = _cell_sums(diff**2, rule.weights, 1)
             continue
         diff_e = np.asarray(field(_quad_points(cells, ends)), dtype=float) - c @ phi_e
         linf = np.maximum(linf, np.maximum(np.abs(diff).max(), np.abs(diff_e).max()))
@@ -253,7 +253,6 @@ def measure_interp_error_2d(field, interp: PiecewisePoly2D, norm: str = "l2") ->
     _check_norm(norm)
     mesh, k = interp.mesh, interp.degree
     rule = layer_rule(k)
-    n, wt = rule.n, rule.weights
     t = rule.nodes if norm == "l2" else np.concatenate([rule.nodes, [-1.0, 1.0]])
     phi = legendre_basis(k, t)
     X, Y = mesh.quad_points(t, t)
@@ -262,8 +261,7 @@ def measure_interp_error_2d(field, interp: PiecewisePoly2D, norm: str = "l2") ->
         diff = phi.T @ (interp.coeffs[s] @ phi)  # interpolant minus field, in place
         diff -= np.asarray(field(X[s], Y), dtype=float)
         if norm == "l2":
-            diff **= 2
-            sums[s] = ((diff.reshape(-1, n) @ wt).reshape(-1, n) @ wt).reshape(-1, mesh.shape[1])
+            sums[s] = _cell_sums(np.square(diff, out=diff), rule.weights, 2)
         else:
             linf = np.maximum(linf, np.abs(diff).max())
     if norm == "l2":

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .assembly1d import solve_1d
 from .assembly2d import solve_2d
 from .mesh import MeshParams, build_shishkin_1d, build_tensor_2d
-from .norms import ErrorReport, error_report_1d, error_report_2d
+from .norms import ErrorReport, error_report
 from .problems import PROBLEM_NAMES, get_problem
 
 __all__ = [
@@ -120,10 +120,10 @@ def _run_case(cfg: StudyConfig, k: int, eps: float, n: int) -> ConvergenceRecord
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=problem.beta, sigma=sigma, N=n))
         jump = cfg.flux == "paper"
         if cfg.dim == 1:
-            rec.report = error_report_1d(solve_1d(mesh, problem, k, jump), problem, jump)
+            w = solve_1d(mesh, problem, k, jump)
         else:
-            t = solve_2d(build_tensor_2d(mesh, mesh), problem, k, jump)
-            rec.report = error_report_2d(t, problem, jump)
+            w = solve_2d(build_tensor_2d(mesh, mesh), problem, k, jump)
+        rec.report = error_report(w, problem, jump)
     except Exception as exc:  # per-case failures recorded; the sweep continues
         rec.status = f"error: {type(exc).__name__}"
         rec.detail = str(exc)

@@ -10,7 +10,7 @@ from ldgrd import polyspace
 from ldgrd.assembly1d import LdgSolution1D, bilinear_B, solve_1d
 from ldgrd.assembly2d import LdgSolution2D, bilinear_B2d, solve_2d
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
-from ldgrd.norms import error_report_1d, error_report_2d
+from ldgrd.norms import error_report, error_report_1d, error_report_2d
 from ldgrd.polyspace import PiecewisePoly1D, PiecewisePoly2D
 from ldgrd.problems import ProblemSpec1D, layer1d, layer2d, layer2d_variable_b, poly_exact_1d
 from ldgrd.projection import (composite_px_2d, composite_q_1d, composite_qy_2d, composite_u_1d,
@@ -216,6 +216,26 @@ def test_2d_energy_norms_read_special_index(rng):
     assert math.isclose(error_report_2d(t, prob).err_energy ** 2, b_val, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_balanced_norm_does_not_depend_on_the_flux(dim, rng):
+    # The balanced norm weighs the special-line jumps alike for both fluxes
+    # (1 in 1D, eps^{-1/2} in 2D); only the energy norm takes the flux's
+    # lambda_jump, which is 0 for the classic flux.  A pair and a triple take
+    # the same report, under each of its names.
+    assert error_report_1d is error_report_2d is error_report
+    N, k, eps = 8, 2, 1e-6
+    if dim == 1:
+        mesh, prob = uniform_mesh(N), ZeroProblem1D(eps=eps)
+        w = LdgSolution1D(*(PiecewisePoly1D(mesh, rng.standard_normal((N, k + 1))) for _ in "qu"))
+    else:
+        mesh, prob = uniform_mesh_2d(N), ZeroProblem2D(eps=eps)
+        w = LdgSolution2D(*(PiecewisePoly2D(mesh, rng.standard_normal((N, N, k + 1, k + 1)))
+                            for _ in "upq"))
+    paper, classic = error_report(w, prob, True), error_report(w, prob, False)
+    assert paper.err_balanced == classic.err_balanced
+    assert paper.err_energy > classic.err_energy
+
+
 # -- what the error reports evaluate, and their memory ---------------------------
 
 
@@ -355,19 +375,33 @@ def test_streamed_results_do_not_depend_on_the_chunk_size(dim, k, monkeypatch):
 
 
 def test_1d_per_cell_sums_do_not_depend_on_the_chunking(rng):
-    # The 1D report and interpolation error share one row sum, whose bits do
-    # not depend on the rows beside it.  A matrix-vector product's do (OpenBLAS
-    # rounds its rows in blocks of four), and the reported scalars would not
-    # show it: row counts here are not multiples of 4, at 8 nodes and more.
+    # The reports, both interpolation l2 errors and tensor_sum share one
+    # per-cell sum, an einsum that calls no BLAS: a cell's bits do not depend
+    # on the cells beside it.  A matrix-vector product's do (OpenBLAS rounds
+    # its rows in blocks of four), and the reported scalars would not show it:
+    # row counts here are not multiples of 4, at 8 nodes and more.
     from ldgrd import norms, projection
 
-    assert norms._row_sums is projection._row_sums is polyspace._row_sums
+    assert norms._cell_sums is projection._cell_sums is polyspace._cell_sums
     for nodes in (3, 8, 13):
         f, weights = rng.standard_normal((1023, nodes)), rng.random(nodes)
-        whole = polyspace._row_sums(f, weights)
+        whole = polyspace._cell_sums(f, weights, 1)
         for size in (1, 2, 3, 5, 7, 250):
-            parts = [polyspace._row_sums(f[i:i + size], weights) for i in range(0, len(f), size)]
+            parts = [polyspace._cell_sums(f[i:i + size], weights, 1) for i in range(0, len(f), size)]
             assert np.array_equal(np.concatenate(parts), whole), (nodes, size)
+
+
+def test_2d_per_cell_sums_do_not_depend_on_the_chunking(rng):
+    # As in 1D, on blocks of 1, 3 and 5 x-rows of 4 to 12 cells: as
+    # matrix-vector products, these row counts are not all multiples of 4.
+    for nodes in (7, 9):
+        for ny in (4, 5, 7, 12):
+            f, weights = rng.standard_normal((15, ny, nodes, nodes)), rng.random(nodes)
+            whole = polyspace._cell_sums(f, weights, 2)
+            for size in (1, 3, 5):
+                parts = [polyspace._cell_sums(f[i:i + size], weights, 2)
+                         for i in range(0, len(f), size)]
+                assert np.array_equal(np.concatenate(parts), whole), (nodes, ny, size)
 
 
 @pytest.mark.parametrize("name, bound", [("error_report_2d", 4), ("measure_interp_error_2d", 2),

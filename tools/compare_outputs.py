@@ -32,8 +32,10 @@ noise-level entries can be told from a real one; this changes no verdict.
 The tolerance is that of the acceptance criteria: a 2D matrix's `data`
 may differ by at most RTOL_2D_DATA * max|A|, and every other array must be
 bitwise equal.  The last three lines give the verdict per group (`1d: n
-arrays, m outside tolerance`, then the same for 2d and interp), so that a
-change to one of them can be read from its line alone.  It exits with
+arrays, m outside tolerance`, then the same for 2d and interp), each with
+the largest max|d|/max|a| among the group's structure-equal arrays (0 if it
+has none), so that a change to one of them, a last-bit move of sums
+included, can be read from its line alone.  It exits with
 status 1 if any array is outside its tolerance.
 
 Grids (sigma = k + 1, as in the convergence study; cases whose mesh does not
@@ -253,7 +255,8 @@ def compare(old: Path, new: Path) -> int:
         a, b = dict(fa), dict(fb)
     counts = {"bitwise": 0, "structure": 0, "differs": 0}
     worst, rebuilt = {}, {}
-    per_dim = {"1d": [0, 0], "2d": [0, 0], "interp": [0, 0]}  # arrays, arrays outside tolerance
+    # arrays, arrays outside tolerance, largest max|d|/max|a| of a structure-equal array
+    per_dim = {"1d": [0, 0, 0.0], "2d": [0, 0, 0.0], "interp": [0, 0, 0.0]}
     for key in sorted(a.keys() | b.keys()):
         status, rel = _status(a.get(key), b.get(key))
         counts[status] += 1
@@ -264,6 +267,8 @@ def compare(old: Path, new: Path) -> int:
         tally = per_dim[key.split("/", 1)[0]]
         tally[0] += 1
         tally[1] += bad
+        if status == "structure":
+            tally[2] = max(tally[2], rel)
         print(f"{'FAIL' if bad else 'ok  '} {key}: {status}"
               + (f", max|d|/max|a| = {rel:.3g}" if status == "structure" else ""))
         case, field = key.rsplit("/", 1)
@@ -279,9 +284,10 @@ def compare(old: Path, new: Path) -> int:
     if rebuilt:
         print(f"  worst rebuilt 2d matrix of {len(rebuilt)} with another pattern: "
               f"max|A-B|/max|A| = {max(rebuilt.values()):.3g}")
-    for dim, (n, bad) in per_dim.items():
-        print(f"{dim}: {n} arrays, {bad} outside tolerance")
-    return 1 if any(bad for _, bad in per_dim.values()) else 0
+    for dim, (n, bad, rel) in per_dim.items():
+        print(f"{dim}: {n} arrays, {bad} outside tolerance, "
+              f"largest structure-equal max|d|/max|a| = {rel:.3g}")
+    return 1 if any(bad for _, bad, _ in per_dim.values()) else 0
 
 
 def main(argv=None) -> int:
