@@ -5,12 +5,7 @@ balanced-norm error measurement and a convergence-study CLI."""
 from .assembly1d import LdgSolution1D, assemble, bilinear_B, solve_1d
 from .assembly2d import LdgSolution2D, bilinear_B2d, solve_2d
 from .mesh import MeshParams, ShishkinMesh1D, TensorMesh2D, build_shishkin_1d, build_tensor_2d
-from .norms import (
-    ErrorReport,
-    error_report,
-    error_report_1d,
-    error_report_2d,
-)
+from .norms import ErrorReport, error_report
 from .problems import get_problem, layer1d, layer2d, poly_exact_1d, poly_exact_2d
 from .study import ConvergenceRecord, StudyConfig, rate_p, rate_s, run_study
 
@@ -31,8 +26,6 @@ __all__ = [
     "build_shishkin_1d",
     "build_tensor_2d",
     "error_report",
-    "error_report_1d",
-    "error_report_2d",
     "get_problem",
     "layer1d",
     "layer2d",

@@ -12,7 +12,7 @@ import numpy as np
 
 from .linalg import Pattern, SparseSystem, lu_solve
 from .mesh import ShishkinMesh1D
-from .polyspace import PiecewisePoly1D, end_vals, gauss_rule, grad_matrix, leg_mass, legendre_basis
+from .polyspace import PiecewisePoly, end_vals, gauss_rule, grad_matrix, leg_mass, legendre_basis
 
 __all__ = [
     "LdgSolution1D",
@@ -31,8 +31,8 @@ ASSEMBLY_EXTRA_NODES = 1  # one node beyond exactness for the polynomial terms
 class LdgSolution1D:
     """Discrete pair (Q, U) on a common mesh and degree."""
 
-    q: PiecewisePoly1D
-    u: PiecewisePoly1D
+    q: PiecewisePoly
+    u: PiecewisePoly
 
     def __post_init__(self):
         if self.q.mesh is not self.u.mesh or self.q.degree != self.u.degree:
@@ -201,8 +201,8 @@ def coeffs_to_solution(mesh: ShishkinMesh1D, k: int, x: np.ndarray) -> LdgSoluti
     B = k + 1
     blocks = np.asarray(x, dtype=float).reshape(N, 2, B)
     return LdgSolution1D(
-        q=PiecewisePoly1D(mesh, blocks[:, 0, :].copy()),
-        u=PiecewisePoly1D(mesh, blocks[:, 1, :].copy()),
+        q=PiecewisePoly(mesh, blocks[:, 0, :].copy()),
+        u=PiecewisePoly(mesh, blocks[:, 1, :].copy()),
     )
 
 

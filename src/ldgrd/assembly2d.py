@@ -12,7 +12,7 @@ from .assembly1d import (ASSEMBLY_EXTRA_NODES, _check_consistent, _flux_mass, _f
                          table_matrix)
 from .linalg import KroneckerSumSolve, _refined_solve, from_coo, pcg, sp
 from .mesh import TensorMesh2D
-from .polyspace import (PiecewisePoly2D, end_vals, gauss_rule, grad_matrix, leg_mass,
+from .polyspace import (PiecewisePoly, end_vals, gauss_rule, grad_matrix, leg_mass,
                         legendre_basis, tensor_sum)
 
 __all__ = [
@@ -28,9 +28,9 @@ __all__ = [
 class LdgSolution2D:
     """Discrete triple (U, P, Q) on a common tensor mesh and degree."""
 
-    u: PiecewisePoly2D
-    p: PiecewisePoly2D
-    q: PiecewisePoly2D
+    u: PiecewisePoly
+    p: PiecewisePoly
+    q: PiecewisePoly
 
     def __post_init__(self):
         if not (self.u.mesh is self.p.mesh is self.q.mesh):
@@ -192,8 +192,8 @@ def coeffs_to_solution_2d(mesh: TensorMesh2D, k: int, x: np.ndarray) -> LdgSolut
     nx, ny = mesh.shape
     p, q, u = np.asarray(x, dtype=float).reshape(3, nx, k + 1, ny, k + 1).transpose(
         0, 1, 3, 2, 4).copy()
-    return LdgSolution2D(u=PiecewisePoly2D(mesh, u), p=PiecewisePoly2D(mesh, p),
-                         q=PiecewisePoly2D(mesh, q))
+    return LdgSolution2D(u=PiecewisePoly(mesh, u), p=PiecewisePoly(mesh, p),
+                         q=PiecewisePoly(mesh, q))
 
 
 def solution_to_coeffs_2d(t: LdgSolution2D) -> np.ndarray:
@@ -255,14 +255,14 @@ def bilinear_B2d(t: LdgSolution2D, z: LdgSolution2D, b, eps: float, jump: bool =
     for axis, flux_t, flux_z, w_t in ((0, t.p, z.p, 0.5 * hy), (1, t.q, z.q, 0.5 * hx)):
         n, m = mesh.shape[axis], (mesh.mesh_x, mesh.mesh_y)[axis].special_index
         for i in range(1, n):
-            total -= line_dot(t.u.trace(axis, i, "left"), flux_z.jump(axis, i), w_t)
+            total -= line_dot(t.u.trace(i, "left", axis), flux_z.jump(i, axis), w_t)
         for i in range(n):
-            total -= line_dot(flux_t.trace(axis, i, "right"), z.u.jump(axis, i), w_t)
-        total -= line_dot(flux_t.trace(axis, n, "left"), z.u.jump(axis, n), w_t)
+            total -= line_dot(flux_t.trace(i, "right", axis), z.u.jump(i, axis), w_t)
+        total -= line_dot(flux_t.trace(n, "left", axis), z.u.jump(n, axis), w_t)
         if jump:
-            total += lam_j * line_dot(flux_t.jump(axis, m), flux_z.jump(axis, m), w_t)
+            total += lam_j * line_dot(flux_t.jump(m, axis), flux_z.jump(m, axis), w_t)
         total += lam_b * (
-            line_dot(t.u.jump(axis, 0), z.u.jump(axis, 0), w_t)
-            + line_dot(t.u.jump(axis, n), z.u.jump(axis, n), w_t)
+            line_dot(t.u.jump(0, axis), z.u.jump(0, axis), w_t)
+            + line_dot(t.u.jump(n, axis), z.u.jump(n, axis), w_t)
         )
     return total

@@ -74,6 +74,14 @@ class ShishkinMesh1D:
         return self.params.N
 
     @property
+    def axes(self) -> tuple[ShishkinMesh1D]:
+        return (self,)
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.params.N,)
+
+    @property
     def special_index(self) -> int:
         """Index 3N/4 of the transition point 1 - tau: the flux jump penalty's line."""
         return 3 * self.params.N // 4
@@ -117,6 +125,10 @@ class TensorMesh2D:
 
     mesh_x: ShishkinMesh1D
     mesh_y: ShishkinMesh1D
+
+    @property
+    def axes(self) -> tuple[ShishkinMesh1D, ShishkinMesh1D]:
+        return self.mesh_x, self.mesh_y
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -1,5 +1,7 @@
 """Energy-norm, balanced-norm and plain L2/Linf error measures of discrete
-solutions against exact solutions, in 1D and 2D.
+solutions against exact solutions: one report for a 1D pair and a 2D
+triple, whose only per-dimension choices are the flux tuple (Q, or P and Q)
+and the balanced norm's special-line weight (_per_dimension).
 
 The exact solution and its fluxes are continuous and u vanishes on the
 boundary (homogeneous Dirichlet data), so every jump of an error
@@ -15,10 +17,10 @@ from functools import reduce
 import numpy as np
 
 from .assembly1d import _flux_weights
-from .mesh import TensorMesh2D, _quad_points
-from .polyspace import _cell_sums, _chunks, layer_rule, leg_mass, legendre_basis
+from .polyspace import (_cell_sums, _cells, _chunks, _grid, _values, layer_rule, leg_mass,
+                        legendre_basis)
 
-__all__ = ["ErrorReport", "error_report", "error_report_1d", "error_report_2d"]
+__all__ = ["ErrorReport", "error_report"]
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -33,51 +35,41 @@ class ErrorReport:
 
 
 def _per_dimension(w, problem):
-    """The mesh axes, the flux fields with their exact values (Q, or P then
-    Q), the squared jumps of U on the boundary and of the fluxes on the
-    special lines (in 2D integrated along each line by the Legendre mass),
-    and the balanced norm's special-line weight: 1 in 1D, eps^{-1/2} in 2D."""
-    mesh = w.u.mesh
-    if not isinstance(mesh, TensorMesh2D):
-        ju = w.u.jump(0) ** 2 + w.u.jump(mesh.ncells) ** 2
-        return (mesh,), ((w.q, problem.q_exact),), ju, w.q.jump(mesh.special_index) ** 2, 1.0
-    axes, mass = (mesh.mesh_x, mesh.mesh_y), leg_mass(w.u.degree)
+    """The flux fields with their exact values (Q in 1D, P then Q in 2D;
+    the flux of axis a has its special line normal to a), the squared jumps
+    of U on the boundary and of the fluxes on the special lines (integrated
+    along each line by the Legendre mass in 2D), and the balanced norm's
+    special-line weight: 1 in 1D, eps^{-1/2} in 2D."""
+    axes, mass = w.u.mesh.axes, leg_mass(w.u.degree)
 
-    def sq(poly, axis, i):  # the line normal to `axis` runs along the other axis
-        along = 0.5 * axes[1 - axis].widths
-        return float(np.einsum("jn,n,j->", poly.jump(axis, i) ** 2, mass, along))
+    def sq(poly, axis, i):  # the line normal to `axis` runs along the other axes
+        j2 = poly.jump(i, axis) ** 2
+        for m in axes[:axis] + axes[axis + 1:]:
+            j2 = np.einsum("jn,n,j->", j2, mass, 0.5 * m.widths)
+        return float(j2)
 
+    fluxes = [(getattr(w, f), getattr(problem, f"{f}_exact")) for f in "pq"[-len(axes):]]
     ju = sum(sq(w.u, axis, i) for axis, m in enumerate(axes) for i in (0, m.ncells))
-    js = sq(w.p, 0, axes[0].special_index) + sq(w.q, 1, axes[1].special_index)
-    lam_s = _flux_weights(problem.eps, True)[1]  # the paper flux's lambda_jump
-    return axes, ((w.p, problem.p_exact), (w.q, problem.q_exact)), ju, js, lam_s
+    js = sum(sq(poly, axis, axes[axis].special_index) for axis, (poly, _) in enumerate(fluxes))
+    lam_s = 1.0 if len(axes) == 1 else _flux_weights(problem.eps, True)[1]  # 2D: lambda_jump
+    return fluxes, ju, js, lam_s
 
 
-def _error_pieces(w, problem, axes, fluxes):
+def _error_pieces(w, problem, fluxes):
     """[|e_flux|^2 per flux field, |b^{1/2} e_u|^2, |e_u|^2, max|e_u|] of
     the volume error, streamed over chunks of the leading cell axis (cells in
-    1D, x-rows in 2D): the chunk's point grid is built per axis, u is sampled
-    once on the quadrature nodes plus both cell ends per axis, each error
-    field is reduced to per-cell sums (_cell_sums), and the widths are
-    contracted last, one axis at a time."""
-    dim, k = len(axes), w.u.degree
-    rule = layer_rule(k)
+    1D, x-rows in 2D): u is sampled once on the quadrature nodes plus both
+    cell ends per axis, each error field is reduced to per-cell sums
+    (_cell_sums), and the widths are contracted last, one axis at a time."""
+    mesh, k = w.u.mesh, w.u.degree
+    dim, rule = len(mesh.shape), layer_rule(k)
     ext = np.concatenate([rule.nodes, [-1.0, 1.0]])
     phi_e, phi = legendre_basis(k, ext), legendre_basis(k, rule.nodes)
     nodes = (...,) + (slice(rule.n),) * dim
-    shape = tuple(m.ncells for m in axes)
-    sums, linf_u = np.empty((len(fluxes) + 2, *shape)), 0.0
-
-    def values(c, phi):  # on the tensor grid of phi's nodes per axis
-        return c @ phi if dim == 1 else phi.T @ (c @ phi)
-
-    def points(a, r):  # of the cells r of axis a: cells in array axis a, nodes in dim + a
-        x = _quad_points((axes[a].points[:-1][r], axes[a].points[1:][r]), ext)
-        return np.expand_dims(x, [i for i in range(2 * dim) if i % dim != a])
-
-    for s in _chunks(shape[0], math.prod(shape[1:]) * ext.size**dim):
-        grid = [points(a, s if a == 0 else slice(None)) for a in range(dim)]
-        e = values(w.u.coeffs[s], phi_e)
+    sums, linf_u = np.empty((len(fluxes) + 2, *mesh.shape)), 0.0
+    for s in _chunks(mesh.shape[0], math.prod(mesh.shape[1:]) * ext.size**dim):
+        grid = _grid(_cells(mesh, s), ext)
+        e = _values(w.u.coeffs[s], *(phi_e,) * dim)
         e -= problem.u_exact(*grid)
         linf_u = np.maximum(linf_u, max(e.max(), -e.min()))
         grid = [x[nodes] for x in grid]
@@ -86,10 +78,11 @@ def _error_pieces(w, problem, axes, fluxes):
         e *= problem.b(*grid)
         sums[-2, s] = _cell_sums(e, rule.weights, dim)
         for i, (poly, exact) in enumerate(fluxes):
-            e = values(poly.coeffs[s], phi)
+            e = _values(poly.coeffs[s], *(phi,) * dim)
             e -= exact(*grid)
             sums[i, s] = _cell_sums(np.square(e, out=e), rule.weights, dim)
-    return [float(reduce(lambda v, m: 0.5 * m.widths @ v, axes, c)) for c in sums] + [float(linf_u)]
+    widths = [0.5 * m.widths for m in mesh.axes]
+    return [float(reduce(lambda v, h: h @ v, widths, c)) for c in sums] + [float(linf_u)]
 
 
 def error_report(w, problem, jump: bool = True) -> ErrorReport:
@@ -99,9 +92,9 @@ def error_report(w, problem, jump: bool = True) -> ErrorReport:
     jump).  Balanced norm: the flux terms weighted eps^{-3/2}, unit weight on
     the boundary jumps, and the special-line weight of _per_dimension, which
     does not depend on the flux."""
-    axes, fluxes, ju, js, lam_s = _per_dimension(w, problem)
+    fluxes, ju, js, lam_s = _per_dimension(w, problem)
     lam_b, lam_j = _flux_weights(problem.eps, jump)
-    *flux, bu, l2u, linf = _error_pieces(w, problem, axes, fluxes)
+    *flux, bu, l2u, linf = _error_pieces(w, problem, fluxes)
     energy = np.sqrt(sum(flux) / problem.eps + bu + lam_b * ju + lam_j * js)
     balanced = np.sqrt(sum(flux) / problem.eps**1.5 + bu + ju + lam_s * js)
     return ErrorReport(
@@ -113,5 +106,3 @@ def error_report(w, problem, jump: bool = True) -> ErrorReport:
         err_l2_p=float(np.sqrt(flux[0])) if len(flux) == 2 else None,
     )
 
-
-error_report_1d = error_report_2d = error_report

@@ -1,5 +1,9 @@
-"""Legendre reference-cell machinery: quadrature, basis evaluation and
-piecewise-polynomial containers for the broken spaces in 1D and 2D."""
+"""Legendre reference-cell machinery: quadrature, basis evaluation, the cell
+grids of a chunk of cells, and one piecewise-polynomial container for the
+broken spaces on 1D and tensor-product meshes.  What depends on the
+dimension is how each axis is contracted: values take the last mode axis
+from the right and, in 2D, x from the left (_values); a trace is one dot per
+cell in 1D and one einsum in 2D, the sums the error reports have always had."""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import ShishkinMesh1D, TensorMesh2D
+from .mesh import _quad_points
 
 __all__ = [
     "QuadratureRule",
@@ -20,8 +24,7 @@ __all__ = [
     "grad_matrix",
     "end_vals",
     "tensor_sum",
-    "PiecewisePoly1D",
-    "PiecewisePoly2D",
+    "PiecewisePoly",
 ]
 
 
@@ -133,98 +136,93 @@ def _cell_sums(f: np.ndarray, weights: np.ndarray, dim: int) -> np.ndarray:
                      if dim == 2 else weights)
 
 
+def _cells(mesh, s: slice = slice(None)) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The cell intervals (a, b), one per axis, of the cells s of the leading
+    axis and all cells of the others, each shaped to broadcast to (cells per axis)."""
+    axes = mesh.axes
+    shape = [(1,) * a + (-1,) + (1,) * (len(axes) - 1 - a) for a in range(len(axes))]
+    return [(m.points[:-1][r].reshape(sh), m.points[1:][r].reshape(sh))
+            for m, sh, r in zip(axes, shape, [s] + [slice(None)] * (len(axes) - 1))]
+
+
+def _grid(cells, t: np.ndarray) -> list[np.ndarray]:
+    """Points of the reference nodes t on the cells, one array per axis, each
+    shaped to broadcast to (cells per axis, then len(t) per axis)."""
+    points = [_quad_points(cell, t) for cell in cells]
+    return [x.reshape(x.shape[:-1] + (1,) * a + (t.size,) + (1,) * (len(cells) - 1 - a))
+            for a, x in enumerate(points)]
+
+
+def _values(c: np.ndarray, *phi: np.ndarray) -> np.ndarray:
+    """Values of the coefficients c (..., k+1 per axis) on the tensor grid of
+    the nodes of phi (the basis at them, one per axis): the last axis
+    contracted from the right, x from the left in 2D."""
+    v = c @ phi[-1]
+    return phi[0].T @ v if len(phi) == 2 else v
+
+
 def tensor_sum(vals: np.ndarray, weights: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> float:
     """Sum of vals[i, j, x, y] * weights[x] * weights[y] * wx[i] * wy[j]:
     per-cell sums, then the widths contracted one axis at a time."""
     return float(wx @ _cell_sums(vals, weights, 2) @ wy)
 
 
-class PiecewisePoly1D:
-    """Element of the broken polynomial space: one Legendre coefficient row
-    per mesh cell, no continuity across interfaces.
+class PiecewisePoly:
+    """Element of the broken polynomial space on a 1D mesh or a tensor-product
+    mesh: tensor-Legendre coefficients shaped (cells per axis, then k+1 modes
+    per axis, the x-mode first), no continuity across cell faces.
 
-    Interface convention: jump(j) = v^- - v^+ at x_j, with v^- the limit
-    from cell j-1 and v^+ from cell j (0-based cells); it is -v^+ at j=0
-    and v^- at j=N, and raises IndexError outside 0..N.
+    Face convention, per axis: jump(i, axis) = v^- - v^+ on the mesh line
+    (point in 1D) i normal to `axis`, v^- from cell i-1 along the axis and
+    v^+ from cell i (0-based); it is -v^+ at i=0 and v^- at i=n, and raises
+    IndexError outside 0..n.  Traces and jumps are scalars in 1D and the
+    tangential Legendre coefficients (cells along the line, k+1) in 2D.
     """
 
-    def __init__(self, mesh: ShishkinMesh1D, coeffs: np.ndarray):
+    def __init__(self, mesh, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim != 2 or coeffs.shape[0] != mesh.ncells:
-            raise ValueError(
-                f"coefficient array must be (ncells, k+1); got {coeffs.shape} "
-                f"for {mesh.ncells} cells"
-            )
+        shape, dim = mesh.shape, len(mesh.shape)
+        if (coeffs.ndim != 2 * dim or coeffs.shape[:dim] != shape
+                or len(set(coeffs.shape[dim:])) != 1):
+            raise ValueError(f"coefficient array must be {shape} then k+1 modes per axis; "
+                             f"got {coeffs.shape}")
         self.mesh = mesh
         self.coeffs = coeffs
 
     @property
     def degree(self) -> int:
-        return self.coeffs.shape[1] - 1
+        return self.coeffs.shape[-1] - 1
 
-    def values_on_ref(self, t: np.ndarray) -> np.ndarray:
-        """Values at the same reference nodes in every cell, shape (ncells, len(t))."""
-        return self.coeffs @ legendre_basis(self.degree, t)
-
-    def jump(self, j: int) -> float:
-        N = self.mesh.ncells
-        if not 0 <= j <= N:
-            raise IndexError(f"interface {j} outside 0..{N}")
-        em, ep = end_vals(self.degree)
-        minus = float(self.coeffs[j - 1] @ ep) if j > 0 else 0.0
-        plus = float(self.coeffs[j] @ em) if j < N else 0.0
-        return minus - plus
-
-
-class PiecewisePoly2D:
-    """Tensor-Legendre coefficients per cell of a tensor-product mesh,
-    shape (nx, ny, k+1, k+1) with the x-mode first."""
-
-    def __init__(self, mesh: TensorMesh2D, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=float)
-        nx, ny = mesh.shape
-        if coeffs.ndim != 4 or coeffs.shape[:2] != (nx, ny) or coeffs.shape[2] != coeffs.shape[3]:
-            raise ValueError(f"coefficient array must be (nx, ny, k+1, k+1); got {coeffs.shape}")
-        self.mesh = mesh
-        self.coeffs = coeffs
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[2] - 1
-
-    def values_on_ref(self, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-        """Values on the tensor reference grid per cell, shape (nx, ny, len(tx), len(ty))."""
-        k = self.degree
-        return legendre_basis(k, tx).T @ (self.coeffs @ legendre_basis(k, ty))
+    def values_on_ref(self, *ts: np.ndarray) -> np.ndarray:
+        """Values on the tensor grid of the reference nodes ts (one array per
+        axis) in every cell, shape (cells per axis, then len(t) per axis)."""
+        return _values(self.coeffs, *(legendre_basis(self.degree, t) for t in ts))
 
     def _ncells(self, axis: int) -> int:
-        if axis not in (0, 1):
-            raise ValueError(f"axis must be 0 or 1, got {axis!r}")
+        if axis not in range(len(self.mesh.shape)):
+            raise ValueError(f"axis must be in 0..{len(self.mesh.shape) - 1}, got {axis!r}")
         return self.mesh.shape[axis]
 
-    def trace(self, axis: int, i: int, side: str) -> np.ndarray:
-        """Tangential Legendre coefficients of the trace on the mesh line i
-        normal to `axis`: x = x_i, shape (ny, k+1), for axis 0; y = y_i,
-        shape (nx, k+1), for axis 1.  Side 'left' uses cell i-1 along the
-        axis, 'right' cell i."""
+    def trace(self, i: int, side: str, axis: int = 0):
+        """Trace on the mesh line i normal to `axis`: side 'left' from cell
+        i-1 along the axis, 'right' from cell i."""
         n = self._ncells(axis)
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         c = i - 1 if side == "left" else i
-        if c < 0 or c >= n:
+        if not 0 <= c < n:
             raise IndexError(f"no cell {side} of line {i} along axis {axis}")
         em, ep = end_vals(self.degree)
-        end = ep if side == "left" else em
-        if axis == 0:
-            return np.einsum("jmn,m->jn", self.coeffs[c], end)
-        return np.einsum("imn,n->im", self.coeffs[:, c], end)
+        slab, end = self.coeffs[(slice(None),) * axis + (c,)], ep if side == "left" else em
+        if slab.ndim == 1:  # 1D: one dot per cell, as the 1D reports have always summed it
+            return slab @ end
+        return np.einsum("jmn,m->jn" if axis == 0 else "imn,n->im", slab, end)
 
-    def jump(self, axis: int, i: int) -> np.ndarray:
-        """Jump coefficients across mesh line i normal to `axis`, with the
-        1D interface convention."""
+    def jump(self, i: int, axis: int = 0):
+        """Jump across the mesh line i normal to `axis` (see the class docstring)."""
         n = self._ncells(axis)
         if i == 0:
-            return -self.trace(axis, 0, "right")
+            return -self.trace(0, "right", axis)
         if i == n:
-            return self.trace(axis, n, "left")
-        return self.trace(axis, i, "left") - self.trace(axis, i, "right")
+            return self.trace(n, "left", axis)
+        return self.trace(i, "left", axis) - self.trace(i, "right", axis)

@@ -20,14 +20,11 @@ from numpy.polynomial.legendre import legval
 from ldgrd.assembly1d import LdgSolution1D, solve_1d
 from ldgrd.assembly2d import LdgSolution2D
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
-from ldgrd.norms import error_report_1d, error_report_2d
-from ldgrd.polyspace import PiecewisePoly1D, PiecewisePoly2D, gauss_rule, legendre_basis
+from ldgrd.norms import error_report
+from ldgrd.polyspace import PiecewisePoly, gauss_rule, legendre_basis
 from ldgrd.problems import layer1d, layer2d, layer2d_variable_b, poly_exact_1d, poly_exact_2d
 from ldgrd.projection import (
-    _moments,
-    _moments_2d,
-    _radau_1d,
-    _radau_2d,
+    _project,
     composite_px_2d,
     composite_q_1d,
     composite_qy_2d,
@@ -87,7 +84,7 @@ def balanced_errors_2d(problem, n_list, k=1, eps=1e-8):
         m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
         mesh2 = build_tensor_2d(m, m)
         sol = solve_2d(mesh2, prob, k)
-        vals[N] = error_report_2d(sol, prob).err_balanced
+        vals[N] = error_report(sol, prob).err_balanced
     return vals, time.time() - t0
 
 
@@ -190,8 +187,8 @@ def test_criterion_05_energy_identity():
                 mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
                 for _ in range(8):
                     chi = LdgSolution1D(
-                        q=PiecewisePoly1D(mesh, rng.standard_normal((N, k + 1))),
-                        u=PiecewisePoly1D(mesh, rng.standard_normal((N, k + 1))),
+                        q=PiecewisePoly(mesh, rng.standard_normal((N, k + 1))),
+                        u=PiecewisePoly(mesh, rng.standard_normal((N, k + 1))),
                     )
                     b_val = bilinear_B(chi, chi, ones_b, eps)
                     e_val = energy_sq(chi, ones_b, eps)
@@ -208,9 +205,9 @@ def test_criterion_05_energy_identity():
                 shape = (N, N, k + 1, k + 1)
                 for _ in range(7):
                     z = LdgSolution2D(
-                        u=PiecewisePoly2D(mesh2, rng.standard_normal(shape)),
-                        p=PiecewisePoly2D(mesh2, rng.standard_normal(shape)),
-                        q=PiecewisePoly2D(mesh2, rng.standard_normal(shape)),
+                        u=PiecewisePoly(mesh2, rng.standard_normal(shape)),
+                        p=PiecewisePoly(mesh2, rng.standard_normal(shape)),
+                        q=PiecewisePoly(mesh2, rng.standard_normal(shape)),
                     )
                     b_val = bilinear_B2d(z, z, two_b, eps)
                     e_val = energy_sq(z, two_b, eps)
@@ -267,9 +264,9 @@ def test_criterion_07_projection_properties():
         phi = legendre_basis(k, fine.nodes)
         # the projection kernels on the single cell (a, b): L2, then
         # Gauss-Radau matching the right (tref +1) and the left (-1) end
-        for c, endpoint, tref in ((_moments(z, (a, b), k), None, None),
-                                  (_radau_1d(z, (a, b), k, "minus"), b, 1.0),
-                                  (_radau_1d(z, (a, b), k, "plus"), a, -1.0)):
+        for c, endpoint, tref in ((_project(z, [(a, b)], k), None, None),
+                                  (_project(z, [(a, b)], k, [(0, "minus", True)]), b, 1.0),
+                                  (_project(z, [(a, b)], k, [(0, "plus", True)]), a, -1.0)):
             resid = z(xs) - legval(fine.nodes, c)
             upto = k + 1 if endpoint is None else k
             mom = np.abs(phi[:upto] @ (fine.weights * resid)).max()
@@ -288,7 +285,7 @@ def test_criterion_07_projection_properties():
             return np.sin(2.0 * x + 0.1) * (w1 + np.cos(y)) + w2 * x * y
 
         for axis, side in ((0, "minus"), (0, "plus"), (1, "minus"), (1, "plus")):
-            cc = _radau_2d(z2, _moments_2d(z2, cell2, 2), cell2, 2, axis, side)
+            cc = _project(z2, cell2, 2, [(axis, side, True)])
             phi2 = legendre_basis(2, fine.nodes)
             (ax, bx), (ay, by) = cell2
             x2 = 0.5 * (ax + bx) + 0.5 * (bx - ax) * fine.nodes
@@ -369,9 +366,9 @@ def test_discrete_part_rates_1d():
                 w = solve_1d(mesh, prob, k)
                 pq = composite_q_1d(prob.q_exact, mesh, k).coeffs - w.q.coeffs
                 pu = composite_u_1d(prob.u_exact, mesh, k).coeffs - w.u.coeffs
-                d = LdgSolution1D(q=PiecewisePoly1D(mesh, pq), u=PiecewisePoly1D(mesh, pu))
+                d = LdgSolution1D(q=PiecewisePoly(mesh, pq), u=PiecewisePoly(mesh, pu))
                 errs.append(zero_report(d, prob.b, eps).err_balanced)
-                ratio = errs[-1] / error_report_1d(w, prob).err_balanced
+                ratio = errs[-1] / error_report(w, prob).err_balanced
                 rows.append(f"k={k} eps={eps:.0e} N={N}: ratio {ratio:.3f}")
                 assert ratio <= 0.5, "\n".join(rows)
             rp[eps] = rate_p(*errs, 512)
@@ -478,14 +475,14 @@ def test_flux_gap_at_default_grading():
             prob = layer1d(eps)
             for N in (64, 128, 256, 512, 1024):
                 m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-                paper, classic = (error_report_1d(solve_1d(m, prob, k, jump), prob, jump).err_balanced
+                paper, classic = (error_report(solve_1d(m, prob, k, jump), prob, jump).err_balanced
                                   for jump in (True, False))
                 gaps.setdefault((1, k, eps), []).append(classic / paper - 1.0)
         prob = layer2d(1e-8)
         for N in (16, 32, 64):
             m = build_shishkin_1d(MeshParams(eps=1e-8, beta=1.0, sigma=k + 1.0, N=N))
             mesh2 = build_tensor_2d(m, m)
-            paper, classic = (error_report_2d(solve_2d(mesh2, prob, k, jump), prob, jump).err_balanced
+            paper, classic = (error_report(solve_2d(mesh2, prob, k, jump), prob, jump).err_balanced
                               for jump in (True, False))
             gaps.setdefault((2, k, 1e-8), []).append(classic / paper - 1.0)
     for (dim, k, eps), g in gaps.items():
@@ -530,7 +527,7 @@ def one_layer_problem(eps):
 def one_layer_balanced(k, eps, N, sigma, jump):
     prob = one_layer_problem(eps)
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=sigma, N=N))
-    return error_report_1d(solve_1d(m, prob, k, jump), prob, jump).err_balanced
+    return error_report(solve_1d(m, prob, k, jump), prob, jump).err_balanced
 
 
 # (classic / paper - 1) of the one-layer problem's balanced error at sigma =

@@ -22,7 +22,7 @@ from ldgrd.assembly1d import (
 )
 from ldgrd.linalg import matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d
-from ldgrd.polyspace import PiecewisePoly1D
+from ldgrd.polyspace import PiecewisePoly
 from ldgrd.problems import layer1d, poly_exact_1d
 
 from conftest import energy_sq, uniform_mesh
@@ -35,8 +35,8 @@ def ones_b(x):
 def make_pair(mesh, k, rng):
     n = mesh.ncells
     return LdgSolution1D(
-        q=PiecewisePoly1D(mesh, rng.standard_normal((n, k + 1))),
-        u=PiecewisePoly1D(mesh, rng.standard_normal((n, k + 1))),
+        q=PiecewisePoly(mesh, rng.standard_normal((n, k + 1))),
+        u=PiecewisePoly(mesh, rng.standard_normal((n, k + 1))),
     )
 
 
@@ -63,7 +63,7 @@ def test_bilinear_hand_value():
     eps = 1e-4
 
     def form(mesh, q, u, jump=True):
-        w = LdgSolution1D(q=PiecewisePoly1D(mesh, q), u=PiecewisePoly1D(mesh, u))
+        w = LdgSolution1D(q=PiecewisePoly(mesh, q), u=PiecewisePoly(mesh, u))
         return bilinear_B(w, w, ones_b, eps, jump)
 
     # W = (Q=0, U=1), b=1: volume term 1 plus two boundary penalties
@@ -81,8 +81,8 @@ def test_bilinear_hand_value():
 
 def test_bilinear_zero():
     mesh = uniform_mesh(4)
-    z = LdgSolution1D(q=PiecewisePoly1D(mesh, np.zeros((4, 2))),
-                      u=PiecewisePoly1D(mesh, np.zeros((4, 2))))
+    z = LdgSolution1D(q=PiecewisePoly(mesh, np.zeros((4, 2))),
+                      u=PiecewisePoly(mesh, np.zeros((4, 2))))
     assert bilinear_B(z, z, ones_b, mesh.params.eps) == 0.0
 
 

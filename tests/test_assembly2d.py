@@ -26,8 +26,8 @@ from ldgrd.assembly2d import (
 )
 from ldgrd.linalg import KroneckerSumSolve, SingularSystemError, _refined_solve, lu_solve, matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
-from ldgrd.norms import error_report_2d
-from ldgrd.polyspace import PiecewisePoly2D, leg_mass
+from ldgrd.norms import error_report
+from ldgrd.polyspace import PiecewisePoly, leg_mass
 from ldgrd.problems import ProblemSpec2D, layer1d, layer2d, layer2d_variable_b, poly_exact_2d
 
 from conftest import energy_sq, uniform_mesh_2d
@@ -41,9 +41,9 @@ def make_triple(mesh2, k, rng):
     nx, ny = mesh2.shape
     shape = (nx, ny, k + 1, k + 1)
     return LdgSolution2D(
-        u=PiecewisePoly2D(mesh2, rng.standard_normal(shape)),
-        p=PiecewisePoly2D(mesh2, rng.standard_normal(shape)),
-        q=PiecewisePoly2D(mesh2, rng.standard_normal(shape)),
+        u=PiecewisePoly(mesh2, rng.standard_normal(shape)),
+        p=PiecewisePoly(mesh2, rng.standard_normal(shape)),
+        q=PiecewisePoly(mesh2, rng.standard_normal(shape)),
     )
 
 
@@ -103,11 +103,11 @@ def test_polynomial_exactness_2d(eps, monkeypatch):
                   for n in shape)
         for jump in (True, False):
             t = solve_2d(build_tensor_2d(mx, my), prob, k, jump)
-            rep = error_report_2d(t, prob, jump)
+            rep = error_report(t, prob, jump)
             assert max(rep.err_linf_u, rep.err_l2_p, rep.err_l2_q) < 1e-13, (shape, jump, rep)
             with monkeypatch.context() as patch:
                 patch.setattr(polyspace, "CHUNK_VALUES", 1)
-                assert error_report_2d(t, prob, jump) == rep, (shape, jump)
+                assert error_report(t, prob, jump) == rep, (shape, jump)
 
 
 def test_bilinear_2d_hand_value():
@@ -119,12 +119,12 @@ def test_bilinear_2d_hand_value():
     zero = np.zeros((nx, ny, 2, 2))
     one = zero.copy()
     one[..., 0, 0] = 1.0
-    t = LdgSolution2D(u=PiecewisePoly2D(mesh2, one), p=PiecewisePoly2D(mesh2, zero),
-                      q=PiecewisePoly2D(mesh2, zero))
+    t = LdgSolution2D(u=PiecewisePoly(mesh2, one), p=PiecewisePoly(mesh2, zero),
+                      q=PiecewisePoly(mesh2, zero))
     val = bilinear_B2d(t, t, two_b, eps)
     assert math.isclose(val, 2.0 + 4.0 * 0.01, rel_tol=1e-13)
-    z = LdgSolution2D(u=PiecewisePoly2D(mesh2, zero), p=PiecewisePoly2D(mesh2, zero),
-                      q=PiecewisePoly2D(mesh2, zero))
+    z = LdgSolution2D(u=PiecewisePoly(mesh2, zero), p=PiecewisePoly(mesh2, zero),
+                      q=PiecewisePoly(mesh2, zero))
     assert bilinear_B2d(z, z, two_b, eps) == 0.0
 
 
@@ -657,7 +657,7 @@ def smooth_sine_problem(eps):
 
 
 def test_smooth_solution_converges_at_optimal_order():
-    from ldgrd.norms import error_report_2d
+    from ldgrd.norms import error_report
 
     eps, k = 1e-4, 1
     prob = smooth_sine_problem(eps)
@@ -666,6 +666,6 @@ def test_smooth_solution_converges_at_optimal_order():
         m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
         mesh2 = build_tensor_2d(m, m)
         t = solve_2d(mesh2, prob, k)
-        errs.append(error_report_2d(t, prob).err_l2_u)
+        errs.append(error_report(t, prob).err_l2_u)
     order = math.log(errs[1] / errs[2]) / math.log(2.0)
     assert abs(order - (k + 1)) < 0.25, f"errors {errs}, observed order {order}"

@@ -17,7 +17,7 @@ from ldgrd.assembly1d import assemble, coeffs_to_solution, solve_1d
 from ldgrd.assembly2d import LdgOperator2D, coeffs_to_solution_2d, solve_2d
 from ldgrd.linalg import _splu
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
-from ldgrd.norms import error_report_1d, error_report_2d
+from ldgrd.norms import error_report
 from ldgrd.problems import get_problem
 
 REFINEMENT_STEPS = 4
@@ -65,8 +65,8 @@ def test_1d_reports_near_the_converged_solution(k, bound):
         solve, _ = _splu(system.matrix)
         x = converged_solution(system.matrix, system.rhs, solve)
         w = solve_1d(mesh, problem, k)
-        distance = report_distance(error_report_1d(w, problem),
-                                   error_report_1d(coeffs_to_solution(mesh, k, x), problem))
+        distance = report_distance(error_report(w, problem),
+                                   error_report(coeffs_to_solution(mesh, k, x), problem))
         assert distance <= bound, (eps, distance)
 
 
@@ -81,6 +81,6 @@ def test_2d_reports_near_the_converged_solution(name, k, N):
         solve, _ = op.factor()
         x = converged_solution(op.matrix(), op.rhs, solve)
         t = solve_2d(mesh2, problem, k)
-        distance = report_distance(error_report_2d(t, problem),
-                                   error_report_2d(coeffs_to_solution_2d(mesh2, k, x), problem))
+        distance = report_distance(error_report(t, problem),
+                                   error_report(coeffs_to_solution_2d(mesh2, k, x), problem))
         assert distance <= 1e-12, (eps, distance)

@@ -10,8 +10,8 @@ from ldgrd import polyspace
 from ldgrd.assembly1d import LdgSolution1D, bilinear_B, solve_1d
 from ldgrd.assembly2d import LdgSolution2D, bilinear_B2d, solve_2d
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
-from ldgrd.norms import error_report, error_report_1d, error_report_2d
-from ldgrd.polyspace import PiecewisePoly1D, PiecewisePoly2D
+from ldgrd.norms import error_report
+from ldgrd.polyspace import PiecewisePoly
 from ldgrd.problems import ProblemSpec1D, layer1d, layer2d, layer2d_variable_b, poly_exact_1d
 from ldgrd.projection import (composite_px_2d, composite_q_1d, composite_qy_2d, composite_u_1d,
                               composite_u_2d, measure_interp_error, measure_interp_error_2d)
@@ -39,7 +39,7 @@ class ZeroProblem2D:
 def unit_pair(mesh, eps):
     zero = np.zeros((mesh.ncells, 2))
     one = zero + np.array([1.0, 0.0])
-    return LdgSolution1D(q=PiecewisePoly1D(mesh, zero), u=PiecewisePoly1D(mesh, one))
+    return LdgSolution1D(q=PiecewisePoly(mesh, zero), u=PiecewisePoly(mesh, one))
 
 
 def test_energy_error_hand_value():
@@ -47,7 +47,7 @@ def test_energy_error_hand_value():
     mesh = uniform_mesh(8)
     prob = ZeroProblem1D(eps=eps)
     w = unit_pair(mesh, eps)
-    val = error_report_1d(w, prob).err_energy
+    val = error_report(w, prob).err_energy
     assert math.isclose(val, math.sqrt(1.0 + 2.0 * 0.01), rel_tol=1e-13)
 
 
@@ -56,7 +56,7 @@ def test_balanced_error_hand_value():
     mesh = uniform_mesh(8)
     prob = ZeroProblem1D(eps=eps)
     w = unit_pair(mesh, eps)
-    assert math.isclose(error_report_1d(w, prob).err_balanced, math.sqrt(3.0), rel_tol=1e-13)
+    assert math.isclose(error_report(w, prob).err_balanced, math.sqrt(3.0), rel_tol=1e-13)
 
 
 def test_discrete_energy_hand_value():
@@ -65,8 +65,8 @@ def test_discrete_energy_hand_value():
     w = unit_pair(mesh, eps)
     val = energy_sq(w, lambda x: np.ones_like(x), eps)
     assert math.isclose(val, 1.02, rel_tol=1e-13)
-    z = LdgSolution1D(q=PiecewisePoly1D(mesh, np.zeros((8, 2))),
-                      u=PiecewisePoly1D(mesh, np.zeros((8, 2))))
+    z = LdgSolution1D(q=PiecewisePoly(mesh, np.zeros((8, 2))),
+                      u=PiecewisePoly(mesh, np.zeros((8, 2))))
     assert energy_sq(z, lambda x: np.ones_like(x), eps) == 0.0
 
 
@@ -74,11 +74,11 @@ def test_energy_error_reads_special_interface(rng):
     # the jump term sits where the scheme puts it, at the mesh's 3N/4 = 6
     mesh = uniform_mesh(8)
     eps = mesh.params.eps
-    w = LdgSolution1D(q=PiecewisePoly1D(mesh, rng.standard_normal((8, 3))),
-                      u=PiecewisePoly1D(mesh, rng.standard_normal((8, 3))))
+    w = LdgSolution1D(q=PiecewisePoly(mesh, rng.standard_normal((8, 3))),
+                      u=PiecewisePoly(mesh, rng.standard_normal((8, 3))))
     prob = ZeroProblem1D(eps=eps)
     b_val = bilinear_B(w, w, prob.b, eps)
-    assert math.isclose(error_report_1d(w, prob).err_energy ** 2, b_val, rel_tol=1e-12)
+    assert math.isclose(error_report(w, prob).err_energy ** 2, b_val, rel_tol=1e-12)
 
 
 def test_exact_solution_has_zero_error():
@@ -87,7 +87,7 @@ def test_exact_solution_has_zero_error():
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=3.0, N=N))
     prob = poly_exact_1d(eps)
     w = solve_1d(mesh, prob, k)
-    rep = error_report_1d(w, prob)
+    rep = error_report(w, prob)
     assert rep.err_energy < 1e-10
     assert rep.err_balanced < 1e-9
     assert rep.err_l2_u < 1e-11
@@ -103,13 +103,13 @@ def test_norm_homogeneity(s, rng):
     prob = ZeroProblem1D(eps=eps)
     qc = rng.standard_normal((16, 3))
     uc = rng.standard_normal((16, 3))
-    w1 = LdgSolution1D(q=PiecewisePoly1D(mesh, qc), u=PiecewisePoly1D(mesh, uc))
-    ws = LdgSolution1D(q=PiecewisePoly1D(mesh, s * qc), u=PiecewisePoly1D(mesh, s * uc))
-    for fn in (lambda w: error_report_1d(w, prob).err_energy,
-               lambda w: error_report_1d(w, prob).err_balanced):
+    w1 = LdgSolution1D(q=PiecewisePoly(mesh, qc), u=PiecewisePoly(mesh, uc))
+    ws = LdgSolution1D(q=PiecewisePoly(mesh, s * qc), u=PiecewisePoly(mesh, s * uc))
+    for fn in (lambda w: error_report(w, prob).err_energy,
+               lambda w: error_report(w, prob).err_balanced):
         assert math.isclose(fn(ws), s * fn(w1), rel_tol=1e-12)
-    rep1 = error_report_1d(w1, prob)
-    reps = error_report_1d(ws, prob)
+    rep1 = error_report(w1, prob)
+    reps = error_report(ws, prob)
     assert math.isclose(reps.err_linf_u, s * rep1.err_linf_u, rel_tol=1e-12)
 
 
@@ -119,9 +119,9 @@ def test_quadrature_refinement_stability(monkeypatch):
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     prob = layer1d(eps)
     w = solve_1d(mesh, prob, k)
-    base = error_report_1d(w, prob)  # the default rule, k+5 nodes
+    base = error_report(w, prob)  # the default rule, k+5 nodes
     monkeypatch.setattr(polyspace, "LAYER_EXTRA_NODES", k + 9)  # 2(k+5) nodes
-    fine = error_report_1d(w, prob)
+    fine = error_report(w, prob)
     for name in ("err_energy", "err_balanced", "err_l2_u", "err_l2_q"):
         b, f = getattr(base, name), getattr(fine, name)
         assert abs(b - f) / f < 1e-3
@@ -133,9 +133,9 @@ def test_quadrature_refinement_stability_2d(monkeypatch):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     prob = layer2d(eps)
     t = solve_2d(build_tensor_2d(m, m), prob, k)
-    base = error_report_2d(t, prob)  # the default rule, k+5 nodes per axis
+    base = error_report(t, prob)  # the default rule, k+5 nodes per axis
     monkeypatch.setattr(polyspace, "LAYER_EXTRA_NODES", k + 9)  # 2(k+5) nodes per axis
-    fine = error_report_2d(t, prob)
+    fine = error_report(t, prob)
     for name in ("err_energy", "err_balanced", "err_l2_u", "err_l2_q", "err_l2_p"):
         b, f = getattr(base, name), getattr(fine, name)
         assert abs(b - f) / f < 1e-3
@@ -148,7 +148,7 @@ def test_error_monotone_under_refinement():
     for N in (16, 32, 64, 128):
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
         w = solve_1d(mesh, prob, 1)
-        val = error_report_1d(w, prob).err_balanced
+        val = error_report(w, prob).err_balanced
         if prev is not None:
             assert val <= 1.05 * prev
         prev = val
@@ -162,7 +162,7 @@ def test_balanced_at_least_energy_on_solver_errors():
     for N in (16, 64):
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
         w = solve_1d(mesh, prob, 1)
-        rep = error_report_1d(w, prob)
+        rep = error_report(w, prob)
         assert rep.err_balanced >= rep.err_energy
 
 
@@ -174,9 +174,9 @@ def unit_triple(mesh2):
     zero = np.zeros((nx, ny, 2, 2))
     one = zero.copy()
     one[..., 0, 0] = 1.0
-    return LdgSolution2D(u=PiecewisePoly2D(mesh2, one),
-                         p=PiecewisePoly2D(mesh2, zero),
-                         q=PiecewisePoly2D(mesh2, zero))
+    return LdgSolution2D(u=PiecewisePoly(mesh2, one),
+                         p=PiecewisePoly(mesh2, zero),
+                         q=PiecewisePoly(mesh2, zero))
 
 
 def test_2d_hand_values():
@@ -185,10 +185,10 @@ def test_2d_hand_values():
     prob = ZeroProblem2D(eps=eps)
     t = unit_triple(mesh2)
     # b=2 volume term plus four unit boundary edge families
-    assert math.isclose(error_report_2d(t, prob).err_balanced, math.sqrt(6.0), rel_tol=1e-13)
-    assert math.isclose(error_report_2d(t, prob).err_energy, math.sqrt(2.0 + 4.0 * 0.01),
+    assert math.isclose(error_report(t, prob).err_balanced, math.sqrt(6.0), rel_tol=1e-13)
+    assert math.isclose(error_report(t, prob).err_energy, math.sqrt(2.0 + 4.0 * 0.01),
                         rel_tol=1e-13)
-    rep = error_report_2d(t, prob)
+    rep = error_report(t, prob)
     assert rep.err_l2_p is not None and rep.err_l2_p == 0.0
     assert math.isclose(rep.err_l2_u, 1.0, rel_tol=1e-13)
     assert math.isclose(rep.err_linf_u, 1.0, rel_tol=1e-13)
@@ -199,21 +199,21 @@ def test_2d_zero_error():
     prob = ZeroProblem2D(eps=1e-4)
     nx, ny = mesh2.shape
     zero = np.zeros((nx, ny, 2, 2))
-    t = LdgSolution2D(u=PiecewisePoly2D(mesh2, zero), p=PiecewisePoly2D(mesh2, zero),
-                      q=PiecewisePoly2D(mesh2, zero))
-    assert error_report_2d(t, prob).err_balanced == 0.0
-    assert error_report_2d(t, prob).err_energy == 0.0
+    t = LdgSolution2D(u=PiecewisePoly(mesh2, zero), p=PiecewisePoly(mesh2, zero),
+                      q=PiecewisePoly(mesh2, zero))
+    assert error_report(t, prob).err_balanced == 0.0
+    assert error_report(t, prob).err_energy == 0.0
 
 
 def test_2d_energy_norms_read_special_index(rng):
     # the jump lines sit where the scheme puts them, at the mesh's 3N/4 = 6
     mesh2 = uniform_mesh_2d(8)
     eps = mesh2.mesh_x.params.eps
-    t = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((8, 8, 3, 3)))
+    t = LdgSolution2D(*(PiecewisePoly(mesh2, rng.standard_normal((8, 8, 3, 3)))
                         for _ in range(3)))
     prob = ZeroProblem2D(eps=eps)
     b_val = bilinear_B2d(t, t, prob.b, eps)
-    assert math.isclose(error_report_2d(t, prob).err_energy ** 2, b_val, rel_tol=1e-12)
+    assert math.isclose(error_report(t, prob).err_energy ** 2, b_val, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -221,15 +221,14 @@ def test_balanced_norm_does_not_depend_on_the_flux(dim, rng):
     # The balanced norm weighs the special-line jumps alike for both fluxes
     # (1 in 1D, eps^{-1/2} in 2D); only the energy norm takes the flux's
     # lambda_jump, which is 0 for the classic flux.  A pair and a triple take
-    # the same report, under each of its names.
-    assert error_report_1d is error_report_2d is error_report
+    # the same report.
     N, k, eps = 8, 2, 1e-6
     if dim == 1:
         mesh, prob = uniform_mesh(N), ZeroProblem1D(eps=eps)
-        w = LdgSolution1D(*(PiecewisePoly1D(mesh, rng.standard_normal((N, k + 1))) for _ in "qu"))
+        w = LdgSolution1D(*(PiecewisePoly(mesh, rng.standard_normal((N, k + 1))) for _ in "qu"))
     else:
         mesh, prob = uniform_mesh_2d(N), ZeroProblem2D(eps=eps)
-        w = LdgSolution2D(*(PiecewisePoly2D(mesh, rng.standard_normal((N, N, k + 1, k + 1)))
+        w = LdgSolution2D(*(PiecewisePoly(mesh, rng.standard_normal((N, N, k + 1, k + 1)))
                             for _ in "upq"))
     paper, classic = error_report(w, prob, True), error_report(w, prob, False)
     assert paper.err_balanced == classic.err_balanced
@@ -262,12 +261,12 @@ def test_error_reports_sample_exact_fields_on_the_volume_grid_only(problem, rng)
     spec = problem(eps)
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     if isinstance(spec, ProblemSpec1D):
-        dim, names, report = 1, ("u_exact", "q_exact", "b"), error_report_1d
-        w = LdgSolution1D(*(PiecewisePoly1D(m, rng.standard_normal((N, k + 1))) for _ in "qu"))
+        dim, names, report = 1, ("u_exact", "q_exact", "b"), error_report
+        w = LdgSolution1D(*(PiecewisePoly(m, rng.standard_normal((N, k + 1))) for _ in "qu"))
     else:
-        dim, names, report = 2, ("u_exact", "p_exact", "q_exact", "b"), error_report_2d
+        dim, names, report = 2, ("u_exact", "p_exact", "q_exact", "b"), error_report
         mesh2 = build_tensor_2d(m, m)
-        w = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
+        w = LdgSolution2D(*(PiecewisePoly(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
                             for _ in "upq"))
     spec, calls = recorded(spec, names)
     report(w, spec)
@@ -288,12 +287,12 @@ def test_error_report_2d_peak_memory(rng):
     eps, N, k = 1e-8, 64, 1
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2, problem = build_tensor_2d(m, m), layer2d(eps)
-    t = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
+    t = LdgSolution2D(*(PiecewisePoly(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
                         for _ in "upq"))
-    error_report_2d(t, problem)
+    error_report(t, problem)
     tracemalloc.start()
     try:
-        error_report_2d(t, problem)
+        error_report(t, problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -314,12 +313,12 @@ def test_streamed_error_reports_sample_each_cell_once(problem, rng, monkeypatch)
     spec = problem(eps)
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     if isinstance(spec, ProblemSpec1D):
-        dim, names, report = 1, ("u_exact", "q_exact", "b"), error_report_1d
-        w = LdgSolution1D(*(PiecewisePoly1D(m, rng.standard_normal((N, k + 1))) for _ in "qu"))
+        dim, names, report = 1, ("u_exact", "q_exact", "b"), error_report
+        w = LdgSolution1D(*(PiecewisePoly(m, rng.standard_normal((N, k + 1))) for _ in "qu"))
     else:
-        dim, names, report = 2, ("u_exact", "p_exact", "q_exact", "b"), error_report_2d
+        dim, names, report = 2, ("u_exact", "p_exact", "q_exact", "b"), error_report
         mesh2 = build_tensor_2d(m, m)
-        w = LdgSolution2D(*(PiecewisePoly2D(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
+        w = LdgSolution2D(*(PiecewisePoly(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
                             for _ in "upq"))
     spec, calls = recorded(spec, names)
     report(w, spec)
@@ -347,12 +346,12 @@ def streamed_results(dim, k):
         return build_shishkin_1d(MeshParams(eps=eps, beta=spec.beta, sigma=k + 1.0, N=N))
 
     if dim == 1:
-        m, measure, report = mesh(1024), measure_interp_error, error_report_1d
+        m, measure, report = mesh(1024), measure_interp_error, error_report
         fields = (composite_q_1d, spec.q_exact), (composite_u_1d, spec.u_exact)
         make = LdgSolution1D
     else:
         m, measure = build_tensor_2d(mesh(16), mesh(24)), measure_interp_error_2d
-        report = error_report_2d
+        report = error_report
         fields = ((composite_u_2d, spec.u_exact), (composite_px_2d, spec.p_exact),
                   (composite_qy_2d, spec.q_exact))
         make = LdgSolution2D
@@ -416,7 +415,7 @@ def test_streamed_evaluations_have_bounded_memory(name, bound):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=spec.beta, sigma=k + 1.0, N=N))
     mesh2 = build_tensor_2d(m, m)
     u = composite_u_2d(spec.u_exact, mesh2, k)
-    run = {"error_report_2d": lambda: error_report_2d(LdgSolution2D(u=u, p=u, q=u), spec),
+    run = {"error_report_2d": lambda: error_report(LdgSolution2D(u=u, p=u, q=u), spec),
            "measure_interp_error_2d": lambda: measure_interp_error_2d(spec.u_exact, u, "linf"),
            "composite_u_2d": lambda: composite_u_2d(spec.u_exact, mesh2, k)}[name]
     run()  # warm the reference-cell caches

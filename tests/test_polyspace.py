@@ -6,8 +6,7 @@ from numpy.polynomial.legendre import legval, legval2d
 
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.polyspace import (
-    PiecewisePoly1D,
-    PiecewisePoly2D,
+    PiecewisePoly,
     gauss_rule,
     grad_matrix,
     leg_mass,
@@ -88,7 +87,7 @@ def test_piecewise_eval_matches_monomial_oracle(rng):
     mesh = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=16))
     k = 3
     coeffs = rng.standard_normal((16, k + 1))
-    poly = PiecewisePoly1D(mesh, coeffs)
+    poly = PiecewisePoly(mesh, coeffs)
     t = rng.uniform(-1.0, 1.0, size=200)
     vals = poly.values_on_ref(t)
     for j in range(16):
@@ -98,7 +97,7 @@ def test_piecewise_eval_matches_monomial_oracle(rng):
 
 def test_jump_conventions_for_constant_one():
     mesh = uniform_mesh(8)
-    poly = PiecewisePoly1D(mesh, np.column_stack([np.ones(8), np.zeros(8)]))
+    poly = PiecewisePoly(mesh, np.column_stack([np.ones(8), np.zeros(8)]))
     for j in range(1, 8):
         assert abs(poly.jump(j)) < 1e-15
     assert poly.jump(0) == -1.0
@@ -110,17 +109,25 @@ def test_jump_of_single_cell_linear():
     mesh = uniform_mesh(4)
     coeffs = np.zeros((4, 2))
     coeffs[0] = [0.125, 0.125]  # x = 0.125 + 0.125 t on [0, 0.25]
-    poly = PiecewisePoly1D(mesh, coeffs)
+    poly = PiecewisePoly(mesh, coeffs)
     assert abs(poly.jump(1) - 0.25) < 1e-15
+    # in 1D a trace is a scalar: the value at the point from the cell on its side
+    assert np.ndim(poly.trace(1, "left")) == np.ndim(poly.jump(1)) == 0
+    assert abs(poly.trace(1, "left") - 0.25) < 1e-15 and poly.trace(1, "right") == 0.0
+    assert poly.jump(0) == -poly.trace(0, "right") == 0.0
 
 
 def test_trace_errors_outside_domain():
     mesh = uniform_mesh(4)
-    poly = PiecewisePoly1D(mesh, np.ones((4, 2)))
+    poly = PiecewisePoly(mesh, np.ones((4, 2)))
     with pytest.raises(IndexError):
         poly.jump(-1)
     with pytest.raises(IndexError):
         poly.jump(5)
+    with pytest.raises(IndexError):
+        poly.trace(0, "left")
+    with pytest.raises(ValueError):
+        poly.jump(1, axis=1)  # a 1D mesh has one axis
 
 
 def test_values_on_ref_consistent_with_eval(rng):
@@ -128,7 +135,7 @@ def test_values_on_ref_consistent_with_eval(rng):
     # by numpy's legval at that point's reference coordinate on cell j
     mesh = build_shishkin_1d(MeshParams(eps=1e-6, beta=1.0, sigma=3.0, N=8))
     coeffs = rng.standard_normal((8, 3))
-    poly = PiecewisePoly1D(mesh, coeffs)
+    poly = PiecewisePoly(mesh, coeffs)
     t = np.array([-0.3, 0.1, 0.8])
     vals, X = poly.values_on_ref(t), mesh.quad_points(t)
     for j in range(8):
@@ -143,7 +150,7 @@ def test_2d_values_on_ref_consistent_with_eval(rng):
     my = build_shishkin_1d(MeshParams(eps=1e-6, beta=1.0, sigma=3.0, N=4))
     mesh2 = build_tensor_2d(mx, my)
     coeffs = rng.standard_normal((4, 4, 3, 3))
-    poly = PiecewisePoly2D(mesh2, coeffs)
+    poly = PiecewisePoly(mesh2, coeffs)
     tx, ty = np.array([-0.3, 0.1, 0.8]), np.array([-0.9, 0.5])
     vals = poly.values_on_ref(tx, ty)
     assert vals.shape == (4, 4, 3, 2)
@@ -168,7 +175,7 @@ def test_2d_eval_and_traces(rng):
     mesh2 = uniform_mesh_2d(4)
     k = 2
     coeffs = rng.standard_normal((4, 4, k + 1, k + 1))
-    poly = PiecewisePoly2D(mesh2, coeffs)
+    poly = PiecewisePoly(mesh2, coeffs)
     # evaluation at one reference point against direct tensor contraction
     tx, ty = 0.3, -0.6
     px, py = legendre_basis(k, [tx, ty]).T
@@ -179,14 +186,14 @@ def test_2d_eval_and_traces(rng):
     # the cell they are taken from at its edge (reference coordinate -1 or +1
     # normal to the line)
     nodes = np.array([-0.7, 0.2])
-    vals = poly.trace(0, 2, "left") @ legendre_basis(k, nodes)  # from cells (1, :)
+    vals = poly.trace(2, "left", 0) @ legendre_basis(k, nodes)  # from cells (1, :)
     for jj in range(4):
         assert np.abs(vals[jj] - legval2d(np.ones(2), nodes, coeffs[1, jj])).max() < 1e-13
 
     # y traces on the line y = y_j, from cells (:, j-1) ('left') and (:, j) ('right')
     for j, side, cell, end in ((2, "left", 1, 1.0), (2, "right", 2, -1.0), (4, "left", 3, 1.0),
                                (0, "right", 0, -1.0)):
-        vals = poly.trace(1, j, side) @ legendre_basis(k, nodes)
+        vals = poly.trace(j, side, 1) @ legendre_basis(k, nodes)
         for ii in range(4):
             ref = legval2d(nodes, np.full(2, end), coeffs[ii, cell])
             assert np.abs(vals[ii] - ref).max() < 1e-13
@@ -196,31 +203,45 @@ def test_2d_jump_conventions(rng):
     mesh2 = uniform_mesh_2d(4)
     coeffs = np.zeros((4, 4, 2, 2))
     coeffs[..., 0, 0] = 1.0  # constant one
-    poly = PiecewisePoly2D(mesh2, coeffs)
+    poly = PiecewisePoly(mesh2, coeffs)
     for axis in (0, 1):
         for i in range(1, 4):
-            assert np.abs(poly.jump(axis, i)).max() < 1e-15
-        assert np.allclose(poly.jump(axis, 0)[:, 0], -1.0)
-        assert np.allclose(poly.jump(axis, 4)[:, 0], 1.0)
+            assert np.abs(poly.jump(i, axis)).max() < 1e-15
+        assert np.allclose(poly.jump(0, axis)[:, 0], -1.0)
+        assert np.allclose(poly.jump(4, axis)[:, 0], 1.0)
 
 
 def test_2d_trace_rejects_bad_line(rng):
     mesh2 = build_tensor_2d(uniform_mesh(4), uniform_mesh(8))
-    poly = PiecewisePoly2D(mesh2, rng.standard_normal((4, 8, 2, 2)))
-    assert poly.trace(1, 8, "left").shape == (4, 2)
+    poly = PiecewisePoly(mesh2, rng.standard_normal((4, 8, 2, 2)))
+    assert poly.trace(8, "left", 1).shape == (4, 2)
     for axis in (2, -1):
         with pytest.raises(ValueError):
-            poly.trace(axis, 1, "left")
+            poly.trace(1, "left", axis)
         with pytest.raises(ValueError):
-            poly.jump(axis, 1)
+            poly.jump(1, axis)
     with pytest.raises(ValueError):
-        poly.trace(0, 1, "up")
+        poly.trace(1, "up", 0)
     for axis, i, side in ((0, 0, "left"), (0, 4, "right"), (0, 5, "left"),
                           (1, 8, "right"), (1, 9, "left"), (1, -1, "right")):
         with pytest.raises(IndexError):
-            poly.trace(axis, i, side)
+            poly.trace(i, side, axis)
     with pytest.raises(IndexError):
-        poly.jump(0, 5)
+        poly.jump(5, 0)
+
+
+def test_piecewise_poly_rejects_a_wrong_coefficient_shape(rng):
+    mesh, mesh2 = uniform_mesh(4), build_tensor_2d(uniform_mesh(4), uniform_mesh(8))
+    for m, shape in ((mesh, (5, 3)),           # wrong cell count in 1D
+                     (mesh2, (4, 4, 2, 2)),    # wrong cell count along y
+                     (mesh2, (4, 2)),          # 1D coefficients on a 2D mesh
+                     (mesh2, (4, 8, 2)),       # one mode axis on a 2D mesh
+                     (mesh, (4, 2, 2)),        # 2D modes on a 1D mesh
+                     (mesh2, (4, 8, 2, 3))):   # mode axes that are not square
+        with pytest.raises(ValueError, match="coefficient array"):
+            PiecewisePoly(m, rng.standard_normal(shape))
+    assert PiecewisePoly(mesh2, np.zeros((4, 8, 3, 3))).degree == 2
+    assert PiecewisePoly(mesh, np.zeros((4, 3))).degree == 2
 
 
 def test_mass_diag():

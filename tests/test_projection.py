@@ -10,15 +10,12 @@ from numpy.polynomial.legendre import legval
 
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.polyspace import gauss_rule, legendre_basis
-from ldgrd import projection
+from ldgrd import polyspace, projection
 from ldgrd.problems import layer1d, layer2d
 from ldgrd.projection import (
     _fine_band,
-    _moments,
     _node_samples,
-    _moments_2d,
-    _radau_1d,
-    _radau_2d,
+    _project,
     composite_px_2d,
     composite_q_1d,
     composite_qy_2d,
@@ -39,32 +36,37 @@ def smooth2(x, y):
     return np.sin(2.0 * x + 0.3) * np.cos(1.5 * y) + x * y**2
 
 
-# The single-cell checks call the projection kernels on one cell, the 0-d
-# case of the arrays of cells the composites pass; values at reference
-# points come from numpy's legval.
+# The single-cell checks call the projection kernel on one cell, the 0-d
+# case of the arrays of cells the composites pass, given as one interval per
+# axis: L2 alone, or with one Gauss-Radau fix (axis, side, where); values at
+# reference points come from numpy's legval.
+
+
+def radau(z, cells, k, axis, side, where=True):
+    return _project(z, cells, k, [(axis, side, where)])
 
 
 def test_l2_constant():
-    c = _moments(lambda x: np.full_like(x, 5.0), (0.2, 0.7), 1)
+    c = _project(lambda x: np.full_like(x, 5.0), [(0.2, 0.7)], 1)
     assert np.allclose(c, [5.0, 0.0], atol=1e-14)
 
 
 def test_l2_of_x_squared_hand_solution():
     # moments of x^2 against {1, x} on (0,1) give -1/6 + x
-    c = _moments(lambda x: x**2, (0.0, 1.0), 1)
+    c = _project(lambda x: x**2, [(0.0, 1.0)], 1)
     assert abs(legval(-1.0, c) - (-1.0 / 6.0)) < 1e-14
     assert abs(legval(1.0, c) - 5.0 / 6.0) < 1e-14
 
 
 def test_gauss_radau_minus_hand_solution():
     # match the mean (1/3) and the right endpoint value 1: -1/3 + 4x/3
-    c = _radau_1d(lambda x: x**2, (0.0, 1.0), 1, "minus")
+    c = radau(lambda x: x**2, [(0.0, 1.0)], 1, 0, "minus")
     assert abs(legval(-1.0, c) - (-1.0 / 3.0)) < 1e-14
     assert abs(legval(1.0, c) - 1.0) < 1e-14
 
 
 def test_gauss_radau_plus_left_endpoint():
-    c = _radau_1d(lambda x: x**2, (0.0, 1.0), 1, "plus")
+    c = radau(lambda x: x**2, [(0.0, 1.0)], 1, 0, "plus")
     assert abs(legval(-1.0, c)) < 1e-14
     assert abs(legval(1.0, c) - 2.0 / 3.0) < 1e-14  # (2/3) x at x=1
 
@@ -79,7 +81,7 @@ def test_projections_reproduce_polynomials(k, rng):
     cell = (0.3, 0.55)
     t = np.linspace(-1, 1, 9)
     xs = 0.5 * (cell[0] + cell[1]) + 0.5 * (cell[1] - cell[0]) * t
-    for c in (_moments(z, cell, k), _radau_1d(z, cell, k, "minus"), _radau_1d(z, cell, k, "plus")):
+    for c in (_project(z, [cell], k), radau(z, [cell], k, 0, "minus"), radau(z, [cell], k, 0, "plus")):
         assert np.abs(legval(t, c) - z(xs)).max() < 1e-13
 
 
@@ -94,18 +96,18 @@ def test_orthogonality_conditions(k, cell):
     phi = legendre_basis(k, rule.nodes)
     zx = smooth(xs)
 
-    c = _moments(smooth, cell, k)
+    c = _project(smooth, [cell], k)
     resid = zx - legval(rule.nodes, c)
     moments = phi @ (rule.weights * resid)
     assert np.abs(moments).max() < 1e-12
 
-    cm = _radau_1d(smooth, cell, k, "minus")
+    cm = radau(smooth, [cell], k, 0, "minus")
     resid = zx - legval(rule.nodes, cm)
     moments = phi[:k] @ (rule.weights * resid)
     assert np.abs(moments).max() < 1e-12
     assert abs(legval(1.0, cm) - smooth(np.array([b]))[0]) < 1e-12
 
-    cp = _radau_1d(smooth, cell, k, "plus")
+    cp = radau(smooth, [cell], k, 0, "plus")
     resid = zx - legval(rule.nodes, cp)
     moments = phi[:k] @ (rule.weights * resid)
     assert np.abs(moments).max() < 1e-12
@@ -115,7 +117,7 @@ def test_orthogonality_conditions(k, cell):
 def test_gauss_radau_rejects_degree_zero():
     for side in ("minus", "plus"):
         with pytest.raises(ValueError, match="k >= 1"):
-            _radau_1d(smooth, (0.0, 1.0), 0, side)
+            radau(smooth, [(0.0, 1.0)], 0, 0, side)
     # every composite with Gauss-Radau cells, whatever its region mask
     mesh = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=8))
     mesh2 = build_tensor_2d(mesh, mesh)
@@ -133,9 +135,9 @@ def test_composite_u_region_table():
     for j in range(8):
         cell = mesh.points[j], mesh.points[j + 1]
         if j < 2 or j in (6,):  # fine bands except the final cell
-            ref = _radau_1d(smooth, cell, k, "minus")
+            ref = radau(smooth, [cell], k, 0, "minus")
         else:  # coarse middle cells and the last cell
-            ref = _moments(smooth, cell, k)
+            ref = _project(smooth, [cell], k)
         assert np.array_equal(comp.coeffs[j], ref)
 
 
@@ -143,10 +145,10 @@ def test_composite_q_region_table():
     mesh = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=8))
     k = 2
     comp = composite_q_1d(smooth, mesh, k)
-    ref0 = _moments(smooth, (mesh.points[0], mesh.points[1]), k)
+    ref0 = _project(smooth, [(mesh.points[0], mesh.points[1])], k)
     assert np.array_equal(comp.coeffs[0], ref0)
     for j in range(1, 8):
-        ref = _radau_1d(smooth, (mesh.points[j], mesh.points[j + 1]), k, "plus")
+        ref = radau(smooth, [(mesh.points[j], mesh.points[j + 1])], k, 0, "plus")
         assert np.array_equal(comp.coeffs[j], ref)
 
 
@@ -189,7 +191,7 @@ def test_flux_interpolant_eps_scaling():
 def test_2d_gauss_radau_defining_conditions(axis, side):
     k = 2
     cell = ((0.2, 0.45), ((0.6, 0.9)))
-    c = _radau_2d(smooth2, _moments_2d(smooth2, cell, k), cell, k, axis, side)
+    c = radau(smooth2, cell, k, axis, side)
     rule = gauss_rule(20)
     (ax, bx), (ay, by) = cell
     xs = 0.5 * (ax + bx) + 0.5 * (bx - ax) * rule.nodes
@@ -233,10 +235,31 @@ def test_2d_gauss_radau_tensor_factorization(rng):
     def ab(x, y):
         return a(x) * b(y)
 
-    c2 = _radau_2d(ab, _moments_2d(ab, cell, k), cell, k, 0, "minus")
-    ca = _radau_1d(a, cell[0], k, "minus")
-    cb = _moments(b, cell[1], k)
+    c2 = radau(ab, cell, k, 0, "minus")
+    ca = radau(a, [cell[0]], k, 0, "minus")
+    cb = _project(b, [cell[1]], k)
     assert np.abs(c2 - np.outer(ca, cb)).max() < 1e-12
+
+
+def test_composite_px_2d_factorizes_on_the_whole_mesh():
+    # separable z(x,y) = a(x) b(y) on a mesh graded differently in x and y:
+    # the x-flux interpolant is composite_q_1d(a) in x (L2 on the first
+    # cell, left-end Gauss-Radau elsewhere) times the L2 moments of b in y
+    k = 2
+    mx = build_shishkin_1d(MeshParams(eps=1e-6, beta=1.0, sigma=3.0, N=16))
+    my = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=8))
+
+    def a(x):
+        return np.sin(2.0 * x) + 0.5 * x
+
+    def b(y):
+        return np.cos(y) - y**2
+
+    c2 = composite_px_2d(lambda x, y: a(x) * b(y), build_tensor_2d(mx, my), k).coeffs
+    ca = composite_q_1d(a, mx, k).coeffs
+    cb = _project(b, [(my.points[:-1], my.points[1:])], k)
+    assert c2.shape == (16, 8, k + 1, k + 1)
+    assert np.abs(c2 - ca[:, None, :, None] * cb[None, :, None, :]).max() < 1e-14
 
 
 def test_composite_u_2d_region_table():
@@ -249,12 +272,12 @@ def test_composite_u_2d_region_table():
     for i in range(8):
         for j in range(8):
             cell = (m.points[i], m.points[i + 1]), (m.points[j], m.points[j + 1])
-            ref = _moments_2d(smooth2, cell, k)
             if i in fine and j in mid:  # x-layer band against the coarse middle in y
-                ref = _radau_2d(smooth2, ref, cell, k, 0, "minus")
+                ref = radau(smooth2, cell, k, 0, "minus")
             elif i in mid and j in fine:  # y-layer band: graded in y
-                ref = _radau_2d(smooth2, ref, cell, k, 1, "minus")
-            # else interior block, corners, final row and column: plain tensor L2
+                ref = radau(smooth2, cell, k, 1, "minus")
+            else:  # interior block, corners, final row and column: plain tensor L2
+                ref = _project(smooth2, cell, k)
             assert np.array_equal(comp.coeffs[i, j], ref), (i, j)
 
 
@@ -268,14 +291,10 @@ def test_composite_flux_2d_region_tables():
         for j in range(8):
             cell = (m.points[i], m.points[i + 1]), (m.points[j], m.points[j + 1])
             # x-flux: L2 on the first column, left-edge Gauss-Radau in x elsewhere
-            ref = _moments_2d(smooth2, cell, k)
-            if i > 0:
-                ref = _radau_2d(smooth2, ref, cell, k, 0, "plus")
+            ref = radau(smooth2, cell, k, 0, "plus") if i > 0 else _project(smooth2, cell, k)
             assert np.array_equal(cp.coeffs[i, j], ref), (i, j)
             # y-flux: L2 on the first row, bottom-edge Gauss-Radau in y elsewhere
-            ref = _moments_2d(smooth2, cell, k)
-            if j > 0:
-                ref = _radau_2d(smooth2, ref, cell, k, 1, "plus")
+            ref = radau(smooth2, cell, k, 1, "plus") if j > 0 else _project(smooth2, cell, k)
             assert np.array_equal(cq.coeffs[i, j], ref), (i, j)
 
 
@@ -344,16 +363,31 @@ def layer_case(k, N=1024, eps=1e-8):
     return spec, build_shishkin_1d(MeshParams(eps=eps, beta=spec.beta, sigma=k + 1.0, N=N))
 
 
+class Counted:
+    """A 1D field that counts the node values it is asked for: the points of
+    calls whose last axis holds quadrature nodes, not the one or two cell
+    ends of a Gauss-Radau fix or of the max norm."""
+
+    def __init__(self, field):
+        self.field, self.nodes = field, 0
+
+    def __call__(self, x):
+        if np.shape(x)[-1] > 2:
+            self.nodes += np.size(x)
+        return self.field(x)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_shared_node_samples_are_bitwise_those_of_cold_calls(k):
     """The composites and both measures give the same bits whether every
     call samples afresh or all share one sampling, and the composites are
-    the whole-mesh kernels' coefficients, which sample the field themselves."""
+    the whole-mesh kernel's coefficients, which samples the field itself."""
     spec, mesh = layer_case(k)
     cells = mesh.points[:-1], mesh.points[1:]
     j = np.arange(mesh.ncells)
-    for build, field, side, where in ((composite_u_1d, spec.u_exact, "minus", _fine_band(j, j.size)),
+    for build, exact, side, where in ((composite_u_1d, spec.u_exact, "minus", _fine_band(j, j.size)),
                                       (composite_q_1d, spec.q_exact, "plus", j > 0)):
+        field = Counted(exact)
         cold = []
         for norm in ("l2", "linf"):
             _node_samples.cache_clear()
@@ -361,40 +395,41 @@ def test_shared_node_samples_are_bitwise_those_of_cold_calls(k):
             _node_samples.cache_clear()
             cold.append(measure_interp_error(field, comp, norm))
         _node_samples.cache_clear()
+        field.nodes = 0
         shared = build(field, mesh, k)
         warm = [measure_interp_error(field, shared, norm) for norm in ("l2", "linf")]
-        assert _node_samples.cache_info().misses == 1
+        assert field.nodes == mesh.ncells * polyspace.layer_rule(k).n  # the nodes, sampled once
         assert np.array_equal(shared.coeffs, comp.coeffs)
-        assert np.array_equal(shared.coeffs, _radau_1d(field, cells, k, side, where))
+        assert np.array_equal(shared.coeffs, radau(field, [cells], k, 0, side, where))
         assert warm == cold
 
 
 def test_node_samples_are_keyed_on_field_mesh_and_degree():
     spec, mesh = layer_case(2, N=64)
     _, other_mesh = layer_case(2, N=64)
+    u, same_u = Counted(spec.u_exact), Counted(spec.u_exact)
+    nodes = {k: 64 * polyspace.layer_rule(k).n for k in (2, 3)}  # one sampling of the nodes
     _node_samples.cache_clear()
-    composite_u_1d(spec.u_exact, mesh, 2)
-    samples = _node_samples(spec.u_exact, mesh, 2)
-    assert _node_samples.cache_info()[:2] == (1, 1)  # (hits, misses)
+    composite_u_1d(u, mesh, 2)
+    samples = _node_samples(u, mesh, 2)
+    assert u.nodes == nodes[2]  # the composite sampled, the direct call did not
 
-    def same_u(x):
-        return spec.u_exact(x)
-
-    for args in ((same_u, mesh, 2), (spec.u_exact, other_mesh, 2), (spec.u_exact, mesh, 3)):
-        misses = _node_samples.cache_info().misses
+    for args in ((same_u, mesh, 2), (u, other_mesh, 2), (u, mesh, 3)):
+        before = args[0].nodes
         assert _node_samples(*args) is not samples
-        assert _node_samples.cache_info().misses == misses + 1
+        assert args[0].nodes == before + nodes[args[2]]
     assert _node_samples.cache_info().currsize == 1
     # q measured right after u on the same mesh never gets u's samples
-    q = composite_q_1d(spec.q_exact, mesh, 2)
-    composite_u_1d(spec.u_exact, mesh, 2)
-    misses = _node_samples.cache_info().misses
-    err = measure_interp_error(spec.q_exact, q, "l2")
-    assert _node_samples.cache_info().misses == misses + 1
+    q = Counted(spec.q_exact)
+    qc = composite_q_1d(q, mesh, 2)
+    composite_u_1d(u, mesh, 2)
+    before = q.nodes
+    err = measure_interp_error(q, qc, "l2")
+    assert q.nodes == before + nodes[2]
     _node_samples.cache_clear()
-    assert err == measure_interp_error(spec.q_exact, q, "l2")
+    assert err == measure_interp_error(q, qc, "l2")
     # resampled, the same bits
-    assert np.array_equal(_node_samples(spec.u_exact, mesh, 2), samples)
+    assert np.array_equal(_node_samples(u, mesh, 2), samples)
 
 
 def test_node_samples_are_read_only_and_one_package_cache_entry():
@@ -432,9 +467,10 @@ def test_an_unhashable_field_is_sampled_without_the_cache():
 def test_shared_node_samples_keep_one_chunked_array():
     # At k=3, N=16384 one sample array is 1 MiB.  After both composites and
     # their four measures only the last field's samples stay beyond the
-    # coefficients (a second cache entry would keep 2 MiB); the peak holds
-    # both fields' samples while the entry changes hands, plus chunk-sized
-    # temporaries (a whole-mesh sampling would add several MiB).
+    # coefficients (a second cache entry would keep 2 MiB); the old entry is
+    # dropped before the next field is sampled, so the peak holds one sample
+    # array plus chunk-sized temporaries (a whole-mesh sampling would add
+    # several MiB).
     k = 3
     spec, mesh = layer_case(k, N=16384)
     samples = 16384 * (k + 5) * 8
@@ -458,7 +494,7 @@ def test_shared_node_samples_keep_one_chunked_array():
         tracemalloc.stop()
     coeffs = sum(comp.coeffs.nbytes for comp in out)
     assert retained <= coeffs + samples + 2**16, (retained - coeffs) / 2**20
-    assert peak <= coeffs + 2 * samples + 2**20, (peak - coeffs) / 2**20
+    assert peak <= coeffs + samples + 2**20, (peak - coeffs) / 2**20
 
 
 # -- defining conditions of every composite cell (property tests) ------------
@@ -567,6 +603,6 @@ def test_l2_projection_is_mirror_symmetric_at_small_eps():
     k, N, eps = 4, 16384, 1e-12
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     s = np.sqrt(eps)
-    c = _moments(lambda x: np.exp(-x / s) + np.exp(-(1.0 - x) / s), (m.points[:-1], m.points[1:]), k)
+    c = _project(lambda x: np.exp(-x / s) + np.exp(-(1.0 - x) / s), [(m.points[:-1], m.points[1:])], k)
     mirrored = c[::-1] * (-1.0) ** np.arange(k + 1)
     assert np.abs(c - mirrored).max() <= 1e-13

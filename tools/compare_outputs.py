@@ -29,13 +29,18 @@ values; the maximum difference relative to max|a| is printed) or differs
 `indices` or `indptr` differs in shape, it also prints max|A-B|/max|A| of
 the two CSR matrices rebuilt from them, so that a pattern change by
 noise-level entries can be told from a real one; this changes no verdict.
+For the arrays of reported values (`report`, `err`, `err_cold`) it also
+prints the largest per-value |d|/|a|, the relative move that the
+benchmark's tolerance applies to each value; this changes no verdict
+either.
 The tolerance is that of the acceptance criteria: a 2D matrix's `data`
 may differ by at most RTOL_2D_DATA * max|A|, and every other array must be
 bitwise equal.  The last three lines give the verdict per group (`1d: n
 arrays, m outside tolerance`, then the same for 2d and interp), each with
 the largest max|d|/max|a| among the group's structure-equal arrays (0 if it
-has none), so that a change to one of them, a last-bit move of sums
-included, can be read from its line alone.  It exits with
+has none) and the largest per-value |d|/|a| among its value arrays, so that
+a change to one of them, a last-bit move of sums included, can be read from
+its line alone.  It exits with
 status 1 if any array is outside its tolerance.
 
 Grids (sigma = k + 1, as in the convergence study; cases whose mesh does not
@@ -107,7 +112,7 @@ def _cases():
     from ldgrd.assembly2d import LdgOperator2D, solve_2d
     from ldgrd.linalg import SparseSystem
     from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
-    from ldgrd.norms import error_report_1d, error_report_2d
+    from ldgrd.norms import error_report
     from ldgrd.problems import get_problem
 
     for dim, grid in ((1, GRID_1D), (2, GRID_2D)):
@@ -127,14 +132,14 @@ def _cases():
                         if dim == 1:
                             w = solve_1d(mesh, prob, k, jump)
                             yield (key, assemble(mesh, prob, k, jump), solution_to_coeffs(w),
-                                   error_report_1d(w, prob, jump))
+                                   error_report(w, prob, jump))
                         else:
                             mesh2 = build_tensor_2d(mesh, mesh)
                             t = solve_2d(mesh2, prob, k, jump)
                             op = LdgOperator2D(mesh2, prob, k, jump)
                             system = SparseSystem(matrix=op.matrix(), rhs=op.rhs)
                             yield (key, _per_cell(mesh2, k, system), _fields(t),
-                                   error_report_2d(t, prob, jump))
+                                   error_report(t, prob, jump))
 
 
 def _interpolants():
@@ -187,13 +192,15 @@ def _per_cell(mesh2, k: int, system):
     then field P, Q, U, x mode, y mode), whatever the tree's own unknown
     layout: the matrix with explicit zeros dropped and the rhs as _fields."""
     import scipy.sparse as sp
-    from ldgrd.assembly2d import LdgSolution2D, coeffs_to_solution_2d, solution_to_coeffs_2d
-    from ldgrd.polyspace import PiecewisePoly2D
+    from ldgrd.assembly2d import coeffs_to_solution_2d
 
     nx, ny = mesh2.shape
-    index = np.arange(nx * ny * 3 * (k + 1) ** 2).reshape(nx, ny, 3, k + 1, k + 1)
-    p, q, u = (PiecewisePoly2D(mesh2, index[:, :, f].astype(float)) for f in range(3))
-    where = solution_to_coeffs_2d(LdgSolution2D(u=u, p=p, q=q)).astype(np.int64)
+    n = nx * ny * 3 * (k + 1) ** 2
+    t = coeffs_to_solution_2d(mesh2, k, np.arange(n, dtype=float))
+    # the tree's position of each unknown, in the fixed per-cell order, and its inverse
+    position = np.stack([t.p.coeffs, t.q.coeffs, t.u.coeffs], axis=2).ravel().astype(np.int64)
+    where = np.empty(n, dtype=np.int64)
+    where[position] = np.arange(n)
     A = system.matrix.tocoo()
     matrix = sp.csr_array((A.data, (where[A.row], where[A.col])), shape=A.shape)
     matrix.eliminate_zeros()
@@ -223,6 +230,17 @@ def dump(tree: Path, out: Path) -> None:
         ninterp += 1
     np.savez(out, **arrays)
     print(f"{ncases} cases, {ninterp} interpolants, {len(arrays)} arrays from {src} -> {out}")
+
+
+VALUE_FIELDS = ("report", "err", "err_cold")  # arrays of reported values
+
+
+def _value_rel(a, b) -> float:
+    """The largest per-value |a-b|/|a| of two equal-shape arrays (inf where
+    a value moves away from zero): the relative move the benchmark's
+    tolerance applies to each reported value."""
+    d, scale = np.abs(a - b), np.abs(a)
+    return float(np.max(np.where(d == 0, 0.0, d / np.where(scale == 0, 0.0, scale)), initial=0.0))
 
 
 def _status(a, b) -> tuple[str, float]:
@@ -255,23 +273,29 @@ def compare(old: Path, new: Path) -> int:
         a, b = dict(fa), dict(fb)
     counts = {"bitwise": 0, "structure": 0, "differs": 0}
     worst, rebuilt = {}, {}
-    # arrays, arrays outside tolerance, largest max|d|/max|a| of a structure-equal array
-    per_dim = {"1d": [0, 0, 0.0], "2d": [0, 0, 0.0], "interp": [0, 0, 0.0]}
+    # arrays, arrays outside tolerance, largest max|d|/max|a| of a structure-equal array,
+    # largest per-value |d|/|a| of a structure-equal value array
+    per_dim = {"1d": [0, 0, 0.0, 0.0], "2d": [0, 0, 0.0, 0.0], "interp": [0, 0, 0.0, 0.0]}
     for key in sorted(a.keys() | b.keys()):
         status, rel = _status(a.get(key), b.get(key))
         counts[status] += 1
+        case, field = key.rsplit("/", 1)
+        value_rel = (_value_rel(a[key], b[key])
+                     if status == "structure" and field in VALUE_FIELDS else None)
         if status == "structure":
-            name = key.split("/", 1)[0] + "/" + key.rsplit("/", 1)[1]
-            worst[name] = max(worst.get(name, 0.0), rel)
+            name = key.split("/", 1)[0] + "/" + field
+            old_rel, old_value_rel = worst.get(name, (0.0, 0.0))
+            worst[name] = max(old_rel, rel), max(old_value_rel, value_rel or 0.0)
         bad = status == "differs" or rel > _rtol(key)
         tally = per_dim[key.split("/", 1)[0]]
         tally[0] += 1
         tally[1] += bad
         if status == "structure":
             tally[2] = max(tally[2], rel)
+            tally[3] = max(tally[3], value_rel or 0.0)
         print(f"{'FAIL' if bad else 'ok  '} {key}: {status}"
-              + (f", max|d|/max|a| = {rel:.3g}" if status == "structure" else ""))
-        case, field = key.rsplit("/", 1)
+              + (f", max|d|/max|a| = {rel:.3g}" if status == "structure" else "")
+              + (f", per-value |d|/|a| = {value_rel:.3g}" if value_rel is not None else ""))
         if (status == "differs" and key.startswith("2d/") and field in CSR_FIELDS
                 and case not in rebuilt
                 and all(f"{case}/{f}" in d for d in (a, b) for f in CSR_FIELDS)):
@@ -279,15 +303,17 @@ def compare(old: Path, new: Path) -> int:
             print(f"     {case}: pattern differs, rebuilt matrices max|A-B|/max|A| = "
                   f"{rebuilt[case]:.3g}")
     print(f"{len(a.keys() | b.keys())} arrays: " + ", ".join(f"{n} {s}" for s, n in counts.items()))
-    for name, rel in sorted(worst.items()):
-        print(f"  worst structure-equal {name}: max|d|/max|a| = {rel:.3g}")
+    for name, (rel, value_rel) in sorted(worst.items()):
+        print(f"  worst structure-equal {name}: max|d|/max|a| = {rel:.3g}"
+              + (f", per-value |d|/|a| = {value_rel:.3g}" if name.endswith(VALUE_FIELDS) else ""))
     if rebuilt:
         print(f"  worst rebuilt 2d matrix of {len(rebuilt)} with another pattern: "
               f"max|A-B|/max|A| = {max(rebuilt.values()):.3g}")
-    for dim, (n, bad, rel) in per_dim.items():
+    for dim, (n, bad, rel, value_rel) in per_dim.items():
         print(f"{dim}: {n} arrays, {bad} outside tolerance, "
-              f"largest structure-equal max|d|/max|a| = {rel:.3g}")
-    return 1 if any(bad for _, bad, _ in per_dim.values()) else 0
+              f"largest structure-equal max|d|/max|a| = {rel:.3g}, "
+              f"per-value |d|/|a| = {value_rel:.3g}")
+    return 1 if any(bad for _, bad, _, _ in per_dim.values()) else 0
 
 
 def main(argv=None) -> int:
