@@ -1,18 +1,21 @@
 """Mixed-form DG assembly in 1D: elementwise variational equations coupled by
-upwind numerical fluxes with boundary penalties and one interior jump penalty."""
+upwind numerical fluxes with boundary penalties and one interior jump penalty.
+The compact bilinear form, bilinear_B, is written once over the mesh axes and
+serves 1D pairs and 2D triples alike, as the energy-identity test reference."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import Pattern, SparseSystem, lu_solve
 from .mesh import ShishkinMesh1D
-from .polyspace import PiecewisePoly, end_vals, gauss_rule, grad_matrix, leg_mass, legendre_basis
+from .polyspace import (PiecewisePoly, _cell_sums, _cells, _grid, _values, end_vals, gauss_rule,
+                        grad_matrix, leg_mass, legendre_basis)
 
 __all__ = [
     "LdgSolution1D",
@@ -217,54 +220,51 @@ def solve_1d(mesh: ShishkinMesh1D, problem, k: int, jump: bool = True) -> LdgSol
     return coeffs_to_solution(mesh, k, x)
 
 
-def bilinear_B(w: LdgSolution1D, chi: LdgSolution1D, b, eps: float, jump: bool = True) -> float:
-    """Evaluate the scheme's compact bilinear form B(W; chi).
+def _pair_sum(z, t, ops, weights) -> float:
+    """The sum over cells and modes of z times t, each mode axis of t
+    multiplied by its matrix in ops (row index on z's side) and each cell
+    axis weighted by weights; scalars z and t (a 1D trace) take no ops."""
+    cells, rows, cols = "ij"[:len(ops)], "ab"[:len(ops)], "mn"[:len(ops)]
+    subs = [cells + rows, *(r + c for r, c in zip(rows, cols)), cells + cols, *cells]
+    return float(np.einsum(",".join(subs) + "->", z, *ops, t, *weights))
 
-    This is the cell-sum of the elementwise equations with the fluxes
-    substituted: volume terms, upwind interface sums (entering with a
-    minus sign), the downwind boundary term, the two boundary penalties on
-    U and the interior jump penalty on Q.  On the diagonal it reproduces
-    the squared energy norm.
-    """
-    if w.u.mesh is not chi.u.mesh or w.u.degree != chi.u.degree:
+
+def bilinear_B(t, z, b, eps: float, jump: bool = True) -> float:
+    """The scheme's compact bilinear form B(T; Z) of 1D pairs (Q, U) or 2D
+    triples (U, P, Q): the cell-sum of the elementwise equations with the
+    fluxes substituted.  Past the b-weighted volume term, each axis a adds,
+    with its flux field (Q in 1D, P then Q in 2D), the flux mass, the two G
+    terms (G on the mode of a, the Legendre mass and h/2 on the other axes)
+    and the terms on the lines normal to a: upwind interface sums (with a
+    minus sign), the downwind boundary term, the two boundary penalties on U
+    and the jump penalty on the flux at the special line.  On the diagonal
+    it reproduces the squared energy norm."""
+    if t.u.mesh is not z.u.mesh or t.u.degree != z.u.degree:
         raise ValueError("both arguments must share mesh and degree")
-    mesh = w.u.mesh
-    k = w.u.degree
-    lam_b, lam_j = _flux_weights(eps, jump)
-    rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
-    G = grad_matrix(k)
-    mass = leg_mass(k)
-    em, ep = end_vals(k)
-    h = mesh.widths
-    X = mesh.quad_points(rule.nodes)
-    bX = np.broadcast_to(np.asarray(b(X), dtype=float), X.shape)
-
-    cQ, cU = w.q.coeffs, w.u.coeffs
-    cR, cV = chi.q.coeffs, chi.u.coeffs
-
-    Uvals = cU @ legendre_basis(k, rule.nodes)
-    Vvals = cV @ legendre_basis(k, rule.nodes)
-    total = float(np.einsum("jg,g,jg,j->", bX * Uvals, rule.weights, Vvals, 0.5 * h))
-    total += (1.0 / eps) * float(np.einsum("jm,m,jm,j->", cQ, mass, cR, 0.5 * h))
-    total += float(np.einsum("ja,an,jn->", cR, G, cU))  # <U, r'>
-    total += float(np.einsum("ja,an,jn->", cV, G, cQ))  # <Q, v'>
-
-    # Interface traces: *_m at right cell ends (interfaces 1..N), *_p at
-    # left cell ends (interfaces 0..N-1).
-    Um, Up = cU @ ep, cU @ em
-    Qm, Qp = cQ @ ep, cQ @ em
-    Rm, Rp = cR @ ep, cR @ em
-    Vm, Vp = cV @ ep, cV @ em
-
-    jump_r = Rm[:-1] - Rp[1:]  # interior interfaces 1..N-1
-    jump_v = Vm[:-1] - Vp[1:]
-    total -= float(Um[:-1] @ jump_r)
-    total -= float(Qp[1:] @ jump_v)
-    total -= Qp[0] * (-Vp[0])  # j=0 term of the downwind sum, [[v]]_0 = -v^+
-    total -= Qm[-1] * Vm[-1]  # boundary term (Q v)^-_N
-    total += lam_b * (-Up[0]) * (-Vp[0])
-    total += lam_b * Um[-1] * Vm[-1]
-    if jump:
-        m = mesh.special_index
-        total += lam_j * (Qm[m - 1] - Qp[m]) * (Rm[m - 1] - Rp[m])
+    mesh, k = t.u.mesh, t.u.degree
+    axes, lam_b, lam_j = mesh.axes, *_flux_weights(eps, jump)
+    rule, dim = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES), len(axes)
+    phi, mass, G = legendre_basis(k, rule.nodes), np.diag(leg_mass(k)), grad_matrix(k)
+    halves = [0.5 * m.widths for m in axes]
+    bV = np.asarray(b(*_grid(_cells(mesh), rule.nodes)), dtype=float)
+    uv = _values(t.u.coeffs, *(phi,) * dim) * _values(z.u.coeffs, *(phi,) * dim)
+    total = float(reduce(lambda v, h: h @ v, halves, _cell_sums(bV * uv, rule.weights, dim)))
+    fluxes = [(getattr(t, f), getattr(z, f)) for f in "pq"[-dim:]]
+    for a, (m, (tf, zf)) in enumerate(zip(axes, fluxes)):
+        ops = [G if o == a else mass for o in range(dim)]
+        width = [np.ones(m.ncells) if o == a else h for o, h in enumerate(halves)]
+        total += (1.0 / eps) * _pair_sum(zf.coeffs, tf.coeffs, [mass] * dim, halves)
+        total += _pair_sum(zf.coeffs, t.u.coeffs, ops, width)  # <U, r_a>
+        total += _pair_sum(z.u.coeffs, tf.coeffs, ops, width)  # <flux, v_a>
+        n, line = m.ncells, partial(_pair_sum, ops=[mass] * (dim - 1),  # along the other axes
+                                    weights=halves[:a] + halves[a + 1:])
+        for i in range(1, n):
+            total -= line(zf.jump(i, a), t.u.trace(i, "left", a))
+        for i in range(n):
+            total -= line(z.u.jump(i, a), tf.trace(i, "right", a))
+        total -= line(z.u.jump(n, a), tf.trace(n, "left", a))
+        total += lam_b * (line(z.u.jump(0, a), t.u.jump(0, a))
+                          + line(z.u.jump(n, a), t.u.jump(n, a)))
+        if jump:
+            total += lam_j * line(zf.jump(m.special_index, a), tf.jump(m.special_index, a))
     return total

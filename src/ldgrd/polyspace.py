@@ -3,7 +3,9 @@ grids of a chunk of cells, and one piecewise-polynomial container for the
 broken spaces on 1D and tensor-product meshes.  What depends on the
 dimension is how each axis is contracted: values take the last mode axis
 from the right and, in 2D, x from the left (_values); a trace is one dot per
-cell in 1D and one einsum in 2D, the sums the error reports have always had."""
+cell in 1D and one einsum in 2D, the sums the error reports have always had.
+The per-cell sums (_cell_sums) serve the reports, the interpolation measure
+and the bilinear form's volume term."""
 
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ __all__ = [
     "leg_mass",
     "grad_matrix",
     "end_vals",
-    "tensor_sum",
     "PiecewisePoly",
 ]
 
@@ -159,12 +160,6 @@ def _values(c: np.ndarray, *phi: np.ndarray) -> np.ndarray:
     contracted from the right, x from the left in 2D."""
     v = c @ phi[-1]
     return phi[0].T @ v if len(phi) == 2 else v
-
-
-def tensor_sum(vals: np.ndarray, weights: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> float:
-    """Sum of vals[i, j, x, y] * weights[x] * weights[y] * wx[i] * wy[j]:
-    per-cell sums, then the widths contracted one axis at a time."""
-    return float(wx @ _cell_sums(vals, weights, 2) @ wy)
 
 
 class PiecewisePoly:

@@ -33,13 +33,9 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1)
-def _node_samples(field, mesh: ShishkinMesh1D, k: int) -> np.ndarray:
+def _sample(field, mesh: ShishkinMesh1D, k: int) -> np.ndarray:
     """Read-only (ncells, k+5) values of field at the layer_rule(k) nodes of
-    every cell, sampled chunk by chunk; one entry, so the 1D composite of a
-    field and both of its measures sample it once.  The old entry is dropped
-    before the new field is sampled, so at most one sample array is held."""
-    _node_samples.cache_clear()
+    every cell, sampled chunk by chunk."""
     nodes = layer_rule(k).nodes
     zx = np.empty((mesh.ncells, nodes.size))
     for s in _chunks(mesh.ncells, nodes.size):
@@ -48,15 +44,24 @@ def _node_samples(field, mesh: ShishkinMesh1D, k: int) -> np.ndarray:
     return zx
 
 
+@lru_cache(maxsize=1)
+def _node_samples(field, mesh: ShishkinMesh1D, k: int) -> np.ndarray:
+    """_sample, in one entry, so the 1D composite of a field and both of its
+    measures sample it once.  The old entry is dropped before the new field
+    is sampled, so at most one sample array is held."""
+    _node_samples.cache_clear()
+    return _sample(field, mesh, k)
+
+
 def _samples(field, mesh, k: int) -> np.ndarray | None:
-    """The 1D node samples (_node_samples, or sampled afresh for a field that
-    cannot be hashed); None in 2D."""
+    """The 1D node samples (_node_samples, or _sample for a field that cannot
+    be hashed, which leaves the cached entry as it is); None in 2D."""
     if len(mesh.shape) > 1:
         return None
     try:
         hash(field)
     except TypeError:
-        return _node_samples.__wrapped__(field, mesh, k)
+        return _sample(field, mesh, k)
     return _node_samples(field, mesh, k)
 
 

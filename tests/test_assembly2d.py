@@ -189,6 +189,28 @@ def test_bilinear_matches_assembled_matrix_2d_variable_b(rng):
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
 
+@pytest.mark.parametrize("shape", [(8, 12), (12, 8)])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("flux", ["classic", "paper"])
+@pytest.mark.parametrize("eps", [1e-4, 1e-10])
+def test_bilinear_form_on_rectangular_meshes(eps, flux, k, shape, rng):
+    # The other form tests run on square meshes, where an x/y mix-up in the
+    # form written over the axes would pass; b = 2 + x(1-y) also tells x
+    # from y.  The form is the assembled matrix and, on the diagonal, the
+    # squared energy norm of the report.
+    jump = flux == "paper"
+    mx, my = (build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=n)) for n in shape)
+    mesh2 = build_tensor_2d(mx, my)
+    prob = dataclasses.replace(layer2d(eps), b=lambda x, y: 2.0 + x * (1.0 - y))
+    A = LdgOperator2D(mesh2, prob, k, jump).matrix()
+    t, z = make_triple(mesh2, k, rng), make_triple(mesh2, k, rng)
+    lhs = solution_to_coeffs_2d(z) @ matvec(A, solution_to_coeffs_2d(t))
+    rhs = bilinear_B2d(t, z, prob.b, eps, jump)
+    assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
+    e_val = energy_sq(t, prob.b, eps, jump)
+    assert abs(bilinear_B2d(t, t, prob.b, eps, jump) - e_val) <= 1e-12 * e_val
+
+
 @pytest.mark.parametrize("flux", ["paper", "classic"])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("dim", [1])

@@ -374,11 +374,12 @@ def test_streamed_results_do_not_depend_on_the_chunk_size(dim, k, monkeypatch):
 
 
 def test_1d_per_cell_sums_do_not_depend_on_the_chunking(rng):
-    # The reports, both interpolation l2 errors and tensor_sum share one
-    # per-cell sum, an einsum that calls no BLAS: a cell's bits do not depend
-    # on the cells beside it.  A matrix-vector product's do (OpenBLAS rounds
-    # its rows in blocks of four), and the reported scalars would not show it:
-    # row counts here are not multiples of 4, at 8 nodes and more.
+    # The reports, both interpolation l2 errors and the bilinear form's volume
+    # term share one per-cell sum, an einsum that calls no BLAS: a cell's
+    # bits do not depend on the cells beside it.  A matrix-vector product's
+    # do (OpenBLAS rounds its rows in blocks of four), and the reported
+    # scalars would not show it: row counts here are not multiples of 4, at
+    # 8 nodes and more.
     from ldgrd import norms, projection
 
     assert norms._cell_sums is projection._cell_sums is polyspace._cell_sums

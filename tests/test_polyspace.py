@@ -11,8 +11,8 @@ from ldgrd.polyspace import (
     grad_matrix,
     leg_mass,
     legendre_basis,
+    _cell_sums,
     legendre_basis_deriv,
-    tensor_sum,
 )
 
 from conftest import uniform_mesh, uniform_mesh_2d
@@ -163,11 +163,13 @@ def test_2d_values_on_ref_consistent_with_eval(rng):
         assert np.abs(vals[i, j] - ref).max() < 1e-12
 
 
-def test_tensor_sum_matches_einsum(rng):
+def test_cell_sums_then_widths_match_einsum(rng):
+    # the 2D volume sums of the reports and of the bilinear form: per-cell
+    # sums, then the widths contracted one axis at a time
     vals = rng.standard_normal((3, 4, 5, 5))
     w, wx, wy = rng.random(5), rng.random(3), rng.random(4)
     ref = np.einsum("ijxy,x,y,i,j->", vals, w, w, wx, wy)
-    assert abs(tensor_sum(vals, w, wx, wy) - ref) <= 1e-14 * np.einsum(
+    assert abs(wy @ (wx @ _cell_sums(vals, w, 2)) - ref) <= 1e-14 * np.einsum(
         "ijxy,x,y,i,j->", np.abs(vals), w, w, wx, wy)
 
 

@@ -464,6 +464,27 @@ def test_an_unhashable_field_is_sampled_without_the_cache():
     assert errs == [measure_interp_error(spec.u_exact, comp, norm) for norm in ("l2", "linf")]
 
 
+def test_an_unhashable_field_leaves_the_cached_samples_in_place():
+    # u is sampled once on the node grid across its composite and both of its
+    # measures, even with an unhashable field's composite in between.
+    spec, mesh = layer_case(2, N=64)
+
+    class Field:
+        __hash__ = None
+
+        def __call__(self, x):
+            return spec.q_exact(x)
+
+    _node_samples.cache_clear()
+    u = Counted(spec.u_exact)
+    comp = composite_u_1d(u, mesh, 2)
+    composite_u_1d(Field(), mesh, 2)
+    assert _node_samples.cache_info().currsize == 1
+    for norm in ("l2", "linf"):
+        measure_interp_error(u, comp, norm)
+    assert u.nodes == 64 * polyspace.layer_rule(2).n
+
+
 def test_shared_node_samples_keep_one_chunked_array():
     # At k=3, N=16384 one sample array is 1 MiB.  After both composites and
     # their four measures only the last field's samples stay beyond the

@@ -10,6 +10,18 @@ change is lower, in the shape of the committed `BENCH_*.json` records:
 
     python3 tools/bench_pairs.py /path/to/parent . --workload sweep1d --pairs 10
     python3 tools/bench_pairs.py /path/to/parent . --workload all --seconds 10 > pairs.json
+    python3 tools/bench_pairs.py /path/to/parent . --claim wall_s
+
+With each metric's `better` and `bound` from the change tree's BENCHMARK.json
+it also states the verdicts:
+- `move`: the change's median minus the parent's, as a fraction of the
+  parent's median, signed so that positive is worse;
+- `bound`, and `within_bound`: true when the move is at most the bound.  It
+  reads "unresolved" when the parent's IQR, as a fraction of its median, is
+  wider than the bound, unless every change run beats every parent run;
+- with `--claim METRIC`, `claim_met` for that metric: the change is better
+  in at least 9 of 10 pairs (ties count for neither), and better in the
+  median by more than the parent's IQR.
 
 Both trees need `perfbench/` and `src/ldgrd`.  Progress goes to standard
 error; the exit status is 1 if any run fails or reports `correct: false`.
@@ -19,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -45,22 +58,42 @@ def _iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarize(runs: dict[str, list[dict]]) -> dict:
-    """Per metric: both sides' values, medians, spreads and the change's wins."""
+def load_spec(tree: Path) -> dict[str, dict]:
+    """The end-to-end metrics of tree's BENCHMARK.json, by name."""
+    return {m["name"]: m for m in json.loads((tree / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+def summarize(runs: dict[str, list[dict]], spec: dict[str, dict], claim: str | None = None) -> dict:
+    """Per metric: both sides' values, medians, spreads, the change's wins and
+    the verdicts against spec (see the module docstring)."""
     out = {"all_correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()}}
     for metric in METRICS:
         vals = {side: [round(r["metrics"][metric]["value"], 5) for r in rs
                        if metric in r["metrics"]] for side, rs in runs.items()}
-        if len(vals["parent"]) < 2 or len(vals["parent"]) != len(vals["change"]):
+        p, c = vals["parent"], vals["change"]
+        if len(p) < 2 or len(p) != len(c):
             continue
+        sign = 1.0 if spec[metric]["better"] == "lower" else -1.0  # sign * value: lower is better
+        p_med, c_med, p_iqr, bound = (statistics.median(p), statistics.median(c), _iqr(p),
+                                      spec[metric]["bound"])
+        delta = c_med - p_med if sign > 0 else p_med - c_med  # positive is worse
+        move = delta / abs(p_med) if p_med else math.copysign(math.inf, delta) if delta else 0.0
+        if max(sign * x for x in c) < min(sign * x for x in p):
+            within = True
+        elif p_iqr > bound * abs(p_med):
+            within = "unresolved"
+        else:
+            within = move <= bound
         out[metric] = {
-            "parent": vals["parent"], "change": vals["change"],
-            "parent_median": round(statistics.median(vals["parent"]), 5),
-            "change_median": round(statistics.median(vals["change"]), 5),
-            "parent_iqr": round(_iqr(vals["parent"]), 5),
-            "change_iqr": round(_iqr(vals["change"]), 5),
-            "change_lower_in_pairs": sum(c < p for p, c in zip(vals["parent"], vals["change"])),
+            "parent": p, "change": c,
+            "parent_median": round(p_med, 5), "change_median": round(c_med, 5),
+            "parent_iqr": round(p_iqr, 5), "change_iqr": round(_iqr(c), 5),
+            "change_lower_in_pairs": sum(y < x for x, y in zip(p, c)),
+            "move": round(move, 5), "bound": bound, "within_bound": within,
         }
+        if metric == claim:
+            wins = sum(sign * y < sign * x for x, y in zip(p, c))
+            out[metric]["claim_met"] = wins >= math.ceil(0.9 * len(p)) and -delta > p_iqr
     return out
 
 
@@ -72,10 +105,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--claim", choices=METRICS, help="the metric whose gain is claimed")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = load_spec(trees["change"])
     result = {}
     for workload in WORKLOADS if args.workload == "all" else (args.workload,):
         runs = {"parent": [], "change": []}
@@ -86,7 +121,7 @@ def main(argv=None) -> int:
                 wall = r["metrics"].get("wall_s", {}).get("value", float("nan"))
                 print(f"{workload} pair {i} {side}: wall_s {wall:.4f} correct {r['correct']}",
                       file=sys.stderr)
-        result[f"{workload}_seed{args.seed}"] = summarize(runs)
+        result[f"{workload}_seed{args.seed}"] = summarize(runs, spec, args.claim)
     print(json.dumps(result, indent=2))
     ok = all(all(s["all_correct"].values()) for s in result.values())
     return 0 if ok else 1
