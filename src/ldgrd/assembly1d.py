@@ -1,7 +1,10 @@
 """Mixed-form DG assembly in 1D: elementwise variational equations coupled by
 upwind numerical fluxes with boundary penalties and one interior jump penalty.
-The compact bilinear form, bilinear_B, is written once over the mesh axes and
-serves 1D pairs and 2D triples alike, as the energy-identity test reference."""
+The solution container LdgSolution (U and one flux per axis), its
+coefficient maps and the compact bilinear form bilinear_B (the
+energy-identity test reference) are written once over the mesh axes and
+serve 1D and 2D alike; LdgSolution.fluxes is the one place that orders the
+fluxes (Q in 1D, P then Q in 2D)."""
 
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from .polyspace import (PiecewisePoly, _cell_sums, _cells, _grid, _values, end_v
                         grad_matrix, leg_mass, legendre_basis)
 
 __all__ = [
-    "LdgSolution1D",
+    "LdgSolution",
     "assemble",
     "table_matrix",
     "solve_1d",
@@ -30,16 +33,27 @@ __all__ = [
 ASSEMBLY_EXTRA_NODES = 1  # one node beyond exactness for the polynomial terms
 
 
-@dataclass(frozen=True, eq=False)
-class LdgSolution1D:
-    """Discrete pair (Q, U) on a common mesh and degree."""
+@dataclass(frozen=True, eq=False, kw_only=True)
+class LdgSolution:
+    """Discrete solution U with the scaled flux of each axis: Q in 1D, P
+    (x) and Q (y) in 2D, on a common mesh and degree; p is None exactly
+    when the mesh has one axis."""
 
-    q: PiecewisePoly
     u: PiecewisePoly
+    q: PiecewisePoly
+    p: PiecewisePoly | None = None
 
     def __post_init__(self):
-        if self.q.mesh is not self.u.mesh or self.q.degree != self.u.degree:
-            raise ValueError("Q and U must share mesh and degree")
+        if (self.p is None) != (len(self.u.mesh.shape) == 1):
+            raise ValueError("P must be given exactly when the mesh has two axes")
+        if any(f.mesh is not self.u.mesh or f.degree != self.u.degree for f in self.fluxes):
+            raise ValueError("U and its fluxes must share mesh and degree")
+
+    @property
+    def fluxes(self) -> tuple[PiecewisePoly, ...]:
+        """The flux fields in axis order, each with its special line normal
+        to its axis: (Q,) in 1D, (P, Q) in 2D."""
+        return (self.q,) if self.p is None else (self.p, self.q)
 
 
 _FLUX, _PRIMAL = 0, 1  # Q and U in 1D; P or Q, and U, per direction in 2D
@@ -199,22 +213,32 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, jump: bool = True) -> Sparse
     return SparseSystem(matrix=matrix, rhs=rhs.ravel(), pattern=pattern)
 
 
-def coeffs_to_solution(mesh: ShishkinMesh1D, k: int, x: np.ndarray) -> LdgSolution1D:
-    N = mesh.ncells
-    B = k + 1
-    blocks = np.asarray(x, dtype=float).reshape(N, 2, B)
-    return LdgSolution1D(
-        q=PiecewisePoly(mesh, blocks[:, 0, :].copy()),
-        u=PiecewisePoly(mesh, blocks[:, 1, :].copy()),
-    )
+def _ordering(shape: tuple[int, ...], k: int):
+    """(shape, axis order) of the unknown vector on a mesh of cell counts
+    `shape`: the vector read in that shape and transposed to that order is
+    (field, cells per axis, modes per axis), fields in the order of
+    LdgSolution.fluxes and then U.  1D is cell-major, (Q, U) per cell, the
+    input of the SuperLU solve (assemble); 2D is field-major [P; Q; U],
+    each field in LdgOperator2D's Kronecker order (x cell, x mode, y cell,
+    y mode).  Both axis orders are their own inverse."""
+    return {1: ((*shape, 2, k + 1), (1, 0, 2)),
+            2: ((3, shape[0], k + 1, shape[-1], k + 1), (0, 1, 3, 2, 4))}[len(shape)]
 
 
-def solution_to_coeffs(w: LdgSolution1D) -> np.ndarray:
-    return np.stack([w.q.coeffs, w.u.coeffs], axis=1).ravel()
+def coeffs_to_solution(mesh, k: int, x: np.ndarray) -> LdgSolution:
+    shape, order = _ordering(mesh.shape, k)
+    *p, q, u = np.asarray(x, dtype=float).reshape(shape).transpose(order).copy()
+    return LdgSolution(u=PiecewisePoly(mesh, u), q=PiecewisePoly(mesh, q),
+                       p=PiecewisePoly(mesh, *p) if p else None)
 
 
-def solve_1d(mesh: ShishkinMesh1D, problem, k: int, jump: bool = True) -> LdgSolution1D:
-    """Assemble, solve and unpack the discrete pair."""
+def solution_to_coeffs(w: LdgSolution) -> np.ndarray:
+    _, order = _ordering(w.u.mesh.shape, w.u.degree)
+    return np.stack([f.coeffs for f in (*w.fluxes, w.u)]).transpose(order).ravel()
+
+
+def solve_1d(mesh: ShishkinMesh1D, problem, k: int, jump: bool = True) -> LdgSolution:
+    """Assemble, solve and unpack the discrete pair (Q, U)."""
     system = assemble(mesh, problem, k, jump)
     x = lu_solve(system.matrix, system.rhs, system.pattern)
     return coeffs_to_solution(mesh, k, x)
@@ -230,12 +254,11 @@ def _pair_sum(z, t, ops, weights) -> float:
 
 
 def bilinear_B(t, z, b, eps: float, jump: bool = True) -> float:
-    """The scheme's compact bilinear form B(T; Z) of 1D pairs (Q, U) or 2D
-    triples (U, P, Q): the cell-sum of the elementwise equations with the
-    fluxes substituted.  Past the b-weighted volume term, each axis a adds,
-    with its flux field (Q in 1D, P then Q in 2D), the flux mass, the two G
-    terms (G on the mode of a, the Legendre mass and h/2 on the other axes)
-    and the terms on the lines normal to a: upwind interface sums (with a
+    """The scheme's compact bilinear form B(T; Z) of two LdgSolution: the
+    cell-sum of the elementwise equations with the fluxes substituted.  Past
+    the b-weighted volume term, each axis a adds, with its flux field
+    LdgSolution.fluxes[a], the flux mass, the two G terms (G on the mode of
+    a, the Legendre mass and h/2 on the other axes) and the terms on the lines normal to a: upwind interface sums (with a
     minus sign), the downwind boundary term, the two boundary penalties on U
     and the jump penalty on the flux at the special line.  On the diagonal
     it reproduces the squared energy norm."""
@@ -249,8 +272,7 @@ def bilinear_B(t, z, b, eps: float, jump: bool = True) -> float:
     bV = np.asarray(b(*_grid(_cells(mesh), rule.nodes)), dtype=float)
     uv = _values(t.u.coeffs, *(phi,) * dim) * _values(z.u.coeffs, *(phi,) * dim)
     total = float(reduce(lambda v, h: h @ v, halves, _cell_sums(bV * uv, rule.weights, dim)))
-    fluxes = [(getattr(t, f), getattr(z, f)) for f in "pq"[-dim:]]
-    for a, (m, (tf, zf)) in enumerate(zip(axes, fluxes)):
+    for a, (m, tf, zf) in enumerate(zip(axes, t.fluxes, z.fluxes)):
         ops = [G if o == a else mass for o in range(dim)]
         width = [np.ones(m.ncells) if o == a else h for o, h in enumerate(halves)]
         total += (1.0 / eps) * _pair_sum(zf.coeffs, tf.coeffs, [mass] * dim, halves)

@@ -1,42 +1,20 @@
 """Mixed-form DG assembly on tensor-product meshes: per-direction upwind edge
 fluxes, boundary penalties on U, and jump-penalized flux lines at index 3N/4
-in each direction.  The compact bilinear form bilinear_B2d is the axis-wise
-assembly1d.bilinear_B."""
+in each direction.  The solution is assembly1d.LdgSolution, whose ``fluxes``
+give the flux order (P, then Q), and the compact bilinear form bilinear_B2d
+is the axis-wise assembly1d.bilinear_B."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .assembly1d import (ASSEMBLY_EXTRA_NODES, _check_consistent, _flux_mass, _flux_weights,
-                         bilinear_B, table_matrix)
+from .assembly1d import (ASSEMBLY_EXTRA_NODES, LdgSolution, _check_consistent, _flux_mass,
+                         _flux_weights, bilinear_B, coeffs_to_solution, table_matrix)
 from .linalg import KroneckerSumSolve, _refined_solve, from_coo, pcg, sp
 from .mesh import TensorMesh2D
-from .polyspace import PiecewisePoly, end_vals, gauss_rule, leg_mass, legendre_basis
+from .polyspace import end_vals, gauss_rule, leg_mass, legendre_basis
 
-__all__ = [
-    "LdgSolution2D",
-    "LdgOperator2D",
-    "solve_2d",
-    "bilinear_B2d",
-    "coeffs_to_solution_2d",
-    "solution_to_coeffs_2d",
-]
-
-@dataclass(frozen=True, eq=False)
-class LdgSolution2D:
-    """Discrete triple (U, P, Q) on a common tensor mesh and degree."""
-
-    u: PiecewisePoly
-    p: PiecewisePoly
-    q: PiecewisePoly
-
-    def __post_init__(self):
-        if not (self.u.mesh is self.p.mesh is self.q.mesh):
-            raise ValueError("U, P, Q must share one mesh")
-        if not (self.u.degree == self.p.degree == self.q.degree):
-            raise ValueError("U, P, Q must share one degree")
+__all__ = ["LdgOperator2D", "solve_2d", "bilinear_B2d"]
 
 
 class _Axis:
@@ -188,25 +166,13 @@ class LdgOperator2D:
         return from_coo(3 * n, A.row, A.col, A.data)
 
 
-def coeffs_to_solution_2d(mesh: TensorMesh2D, k: int, x: np.ndarray) -> LdgSolution2D:
-    nx, ny = mesh.shape
-    p, q, u = np.asarray(x, dtype=float).reshape(3, nx, k + 1, ny, k + 1).transpose(
-        0, 1, 3, 2, 4).copy()
-    return LdgSolution2D(u=PiecewisePoly(mesh, u), p=PiecewisePoly(mesh, p),
-                         q=PiecewisePoly(mesh, q))
-
-
-def solution_to_coeffs_2d(t: LdgSolution2D) -> np.ndarray:
-    return np.stack([t.p.coeffs, t.q.coeffs, t.u.coeffs]).transpose(0, 1, 3, 2, 4).ravel()
-
-
-def solve_2d(mesh: TensorMesh2D, problem, k: int, jump: bool = True) -> LdgSolution2D:
+def solve_2d(mesh: TensorMesh2D, problem, k: int, jump: bool = True) -> LdgSolution:
     """LdgOperator2D.solve, refined once on the residual of its apply (record
     path pcg); nothing is assembled or factored.  Raises SingularSystemError
     if the refined residual misses its tolerance (see _refined_solve)."""
     op = LdgOperator2D(mesh, problem, k, jump)
     x = _refined_solve("pcg", op.apply, op.factor, op.rhs, always=True)
-    return coeffs_to_solution_2d(mesh, k, x)
+    return coeffs_to_solution(mesh, k, x)
 
 
 bilinear_B2d = bilinear_B  # the 2D name its callers keep

@@ -1,7 +1,8 @@
 """Energy-norm, balanced-norm and plain L2/Linf error measures of discrete
-solutions against exact solutions: one report for a 1D pair and a 2D
-triple, whose only per-dimension choices are the flux tuple (Q, or P and Q)
-and the balanced norm's special-line weight (_per_dimension).
+solutions against exact solutions: one report for an LdgSolution in 1D and
+2D, whose only per-dimension choices are the exact flux for each of
+LdgSolution.fluxes and the balanced norm's special-line weight
+(_per_dimension).
 
 The exact solution and its fluxes are continuous and u vanishes on the
 boundary (homogeneous Dirichlet data), so every jump of an error
@@ -35,11 +36,10 @@ class ErrorReport:
 
 
 def _per_dimension(w, problem):
-    """The flux fields with their exact values (Q in 1D, P then Q in 2D;
-    the flux of axis a has its special line normal to a), the squared jumps
-    of U on the boundary and of the fluxes on the special lines (integrated
-    along each line by the Legendre mass in 2D), and the balanced norm's
-    special-line weight: 1 in 1D, eps^{-1/2} in 2D."""
+    """The flux fields of LdgSolution.fluxes, in axis order, with their exact
+    values, the squared jumps of U on the boundary and of the fluxes on the
+    special lines (integrated along each line by the Legendre mass in 2D),
+    and the balanced norm's special-line weight: 1 in 1D, eps^{-1/2} in 2D."""
     axes, mass = w.u.mesh.axes, leg_mass(w.u.degree)
 
     def sq(poly, axis, i):  # the line normal to `axis` runs along the other axes
@@ -48,7 +48,8 @@ def _per_dimension(w, problem):
             j2 = np.einsum("jn,n,j->", j2, mass, 0.5 * m.widths)
         return float(j2)
 
-    fluxes = [(getattr(w, f), getattr(problem, f"{f}_exact")) for f in "pq"[-len(axes):]]
+    exact = (problem.q_exact,) if w.p is None else (problem.p_exact, problem.q_exact)
+    fluxes = list(zip(w.fluxes, exact))
     ju = sum(sq(w.u, axis, i) for axis, m in enumerate(axes) for i in (0, m.ncells))
     js = sum(sq(poly, axis, axes[axis].special_index) for axis, (poly, _) in enumerate(fluxes))
     lam_s = 1.0 if len(axes) == 1 else _flux_weights(problem.eps, True)[1]  # 2D: lambda_jump
@@ -86,11 +87,11 @@ def _error_pieces(w, problem, fluxes):
 
 
 def error_report(w, problem, jump: bool = True) -> ErrorReport:
-    """Error report of a discrete pair (Q, U) or triple (U, P, Q).  Energy
-    norm: eps^{-1} times the flux terms plus |b^{1/2} e_u|^2, plus the
-    boundary and special-line jumps weighted by _flux_weights(problem.eps,
-    jump).  Balanced norm: the flux terms weighted eps^{-3/2}, unit weight on
-    the boundary jumps, and the special-line weight of _per_dimension, which
+    """Error report of an LdgSolution in 1D or 2D.  Energy norm: eps^{-1}
+    times the flux terms plus |b^{1/2} e_u|^2, plus the boundary and
+    special-line jumps weighted by _flux_weights(problem.eps, jump).
+    Balanced norm: the flux terms weighted eps^{-3/2}, unit weight on the
+    boundary jumps, and the special-line weight of _per_dimension, which
     does not depend on the flux."""
     fluxes, ju, js, lam_s = _per_dimension(w, problem)
     lam_b, lam_j = _flux_weights(problem.eps, jump)

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import legval
 
-from ldgrd.assembly1d import LdgSolution1D, solve_1d
-from ldgrd.assembly2d import LdgSolution2D
+from ldgrd.assembly1d import LdgSolution, solve_1d
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import error_report
 from ldgrd.polyspace import PiecewisePoly, gauss_rule, legendre_basis
@@ -186,7 +185,7 @@ def test_criterion_05_energy_identity():
             for k in (1, 2, 3):
                 mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
                 for _ in range(8):
-                    chi = LdgSolution1D(
+                    chi = LdgSolution(
                         q=PiecewisePoly(mesh, rng.standard_normal((N, k + 1))),
                         u=PiecewisePoly(mesh, rng.standard_normal((N, k + 1))),
                     )
@@ -204,7 +203,7 @@ def test_criterion_05_energy_identity():
                 mesh2 = build_tensor_2d(m, m)
                 shape = (N, N, k + 1, k + 1)
                 for _ in range(7):
-                    z = LdgSolution2D(
+                    z = LdgSolution(
                         u=PiecewisePoly(mesh2, rng.standard_normal(shape)),
                         p=PiecewisePoly(mesh2, rng.standard_normal(shape)),
                         q=PiecewisePoly(mesh2, rng.standard_normal(shape)),
@@ -366,7 +365,7 @@ def test_discrete_part_rates_1d():
                 w = solve_1d(mesh, prob, k)
                 pq = composite_q_1d(prob.q_exact, mesh, k).coeffs - w.q.coeffs
                 pu = composite_u_1d(prob.u_exact, mesh, k).coeffs - w.u.coeffs
-                d = LdgSolution1D(q=PiecewisePoly(mesh, pq), u=PiecewisePoly(mesh, pu))
+                d = LdgSolution(q=PiecewisePoly(mesh, pq), u=PiecewisePoly(mesh, pu))
                 errs.append(zero_report(d, prob.b, eps).err_balanced)
                 ratio = errs[-1] / error_report(w, prob).err_balanced
                 rows.append(f"k={k} eps={eps:.0e} N={N}: ratio {ratio:.3f}")

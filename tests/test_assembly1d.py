@@ -12,7 +12,7 @@ from scipy.sparse import linalg as spla
 import ldgrd.assembly1d as assembly1d
 import ldgrd.linalg as linalg
 from ldgrd.assembly1d import (
-    LdgSolution1D,
+    LdgSolution,
     assemble,
     bilinear_B,
     coeffs_to_solution,
@@ -20,10 +20,11 @@ from ldgrd.assembly1d import (
     solve_1d,
     table_matrix,
 )
+from ldgrd.assembly2d import solve_2d
 from ldgrd.linalg import matvec
-from ldgrd.mesh import MeshParams, build_shishkin_1d
+from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.polyspace import PiecewisePoly
-from ldgrd.problems import layer1d, poly_exact_1d
+from ldgrd.problems import layer1d, layer2d, poly_exact_1d
 
 from conftest import energy_sq, uniform_mesh
 
@@ -34,7 +35,7 @@ def ones_b(x):
 
 def make_pair(mesh, k, rng):
     n = mesh.ncells
-    return LdgSolution1D(
+    return LdgSolution(
         q=PiecewisePoly(mesh, rng.standard_normal((n, k + 1))),
         u=PiecewisePoly(mesh, rng.standard_normal((n, k + 1))),
     )
@@ -63,7 +64,7 @@ def test_bilinear_hand_value():
     eps = 1e-4
 
     def form(mesh, q, u, jump=True):
-        w = LdgSolution1D(q=PiecewisePoly(mesh, q), u=PiecewisePoly(mesh, u))
+        w = LdgSolution(q=PiecewisePoly(mesh, q), u=PiecewisePoly(mesh, u))
         return bilinear_B(w, w, ones_b, eps, jump)
 
     # W = (Q=0, U=1), b=1: volume term 1 plus two boundary penalties
@@ -81,8 +82,8 @@ def test_bilinear_hand_value():
 
 def test_bilinear_zero():
     mesh = uniform_mesh(4)
-    z = LdgSolution1D(q=PiecewisePoly(mesh, np.zeros((4, 2))),
-                      u=PiecewisePoly(mesh, np.zeros((4, 2))))
+    z = LdgSolution(q=PiecewisePoly(mesh, np.zeros((4, 2))),
+                    u=PiecewisePoly(mesh, np.zeros((4, 2))))
     assert bilinear_B(z, z, ones_b, mesh.params.eps) == 0.0
 
 
@@ -332,13 +333,77 @@ def test_assembly_1d_peak_memory():
     assert peak <= 6 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
-def test_coefficient_roundtrip(rng):
-    mesh = uniform_mesh(4)
-    w = make_pair(mesh, 2, rng)
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_coefficient_roundtrip(dim, rng):
+    # The map reads each dimension's unknown ordering: 1D cell-major, Q then
+    # U in each cell (the SuperLU input); 2D field-major [P; Q; U], each field
+    # in Kronecker order (x cell, x mode, y cell, y mode).  Pinned on
+    # x = arange(n), with nx != ny in 2D so that the two cell axes cannot
+    # be swapped unseen.
+    k = 2
+    B = k + 1
+    if dim == 1:
+        mesh = uniform_mesh(4)
+        w = LdgSolution(**{f: PiecewisePoly(mesh, rng.standard_normal((4, B))) for f in "qu"})
+        j, m = np.ogrid[:4, :B]
+        layout = {"q": 2 * j * B + m, "u": (2 * j + 1) * B + m}
+    else:
+        mesh = build_tensor_2d(uniform_mesh(4), uniform_mesh(8))
+        nx, ny = mesh.shape
+        w = LdgSolution(**{f: PiecewisePoly(mesh, rng.standard_normal((nx, ny, B, B)))
+                           for f in "upq"})
+        i, j, a, b = np.ogrid[:nx, :ny, :B, :B]
+        layout = {name: ((f * nx + i) * B + a) * ny * B + j * B + b
+                  for f, name in enumerate("pqu")}
     x = solution_to_coeffs(w)
-    w2 = coeffs_to_solution(mesh, 2, x)
-    assert np.array_equal(w.q.coeffs, w2.q.coeffs)
-    assert np.array_equal(w.u.coeffs, w2.u.coeffs)
+    w2 = coeffs_to_solution(mesh, k, x)
+    positions = coeffs_to_solution(mesh, k, np.arange(x.size, dtype=float))
+    assert (w2.p is None) == (positions.p is None) == (dim == 1)
+    for name, at in layout.items():
+        assert np.array_equal(getattr(w2, name).coeffs, getattr(w, name).coeffs)
+        assert np.array_equal(getattr(positions, name).coeffs, at)
+        assert np.array_equal(x[at], getattr(w, name).coeffs)
+
+
+def test_solution_container_checks(rng):
+    # p is given exactly on a two-axis mesh; every field shares U's mesh
+    # object and degree; the fields are keyword-only.
+    m = uniform_mesh(4)
+    mesh2 = build_tensor_2d(m, m)
+
+    def poly(mesh, k=1):
+        return PiecewisePoly(mesh, rng.standard_normal((*mesh.shape, *(k + 1,) * len(mesh.shape))))
+
+    u, q = poly(m), poly(m)
+    assert LdgSolution(u=u, q=q).fluxes == (q,)
+    u2, p2, q2 = poly(mesh2), poly(mesh2), poly(mesh2)
+    assert LdgSolution(u=u2, p=p2, q=q2).fluxes == (p2, q2)
+    with pytest.raises(ValueError, match="P must be given"):
+        LdgSolution(u=u, q=q, p=poly(m))
+    with pytest.raises(ValueError, match="P must be given"):
+        LdgSolution(u=u2, q=q2)
+    with pytest.raises(ValueError, match="share mesh and degree"):
+        LdgSolution(u=u, q=poly(uniform_mesh(4)))  # an equal mesh, another object
+    with pytest.raises(ValueError, match="share mesh and degree"):
+        LdgSolution(u=u2, p=poly(build_tensor_2d(m, m)), q=q2)
+    with pytest.raises(ValueError, match="share mesh and degree"):
+        LdgSolution(u=u, q=poly(m, 2))
+    with pytest.raises(ValueError, match="share mesh and degree"):
+        LdgSolution(u=u2, p=p2, q=poly(mesh2, 2))
+    with pytest.raises(TypeError):
+        LdgSolution(u, q)
+    with pytest.raises(TypeError):
+        LdgSolution(u2, p2, q2)
+
+
+def test_both_solves_return_the_one_container():
+    eps, k = 1e-4, 1
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=8))
+    w = solve_1d(m, layer1d(eps), k)
+    t = solve_2d(build_tensor_2d(m, m), layer2d(eps), k)
+    assert type(w) is type(t) is LdgSolution
+    assert w.p is None and w.fluxes == (w.q,)
+    assert t.fluxes == (t.p, t.q)
 
 
 def test_eps_mismatch_rejected():

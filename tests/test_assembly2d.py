@@ -15,15 +15,8 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from ldgrd import polyspace
-from ldgrd.assembly1d import _flux_weights, assemble, table_matrix
-from ldgrd.assembly2d import (
-    LdgOperator2D,
-    LdgSolution2D,
-    bilinear_B2d,
-    coeffs_to_solution_2d,
-    solution_to_coeffs_2d,
-    solve_2d,
-)
+from ldgrd.assembly1d import LdgSolution, _flux_weights, assemble, solution_to_coeffs, table_matrix
+from ldgrd.assembly2d import LdgOperator2D, bilinear_B2d, solve_2d
 from ldgrd.linalg import KroneckerSumSolve, SingularSystemError, _refined_solve, lu_solve, matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import error_report
@@ -40,7 +33,7 @@ def two_b(x, y):
 def make_triple(mesh2, k, rng):
     nx, ny = mesh2.shape
     shape = (nx, ny, k + 1, k + 1)
-    return LdgSolution2D(
+    return LdgSolution(
         u=PiecewisePoly(mesh2, rng.standard_normal(shape)),
         p=PiecewisePoly(mesh2, rng.standard_normal(shape)),
         q=PiecewisePoly(mesh2, rng.standard_normal(shape)),
@@ -119,12 +112,12 @@ def test_bilinear_2d_hand_value():
     zero = np.zeros((nx, ny, 2, 2))
     one = zero.copy()
     one[..., 0, 0] = 1.0
-    t = LdgSolution2D(u=PiecewisePoly(mesh2, one), p=PiecewisePoly(mesh2, zero),
-                      q=PiecewisePoly(mesh2, zero))
+    t = LdgSolution(u=PiecewisePoly(mesh2, one), p=PiecewisePoly(mesh2, zero),
+                    q=PiecewisePoly(mesh2, zero))
     val = bilinear_B2d(t, t, two_b, eps)
     assert math.isclose(val, 2.0 + 4.0 * 0.01, rel_tol=1e-13)
-    z = LdgSolution2D(u=PiecewisePoly(mesh2, zero), p=PiecewisePoly(mesh2, zero),
-                      q=PiecewisePoly(mesh2, zero))
+    z = LdgSolution(u=PiecewisePoly(mesh2, zero), p=PiecewisePoly(mesh2, zero),
+                    q=PiecewisePoly(mesh2, zero))
     assert bilinear_B2d(z, z, two_b, eps) == 0.0
 
 
@@ -169,7 +162,7 @@ def test_bilinear_matches_assembled_matrix_2d(flux, k, rng):
     A = LdgOperator2D(mesh2, prob, k, jump).matrix()
     t = make_triple(mesh2, k, rng)
     z = make_triple(mesh2, k, rng)
-    lhs = solution_to_coeffs_2d(z) @ matvec(A, solution_to_coeffs_2d(t))
+    lhs = solution_to_coeffs(z) @ matvec(A, solution_to_coeffs(t))
     rhs = bilinear_B2d(t, z, prob.b, eps, jump)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
@@ -184,7 +177,7 @@ def test_bilinear_matches_assembled_matrix_2d_variable_b(rng):
     A = LdgOperator2D(mesh2, prob, k).matrix()
     t = make_triple(mesh2, k, rng)
     z = make_triple(mesh2, k, rng)
-    lhs = solution_to_coeffs_2d(z) @ matvec(A, solution_to_coeffs_2d(t))
+    lhs = solution_to_coeffs(z) @ matvec(A, solution_to_coeffs(t))
     rhs = bilinear_B2d(t, z, prob.b, eps)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
@@ -204,7 +197,7 @@ def test_bilinear_form_on_rectangular_meshes(eps, flux, k, shape, rng):
     prob = dataclasses.replace(layer2d(eps), b=lambda x, y: 2.0 + x * (1.0 - y))
     A = LdgOperator2D(mesh2, prob, k, jump).matrix()
     t, z = make_triple(mesh2, k, rng), make_triple(mesh2, k, rng)
-    lhs = solution_to_coeffs_2d(z) @ matvec(A, solution_to_coeffs_2d(t))
+    lhs = solution_to_coeffs(z) @ matvec(A, solution_to_coeffs(t))
     rhs = bilinear_B2d(t, z, prob.b, eps, jump)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
     e_val = energy_sq(t, prob.b, eps, jump)
@@ -291,7 +284,7 @@ def test_condensed_solve_matches_full_lu(k, eps, flux, problem):
     varied = with_variable_b(problem(eps))
     op = LdgOperator2D(mesh2, varied, k, jump)
     full = lu_solve(op.matrix(), op.rhs)
-    condensed = solution_to_coeffs_2d(solve_2d(mesh2, varied, k, jump))
+    condensed = solution_to_coeffs(solve_2d(mesh2, varied, k, jump))
     assert np.abs(condensed - full).max() <= 1e-12 * np.abs(full).max()
 
 
@@ -347,7 +340,7 @@ def test_tensor_solve_matches_full_lu(k, eps, flux, problem, caplog):
     op = LdgOperator2D(mesh2, problem(eps), k, jump)
     full = lu_solve(op.matrix(), op.rhs)
     with caplog.at_level(logging.DEBUG, logger="ldgrd"):
-        tensor = solution_to_coeffs_2d(solve_2d(mesh2, problem(eps), k, jump))
+        tensor = solution_to_coeffs(solve_2d(mesh2, problem(eps), k, jump))
     (record,) = [r.getMessage() for r in caplog.records if r.name == "ldgrd"]
     assert record.split()[1] == "path=pcg" and " iterations=1,1 " in record
     assert np.abs(tensor - full).max() <= 1e-12 * np.abs(full).max()
@@ -441,7 +434,7 @@ def test_missed_solve_raises_with_residual_and_iterations(monkeypatch, caplog):
     full = lu_solve(op.matrix(), op.rhs)
     exact = KroneckerSumSolve.__call__
     monkeypatch.setattr(KroneckerSumSolve, "__call__", lambda self, g: 1.5 * exact(self, g))
-    x = solution_to_coeffs_2d(solve_2d(mesh2, layer2d(eps), k))
+    x = solution_to_coeffs(solve_2d(mesh2, layer2d(eps), k))
     assert np.abs(x - full).max() <= 1e-12 * np.abs(full).max()
     monkeypatch.setattr(KroneckerSumSolve, "__call__", lambda self, g: g)
     with pytest.raises(SingularSystemError, match=r"^pcg solve: residual (\S+) after one "
@@ -505,11 +498,11 @@ def test_operator_apply_matches_matrix(k, eps, N, Ny, flux, same_mesh, variable_
     A = op.matrix()
     rng = np.random.default_rng(seed)
     t, z = make_triple(mesh2, k, rng), make_triple(mesh2, k, rng)
-    x = solution_to_coeffs_2d(t)
+    x = solution_to_coeffs(t)
     Ax = op.apply(x)
     assert np.abs(Ax - A @ x).max() <= 1e-13 * abs(A).max() * np.abs(x).max()
     form = bilinear_B2d(t, z, problem.b, eps, jump)
-    assert abs(solution_to_coeffs_2d(z) @ Ax - form) <= 1e-11 * max(abs(form), 1.0)
+    assert abs(solution_to_coeffs(z) @ Ax - form) <= 1e-11 * max(abs(form), 1.0)
     # and the matrix-free solve inverts it, P and Q parts included
     solve, _ = op.factor()
     y = solve(Ax)
@@ -531,7 +524,7 @@ def test_constant_b_solve_neither_assembles_nor_factors(monkeypatch):
     monkeypatch.setattr(spla, "splu", forbidden)
     monkeypatch.setattr(LdgOperator2D, "matrix", forbidden)
     for problem, full in zip(problems, fulls):
-        x = solution_to_coeffs_2d(solve_2d(mesh2, problem, k))
+        x = solution_to_coeffs(solve_2d(mesh2, problem, k))
         assert np.abs(x - full).max() <= 1e-12 * np.abs(full).max()
 
 
@@ -634,15 +627,6 @@ def test_assembly_2d_deterministic():
     assert np.array_equal(A1.indices, A2.indices)
     assert np.array_equal(A1.data, A2.data)
     assert np.array_equal(op1.rhs, op2.rhs)
-
-
-def test_coefficient_roundtrip_2d(rng):
-    mesh2 = uniform_mesh_2d(4)
-    t = make_triple(mesh2, 2, rng)
-    x = solution_to_coeffs_2d(t)
-    t2 = coeffs_to_solution_2d(mesh2, 2, x)
-    for a, b in ((t.u, t2.u), (t.p, t2.p), (t.q, t2.q)):
-        assert np.array_equal(a.coeffs, b.coeffs)
 
 
 def test_classic_flux_config():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ldgrd.assembly1d import assemble, coeffs_to_solution, solve_1d
-from ldgrd.assembly2d import LdgOperator2D, coeffs_to_solution_2d, solve_2d
+from ldgrd.assembly2d import LdgOperator2D, solve_2d
 from ldgrd.linalg import _splu
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import error_report
@@ -82,5 +82,5 @@ def test_2d_reports_near_the_converged_solution(name, k, N):
         x = converged_solution(op.matrix(), op.rhs, solve)
         t = solve_2d(mesh2, problem, k)
         distance = report_distance(error_report(t, problem),
-                                   error_report(coeffs_to_solution_2d(mesh2, k, x), problem))
+                                   error_report(coeffs_to_solution(mesh2, k, x), problem))
         assert distance <= 1e-12, (eps, distance)

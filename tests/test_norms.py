@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from ldgrd import polyspace
-from ldgrd.assembly1d import LdgSolution1D, bilinear_B, solve_1d
-from ldgrd.assembly2d import LdgSolution2D, bilinear_B2d, solve_2d
+from ldgrd.assembly1d import LdgSolution, bilinear_B, solve_1d
+from ldgrd.assembly2d import bilinear_B2d, solve_2d
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import error_report
 from ldgrd.polyspace import PiecewisePoly
@@ -39,7 +39,7 @@ class ZeroProblem2D:
 def unit_pair(mesh, eps):
     zero = np.zeros((mesh.ncells, 2))
     one = zero + np.array([1.0, 0.0])
-    return LdgSolution1D(q=PiecewisePoly(mesh, zero), u=PiecewisePoly(mesh, one))
+    return LdgSolution(q=PiecewisePoly(mesh, zero), u=PiecewisePoly(mesh, one))
 
 
 def test_energy_error_hand_value():
@@ -65,8 +65,8 @@ def test_discrete_energy_hand_value():
     w = unit_pair(mesh, eps)
     val = energy_sq(w, lambda x: np.ones_like(x), eps)
     assert math.isclose(val, 1.02, rel_tol=1e-13)
-    z = LdgSolution1D(q=PiecewisePoly(mesh, np.zeros((8, 2))),
-                      u=PiecewisePoly(mesh, np.zeros((8, 2))))
+    z = LdgSolution(q=PiecewisePoly(mesh, np.zeros((8, 2))),
+                    u=PiecewisePoly(mesh, np.zeros((8, 2))))
     assert energy_sq(z, lambda x: np.ones_like(x), eps) == 0.0
 
 
@@ -74,8 +74,8 @@ def test_energy_error_reads_special_interface(rng):
     # the jump term sits where the scheme puts it, at the mesh's 3N/4 = 6
     mesh = uniform_mesh(8)
     eps = mesh.params.eps
-    w = LdgSolution1D(q=PiecewisePoly(mesh, rng.standard_normal((8, 3))),
-                      u=PiecewisePoly(mesh, rng.standard_normal((8, 3))))
+    w = LdgSolution(q=PiecewisePoly(mesh, rng.standard_normal((8, 3))),
+                    u=PiecewisePoly(mesh, rng.standard_normal((8, 3))))
     prob = ZeroProblem1D(eps=eps)
     b_val = bilinear_B(w, w, prob.b, eps)
     assert math.isclose(error_report(w, prob).err_energy ** 2, b_val, rel_tol=1e-12)
@@ -103,8 +103,8 @@ def test_norm_homogeneity(s, rng):
     prob = ZeroProblem1D(eps=eps)
     qc = rng.standard_normal((16, 3))
     uc = rng.standard_normal((16, 3))
-    w1 = LdgSolution1D(q=PiecewisePoly(mesh, qc), u=PiecewisePoly(mesh, uc))
-    ws = LdgSolution1D(q=PiecewisePoly(mesh, s * qc), u=PiecewisePoly(mesh, s * uc))
+    w1 = LdgSolution(q=PiecewisePoly(mesh, qc), u=PiecewisePoly(mesh, uc))
+    ws = LdgSolution(q=PiecewisePoly(mesh, s * qc), u=PiecewisePoly(mesh, s * uc))
     for fn in (lambda w: error_report(w, prob).err_energy,
                lambda w: error_report(w, prob).err_balanced):
         assert math.isclose(fn(ws), s * fn(w1), rel_tol=1e-12)
@@ -174,9 +174,9 @@ def unit_triple(mesh2):
     zero = np.zeros((nx, ny, 2, 2))
     one = zero.copy()
     one[..., 0, 0] = 1.0
-    return LdgSolution2D(u=PiecewisePoly(mesh2, one),
-                         p=PiecewisePoly(mesh2, zero),
-                         q=PiecewisePoly(mesh2, zero))
+    return LdgSolution(u=PiecewisePoly(mesh2, one),
+                       p=PiecewisePoly(mesh2, zero),
+                       q=PiecewisePoly(mesh2, zero))
 
 
 def test_2d_hand_values():
@@ -199,8 +199,8 @@ def test_2d_zero_error():
     prob = ZeroProblem2D(eps=1e-4)
     nx, ny = mesh2.shape
     zero = np.zeros((nx, ny, 2, 2))
-    t = LdgSolution2D(u=PiecewisePoly(mesh2, zero), p=PiecewisePoly(mesh2, zero),
-                      q=PiecewisePoly(mesh2, zero))
+    t = LdgSolution(u=PiecewisePoly(mesh2, zero), p=PiecewisePoly(mesh2, zero),
+                    q=PiecewisePoly(mesh2, zero))
     assert error_report(t, prob).err_balanced == 0.0
     assert error_report(t, prob).err_energy == 0.0
 
@@ -209,8 +209,8 @@ def test_2d_energy_norms_read_special_index(rng):
     # the jump lines sit where the scheme puts them, at the mesh's 3N/4 = 6
     mesh2 = uniform_mesh_2d(8)
     eps = mesh2.mesh_x.params.eps
-    t = LdgSolution2D(*(PiecewisePoly(mesh2, rng.standard_normal((8, 8, 3, 3)))
-                        for _ in range(3)))
+    t = LdgSolution(**{f: PiecewisePoly(mesh2, rng.standard_normal((8, 8, 3, 3)))
+                       for f in "upq"})
     prob = ZeroProblem2D(eps=eps)
     b_val = bilinear_B2d(t, t, prob.b, eps)
     assert math.isclose(error_report(t, prob).err_energy ** 2, b_val, rel_tol=1e-12)
@@ -225,11 +225,11 @@ def test_balanced_norm_does_not_depend_on_the_flux(dim, rng):
     N, k, eps = 8, 2, 1e-6
     if dim == 1:
         mesh, prob = uniform_mesh(N), ZeroProblem1D(eps=eps)
-        w = LdgSolution1D(*(PiecewisePoly(mesh, rng.standard_normal((N, k + 1))) for _ in "qu"))
+        w = LdgSolution(**{f: PiecewisePoly(mesh, rng.standard_normal((N, k + 1))) for f in "qu"})
     else:
         mesh, prob = uniform_mesh_2d(N), ZeroProblem2D(eps=eps)
-        w = LdgSolution2D(*(PiecewisePoly(mesh, rng.standard_normal((N, N, k + 1, k + 1)))
-                            for _ in "upq"))
+        w = LdgSolution(**{f: PiecewisePoly(mesh, rng.standard_normal((N, N, k + 1, k + 1)))
+                           for f in "upq"})
     paper, classic = error_report(w, prob, True), error_report(w, prob, False)
     assert paper.err_balanced == classic.err_balanced
     assert paper.err_energy > classic.err_energy
@@ -262,12 +262,12 @@ def test_error_reports_sample_exact_fields_on_the_volume_grid_only(problem, rng)
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     if isinstance(spec, ProblemSpec1D):
         dim, names, report = 1, ("u_exact", "q_exact", "b"), error_report
-        w = LdgSolution1D(*(PiecewisePoly(m, rng.standard_normal((N, k + 1))) for _ in "qu"))
+        w = LdgSolution(**{f: PiecewisePoly(m, rng.standard_normal((N, k + 1))) for f in "qu"})
     else:
         dim, names, report = 2, ("u_exact", "p_exact", "q_exact", "b"), error_report
         mesh2 = build_tensor_2d(m, m)
-        w = LdgSolution2D(*(PiecewisePoly(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
-                            for _ in "upq"))
+        w = LdgSolution(**{f: PiecewisePoly(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
+                           for f in "upq"})
     spec, calls = recorded(spec, names)
     report(w, spec)
     n = polyspace.layer_rule(k).n
@@ -287,8 +287,8 @@ def test_error_report_2d_peak_memory(rng):
     eps, N, k = 1e-8, 64, 1
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     mesh2, problem = build_tensor_2d(m, m), layer2d(eps)
-    t = LdgSolution2D(*(PiecewisePoly(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
-                        for _ in "upq"))
+    t = LdgSolution(**{f: PiecewisePoly(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
+                       for f in "upq"})
     error_report(t, problem)
     tracemalloc.start()
     try:
@@ -314,12 +314,12 @@ def test_streamed_error_reports_sample_each_cell_once(problem, rng, monkeypatch)
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     if isinstance(spec, ProblemSpec1D):
         dim, names, report = 1, ("u_exact", "q_exact", "b"), error_report
-        w = LdgSolution1D(*(PiecewisePoly(m, rng.standard_normal((N, k + 1))) for _ in "qu"))
+        w = LdgSolution(**{f: PiecewisePoly(m, rng.standard_normal((N, k + 1))) for f in "qu"})
     else:
         dim, names, report = 2, ("u_exact", "p_exact", "q_exact", "b"), error_report
         mesh2 = build_tensor_2d(m, m)
-        w = LdgSolution2D(*(PiecewisePoly(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
-                            for _ in "upq"))
+        w = LdgSolution(**{f: PiecewisePoly(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
+                           for f in "upq"})
     spec, calls = recorded(spec, names)
     report(w, spec)
     n = polyspace.layer_rule(k).n
@@ -348,17 +348,18 @@ def streamed_results(dim, k):
     if dim == 1:
         m, measure, report = mesh(1024), measure_interp_error, error_report
         fields = (composite_q_1d, spec.q_exact), (composite_u_1d, spec.u_exact)
-        make = LdgSolution1D
+        names = "qu"
     else:
         m, measure = build_tensor_2d(mesh(16), mesh(24)), measure_interp_error_2d
         report = error_report
         fields = ((composite_u_2d, spec.u_exact), (composite_px_2d, spec.p_exact),
                   (composite_qy_2d, spec.q_exact))
-        make = LdgSolution2D
+        names = "upq"
     polys = [(build(exact, m, k), exact) for build, exact in fields]
     results = [poly.coeffs for poly, _ in polys]
     results += [measure(exact, poly, norm) for poly, exact in polys for norm in ("l2", "linf")]
-    return results + [astuple(report(make(*(poly for poly, _ in polys)), spec))]
+    w = LdgSolution(**{name: poly for name, (poly, _) in zip(names, polys)})
+    return results + [astuple(report(w, spec))]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -416,7 +417,7 @@ def test_streamed_evaluations_have_bounded_memory(name, bound):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=spec.beta, sigma=k + 1.0, N=N))
     mesh2 = build_tensor_2d(m, m)
     u = composite_u_2d(spec.u_exact, mesh2, k)
-    run = {"error_report_2d": lambda: error_report(LdgSolution2D(u=u, p=u, q=u), spec),
+    run = {"error_report_2d": lambda: error_report(LdgSolution(u=u, p=u, q=u), spec),
            "measure_interp_error_2d": lambda: measure_interp_error_2d(spec.u_exact, u, "linf"),
            "composite_u_2d": lambda: composite_u_2d(spec.u_exact, mesh2, k)}[name]
     run()  # warm the reference-cell caches

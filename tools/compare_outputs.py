@@ -8,9 +8,11 @@ saves, per case, the CSR `indptr`, `indices`, `data`, the right-hand side
 field order, without the 1D `err_l2_p`) to an `.npz` file.  The 2D arrays do
 not depend on the tree's unknown layout: `x` holds the solved fields
 [P, Q, U], each (nx, ny, k+1, k+1), `rhs` is mapped to the same fields
-through the tree's own `coeffs_to_solution_2d`, and the matrix is permuted
-to one fixed per-cell order through its `solution_to_coeffs_2d`, with
-explicit zeros dropped.  It also saves the coefficients `coeffs` and the
+through the tree's own 2D coefficient map, and the matrix is permuted to
+one fixed per-cell order through the same map applied to the unknowns'
+positions, with explicit zeros dropped.  The map is `assembly1d`'s
+`coeffs_to_solution`, or in a tree with one map per dimension the 2D one,
+`assembly2d`'s map of the same name with the suffix `_2d`.  It also saves the coefficients `coeffs` and the
 errors `err` (l2, then linf) of the composite interpolants of the benchmark's
 interp workload; for each 1D interpolant also `err_cold`, both errors
 measured again right after emptying the shared 1D node-sample cache
@@ -192,11 +194,13 @@ def _per_cell(mesh2, k: int, system):
     then field P, Q, U, x mode, y mode), whatever the tree's own unknown
     layout: the matrix with explicit zeros dropped and the rhs as _fields."""
     import scipy.sparse as sp
-    from ldgrd.assembly2d import coeffs_to_solution_2d
+    from ldgrd import assembly1d, assembly2d
 
+    to_solution = assembly1d.coeffs_to_solution  # a tree with per-dimension maps has a 2D one
+    to_solution = getattr(assembly2d, f"{to_solution.__name__}_2d", to_solution)
     nx, ny = mesh2.shape
     n = nx * ny * 3 * (k + 1) ** 2
-    t = coeffs_to_solution_2d(mesh2, k, np.arange(n, dtype=float))
+    t = to_solution(mesh2, k, np.arange(n, dtype=float))
     # the tree's position of each unknown, in the fixed per-cell order, and its inverse
     position = np.stack([t.p.coeffs, t.q.coeffs, t.u.coeffs], axis=2).ravel().astype(np.int64)
     where = np.empty(n, dtype=np.int64)
@@ -206,7 +210,7 @@ def _per_cell(mesh2, k: int, system):
     matrix.eliminate_zeros()
     matrix.sort_indices()
     return dataclasses.replace(system, matrix=matrix,
-                               rhs=_fields(coeffs_to_solution_2d(mesh2, k, system.rhs)))
+                               rhs=_fields(to_solution(mesh2, k, system.rhs)))
 
 
 def dump(tree: Path, out: Path) -> None:
