@@ -3,7 +3,7 @@ reaction-diffusion problems on layer-adapted meshes, with energy- and
 balanced-norm error measurement and a convergence-study CLI."""
 
 from .assembly1d import LdgSolution, assemble, bilinear_B, solve_1d
-from .assembly2d import bilinear_B2d, solve_2d
+from .assembly2d import solve_2d
 from .mesh import MeshParams, ShishkinMesh1D, TensorMesh2D, build_shishkin_1d, build_tensor_2d
 from .norms import ErrorReport, error_report
 from .problems import get_problem, layer1d, layer2d, poly_exact_1d, poly_exact_2d
@@ -21,7 +21,6 @@ __all__ = [
     "StudyConfig",
     "assemble",
     "bilinear_B",
-    "bilinear_B2d",
     "build_shishkin_1d",
     "build_tensor_2d",
     "error_report",

@@ -173,11 +173,16 @@ def table_matrix(mesh: ShishkinMesh1D, k: int, eps: float, jump: bool = True):
     return _table_sum(mesh, k, eps, jump)[0]
 
 
-def _check_consistent(mesh: ShishkinMesh1D, problem) -> None:
-    if not math.isclose(problem.eps, mesh.params.eps, rel_tol=1e-12):
-        raise ValueError(
-            f"problem eps={problem.eps} does not match mesh eps={mesh.params.eps}"
-        )
+def _check_dimension(problem, dim: int) -> None:
+    if len(problem.fluxes) != dim:  # one exact flux per axis
+        raise ValueError(f"a {len(problem.fluxes)}D problem does not fit a {dim}D mesh")
+
+
+def _check_consistent(mesh, problem) -> None:
+    _check_dimension(problem, len(mesh.axes))
+    for m in mesh.axes:
+        if not math.isclose(problem.eps, m.params.eps, rel_tol=1e-12):
+            raise ValueError(f"problem eps={problem.eps} does not match mesh eps={m.params.eps}")
 
 
 def assemble(mesh: ShishkinMesh1D, problem, k: int, jump: bool = True) -> SparseSystem:

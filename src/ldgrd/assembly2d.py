@@ -1,20 +1,20 @@
 """Mixed-form DG assembly on tensor-product meshes: per-direction upwind edge
 fluxes, boundary penalties on U, and jump-penalized flux lines at index 3N/4
 in each direction.  The solution is assembly1d.LdgSolution, whose ``fluxes``
-give the flux order (P, then Q), and the compact bilinear form bilinear_B2d
-is the axis-wise assembly1d.bilinear_B."""
+give the flux order (P, then Q), and the compact bilinear form is the
+axis-wise assembly1d.bilinear_B."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .assembly1d import (ASSEMBLY_EXTRA_NODES, LdgSolution, _check_consistent, _flux_mass,
-                         _flux_weights, bilinear_B, coeffs_to_solution, table_matrix)
+                         _flux_weights, coeffs_to_solution, table_matrix)
 from .linalg import KroneckerSumSolve, _refined_solve, from_coo, pcg, sp
 from .mesh import TensorMesh2D
 from .polyspace import end_vals, gauss_rule, leg_mass, legendre_basis
 
-__all__ = ["LdgOperator2D", "solve_2d", "bilinear_B2d"]
+__all__ = ["LdgOperator2D", "solve_2d"]
 
 
 class _Axis:
@@ -79,9 +79,8 @@ class LdgOperator2D:
     def __init__(self, mesh: TensorMesh2D, problem, k: int, jump: bool = True):
         if k < 1:
             raise ValueError(f"polynomial degree must be >= 1, got {k}")
+        _check_consistent(mesh, problem)
         mx, my = mesh.mesh_x, mesh.mesh_y
-        _check_consistent(mx, problem)
-        _check_consistent(my, problem)
         self.x = _Axis(mx, k, problem.eps, jump)
         self.y = self.x if my is mx else _Axis(my, k, problem.eps, jump)
         rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
@@ -173,6 +172,3 @@ def solve_2d(mesh: TensorMesh2D, problem, k: int, jump: bool = True) -> LdgSolut
     op = LdgOperator2D(mesh, problem, k, jump)
     x = _refined_solve("pcg", op.apply, op.factor, op.rhs, always=True)
     return coeffs_to_solution(mesh, k, x)
-
-
-bilinear_B2d = bilinear_B  # the 2D name its callers keep

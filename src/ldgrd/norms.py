@@ -1,8 +1,8 @@
 """Energy-norm, balanced-norm and plain L2/Linf error measures of discrete
 solutions against exact solutions: one report for an LdgSolution in 1D and
-2D, whose only per-dimension choices are the exact flux for each of
-LdgSolution.fluxes and the balanced norm's special-line weight
-(_per_dimension).
+2D, which pairs each of LdgSolution.fluxes with the same entry of
+ProblemSpec.fluxes and whose only per-dimension choice is the balanced
+norm's special-line weight (_per_dimension).
 
 The exact solution and its fluxes are continuous and u vanishes on the
 boundary (homogeneous Dirichlet data), so every jump of an error
@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .assembly1d import _flux_weights
+from .assembly1d import _check_dimension, _flux_weights
 from .polyspace import (_cell_sums, _cells, _chunks, _grid, _values, layer_rule, leg_mass,
                         legendre_basis)
 
@@ -36,10 +36,11 @@ class ErrorReport:
 
 
 def _per_dimension(w, problem):
-    """The flux fields of LdgSolution.fluxes, in axis order, with their exact
-    values, the squared jumps of U on the boundary and of the fluxes on the
-    special lines (integrated along each line by the Legendre mass in 2D),
-    and the balanced norm's special-line weight: 1 in 1D, eps^{-1/2} in 2D."""
+    """The flux fields of LdgSolution.fluxes, in axis order, each with its
+    exact flux from ProblemSpec.fluxes, the squared jumps of U on the
+    boundary and of the fluxes on the special lines (integrated along each
+    line by the Legendre mass in 2D), and the balanced norm's special-line
+    weight: 1 in 1D, eps^{-1/2} in 2D."""
     axes, mass = w.u.mesh.axes, leg_mass(w.u.degree)
 
     def sq(poly, axis, i):  # the line normal to `axis` runs along the other axes
@@ -48,8 +49,7 @@ def _per_dimension(w, problem):
             j2 = np.einsum("jn,n,j->", j2, mass, 0.5 * m.widths)
         return float(j2)
 
-    exact = (problem.q_exact,) if w.p is None else (problem.p_exact, problem.q_exact)
-    fluxes = list(zip(w.fluxes, exact))
+    fluxes = list(zip(w.fluxes, problem.fluxes))
     ju = sum(sq(w.u, axis, i) for axis, m in enumerate(axes) for i in (0, m.ncells))
     js = sum(sq(poly, axis, axes[axis].special_index) for axis, (poly, _) in enumerate(fluxes))
     lam_s = 1.0 if len(axes) == 1 else _flux_weights(problem.eps, True)[1]  # 2D: lambda_jump
@@ -93,6 +93,7 @@ def error_report(w, problem, jump: bool = True) -> ErrorReport:
     Balanced norm: the flux terms weighted eps^{-3/2}, unit weight on the
     boundary jumps, and the special-line weight of _per_dimension, which
     does not depend on the flux."""
+    _check_dimension(problem, len(w.fluxes))
     fluxes, ju, js, lam_s = _per_dimension(w, problem)
     lam_b, lam_j = _flux_weights(problem.eps, jump)
     *flux, bu, l2u, linf = _error_pieces(w, problem, fluxes)

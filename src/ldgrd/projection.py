@@ -220,4 +220,4 @@ def measure_interp_error(field, interp: PiecewisePoly, norm: str = "l2") -> floa
     return float(linf)
 
 
-measure_interp_error_2d = measure_interp_error  # the 2D name its callers keep
+measure_interp_error_2d = measure_interp_error  # the name perfbench's interp workload calls

@@ -1,12 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import error_report
-from ldgrd.problems import layer1d, layer2d
+from ldgrd.problems import ProblemSpec
 
 
 @pytest.fixture
@@ -29,14 +28,17 @@ def _zero(*x):
     return 0.0
 
 
+def zero_problem(eps, b, dim):
+    """The problem in dim dimensions with reaction coefficient b whose exact
+    solution, fluxes, Laplacian and f are zero."""
+    return ProblemSpec(name="zero", eps=eps, beta=1.0, b=b, f=_zero, u_exact=_zero,
+                       q_exact=_zero, lap_exact=_zero, p_exact=_zero if dim == 2 else None)
+
+
 def zero_report(w, b, eps, jump=True):
     """The shipped error report of a discrete solution w against a zero
     exact solution with reaction coefficient b: the norms of w itself."""
-    if w.p is not None:
-        zero = replace(layer2d(eps), b=b, u_exact=_zero, p_exact=_zero, q_exact=_zero)
-    else:
-        zero = replace(layer1d(eps), b=b, u_exact=_zero, q_exact=_zero)
-    return error_report(w, zero, jump)
+    return error_report(w, zero_problem(eps, b, len(w.fluxes)), jump)
 
 
 def energy_sq(w, b, eps, jump=True):

@@ -21,7 +21,8 @@ from ldgrd.assembly1d import LdgSolution, solve_1d
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import error_report
 from ldgrd.polyspace import PiecewisePoly, gauss_rule, legendre_basis
-from ldgrd.problems import layer1d, layer2d, layer2d_variable_b, poly_exact_1d, poly_exact_2d
+from ldgrd.problems import (ProblemSpec, layer1d, layer2d, layer2d_variable_b, poly_exact_1d,
+                            poly_exact_2d)
 from ldgrd.projection import (
     _project,
     composite_px_2d,
@@ -33,7 +34,7 @@ from ldgrd.projection import (
     measure_interp_error_2d,
 )
 from ldgrd.assembly1d import bilinear_B
-from ldgrd.assembly2d import bilinear_B2d, solve_2d
+from ldgrd.assembly2d import solve_2d
 from ldgrd.study import StudyConfig, rate_p, run_study
 
 from conftest import energy_sq, zero_report
@@ -208,7 +209,7 @@ def test_criterion_05_energy_identity():
                         p=PiecewisePoly(mesh2, rng.standard_normal(shape)),
                         q=PiecewisePoly(mesh2, rng.standard_normal(shape)),
                     )
-                    b_val = bilinear_B2d(z, z, two_b, eps)
+                    b_val = bilinear_B(z, z, two_b, eps)
                     e_val = energy_sq(z, two_b, eps)
                     rel = abs(b_val - e_val) / abs(e_val)
                     worst = max(worst, rel)
@@ -493,8 +494,6 @@ def test_flux_gap_at_default_grading():
 def one_layer_problem(eps):
     # one layer, at x = 1: u = (e^{-(1-x)/s} - e^{-1/s}) / (1 - e^{-1/s}) - x, s = sqrt(eps),
     # b = 1, f = -e^{-1/s} / (1 - e^{-1/s}) - x
-    from ldgrd.problems import ProblemSpec1D
-
     s = math.sqrt(eps)
     c = math.exp(-1.0 / s)
 
@@ -519,8 +518,8 @@ def one_layer_problem(eps):
     def b(x):
         return np.ones_like(np.asarray(x, dtype=float))
 
-    return ProblemSpec1D(name="one_layer", eps=eps, beta=1.0, b=b, f=f, u_exact=u, du_exact=du,
-                         d2u_exact=d2u, q_exact=q)
+    return ProblemSpec(name="one_layer", eps=eps, beta=1.0, b=b, f=f, u_exact=u, q_exact=q,
+                       lap_exact=d2u)
 
 
 def one_layer_balanced(k, eps, N, sigma, jump):

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from ldgrd import polyspace
-from ldgrd.assembly1d import LdgSolution, _flux_weights, assemble, solution_to_coeffs, table_matrix
-from ldgrd.assembly2d import LdgOperator2D, bilinear_B2d, solve_2d
+from ldgrd.assembly1d import (LdgSolution, _flux_weights, assemble, bilinear_B, solution_to_coeffs,
+                              table_matrix)
+from ldgrd.assembly2d import LdgOperator2D, solve_2d
 from ldgrd.linalg import KroneckerSumSolve, SingularSystemError, _refined_solve, lu_solve, matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import error_report
 from ldgrd.polyspace import PiecewisePoly, leg_mass
-from ldgrd.problems import ProblemSpec2D, layer1d, layer2d, layer2d_variable_b, poly_exact_2d
+from ldgrd.problems import ProblemSpec, layer1d, layer2d, layer2d_variable_b, poly_exact_2d
 
 from conftest import energy_sq, uniform_mesh_2d
 
@@ -69,8 +70,8 @@ def cubic_by_quadratic(eps):
     def f(x, y):
         return -eps * lap(x, y) + b(x, y) * u(x, y)
 
-    return ProblemSpec2D(name="cubic_by_quadratic", eps=eps, beta=math.sqrt(2.0), b=b, f=f,
-                         u_exact=u, p_exact=p, q_exact=q, lap_exact=lap)
+    return ProblemSpec(name="cubic_by_quadratic", eps=eps, beta=math.sqrt(2.0), b=b, f=f,
+                       u_exact=u, p_exact=p, q_exact=q, lap_exact=lap)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
@@ -114,11 +115,11 @@ def test_bilinear_2d_hand_value():
     one[..., 0, 0] = 1.0
     t = LdgSolution(u=PiecewisePoly(mesh2, one), p=PiecewisePoly(mesh2, zero),
                     q=PiecewisePoly(mesh2, zero))
-    val = bilinear_B2d(t, t, two_b, eps)
+    val = bilinear_B(t, t, two_b, eps)
     assert math.isclose(val, 2.0 + 4.0 * 0.01, rel_tol=1e-13)
     z = LdgSolution(u=PiecewisePoly(mesh2, zero), p=PiecewisePoly(mesh2, zero),
                     q=PiecewisePoly(mesh2, zero))
-    assert bilinear_B2d(z, z, two_b, eps) == 0.0
+    assert bilinear_B(z, z, two_b, eps) == 0.0
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-10])
@@ -129,7 +130,7 @@ def test_energy_identity_2d(eps, N, k, rng):
     mesh2 = build_tensor_2d(m, m)
     for _ in range(3):
         z = make_triple(mesh2, k, rng)
-        b_val = bilinear_B2d(z, z, two_b, eps)
+        b_val = bilinear_B(z, z, two_b, eps)
         e_val = energy_sq(z, two_b, eps)
         assert abs(b_val - e_val) <= 1e-12 * abs(e_val)
 
@@ -147,7 +148,7 @@ def test_energy_identity_property_2d(k, N, eps_exp, flux, b, seed):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     t = make_triple(build_tensor_2d(m, m), k, np.random.default_rng(seed))
     e_val = energy_sq(t, b, eps, jump)
-    assert abs(bilinear_B2d(t, t, b, eps, jump) - e_val) <= 1e-12 * e_val
+    assert abs(bilinear_B(t, t, b, eps, jump) - e_val) <= 1e-12 * e_val
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -163,7 +164,7 @@ def test_bilinear_matches_assembled_matrix_2d(flux, k, rng):
     t = make_triple(mesh2, k, rng)
     z = make_triple(mesh2, k, rng)
     lhs = solution_to_coeffs(z) @ matvec(A, solution_to_coeffs(t))
-    rhs = bilinear_B2d(t, z, prob.b, eps, jump)
+    rhs = bilinear_B(t, z, prob.b, eps, jump)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
 
@@ -178,7 +179,7 @@ def test_bilinear_matches_assembled_matrix_2d_variable_b(rng):
     t = make_triple(mesh2, k, rng)
     z = make_triple(mesh2, k, rng)
     lhs = solution_to_coeffs(z) @ matvec(A, solution_to_coeffs(t))
-    rhs = bilinear_B2d(t, z, prob.b, eps)
+    rhs = bilinear_B(t, z, prob.b, eps)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
 
@@ -198,10 +199,10 @@ def test_bilinear_form_on_rectangular_meshes(eps, flux, k, shape, rng):
     A = LdgOperator2D(mesh2, prob, k, jump).matrix()
     t, z = make_triple(mesh2, k, rng), make_triple(mesh2, k, rng)
     lhs = solution_to_coeffs(z) @ matvec(A, solution_to_coeffs(t))
-    rhs = bilinear_B2d(t, z, prob.b, eps, jump)
+    rhs = bilinear_B(t, z, prob.b, eps, jump)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
     e_val = energy_sq(t, prob.b, eps, jump)
-    assert abs(bilinear_B2d(t, t, prob.b, eps, jump) - e_val) <= 1e-12 * e_val
+    assert abs(bilinear_B(t, t, prob.b, eps, jump) - e_val) <= 1e-12 * e_val
 
 
 @pytest.mark.parametrize("flux", ["paper", "classic"])
@@ -501,7 +502,7 @@ def test_operator_apply_matches_matrix(k, eps, N, Ny, flux, same_mesh, variable_
     x = solution_to_coeffs(t)
     Ax = op.apply(x)
     assert np.abs(Ax - A @ x).max() <= 1e-13 * abs(A).max() * np.abs(x).max()
-    form = bilinear_B2d(t, z, problem.b, eps, jump)
+    form = bilinear_B(t, z, problem.b, eps, jump)
     assert abs(solution_to_coeffs(z) @ Ax - form) <= 1e-11 * max(abs(form), 1.0)
     # and the matrix-free solve inverts it, P and Q parts included
     solve, _ = op.factor()
@@ -636,8 +637,6 @@ def test_classic_flux_config():
 
 def smooth_sine_problem(eps):
     # manufactured non-polynomial solution without layers
-    from ldgrd.problems import ProblemSpec2D
-
     pi = np.pi
 
     def u(x, y):
@@ -658,8 +657,8 @@ def smooth_sine_problem(eps):
     def b(x, y):
         return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, 2.0)
 
-    return ProblemSpec2D(name="sine2d", eps=eps, beta=1.0, b=b, f=f,
-                         u_exact=u, p_exact=p, q_exact=q, lap_exact=lap)
+    return ProblemSpec(name="sine2d", eps=eps, beta=1.0, b=b, f=f,
+                       u_exact=u, p_exact=p, q_exact=q, lap_exact=lap)
 
 
 def test_smooth_solution_converges_at_optimal_order():

@@ -1,39 +1,37 @@
 import math
 import tracemalloc
-from dataclasses import astuple, dataclass, replace
-from typing import Callable
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from ldgrd import polyspace
 from ldgrd.assembly1d import LdgSolution, bilinear_B, solve_1d
-from ldgrd.assembly2d import bilinear_B2d, solve_2d
+from ldgrd.assembly2d import solve_2d
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.norms import error_report
 from ldgrd.polyspace import PiecewisePoly
-from ldgrd.problems import ProblemSpec1D, layer1d, layer2d, layer2d_variable_b, poly_exact_1d
+from ldgrd.problems import _one, _two, layer1d, layer2d, layer2d_variable_b, poly_exact_1d
 from ldgrd.projection import (composite_px_2d, composite_q_1d, composite_qy_2d, composite_u_1d,
                               composite_u_2d, measure_interp_error, measure_interp_error_2d)
 
-from conftest import energy_sq, uniform_mesh, uniform_mesh_2d
+from conftest import energy_sq, uniform_mesh, uniform_mesh_2d, zero_problem
 
 
-@dataclass(frozen=True)
-class ZeroProblem1D:
-    eps: float
-    b: Callable = staticmethod(lambda x: np.ones_like(np.asarray(x, dtype=float)))
-    u_exact: Callable = staticmethod(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-    q_exact: Callable = staticmethod(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+def zero_1d(eps):
+    return zero_problem(eps, _one, 1)
 
 
-@dataclass(frozen=True)
-class ZeroProblem2D:
-    eps: float
-    b: Callable = staticmethod(lambda x, y: np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, 2.0))
-    u_exact: Callable = staticmethod(lambda x, y: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape))
-    p_exact: Callable = staticmethod(lambda x, y: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape))
-    q_exact: Callable = staticmethod(lambda x, y: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape))
+def zero_2d(eps):
+    return zero_problem(eps, _two, 2)
+
+
+def random_solution(mesh, k, rng):
+    """An LdgSolution on mesh with standard normal coefficients."""
+    dim = len(mesh.shape)
+    shape = mesh.shape + (k + 1,) * dim
+    return LdgSolution(**{f: PiecewisePoly(mesh, rng.standard_normal(shape))
+                          for f in "uqp"[:dim + 1]})
 
 
 def unit_pair(mesh, eps):
@@ -45,7 +43,7 @@ def unit_pair(mesh, eps):
 def test_energy_error_hand_value():
     eps = 1e-4
     mesh = uniform_mesh(8)
-    prob = ZeroProblem1D(eps=eps)
+    prob = zero_1d(eps)
     w = unit_pair(mesh, eps)
     val = error_report(w, prob).err_energy
     assert math.isclose(val, math.sqrt(1.0 + 2.0 * 0.01), rel_tol=1e-13)
@@ -54,7 +52,7 @@ def test_energy_error_hand_value():
 def test_balanced_error_hand_value():
     eps = 1e-4
     mesh = uniform_mesh(8)
-    prob = ZeroProblem1D(eps=eps)
+    prob = zero_1d(eps)
     w = unit_pair(mesh, eps)
     assert math.isclose(error_report(w, prob).err_balanced, math.sqrt(3.0), rel_tol=1e-13)
 
@@ -76,7 +74,7 @@ def test_energy_error_reads_special_interface(rng):
     eps = mesh.params.eps
     w = LdgSolution(q=PiecewisePoly(mesh, rng.standard_normal((8, 3))),
                     u=PiecewisePoly(mesh, rng.standard_normal((8, 3))))
-    prob = ZeroProblem1D(eps=eps)
+    prob = zero_1d(eps)
     b_val = bilinear_B(w, w, prob.b, eps)
     assert math.isclose(error_report(w, prob).err_energy ** 2, b_val, rel_tol=1e-12)
 
@@ -100,7 +98,7 @@ def test_exact_solution_has_zero_error():
 def test_norm_homogeneity(s, rng):
     eps = 1e-6
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=16))
-    prob = ZeroProblem1D(eps=eps)
+    prob = zero_1d(eps)
     qc = rng.standard_normal((16, 3))
     uc = rng.standard_normal((16, 3))
     w1 = LdgSolution(q=PiecewisePoly(mesh, qc), u=PiecewisePoly(mesh, uc))
@@ -182,7 +180,7 @@ def unit_triple(mesh2):
 def test_2d_hand_values():
     eps = 1e-4
     mesh2 = uniform_mesh_2d(4)
-    prob = ZeroProblem2D(eps=eps)
+    prob = zero_2d(eps)
     t = unit_triple(mesh2)
     # b=2 volume term plus four unit boundary edge families
     assert math.isclose(error_report(t, prob).err_balanced, math.sqrt(6.0), rel_tol=1e-13)
@@ -196,7 +194,7 @@ def test_2d_hand_values():
 
 def test_2d_zero_error():
     mesh2 = uniform_mesh_2d(4)
-    prob = ZeroProblem2D(eps=1e-4)
+    prob = zero_2d(1e-4)
     nx, ny = mesh2.shape
     zero = np.zeros((nx, ny, 2, 2))
     t = LdgSolution(u=PiecewisePoly(mesh2, zero), p=PiecewisePoly(mesh2, zero),
@@ -211,8 +209,8 @@ def test_2d_energy_norms_read_special_index(rng):
     eps = mesh2.mesh_x.params.eps
     t = LdgSolution(**{f: PiecewisePoly(mesh2, rng.standard_normal((8, 8, 3, 3)))
                        for f in "upq"})
-    prob = ZeroProblem2D(eps=eps)
-    b_val = bilinear_B2d(t, t, prob.b, eps)
+    prob = zero_2d(eps)
+    b_val = bilinear_B(t, t, prob.b, eps)
     assert math.isclose(error_report(t, prob).err_energy ** 2, b_val, rel_tol=1e-12)
 
 
@@ -223,16 +221,27 @@ def test_balanced_norm_does_not_depend_on_the_flux(dim, rng):
     # lambda_jump, which is 0 for the classic flux.  A pair and a triple take
     # the same report.
     N, k, eps = 8, 2, 1e-6
-    if dim == 1:
-        mesh, prob = uniform_mesh(N), ZeroProblem1D(eps=eps)
-        w = LdgSolution(**{f: PiecewisePoly(mesh, rng.standard_normal((N, k + 1))) for f in "qu"})
-    else:
-        mesh, prob = uniform_mesh_2d(N), ZeroProblem2D(eps=eps)
-        w = LdgSolution(**{f: PiecewisePoly(mesh, rng.standard_normal((N, N, k + 1, k + 1)))
-                           for f in "upq"})
+    mesh, prob = (uniform_mesh(N), zero_1d(eps)) if dim == 1 else (uniform_mesh_2d(N), zero_2d(eps))
+    w = random_solution(mesh, k, rng)
     paper, classic = error_report(w, prob, True), error_report(w, prob, False)
     assert paper.err_balanced == classic.err_balanced
     assert paper.err_energy > classic.err_energy
+
+
+@pytest.mark.parametrize("case", ["solve_1d", "solve_2d", "report_1d", "report_2d"])
+def test_dimension_mismatch_is_a_clear_error(case, rng):
+    # a problem of the other dimension fails up front, naming both, instead
+    # of deep inside a callable's arguments or an exact flux that is not there
+    eps, N, k = 1e-4, 8, 1
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
+    mesh2 = build_tensor_2d(m, m)
+    run = {"solve_1d": lambda: solve_1d(m, layer2d(eps), k),
+           "solve_2d": lambda: solve_2d(mesh2, layer1d(eps), k),
+           "report_1d": lambda: error_report(random_solution(m, k, rng), layer2d(eps)),
+           "report_2d": lambda: error_report(random_solution(mesh2, k, rng), layer1d(eps))}[case]
+    dim = int(case[-2])  # the mesh's; the problem has the other
+    with pytest.raises(ValueError, match=f"a {3 - dim}D problem does not fit a {dim}D mesh"):
+        run()
 
 
 # -- what the error reports evaluate, and their memory ---------------------------
@@ -260,16 +269,11 @@ def test_error_reports_sample_exact_fields_on_the_volume_grid_only(problem, rng)
     eps, N, k = 1e-4, 8, 2
     spec = problem(eps)
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    if isinstance(spec, ProblemSpec1D):
-        dim, names, report = 1, ("u_exact", "q_exact", "b"), error_report
-        w = LdgSolution(**{f: PiecewisePoly(m, rng.standard_normal((N, k + 1))) for f in "qu"})
-    else:
-        dim, names, report = 2, ("u_exact", "p_exact", "q_exact", "b"), error_report
-        mesh2 = build_tensor_2d(m, m)
-        w = LdgSolution(**{f: PiecewisePoly(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
-                           for f in "upq"})
+    dim = len(spec.fluxes)
+    names = ("u_exact", "b", "q_exact", "p_exact")[:dim + 2]
+    w = random_solution(m if dim == 1 else build_tensor_2d(m, m), k, rng)
     spec, calls = recorded(spec, names)
-    report(w, spec)
+    error_report(w, spec)
     n = polyspace.layer_rule(k).n
     assert [name for name, _ in calls].count("u_exact") == 1
     assert {name for name, _ in calls} == set(names)
@@ -312,16 +316,11 @@ def test_streamed_error_reports_sample_each_cell_once(problem, rng, monkeypatch)
     monkeypatch.setattr(polyspace, "CHUNK_VALUES", 1)  # two cells, or x-rows, per chunk
     spec = problem(eps)
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
-    if isinstance(spec, ProblemSpec1D):
-        dim, names, report = 1, ("u_exact", "q_exact", "b"), error_report
-        w = LdgSolution(**{f: PiecewisePoly(m, rng.standard_normal((N, k + 1))) for f in "qu"})
-    else:
-        dim, names, report = 2, ("u_exact", "p_exact", "q_exact", "b"), error_report
-        mesh2 = build_tensor_2d(m, m)
-        w = LdgSolution(**{f: PiecewisePoly(mesh2, rng.standard_normal((N, N, k + 1, k + 1)))
-                           for f in "upq"})
+    dim = len(spec.fluxes)
+    names = ("u_exact", "b", "q_exact", "p_exact")[:dim + 2]
+    w = random_solution(m if dim == 1 else build_tensor_2d(m, m), k, rng)
     spec, calls = recorded(spec, names)
-    report(w, spec)
+    error_report(w, spec)
     n = polyspace.layer_rule(k).n
     chunks = [name for name, _ in calls].count("u_exact")
     assert chunks >= 3
@@ -346,12 +345,11 @@ def streamed_results(dim, k):
         return build_shishkin_1d(MeshParams(eps=eps, beta=spec.beta, sigma=k + 1.0, N=N))
 
     if dim == 1:
-        m, measure, report = mesh(1024), measure_interp_error, error_report
+        m, measure = mesh(1024), measure_interp_error
         fields = (composite_q_1d, spec.q_exact), (composite_u_1d, spec.u_exact)
         names = "qu"
     else:
         m, measure = build_tensor_2d(mesh(16), mesh(24)), measure_interp_error_2d
-        report = error_report
         fields = ((composite_u_2d, spec.u_exact), (composite_px_2d, spec.p_exact),
                   (composite_qy_2d, spec.q_exact))
         names = "upq"
@@ -359,7 +357,7 @@ def streamed_results(dim, k):
     results = [poly.coeffs for poly, _ in polys]
     results += [measure(exact, poly, norm) for poly, exact in polys for norm in ("l2", "linf")]
     w = LdgSolution(**{name: poly for name, (poly, _) in zip(names, polys)})
-    return results + [astuple(report(w, spec))]
+    return results + [astuple(error_report(w, spec))]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -405,7 +403,7 @@ def test_2d_per_cell_sums_do_not_depend_on_the_chunking(rng):
                 assert np.array_equal(np.concatenate(parts), whole), (nodes, ny, size)
 
 
-@pytest.mark.parametrize("name, bound", [("error_report_2d", 4), ("measure_interp_error_2d", 2),
+@pytest.mark.parametrize("name, bound", [("error_report", 4), ("measure_interp_error_2d", 2),
                                          ("composite_u_2d", 2)])
 def test_streamed_evaluations_have_bounded_memory(name, bound):
     # At k=1, N=256 one array on the node grid is 18 MiB and the whole-mesh
@@ -417,7 +415,7 @@ def test_streamed_evaluations_have_bounded_memory(name, bound):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=spec.beta, sigma=k + 1.0, N=N))
     mesh2 = build_tensor_2d(m, m)
     u = composite_u_2d(spec.u_exact, mesh2, k)
-    run = {"error_report_2d": lambda: error_report(LdgSolution(u=u, p=u, q=u), spec),
+    run = {"error_report": lambda: error_report(LdgSolution(u=u, p=u, q=u), spec),
            "measure_interp_error_2d": lambda: measure_interp_error_2d(spec.u_exact, u, "linf"),
            "composite_u_2d": lambda: composite_u_2d(spec.u_exact, mesh2, k)}[name]
     run()  # warm the reference-cell caches

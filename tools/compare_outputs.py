@@ -89,17 +89,11 @@ GRID_INTERP = dict(eps=(1e-6, 1e-8, 1e-12), k1=(1, 3), N1=16384, k2=(1, 2), N2=6
 
 def _variable_b(problem, dim: int):
     """The problem with b = 1 + x^2 (1D) or b = 1 + x(1-y) (2D), and
-    f = -eps*Lap(u) + b*u."""
-    if dim == 1:
-        def b(x):
-            return 1.0 + x**2
-
-        lap = problem.d2u_exact
-    else:
-        def b(x, y):
-            return 1.0 + x * (1.0 - y)
-
-        lap = problem.lap_exact
+    f = -eps*Lap(u) + b*u, Lap(u) read from the problem's `lap_exact` (u''
+    in 1D), or in a tree whose 1D problem has no such field from its
+    `d2u_exact`."""
+    b = {1: lambda x: 1.0 + x**2, 2: lambda x, y: 1.0 + x * (1.0 - y)}[dim]
+    lap = getattr(problem, "lap_exact", None) or problem.d2u_exact
 
     def f(*xy):
         return -problem.eps * lap(*xy) + b(*xy) * problem.u_exact(*xy)
