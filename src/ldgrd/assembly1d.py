@@ -4,7 +4,8 @@ The solution container LdgSolution (U and one flux per axis), its
 coefficient maps and the compact bilinear form bilinear_B (the
 energy-identity test reference) are written once over the mesh axes and
 serve 1D and 2D alike; LdgSolution.fluxes is the one place that orders the
-fluxes (Q in 1D, P then Q in 2D)."""
+fluxes (Q in 1D, P then Q in 2D).  Both solvers check their inputs in one
+place, _check_consistent: degree, mesh and problem dimension, axis eps."""
 
 from __future__ import annotations
 
@@ -178,8 +179,12 @@ def _check_dimension(problem, dim: int) -> None:
         raise ValueError(f"a {len(problem.fluxes)}D problem does not fit a {dim}D mesh")
 
 
-def _check_consistent(mesh, problem) -> None:
-    _check_dimension(problem, len(mesh.axes))
+def _check_consistent(mesh, problem, k: int, dim: int) -> None:
+    if k < 1:
+        raise ValueError(f"polynomial degree must be >= 1, got {k}")
+    if len(mesh.axes) != dim:
+        raise ValueError(f"a {len(mesh.axes)}D mesh does not fit the {dim}D solver")
+    _check_dimension(problem, dim)
     for m in mesh.axes:
         if not math.isclose(problem.eps, m.params.eps, rel_tol=1e-12):
             raise ValueError(f"problem eps={problem.eps} does not match mesh eps={m.params.eps}")
@@ -194,9 +199,7 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, jump: bool = True) -> Sparse
     jump).  The jump penalty couples the Q blocks of the two
     cells flanking the special interface into both of their test rows.
     """
-    if k < 1:
-        raise ValueError(f"polynomial degree must be >= 1, got {k}")
-    _check_consistent(mesh, problem)
+    _check_consistent(mesh, problem, k, 1)
     N = mesh.ncells
     B = k + 1
     rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
@@ -258,23 +261,24 @@ def _pair_sum(z, t, ops, weights) -> float:
     return float(np.einsum(",".join(subs) + "->", z, *ops, t, *weights))
 
 
-def bilinear_B(t, z, b, eps: float, jump: bool = True) -> float:
-    """The scheme's compact bilinear form B(T; Z) of two LdgSolution: the
-    cell-sum of the elementwise equations with the fluxes substituted.  Past
-    the b-weighted volume term, each axis a adds, with its flux field
-    LdgSolution.fluxes[a], the flux mass, the two G terms (G on the mode of
-    a, the Legendre mass and h/2 on the other axes) and the terms on the lines normal to a: upwind interface sums (with a
-    minus sign), the downwind boundary term, the two boundary penalties on U
-    and the jump penalty on the flux at the special line.  On the diagonal
-    it reproduces the squared energy norm."""
+def bilinear_B(t, z, problem, jump: bool = True) -> float:
+    """The compact bilinear form B(T; Z) of two LdgSolution, with b and eps
+    from the problem: the cell-sum of the elementwise equations with the fluxes
+    substituted.  Past the b-weighted volume term, each axis a adds, with its
+    flux LdgSolution.fluxes[a], the flux mass, the two G terms (G on a's mode,
+    the Legendre mass and h/2 on the other axes) and the terms on the lines
+    normal to a: upwind interface sums (with a minus sign), the downwind
+    boundary term, the two boundary penalties on U and the flux jump penalty at
+    the special line.  On the diagonal it is the squared energy norm."""
     if t.u.mesh is not z.u.mesh or t.u.degree != z.u.degree:
         raise ValueError("both arguments must share mesh and degree")
-    mesh, k = t.u.mesh, t.u.degree
+    _check_dimension(problem, len(t.fluxes))
+    mesh, k, eps = t.u.mesh, t.u.degree, problem.eps
     axes, lam_b, lam_j = mesh.axes, *_flux_weights(eps, jump)
     rule, dim = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES), len(axes)
     phi, mass, G = legendre_basis(k, rule.nodes), np.diag(leg_mass(k)), grad_matrix(k)
     halves = [0.5 * m.widths for m in axes]
-    bV = np.asarray(b(*_grid(_cells(mesh), rule.nodes)), dtype=float)
+    bV = np.asarray(problem.b(*_grid(_cells(mesh), rule.nodes)), dtype=float)
     uv = _values(t.u.coeffs, *(phi,) * dim) * _values(z.u.coeffs, *(phi,) * dim)
     total = float(reduce(lambda v, h: h @ v, halves, _cell_sums(bV * uv, rule.weights, dim)))
     for a, (m, tf, zf) in enumerate(zip(axes, t.fluxes, z.fluxes)):

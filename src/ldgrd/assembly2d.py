@@ -77,9 +77,7 @@ class LdgOperator2D:
     """
 
     def __init__(self, mesh: TensorMesh2D, problem, k: int, jump: bool = True):
-        if k < 1:
-            raise ValueError(f"polynomial degree must be >= 1, got {k}")
-        _check_consistent(mesh, problem)
+        _check_consistent(mesh, problem, k, 2)
         mx, my = mesh.mesh_x, mesh.mesh_y
         self.x = _Axis(mx, k, problem.eps, jump)
         self.y = self.x if my is mx else _Axis(my, k, problem.eps, jump)

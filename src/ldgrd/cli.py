@@ -24,7 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convergence study for the LDG reaction-diffusion solver "
                     "on layer-adapted meshes.",
     )
-    parser.add_argument("--dim", type=int, choices=(1, 2), default=1)
+    parser.add_argument("--dim", type=int, choices=(1, 2), default=None,
+                        help="optional; must match the dimension of --problem")
     parser.add_argument("--degree", type=_int_list, default=(1,),
                         help="comma-separated polynomial degrees, e.g. 1,2,3")
     parser.add_argument("--eps", type=_float_list, default=(1e-8,),
@@ -47,7 +48,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sigma = None if str(args.sigma).strip() == "k+1" else float(args.sigma)
         cfg = StudyConfig(
-            dim=args.dim,
             degrees=tuple(args.degree),
             eps_list=tuple(args.eps),
             n_list=tuple(args.N),
@@ -55,6 +55,8 @@ def main(argv: list[str] | None = None) -> int:
             problem=args.problem,
             flux=args.flux,
         )
+        if args.dim not in (None, cfg.dim):
+            raise ValueError(f"--dim {args.dim} does not fit the {cfg.dim}D problem {cfg.problem!r}")
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

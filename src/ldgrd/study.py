@@ -1,5 +1,6 @@
-"""Convergence-study driver: sweeps over (k, eps, N), observed rates against
-N^{-1} and against the mesh-adjusted factor N^{-1} ln N, CSV and text tables."""
+"""Convergence-study driver: sweeps over (k, eps, N) of one problem, which sets
+the dimension, observed rates against N^{-1} and against the mesh-adjusted
+factor N^{-1} ln N, CSV and text tables."""
 
 from __future__ import annotations
 
@@ -50,14 +51,11 @@ def rate_p(e_n: float, e_2n: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """One sweep: problem, degrees, eps values, mesh sizes and flux variant.
+    """One sweep: problem (it sets dim), degrees, eps values, mesh sizes and
+    flux variant.  sigma=None applies the default rule sigma = k + 1; a given
+    sigma must be finite and positive.  Degrees are >= 1, eps values lie in
+    (0, 1), no degree, eps or N repeats, and meshes take beta from the problem."""
 
-    sigma=None applies the default grading rule sigma = k + 1; a given sigma
-    must be finite and positive.  Degrees are >= 1, eps values lie in (0, 1),
-    and no degree, eps or N may repeat.  Meshes take beta from the problem.
-    """
-
-    dim: int = 1
     degrees: tuple[int, ...] = (1,)
     eps_list: tuple[float, ...] = (1e-8,)
     n_list: tuple[int, ...] = (32, 64)
@@ -66,8 +64,6 @@ class StudyConfig:
     flux: str = "paper"
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         for name in ("degrees", "eps_list", "n_list"):
             values = getattr(self, name)
             if not values or len(set(values)) != len(values):
@@ -86,9 +82,10 @@ class StudyConfig:
             raise ValueError(f"flux must be 'paper' or 'classic', got {self.flux!r}")
         if self.problem not in PROBLEM_NAMES:
             raise ValueError(f"unknown problem {self.problem!r}")
-        pdim, _ = PROBLEM_NAMES[self.problem]
-        if pdim != self.dim:
-            raise ValueError(f"problem {self.problem!r} is {pdim}D but dim={self.dim}")
+
+    @property
+    def dim(self) -> int:
+        return PROBLEM_NAMES[self.problem][0]
 
     def sigma_for(self, k: int) -> float:
         return float(k + 1) if self.sigma is None else float(self.sigma)
@@ -119,10 +116,9 @@ def _run_case(cfg: StudyConfig, k: int, eps: float, n: int) -> ConvergenceRecord
         problem = get_problem(cfg.problem, eps)
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=problem.beta, sigma=sigma, N=n))
         jump = cfg.flux == "paper"
-        if cfg.dim == 1:
-            w = solve_1d(mesh, problem, k, jump)
-        else:
-            w = solve_2d(build_tensor_2d(mesh, mesh), problem, k, jump)
+        if cfg.dim == 2:
+            mesh = build_tensor_2d(mesh, mesh)
+        w = (solve_1d if cfg.dim == 1 else solve_2d)(mesh, problem, k, jump)
         rec.report = error_report(w, problem, jump)
     except Exception as exc:  # per-case failures recorded; the sweep continues
         rec.status = f"error: {type(exc).__name__}"

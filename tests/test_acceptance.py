@@ -37,7 +37,7 @@ from ldgrd.assembly1d import bilinear_B
 from ldgrd.assembly2d import solve_2d
 from ldgrd.study import StudyConfig, rate_p, run_study
 
-from conftest import energy_sq, zero_report
+from conftest import energy_sq, zero_problem, zero_report
 
 EPS_GRID = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 
@@ -65,7 +65,7 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def grid1d():
     """Full 1D sweep (3 degrees x 5 eps x 6 N) with the paper flux."""
     t0 = time.time()
-    cfg = StudyConfig(dim=1, degrees=(1, 2, 3), eps_list=EPS_GRID,
+    cfg = StudyConfig(degrees=(1, 2, 3), eps_list=EPS_GRID,
                       n_list=(32, 64, 128, 256, 512, 1024), problem="layer1d",
                       flux="paper")
     records = run_study(cfg)
@@ -190,7 +190,7 @@ def test_criterion_05_energy_identity():
                         q=PiecewisePoly(mesh, rng.standard_normal((N, k + 1))),
                         u=PiecewisePoly(mesh, rng.standard_normal((N, k + 1))),
                     )
-                    b_val = bilinear_B(chi, chi, ones_b, eps)
+                    b_val = bilinear_B(chi, chi, zero_problem(eps, ones_b, 1))
                     e_val = energy_sq(chi, ones_b, eps)
                     rel = abs(b_val - e_val) / abs(e_val)
                     worst = max(worst, rel)
@@ -209,7 +209,7 @@ def test_criterion_05_energy_identity():
                         p=PiecewisePoly(mesh2, rng.standard_normal(shape)),
                         q=PiecewisePoly(mesh2, rng.standard_normal(shape)),
                     )
-                    b_val = bilinear_B(z, z, two_b, eps)
+                    b_val = bilinear_B(z, z, zero_problem(eps, two_b, 2))
                     e_val = energy_sq(z, two_b, eps)
                     rel = abs(b_val - e_val) / abs(e_val)
                     worst = max(worst, rel)
@@ -443,7 +443,7 @@ def test_2d_rates_are_eps_uniform_at_k2():
 def test_criterion_10_flux_ablation(grid1d):
     index, _ = grid1d
     eps, N, k = 1e-8, 128, 1
-    cfg = StudyConfig(dim=1, degrees=(k,), eps_list=(eps,), n_list=(N,),
+    cfg = StudyConfig(degrees=(k,), eps_list=(eps,), n_list=(N,),
                       problem="layer1d", flux="classic")
     classic = run_study(cfg)[0]
     assert classic.status == "ok"

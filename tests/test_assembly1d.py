@@ -20,13 +20,13 @@ from ldgrd.assembly1d import (
     solve_1d,
     table_matrix,
 )
-from ldgrd.assembly2d import solve_2d
+from ldgrd.assembly2d import LdgOperator2D, solve_2d
 from ldgrd.linalg import matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.polyspace import PiecewisePoly
 from ldgrd.problems import layer1d, layer2d, poly_exact_1d
 
-from conftest import energy_sq, uniform_mesh
+from conftest import energy_sq, uniform_mesh, zero_problem
 
 
 def ones_b(x):
@@ -65,7 +65,7 @@ def test_bilinear_hand_value():
 
     def form(mesh, q, u, jump=True):
         w = LdgSolution(q=PiecewisePoly(mesh, q), u=PiecewisePoly(mesh, u))
-        return bilinear_B(w, w, ones_b, eps, jump)
+        return bilinear_B(w, w, zero_problem(eps, ones_b, 1), jump)
 
     # W = (Q=0, U=1), b=1: volume term 1 plus two boundary penalties
     # sqrt(eps) each
@@ -84,7 +84,7 @@ def test_bilinear_zero():
     mesh = uniform_mesh(4)
     z = LdgSolution(q=PiecewisePoly(mesh, np.zeros((4, 2))),
                     u=PiecewisePoly(mesh, np.zeros((4, 2))))
-    assert bilinear_B(z, z, ones_b, mesh.params.eps) == 0.0
+    assert bilinear_B(z, z, zero_problem(mesh.params.eps, ones_b, 1)) == 0.0
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
@@ -94,7 +94,7 @@ def test_energy_identity_on_random_pairs(eps, N, k, rng):
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     for _ in range(4):
         chi = make_pair(mesh, k, rng)
-        b_val = bilinear_B(chi, chi, ones_b, eps)
+        b_val = bilinear_B(chi, chi, zero_problem(eps, ones_b, 1))
         e_val = energy_sq(chi, ones_b, eps)
         assert abs(b_val - e_val) <= 1e-12 * abs(e_val)
 
@@ -112,7 +112,7 @@ def test_energy_identity_property(k, N, eps_exp, flux, b, seed):
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     w = make_pair(mesh, k, np.random.default_rng(seed))
     e_val = energy_sq(w, b, eps, jump)
-    assert abs(bilinear_B(w, w, b, eps, jump) - e_val) <= 1e-12 * e_val
+    assert abs(bilinear_B(w, w, zero_problem(eps, b, 1), jump) - e_val) <= 1e-12 * e_val
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -128,7 +128,7 @@ def test_bilinear_matches_assembled_matrix(flux, k, rng):
     w = make_pair(mesh, k, rng)
     chi = make_pair(mesh, k, rng)
     lhs = solution_to_coeffs(chi) @ matvec(system.matrix, solution_to_coeffs(w))
-    rhs = bilinear_B(w, chi, prob.b, eps, jump)
+    rhs = bilinear_B(w, chi, prob, jump)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
 
@@ -410,6 +410,28 @@ def test_eps_mismatch_rejected():
     mesh = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=8))
     with pytest.raises(ValueError, match="eps"):
         assemble(mesh, layer1d(1e-6), 1)
+
+
+@pytest.mark.parametrize("case", ["solve_1d", "solve_2d", "LdgOperator2D"])
+def test_mesh_of_the_other_dimension_rejected(case):
+    # checked before the problem, naming both dimensions, instead of an
+    # AttributeError from inside the solver
+    eps, k = 1e-4, 1
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=8))
+    run = {"solve_1d": lambda: solve_1d(build_tensor_2d(m, m), layer2d(eps), k),
+           "solve_2d": lambda: solve_2d(m, layer1d(eps), k),
+           "LdgOperator2D": lambda: LdgOperator2D(m, layer1d(eps), k)}[case]
+    mesh_dim, solver_dim = (2, 1) if case == "solve_1d" else (1, 2)
+    with pytest.raises(ValueError, match=f"a {mesh_dim}D mesh does not fit the {solver_dim}D solver"):
+        run()
+
+
+def test_bilinear_form_rejects_a_problem_of_the_other_dimension(rng):
+    eps, k = 1e-4, 1
+    m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=8))
+    w = make_pair(m, k, rng)
+    with pytest.raises(ValueError, match="a 2D problem does not fit a 1D mesh"):
+        bilinear_B(w, w, layer2d(eps))
 
 
 def test_degree_zero_rejected():

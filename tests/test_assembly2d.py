@@ -24,7 +24,7 @@ from ldgrd.norms import error_report
 from ldgrd.polyspace import PiecewisePoly, leg_mass
 from ldgrd.problems import ProblemSpec, layer1d, layer2d, layer2d_variable_b, poly_exact_2d
 
-from conftest import energy_sq, uniform_mesh_2d
+from conftest import energy_sq, uniform_mesh_2d, zero_problem
 
 
 def two_b(x, y):
@@ -115,11 +115,11 @@ def test_bilinear_2d_hand_value():
     one[..., 0, 0] = 1.0
     t = LdgSolution(u=PiecewisePoly(mesh2, one), p=PiecewisePoly(mesh2, zero),
                     q=PiecewisePoly(mesh2, zero))
-    val = bilinear_B(t, t, two_b, eps)
+    val = bilinear_B(t, t, zero_problem(eps, two_b, 2))
     assert math.isclose(val, 2.0 + 4.0 * 0.01, rel_tol=1e-13)
     z = LdgSolution(u=PiecewisePoly(mesh2, zero), p=PiecewisePoly(mesh2, zero),
                     q=PiecewisePoly(mesh2, zero))
-    assert bilinear_B(z, z, two_b, eps) == 0.0
+    assert bilinear_B(z, z, zero_problem(eps, two_b, 2)) == 0.0
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-10])
@@ -130,7 +130,7 @@ def test_energy_identity_2d(eps, N, k, rng):
     mesh2 = build_tensor_2d(m, m)
     for _ in range(3):
         z = make_triple(mesh2, k, rng)
-        b_val = bilinear_B(z, z, two_b, eps)
+        b_val = bilinear_B(z, z, zero_problem(eps, two_b, 2))
         e_val = energy_sq(z, two_b, eps)
         assert abs(b_val - e_val) <= 1e-12 * abs(e_val)
 
@@ -148,7 +148,7 @@ def test_energy_identity_property_2d(k, N, eps_exp, flux, b, seed):
     m = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=k + 1.0, N=N))
     t = make_triple(build_tensor_2d(m, m), k, np.random.default_rng(seed))
     e_val = energy_sq(t, b, eps, jump)
-    assert abs(bilinear_B(t, t, b, eps, jump) - e_val) <= 1e-12 * e_val
+    assert abs(bilinear_B(t, t, zero_problem(eps, b, 2), jump) - e_val) <= 1e-12 * e_val
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -164,7 +164,7 @@ def test_bilinear_matches_assembled_matrix_2d(flux, k, rng):
     t = make_triple(mesh2, k, rng)
     z = make_triple(mesh2, k, rng)
     lhs = solution_to_coeffs(z) @ matvec(A, solution_to_coeffs(t))
-    rhs = bilinear_B(t, z, prob.b, eps, jump)
+    rhs = bilinear_B(t, z, prob, jump)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
 
@@ -179,7 +179,7 @@ def test_bilinear_matches_assembled_matrix_2d_variable_b(rng):
     t = make_triple(mesh2, k, rng)
     z = make_triple(mesh2, k, rng)
     lhs = solution_to_coeffs(z) @ matvec(A, solution_to_coeffs(t))
-    rhs = bilinear_B(t, z, prob.b, eps)
+    rhs = bilinear_B(t, z, prob)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
 
 
@@ -199,10 +199,10 @@ def test_bilinear_form_on_rectangular_meshes(eps, flux, k, shape, rng):
     A = LdgOperator2D(mesh2, prob, k, jump).matrix()
     t, z = make_triple(mesh2, k, rng), make_triple(mesh2, k, rng)
     lhs = solution_to_coeffs(z) @ matvec(A, solution_to_coeffs(t))
-    rhs = bilinear_B(t, z, prob.b, eps, jump)
+    rhs = bilinear_B(t, z, prob, jump)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
     e_val = energy_sq(t, prob.b, eps, jump)
-    assert abs(bilinear_B(t, t, prob.b, eps, jump) - e_val) <= 1e-12 * e_val
+    assert abs(bilinear_B(t, t, prob, jump) - e_val) <= 1e-12 * e_val
 
 
 @pytest.mark.parametrize("flux", ["paper", "classic"])
@@ -502,7 +502,7 @@ def test_operator_apply_matches_matrix(k, eps, N, Ny, flux, same_mesh, variable_
     x = solution_to_coeffs(t)
     Ax = op.apply(x)
     assert np.abs(Ax - A @ x).max() <= 1e-13 * abs(A).max() * np.abs(x).max()
-    form = bilinear_B(t, z, problem.b, eps, jump)
+    form = bilinear_B(t, z, problem, jump)
     assert abs(solution_to_coeffs(z) @ Ax - form) <= 1e-11 * max(abs(form), 1.0)
     # and the matrix-free solve inverts it, P and Q parts included
     solve, _ = op.factor()

@@ -75,7 +75,7 @@ def test_energy_error_reads_special_interface(rng):
     w = LdgSolution(q=PiecewisePoly(mesh, rng.standard_normal((8, 3))),
                     u=PiecewisePoly(mesh, rng.standard_normal((8, 3))))
     prob = zero_1d(eps)
-    b_val = bilinear_B(w, w, prob.b, eps)
+    b_val = bilinear_B(w, w, prob)
     assert math.isclose(error_report(w, prob).err_energy ** 2, b_val, rel_tol=1e-12)
 
 
@@ -210,7 +210,7 @@ def test_2d_energy_norms_read_special_index(rng):
     t = LdgSolution(**{f: PiecewisePoly(mesh2, rng.standard_normal((8, 8, 3, 3)))
                        for f in "upq"})
     prob = zero_2d(eps)
-    b_val = bilinear_B(t, t, prob.b, eps)
+    b_val = bilinear_B(t, t, prob)
     assert math.isclose(error_report(t, prob).err_energy ** 2, b_val, rel_tol=1e-12)
 
 

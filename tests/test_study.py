@@ -57,17 +57,17 @@ def test_rates_reject_bad_input():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        StudyConfig(dim=3)
-    with pytest.raises(ValueError):
         StudyConfig(n_list=())
     with pytest.raises(ValueError):
         StudyConfig(n_list=(12, 30))
     with pytest.raises(ValueError):
         StudyConfig(problem="nosuch")
     with pytest.raises(ValueError):
-        StudyConfig(problem="layer2d", dim=1)
-    with pytest.raises(ValueError):
         StudyConfig(flux="other")
+    # the problem sets the dimension, which is no field of its own
+    assert (StudyConfig().dim, StudyConfig(problem="layer2d").dim) == (1, 2)
+    with pytest.raises(TypeError):
+        StudyConfig(dim=2)
 
 
 def test_sigma_rule():
@@ -79,7 +79,7 @@ def test_sigma_rule():
 
 
 def test_run_study_attaches_rates_and_orders_records():
-    cfg = StudyConfig(dim=1, degrees=(1,), eps_list=(1e-6,), n_list=(16, 8),
+    cfg = StudyConfig(degrees=(1,), eps_list=(1e-6,), n_list=(16, 8),
                       problem="layer1d")
     records = run_study(cfg)
     assert [r.N for r in records] == [8, 16]
@@ -96,7 +96,7 @@ def test_run_study_attaches_rates_and_orders_records():
 
 def test_run_study_records_case_failures_and_continues():
     # sigma=4 with eps=1e-2 pushes the transition point past 1/4 for N=8
-    cfg = StudyConfig(dim=1, degrees=(3,), eps_list=(1e-2, 1e-6), n_list=(8,),
+    cfg = StudyConfig(degrees=(3,), eps_list=(1e-2, 1e-6), n_list=(8,),
                       problem="layer1d")
     records = run_study(cfg)
     by_eps = {r.eps: r for r in records}
@@ -106,7 +106,7 @@ def test_run_study_records_case_failures_and_continues():
 
 
 def test_csv_schema_and_formatting():
-    cfg = StudyConfig(dim=1, degrees=(1,), eps_list=(1e-6,), n_list=(8, 16),
+    cfg = StudyConfig(degrees=(1,), eps_list=(1e-6,), n_list=(8, 16),
                       problem="layer1d")
     records = run_study(cfg)
     text = records_to_csv(records)
@@ -123,7 +123,7 @@ def test_csv_schema_and_formatting():
 
 
 def test_csv_bit_stable():
-    cfg = StudyConfig(dim=1, degrees=(1,), eps_list=(1e-8,), n_list=(8, 16),
+    cfg = StudyConfig(degrees=(1,), eps_list=(1e-8,), n_list=(8, 16),
                       problem="layer1d")
     t1 = records_to_csv(run_study(cfg))
     t2 = records_to_csv(run_study(cfg))
@@ -135,7 +135,7 @@ def test_evaluation_order_changes_nothing_observable(monkeypatch):
     # records, statuses, rates and CSV bytes are those of _run_case called in
     # (k, eps, N) order.  sweep1d's grid, with the case that has no mesh
     # (k=3, eps=1e-4, N=1024: tau > 1/4) in its slot.
-    cfg = StudyConfig(dim=1, degrees=(1, 2, 3), eps_list=(1e-4, 1e-6, 1e-8, 1e-10, 1e-12),
+    cfg = StudyConfig(degrees=(1, 2, 3), eps_list=(1e-4, 1e-6, 1e-8, 1e-10, 1e-12),
                       n_list=(32, 64, 128, 256, 512, 1024), problem="layer1d")
     eps_list = sorted(cfg.eps_list)
     keys = [(k, eps, n) for k in cfg.degrees for eps in eps_list for n in cfg.n_list]
@@ -162,7 +162,7 @@ def test_evaluation_order_changes_nothing_observable(monkeypatch):
 
 
 def test_table_output_mentions_each_block():
-    cfg = StudyConfig(dim=1, degrees=(1,), eps_list=(1e-6, 1e-8), n_list=(8, 16),
+    cfg = StudyConfig(degrees=(1,), eps_list=(1e-6, 1e-8), n_list=(8, 16),
                       problem="layer1d")
     text = records_to_table(run_study(cfg))
     assert "k = 1" in text
@@ -197,6 +197,25 @@ def test_cli_flux_and_sigma_flags(tmp_path):
     assert code == 0
     row = next(csv.DictReader(out.open()))
     assert row["sigma"] == "3"
+
+
+def test_cli_takes_the_dimension_from_the_problem(capsys, monkeypatch):
+    # --dim may be left out; a given --dim must match the problem's, or the
+    # CLI exits 2 naming both before any case runs
+    for given in ([], ["--dim", "2"]):
+        code = main(given + ["--problem", "layer2d", "--degree", "1", "--N", "8,16",
+                             "--eps", "1e-6", "--format", "csv"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 2 and {row["dim"] for row in rows} == {"2"}
+
+    def no_sweep(cfg):
+        raise AssertionError("run_study called")
+
+    monkeypatch.setattr("ldgrd.cli.run_study", no_sweep)
+    assert main(["--dim", "1", "--problem", "layer2d"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--dim 1" in err and "2D problem 'layer2d'" in err
 
 
 def test_cli_rejects_empty_n_list(capsys):
@@ -281,7 +300,7 @@ def test_cli_table_to_stdout(capsys):
 
 
 def test_balanced_rate_climbs_toward_optimal_order():
-    cfg = StudyConfig(dim=1, degrees=(1,), eps_list=(1e-8,),
+    cfg = StudyConfig(degrees=(1,), eps_list=(1e-8,),
                       n_list=(64, 128, 256, 512, 1024), problem="layer1d")
     records = run_study(cfg)
     rates = [r.rp_balanced for r in records if r.rp_balanced is not None]

@@ -11,13 +11,12 @@ not depend on the tree's unknown layout: `x` holds the solved fields
 through the tree's own 2D coefficient map, and the matrix is permuted to
 one fixed per-cell order through the same map applied to the unknowns'
 positions, with explicit zeros dropped.  The map is `assembly1d`'s
-`coeffs_to_solution`, or in a tree with one map per dimension the 2D one,
-`assembly2d`'s map of the same name with the suffix `_2d`.  It also saves the coefficients `coeffs` and the
+`coeffs_to_solution`.  It also saves the coefficients `coeffs` and the
 errors `err` (l2, then linf) of the composite interpolants of the benchmark's
 interp workload; for each 1D interpolant also `err_cold`, both errors
 measured again right after emptying the shared 1D node-sample cache
-(`projection._node_samples`, where the tree has one), so that the shared and
-the cold sampling are compared bitwise across trees.  Run it once per tree,
+(`projection._node_samples`), so that the shared and the cold sampling are
+compared bitwise across trees.  Run it once per tree,
 each in its own process, so that the two packages never share an interpreter:
 
     python3 tools/compare_outputs.py dump /path/to/parent parent.npz
@@ -90,13 +89,11 @@ GRID_INTERP = dict(eps=(1e-6, 1e-8, 1e-12), k1=(1, 3), N1=16384, k2=(1, 2), N2=6
 def _variable_b(problem, dim: int):
     """The problem with b = 1 + x^2 (1D) or b = 1 + x(1-y) (2D), and
     f = -eps*Lap(u) + b*u, Lap(u) read from the problem's `lap_exact` (u''
-    in 1D), or in a tree whose 1D problem has no such field from its
-    `d2u_exact`."""
+    in 1D)."""
     b = {1: lambda x: 1.0 + x**2, 2: lambda x, y: 1.0 + x * (1.0 - y)}[dim]
-    lap = getattr(problem, "lap_exact", None) or problem.d2u_exact
 
     def f(*xy):
-        return -problem.eps * lap(*xy) + b(*xy) * problem.u_exact(*xy)
+        return -problem.eps * problem.lap_exact(*xy) + b(*xy) * problem.u_exact(*xy)
 
     return dataclasses.replace(problem, b=b, f=f)
 
@@ -147,7 +144,6 @@ def _interpolants():
     from ldgrd.problems import get_problem
 
     g = GRID_INTERP
-    samples = getattr(pj, "_node_samples", None)  # a tree without the 1D sample cache has none
     for eps in g["eps"]:
         for dim, degrees, N in ((1, g["k1"], g["N1"]), (2, g["k2"], g["N2"])):
             spec = get_problem(f"layer{dim}d", eps)
@@ -171,8 +167,7 @@ def _interpolants():
                     if dim == 1:
                         cold = []
                         for norm in ("l2", "linf"):
-                            if samples is not None:
-                                samples.cache_clear()
+                            pj._node_samples.cache_clear()
                             cold.append(measure(field, interp, norm))
                         arrays["err_cold"] = np.array(cold)
                     yield f"interp/{dim}d/{name}/k{k}/eps{eps:.0e}/N{N}", arrays
@@ -188,10 +183,8 @@ def _per_cell(mesh2, k: int, system):
     then field P, Q, U, x mode, y mode), whatever the tree's own unknown
     layout: the matrix with explicit zeros dropped and the rhs as _fields."""
     import scipy.sparse as sp
-    from ldgrd import assembly1d, assembly2d
+    from ldgrd.assembly1d import coeffs_to_solution as to_solution
 
-    to_solution = assembly1d.coeffs_to_solution  # a tree with per-dimension maps has a 2D one
-    to_solution = getattr(assembly2d, f"{to_solution.__name__}_2d", to_solution)
     nx, ny = mesh2.shape
     n = nx * ny * 3 * (k + 1) ** 2
     t = to_solution(mesh2, k, np.arange(n, dtype=float))
