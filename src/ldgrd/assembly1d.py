@@ -10,6 +10,7 @@ place, _check_consistent: degree, mesh and problem dimension, axis eps."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from typing import NamedTuple
@@ -107,8 +108,10 @@ def _plan(N: int, k: int, m: int, jump: bool, reaction: bool) -> _Plan:
     hats first, then left-cell tests, each in the listed order.  The
     pattern, its summation order and the column order of the LU factors
     depend on neither eps nor b; one entry serves a sweep's cases at one
-    (N, k), which study.run_study computes back to back.
+    (N, k), which study.run_study computes back to back.  The old entry is
+    dropped before the new plan is built, so at most one plan is held.
     """
+    _plan.cache_clear()
     em, ep = end_vals(k)
     cell = 2 * np.arange(N)
     rows = [cell + _FLUX, cell + _FLUX, cell + _PRIMAL] + [cell + _PRIMAL] * reaction
@@ -180,6 +183,8 @@ def _check_dimension(problem, dim: int) -> None:
 
 
 def _check_consistent(mesh, problem, k: int, dim: int) -> None:
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"polynomial degree must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {k}")
     if len(mesh.axes) != dim:

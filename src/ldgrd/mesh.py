@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ class MeshParams:
     eps is the singular perturbation parameter, beta the layer-strength
     constant (reaction coefficient satisfies b >= beta**2), sigma the
     grading constant (take sigma >= k+1 for degree-k elements) and N the
-    cell count, a positive multiple of 4.
+    cell count, a positive integer multiple of 4.
     """
 
     eps: float
@@ -43,6 +44,8 @@ class MeshParams:
         for name in ("beta", "sigma"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not isinstance(self.N, numbers.Integral):
+            raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 4 or self.N % 4 != 0:
             raise ValueError(f"N must be a positive multiple of 4, got {self.N}")
         if self.tau > 0.25:

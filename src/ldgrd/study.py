@@ -5,6 +5,7 @@ factor N^{-1} ln N, CSV and text tables."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .assembly1d import solve_1d
@@ -53,8 +54,9 @@ def rate_p(e_n: float, e_2n: float, n: int) -> float:
 class StudyConfig:
     """One sweep: problem (it sets dim), degrees, eps values, mesh sizes and
     flux variant.  sigma=None applies the default rule sigma = k + 1; a given
-    sigma must be finite and positive.  Degrees are >= 1, eps values lie in
-    (0, 1), no degree, eps or N repeats, and meshes take beta from the problem."""
+    sigma must be finite and positive.  Degrees are integers >= 1, each N
+    is a positive integer multiple of 4, eps values lie in (0, 1), no
+    degree, eps or N repeats, and meshes take beta from the problem."""
 
     degrees: tuple[int, ...] = (1,)
     eps_list: tuple[float, ...] = (1e-8,)
@@ -68,6 +70,10 @@ class StudyConfig:
             values = getattr(self, name)
             if not values or len(set(values)) != len(values):
                 raise ValueError(f"{name} must be nonempty, without a repeated value, got {values}")
+        for name in ("degrees", "n_list"):
+            for v in getattr(self, name):
+                if not isinstance(v, numbers.Integral):
+                    raise ValueError(f"{name} must hold integers, got {v!r}")
         if min(self.degrees) < 1:
             raise ValueError(f"polynomial degree must be >= 1, got {min(self.degrees)}")
         for eps in self.eps_list:

@@ -54,6 +54,15 @@ def test_rejects_bad_cell_count(bad_n):
         MeshParams(eps=1e-4, N=bad_n)
 
 
+@pytest.mark.parametrize("bad_n", [8.0, 8.5])
+def test_cell_count_must_be_an_integer(bad_n):
+    # a float count failed inside numpy with a TypeError that named no field
+    with pytest.raises(ValueError, match=f"N must be an integer, got {bad_n}"):
+        build_shishkin_1d(MeshParams(eps=1e-6, N=bad_n))
+    mesh = build_shishkin_1d(MeshParams(eps=1e-6, N=np.int64(8)))
+    assert np.array_equal(mesh.points, build_shishkin_1d(MeshParams(eps=1e-6, N=8)).points)
+
+
 def test_rejects_large_transition_point():
     # tau = 2*0.1*ln(32) = 0.693 > 1/4
     with pytest.raises(ValueError, match="tau"):

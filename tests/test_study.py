@@ -5,6 +5,7 @@ import io
 import math
 import pkgutil
 
+import numpy as np
 import pytest
 
 import ldgrd.assembly1d as assembly1d
@@ -68,6 +69,22 @@ def test_config_validation():
     assert (StudyConfig().dim, StudyConfig(problem="layer2d").dim) == (1, 2)
     with pytest.raises(TypeError):
         StudyConfig(dim=2)
+
+
+@pytest.mark.parametrize("name, value", [("n_list", 8.0), ("n_list", 8.5),
+                                         ("degrees", 1.0), ("degrees", 2.5)])
+def test_config_rejects_a_non_integral_degree_or_cell_count(name, value):
+    # rejected by the config, naming the field, instead of failing every
+    # case with a TypeError from inside numpy
+    with pytest.raises(ValueError, match=f"{name} must hold integers, got {value}"):
+        StudyConfig(**{name: (value,)})
+
+
+def test_numpy_integers_are_valid_degrees_and_cell_counts():
+    cfg = StudyConfig(degrees=(2,), eps_list=(1e-6,), n_list=(8,))
+    records = run_study(dataclasses.replace(cfg, degrees=(np.int64(2),), n_list=(np.int64(8),)))
+    assert [r.status for r in records] == ["ok"]
+    assert records == run_study(cfg)
 
 
 def test_sigma_rule():
