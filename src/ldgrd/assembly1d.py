@@ -10,20 +10,20 @@ place, _check_consistent: degree, mesh and problem dimension, axis eps."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Pattern, SparseSystem, lu_solve
+from .linalg import Pattern, lu_solve, sp
 from .mesh import ShishkinMesh1D
-from .polyspace import (PiecewisePoly, _cell_sums, _cells, _grid, _values, end_vals, gauss_rule,
-                        grad_matrix, leg_mass, legendre_basis)
+from .polyspace import (PiecewisePoly, _cell_sums, _cells, _check_input, _grid, _values, end_vals,
+                        gauss_rule, grad_matrix, leg_mass, legendre_basis)
 
 __all__ = [
     "LdgSolution",
+    "SparseSystem",
     "assemble",
     "table_matrix",
     "solve_1d",
@@ -183,16 +183,21 @@ def _check_dimension(problem, dim: int) -> None:
 
 
 def _check_consistent(mesh, problem, k: int, dim: int) -> None:
-    if not isinstance(k, numbers.Integral):
-        raise ValueError(f"polynomial degree must be an integer, got {k!r}")
+    _check_input(mesh, k, dim, "solver")
     if k < 1:
         raise ValueError(f"polynomial degree must be >= 1, got {k}")
-    if len(mesh.axes) != dim:
-        raise ValueError(f"a {len(mesh.axes)}D mesh does not fit the {dim}D solver")
     _check_dimension(problem, dim)
     for m in mesh.axes:
         if not math.isclose(problem.eps, m.params.eps, rel_tol=1e-12):
             raise ValueError(f"problem eps={problem.eps} does not match mesh eps={m.params.eps}")
+
+
+class SparseSystem(NamedTuple):
+    """The assembled 1D system in lu_solve's argument order."""
+
+    matrix: sp.csr_array
+    rhs: np.ndarray
+    pattern: Pattern
 
 
 def assemble(mesh: ShishkinMesh1D, problem, k: int, jump: bool = True) -> SparseSystem:
@@ -252,9 +257,7 @@ def solution_to_coeffs(w: LdgSolution) -> np.ndarray:
 
 def solve_1d(mesh: ShishkinMesh1D, problem, k: int, jump: bool = True) -> LdgSolution:
     """Assemble, solve and unpack the discrete pair (Q, U)."""
-    system = assemble(mesh, problem, k, jump)
-    x = lu_solve(system.matrix, system.rhs, system.pattern)
-    return coeffs_to_solution(mesh, k, x)
+    return coeffs_to_solution(mesh, k, lu_solve(*assemble(mesh, problem, k, jump)))
 
 
 def _pair_sum(z, t, ops, weights) -> float:

@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import importlib
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SparseSystem",
     "SingularSystemError",
     "from_coo",
     "Pattern",
@@ -45,16 +43,6 @@ spla = _Deferred("scipy.sparse.linalg")
 class SingularSystemError(RuntimeError):
     """Raised when LU factorization hits a singular pivot, or when the
     refined solution still misses the residual tolerance."""
-
-
-@dataclass(eq=False)
-class SparseSystem:
-    """Assembled linear system; pattern, if given, is the Pattern that built
-    matrix."""
-
-    matrix: sp.csr_array
-    rhs: np.ndarray
-    pattern: Pattern | None = None
 
 
 def from_coo(n: int, rows, cols, vals) -> sp.csr_array:

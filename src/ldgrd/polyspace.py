@@ -9,6 +9,7 @@ and the bilinear form's volume term."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +28,14 @@ __all__ = [
     "end_vals",
     "PiecewisePoly",
 ]
+
+
+def _check_input(mesh, k, dim: int, user: str) -> None:
+    """The solvers' and composites' rule: an integer degree, a dim-D mesh."""
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"polynomial degree must be an integer, got {k!r}")
+    if len(mesh.shape) != dim:
+        raise ValueError(f"a {len(mesh.shape)}D mesh does not fit the {dim}D {user}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,46 +57,29 @@ def _exp(a: np.ndarray) -> np.ndarray:
     return np.exp(a, out=np.zeros_like(a), where=~(a <= -746.0))
 
 
-def _layer_parts(eps: float):
-    """Closed-form two-layer profile g, g' and g'' with g(0) = 1, g(1) = -1.
-
-    g(x) = (exp(-x/s) - exp(-(1-x)/s)) / (1 - exp(-1/s)) with s = sqrt(eps).
-    All exponentials have nonpositive arguments, so evaluation underflows
-    gracefully for small eps.
-    """
+def _layer_profile(eps: float):
+    """u1 = g(x) - cos(pi*x), with u1' and u1'', where
+    g(x) = (exp(-x/s) - exp(-(1-x)/s)) / (1 - exp(-1/s)), s = sqrt(eps), is
+    the closed-form two-layer profile with g(0) = 1 and g(1) = -1.  All
+    exponentials have nonpositive arguments, so evaluation underflows
+    gracefully for small eps."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     s = math.sqrt(eps)
     denom = 1.0 - math.exp(-1.0 / s)
 
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return (_exp(-x / s) - _exp(-(1.0 - x) / s)) / denom
-
-    def dg(x):
-        x = np.asarray(x, dtype=float)
-        return -(_exp(-x / s) + _exp(-(1.0 - x) / s)) / (s * denom)
-
-    def d2g(x):
-        x = np.asarray(x, dtype=float)
-        return (_exp(-x / s) - _exp(-(1.0 - x) / s)) / (s * s * denom)
-
-    return g, dg, d2g
-
-
-def _layer_profile(eps: float):
-    """u1 = g(x) - cos(pi*x), g the layer profile of _layer_parts, with u1'
-    and u1''."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    g, dg, d2g = _layer_parts(eps)
-
     def u(x):
-        return g(x) - np.cos(np.pi * np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return (_exp(-x / s) - _exp(-(1.0 - x) / s)) / denom - np.cos(np.pi * x)
 
     def du(x):
-        return dg(x) + np.pi * np.sin(np.pi * np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return -(_exp(-x / s) + _exp(-(1.0 - x) / s)) / (s * denom) + np.pi * np.sin(np.pi * x)
 
     def d2u(x):
-        return d2g(x) + np.pi**2 * np.cos(np.pi * np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return ((_exp(-x / s) - _exp(-(1.0 - x) / s)) / (s * s * denom)
+                + np.pi**2 * np.cos(np.pi * x))
 
     return u, du, d2u
 
@@ -141,7 +124,7 @@ def _problem_1d(name: str, eps: float, profile, f: Callable) -> ProblemSpec:
 
 def layer1d(eps: float) -> ProblemSpec:
     """Two-boundary-layer problem with b = 1 and exact solution
-    g(x) - cos(pi*x), where g is the layer profile of _layer_parts."""
+    g(x) - cos(pi*x), where g is the two-layer part of _layer_profile."""
     def f(x):
         # -eps*u'' + u collapses: the layer terms cancel exactly.
         return -(1.0 + eps * np.pi**2) * np.cos(np.pi * np.asarray(x, dtype=float))
@@ -202,19 +185,19 @@ def poly_exact_2d(eps: float) -> ProblemSpec:
     return _tensor_2d("poly2d", eps, _poly_profile(eps), _two)
 
 
-PROBLEM_NAMES = {
-    "layer1d": (1, layer1d),
-    "poly1d": (1, poly_exact_1d),
-    "layer2d": (2, layer2d),
-    "layer2d_varb": (2, layer2d_variable_b),
-    "poly2d": (2, poly_exact_2d),
+PROBLEM_NAMES = {  # the spec gives the dimension: len(spec.fluxes)
+    "layer1d": layer1d,
+    "poly1d": poly_exact_1d,
+    "layer2d": layer2d,
+    "layer2d_varb": layer2d_variable_b,
+    "poly2d": poly_exact_2d,
 }
 
 
 def get_problem(name: str, eps: float) -> ProblemSpec:
     """Look up a shipped problem by its CLI name."""
     try:
-        _, factory = PROBLEM_NAMES[name]
+        factory = PROBLEM_NAMES[name]
     except KeyError:
         raise ValueError(
             f"unknown problem {name!r}; available: {sorted(PROBLEM_NAMES)}"

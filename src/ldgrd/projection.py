@@ -19,8 +19,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .mesh import ShishkinMesh1D
-from .polyspace import (PiecewisePoly, _cell_sums, _cells, _chunks, _grid, _values, end_vals,
-                        layer_rule, legendre_basis)
+from .polyspace import (PiecewisePoly, _cell_sums, _cells, _check_input, _chunks, _grid, _values,
+                        end_vals, layer_rule, legendre_basis)
 
 __all__ = [
     "composite_u_1d",
@@ -153,6 +153,7 @@ def composite_u_1d(u, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly:
     of x: its node samples are kept in a one-entry cache, keyed on the u and
     mesh objects, that measure_interp_error of the same u and mesh reuses.
     """
+    _check_input(mesh, k, 1, "composite")
     return _composite(u, mesh, k, [(0, "minus", _fine_band(np.arange(mesh.ncells), mesh.ncells))])
 
 
@@ -160,6 +161,7 @@ def composite_q_1d(q, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly:
     """Layer-aware interpolant of the flux variable: L2 projection on the
     first cell, left-endpoint-matching Gauss-Radau everywhere else.  q must
     be a pure function of x; its node samples are cached as in composite_u_1d."""
+    _check_input(mesh, k, 1, "composite")
     return _composite(q, mesh, k, [(0, "plus", np.arange(mesh.ncells) > 0)])
 
 
@@ -171,6 +173,7 @@ def composite_u_2d(u, mesh, k: int) -> PiecewisePoly:
     remaining cells (interior block, corner blocks, outermost row and
     column) take the plain tensor L2 projection.
     """
+    _check_input(mesh, k, 2, "composite")
     (nx, ny), (i, j) = mesh.shape, np.indices(mesh.shape, sparse=True)
     return _composite(u, mesh, k, [(0, "minus", _fine_band(i, nx) & _mid_band(j, ny)),
                                    (1, "minus", _mid_band(i, nx) & _fine_band(j, ny))])
@@ -179,12 +182,14 @@ def composite_u_2d(u, mesh, k: int) -> PiecewisePoly:
 def composite_px_2d(p, mesh, k: int) -> PiecewisePoly:
     """Interpolant of the x-flux: L2 on the first column, left-edge-matching
     Gauss-Radau in x on all other cells."""
+    _check_input(mesh, k, 2, "composite")
     return _composite(p, mesh, k, [(0, "plus", np.arange(mesh.shape[0])[:, None] > 0)])
 
 
 def composite_qy_2d(q, mesh, k: int) -> PiecewisePoly:
     """Interpolant of the y-flux: L2 on the first row, bottom-edge-matching
     Gauss-Radau in y elsewhere."""
+    _check_input(mesh, k, 2, "composite")
     return _composite(q, mesh, k, [(1, "plus", np.arange(mesh.shape[1]) > 0)])
 
 

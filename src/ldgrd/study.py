@@ -12,7 +12,7 @@ from .assembly1d import solve_1d
 from .assembly2d import solve_2d
 from .mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from .norms import ErrorReport, error_report
-from .problems import PROBLEM_NAMES, get_problem
+from .problems import get_problem
 
 __all__ = [
     "StudyConfig",
@@ -29,25 +29,32 @@ __all__ = [
 # smallest discretization error on the supported range is 4e-12): no rate.
 ROUNDOFF_FLOOR = 1e-13
 
-CSV_HEADER = ("dim,k,sigma,eps,N,err_energy,err_balanced,err_l2_u,err_linf_u,"
-              "rs_energy,rp_energy,rs_balanced,rp_balanced,status")
+_NORMS = ("energy", "balanced")  # the norms with rates rs_<norm> and rp_<norm>
+# The CSV's value columns: the report's errors (.6g), then the record's rates (.2f).
+_ERRORS = ("err_energy", "err_balanced", "err_l2_u", "err_linf_u")
+_RATES = tuple(f"r{rate}_{norm}" for norm in _NORMS for rate in "sp")
+CSV_HEADER = ",".join(("dim", "k", "sigma", "eps", "N", *_ERRORS, *_RATES, "status"))
+
+
+def _log_ratio(e_n: float, e_2n: float) -> float:
+    if e_n <= 0.0 or e_2n <= 0.0:
+        raise ValueError("errors must be positive to compute a rate")
+    return math.log(e_n) - math.log(e_2n)
 
 
 def rate_s(e_n: float, e_2n: float) -> float:
     """Observed order against N^{-1}: log(e_N / e_2N) / log 2."""
-    if e_n <= 0.0 or e_2n <= 0.0:
-        raise ValueError("errors must be positive to compute a rate")
-    return (math.log(e_n) - math.log(e_2n)) / math.log(2.0)
+    return _log_ratio(e_n, e_2n) / math.log(2.0)
 
 
 def rate_p(e_n: float, e_2n: float, n: int) -> float:
     """Observed order against N^{-1} ln N: log(e_N / e_2N) divided by the
-    log-ratio of that factor between N and 2N."""
-    if e_n <= 0.0 or e_2n <= 0.0:
-        raise ValueError("errors must be positive to compute a rate")
-    if n < 2:
-        raise ValueError(f"N must be at least 2, got {n}")
-    return (math.log(e_n) - math.log(e_2n)) / math.log(2.0 * math.log(n) / math.log(2 * n))
+    log-ratio of that factor between N and 2N, which needs N >= 3 (the
+    factor is the same at N = 2 and 4)."""
+    ratio = _log_ratio(e_n, e_2n)
+    if n < 3:
+        raise ValueError(f"N must be at least 3, got {n}")
+    return ratio / math.log(2.0 * math.log(n) / math.log(2 * n))
 
 
 @dataclass(frozen=True)
@@ -76,9 +83,8 @@ class StudyConfig:
                     raise ValueError(f"{name} must hold integers, got {v!r}")
         if min(self.degrees) < 1:
             raise ValueError(f"polynomial degree must be >= 1, got {min(self.degrees)}")
-        for eps in self.eps_list:
-            if not 0.0 < eps < 1.0:
-                raise ValueError(f"eps must lie in (0, 1), got {eps}")
+        for eps in self.eps_list:  # the problem checks its name and eps
+            get_problem(self.problem, eps)
         for n in self.n_list:
             if n < 4 or n % 4 != 0:
                 raise ValueError(f"every N must be a positive multiple of 4, got {n}")
@@ -86,12 +92,10 @@ class StudyConfig:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.flux not in ("paper", "classic"):
             raise ValueError(f"flux must be 'paper' or 'classic', got {self.flux!r}")
-        if self.problem not in PROBLEM_NAMES:
-            raise ValueError(f"unknown problem {self.problem!r}")
 
     @property
-    def dim(self) -> int:
-        return PROBLEM_NAMES[self.problem][0]
+    def dim(self) -> int:  # one exact flux per axis
+        return len(get_problem(self.problem, self.eps_list[0]).fluxes)
 
     def sigma_for(self, k: int) -> float:
         return float(k + 1) if self.sigma is None else float(self.sigma)
@@ -117,14 +121,14 @@ class ConvergenceRecord:
 
 def _run_case(cfg: StudyConfig, k: int, eps: float, n: int) -> ConvergenceRecord:
     sigma = cfg.sigma_for(k)
-    rec = ConvergenceRecord(dim=cfg.dim, k=k, sigma=sigma, eps=eps, N=n)
+    problem = get_problem(cfg.problem, eps)  # valid: the config checked it
+    rec = ConvergenceRecord(dim=len(problem.fluxes), k=k, sigma=sigma, eps=eps, N=n)
     try:
-        problem = get_problem(cfg.problem, eps)
         mesh = build_shishkin_1d(MeshParams(eps=eps, beta=problem.beta, sigma=sigma, N=n))
         jump = cfg.flux == "paper"
-        if cfg.dim == 2:
+        if rec.dim == 2:
             mesh = build_tensor_2d(mesh, mesh)
-        w = (solve_1d if cfg.dim == 1 else solve_2d)(mesh, problem, k, jump)
+        w = (solve_1d if rec.dim == 1 else solve_2d)(mesh, problem, k, jump)
         rec.report = error_report(w, problem, jump)
     except Exception as exc:  # per-case failures recorded; the sweep continues
         rec.status = f"error: {type(exc).__name__}"
@@ -142,20 +146,16 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     for k in sorted(cfg.degrees):
         done = {(eps, n): _run_case(cfg, k, eps, n)
                 for n in sorted(cfg.n_list) for eps in sorted(cfg.eps_list)}
-        for eps in sorted(cfg.eps_list):
-            group = [done[eps, n] for n in sorted(cfg.n_list)]
-            by_n = {rec.N: rec for rec in group}
-            for rec in group:
-                nxt = by_n.get(2 * rec.N)
-                if nxt is None or rec.report is None or nxt.report is None:
-                    continue
-                e, e2 = rec.report.err_energy, nxt.report.err_energy
+        for (eps, n), rec in sorted(done.items()):
+            records.append(rec)
+            nxt = done.get((eps, 2 * n))
+            if rec.report is None or nxt is None or nxt.report is None:
+                continue
+            for norm in _NORMS:
+                e, e2 = (getattr(r.report, f"err_{norm}") for r in (rec, nxt))
                 if e >= ROUNDOFF_FLOOR and e2 >= ROUNDOFF_FLOOR:
-                    rec.rs_energy, rec.rp_energy = rate_s(e, e2), rate_p(e, e2, rec.N)
-                e, e2 = rec.report.err_balanced, nxt.report.err_balanced
-                if e >= ROUNDOFF_FLOOR and e2 >= ROUNDOFF_FLOOR:
-                    rec.rs_balanced, rec.rp_balanced = rate_s(e, e2), rate_p(e, e2, rec.N)
-            records.extend(group)
+                    setattr(rec, f"rs_{norm}", rate_s(e, e2))
+                    setattr(rec, f"rp_{norm}", rate_p(e, e2, n))
     return records
 
 
@@ -166,21 +166,14 @@ def _fmt(v, spec: str) -> str:
 def records_to_csv(records: list[ConvergenceRecord]) -> str:
     lines = [CSV_HEADER]
     for r in records:
-        rep = r.report
         lines.append(",".join([
             str(r.dim),
             str(r.k),
             format(r.sigma, ".6g"),
             format(r.eps, ".6g"),
             str(r.N),
-            _fmt(rep.err_energy if rep else None, ".6g"),
-            _fmt(rep.err_balanced if rep else None, ".6g"),
-            _fmt(rep.err_l2_u if rep else None, ".6g"),
-            _fmt(rep.err_linf_u if rep else None, ".6g"),
-            _fmt(r.rs_energy, ".2f"),
-            _fmt(r.rp_energy, ".2f"),
-            _fmt(r.rs_balanced, ".2f"),
-            _fmt(r.rp_balanced, ".2f"),
+            *(_fmt(getattr(r.report, c) if r.report else None, ".6g") for c in _ERRORS),
+            *(_fmt(getattr(r, c), ".2f") for c in _RATES),
             r.status,
         ]))
     return "\n".join(lines) + "\n"

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ldgrd.problems import (PROBLEM_NAMES, _layer_parts, get_problem, layer1d, layer2d,
+from ldgrd.problems import (PROBLEM_NAMES, _exp, _layer_profile, get_problem, layer1d, layer2d,
                             layer2d_variable_b, poly_exact_1d, poly_exact_2d)
+
+DIMENSIONS = {"layer1d": 1, "poly1d": 1, "layer2d": 2, "layer2d_varb": 2, "poly2d": 2}
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8, 1e-12])
@@ -20,9 +22,8 @@ def test_layer1d_boundary_and_midpoint(eps):
 def test_shipped_problem_vanishes_on_the_boundary(name, eps, rng):
     # the norms take every error jump from the discrete solution alone, which
     # holds because u is continuous and vanishes on the boundary
-    dim, _ = PROBLEM_NAMES[name]
     p = get_problem(name, eps)
-    if dim == 1:
+    if len(p.fluxes) == 1:
         assert np.all(p.u_exact(np.array([0.0, 1.0])) == 0.0)
         return
     s, zero, one = rng.uniform(0.0, 1.0, 50), np.zeros(50), np.ones(50)
@@ -33,8 +34,8 @@ def test_shipped_problem_vanishes_on_the_boundary(name, eps, rng):
 @pytest.mark.parametrize("name", list(PROBLEM_NAMES))
 @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
 def test_residual_vanishes(name, eps, rng):
-    dim, _ = PROBLEM_NAMES[name]
     p = get_problem(name, eps)
+    dim = len(p.fluxes)
     x = rng.uniform(0.0, 1.0, size=(dim, 100))
     resid = -eps * p.lap_exact(*x) + p.b(*x) * p.u_exact(*x) - p.f(*x)
     assert np.abs(resid).max() < 1e-12
@@ -46,9 +47,9 @@ def test_fluxes_are_eps_times_the_gradient_in_axis_order(name, eps, rng):
     # fluxes[a] is eps times the derivative of u along axis a, as the report
     # pairs it with LdgSolution.fluxes[a]; five points per axis sit in the
     # layer at 0, where the flux is largest
-    dim, _ = PROBLEM_NAMES[name]
     p = get_problem(name, eps)
-    assert len(p.fluxes) == dim and (p.p_exact is None) == (dim == 1)
+    dim = len(p.fluxes)
+    assert dim == DIMENSIONS[name] and (p.p_exact is None) == (dim == 1)
     s = math.sqrt(eps)
     x = rng.uniform(0.0, 1.0, size=(dim, 40))
     x[:, :5] = 0.2 * s * (1 + np.arange(5))
@@ -90,27 +91,33 @@ def test_layer1d_underflow_safe():
 EPS_POOL = (1e-8, 1e-6, 1e-7, 1e-9, 1e-10, 1e-11, 1e-12)  # the benchmark's eps pool
 
 
-def plain_layer_parts(eps):
-    """g, g' and g'' of _layer_parts with every exponential evaluated: the
-    formula before the underflowing ones were skipped, kept as the oracle."""
+def plain_layer_profile(eps):
+    """u1, u1' and u1'' of _layer_profile with every exponential evaluated:
+    the formula before the underflowing ones were skipped, kept as the
+    oracle."""
     s = math.sqrt(eps)
     denom = 1.0 - math.exp(-1.0 / s)
-    return (lambda x: (np.exp(-x / s) - np.exp(-(1.0 - x) / s)) / denom,
-            lambda x: -(np.exp(-x / s) + np.exp(-(1.0 - x) / s)) / (s * denom),
-            lambda x: (np.exp(-x / s) - np.exp(-(1.0 - x) / s)) / (s * s * denom))
+    return (lambda x: (np.exp(-x / s) - np.exp(-(1.0 - x) / s)) / denom - np.cos(np.pi * x),
+            lambda x: (-(np.exp(-x / s) + np.exp(-(1.0 - x) / s)) / (s * denom)
+                       + np.pi * np.sin(np.pi * x)),
+            lambda x: ((np.exp(-x / s) - np.exp(-(1.0 - x) / s)) / (s * s * denom)
+                       + np.pi**2 * np.cos(np.pi * x)))
 
 
 @pytest.mark.parametrize("eps", EPS_POOL + (1e-4,))
 def test_layer_parts_skip_only_underflowing_exponentials(eps):
     # Both exponentials' arguments sweep -800..-700, across exp's underflow to
     # +0.0 (about -745.13) and the -746 below which exp is not evaluated, plus
-    # the floats next to -746 itself; the values must keep every bit.
+    # the floats next to -746 itself; the values must keep every bit.  The
+    # trig terms absorb the layer terms (at most 1e-304) at these points, so
+    # _exp is also checked on the arguments themselves.
     s = math.sqrt(eps)
     a = np.concatenate([np.linspace(-800.0, -700.0, 4001),
                         np.nextafter(-746.0, [-np.inf, 0.0]), [-746.0, -745.13]])
+    assert np.array_equal(_exp(a).view(np.uint64), np.exp(a).view(np.uint64))
     x = np.concatenate([-a * s, 1.0 + a * s, np.linspace(0.0, 1.0, 1001)])
     x = x[(x >= 0.0) & (x <= 1.0)]
-    for fn, ref in zip(_layer_parts(eps), plain_layer_parts(eps)):
+    for fn, ref in zip(_layer_profile(eps), plain_layer_profile(eps), strict=True):
         got, want = fn(x), ref(x)
         assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -176,7 +183,7 @@ def test_get_problem_rejects_unknown():
         get_problem("nosuch", 1e-4)
 
 
-@pytest.mark.parametrize("factory", [factory for _, factory in PROBLEM_NAMES.values()])
+@pytest.mark.parametrize("factory", list(PROBLEM_NAMES.values()))
 def test_eps_domain_validated(factory):
     # the flux weights sqrt(eps) and 1/sqrt(eps) must be finite and positive,
     # as the energy identity and the 2D solve's flux-block inverse need

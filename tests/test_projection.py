@@ -128,6 +128,27 @@ def test_gauss_radau_rejects_degree_zero():
             composite(*args, 0)
 
 
+@pytest.mark.parametrize("composite, dim", [(composite_u_1d, 1), (composite_q_1d, 1),
+                                            (composite_u_2d, 2), (composite_px_2d, 2),
+                                            (composite_qy_2d, 2)])
+def test_composites_check_the_degree_and_the_mesh_dimension(composite, dim):
+    # the solvers' degree rule and a ValueError naming both dimensions, where
+    # numpy raised a TypeError, an IndexError or a broadcast error
+    m = build_shishkin_1d(MeshParams(eps=1e-8, beta=1.0, sigma=3.0, N=16))
+    meshes = {1: m, 2: build_tensor_2d(m, m)}
+    field = {1: layer1d, 2: layer2d}[dim](1e-8).u_exact
+    for k in (1.0, 2.5):
+        with pytest.raises(ValueError, match=f"polynomial degree must be an integer, got {k}"):
+            composite(field, meshes[dim], k)
+    with pytest.raises(ValueError, match=f"a {3 - dim}D mesh does not fit the {dim}D composite"):
+        composite(field, meshes[3 - dim], 2)
+    _node_samples.cache_clear()
+    got = composite(field, meshes[dim], np.int64(2)).coeffs
+    _node_samples.cache_clear()
+    want = composite(field, meshes[dim], 2).coeffs
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
 def test_composite_u_region_table():
     mesh = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=8))
     k = 1

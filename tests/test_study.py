@@ -24,6 +24,9 @@ from ldgrd.study import (
     run_study,
 )
 
+HEADER = ("dim,k,sigma,eps,N,err_energy,err_balanced,err_l2_u,err_linf_u,"
+          "rs_energy,rp_energy,rs_balanced,rp_balanced,status")  # the CSV's header, pinned
+
 
 def test_rate_s_hand_values():
     # ln(25/11)/ln(2) evaluated by hand
@@ -54,6 +57,10 @@ def test_rates_reject_bad_input():
         rate_s(1.0, -1.0)
     with pytest.raises(ValueError):
         rate_p(1.0, 1.0, 1)
+    # N^-1 ln N has the same value at N=2 and 2N=4: the rate's denominator is 0
+    with pytest.raises(ValueError, match="N must be at least 3, got 2"):
+        rate_p(1.0, 0.5, 2)
+    assert math.isfinite(rate_p(1.0, 0.5, 3))
 
 
 def test_config_validation():
@@ -128,7 +135,7 @@ def test_csv_schema_and_formatting():
     records = run_study(cfg)
     text = records_to_csv(records)
     lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == CSV_HEADER == HEADER
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 2
     assert rows[0]["dim"] == "1" and rows[0]["k"] == "1" and rows[0]["N"] == "8"
@@ -145,6 +152,35 @@ def test_csv_bit_stable():
     t1 = records_to_csv(run_study(cfg))
     t2 = records_to_csv(run_study(cfg))
     assert t1 == t2
+
+
+# The CLI's CSV bytes, as written before the columns were derived from one
+# list: the first run has four cases without a mesh (eps=1e-2: tau > 1/4).
+PINNED_CSV = {
+    ("--degree", "1,2", "--N", "8,16", "--eps", "1e-2,1e-8"): (1, (
+        f"{HEADER}\n"
+        "1,1,2,1e-08,8,0.0165697,0.367476,0.0161541,0.233001,1.82,3.12,0.74,1.26,ok\n"
+        "1,1,2,1e-08,16,0.00468542,0.220308,0.00413418,0.143182,,,,,ok\n"
+        "1,1,2,0.01,8,,,,,,,,,error: ValueError\n"
+        "1,1,2,0.01,16,,,,,,,,,error: ValueError\n"
+        "1,2,3,1e-08,8,0.00208447,0.164186,0.00128401,0.104549,1.35,2.31,1.13,1.92,ok\n"
+        "1,2,3,1e-08,16,0.000816291,0.0752439,0.000316493,0.0491913,,,,,ok\n"
+        "1,2,3,0.01,8,,,,,,,,,error: ValueError\n"
+        "1,2,3,0.01,16,,,,,,,,,error: ValueError\n"
+    )),
+    ("--problem", "layer2d", "--degree", "1", "--N", "8,16", "--eps", "1e-8"): (0, (
+        f"{HEADER}\n"
+        "2,1,2,1e-08,8,0.0230962,0.354551,0.0161362,0.23839,1.90,3.24,0.74,1.27,ok\n"
+        "2,1,2,1e-08,16,0.00620388,0.212123,0.00412188,0.142552,,,,,ok\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_CSV))
+def test_cli_csv_bytes_are_pinned(argv, capsys):
+    code, expected = PINNED_CSV[argv]
+    assert main([*argv, "--format", "csv"]) == code
+    assert capsys.readouterr().out == expected
 
 
 def test_evaluation_order_changes_nothing_observable(monkeypatch):

@@ -11,9 +11,13 @@ not depend on the tree's unknown layout: `x` holds the solved fields
 through the tree's own 2D coefficient map, and the matrix is permuted to
 one fixed per-cell order through the same map applied to the unknowns'
 positions, with explicit zeros dropped.  The map is `assembly1d`'s
-`coeffs_to_solution`.  It also saves the coefficients `coeffs` and the
-errors `err` (l2, then linf) of the composite interpolants of the benchmark's
-interp workload; for each 1D interpolant also `err_cold`, both errors
+`coeffs_to_solution`.  The tool holds each case's system as its own
+(matrix, rhs) pair: in 1D it reads the fields `matrix` and `rhs` of what
+`assemble` returns, and in 2D it takes `LdgOperator2D.matrix()` and `.rhs`,
+so it needs no holder class of the tree (`SparseSystem` lived in `linalg`
+before it moved to `assembly1d`).  It also saves the coefficients `coeffs`
+and the errors `err` (l2, then linf) of the composite interpolants of the
+benchmark's interp workload; for each 1D interpolant also `err_cold`, both errors
 measured again right after emptying the shared 1D node-sample cache
 (`projection._node_samples`), so that the shared and the cold sampling are
 compared bitwise across trees.  Run it once per tree,
@@ -99,11 +103,10 @@ def _variable_b(problem, dim: int):
 
 
 def _cases():
-    """Yield (key, system, solution vector, error report) for every case of
-    both grids."""
+    """Yield (key, (matrix, rhs), solution vector, error report) for every
+    case of both grids."""
     from ldgrd.assembly1d import assemble, solution_to_coeffs, solve_1d
     from ldgrd.assembly2d import LdgOperator2D, solve_2d
-    from ldgrd.linalg import SparseSystem
     from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
     from ldgrd.norms import error_report
     from ldgrd.problems import get_problem
@@ -124,14 +127,14 @@ def _cases():
                         key = f"{dim}d/k{k}/eps{eps:.0e}/N{N}/{name}"
                         if dim == 1:
                             w = solve_1d(mesh, prob, k, jump)
-                            yield (key, assemble(mesh, prob, k, jump), solution_to_coeffs(w),
+                            system = assemble(mesh, prob, k, jump)
+                            yield (key, (system.matrix, system.rhs), solution_to_coeffs(w),
                                    error_report(w, prob, jump))
                         else:
                             mesh2 = build_tensor_2d(mesh, mesh)
                             t = solve_2d(mesh2, prob, k, jump)
                             op = LdgOperator2D(mesh2, prob, k, jump)
-                            system = SparseSystem(matrix=op.matrix(), rhs=op.rhs)
-                            yield (key, _per_cell(mesh2, k, system), _fields(t),
+                            yield (key, _per_cell(mesh2, k, op.matrix(), op.rhs), _fields(t),
                                    error_report(t, prob, jump))
 
 
@@ -178,10 +181,11 @@ def _fields(t) -> np.ndarray:
     return np.stack([t.p.coeffs, t.q.coeffs, t.u.coeffs])
 
 
-def _per_cell(mesh2, k: int, system):
-    """The 2D system in one fixed per-cell order (cell (i, j) with j fastest,
-    then field P, Q, U, x mode, y mode), whatever the tree's own unknown
-    layout: the matrix with explicit zeros dropped and the rhs as _fields."""
+def _per_cell(mesh2, k: int, matrix, rhs):
+    """The 2D system (matrix, rhs) in one fixed per-cell order (cell (i, j)
+    with j fastest, then field P, Q, U, x mode, y mode), whatever the tree's
+    own unknown layout: the matrix with explicit zeros dropped and the rhs
+    as _fields."""
     import scipy.sparse as sp
     from ldgrd.assembly1d import coeffs_to_solution as to_solution
 
@@ -192,12 +196,11 @@ def _per_cell(mesh2, k: int, system):
     position = np.stack([t.p.coeffs, t.q.coeffs, t.u.coeffs], axis=2).ravel().astype(np.int64)
     where = np.empty(n, dtype=np.int64)
     where[position] = np.arange(n)
-    A = system.matrix.tocoo()
-    matrix = sp.csr_array((A.data, (where[A.row], where[A.col])), shape=A.shape)
-    matrix.eliminate_zeros()
-    matrix.sort_indices()
-    return dataclasses.replace(system, matrix=matrix,
-                               rhs=_fields(to_solution(mesh2, k, system.rhs)))
+    A = matrix.tocoo()
+    per_cell = sp.csr_array((A.data, (where[A.row], where[A.col])), shape=A.shape)
+    per_cell.eliminate_zeros()
+    per_cell.sort_indices()
+    return per_cell, _fields(to_solution(mesh2, k, rhs))
 
 
 def dump(tree: Path, out: Path) -> None:
@@ -208,11 +211,10 @@ def dump(tree: Path, out: Path) -> None:
     if not Path(ldgrd.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"imported ldgrd from {ldgrd.__file__}, not from {src}")
     arrays = {}
-    for key, system, x, report in _cases():
-        A = system.matrix
+    for key, (A, rhs), x, report in _cases():
         values = [v for v in dataclasses.astuple(report) if v is not None]
         arrays.update({f"{key}/indptr": A.indptr, f"{key}/indices": A.indices,
-                       f"{key}/data": A.data, f"{key}/rhs": system.rhs,
+                       f"{key}/data": A.data, f"{key}/rhs": rhs,
                        f"{key}/x": x, f"{key}/report": np.array(values)})
     ncases = len(arrays) // 6
     ninterp = 0
