@@ -25,7 +25,6 @@ __all__ = [
     "LdgSolution",
     "SparseSystem",
     "assemble",
-    "table_matrix",
     "solve_1d",
     "bilinear_B",
     "coeffs_to_solution",
@@ -171,12 +170,6 @@ def _table_sum(mesh: ShishkinMesh1D, k: int, eps: float, jump: bool, reaction=No
     return plan.pattern.matrix(vals.ravel()), plan.pattern
 
 
-def table_matrix(mesh: ShishkinMesh1D, k: int, eps: float, jump: bool = True):
-    """The scheme's b-free 1D operator: the matrix of assemble without the
-    reaction mass."""
-    return _table_sum(mesh, k, eps, jump)[0]
-
-
 def _check_dimension(problem, dim: int) -> None:
     if len(problem.fluxes) != dim:  # one exact flux per axis
         raise ValueError(f"a {len(problem.fluxes)}D problem does not fit a {dim}D mesh")
@@ -184,8 +177,6 @@ def _check_dimension(problem, dim: int) -> None:
 
 def _check_consistent(mesh, problem, k: int, dim: int) -> None:
     _check_input(mesh, k, dim, "solver")
-    if k < 1:
-        raise ValueError(f"polynomial degree must be >= 1, got {k}")
     _check_dimension(problem, dim)
     for m in mesh.axes:
         if not math.isclose(problem.eps, m.params.eps, rel_tol=1e-12):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .assembly1d import (ASSEMBLY_EXTRA_NODES, LdgSolution, _check_consistent, _flux_mass,
-                         _flux_weights, coeffs_to_solution, table_matrix)
+                         _flux_weights, _table_sum, coeffs_to_solution)
 from .linalg import KroneckerSumSolve, _refined_solve, from_coo, pcg, sp
 from .mesh import TensorMesh2D
 from .polyspace import end_vals, gauss_rule, leg_mass, legendre_basis
@@ -18,15 +18,15 @@ __all__ = ["LdgOperator2D", "solve_2d"]
 
 
 class _Axis:
-    """One axis's b-free 1D table (assembly1d.table_matrix) split into its
-    (flux, flux), (flux, U), (U, flux) and (U, U) blocks, the inverse of the
-    first, the 1D Schur operator K in U with the mass (h/2)*diag(mass) in
-    (cell, mode) order as the pair ``schur``.  The flux block is D +
-    lambda_jump v v^T, D the flux mass and v the flux jump at the special
-    interface, and is inverted by Sherman-Morrison (denominator >= 1)."""
+    """One axis's b-free 1D table (assembly1d._table_sum, no reaction mass)
+    split into its (flux, flux), (flux, U), (U, flux) and (U, U) blocks, the
+    inverse of the first, the 1D Schur operator K in U with the mass
+    (h/2)*diag(mass) in (cell, mode) order as the pair ``schur``.  The flux
+    block is D + lambda_jump v v^T, D the flux mass and v the flux jump at
+    the special interface, inverted by Sherman-Morrison (denominator >= 1)."""
 
     def __init__(self, m, k: int, eps: float, jump: bool):
-        table = table_matrix(m, k, eps, jump)
+        table, _ = _table_sum(m, k, eps, jump)
         f = np.tile(np.repeat([True, False], k + 1), m.ncells)
         self.ff, self.fu, self.uf, self.uu = (table[r][:, c] for r in (f, ~f) for c in (f, ~f))
         d = _flux_mass(m, eps, leg_mass(k)).ravel()

@@ -99,7 +99,7 @@ def build_shishkin_1d(params: MeshParams) -> ShishkinMesh1D:
 
     Points are evaluated branch by branch (not by accumulating widths) so
     that x_{N/4} = tau, x_{N/2} = 1/2 and x_{3N/4} = 1 - tau hold to
-    rounding and the mesh is symmetric about 1/2.
+    rounding, x_0 = 0 and x_N = 1 exactly, and the mesh is symmetric about 1/2.
     """
     N = params.N
     tau = params.tau
@@ -111,8 +111,6 @@ def build_shishkin_1d(params: MeshParams) -> ShishkinMesh1D:
     points[left] = 4.0 * tau * t[left]
     points[mid] = tau + 2.0 * (1.0 - 2.0 * tau) * (t[mid] - 0.25)
     points[right] = 1.0 - 4.0 * tau * (1.0 - t[right])
-    points[0] = 0.0
-    points[N] = 1.0
     widths = np.diff(points)
     if np.any(widths <= 0.0):
         raise ValueError("mesh points are not strictly increasing")
@@ -136,11 +134,6 @@ class TensorMesh2D:
     @property
     def shape(self) -> tuple[int, int]:
         return self.mesh_x.ncells, self.mesh_y.ncells
-
-    @property
-    def ncells(self) -> int:
-        nx, ny = self.shape
-        return nx * ny
 
     def quad_points(self, tx: np.ndarray, ty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Physical points of the reference grid tx x ty in every cell, as the

@@ -5,7 +5,7 @@ dimension is how each axis is contracted: values take the last mode axis
 from the right and, in 2D, x from the left (_values); a trace is one dot per
 cell in 1D and one einsum in 2D, the sums the error reports have always had.
 The per-cell sums (_cell_sums) serve the reports, the interpolation measure
-and the bilinear form's volume term."""
+and the bilinear form's volume term; _check_degree is the one degree rule."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ __all__ = [
     "gauss_rule",
     "layer_rule",
     "legendre_basis",
-    "legendre_basis_deriv",
     "leg_mass",
     "grad_matrix",
     "end_vals",
@@ -30,10 +29,17 @@ __all__ = [
 ]
 
 
-def _check_input(mesh, k, dim: int, user: str) -> None:
-    """The solvers' and composites' rule: an integer degree, a dim-D mesh."""
+def _check_degree(k) -> None:
+    """The one degree rule of the solvers, composites and study: an integer >= 1."""
     if not isinstance(k, numbers.Integral):
         raise ValueError(f"polynomial degree must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"polynomial degree must be >= 1, got {k}")
+
+
+def _check_input(mesh, k, dim: int, user: str) -> None:
+    """The solvers' and composites' rule: a degree by _check_degree, a dim-D mesh."""
+    _check_degree(k)
     if len(mesh.shape) != dim:
         raise ValueError(f"a {len(mesh.shape)}D mesh does not fit the {dim}D {user}")
 
@@ -78,22 +84,10 @@ def legendre_basis(k: int, t: np.ndarray) -> np.ndarray:
     t = np.ravel(np.asarray(t, dtype=float))
     vals = np.empty((k + 1, t.size))
     vals[0] = 1.0
-    if k >= 1:
-        vals[1] = t
+    vals[1:2] = t
     for m in range(1, k):
         vals[m + 1] = ((2 * m + 1) * t * vals[m] - m * vals[m - 1]) / (m + 1)
     return vals
-
-
-def legendre_basis_deriv(k: int, t: np.ndarray) -> np.ndarray:
-    """Rows P_0'..P_k' at the nodes t (derivatives in the reference variable)."""
-    vals = legendre_basis(k, t)
-    der = np.zeros_like(vals)
-    if k >= 1:
-        der[1] = 1.0
-    for m in range(2, k + 1):
-        der[m] = der[m - 2] + (2 * m - 1) * vals[m - 1]
-    return der
 
 
 @lru_cache(maxsize=None)
@@ -106,10 +100,13 @@ def leg_mass(k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def grad_matrix(k: int) -> np.ndarray:
-    """G[a, n] = integral over [-1,1] of P_a'(t) P_n(t) dt."""
+    """G[a, n] = integral over [-1,1] of P_a'(t) P_n(t) dt, by k+1 Gauss nodes."""
     rule = gauss_rule(k + 1)
     phi = legendre_basis(k, rule.nodes)
-    dphi = legendre_basis_deriv(k, rule.nodes)
+    dphi = np.zeros_like(phi)
+    dphi[1:2] = 1.0
+    for m in range(2, k + 1):
+        dphi[m] = dphi[m - 2] + (2 * m - 1) * phi[m - 1]
     G = np.einsum("g,ag,ng->an", rule.weights, dphi, phi)
     G.flags.writeable = False
     return G

@@ -89,10 +89,8 @@ def _radau_fix(c: np.ndarray, trace, axis: int, side: str, where=True) -> np.nda
     Moments against P_0..P_{k-1} along the coefficient axis `axis` (-2 for
     the x-mode, -1 for the y-mode) coincide with the L2 ones; the top mode
     is set, mode by mode in the other axis, so that the trace at t = +1
-    (side 'minus') or t = -1 ('plus') equals `trace`."""
+    (side 'minus') or t = -1 ('plus') equals `trace`; k >= 1, as the composites check."""
     k = c.shape[axis] - 1
-    if k < 1:
-        raise ValueError("Gauss-Radau projection needs degree k >= 1")
     rest = (slice(None),) * (-1 - axis)
     top, low = (..., k, *rest), (..., slice(k), *rest)
     if side == "minus":

@@ -12,6 +12,7 @@ from .assembly1d import solve_1d
 from .assembly2d import solve_2d
 from .mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from .norms import ErrorReport, error_report
+from .polyspace import _check_degree
 from .problems import get_problem
 
 __all__ = [
@@ -77,15 +78,13 @@ class StudyConfig:
             values = getattr(self, name)
             if not values or len(set(values)) != len(values):
                 raise ValueError(f"{name} must be nonempty, without a repeated value, got {values}")
-        for name in ("degrees", "n_list"):
-            for v in getattr(self, name):
-                if not isinstance(v, numbers.Integral):
-                    raise ValueError(f"{name} must hold integers, got {v!r}")
-        if min(self.degrees) < 1:
-            raise ValueError(f"polynomial degree must be >= 1, got {min(self.degrees)}")
+        for k in self.degrees:
+            _check_degree(k)
         for eps in self.eps_list:  # the problem checks its name and eps
             get_problem(self.problem, eps)
         for n in self.n_list:
+            if not isinstance(n, numbers.Integral):
+                raise ValueError(f"n_list must hold integers, got {n!r}")
             if n < 4 or n % 4 != 0:
                 raise ValueError(f"every N must be a positive multiple of 4, got {n}")
         if self.sigma is not None and not 0.0 < self.sigma < math.inf:
@@ -103,7 +102,8 @@ class StudyConfig:
 
 @dataclass
 class ConvergenceRecord:
-    """One (k, eps, N) case; rates are attached only when the 2N case ran."""
+    """One (k, eps, N) case; rates maps names of _RATES to the rates observed
+    against the 2N case, each only if both its errors lie above ROUNDOFF_FLOOR."""
 
     dim: int
     k: int
@@ -112,10 +112,7 @@ class ConvergenceRecord:
     N: int
     status: str = "ok"
     report: ErrorReport | None = None
-    rs_energy: float | None = None
-    rp_energy: float | None = None
-    rs_balanced: float | None = None
-    rp_balanced: float | None = None
+    rates: dict[str, float] = field(default_factory=dict)
     detail: str = field(default="", repr=False)
 
 
@@ -154,8 +151,8 @@ def run_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             for norm in _NORMS:
                 e, e2 = (getattr(r.report, f"err_{norm}") for r in (rec, nxt))
                 if e >= ROUNDOFF_FLOOR and e2 >= ROUNDOFF_FLOOR:
-                    setattr(rec, f"rs_{norm}", rate_s(e, e2))
-                    setattr(rec, f"rp_{norm}", rate_p(e, e2, n))
+                    rec.rates[f"rs_{norm}"] = rate_s(e, e2)
+                    rec.rates[f"rp_{norm}"] = rate_p(e, e2, n)
     return records
 
 
@@ -173,7 +170,7 @@ def records_to_csv(records: list[ConvergenceRecord]) -> str:
             format(r.eps, ".6g"),
             str(r.N),
             *(_fmt(getattr(r.report, c) if r.report else None, ".6g") for c in _ERRORS),
-            *(_fmt(getattr(r, c), ".2f") for c in _RATES),
+            *(_fmt(r.rates.get(c), ".2f") for c in _RATES),
             r.status,
         ]))
     return "\n".join(lines) + "\n"
@@ -202,8 +199,8 @@ def records_to_table(records: list[ConvergenceRecord]) -> str:
                 if r is None or r.report is None:
                     row.append(f"{'--':>12s}{'--':>8s}{'--':>8s}")
                     continue
-                rs = f"{r.rs_balanced:.2f}" if r.rs_balanced is not None else "--"
-                rp = f"{r.rp_balanced:.2f}" if r.rp_balanced is not None else "--"
+                rs, rp = (_fmt(r.rates.get(c), ".2f") or "--"
+                          for c in ("rs_balanced", "rp_balanced"))
                 row.append(f"{r.report.err_balanced:>12.4e}{rs:>8s}{rp:>8s}")
             out.append("".join(row))
         out.append("")

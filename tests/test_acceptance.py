@@ -149,8 +149,8 @@ def test_criterion_02_eps_robustness(grid1d):
 def test_criterion_03_rate_check(grid1d):
     index, _ = grid1d
     recs = [index[(1, 1e-8, N)] for N in (32, 64, 128, 256, 512)]
-    rs = [r.rs_balanced for r in recs]
-    rp = [r.rp_balanced for r in recs]
+    rs = [r.rates["rs_balanced"] for r in recs]
+    rp = [r.rates["rp_balanced"] for r in recs]
     dev_s = max(abs(a - b) for a, b in zip(rs, TABLE_RS_K1))
     dev_p = max(abs(a - b) for a, b in zip(rp, TABLE_RP_K1))
     ok = dev_s <= 0.1 and dev_p <= 0.1

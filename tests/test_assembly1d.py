@@ -17,12 +17,12 @@ import ldgrd.linalg as linalg
 import ldgrd.projection as projection
 from ldgrd.assembly1d import (
     LdgSolution,
+    _table_sum,
     assemble,
     bilinear_B,
     coeffs_to_solution,
     solution_to_coeffs,
     solve_1d,
-    table_matrix,
 )
 from ldgrd.assembly2d import LdgOperator2D, solve_2d
 from ldgrd.linalg import matvec
@@ -148,8 +148,8 @@ def test_assembly_deterministic():
     assert np.array_equal(s1.rhs, s2.rhs)
 
 
-# sha256 of (dtype, bytes) of indptr, indices and data, over table_matrix
-# then assemble for each N in (8, 32, 1024) and eps in (1e-4, 1e-8, 1e-12);
+# sha256 of (dtype, bytes) of indptr, indices and data, over the b-free table
+# (_table_sum without the reaction mass) then assemble for each N in (8, 32, 1024) and eps in (1e-4, 1e-8, 1e-12);
 # with b = 1 + x^2 (paper_varb) over assemble only.
 BIT_DIGESTS = {
     ('classic', 1): "d5f75d2897f58bfed14b31dc259d0c001f68775c39546baede3a01a43b42540b",
@@ -179,7 +179,7 @@ def bit_digest(matrices):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("flux", ["classic", "paper", "paper_varb"])
 def test_assembly_is_bitwise_from_coo(flux, k):
-    """assemble and table_matrix are, bit for bit (pattern, index dtypes and
+    """assemble and the b-free table are, bit for bit (pattern, index dtypes and
     every bit of every value), from_coo of the table's triplets built
     coupling by coupling in table order, with the reaction mass right after
     the volume entries and its blocks from np.einsum("g,jg,ag,ng->jan", ...):
@@ -204,7 +204,7 @@ def test_assembly_is_bitwise_from_coo(flux, k):
                 if flux == "paper_varb":
                     problem = dataclasses.replace(problem, b=lambda x: 1.0 + x**2)
                 else:
-                    yield table_matrix(mesh, k, eps, jump)
+                    yield _table_sum(mesh, k, eps, jump)[0]
                 yield assemble(mesh, problem, k, jump).matrix
 
     assert bit_digest(matrices()) == BIT_DIGESTS[flux, k]
@@ -253,7 +253,7 @@ def test_table_layout_is_cached_per_structure(monkeypatch):
     built = plan(N, k, 3 * N // 4, True, True)
     assert len(builds) == 1
     assert built.pattern.perm_c is not None  # recorded by the first solve
-    table_matrix(mesh, k, 1e-8, jump=False)  # another pattern takes the entry
+    _table_sum(mesh, k, 1e-8, jump=False)  # another pattern takes the entry
     assert len(builds) == 2
     assert plan.cache_info().currsize == 1
     assert len(built.traces) == len(built.codes) == built.hat_index[-1] + 1
@@ -369,7 +369,7 @@ def test_table_saddle_point_structure(k, N, eps_exp, flux):
     this at O(1), and the check does not use the layout's offsets."""
     eps = 10.0 ** -eps_exp
     mesh = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=1.0, N=N))  # tau <= 1/4
-    table = table_matrix(mesh, k, eps, flux == "paper").toarray()
+    table = _table_sum(mesh, k, eps, flux == "paper")[0].toarray()
     q = np.tile(np.repeat([True, False], k + 1), N)
     Aqq, Aqu = table[np.ix_(q, q)], table[np.ix_(q, ~q)]
     Auq, Auu = table[np.ix_(~q, q)], table[np.ix_(~q, ~q)]

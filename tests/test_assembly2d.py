@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from ldgrd import polyspace
-from ldgrd.assembly1d import (LdgSolution, _flux_weights, assemble, bilinear_B, solution_to_coeffs,
-                              table_matrix)
+from ldgrd.assembly1d import (LdgSolution, _flux_weights, _table_sum, assemble, bilinear_B,
+                              solution_to_coeffs)
 from ldgrd.assembly2d import LdgOperator2D, solve_2d
 from ldgrd.linalg import KroneckerSumSolve, SingularSystemError, _refined_solve, lu_solve, matvec
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
@@ -244,7 +244,7 @@ def test_mesh_y_for_another_eps_rejected():
 
 def flux_mask(mesh2, k):
     """The P and Q unknowns of the field-major [P; Q; U] ordering."""
-    n = mesh2.ncells * (k + 1) ** 2
+    n = math.prod(mesh2.shape) * (k + 1) ** 2
     return np.arange(3 * n) < 2 * n
 
 
@@ -363,7 +363,7 @@ def test_schur_complement_is_a_kronecker_sum(k, eps, N, flux, b, same_mesh):
     S = schur(op.matrix(), flux_mask(build_tensor_2d(mx, my), k))
     pairs = []
     for m, axis in ((mx, op.x), (my, op.y)):
-        K = schur(table_matrix(m, k, eps, jump),
+        K = schur(_table_sum(m, k, eps, jump)[0],
                   np.tile(np.repeat([True, False], k + 1), N)).toarray()
         assert np.abs(K - K.T).max() <= 1e-13 * np.abs(K).max()
         assert np.linalg.eigvalsh(K).min() >= -1e-13 * np.abs(K).max()
@@ -534,7 +534,7 @@ def test_one_eigh_per_distinct_axis(same_mesh, monkeypatch):
     eps, N, k = 1e-6, 8, 1
     mx = build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=2.0, N=N))
     my = mx if same_mesh else build_shishkin_1d(MeshParams(eps=eps, beta=1.0, sigma=3.0, N=N))
-    calls = {"eigh": 0, "table_matrix": 0}
+    calls = {"eigh": 0, "_table_sum": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -543,9 +543,9 @@ def test_one_eigh_per_distinct_axis(same_mesh, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr("ldgrd.assembly2d.table_matrix", counted("table_matrix", table_matrix))
+    monkeypatch.setattr("ldgrd.assembly2d._table_sum", counted("_table_sum", _table_sum))
     solve_2d(build_tensor_2d(mx, my), layer2d(eps), k)
-    assert calls == {"eigh": 1 if same_mesh else 2, "table_matrix": 1 if same_mesh else 2}
+    assert calls == {"eigh": 1 if same_mesh else 2, "_table_sum": 1 if same_mesh else 2}
 
 
 @pytest.mark.parametrize("case, error, match", [

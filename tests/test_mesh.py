@@ -33,6 +33,7 @@ def test_symmetry_and_region_widths(eps, N, sigma):
     params = MeshParams(eps=eps, beta=1.0, sigma=sigma, N=N)
     mesh = build_shishkin_1d(params)
     pts = mesh.points
+    assert pts[0] == 0.0 and pts[-1] == 1.0  # exactly, from the branch formulas
     assert np.all(np.diff(pts) > 0)
     assert np.abs(pts + pts[::-1] - 1.0).max() < 1e-14
     tau = params.tau
@@ -93,7 +94,7 @@ def test_points_are_immutable():
 def test_tensor_mesh_tiles_unit_square():
     m = build_shishkin_1d(MeshParams(eps=1e-4, beta=1.0, sigma=2.0, N=4))
     mesh2 = build_tensor_2d(m, m)
-    assert mesh2.ncells == 16
+    assert mesh2.shape == (4, 4)
     area = float(np.outer(mesh2.mesh_x.widths, mesh2.mesh_y.widths).sum())
     assert math.isclose(area, 1.0, rel_tol=1e-14)
     # symmetric under coordinate swap when both 1D meshes coincide

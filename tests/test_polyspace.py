@@ -12,7 +12,6 @@ from ldgrd.polyspace import (
     leg_mass,
     legendre_basis,
     _cell_sums,
-    legendre_basis_deriv,
 )
 
 from conftest import uniform_mesh, uniform_mesh_2d
@@ -64,20 +63,15 @@ def test_legendre_orthogonality():
     assert np.abs(gram - expected).max() < 1e-13
 
 
-def test_basis_derivative_against_finite_differences():
-    t = np.linspace(-0.9, 0.9, 7)
-    h = 1e-6
-    der = legendre_basis_deriv(5, t)
-    fd = (legendre_basis(5, t + h) - legendre_basis(5, t - h)) / (2 * h)
-    assert np.abs(der - fd).max() < 1e-8
-
-
-def test_grad_matrix_closed_form():
-    # integral of P_a' P_n over [-1,1] is 2 when a > n with a-n odd, else 0
-    G = grad_matrix(3)
-    expected = np.zeros((4, 4))
-    for a in range(4):
-        for n in range(4):
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_grad_matrix_closed_form(k):
+    # integral of P_a' P_n over [-1,1] is 2 when a > n with a-n odd, else 0.
+    # P_a' has degree a-1 < k, so row a of G fixes it: G checks every
+    # derivative that grad_matrix's recurrence forms at the k+1 Gauss nodes.
+    G = grad_matrix(k)
+    expected = np.zeros((k + 1, k + 1))
+    for a in range(k + 1):
+        for n in range(k + 1):
             if a > n and (a - n) % 2 == 1:
                 expected[a, n] = 2.0
     assert np.abs(G - expected).max() < 1e-13

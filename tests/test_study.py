@@ -81,9 +81,11 @@ def test_config_validation():
 @pytest.mark.parametrize("name, value", [("n_list", 8.0), ("n_list", 8.5),
                                          ("degrees", 1.0), ("degrees", 2.5)])
 def test_config_rejects_a_non_integral_degree_or_cell_count(name, value):
-    # rejected by the config, naming the field, instead of failing every
-    # case with a TypeError from inside numpy
-    with pytest.raises(ValueError, match=f"{name} must hold integers, got {value}"):
+    # rejected by the config, degrees by the solvers' rule, instead of failing
+    # every case with a TypeError from inside numpy
+    message = {"n_list": "n_list must hold integers",
+               "degrees": "polynomial degree must be an integer"}[name]
+    with pytest.raises(ValueError, match=f"{message}, got {value}"):
         StudyConfig(**{name: (value,)})
 
 
@@ -109,10 +111,10 @@ def test_run_study_attaches_rates_and_orders_records():
     assert [r.N for r in records] == [8, 16]
     assert all(r.status == "ok" for r in records)
     first, second = records
-    assert first.rs_balanced is not None and first.rp_balanced is not None
-    assert second.rs_balanced is None  # no 2N partner
+    assert set(first.rates) == {"rs_energy", "rp_energy", "rs_balanced", "rp_balanced"}
+    assert second.rates == {}  # no 2N partner
     assert math.isclose(
-        first.rs_balanced,
+        first.rates["rs_balanced"],
         rate_s(first.report.err_balanced, second.report.err_balanced),
         rel_tol=1e-12,
     )
@@ -211,7 +213,7 @@ def test_evaluation_order_changes_nothing_observable(monkeypatch):
     assert records_to_csv(records).encode() == records_to_csv(expected).encode()
     failed = [(r.k, r.eps, r.N, r.status) for r in records if r.status != "ok"]
     assert failed == [(3, 1e-4, 1024, "error: ValueError")]
-    assert sum(r.rs_balanced is not None for r in records) == 74
+    assert sum("rs_balanced" in r.rates for r in records) == 74
 
 
 def test_table_output_mentions_each_block():
@@ -356,7 +358,7 @@ def test_balanced_rate_climbs_toward_optimal_order():
     cfg = StudyConfig(degrees=(1,), eps_list=(1e-8,),
                       n_list=(64, 128, 256, 512, 1024), problem="layer1d")
     records = run_study(cfg)
-    rates = [r.rp_balanced for r in records if r.rp_balanced is not None]
+    rates = [r.rates["rp_balanced"] for r in records if "rp_balanced" in r.rates]
     assert len(rates) == 4
     for prev, nxt in zip(rates, rates[1:]):
         assert nxt >= prev - 0.05
