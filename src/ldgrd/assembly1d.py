@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import Pattern, lu_solve, sp
-from .mesh import ShishkinMesh1D
+from .mesh import ShishkinMesh1D, _frozen
 from .polyspace import (PiecewisePoly, _cell_sums, _cells, _check_input, _grid, _values, end_vals,
                         gauss_rule, grad_matrix, leg_mass, legendre_basis)
 
@@ -139,11 +139,8 @@ def _plan(N: int, k: int, m: int, jump: bool, reaction: bool) -> _Plan:
     B = k + 1
     rows = (np.concatenate(rows)[:, None] * B + np.repeat(np.arange(B), B)).ravel()
     cols = (np.concatenate(cols)[:, None] * B + np.tile(np.arange(B), B)).ravel()
-    plan = _Plan(np.array(traces), np.array(codes), np.repeat(np.arange(len(codes)), counts),
-                 Pattern(2 * N * B, rows, cols))
-    for a in plan[:3]:
-        a.flags.writeable = False
-    return plan
+    return _Plan(_frozen(np.array(traces)), _frozen(np.array(codes)),
+                 _frozen(np.repeat(np.arange(len(codes)), counts)), Pattern(2 * N * B, rows, cols))
 
 
 def _flux_mass(mesh: ShishkinMesh1D, eps: float, mass: np.ndarray, out=None):
@@ -157,7 +154,7 @@ def _table_sum(mesh: ShishkinMesh1D, k: int, eps: float, jump: bool, reaction=No
     blocks of the reaction mass, goes between G and the hats; without it
     the table has no such slice.  Only the block values are formed here.
     """
-    N, B = mesh.ncells, k + 1
+    N, B = mesh.params.N, k + 1
     plan = _plan(N, k, mesh.special_index, jump, reaction is not None)
     vals = np.empty((len(plan.hat_index) + (3 if reaction is None else 4) * N, B, B))
     _flux_mass(mesh, eps, np.diag(leg_mass(k)), out=vals[:N])
@@ -201,7 +198,7 @@ def assemble(mesh: ShishkinMesh1D, problem, k: int, jump: bool = True) -> Sparse
     cells flanking the special interface into both of their test rows.
     """
     _check_consistent(mesh, problem, k, 1)
-    N = mesh.ncells
+    N = mesh.params.N
     B = k + 1
     rule = gauss_rule(k + 1 + ASSEMBLY_EXTRA_NODES)
     phi = legendre_basis(k, rule.nodes)
@@ -282,11 +279,11 @@ def bilinear_B(t, z, problem, jump: bool = True) -> float:
     total = float(reduce(lambda v, h: h @ v, halves, _cell_sums(bV * uv, rule.weights, dim)))
     for a, (m, tf, zf) in enumerate(zip(axes, t.fluxes, z.fluxes)):
         ops = [G if o == a else mass for o in range(dim)]
-        width = [np.ones(m.ncells) if o == a else h for o, h in enumerate(halves)]
+        width = [np.ones(m.params.N) if o == a else h for o, h in enumerate(halves)]
         total += (1.0 / eps) * _pair_sum(zf.coeffs, tf.coeffs, [mass] * dim, halves)
         total += _pair_sum(zf.coeffs, t.u.coeffs, ops, width)  # <U, r_a>
         total += _pair_sum(z.u.coeffs, tf.coeffs, ops, width)  # <flux, v_a>
-        n, line = m.ncells, partial(_pair_sum, ops=[mass] * (dim - 1),  # along the other axes
+        n, line = m.params.N, partial(_pair_sum, ops=[mass] * (dim - 1),  # along the other axes
                                     weights=halves[:a] + halves[a + 1:])
         for i in range(1, n):
             total -= line(zf.jump(i, a), t.u.trace(i, "left", a))

@@ -27,7 +27,7 @@ class _Axis:
 
     def __init__(self, m, k: int, eps: float, jump: bool):
         table, _ = _table_sum(m, k, eps, jump)
-        f = np.tile(np.repeat([True, False], k + 1), m.ncells)
+        f = np.tile(np.repeat([True, False], k + 1), m.params.N)
         self.ff, self.fu, self.uf, self.uu = (table[r][:, c] for r in (f, ~f) for c in (f, ~f))
         d = _flux_mass(m, eps, leg_mass(k)).ravel()
         em, ep = end_vals(k)

@@ -8,6 +8,8 @@ import logging
 
 import numpy as np
 
+from .mesh import _frozen
+
 __all__ = [
     "SingularSystemError",
     "from_coo",
@@ -58,11 +60,6 @@ def from_coo(n: int, rows, cols, vals) -> sp.csr_array:
     if not np.all(np.isfinite(csr.data)):
         raise ValueError("matrix contains non-finite entries")
     return csr
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _indptr(major: np.ndarray, n: int) -> np.ndarray:

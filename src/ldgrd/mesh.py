@@ -17,6 +17,11 @@ __all__ = [
 ]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _quad_points(cell, t: np.ndarray) -> np.ndarray:
     """Points (..., len(t)) of the reference nodes t on the intervals cell = (a, b)."""
     a, b = (np.asarray(e, dtype=float)[..., None] for e in cell)
@@ -73,10 +78,6 @@ class ShishkinMesh1D:
     widths: np.ndarray  # (N,), widths[j] = points[j+1] - points[j]
 
     @property
-    def ncells(self) -> int:
-        return self.params.N
-
-    @property
     def axes(self) -> tuple[ShishkinMesh1D]:
         return (self,)
 
@@ -90,7 +91,7 @@ class ShishkinMesh1D:
         return 3 * self.params.N // 4
 
     def quad_points(self, t: np.ndarray) -> np.ndarray:
-        """Physical points (ncells, len(t)) of reference points t in [-1, 1]."""
+        """Physical points (N, len(t)) of reference points t in [-1, 1]."""
         return _quad_points((self.points[:-1], self.points[1:]), t)
 
 
@@ -114,9 +115,7 @@ def build_shishkin_1d(params: MeshParams) -> ShishkinMesh1D:
     widths = np.diff(points)
     if np.any(widths <= 0.0):
         raise ValueError("mesh points are not strictly increasing")
-    points.flags.writeable = False
-    widths.flags.writeable = False
-    return ShishkinMesh1D(params=params, points=points, widths=widths)
+    return ShishkinMesh1D(params=params, points=_frozen(points), widths=_frozen(widths))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +132,7 @@ class TensorMesh2D:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.mesh_x.ncells, self.mesh_y.ncells
+        return self.mesh_x.params.N, self.mesh_y.params.N
 
     def quad_points(self, tx: np.ndarray, ty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Physical points of the reference grid tx x ty in every cell, as the

@@ -50,7 +50,7 @@ def _per_dimension(w, problem):
         return float(j2)
 
     fluxes = list(zip(w.fluxes, problem.fluxes))
-    ju = sum(sq(w.u, axis, i) for axis, m in enumerate(axes) for i in (0, m.ncells))
+    ju = sum(sq(w.u, axis, i) for axis, m in enumerate(axes) for i in (0, m.params.N))
     js = sum(sq(poly, axis, axes[axis].special_index) for axis, (poly, _) in enumerate(fluxes))
     lam_s = 1.0 if len(axes) == 1 else _flux_weights(problem.eps, True)[1]  # 2D: lambda_jump
     return fluxes, ju, js, lam_s
@@ -66,7 +66,7 @@ def _error_pieces(w, problem, fluxes):
     dim, rule = len(mesh.shape), layer_rule(k)
     ext = np.concatenate([rule.nodes, [-1.0, 1.0]])
     phi_e, phi = legendre_basis(k, ext), legendre_basis(k, rule.nodes)
-    nodes = (...,) + (slice(rule.n),) * dim
+    nodes = (...,) + (slice(rule.nodes.size),) * dim
     sums, linf_u = np.empty((len(fluxes) + 2, *mesh.shape)), 0.0
     for s in _chunks(mesh.shape[0], math.prod(mesh.shape[1:]) * ext.size**dim):
         grid = _grid(_cells(mesh, s), ext)

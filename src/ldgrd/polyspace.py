@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .mesh import _quad_points
+from .mesh import _frozen, _quad_points
 
 __all__ = [
     "QuadratureRule",
@@ -51,10 +51,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.nodes.size
-
 
 @lru_cache(maxsize=None)
 def gauss_rule(n: int) -> QuadratureRule:
@@ -63,9 +59,7 @@ def gauss_rule(n: int) -> QuadratureRule:
     if n < 1:
         raise ValueError(f"quadrature rule needs at least one node, got {n}")
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=_frozen(nodes), weights=_frozen(weights))
 
 
 LAYER_EXTRA_NODES = 4  # k+5 nodes: the integrands contain layer exponentials
@@ -94,8 +88,7 @@ def legendre_basis(k: int, t: np.ndarray) -> np.ndarray:
 def leg_mass(k: int) -> np.ndarray:
     """Diagonal of the reference mass matrix: integral of P_m^2 = 2/(2m+1)."""
     d = 2.0 / (2.0 * np.arange(k + 1) + 1.0)
-    d.flags.writeable = False
-    return d
+    return _frozen(d)
 
 
 @lru_cache(maxsize=None)
@@ -108,8 +101,7 @@ def grad_matrix(k: int) -> np.ndarray:
     for m in range(2, k + 1):
         dphi[m] = dphi[m - 2] + (2 * m - 1) * phi[m - 1]
     G = np.einsum("g,ag,ng->an", rule.weights, dphi, phi)
-    G.flags.writeable = False
-    return G
+    return _frozen(G)
 
 
 @lru_cache(maxsize=None)
@@ -117,9 +109,7 @@ def end_vals(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis values at the cell ends: (at t=-1, at t=+1)."""
     minus = (-1.0) ** np.arange(k + 1)
     plus = np.ones(k + 1)
-    minus.flags.writeable = False
-    plus.flags.writeable = False
-    return minus, plus
+    return _frozen(minus), _frozen(plus)
 
 
 CHUNK_VALUES = 1 << 15  # doubles per grid temporary of a whole-mesh evaluation (256 KiB)
@@ -139,8 +129,7 @@ def _cell_sums(f: np.ndarray, weights: np.ndarray, dim: int) -> np.ndarray:
     BLAS: each cell's sum has the same bits whatever cells come with it, and
     so whatever the chunking."""
     axes = "xy"[:dim]
-    return np.einsum(f"...{axes},{axes}->...", f, np.multiply.outer(weights, weights)
-                     if dim == 2 else weights)
+    return np.einsum(f"...{axes},{axes}->...", f, reduce(np.multiply.outer, [weights] * dim))
 
 
 def _cells(mesh, s: slice = slice(None)) -> list[tuple[np.ndarray, np.ndarray]]:

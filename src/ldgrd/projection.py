@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .mesh import ShishkinMesh1D
+from .mesh import ShishkinMesh1D, _frozen
 from .polyspace import (PiecewisePoly, _cell_sums, _cells, _check_input, _chunks, _grid, _values,
                         end_vals, layer_rule, legendre_basis)
 
@@ -34,14 +34,13 @@ __all__ = [
 
 
 def _sample(field, mesh: ShishkinMesh1D, k: int) -> np.ndarray:
-    """Read-only (ncells, k+5) values of field at the layer_rule(k) nodes of
+    """Read-only (N, k+5) values of field at the layer_rule(k) nodes of
     every cell, sampled chunk by chunk."""
     nodes = layer_rule(k).nodes
-    zx = np.empty((mesh.ncells, nodes.size))
-    for s in _chunks(mesh.ncells, nodes.size):
+    zx = np.empty((mesh.params.N, nodes.size))
+    for s in _chunks(mesh.params.N, nodes.size):
         zx[s] = field(*_grid(_cells(mesh, s), nodes))
-    zx.flags.writeable = False
-    return zx
+    return _frozen(zx)
 
 
 @lru_cache(maxsize=1)
@@ -136,7 +135,7 @@ def _composite(z, mesh, k: int, fixes) -> PiecewisePoly:
     shape = mesh.shape
     zx = _samples(z, mesh, k)
     c = np.empty(shape + (k + 1,) * len(shape))
-    for s in _chunks(shape[0], math.prod(shape[1:]) * layer_rule(k).n ** len(shape)):
+    for s in _chunks(shape[0], math.prod(shape[1:]) * layer_rule(k).nodes.size ** len(shape)):
         fix = [(axis, side, np.broadcast_to(where, shape)[s]) for axis, side, where in fixes]
         c[s] = _project(z, _cells(mesh, s), k, fix, None if zx is None else zx[s])
     return PiecewisePoly(mesh, c)
@@ -152,7 +151,8 @@ def composite_u_1d(u, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly:
     mesh objects, that measure_interp_error of the same u and mesh reuses.
     """
     _check_input(mesh, k, 1, "composite")
-    return _composite(u, mesh, k, [(0, "minus", _fine_band(np.arange(mesh.ncells), mesh.ncells))])
+    return _composite(u, mesh, k,
+                      [(0, "minus", _fine_band(np.arange(mesh.params.N), mesh.params.N))])
 
 
 def composite_q_1d(q, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly:
@@ -160,7 +160,7 @@ def composite_q_1d(q, mesh: ShishkinMesh1D, k: int) -> PiecewisePoly:
     first cell, left-endpoint-matching Gauss-Radau everywhere else.  q must
     be a pure function of x; its node samples are cached as in composite_u_1d."""
     _check_input(mesh, k, 1, "composite")
-    return _composite(q, mesh, k, [(0, "plus", np.arange(mesh.ncells) > 0)])
+    return _composite(q, mesh, k, [(0, "plus", np.arange(mesh.params.N) > 0)])
 
 
 def composite_u_2d(u, mesh, k: int) -> PiecewisePoly:

@@ -38,7 +38,7 @@ def ones_b(x):
 
 
 def make_pair(mesh, k, rng):
-    n = mesh.ncells
+    n = mesh.params.N
     return LdgSolution(
         q=PiecewisePoly(mesh, rng.standard_normal((n, k + 1))),
         u=PiecewisePoly(mesh, rng.standard_normal((n, k + 1))),

@@ -87,8 +87,9 @@ def test_rejects_bad_beta_and_sigma(field, bad):
 
 def test_points_are_immutable():
     mesh = build_shishkin_1d(MeshParams(eps=1e-4, N=8))
-    with pytest.raises(ValueError):
-        mesh.points[0] = 0.5
+    for a in (mesh.points, mesh.widths):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
 
 
 def test_tensor_mesh_tiles_unit_square():

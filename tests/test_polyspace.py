@@ -7,6 +7,7 @@ from numpy.polynomial.legendre import legval, legval2d
 from ldgrd.mesh import MeshParams, build_shishkin_1d, build_tensor_2d
 from ldgrd.polyspace import (
     PiecewisePoly,
+    end_vals,
     gauss_rule,
     grad_matrix,
     leg_mass,
@@ -238,6 +239,16 @@ def test_piecewise_poly_rejects_a_wrong_coefficient_shape(rng):
             PiecewisePoly(m, rng.standard_normal(shape))
     assert PiecewisePoly(mesh2, np.zeros((4, 8, 3, 3))).degree == 2
     assert PiecewisePoly(mesh, np.zeros((4, 3))).degree == 2
+
+
+@pytest.mark.parametrize("shared", [lambda: gauss_rule(3).nodes, lambda: gauss_rule(3).weights,
+                                    lambda: leg_mass(2), lambda: grad_matrix(2),
+                                    lambda: end_vals(2)[0], lambda: end_vals(2)[1]],
+                         ids=["nodes", "weights", "leg_mass", "grad_matrix", "end_minus", "end_plus"])
+def test_cached_reference_arrays_are_read_only(shared):
+    # every cache entry is shared by all its callers: a write is refused
+    with pytest.raises(ValueError):
+        shared()[...] = 0.0
 
 
 def test_mass_diag():

@@ -403,7 +403,7 @@ def test_shared_node_samples_are_bitwise_those_of_cold_calls(k):
     the whole-mesh kernel's coefficients, which samples the field itself."""
     spec, mesh = layer_case(k)
     cells = mesh.points[:-1], mesh.points[1:]
-    j = np.arange(mesh.ncells)
+    j = np.arange(mesh.params.N)
     for build, exact, side, where in ((composite_u_1d, spec.u_exact, "minus", _fine_band(j, j.size)),
                                       (composite_q_1d, spec.q_exact, "plus", j > 0)):
         field = Counted(exact)
@@ -417,7 +417,7 @@ def test_shared_node_samples_are_bitwise_those_of_cold_calls(k):
         field.nodes = 0
         shared = build(field, mesh, k)
         warm = [measure_interp_error(field, shared, norm) for norm in ("l2", "linf")]
-        assert field.nodes == mesh.ncells * polyspace.layer_rule(k).n  # the nodes, sampled once
+        assert field.nodes == mesh.params.N * polyspace.layer_rule(k).nodes.size  # the nodes, sampled once
         assert np.array_equal(shared.coeffs, comp.coeffs)
         assert np.array_equal(shared.coeffs, radau(field, [cells], k, 0, side, where))
         assert warm == cold
@@ -427,7 +427,7 @@ def test_node_samples_are_keyed_on_field_mesh_and_degree():
     spec, mesh = layer_case(2, N=64)
     _, other_mesh = layer_case(2, N=64)
     u, same_u = Counted(spec.u_exact), Counted(spec.u_exact)
-    nodes = {k: 64 * polyspace.layer_rule(k).n for k in (2, 3)}  # one sampling of the nodes
+    nodes = {k: 64 * polyspace.layer_rule(k).nodes.size for k in (2, 3)}  # one sampling of the nodes
     _node_samples.cache_clear()
     composite_u_1d(u, mesh, 2)
     samples = _node_samples(u, mesh, 2)
@@ -501,7 +501,7 @@ def test_an_unhashable_field_leaves_the_cached_samples_in_place():
     assert _node_samples.cache_info().currsize == 1
     for norm in ("l2", "linf"):
         measure_interp_error(u, comp, norm)
-    assert u.nodes == 64 * polyspace.layer_rule(2).n
+    assert u.nodes == 64 * polyspace.layer_rule(2).nodes.size
 
 
 def test_shared_node_samples_keep_one_chunked_array():
@@ -554,7 +554,7 @@ def check_cells_1d(z, comp, region, tol=1e-12):
     resid = z(mesh.quad_points(fine.nodes)) - comp.values_on_ref(fine.nodes)
     moments = (resid * fine.weights) @ phi.T
     ends = {"minus": (mesh.points[1:], 1.0), "plus": (mesh.points[:-1], -1.0)}
-    for j in range(mesh.ncells):
+    for j in range(mesh.params.N):
         side = region(j)
         upto = k + 1 if side == "l2" else k
         assert np.abs(moments[j, :upto]).max() < tol, (j, side)
